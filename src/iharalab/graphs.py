@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -37,11 +37,20 @@ class Graph:
             transitivity (named graphs, Cayley graphs); enables
             single-row shortcuts that are verified against the full
             computation in the test suite.
+        neighbors: neighbors[i] lists each neighbor w of i adj[i][w]
+            times, so a loop appears adj[i][i] times; derived from adj
+            when not given, and ignored by equality.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
     vertex_transitive_hint: bool = False
+    neighbors: tuple[tuple[int, ...], ...] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.neighbors is None:
+            nbrs = tuple(tuple(w for w, c in enumerate(row) if c for _ in range(c)) for row in self.adj)
+            object.__setattr__(self, "neighbors", nbrs)
 
     @property
     def edge_count(self) -> int:
@@ -102,6 +111,7 @@ def build_graph(n: int, edges: Iterable[Sequence[int]], *, vertex_transitive_hin
     if n <= 0:
         raise EmptyGraph("graph must have at least one vertex")
     a = [[0] * n for _ in range(n)]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for e in edges:
         if len(e) == 2:
             i, j = e
@@ -116,10 +126,18 @@ def build_graph(n: int, edges: Iterable[Sequence[int]], *, vertex_transitive_hin
             raise ParseError(f"edge {e!r} has negative multiplicity")
         if i == j:
             a[i][i] += 2 * c
+            nbrs[i] += [i] * (2 * c)
         else:
             a[i][j] += c
             a[j][i] += c
-    g = Graph(n, tuple(tuple(row) for row in a), vertex_transitive_hint)
+            nbrs[i] += [j] * c
+            nbrs[j] += [i] * c
+    g = Graph(
+        n,
+        tuple(tuple(row) for row in a),
+        vertex_transitive_hint,
+        tuple(tuple(ws) for ws in nbrs),
+    )
     _require_connected(g)
     return g
 
@@ -131,8 +149,8 @@ def _require_connected(g: Graph) -> None:
     count = 1
     while stack:
         v = stack.pop()
-        for w, c in enumerate(g.adj[v]):
-            if c and not seen[w]:
+        for w in g.neighbors[v]:
+            if not seen[w]:
                 seen[w] = True
                 count += 1
                 stack.append(w)

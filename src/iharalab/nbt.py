@@ -15,11 +15,21 @@ Conventions for a (q+1)-regular graph:
     B_m = 2q^{m/2} T_m(A/(2 sqrt q)) obeys the integer recurrence
     B_0 = 2I, B_1 = A, B_m = B_{m-1}A - qB_{m-2}, and M_m = B_m +
     e_m(q-1)I for m >= 1.
+
+Every matrix swept here is a polynomial in A, so it commutes with A and
+row i of X A is the sum of the rows of X at i's neighbors (Graph.neighbors).
+The trace sweeps use the product identity B_a B_b = B_{a+b} + q^b B_{a-b}
+(a >= b) and the symmetry of B_k: Tr B_m for all m <= M comes from inner
+products of B_0..B_{ceil(M/2)}, which costs ceil(M/2) - 1 matrix steps and
+O(n^2) memory.  Then N_m = Tr B_m + e_m(q-1)n and Tr T~_m = Tr B_m +
+q Tr T~_{m-2}.  A_m, M_m and T~_m as matrices still come from the A_m
+recurrence, which check_chebyshev compares against B_m.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -42,36 +52,31 @@ def _identity_rows(n: int, scale: int = 1) -> IntMatrix:
     return [[scale if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _columns(g: Graph):
-    """Column access lists for right-multiplication by the adjacency matrix.
+def _mul_adj(rows: IntMatrix, prev: IntMatrix, q: int, nbrs) -> IntMatrix:
+    """X A - q P for a matrix X that is a polynomial in A.
 
-    Returns (cols, simple): cols[j] lists the w with adj[w][j] != 0, as
-    bare indices when every multiplicity is 1 (simple flag on), else as
-    (w, multiplicity) pairs.
+    Such an X commutes with A, so row i of X A is row i of A X: the sum
+    of the rows of X at i's neighbors, each listed with its multiplicity.
     """
-    simple = all(c == 1 for row in g.adj for c in row if c)
-    if simple:
-        cols = [tuple(w for w in range(g.n) if g.adj[w][j]) for j in range(g.n)]
-    else:
-        cols = [tuple((w, g.adj[w][j]) for w in range(g.n) if g.adj[w][j]) for j in range(g.n)]
-    return cols, simple
+    return [
+        list(map(sum, zip(*[rows[w] for w in nb], [-q * p for p in prow])))
+        for nb, prow in zip(nbrs, prev)
+    ]
 
 
-def _mul_adj(rows: IntMatrix, cols, simple: bool) -> IntMatrix:
-    out = []
-    if simple:
-        for row in rows:
-            out.append([sum(row[w] for w in col) for col in cols])
-    else:
-        for row in rows:
-            out.append([sum(row[w] * c for w, c in col) for col in cols])
-    return out
+def _row_mul_adj(row: list[int], prev: list[int], q: int, nbrs) -> list[int]:
+    """x A - q p for a row vector x; entry j sums x over j's neighbors."""
+    get = row.__getitem__
+    return [sum(map(get, nb)) - q * p for nb, p in zip(nbrs, prev)]
 
 
-def _row_mul_adj(row: list[int], cols, simple: bool) -> list[int]:
-    if simple:
-        return [sum(row[w] for w in col) for col in cols]
-    return [sum(row[w] * c for w, c in col) for col in cols]
+def _dot(x: list[int], y: list[int]) -> int:
+    return sum(map(mul, x, y))
+
+
+def _frobenius(x: IntMatrix, y: IntMatrix) -> int:
+    """<X, Y> = Tr(X Y^T), the entrywise inner product."""
+    return sum(map(_dot, x, y))
 
 
 def _mat_axpy(target: IntMatrix, source: IntMatrix, scale: int) -> None:
@@ -96,7 +101,6 @@ class ExactMatrixSeq:
         self.g = g
         self.q = cert.q
         self.n = g.n
-        self._cols, self._simple = _columns(g)
         self.m = 0
         self.curr: IntMatrix = _identity_rows(g.n)
         self.prev: IntMatrix | None = None
@@ -107,13 +111,12 @@ class ExactMatrixSeq:
     def advance(self) -> None:
         target = self._even_sum if self.m % 2 == 0 else self._odd_sum
         _mat_axpy(target, self.curr, 1)
-        nxt = _mul_adj(self.curr, self._cols, self._simple)
         if self.m == 0:
-            pass  # A_1 = I * A = A
-        elif self.m == 1:
-            _mat_axpy(nxt, _identity_rows(self.n, self.q + 1), -1)
+            nxt = _adjacency_rows(self.g)  # A_1 = A
         else:
-            _mat_axpy(nxt, self.prev, -self.q)
+            # A_2 = A_1 A - (q+1) A_0, then A_m = A_{m-1} A - q A_{m-2}
+            scale = self.q + 1 if self.m == 1 else self.q
+            nxt = _mul_adj(self.curr, self.prev, scale, self.g.neighbors)
         self.prev = self.curr
         self.curr = nxt
         self.m += 1
@@ -193,16 +196,12 @@ def chebyshev_b_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    cols, simple = _columns(g)
-    q = cert.q
     out = [_identity_rows(g.n, 2)]
     if m_max == 0:
         return out
     out.append(_adjacency_rows(g))
     for _ in range(2, m_max + 1):
-        nxt = _mul_adj(out[-1], cols, simple)
-        _mat_axpy(nxt, out[-2], -q)
-        out.append(nxt)
+        out.append(_mul_adj(out[-1], out[-2], cert.q, g.neighbors))
     return out
 
 
@@ -210,78 +209,62 @@ def chebyshev_b_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list
 # scalar sweeps: N_m, f_m, trace families
 
 
-def _reduced_from_closed(vals: Sequence[int], q: int, scale: int = 1) -> list[int]:
-    """Turn closed-walk numbers vals[m] into reduced-cycle numbers.
+def _b_traces(g: Graph, q: int, m_max: int, v: int | None = None) -> list[int]:
+    """[Tr B_0..Tr B_{m_max}], or the diagonal entries (B_m)_vv for a vertex v.
 
-    vals[m] may be Tr(A_m) (scale 1) or f_m on a vertex-transitive graph
-    (scale n).  Returns the list for m = 1..len(vals)-1.
+    B_a B_b = B_{a+b} + q^b B_{a-b} for a >= b, and every B_k is
+    symmetric, so
+        Tr B_{2k}   = <B_k, B_k> - 2n q^k,
+        Tr B_{2k+1} = <B_{k+1}, B_k> - q^k Tr A.
+    The sweep stops at B_{ceil(m_max/2)}: ceil(m_max/2) - 1 kernel steps,
+    holding three matrices at a time.  With a vertex v it runs on the
+    rows r_k = e_v^T B_k, where (B_{2k})_vv = <r_k, r_k> - 2q^k.  At
+    q = 0 the recurrence gives B_m = A^m for m >= 1.
     """
-    even_sum = 0  # indices 2, 4, ... strictly below m
-    odd_sum = 0  # indices 1, 3, ... strictly below m
-    out = []
-    for m in range(1, len(vals)):
-        corr = even_sum if m % 2 == 0 else odd_sum
-        out.append(scale * (vals[m] - (q - 1) * corr))
-        if m % 2 == 0:
-            even_sum += vals[m]
+    if v is None:
+        step, dot, size = _mul_adj, _frobenius, g.n
+        prev, cur = _identity_rows(g.n, 2), _adjacency_rows(g)
+        tr_a = sum(g.adj[i][i] for i in range(g.n))
+    else:
+        step, dot, size = _row_mul_adj, _dot, 1
+        prev, cur = [0] * g.n, list(g.adj[v])
+        prev[v] = 2
+        tr_a = g.adj[v][v]
+    out = [2 * size]
+    qk = 1  # q^k while prev = B_k and cur = B_{k+1}
+    for m in range(1, m_max + 1):
+        if m % 2:
+            out.append(dot(cur, prev) - qk * tr_a)
+            qk *= q
         else:
-            odd_sum += vals[m]
+            out.append(dot(cur, cur) - 2 * size * qk)
+            if m < m_max:
+                prev, cur = cur, step(cur, prev, q, g.neighbors)
     return out
 
 
-def _theta_from_closed(vals: Sequence[int], scale: int = 1) -> list[int]:
-    """Turn closed-walk numbers into Tr(T~_m) for m = 0..len(vals)-1."""
-    even_sum = 0  # includes index 0
-    odd_sum = 0
-    out = []
-    for m, v in enumerate(vals):
-        corr = even_sum if m % 2 == 0 else odd_sum
-        out.append(scale * (v + corr))
-        if m % 2 == 0:
-            even_sum += v
-        else:
-            odd_sum += v
+def _theta_from_b(bs: Sequence[int], q: int, t0: int) -> list[int]:
+    """T~_m = B_m + q T~_{m-2} (m >= 2), T~_0 = I, T~_1 = A, on traces or entries."""
+    out = [t0, *bs[1:2]]
+    for m in range(2, len(bs)):
+        out.append(bs[m] + q * out[m - 2])
     return out
 
 
 def f_values(g: Graph, cert: RegularityCertificate, m_max: int, v: int = 0) -> list[int]:
-    """[f_0..f_{m_max}] with f_m = (A_m)_{vv}, via a single-row recurrence."""
+    """[f_0..f_{m_max}] with f_m = (A_m)_{vv}, via a single-row sweep.
+
+    A_m = T~_m - T~_{m-2}, and the diagonal of T~_m comes from that of B_m.
+    """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    cols, simple = _columns(g)
-    q = cert.q
-    row_prev = [0] * g.n
-    row_prev[v] = 1
-    out = [1]
-    if m_max == 0:
-        return out
-    row_curr = list(g.adj[v])
-    out.append(row_curr[v])
-    for m in range(2, m_max + 1):
-        nxt = _row_mul_adj(row_curr, cols, simple)
-        if m == 2:
-            nxt[v] -= q + 1
-        else:
-            for j in range(g.n):
-                nxt[j] -= q * row_prev[j]
-        row_prev, row_curr = row_curr, nxt
-        out.append(row_curr[v])
-    return out
+    theta = _theta_from_b(_b_traces(g, cert.q, m_max, v), cert.q, 1)
+    return [t - (theta[m - 2] if m >= 2 else 0) for m, t in enumerate(theta)]
 
 
 def f_closed(g: Graph, cert: RegularityCertificate, m: int, v: int = 0) -> int:
     """f_m = (A_m)_{vv}: closed non-backtracking walks at v, tails allowed."""
     return f_values(g, cert, m, v)[m]
-
-
-def _closed_trace_values(g: Graph, cert: RegularityCertificate, m_max: int) -> list[int]:
-    """[Tr(A_0)..Tr(A_{m_max})] holding only two matrices at a time."""
-    seq = ExactMatrixSeq(g, cert)
-    out = [seq.trace()]
-    for _ in range(m_max):
-        seq.advance()
-        out.append(seq.trace())
-    return out
 
 
 def _resolve_method(g: Graph, method: str) -> str:
@@ -292,10 +275,17 @@ def _resolve_method(g: Graph, method: str) -> str:
     return method
 
 
+def _traces_by_method(g: Graph, q: int, m_max: int, method: str) -> list[int]:
+    """[Tr B_0..Tr B_{m_max}]; "row" takes n (B_m)_00, exact on vertex-transitive graphs."""
+    if _resolve_method(g, method) == "row":
+        return [g.n * b for b in _b_traces(g, q, m_max, 0)]
+    return _b_traces(g, q, m_max)
+
+
 def n_reduced_range(
     g: Graph, cert: RegularityCertificate, m_max: int, *, method: str = "auto"
 ) -> list[int]:
-    """Exact [N_1..N_{m_max}].
+    """Exact [N_1..N_{m_max}], from N_m = Tr B_m + e_m (q-1) n.
 
     method "full" traces the matrix recurrence; "row" uses a single-row
     sweep and multiplies by n, which is valid on vertex-transitive
@@ -303,12 +293,9 @@ def n_reduced_range(
     exactly when the graph carries the vertex-transitivity hint; the
     test suite pins the two routes against each other.
     """
-    method = _resolve_method(g, method)
-    if method == "row":
-        vals = f_values(g, cert, m_max)
-        return _reduced_from_closed(vals, cert.q, scale=g.n)
-    vals = _closed_trace_values(g, cert, m_max)
-    return _reduced_from_closed(vals, cert.q, scale=1)
+    q = cert.q
+    bs = _traces_by_method(g, q, m_max, method)
+    return [bs[m] + (1 - m % 2) * (q - 1) * g.n for m in range(1, m_max + 1)]
 
 
 def n_reduced(g: Graph, cert: RegularityCertificate, m: int, *, method: str = "full") -> int:
@@ -322,23 +309,17 @@ def t_tilde_traces(
     g: Graph, cert: RegularityCertificate, m_max: int, *, method: str = "auto"
 ) -> list[int]:
     """Exact [Tr(T~_0)..Tr(T~_{m_max})]."""
-    method = _resolve_method(g, method)
-    if method == "row":
-        vals = f_values(g, cert, m_max)
-        return _theta_from_closed(vals, scale=g.n)
-    vals = _closed_trace_values(g, cert, m_max)
-    return _theta_from_closed(vals, scale=1)
+    bs = _traces_by_method(g, cert.q, m_max, method)
+    return _theta_from_b(bs, cert.q, g.n)
 
 
 def adjacency_power_traces(g: Graph, m_max: int) -> list[int]:
-    """Exact [Tr(A^0)..Tr(A^{m_max})] for the plain adjacency powers."""
-    cols, simple = _columns(g)
-    cur = _identity_rows(g.n)
-    out = [g.n]
-    for _ in range(m_max):
-        cur = _mul_adj(cur, cols, simple)
-        out.append(sum(cur[i][i] for i in range(g.n)))
-    return out
+    """Exact [Tr(A^0)..Tr(A^{m_max})] for the plain adjacency powers.
+
+    Tr A^{2k} = <A^k, A^k> and Tr A^{2k+1} = <A^{k+1}, A^k>: the q = 0
+    case of the B_m sweep.
+    """
+    return [g.n] + _b_traces(g, 0, m_max)[1:]
 
 
 # ---------------------------------------------------------------------------
