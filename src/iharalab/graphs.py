@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -38,19 +39,21 @@ class Graph:
             single-row shortcuts that are verified against the full
             computation in the test suite.
         neighbors: neighbors[i] lists each neighbor w of i adj[i][w]
-            times, so a loop appears adj[i][i] times; derived from adj
-            when not given, and ignored by equality.
+            times, so a loop appears adj[i][i] times; always derived
+            from adj.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
     vertex_transitive_hint: bool = False
-    neighbors: tuple[tuple[int, ...], ...] = field(default=None, compare=False, repr=False)
+    neighbors: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.neighbors is None:
-            nbrs = tuple(tuple(w for w, c in enumerate(row) if c for _ in range(c)) for row in self.adj)
-            object.__setattr__(self, "neighbors", nbrs)
+        vertices = range(self.n)
+        nbrs = tuple(
+            tuple(w for w in compress(vertices, row) for _ in range(row[w])) for row in self.adj
+        )
+        object.__setattr__(self, "neighbors", nbrs)
 
     @property
     def edge_count(self) -> int:
@@ -111,7 +114,6 @@ def build_graph(n: int, edges: Iterable[Sequence[int]], *, vertex_transitive_hin
     if n <= 0:
         raise EmptyGraph("graph must have at least one vertex")
     a = [[0] * n for _ in range(n)]
-    nbrs: list[list[int]] = [[] for _ in range(n)]
     for e in edges:
         if len(e) == 2:
             i, j = e
@@ -126,18 +128,10 @@ def build_graph(n: int, edges: Iterable[Sequence[int]], *, vertex_transitive_hin
             raise ParseError(f"edge {e!r} has negative multiplicity")
         if i == j:
             a[i][i] += 2 * c
-            nbrs[i] += [i] * (2 * c)
         else:
             a[i][j] += c
             a[j][i] += c
-            nbrs[i] += [j] * c
-            nbrs[j] += [i] * c
-    g = Graph(
-        n,
-        tuple(tuple(row) for row in a),
-        vertex_transitive_hint,
-        tuple(tuple(ws) for ws in nbrs),
-    )
+    g = Graph(n, tuple(tuple(row) for row in a), vertex_transitive_hint)
     _require_connected(g)
     return g
 
