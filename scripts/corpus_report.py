@@ -23,7 +23,7 @@ from iharalab.zeta import ihara_bass_reciprocal
 
 NAMED = ("K3", "K4", "K33", "PETERSEN", "CUBE")
 
-# interpolation through 2n+1 exact points is only reasonable for small n
+# the reciprocal polynomial has 2n+1 coefficients; print it only while that stays readable
 DET_COEFF_LIMIT = 12
 
 

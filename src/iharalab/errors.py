@@ -83,7 +83,7 @@ class NotRamanujan(IharaLabError):
 
 
 class DepthExceeded(IharaLabError):
-    """Raised when a brute-force enumeration would exceed its depth or step budget."""
+    """Raised when an enumeration or elimination would exceed its depth or step budget."""
 
 
 class AngleConditionViolated(IharaLabError):

@@ -433,13 +433,19 @@ class StfTestFunction:
 
 
 def stf_verify(
-    g: Graph, cert: RegularityCertificate, sd, h: StfTestFunction
+    g: Graph,
+    cert: RegularityCertificate,
+    sd,
+    h: StfTestFunction,
+    *,
+    counts: list[int] | None = None,
 ) -> tuple[float, float, float]:
     """Check the trace formula: spectral side vs. identity + cycle terms.
 
     lhs = sum_clusters mult * h(theta); geometric side =
     (2 n q (q+1)/pi) Integral_0^pi sin^2(theta)/((q+1)^2 - 4q cos^2 theta) h(theta) d theta
     + sum_m N_m q^{-m/2} hhat(m).  Returns (lhs, geometric, |difference|).
+    counts, if given, are N_1, N_2, ... at least to h's top frequency.
     """
     q = cert.q
     lhs = 0.0
@@ -460,7 +466,10 @@ def stf_verify(
     geometric = (2.0 * g.n * q * (q + 1) / math.pi) * integral
     if h.support:
         m_max = h.max_frequency()
-        counts = n_reduced_range(g, cert, m_max)
+        if counts is None:
+            counts = n_reduced_range(g, cert, m_max)
+        if len(counts) < m_max:
+            raise ValueError("counts shorter than the test function's top frequency")
         for m, v in h.support:
             geometric += counts[m - 1] * q ** (-m / 2.0) * v
     return lhs, geometric, abs(lhs - geometric)

@@ -365,11 +365,12 @@ def check_average_nm(
 
 def check_stf(ctx: SuiteContext, *, m0_max: int = 12) -> dict:
     """Trace formula for all single-frequency test functions and the constant."""
+    counts = nbt.n_reduced_range(ctx.g, ctx.cert, m0_max)
     worst = 0.0
     rows = []
     for m0 in range(0, m0_max + 1):
         h = limits.StfTestFunction.single(m0) if m0 else limits.StfTestFunction(hhat0=1.0)
-        lhs, geo, disc = limits.stf_verify(ctx.g, ctx.cert, ctx.sd, h)
+        lhs, geo, disc = limits.stf_verify(ctx.g, ctx.cert, ctx.sd, h, counts=counts)
         worst = max(worst, disc)
         rows.append({"m0": m0, "lhs": lhs, "geometric": geo, "discrepancy": disc})
     return {"metric": worst, "detail": {"rows": rows}}

@@ -3,19 +3,23 @@
 The zeta function of a finite connected graph is determined by its
 reduced-cycle counts, Z(u) = exp(sum_m N_m u^m / m), and equals the
 reciprocal of (1-u^2)^{r-1} det(I - uA + u^2(D-I)) with r the first
-Betti number.  This module computes both sides exactly, plus the
-Eisenstein/cusp coefficient split for LPS graphs and the generating
-function phi(t) of normalized cusp coefficients, by two independent
-routes (spectral trace data vs. the zeta log-derivative closed form).
+Betti number.  This module computes both sides exactly (the determinant
+as the charpoly of the 2n x 2n Bass matrix mod primes with CRT, or as a
+power-sum series on regular graphs), plus the Eisenstein/cusp split for
+LPS graphs and the generating function phi(t) of normalized cusp
+coefficients by two independent routes (spectral trace data vs. the
+zeta log-derivative closed form).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt, prod
 
-from .errors import InvalidPrime, NotRegular
+import numpy as np
+
+from .errors import DepthExceeded, InvalidPrime, NotRegular
 from .graphs import Graph, RegularityCertificate, certify_regular
 from .lps import LpsParams, is_prime, legendre_symbol
 from .nbt import adjacency_power_traces, n_reduced_range, t_tilde_traces
@@ -27,30 +31,22 @@ from .series import TruncatedSeries, binomial_one_minus_u2
 # ---------------------------------------------------------------------------
 # Ihara-Bass determinant side
 
+# Ceiling on ihara_bass_reciprocal's work in primes x (2n)^3: X^{13,5} needs
+# 18 x 240^3 = 2.5e8, and every n >= 1024 exceeds it, so 2n <= 2047 always.
+BASS_COST_CEILING = 10**9
 
-def bareiss_determinant(mat: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            rik = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - rik * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+_PRIME_BITS = 26
+_PRIMES: list[int] = []  # largest primes below 2^26, descending; filled on use
+
+
+def _prime(i: int) -> int:
+    """The (i+1)-th largest prime below 2^26."""
+    while len(_PRIMES) <= i:
+        c = (_PRIMES[-1] if _PRIMES else 1 << _PRIME_BITS) - 1
+        while not is_prime(c):
+            c -= 1
+        _PRIMES.append(c)
+    return _PRIMES[i]
 
 
 @dataclass(frozen=True)
@@ -69,67 +65,86 @@ class ZetaReciprocal:
         return self.series(order).inverse()
 
 
-def _det_point(g: Graph, degrees: list[int], u: int) -> int:
-    n = g.n
-    mat = [
-        [
-            (1 + u * u * (degrees[i] - 1) if i == j else 0) - u * g.adj[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return bareiss_determinant(mat)
+def _coefficient_bound(g: Graph, degrees: list[int]) -> int:
+    """H >= |c_k| for det(I - uA + u^2(D-I)) = sum c_k u^k.
+
+    On |u| = 1 row i has squared norm at most N_i = (1 + a_ii + |d_i - 1|)^2
+    + sum_{j != i} a_ij^2, so |det| <= sqrt(prod N_i) there (Hadamard),
+    which bounds every c_k (Cauchy).
+    """
+    norms = (
+        (1 + row[i] + abs(d - 1)) ** 2 + sum(x * x for x in row) - row[i] ** 2
+        for i, (row, d) in enumerate(zip(g.adj, degrees))
+    )
+    return isqrt(prod(norms)) + 1
 
 
-def _interpolate_integer_poly(points: list[tuple[int, int]]) -> list[int]:
-    """Exact polynomial through the given points; must have integer coefficients."""
-    k = len(points)
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    # Newton divided differences
-    table = ys[:]
-    for level in range(1, k):
-        for i in range(k - 1, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
-    # expand Newton form to monomial coefficients
-    coeffs = [Fraction(0)] * k
-    poly = [Fraction(1)]  # running product (x - x_0)...(x - x_{level-1})
-    for level in range(k):
-        for j, c in enumerate(poly):
-            coeffs[j] += table[level] * c
-        new_poly = [Fraction(0)] * (len(poly) + 1)
-        for j, c in enumerate(poly):
-            new_poly[j] -= xs[level] * c
-            new_poly[j + 1] += c
-        poly = new_poly
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError(f"interpolation produced non-integer coefficient {c}")
-        out.append(int(c))
-    return out
+def _charpoly_mod(bass: np.ndarray, p: int) -> list[int]:
+    """det(xI - L) mod p, constant term first.
+
+    Hessenberg form by similarity (pivot swaps, row eliminations undone
+    by column operations), then the Hessenberg recurrence over the leading
+    blocks.  Residues are below p < 2^26, so products stay below 2^52 and
+    any int64 dot product over at most 2047 terms stays below 2^63.
+    """
+    h = bass % p
+    size = len(h)
+    for j in range(size - 2):
+        nonzero = np.flatnonzero(h[j + 1 :, j])
+        if nonzero.size == 0:
+            continue
+        piv = j + 1 + nonzero[0]
+        h[[j + 1, piv]] = h[[piv, j + 1]]
+        h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+        t = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, p) % p
+        h[j + 2 :, j:] = (h[j + 2 :, j:] - np.outer(t, h[j + 1, j:])) % p
+        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ t) % p
+    # polys[c]: charpoly of the leading c x c block; w[r] = prod_{r<k<=c} h[k,k-1]
+    polys = np.zeros((size + 1, size + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    w = np.zeros(0, dtype=np.int64)
+    for c in range(size):
+        if c:
+            w = np.append(w, 1) * h[c, c - 1] % p
+        nxt = np.roll(polys[c], 1) - h[c, c] * polys[c]
+        nxt[:c] -= (h[:c, c] * w % p) @ polys[:c, :c]
+        polys[c + 1] = nxt % p
+    return polys[size].tolist()
 
 
 def ihara_bass_reciprocal(g: Graph) -> ZetaReciprocal:
     """Exact reciprocal zeta polynomial data for any connected graph.
 
-    The determinant det(I - uA + u^2(D-I)) is found by evaluating at the
-    2n+1 integer points u = 0, +-1, ..., +-n with exact integer
-    elimination and interpolating; regularity is not assumed.
+    For the Bass matrix L = [[A, I-D], [I, 0]] a Schur complement gives
+    det(I - uA + u^2(D-I)) = det(I - uL), so c_k is the coefficient of
+    x^{2n-k} in det(xI - L): found mod the largest primes below 2^26 until
+    their product passes 2H (_coefficient_bound), then by symmetric CRT.
+    Raises DepthExceeded past BASS_COST_CEILING, and ArithmeticError
+    unless c_0 = 1, sum c_k = det(D - A) = 0 and c_{2n} = prod (d_i - 1).
     """
-    degrees = [g.degree(v) for v in range(g.n)]
-    edge_count = g.edge_count
-    betti_r = edge_count - g.n + 1
-    pts = [(0, _det_point(g, degrees, 0))]
-    for x in range(1, g.n + 1):
-        pts.append((x, _det_point(g, degrees, x)))
-        pts.append((-x, _det_point(g, degrees, -x)))
-    coeffs = _interpolate_integer_poly(pts)
-    if coeffs[0] != 1:
-        raise ArithmeticError("determinant polynomial must have constant term 1")
-    return ZetaReciprocal(betti_r=betti_r, det_coeffs=tuple(coeffs), n=g.n)
+    n = g.n
+    degrees = [g.degree(v) for v in range(n)]
+    bound = _coefficient_bound(g, degrees)
+    cost = -(-(2 * bound).bit_length() // _PRIME_BITS) * (2 * n) ** 3
+    if cost > BASS_COST_CEILING:
+        raise DepthExceeded(f"Bass charpoly cost {cost:.2e} exceeds {BASS_COST_CEILING:.0e}")
+    a = np.array(g.adj, dtype=np.int64)
+    eye, zero = np.eye(n, dtype=np.int64), np.zeros_like(a)
+    bass = np.block([[a, np.diag([1 - d for d in degrees])], [eye, zero]])
+    primes = []
+    while prod(primes) <= 2 * bound:
+        primes.append(_prime(len(primes)))
+    modulus = prod(primes)
+    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+    coeffs = []
+    for residues in zip(*(_charpoly_mod(bass, p) for p in primes)):
+        x = sum(r * wt for r, wt in zip(residues, weights)) % modulus
+        coeffs.insert(0, x - modulus if 2 * x > modulus else x)
+    if coeffs[0] != 1 or sum(coeffs) != 0 or coeffs[-1] != prod(d - 1 for d in degrees):
+        raise ArithmeticError("Bass charpoly fails c_0 = 1, P(1) = 0 or c_2n = prod(d_i - 1)")
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return ZetaReciprocal(betti_r=g.edge_count - n + 1, det_coeffs=tuple(coeffs), n=n)
 
 
 def det_series_regular(g: Graph, cert: RegularityCertificate, order: int) -> TruncatedSeries:
@@ -137,8 +152,7 @@ def det_series_regular(g: Graph, cert: RegularityCertificate, order: int) -> Tru
 
     log det(I - X) = -sum_j Tr(X^j)/j with X = uA - qu^2 I; Tr(X^j)
     expands over adjacency power traces.  This route never builds the
-    degree-2n polynomial, so it scales to n in the hundreds where the
-    interpolation route does not.
+    degree-2n polynomial, so its cost follows the order asked for, not n.
     """
     q = cert.q
     w = adjacency_power_traces(g, order)
@@ -159,22 +173,6 @@ def reciprocal_series_regular(g: Graph, cert: RegularityCertificate, order: int)
     return binomial_one_minus_u2(betti_r - 1, order) * det_series_regular(g, cert, order)
 
 
-def spectrum_factored_poly(sd) -> list:
-    """prod_lambda (1 - lambda u + q u^2)^{mult} expanded; exact if the spectrum is integral."""
-    exact = all(float(c.value).is_integer() for c in sd.clusters)
-    coeffs = [1 if exact else 1.0]
-    for cl in sd.clusters:
-        lam = int(cl.value) if exact else cl.value
-        factor = [1, -lam, sd.q]
-        for _ in range(cl.mult):
-            new = [0] * (len(coeffs) + 2)
-            for i, a in enumerate(coeffs):
-                for j, b in enumerate(factor):
-                    new[i + j] += a * b
-            coeffs = new
-    return coeffs
-
-
 def zeta_series_from_counts(counts: list[int], order: int | None = None) -> TruncatedSeries:
     """Z(u) = exp(sum N_m u^m / m) from exact reduced-cycle counts N_1..N_M."""
     if order is None:
@@ -191,7 +189,7 @@ def verify_ihara_bass(g: Graph, order: int = 10) -> Fraction:
     Counts come from the matrix recurrence when the graph is regular and
     from the brute-force cycle oracle otherwise; the other side is the
     determinant form of the reciprocal (power-sum series for regular
-    graphs, point interpolation otherwise).  Exact zero expected.
+    graphs, the Bass-matrix charpoly otherwise).  Exact zero expected.
     """
     try:
         cert = certify_regular(g)

@@ -102,6 +102,13 @@ def test_zeta_float_mode(capsys):
     assert payload["n_m"][2] == 24.0
 
 
+def test_zeta_irregular_cost_guard(tmp_path, capsys):
+    path = tmp_path / "path1024.txt"
+    path.write_text("n 1024\n" + "".join(f"{v} {v + 1}\n" for v in range(1023)))
+    assert main(["zeta", str(path), "--order", "4"]) == 1
+    assert "DepthExceeded" in capsys.readouterr().err
+
+
 def test_cuspgen_x135_anchors(tmp_path, capsys):
     path = tmp_path / "cusp.json"
     assert main(["cuspgen", "--p", "13", "--q", "5", "--order", "4", "--emit", str(path)]) == 0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from iharalab import limits, nbt
 from iharalab.errors import ParseError
 from iharalab.graphs import named_graph
 from iharalab.suite import (
@@ -225,6 +226,28 @@ def test_run_check_oracle_direct():
     assert res.tolerance == DEFAULT_TOLERANCES["oracle"]
     assert res.seconds >= 0.0
     assert res.detail["n_m_bruteforce"] == res.detail["n_m_recurrence"]
+
+
+def test_stf_check_sweeps_counts_once(monkeypatch):
+    ctx = SuiteContext(named_graph("PETERSEN"))
+    cfg = VerificationSuiteConfig(source_kind="named", source="PETERSEN", checks=("stf",))
+    want = []
+    for m0 in range(13):
+        h = limits.StfTestFunction.single(m0) if m0 else limits.StfTestFunction(hhat0=1.0)
+        want.append(limits.stf_verify(ctx.g, ctx.cert, ctx.sd, h))
+    calls = []
+    real = nbt.n_reduced_range
+
+    def counting(g, cert, m_max, *args, **kwargs):
+        calls.append(m_max)
+        return real(g, cert, m_max, *args, **kwargs)
+
+    monkeypatch.setattr(nbt, "n_reduced_range", counting)
+    monkeypatch.setattr(limits, "n_reduced_range", counting)
+    res = run_check("stf", ctx, cfg)
+    assert calls == [12]
+    got = [(r["lhs"], r["geometric"], r["discrepancy"]) for r in res.detail["rows"]]
+    assert got == want
 
 
 def test_cesaro_check_reports_skips():

@@ -1,16 +1,31 @@
-"""Zeta series, determinant routes, Eisenstein/cusp splits, phi."""
+"""Zeta series, determinant routes, Eisenstein/cusp splits, phi.
 
+The reference functions below are the earlier determinant route, kept
+unchanged: det(I - uA + u^2(D-I)) by Bareiss elimination at the 2n+1
+points u = 0, +-1, ..., +-n and Fraction Newton interpolation, and the
+spectrum-factored product for regular graphs with integral spectra.
+They give the Bass-matrix charpoly route an independent exact target.
+"""
+
+import os
+import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 
-from iharalab.errors import InvalidPrime
-from iharalab.graphs import build_graph
+import iharalab
+from iharalab import zeta
+from iharalab.errors import DepthExceeded, InvalidPrime
+from iharalab.graphs import Graph, build_graph, named_graph
+from iharalab.lps import is_prime
 from iharalab.nbt import f_values, n_reduced_range
 from iharalab.oracle import lattice_count
 from iharalab.series import TruncatedSeries
 from iharalab.zeta import (
-    bareiss_determinant,
     cusp_coefficient,
     cusp_coefficients_range,
     det_series_regular,
@@ -18,10 +33,106 @@ from iharalab.zeta import (
     ihara_bass_reciprocal,
     phi_series,
     reciprocal_series_regular,
-    spectrum_factored_poly,
     verify_ihara_bass,
     zeta_series_from_counts,
 )
+
+# ---------------------------------------------------------------------------
+# reference routes
+
+
+def bareiss_determinant(mat: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free Gaussian elimination."""
+    n = len(mat)
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            rik = m[i][k]
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - rik * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def _det_point(g: Graph, degrees: list[int], u: int) -> int:
+    n = g.n
+    mat = [
+        [
+            (1 + u * u * (degrees[i] - 1) if i == j else 0) - u * g.adj[i][j]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return bareiss_determinant(mat)
+
+
+def _interpolate_integer_poly(points: list[tuple[int, int]]) -> list[int]:
+    """Exact polynomial through the given points; must have integer coefficients."""
+    k = len(points)
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    # Newton divided differences
+    table = ys[:]
+    for level in range(1, k):
+        for i in range(k - 1, level - 1, -1):
+            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
+    # expand Newton form to monomial coefficients
+    coeffs = [Fraction(0)] * k
+    poly = [Fraction(1)]  # running product (x - x_0)...(x - x_{level-1})
+    for level in range(k):
+        for j, c in enumerate(poly):
+            coeffs[j] += table[level] * c
+        new_poly = [Fraction(0)] * (len(poly) + 1)
+        for j, c in enumerate(poly):
+            new_poly[j] -= xs[level] * c
+            new_poly[j + 1] += c
+        poly = new_poly
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    out = []
+    for c in coeffs:
+        if c.denominator != 1:
+            raise ArithmeticError(f"interpolation produced non-integer coefficient {c}")
+        out.append(int(c))
+    return out
+
+
+def spectrum_factored_poly(sd) -> list:
+    """prod_lambda (1 - lambda u + q u^2)^{mult} expanded; exact if the spectrum is integral."""
+    exact = all(float(c.value).is_integer() for c in sd.clusters)
+    coeffs = [1 if exact else 1.0]
+    for cl in sd.clusters:
+        lam = int(cl.value) if exact else cl.value
+        factor = [1, -lam, sd.q]
+        for _ in range(cl.mult):
+            new = [0] * (len(coeffs) + 2)
+            for i, a in enumerate(coeffs):
+                for j, b in enumerate(factor):
+                    new[i + j] += a * b
+            coeffs = new
+    return coeffs
+
+
+def reference_det_coeffs(g: Graph) -> list[int]:
+    """det(I - uA + u^2(D-I)) through 2n+1 Bareiss points, trailing zeros trimmed."""
+    degrees = [g.degree(v) for v in range(g.n)]
+    pts = [(0, _det_point(g, degrees, 0))]
+    for x in range(1, g.n + 1):
+        pts.append((x, _det_point(g, degrees, x)))
+        pts.append((-x, _det_point(g, degrees, -x)))
+    return _interpolate_integer_poly(pts)
 
 
 def _poly_mul(a, b):
@@ -61,7 +172,7 @@ def test_k4_reciprocal_polynomial(corpus):
 
 
 def test_det_series_matches_interpolation(corpus):
-    """Power-sum route equals the Bareiss interpolation route, coefficientwise."""
+    """Power-sum route equals the Bass charpoly route, coefficientwise."""
     for name, (g, cert) in corpus.items():
         zr = ihara_bass_reciprocal(g)
         series = det_series_regular(g, cert, 12)
@@ -85,6 +196,7 @@ def test_spectrum_factored_poly(spectra, corpus):
         sd = spectra[name]
         coeffs = spectrum_factored_poly(sd)
         assert coeffs == list(ihara_bass_reciprocal(g).det_coeffs), name
+        assert coeffs == reference_det_coeffs(g), name
 
 
 def test_verify_ihara_bass_zero(corpus):
@@ -106,6 +218,122 @@ def test_irregular_graph_route():
     # path with a doubled middle edge: irregular but still checkable
     g = build_graph(3, [(0, 1, 2), (1, 2, 1)])
     assert verify_ihara_bass(g, order=8) == 0
+
+
+# ---------------------------------------------------------------------------
+# Bass-matrix charpoly route
+
+
+# a 5-regular multigraph with double edges and one loop at every vertex
+MULTI_EDGES = [(0, 1, 2), (1, 2), (2, 3, 2), (3, 0), (0, 0), (1, 1), (2, 2), (3, 3)]
+
+
+def _random_multigraph(rng: random.Random) -> Graph:
+    """Connected: a random spanning tree, then random extra edges and loops."""
+    n = rng.randint(1, 13)
+    edges = [(v, rng.randrange(v), rng.randint(1, 2)) for v in range(1, n)]
+    for _ in range(rng.randint(0, 2 * n)):
+        edges.append((rng.randrange(n), rng.randrange(n), rng.randint(1, 2)))
+    return build_graph(n, edges)
+
+
+def _hadamard_bound(g: Graph) -> int:
+    total = 1
+    for i, row in enumerate(g.adj):
+        diag = 1 + row[i] + abs(g.degree(i) - 1)
+        total *= diag**2 + sum(x * x for j, x in enumerate(row) if j != i)
+    return isqrt(total) + 1
+
+
+@pytest.fixture
+def charpoly_primes(monkeypatch):
+    """The primes of every per-prime charpoly call, in call order."""
+    calls = []
+    real = zeta._charpoly_mod
+
+    def counting(bass, p):
+        calls.append(p)
+        return real(bass, p)
+
+    monkeypatch.setattr(zeta, "_charpoly_mod", counting)
+    return calls
+
+
+def _check_bass_result(g: Graph, coeffs: list[int], primes: list[int]) -> None:
+    """P(1) = 0, c_2n = prod(d_i - 1), |c_k| <= H, and the fewest primes past 2H."""
+    full = coeffs + [0] * (2 * g.n + 1 - len(coeffs))
+    bound = _hadamard_bound(g)
+    assert sum(full) == 0
+    assert full[-1] == prod(g.degree(v) - 1 for v in range(g.n))
+    assert max(abs(c) for c in full) <= bound
+    assert primes == [zeta._prime(i) for i in range(len(primes))]
+    assert prod(primes) > 2 * bound >= prod(primes[:-1])
+
+
+def test_bass_route_matches_reference(corpus, charpoly_primes):
+    graphs = {name: g for name, (g, _) in corpus.items()}
+    graphs["tree"] = build_graph(3, [(0, 1), (1, 2)])
+    graphs["doubled path"] = build_graph(3, [(0, 1, 2), (1, 2, 1)])
+    graphs["looped 5-regular"] = build_graph(4, MULTI_EDGES)
+    graphs["one vertex, two loops"] = build_graph(1, [(0, 0, 2)])
+    rng = random.Random(20260)
+    for k in range(20):
+        graphs[f"random {k}"] = _random_multigraph(rng)
+    multi_prime_negative = 0
+    for name, g in graphs.items():
+        charpoly_primes.clear()
+        coeffs = ihara_bass_reciprocal(g).det_coeffs
+        assert type(coeffs) is tuple and all(type(c) is int for c in coeffs), name
+        assert list(coeffs) == reference_det_coeffs(g), name
+        _check_bass_result(g, list(coeffs), charpoly_primes)
+        if len(charpoly_primes) >= 2 and min(coeffs) < 0:
+            multi_prime_negative += 1
+    assert multi_prime_negative >= 1
+
+
+def test_bass_route_x135_full_polynomial(x135, charpoly_primes):
+    """The whole degree-240 polynomial against the power-sum series."""
+    g, _, cert, _ = x135
+    coeffs = list(ihara_bass_reciprocal(g).det_coeffs)
+    assert len(charpoly_primes) == 18
+    _check_bass_result(g, coeffs, charpoly_primes)
+    want = det_series_regular(g, cert, 2 * g.n).coeffs
+    assert coeffs + [0] * (2 * g.n + 1 - len(coeffs)) == list(want)
+
+
+def test_bass_route_checks_its_result(corpus, monkeypatch):
+    real = zeta._charpoly_mod
+
+    def corrupted(bass, p):
+        residues = real(bass, p)
+        residues[len(residues) // 2] = (residues[len(residues) // 2] + 1) % p
+        return residues
+
+    monkeypatch.setattr(zeta, "_charpoly_mod", corrupted)
+    with pytest.raises(ArithmeticError):
+        ihara_bass_reciprocal(corpus["K4"][0])
+
+
+def test_bass_cost_guard_fails_fast():
+    g = named_graph("CYCLE(1024)")
+    start = time.perf_counter()
+    with pytest.raises(DepthExceeded):
+        ihara_bass_reciprocal(g)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_prime_table_fits_int64_dot_products():
+    primes = [zeta._prime(i) for i in range(64)]
+    assert primes == sorted(set(primes), reverse=True)
+    assert all(p < 2**26 and is_prime(p) for p in primes)
+    assert all(2047 * (p - 1) ** 2 < 2**63 for p in primes)
+
+
+def test_import_leaves_prime_table_empty():
+    src = os.path.dirname(os.path.dirname(iharalab.__file__))
+    code = "import iharalab, iharalab.zeta as z; assert z._PRIMES == [], z._PRIMES"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_petersen_zeta_coefficients(corpus):
