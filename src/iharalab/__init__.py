@@ -5,185 +5,10 @@ cycles on regular graphs through matrix recurrences, cross-checks them
 against brute-force enumeration and the determinant form of the zeta
 function, builds Ramanujan Cayley graphs from quaternion generators, and
 verifies the Cesaro-limit and trace-formula behavior of the associated
-principal-part matrices.
+principal-part matrices.  The API lives in the submodules; importing the
+package loads every one of them.
 """
 
-from .chebyshev import cheb_t, cheb_u, cos_power_as_cosines, parity_indicator
-from .errors import (
-    AngleConditionViolated,
-    ClusterAmbiguity,
-    DepthExceeded,
-    DisconnectedGraph,
-    EigensolverFailure,
-    EmptyGraph,
-    GraphError,
-    GroupSizeMismatch,
-    IharaLabError,
-    InvalidPrime,
-    NoSquareRoot,
-    NotRamanujan,
-    NotRegular,
-    OutOfRange,
-    ParseError,
-    QuadratureFailure,
-    UnknownName,
-)
-from .graphs import (
-    Graph,
-    RegularityCertificate,
-    build_graph,
-    certify_regular,
-    load_graph,
-    named_graph,
-    save_graph,
-)
-from .limits import (
-    AverageNmReport,
-    CesaroReport,
-    StfTestFunction,
-    angle_condition,
-    average_cusp,
-    average_nm,
-    average_nm_sweep,
-    cesaro_a,
-    cesaro_s,
-    cos_partial_sum_bound,
-    huang_h,
-    huang_range,
-    normalized_cusp_terms,
-    shifted_cos_partial_sum_bound,
-    stf_verify,
-)
-from .lps import (
-    LpsParams,
-    QuaternionGenerator,
-    build_lps,
-    legendre_symbol,
-    lps_params,
-    quaternion_generators,
-    sqrt_mod,
-)
-from .nbt import (
-    a_matrix,
-    a_matrix_range,
-    chebyshev_b_range,
-    f_values,
-    m_matrix,
-    n_reduced,
-    n_reduced_range,
-    principal_am,
-    s_matrix,
-    t_tilde_matrix,
-    t_tilde_traces,
-)
-from .oracle import (
-    count_nbt_closed_bf,
-    count_reduced_cycles_all,
-    count_reduced_cycles_bf,
-    count_reduced_paths_all,
-    count_reduced_paths_bf,
-    lattice_count,
-)
-from .qext import SqrtExt, half_power
-from .series import TruncatedSeries
-from .spectral import SpectralData, eigendecompose, theta_of
-from .suite import CheckResult, VerificationSuiteConfig, run_suite
-from .zeta import (
-    ZetaReciprocal,
-    cusp_coefficient,
-    cusp_coefficients_range,
-    eisenstein_C,
-    ihara_bass_reciprocal,
-    phi_series,
-    verify_ihara_bass,
-    zeta_series_from_counts,
-)
+from . import chebyshev, errors, graphs, limits, lps, nbt, oracle, qext, series, spectral, suite, zeta
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AngleConditionViolated",
-    "AverageNmReport",
-    "CesaroReport",
-    "CheckResult",
-    "ClusterAmbiguity",
-    "DepthExceeded",
-    "DisconnectedGraph",
-    "EigensolverFailure",
-    "EmptyGraph",
-    "Graph",
-    "GraphError",
-    "GroupSizeMismatch",
-    "IharaLabError",
-    "InvalidPrime",
-    "LpsParams",
-    "NoSquareRoot",
-    "NotRamanujan",
-    "NotRegular",
-    "OutOfRange",
-    "ParseError",
-    "QuadratureFailure",
-    "QuaternionGenerator",
-    "RegularityCertificate",
-    "SpectralData",
-    "SqrtExt",
-    "StfTestFunction",
-    "TruncatedSeries",
-    "UnknownName",
-    "VerificationSuiteConfig",
-    "ZetaReciprocal",
-    "a_matrix",
-    "a_matrix_range",
-    "angle_condition",
-    "average_cusp",
-    "average_nm",
-    "average_nm_sweep",
-    "build_graph",
-    "build_lps",
-    "certify_regular",
-    "cesaro_a",
-    "cesaro_s",
-    "cheb_t",
-    "cheb_u",
-    "chebyshev_b_range",
-    "cos_partial_sum_bound",
-    "cos_power_as_cosines",
-    "count_nbt_closed_bf",
-    "count_reduced_cycles_all",
-    "count_reduced_cycles_bf",
-    "count_reduced_paths_all",
-    "count_reduced_paths_bf",
-    "cusp_coefficient",
-    "cusp_coefficients_range",
-    "eigendecompose",
-    "eisenstein_C",
-    "f_values",
-    "half_power",
-    "huang_h",
-    "huang_range",
-    "ihara_bass_reciprocal",
-    "lattice_count",
-    "legendre_symbol",
-    "load_graph",
-    "lps_params",
-    "m_matrix",
-    "n_reduced",
-    "n_reduced_range",
-    "named_graph",
-    "normalized_cusp_terms",
-    "parity_indicator",
-    "phi_series",
-    "principal_am",
-    "quaternion_generators",
-    "run_suite",
-    "s_matrix",
-    "save_graph",
-    "shifted_cos_partial_sum_bound",
-    "sqrt_mod",
-    "stf_verify",
-    "t_tilde_matrix",
-    "t_tilde_traces",
-    "theta_of",
-    "verify_ihara_bass",
-    "zeta_series_from_counts",
-]

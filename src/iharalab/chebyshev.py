@@ -1,49 +1,14 @@
-"""Chebyshev polynomials and small combinatorial helpers.
+"""Cosine-power expansions with exact rational weights.
 
-Everything here is exact-arithmetic friendly: the evaluation routines run
-the three-term recurrences directly, so they accept ints, Fractions,
-floats, or numpy arrays and return values in the same ring.
+cos^k(t) as a cosine series, and its mean over a period, which is the
+Cesaro limit weight of each principal eigenvalue.  The Chebyshev
+evaluators the float routes need live in nbt (cheb_t_real, cheb_u_real).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-
-
-def cheb_t(m: int, x):
-    """Evaluate the degree-m Chebyshev polynomial of the first kind.
-
-    T_0 = 1, T_1 = x, T_m = 2x T_{m-1} - T_{m-2}.
-    """
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    if m == 0:
-        return x * 0 + 1
-    prev, cur = x * 0 + 1, x
-    for _ in range(m - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
-
-
-def cheb_u(m: int, x):
-    """Evaluate the degree-m Chebyshev polynomial of the second kind.
-
-    U_0 = 1, U_1 = 2x, U_m = 2x U_{m-1} - U_{m-2}.
-    """
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    if m == 0:
-        return x * 0 + 1
-    prev, cur = x * 0 + 1, 2 * x
-    for _ in range(m - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
-
-
-def parity_indicator(m: int) -> int:
-    """Return 1 for even m and 0 for odd m."""
-    return 1 - (m & 1)
 
 
 def central_binomial_weight(k: int) -> Fraction:

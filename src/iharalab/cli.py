@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from . import limits, lps, nbt, oracle, suite, zeta
 from .errors import IharaLabError, NotRegular, ParseError
-from .graphs import certify_regular, load_graph, named_graph, save_graph
-from .spectral import eigendecompose
+from .graphs import _edges_canonical, certify_regular, save_graph
 
 
 def _fmt(x) -> str:
@@ -106,12 +105,7 @@ def cmd_lps(args) -> int:
     print(f"degree: {cert.degree} ({len(gens)} generators)")
     print(f"bipartite: {'yes' if cert.bipartite else 'no'}")
     if args.emit:
-        edges = []
-        for i in range(g.n):
-            for j in range(i, g.n):
-                c = g.adj[i][j] if i != j else g.adj[i][i] // 2
-                if c:
-                    edges.append([i, j] if c == 1 else [i, j, c])
+        edges = [[i, j] if c == 1 else [i, j, c] for i, j, c in _edges_canonical(g)]
         payload = {
             "n": g.n,
             "edges": edges,

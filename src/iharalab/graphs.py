@@ -73,18 +73,6 @@ class Graph:
     def as_numpy(self) -> np.ndarray:
         return np.array(self.adj, dtype=float)
 
-    def neighbor_lists(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor, multiplicity) pairs.
-
-        Loops appear as (v, adj[v][v]) so that multiplying by the
-        adjacency matrix via these lists reproduces matrix products
-        exactly.
-        """
-        out = []
-        for j in range(self.n):
-            out.append([(w, c) for w, c in enumerate(self.adj[j]) if c])
-        return out
-
 
 @dataclass(frozen=True)
 class RegularityCertificate:

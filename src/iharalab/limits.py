@@ -140,18 +140,6 @@ class CesaroReport:
     reference_constant: float
     scaled_deviations: tuple[float, ...] = field(default=())
 
-    def within_band(self, factor: float = 4.0) -> bool:
-        """True when max |deviation|*N stays below factor * reference."""
-        if not self.scaled_deviations:
-            return True
-        return max(self.scaled_deviations) <= factor * self.reference_constant
-
-    def band_ratio(self) -> float:
-        """Diagnostic max/min of |deviation|*N; inf when a deviation is 0."""
-        if not self.scaled_deviations or min(self.scaled_deviations) == 0.0:
-            return math.inf
-        return max(self.scaled_deviations) / min(self.scaled_deviations)
-
 
 def _validate_horizons(horizons: Sequence[int]) -> list[int]:
     hs = list(horizons)
@@ -220,27 +208,6 @@ def cesaro_a(sd, k: int, horizons: Sequence[int]) -> CesaroReport:
 def cesaro_s(sd, k: int, horizons: Sequence[int]) -> CesaroReport:
     """Cesaro average of s_m^k against the sin^{-k}-weighted limit."""
     return _cesaro_run(sd, k, horizons, "s")
-
-
-def cesaro_matrix_average(sd, k: int, N: int, variant: str = "a") -> np.ndarray:
-    """(1/N) sum_{m<=N} a_m^k (or s_m^k) as an explicit matrix.
-
-    Slow reference route used to validate the scalar shortcut in
-    _cesaro_run; k-th powers of the spectral matrices reduce to k-th
-    powers of scalars because the projectors are orthogonal idempotents.
-    """
-    out = np.zeros((sd.n, sd.n))
-    for m in range(1, N + 1):
-        acc = np.zeros((sd.n, sd.n))
-        for cl in sd.principal():
-            th = cl.theta.real
-            if variant == "a":
-                s = math.cos(m * th)
-            else:
-                s = math.sin((m + 1) * th) / math.sin(th)
-            acc += (s**k) * cl.projector
-        out += acc
-    return out / N
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +323,13 @@ def average_cusp_reference(sd) -> float:
 
 
 def average_cusp(
-    g_lps: Graph, params, N: int, sd=None, *, normalized: list[Fraction] | None = None
+    g_lps: Graph, params, N: int, sd=None, *, normalized: list | None = None
 ) -> tuple[float, dict]:
     """Average of a(p^m)/(2 p^{m/2}) over m <= N, with its rate bound.
 
     Returns (average, report).  The report carries |average| * N and the
-    reference constant the partial-sum bound gives for it.
+    reference constant the partial-sum bound gives for it.  The terms,
+    as normalized_cusp_terms returns them, are summed exactly.
     """
     if sd is None:
         from .graphs import certify_regular
@@ -383,20 +351,18 @@ def average_cusp(
     return average, report
 
 
-def normalized_cusp_terms(g_lps: Graph, params, m_max: int) -> list[Fraction]:
-    """[a(p^m)/(2 p^{m/2}) for m = 0..m_max] as exact rationals.
+def normalized_cusp_terms(g_lps: Graph, params, m_max: int) -> list:
+    """[a(p^m)/(2 p^{m/2}) for m = 0..m_max], exact in Q(sqrt p).
 
-    Odd-m terms are zero on bipartite LPS graphs; on non-bipartite ones
-    they involve sqrt(p) and this helper refuses rather than round.
+    Fractions when every term is rational, as on bipartite LPS graphs,
+    where the odd-m terms vanish; SqrtExt values otherwise, because
+    odd-m terms of non-bipartite graphs carry sqrt(p).
     """
     amounts = cusp_coefficients_range(g_lps, params, m_max)
     p = params.p
-    out = []
-    for m, a in enumerate(amounts):
-        value = SqrtExt.of(p, a) / (2 * half_power(p, m))
-        if not value.is_rational():
-            raise ValueError("normalized cusp term is irrational; use float route")
-        out.append(value.rational_part())
+    out = [SqrtExt.of(p, a) / (2 * half_power(p, m)) for m, a in enumerate(amounts)]
+    if all(v.is_rational() for v in out):
+        return [v.rational_part() for v in out]
     return out
 
 
@@ -506,8 +472,3 @@ def huang_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[float
             val = 2 * (n - 1) + n * e_m * (q - 1) * qneg + bridge - counts[m - 1] * qneg
         out.append(float(val))
     return out
-
-
-def huang_h(g: Graph, cert: RegularityCertificate, sd, m: int) -> float:
-    """Huang's h_m; nonnegative at even m exactly when g is Ramanujan."""
-    return huang_range(g, cert, m)[m - 1]

@@ -101,9 +101,6 @@ class QuaternionGenerator:
     a2: int
     a3: int
 
-    def conjugate(self) -> "QuaternionGenerator":
-        return QuaternionGenerator(self.a0, -self.a1, -self.a2, -self.a3)
-
 
 def quaternion_generators(p: int) -> list[QuaternionGenerator]:
     """All norm-p integer quaternions with a0 odd positive and a1, a2, a3 even.

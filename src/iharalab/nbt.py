@@ -2,10 +2,10 @@
 
 Exact integer routes compute the recurrence family A_m (reduced path
 counts), the reduced-cycle matrices M_m, their traces N_m, and the
-theta-series matrices T~_m.  Spectral float routes compute the same
-objects from an eigendecomposition, plus the bounded matrices a_m and
-s_m supported on the principal part of the spectrum.  The two routes
-are kept deliberately independent so each can test the other.
+theta-series matrices T~_m.  The spectral float route computes M_m
+from an eigendecomposition (m_matrix_chebyshev); it is kept
+deliberately independent of the exact routes so each can test the
+other.
 
 Conventions for a (q+1)-regular graph:
     A_0 = I, A_1 = A, A_2 = A^2 - (q+1)I, A_m = A_{m-1}A - qA_{m-2}.
@@ -34,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotRamanujan
 from .graphs import Graph, RegularityCertificate
 
 IntMatrix = list[list[int]]
@@ -149,15 +148,6 @@ class ExactMatrixSeq:
         return sum(self.curr[i][i] for i in range(self.n))
 
 
-def a_matrix(g: Graph, cert: RegularityCertificate, m: int) -> IntMatrix:
-    """Exact A_m; entry (i, j) counts reduced paths of length m from i to j."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    seq = ExactMatrixSeq(g, cert)
-    seq.run_to(m)
-    return seq.a_current()
-
-
 def a_matrix_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[IntMatrix]:
     """Exact [A_0, ..., A_{m_max}] in one sweep (materializes all of them)."""
     seq = ExactMatrixSeq(g, cert)
@@ -166,24 +156,6 @@ def a_matrix_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[In
         seq.advance()
         out.append([row[:] for row in seq.a_current()])
     return out
-
-
-def m_matrix(g: Graph, cert: RegularityCertificate, m: int) -> IntMatrix:
-    """Exact M_m; diagonal entries count reduced cycles at each vertex."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    seq = ExactMatrixSeq(g, cert)
-    seq.run_to(m)
-    return seq.m_current()
-
-
-def t_tilde_matrix(g: Graph, cert: RegularityCertificate, m: int) -> IntMatrix:
-    """Exact T~_m = sum of A_{m-2r} over 0 <= r <= m/2."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    seq = ExactMatrixSeq(g, cert)
-    seq.run_to(m)
-    return seq.t_tilde_current()
 
 
 def chebyshev_b_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[IntMatrix]:
@@ -262,11 +234,6 @@ def f_values(g: Graph, cert: RegularityCertificate, m_max: int, v: int = 0) -> l
     return [t - (theta[m - 2] if m >= 2 else 0) for m, t in enumerate(theta)]
 
 
-def f_closed(g: Graph, cert: RegularityCertificate, m: int, v: int = 0) -> int:
-    """f_m = (A_m)_{vv}: closed non-backtracking walks at v, tails allowed."""
-    return f_values(g, cert, m, v)[m]
-
-
 def _resolve_method(g: Graph, method: str) -> str:
     if method == "auto":
         return "row" if g.vertex_transitive_hint else "full"
@@ -296,13 +263,6 @@ def n_reduced_range(
     q = cert.q
     bs = _traces_by_method(g, q, m_max, method)
     return [bs[m] + (1 - m % 2) * (q - 1) * g.n for m in range(1, m_max + 1)]
-
-
-def n_reduced(g: Graph, cert: RegularityCertificate, m: int, *, method: str = "full") -> int:
-    """Exact N_m = Tr(M_m), the number of reduced cycles of length m."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return n_reduced_range(g, cert, m, method=method)[m - 1]
 
 
 def t_tilde_traces(
@@ -352,77 +312,3 @@ def m_matrix_chebyshev(sd, m: int) -> np.ndarray:
     if m % 2 == 0:
         out += (q - 1) * np.eye(sd.n)
     return out
-
-
-def principal_am(sd, m: int) -> np.ndarray:
-    """a_m = sum over principal eigenvalues of T_m(l/(2 sqrt q)) P_l."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    out = np.zeros((sd.n, sd.n))
-    for cl in sd.principal():
-        out += math.cos(m * cl.theta.real) * cl.projector
-    return out
-
-
-def s_matrix(sd, m: int) -> np.ndarray:
-    """s_m = sum over principal eigenvalues of U_m(l/(2 sqrt q)) P_l."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    out = np.zeros((sd.n, sd.n))
-    for cl in sd.principal():
-        th = cl.theta.real
-        out += (math.sin((m + 1) * th) / math.sin(th)) * cl.projector
-    return out
-
-
-def principal_am_recurrence(g: Graph, cert: RegularityCertificate, sd, m: int) -> np.ndarray:
-    """a_m recovered from the exact M_m by stripping the singular spectrum.
-
-    Uses closed-form projectors for the trivial eigenvalues q+1 (all-ones
-    matrix over n) and -(q+1) (the signed analogue from the bipartition)
-    and the computed projectors for any +-2 sqrt(q) clusters.  Requires
-    the graph to be Ramanujan apart from those singular values.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    q = sd.q
-    root = 2.0 * math.sqrt(q)
-    tol = sd.cluster_tol
-    exact = np.array(m_matrix(g, cert, m), dtype=float)
-    out = exact.copy()
-    if m % 2 == 0:
-        out -= (q - 1) * np.eye(sd.n)
-    for cl in sd.singular():
-        lam = cl.value
-        if abs(lam - (q + 1)) <= tol:
-            proj = np.full((sd.n, sd.n), 1.0 / sd.n)
-            weight = float(q**m + 1)
-        elif abs(lam + (q + 1)) <= tol:
-            if not cert.bipartite:
-                raise NotRamanujan("eigenvalue -(q+1) on a non-bipartite graph")
-            sign = np.ones(sd.n)
-            for v in cert.parts[1]:
-                sign[v] = -1.0
-            proj = np.outer(sign, sign) / sd.n
-            weight = float((-1) ** m * (q**m + 1))
-        elif abs(abs(lam) - root) <= tol:
-            proj = cl.projector
-            weight = (1.0 if lam > 0 else (-1.0) ** m) * 2.0 * q ** (m / 2.0)
-        else:
-            raise NotRamanujan(
-                f"eigenvalue {lam} lies outside [-2 sqrt q, 2 sqrt q] and is not trivial"
-            )
-        out -= weight * proj
-    return out / (2.0 * q ** (m / 2.0))
-
-
-def trace_identity_rhs(sd, m: int) -> float:
-    """Spectral side of N_m: 2q^{m/2} sum_l mult(l) T_m(l/(2 sqrt q)) + n e_m (q-1)."""
-    q = sd.q
-    total = 0.0
-    for cl in sd.clusters:
-        total += cl.mult * cheb_t_real(m, cl.value / (2.0 * math.sqrt(q)))
-    total *= 2.0 * q ** (m / 2.0)
-    if m % 2 == 0:
-        total += sd.n * (q - 1)
-    return total

@@ -9,7 +9,6 @@ the search being a direct transcription of the definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .errors import DepthExceeded
 from .graphs import Graph
@@ -52,11 +51,16 @@ class ArcList:
         return cls(tuple(arcs), tuple(inverse), tuple(tuple(o) for o in out))
 
 
+def walk_estimate(g: Graph, m: int) -> int:
+    """Search steps of a depth-m sweep, n d (d-1)^(m-1) with d the top degree."""
+    deg = max(g.degree(v) for v in range(g.n))
+    return g.n * deg * max(deg - 1, 1) ** max(m - 1, 0)
+
+
 def _check_cost(g: Graph, m: int, depth_guard: int, budget: int) -> None:
     if m > depth_guard:
         raise DepthExceeded(f"depth {m} exceeds guard {depth_guard}")
-    deg = max(g.degree(v) for v in range(g.n))
-    est = g.n * deg * max(deg - 1, 1) ** max(m - 1, 0)
+    est = walk_estimate(g, m)
     if est > budget:
         raise DepthExceeded(f"estimated {est} steps exceeds budget {budget}")
 
@@ -186,88 +190,3 @@ def count_reduced_paths_all(
         for first in al.out[src]:
             walk(src, first, 1)
     return mats
-
-
-def count_nbt_closed_bf(
-    g: Graph,
-    v: int,
-    m: int,
-    *,
-    depth_guard: int = DEFAULT_DEPTH_GUARD,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """Count non-backtracking closed arc sequences at v, tails allowed.
-
-    Only consecutive backtracking is forbidden; e_1 = inverse(e_m) is
-    permitted, so this equals the vv entry of the m-th adjacency
-    recurrence matrix rather than the reduced-cycle count.
-    """
-    if m < 0:
-        raise ValueError("walk length must be nonnegative")
-    if m == 0:
-        return 1
-    return count_reduced_paths_bf(g, v, v, m, depth_guard=depth_guard, budget=budget)
-
-
-def count_tailed_closed_bf(
-    g: Graph,
-    v: int,
-    m: int,
-    *,
-    depth_guard: int = DEFAULT_DEPTH_GUARD,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """Count non-backtracking closed sequences at v whose closure has a tail.
-
-    These are the walks counted by count_nbt_closed_bf but excluded from
-    the reduced-cycle count: closed, non-backtracking, and
-    e_1 = inverse(e_m).
-    """
-    if m < 1:
-        raise ValueError("walk length must be at least 1")
-    _check_cost(g, m, depth_guard, budget)
-    al = ArcList.from_graph(g)
-
-    def walk(first: int, cur: int, depth: int) -> int:
-        here = al.arcs[cur][1]
-        if depth == m:
-            return 1 if (here == al.arcs[first][0] and cur == al.inverse[first]) else 0
-        banned = al.inverse[cur]
-        return sum(walk(first, nxt, depth + 1) for nxt in al.out[here] if nxt != banned)
-
-    return sum(walk(first, first, 1) for first in al.out[v])
-
-
-def lattice_count(qprime: int, target: int) -> int:
-    """Count integer solutions of x1^2 + 4q^2(x2^2 + x3^2 + x4^2) = target.
-
-    Exhaustive search over the three scaled coordinates with the tight
-    bound |x_i| <= sqrt(target)/(2q); the residual is tested for being a
-    perfect square.  Signs count separately and zero coordinates are not
-    doubled.
-    """
-    if target < 0:
-        raise ValueError("target must be nonnegative")
-    if qprime < 1:
-        raise ValueError("qprime must be positive")
-    s = 4 * qprime * qprime
-    bound = isqrt(target // s) if target >= s else 0
-    total = 0
-    for x2 in range(-bound, bound + 1):
-        r2 = target - s * x2 * x2
-        if r2 < 0:
-            continue
-        b3 = isqrt(r2 // s)
-        for x3 in range(-b3, b3 + 1):
-            r3 = r2 - s * x3 * x3
-            if r3 < 0:
-                continue
-            b4 = isqrt(r3 // s)
-            for x4 in range(-b4, b4 + 1):
-                r4 = r3 - s * x4 * x4
-                if r4 < 0:
-                    continue
-                x1 = isqrt(r4)
-                if x1 * x1 == r4:
-                    total += 1 if x1 == 0 else 2
-    return total

@@ -3,8 +3,8 @@
 A TruncatedSeries holds coefficients c_0..c_M.  Arithmetic between two
 series truncates to the smaller order.  The coefficient ring is
 whatever the inputs live in: Fractions and ints stay exact, floats make
-the mode flag flip to "float".  exp and log use the standard
-derivative-recursion, so they stay within the ring generated by the
+the mode flag flip to "float".  exp uses the standard
+derivative-recursion, so it stays within the ring generated by the
 coefficients (division only by integers).
 """
 
@@ -37,14 +37,6 @@ class TruncatedSeries:
         cs = cs[: order + 1]
         return cls(tuple(cs), order, "exact" if _is_exact(cs) else "float")
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([0], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([1], order)
-
     def __getitem__(self, m: int):
         return self.coeffs[m]
 
@@ -61,9 +53,6 @@ class TruncatedSeries:
 
     def __neg__(self) -> "TruncatedSeries":
         return self._with([-c for c in self.coeffs])
-
-    def scale(self, c) -> "TruncatedSeries":
-        return self._with([c * x for x in self.coeffs])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         m = min(self.order, other.order)
@@ -111,51 +100,6 @@ class TruncatedSeries:
                 acc += k * self.coeffs[k] * out[m - k]
             out.append((Fraction(acc) if exact else acc) / m)
         return self._with(out)
-
-    def log(self) -> "TruncatedSeries":
-        if self.coeffs[0] != 1:
-            raise ValueError("log needs constant term 1")
-        exact = self.mode == "exact"
-        out = [Fraction(0) if exact else 0.0]
-        for m in range(1, self.order + 1):
-            acc = 0
-            for k in range(1, m):
-                acc += k * out[k] * self.coeffs[m - k]
-            val = self.coeffs[m] - (Fraction(acc) if exact else acc) / m
-            out.append(val)
-        return self._with(out)
-
-    def scale_argument(self, c) -> "TruncatedSeries":
-        """Substitute t -> c*t, i.e. multiply c_k by c^k."""
-        out = []
-        power = 1
-        for k in range(self.order + 1):
-            out.append(self.coeffs[k] * power)
-            power = power * c
-        return self._with(out)
-
-    def evaluate(self, t):
-        """Horner evaluation of the truncated polynomial at t."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries.from_coeffs(self.coeffs[: order + 1], order)
-
-    def as_floats(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
-
-
-def geometric_series(ratio, order: int) -> TruncatedSeries:
-    """1/(1 - ratio*t) truncated at the given order."""
-    out = [1]
-    for _ in range(order):
-        out.append(out[-1] * ratio)
-    return TruncatedSeries.from_coeffs(out, order)
 
 
 def binomial_one_minus_u2(exponent: int, order: int) -> TruncatedSeries:

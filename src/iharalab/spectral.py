@@ -17,7 +17,6 @@ theta = pi + i y (y > 0) beyond the negative edge.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -57,9 +56,6 @@ class SpectralData:
         """Total multiplicity of clusters within tol of the given value."""
         t = self.cluster_tol if tol is None else tol
         return sum(c.mult for c in self.clusters if abs(c.value - value) <= t)
-
-    def values(self) -> list[float]:
-        return [c.value for c in self.clusters]
 
 
 def theta_of(lam: float, q: int, tol: float | None = None) -> complex:
@@ -137,14 +133,3 @@ def eigendecompose(
             )
         )
     return SpectralData(n=g.n, q=q, cluster_tol=cluster_tol, clusters=tuple(clusters))
-
-
-def split_principal_singular(sd: SpectralData) -> tuple[list[Cluster], list[Cluster]]:
-    """Split clusters into (principal, singular).
-
-    Principal means |lambda| < 2 sqrt(q) strictly, with values within
-    cluster_tol of the boundary sent to the singular side so that
-    boundary cases never slip into statements that need strict
-    temperedness.
-    """
-    return sd.principal(), sd.singular()

@@ -205,12 +205,8 @@ def resolve_source(config: VerificationSuiteConfig) -> SuiteContext:
 
 def _oracle_depth(g: Graph, m_max: int, budget: int) -> int:
     """Largest depth whose brute-force sweep stays within the step budget."""
-    deg = max(g.degree(v) for v in range(g.n))
     m = 0
-    while m < m_max:
-        cost = g.n * deg * max(1, (deg - 1)) ** m  # depth m+1 sweep
-        if cost > budget:
-            break
+    while m < m_max and oracle.walk_estimate(g, m + 1) <= budget:
         m += 1
     return m
 
@@ -250,9 +246,11 @@ def check_chebyshev(ctx: SuiteContext, *, m_max: int = 30) -> dict:
     """
     q = ctx.cert.q
     n = ctx.g.n
+    float_route = n <= 12
     bs = nbt.chebyshev_b_range(ctx.g, ctx.cert, m_max)
     seq = nbt.ExactMatrixSeq(ctx.g, ctx.cert)
     worst = Fraction(0)
+    fworst = 0.0
     for m in range(1, m_max + 1):
         seq.advance()
         mm = seq.m_current()
@@ -270,14 +268,13 @@ def check_chebyshev(ctx: SuiteContext, *, m_max: int = 30) -> dict:
         scaled = Fraction(diff**2, q**m)  # (diff / q^{m/2})^2, kept rational
         if scaled > worst:
             worst = scaled
+        if float_route:
+            fm = nbt.m_matrix_chebyshev(ctx.sd, m)
+            fdiff = float(np.max(np.abs(np.array(mm, dtype=float) - fm)))
+            fworst = max(fworst, fdiff / q ** (m / 2.0))
     metric = math.sqrt(float(worst))
     detail: dict = {"m_max": m_max, "route": "integer recurrence"}
-    if n <= 12:
-        fworst = 0.0
-        for m in range(1, m_max + 1):
-            fm = nbt.m_matrix_chebyshev(ctx.sd, m)
-            mm = np.array(nbt.m_matrix(ctx.g, ctx.cert, m), dtype=float)
-            fworst = max(fworst, float(np.max(np.abs(mm - fm))) / q ** (m / 2.0))
+    if float_route:
         detail["float_route_metric"] = fworst
         metric = max(metric, fworst)
     return {"metric": metric, "detail": detail}

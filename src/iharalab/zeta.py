@@ -229,13 +229,6 @@ def eisenstein_C(p: int, q: int, m: int) -> Fraction:
     return first * Fraction(4, q * (q * q - 1)) * geom
 
 
-def cusp_coefficient(g_lps: Graph, params: LpsParams, m: int, *, method: str = "auto") -> Fraction:
-    """Cusp-form Fourier coefficient a(p^m) = (2/n) Tr(T~_m) - C(p^m), exact."""
-    cert = certify_regular(g_lps)
-    tt = t_tilde_traces(g_lps, cert, m, method=method)
-    return Fraction(2 * tt[m], g_lps.n) - eisenstein_C(params.p, params.q, m)
-
-
 def cusp_coefficients_range(
     g_lps: Graph, params: LpsParams, m_max: int, *, method: str = "auto"
 ) -> list[Fraction]:

@@ -1,26 +1,20 @@
-"""Chebyshev recurrences and cosine-power expansions."""
+"""Chebyshev evaluators and cosine-power expansions."""
 
 import math
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iharalab.chebyshev import (
-    cheb_t,
-    cheb_u,
-    central_binomial_weight,
-    cos_power_as_cosines,
-    parity_indicator,
-)
+from iharalab.chebyshev import central_binomial_weight, cos_power_as_cosines
+from iharalab.nbt import cheb_t_real, cheb_u_real
 
 
 @given(st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=31))
 @settings(max_examples=60, deadline=None)
 def test_cheb_t_matches_cosine(m, tenth):
     theta = tenth / 10.0
-    assert abs(cheb_t(m, math.cos(theta)) - math.cos(m * theta)) < 1e-12 * (1 + m)
+    assert abs(cheb_t_real(m, math.cos(theta)) - math.cos(m * theta)) < 1e-12 * (1 + m)
 
 
 @given(st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=30))
@@ -28,32 +22,7 @@ def test_cheb_t_matches_cosine(m, tenth):
 def test_cheb_u_matches_sine_ratio(m, tenth):
     theta = tenth / 10.0
     want = math.sin((m + 1) * theta) / math.sin(theta)
-    assert abs(cheb_u(m, math.cos(theta)) - want) < 1e-11 * (1 + m)
-
-
-def test_cheb_t_exact_rational():
-    x = Fraction(3, 5)
-    # T_2 = 2x^2 - 1, T_3 = 4x^3 - 3x
-    assert cheb_t(2, x) == 2 * x * x - 1
-    assert cheb_t(3, x) == 4 * x**3 - 3 * x
-
-
-def test_cheb_u_exact_rational():
-    x = Fraction(1, 3)
-    # U_2 = 4x^2 - 1, U_3 = 8x^3 - 4x
-    assert cheb_u(2, x) == 4 * x * x - 1
-    assert cheb_u(3, x) == 8 * x**3 - 4 * x
-
-
-def test_cheb_on_numpy_arrays():
-    xs = np.linspace(-0.99, 0.99, 7)
-    got = cheb_t(5, xs)
-    want = np.cos(5 * np.arccos(xs))
-    assert np.allclose(got, want, atol=1e-12)
-
-
-def test_parity_indicator():
-    assert [parity_indicator(m) for m in range(6)] == [1, 0, 1, 0, 1, 0]
+    assert abs(cheb_u_real(m, math.cos(theta)) - want) < 1e-11 * (1 + m)
 
 
 def test_central_binomial_weight():

@@ -1,29 +1,115 @@
-"""Matrix recurrences against the enumeration oracle and each other."""
+"""Matrix recurrences against the enumeration oracle and each other.
+
+The spectral routes below (principal_am, s_matrix, the recurrence route
+principal_am_recurrence and the trace identity's spectral side) are the
+references the exact recurrences are compared against; m_matrix is the
+exact M_m they start from.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
+from iharalab.errors import NotRamanujan
+from iharalab.graphs import Graph, RegularityCertificate
 from iharalab.nbt import (
-    a_matrix,
+    ExactMatrixSeq,
     a_matrix_range,
     adjacency_power_traces,
     cheb_t_real,
     cheb_u_real,
     chebyshev_b_range,
     f_values,
-    m_matrix,
-    n_reduced,
+    m_matrix_chebyshev,
     n_reduced_range,
-    principal_am,
-    principal_am_recurrence,
-    s_matrix,
-    t_tilde_matrix,
     t_tilde_traces,
-    trace_identity_rhs,
 )
 from iharalab.oracle import count_reduced_cycles_all, count_reduced_paths_all
+
+# ---------------------------------------------------------------------------
+# reference routes
+
+
+def m_matrix(g: Graph, cert: RegularityCertificate, m: int):
+    """Exact M_m from a fresh A_m sweep."""
+    seq = ExactMatrixSeq(g, cert)
+    seq.run_to(m)
+    return seq.m_current()
+
+
+def principal_am(sd, m: int) -> np.ndarray:
+    """a_m = sum over principal eigenvalues of T_m(l/(2 sqrt q)) P_l."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    out = np.zeros((sd.n, sd.n))
+    for cl in sd.principal():
+        out += math.cos(m * cl.theta.real) * cl.projector
+    return out
+
+
+def s_matrix(sd, m: int) -> np.ndarray:
+    """s_m = sum over principal eigenvalues of U_m(l/(2 sqrt q)) P_l."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    out = np.zeros((sd.n, sd.n))
+    for cl in sd.principal():
+        th = cl.theta.real
+        out += (math.sin((m + 1) * th) / math.sin(th)) * cl.projector
+    return out
+
+
+def principal_am_recurrence(g: Graph, cert: RegularityCertificate, sd, m: int) -> np.ndarray:
+    """a_m recovered from the exact M_m by stripping the singular spectrum.
+
+    Uses closed-form projectors for the trivial eigenvalues q+1 (all-ones
+    matrix over n) and -(q+1) (the signed analogue from the bipartition)
+    and the computed projectors for any +-2 sqrt(q) clusters.  Requires
+    the graph to be Ramanujan apart from those singular values.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    q = sd.q
+    root = 2.0 * math.sqrt(q)
+    tol = sd.cluster_tol
+    exact = np.array(m_matrix(g, cert, m), dtype=float)
+    out = exact.copy()
+    if m % 2 == 0:
+        out -= (q - 1) * np.eye(sd.n)
+    for cl in sd.singular():
+        lam = cl.value
+        if abs(lam - (q + 1)) <= tol:
+            proj = np.full((sd.n, sd.n), 1.0 / sd.n)
+            weight = float(q**m + 1)
+        elif abs(lam + (q + 1)) <= tol:
+            if not cert.bipartite:
+                raise NotRamanujan("eigenvalue -(q+1) on a non-bipartite graph")
+            sign = np.ones(sd.n)
+            for v in cert.parts[1]:
+                sign[v] = -1.0
+            proj = np.outer(sign, sign) / sd.n
+            weight = float((-1) ** m * (q**m + 1))
+        elif abs(abs(lam) - root) <= tol:
+            proj = cl.projector
+            weight = (1.0 if lam > 0 else (-1.0) ** m) * 2.0 * q ** (m / 2.0)
+        else:
+            raise NotRamanujan(
+                f"eigenvalue {lam} lies outside [-2 sqrt q, 2 sqrt q] and is not trivial"
+            )
+        out -= weight * proj
+    return out / (2.0 * q ** (m / 2.0))
+
+
+def trace_identity_rhs(sd, m: int) -> float:
+    """Spectral side of N_m: 2q^{m/2} sum_l mult(l) T_m(l/(2 sqrt q)) + n e_m (q-1)."""
+    q = sd.q
+    total = 0.0
+    for cl in sd.clusters:
+        total += cl.mult * cheb_t_real(m, cl.value / (2.0 * math.sqrt(q)))
+    total *= 2.0 * q ** (m / 2.0)
+    if m % 2 == 0:
+        total += sd.n * (q - 1)
+    return total
 
 
 M_ORACLE = 8
@@ -39,8 +125,10 @@ def test_a_matrix_counts_paths(corpus):
 def test_m_matrix_trace_is_cycle_count(corpus):
     for name, (g, cert) in corpus.items():
         counts = count_reduced_cycles_all(g, M_ORACLE)
+        seq = ExactMatrixSeq(g, cert)
         for m in range(1, M_ORACLE + 1):
-            mm = m_matrix(g, cert, m)
+            seq.advance()
+            mm = seq.m_current()
             assert sum(mm[i][i] for i in range(g.n)) == counts[m - 1], (name, m)
 
 
@@ -67,30 +155,31 @@ def test_row_method_on_cayley_graph(x135):
 
 def test_n_reduced_single(corpus):
     g, cert = corpus["PETERSEN"]
-    assert n_reduced(g, cert, 5) == 120
-    assert n_reduced(g, cert, 6) == 120
-    assert n_reduced(g, cert, 7) == 0
-    assert n_reduced(g, cert, 8) == 240
+    assert n_reduced_range(g, cert, 8, method="full")[4:] == [120, 120, 0, 240]
 
 
 def test_t_tilde_is_parity_sum_of_a(corpus):
     for name, (g, cert) in corpus.items():
         mats = a_matrix_range(g, cert, 7)
+        seq = ExactMatrixSeq(g, cert)
         for m in range(8):
             want = mats[m]
             j = m - 2
             while j >= 0:
                 want = [[want[r][c] + mats[j][r][c] for c in range(g.n)] for r in range(g.n)]
                 j -= 2
-            assert t_tilde_matrix(g, cert, m) == want, (name, m)
+            assert seq.t_tilde_current() == want, (name, m)
+            seq.advance()
 
 
 def test_t_tilde_traces_match_matrices(corpus):
     g, cert = corpus["CUBE"]
     traces = t_tilde_traces(g, cert, 9)
+    seq = ExactMatrixSeq(g, cert)
     for m in range(10):
-        tm = t_tilde_matrix(g, cert, m)
+        tm = seq.t_tilde_current()
         assert traces[m] == sum(tm[i][i] for i in range(g.n))
+        seq.advance()
 
 
 def test_f_values_are_diagonal_entries(corpus):
@@ -105,8 +194,10 @@ def test_chebyshev_b_identity_small(corpus):
     for name, (g, cert) in corpus.items():
         q = cert.q
         bs = chebyshev_b_range(g, cert, 30)
+        seq = ExactMatrixSeq(g, cert)
         for m in range(1, 31):
-            mm = m_matrix(g, cert, m)
+            seq.advance()
+            mm = seq.m_current()
             shift = (q - 1) if m % 2 == 0 else 0
             for i in range(g.n):
                 for j in range(g.n):
@@ -199,20 +290,17 @@ def test_trace_identity(corpus, spectra):
             assert abs(rhs - counts[m - 1]) < 1e-6 * max(1, abs(counts[m - 1])), (name, m)
 
 
-def test_m_matrix_rejects_zero(corpus):
-    g, cert = corpus["K4"]
+def test_m_matrix_rejects_zero(spectra):
     with pytest.raises(ValueError):
-        m_matrix(g, cert, 0)
+        m_matrix_chebyshev(spectra["K4"], 0)
 
 
 def test_a_matrix_low_orders(corpus):
     g, cert = corpus["PETERSEN"]
     q = cert.q
-    a0 = a_matrix(g, cert, 0)
+    a0, a1, a2 = a_matrix_range(g, cert, 2)
     assert all(a0[i][i] == 1 for i in range(g.n))
-    a1 = a_matrix(g, cert, 1)
     assert a1 == [list(row) for row in g.adj]
-    a2 = a_matrix(g, cert, 2)
     adj = g.as_numpy().astype(int)
     want = adj @ adj - (q + 1) * np.eye(g.n, dtype=int)
     assert (np.array(a2) == want).all()

@@ -1,18 +1,78 @@
-"""Brute-force enumeration oracle: hand anchors and internal consistency."""
+"""Brute-force enumeration oracle: hand anchors and internal consistency.
+
+count_nbt_closed_bf and count_tailed_closed_bf below split the closed
+non-backtracking walks at a vertex into tailless and tailed ones; they
+are reference searches for the decomposition tests here.
+"""
 
 import pytest
+from lattice_points import lattice_count
 
 from iharalab.errors import DepthExceeded
-from iharalab.graphs import build_graph
+from iharalab.graphs import Graph, build_graph
 from iharalab.oracle import (
-    count_nbt_closed_bf,
+    DEFAULT_BUDGET,
+    DEFAULT_DEPTH_GUARD,
+    ArcList,
+    _check_cost,
     count_reduced_cycles_all,
     count_reduced_cycles_bf,
     count_reduced_paths_all,
     count_reduced_paths_bf,
-    count_tailed_closed_bf,
-    lattice_count,
 )
+
+# ---------------------------------------------------------------------------
+# reference routes
+
+
+def count_nbt_closed_bf(
+    g: Graph,
+    v: int,
+    m: int,
+    *,
+    depth_guard: int = DEFAULT_DEPTH_GUARD,
+    budget: int = DEFAULT_BUDGET,
+) -> int:
+    """Count non-backtracking closed arc sequences at v, tails allowed.
+
+    Only consecutive backtracking is forbidden; e_1 = inverse(e_m) is
+    permitted, so this equals the vv entry of the m-th adjacency
+    recurrence matrix rather than the reduced-cycle count.
+    """
+    if m < 0:
+        raise ValueError("walk length must be nonnegative")
+    if m == 0:
+        return 1
+    return count_reduced_paths_bf(g, v, v, m, depth_guard=depth_guard, budget=budget)
+
+
+def count_tailed_closed_bf(
+    g: Graph,
+    v: int,
+    m: int,
+    *,
+    depth_guard: int = DEFAULT_DEPTH_GUARD,
+    budget: int = DEFAULT_BUDGET,
+) -> int:
+    """Count non-backtracking closed sequences at v whose closure has a tail.
+
+    These are the walks counted by count_nbt_closed_bf but excluded from
+    the reduced-cycle count: closed, non-backtracking, and
+    e_1 = inverse(e_m).
+    """
+    if m < 1:
+        raise ValueError("walk length must be at least 1")
+    _check_cost(g, m, depth_guard, budget)
+    al = ArcList.from_graph(g)
+
+    def walk(first: int, cur: int, depth: int) -> int:
+        here = al.arcs[cur][1]
+        if depth == m:
+            return 1 if (here == al.arcs[first][0] and cur == al.inverse[first]) else 0
+        banned = al.inverse[cur]
+        return sum(walk(first, nxt, depth + 1) for nxt in al.out[here] if nxt != banned)
+
+    return sum(walk(first, first, 1) for first in al.out[v])
 
 
 def test_triangle_hand_counts(corpus):

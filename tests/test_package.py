@@ -1,0 +1,91 @@
+"""The package surface: what import loads, and who calls what.
+
+`import iharalab` loads every layer module, so code that patches the
+layers by walking sys.modules (the benchmark's tracer and capture
+wrappers) finds them all.
+
+A top-level function or a method (dunders aside) in src/iharalab counts
+as referenced when its name appears in src/, scripts/ or perfbench/
+outside its own definition: as a name, an attribute, an imported name,
+or a word of a string constant other than a docstring (perfbench looks
+some names up with getattr).  Routes that only tests call belong in
+tests/.
+"""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import iharalab
+
+ROOT = Path(__file__).resolve().parents[1]
+SEARCHED = ("src/iharalab/*.py", "scripts/*.py", "perfbench/*.py", "perfbench/tests/*.py")
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def test_import_loads_every_layer_module():
+    # cli is the front end, not a layer
+    layers = sorted(p.stem for p in ROOT.glob("src/iharalab/*.py") if p.stem not in ("__init__", "cli"))
+    code = (
+        "import sys, iharalab\n"
+        f"missing = [m for m in {layers!r} if 'iharalab.' + m not in sys.modules]\n"
+        "assert not missing, missing"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iharalab.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def _definitions(tree: ast.Module):
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item
+
+
+def _references(tree: ast.Module):
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) in docstrings:
+                continue
+            for word in WORD.findall(node.value):
+                yield word, node.lineno
+
+
+def test_every_src_function_has_a_caller_outside_tests():
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    trees = {}
+    for pattern in SEARCHED:
+        for path in sorted(ROOT.glob(pattern)):
+            trees[path] = tree = ast.parse(path.read_text(encoding="utf-8"))
+            for name, line in _references(tree):
+                refs.setdefault(name, []).append((path, line))
+    unused = []
+    for path in sorted(ROOT.glob("src/iharalab/*.py")):
+        for node in _definitions(trees[path]):
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(p != path or line not in inside for p, line in refs.get(node.name, [])):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, "no caller outside tests/: " + ", ".join(unused)

@@ -8,7 +8,7 @@ import pytest
 
 from iharalab.errors import ClusterAmbiguity, OutOfRange
 from iharalab.graphs import build_graph, certify_regular
-from iharalab.spectral import eigendecompose, split_principal_singular, theta_of
+from iharalab.spectral import eigendecompose, theta_of
 
 PINNED_SPECTRA = {
     "K3": {2: 1, -1: 2},
@@ -65,11 +65,11 @@ def test_projectors_orthogonal_across_clusters(spectra):
 
 def test_principal_split(spectra):
     sd = spectra["PETERSEN"]
-    principal, singular = split_principal_singular(sd)
+    principal, singular = sd.principal(), sd.singular()
     assert {round(c.value) for c in principal} == {1, -2}
     assert {round(c.value) for c in singular} == {3}
     sd33 = spectra["K33"]
-    principal, singular = split_principal_singular(sd33)
+    principal, singular = sd33.principal(), sd33.singular()
     assert {round(c.value) for c in principal} == {0}
     assert {round(c.value) for c in singular} == {3, -3}
 

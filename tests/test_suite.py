@@ -162,6 +162,7 @@ def test_run_suite_named_subset(tmp_path):
     assert code == 0
     assert [r.check for r in results] == ["oracle", "chebyshev", "ihara-bass", "range", "huang"]
     assert all(r.status == "pass" for r in results)
+    assert results[1].detail["float_route_metric"] < 1e-6  # K4 is small enough for it
     payload = json.loads(emit.read_text())
     assert set(payload) == {"results"}
     for row in payload["results"]:
@@ -273,6 +274,14 @@ def test_lps_source_cusp_and_phi(tmp_path):
     assert by_name["cusp"].status == "pass"
     payload = json.loads(emit.read_text())
     assert [row["check"] for row in payload["results"]] == ["cusp", "phi"]
+
+
+def test_cusp_check_passes_on_non_bipartite_lps():
+    # X^{29,5} (n = 60) is non-bipartite: its odd-m cusp terms carry sqrt(29)
+    cfg = VerificationSuiteConfig(source_kind="lps", p=29, q=5, checks=("cusp",))
+    code, results = run_suite(cfg)
+    assert code == 0, results[0].detail
+    assert results[0].metric < 1.0
 
 
 def test_write_summary_roundtrip(tmp_path):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import isqrt, prod
 
 import pytest
+from lattice_points import lattice_count
 
 import iharalab
 from iharalab import zeta
@@ -23,10 +24,8 @@ from iharalab.errors import DepthExceeded, InvalidPrime
 from iharalab.graphs import Graph, build_graph, named_graph
 from iharalab.lps import is_prime
 from iharalab.nbt import f_values, n_reduced_range
-from iharalab.oracle import lattice_count
 from iharalab.series import TruncatedSeries
 from iharalab.zeta import (
-    cusp_coefficient,
     cusp_coefficients_range,
     det_series_regular,
     eisenstein_C,
@@ -385,7 +384,7 @@ def test_cusp_split_reconstructs_theta(x135):
 def test_cusp_a1_value(x135):
     # a(1) = 2 l / n with l the tempered count: 2 * 118/120
     g, params, _, sd = x135
-    a1 = cusp_coefficient(g, params, 0)
+    a1 = cusp_coefficients_range(g, params, 0)[0]
     l = sum(c.mult for c in sd.principal())
     assert a1 == Fraction(2 * l, g.n)
 
