@@ -208,24 +208,24 @@ def cmd_cuspgen(args) -> int:
     g, params = lps.build_lps(args.p, args.q, allow_large=args.allow_large)
     cert = certify_regular(g)
     traces = nbt.t_tilde_traces(g, cert, args.order)
-    cusps = zeta.cusp_coefficients_range(g, params, args.order)
     rows = []
     for m in range(args.order + 1):
         theta_coeff = Fraction(2 * traces[m], g.n)
         eis = zeta.eisenstein_C(args.p, args.q, m)
+        cusp = theta_coeff - eis  # a(p^m), as zeta.cusp_coefficients_range gives it
         row = {
             "m": m,
             "theta_coeff": str(theta_coeff),
             "eisenstein": str(eis),
-            "cusp": str(cusps[m]),
+            "cusp": str(cusp),
         }
         # a(p^m)/(2 p^{m/2}); rational unless m is odd with a nonzero cusp term
         if m % 2 == 0:
-            row["normalized"] = str(cusps[m] / (2 * Fraction(args.p) ** (m // 2)))
-        elif cusps[m] == 0:
+            row["normalized"] = str(cusp / (2 * Fraction(args.p) ** (m // 2)))
+        elif cusp == 0:
             row["normalized"] = "0"
         else:
-            row["normalized"] = _fmt(float(cusps[m]) / (2.0 * args.p ** (m / 2.0)))
+            row["normalized"] = _fmt(float(cusp) / (2.0 * args.p ** (m / 2.0)))
         rows.append(row)
     payload = {
         "p": args.p,

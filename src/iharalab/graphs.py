@@ -278,6 +278,16 @@ def load_graph(src: str | IO[str]) -> Graph:
     anything else is treated as an edge list.  Raises ParseError with a
     line number on malformed input.
     """
+    return load_graph_doc(src)[0]
+
+
+def load_graph_doc(src: str | IO[str]) -> tuple[Graph, dict | None]:
+    """load_graph, also returning the parsed JSON object (None for an edge list).
+
+    Callers that need keys beyond 'n' and 'edges', such as the 'lps'
+    record of an `lps --emit` file, read them here instead of parsing
+    the file a second time.
+    """
     close = False
     if isinstance(src, str):
         fh = open(src)
@@ -298,7 +308,7 @@ def load_graph(src: str | IO[str]) -> Graph:
         if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
             raise ParseError("JSON graph must have 'n' and 'edges' keys")
         try:
-            return build_graph(int(doc["n"]), doc["edges"])
+            return build_graph(int(doc["n"]), doc["edges"]), doc
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad JSON graph payload: {exc}") from exc
     lines = text.splitlines()
@@ -326,4 +336,4 @@ def load_graph(src: str | IO[str]) -> Graph:
         edges.append(edge)
     if header is None:
         raise ParseError("empty graph file", line=1)
-    return build_graph(header, edges)
+    return build_graph(header, edges), None

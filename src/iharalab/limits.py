@@ -167,8 +167,9 @@ def _cesaro_run(sd, k: int, horizons: Sequence[int], variant: str) -> CesaroRepo
     weight = central_binomial_weight(k)
     devs = []
     principal = sd.principal()
-    # per-cluster scalar averages; the matrix deviation follows from
-    # projector orthogonality: ||sum d P||_F = sqrt(sum mult * d^2)
+    # per-cluster scalar averages; the matrix deviation follows because the
+    # eigenvector blocks are orthonormal and mutually orthogonal:
+    # ||sum_l d_l V_l V_l^T||_F = sqrt(sum_l mult_l * d_l^2)
     cums = []
     targets = []
     for cl in principal:

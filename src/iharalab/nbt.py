@@ -301,14 +301,18 @@ def cheb_u_real(m: int, x: float) -> float:
 
 
 def m_matrix_chebyshev(sd, m: int) -> np.ndarray:
-    """Spectral-route M_m = sum_l 2q^{m/2} T_m(l/(2 sqrt q)) P_l + e_m(q-1)I."""
+    """Spectral-route M_m = sum_l w_l V_l V_l^T + e_m(q-1)I over the eigenvector blocks.
+
+    w_l = 2q^{m/2} T_m(lambda_l/(2 sqrt q)); no projector V_l V_l^T is formed.
+    """
     if m < 1:
         raise ValueError("m must be at least 1")
     q = sd.q
     scale = 2.0 * q ** (m / 2.0)
     out = np.zeros((sd.n, sd.n))
     for cl in sd.clusters:
-        out += scale * cheb_t_real(m, cl.value / (2.0 * math.sqrt(q))) * cl.projector
+        w = scale * cheb_t_real(m, cl.value / (2.0 * math.sqrt(q)))
+        out += (cl.vectors * w) @ cl.vectors.T
     if m % 2 == 0:
         out += (q - 1) * np.eye(sd.n)
     return out

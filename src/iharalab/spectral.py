@@ -2,11 +2,16 @@
 
 A (q+1)-regular graph has its spectrum inside [-(q+1), q+1].  The
 decomposition groups numerically equal eigenvalues into clusters, snaps
-cluster values that are within 1e-9 of an integer, attaches the spectral
-projector of each cluster, and classifies clusters as principal
+cluster values that are within 1e-9 of an integer, keeps each cluster's
+orthonormal eigenvector block V_l, and classifies clusters as principal
 (|lambda| strictly inside the tempered interval (-2 sqrt q, 2 sqrt q))
 or singular (on or outside the boundary, including the trivial
 eigenvalues +-(q+1)).
+
+The blocks are read-only column slices of one n x n eigenvector matrix,
+so the whole decomposition holds n^2 floats.  The spectral projector
+P_l = V_l V_l^T is formed only when `Cluster.projector` is read;
+consumers work on the blocks instead.
 
 The spectral angle theta of an eigenvalue is defined by
 lambda = 2 sqrt(q) cos(theta).  Principal eigenvalues get a real angle
@@ -28,13 +33,26 @@ from .graphs import Graph, RegularityCertificate
 
 @dataclass(frozen=True)
 class Cluster:
-    """One eigenvalue cluster: snapped value, multiplicity, projector, angle."""
+    """One eigenvalue cluster: snapped value, multiplicity, eigenvector block, angle.
+
+    vectors is the read-only n x mult block V_l of orthonormal
+    eigenvectors; blocks of different clusters are mutually orthogonal.
+    """
 
     value: float
     mult: int
-    projector: np.ndarray
+    vectors: np.ndarray
     theta: complex
     principal: bool
+
+    @property
+    def projector(self) -> np.ndarray:
+        """The spectral projector V_l V_l^T, a new read-only n x n array per read."""
+        v = self.vectors
+        proj = v @ v.T
+        proj = (proj + proj.T) / 2.0
+        proj.setflags(write=False)
+        return proj
 
 
 @dataclass(frozen=True)
@@ -96,38 +114,34 @@ def eigendecompose(
         evals, evecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"symmetric eigensolver failed: {exc}") from exc
-    # group ascending eigenvalues by gap
-    blocks: list[list[int]] = [[0]]
+    evecs.setflags(write=False)
+    # group ascending eigenvalues by gap into [start, stop) column ranges
+    starts = [0]
     for i in range(1, g.n):
         gap = evals[i] - evals[i - 1]
         if gap < cluster_tol:
-            blocks[-1].append(i)
-        elif gap < 10.0 * cluster_tol:
+            continue
+        if gap < 10.0 * cluster_tol:
             raise ClusterAmbiguity(
                 f"eigenvalue gap {gap:.3e} falls in the ambiguous window "
                 f"[{cluster_tol:.3e}, {10 * cluster_tol:.3e})",
                 gap=gap,
                 tol=cluster_tol,
             )
-        else:
-            blocks.append([i])
+        starts.append(i)
     root = 2.0 * math.sqrt(q)
     clusters = []
-    for idx in blocks:
-        value = float(np.mean(evals[idx]))
+    for start, stop in zip(starts, starts[1:] + [g.n]):
+        value = float(np.mean(evals[start:stop]))
         snapped = round(value)
         if abs(value - snapped) <= 1e-9:
             value = float(snapped)
-        vec = evecs[:, idx]
-        proj = vec @ vec.T
-        proj = (proj + proj.T) / 2.0
-        proj.setflags(write=False)
         principal = abs(value) < root - cluster_tol
         clusters.append(
             Cluster(
                 value=value,
-                mult=len(idx),
-                projector=proj,
+                mult=stop - start,
+                vectors=evecs[:, start:stop],
                 theta=theta_of(value, q),
                 principal=principal,
             )

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, emitted files, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from iharalab import nbt, zeta
 from iharalab.cli import main
 from iharalab.graphs import load_graph
+from iharalab.lps import build_lps
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +127,28 @@ def test_cuspgen_x135_anchors(tmp_path, capsys):
     assert rows[2]["cusp"] == "-41/10"
     assert rows[2]["normalized"] == "-41/260"
     assert rows[1]["normalized"] == "0"
+
+
+def test_cuspgen_one_trace_sweep(tmp_path, monkeypatch):
+    calls = []
+    real = nbt.t_tilde_traces
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nbt, "t_tilde_traces", counting)
+    monkeypatch.setattr(zeta, "t_tilde_traces", counting)
+    path = tmp_path / "cusp.json"
+    assert main(["cuspgen", "--p", "13", "--q", "5", "--order", "8", "--emit", str(path)]) == 0
+    assert calls == [8]
+    # SHA-256 of the file written when the cusp column came from
+    # zeta.cusp_coefficients_range, a second sweep
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "6a5c38cd733a04d5a8de1825b829c02b9a5a31541576096364724a63b9fd26e3"
+    g, params = build_lps(13, 5)
+    cusps = zeta.cusp_coefficients_range(g, params, 8)
+    assert [row["cusp"] for row in json.loads(path.read_text())["rows"]] == [str(c) for c in cusps]
 
 
 # ---------------------------------------------------------------------------

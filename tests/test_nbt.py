@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from iharalab import nbt, suite
 from iharalab.errors import NotRamanujan
-from iharalab.graphs import Graph, RegularityCertificate
+from iharalab.graphs import Graph, RegularityCertificate, named_graph
 from iharalab.nbt import (
     ExactMatrixSeq,
     a_matrix_range,
@@ -98,6 +99,18 @@ def principal_am_recurrence(g: Graph, cert: RegularityCertificate, sd, m: int) -
             )
         out -= weight * proj
     return out / (2.0 * q ** (m / 2.0))
+
+
+def m_matrix_projector_sum(sd, m: int) -> np.ndarray:
+    """M_m = sum_l 2q^{m/2} T_m(l/(2 sqrt q)) P_l + e_m(q-1)I over the projectors."""
+    q = sd.q
+    scale = 2.0 * q ** (m / 2.0)
+    out = np.zeros((sd.n, sd.n))
+    for cl in sd.clusters:
+        out += scale * cheb_t_real(m, cl.value / (2.0 * math.sqrt(q))) * cl.projector
+    if m % 2 == 0:
+        out += (q - 1) * np.eye(sd.n)
+    return out
 
 
 def trace_identity_rhs(sd, m: int) -> float:
@@ -293,6 +306,24 @@ def test_trace_identity(corpus, spectra):
 def test_m_matrix_rejects_zero(spectra):
     with pytest.raises(ValueError):
         m_matrix_chebyshev(spectra["K4"], 0)
+
+
+def test_m_matrix_chebyshev_matches_projector_sum(spectra, x135):
+    # compared at the scale check_chebyshev uses: |difference| / q^{m/2}
+    for name, sd in [*spectra.items(), ("X{13,5}", x135[3])]:
+        for m in range(1, 13):
+            diff = m_matrix_chebyshev(sd, m) - m_matrix_projector_sum(sd, m)
+            assert np.max(np.abs(diff)) / sd.q ** (m / 2.0) <= 1e-9, (name, m)
+
+
+def test_chebyshev_float_route_metric_unchanged(monkeypatch):
+    for name in ("K4", "PETERSEN"):
+        got = suite.check_chebyshev(suite.SuiteContext(named_graph(name)))
+        with monkeypatch.context() as mp:
+            mp.setattr(nbt, "m_matrix_chebyshev", m_matrix_projector_sum)
+            want = suite.check_chebyshev(suite.SuiteContext(named_graph(name)))
+        assert got == want, name
+        assert "float_route_metric" in got["detail"], name
 
 
 def test_a_matrix_low_orders(corpus):

@@ -1,4 +1,4 @@
-"""Eigendecomposition into integer-snapped clusters with projectors."""
+"""Eigendecomposition into integer-snapped clusters with eigenvector blocks."""
 
 import cmath
 import math
@@ -78,6 +78,31 @@ def test_projectors_readonly(spectra):
     p = spectra["K4"].clusters[0].projector
     with pytest.raises(ValueError):
         p[0, 0] = 1.0
+
+
+def test_vector_blocks_orthonormal(spectra, x135):
+    for name, sd in [*spectra.items(), ("X{13,5}", x135[3])]:
+        cls = sd.clusters
+        for i, ci in enumerate(cls):
+            assert ci.vectors.shape == (sd.n, ci.mult), name
+            gram = ci.vectors.T @ ci.vectors
+            assert np.allclose(gram, np.eye(ci.mult), atol=1e-10), name
+            for cj in cls[i + 1 :]:
+                assert np.allclose(ci.vectors.T @ cj.vectors, 0, atol=1e-10), name
+
+
+def test_vector_blocks_readonly(spectra):
+    for cl in spectra["PETERSEN"].clusters:
+        with pytest.raises(ValueError):
+            cl.vectors[0, 0] = 1.0
+
+
+def test_vector_blocks_are_one_matrix(spectra, x135):
+    # the blocks are column slices of one n x n array: no n x n array per cluster
+    for name, sd in [*spectra.items(), ("X{13,5}", x135[3])]:
+        assert sum(cl.vectors.nbytes for cl in sd.clusters) == 8 * sd.n**2, name
+        bases = {id(cl.vectors.base) for cl in sd.clusters}
+        assert len(bases) == 1 and sd.clusters[0].vectors.base is not None, name
 
 
 def test_theta_real_inside():

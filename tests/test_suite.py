@@ -1,18 +1,22 @@
 """Verification suite: config parsing, orchestration, summary emission."""
 
+import builtins
 import json
 
+import numpy as np
 import pytest
 
-from iharalab import limits, nbt
+from iharalab import limits, lps, nbt, suite
 from iharalab.errors import ParseError
-from iharalab.graphs import named_graph
+from iharalab.graphs import build_graph, load_graph, named_graph, save_graph
 from iharalab.suite import (
     CHECK_ORDER,
     DEFAULT_TOLERANCES,
     SuiteContext,
     VerificationSuiteConfig,
     _oracle_depth,
+    check_range,
+    range_abs_max,
     resolve_source,
     run_check,
     run_suite,
@@ -126,6 +130,40 @@ def test_resolve_file_without_params(tmp_path):
     path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
     ctx = resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
     assert ctx.params is None
+
+
+def test_resolve_file_reads_once(tmp_path, monkeypatch):
+    k4 = named_graph("K4")
+    edgelist = tmp_path / "k4.txt"
+    save_graph(k4, str(edgelist), fmt="edgelist")
+    plain = {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
+    cases = [(edgelist, None)]
+    for name, lps_key, want in (
+        ("lps.json", {"p": 13, "q": 5}, lps.lps_params(13, 5)),
+        ("missing_q.json", {"p": 13}, None),
+        ("list.json", [13, 5], None),
+        ("text.json", {"p": "x", "q": 5}, None),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps({**plain, "lps": lps_key}))
+        cases.append((path, want))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    for path, want in cases:
+        opened.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(builtins, "open", counting_open)
+            ctx = resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
+        assert opened.count(str(path)) == 1, path.name
+        assert ctx.g == load_graph(str(path)), path.name
+        assert ctx.g.adj == k4.adj, path.name
+        assert ctx.params == want, path.name
+        assert ctx.label == str(path)
 
 
 def test_context_lazy_fields():
@@ -294,3 +332,85 @@ def test_write_summary_roundtrip(tmp_path):
     assert text.endswith("\n")
     payload = json.loads(text)
     assert payload["results"][0]["check"] == "huang"
+
+
+# ---------------------------------------------------------------------------
+# range check: blocked GEMM against the dense projector stack
+
+
+def dense_range_abs_max(sd, m_max: int) -> np.ndarray:
+    """max |a_m| per m from one n x n projector per principal cluster."""
+    principal = sd.principal()
+    thetas = np.array([cl.theta.real for cl in principal])
+    stack = np.stack([cl.projector for cl in principal])
+    return np.array(
+        [
+            float(np.max(np.abs(np.tensordot(np.cos(m * thetas), stack, axes=1))))
+            for m in range(1, m_max + 1)
+        ]
+    )
+
+
+def dense_check_range(sd, m_max: int = 200) -> dict:
+    """The range check over the dense projector stack."""
+    if not sd.principal():
+        return {"metric": 0.0, "detail": {"m_max": m_max, "note": "empty principal part"}}
+    worst = 0.0
+    for top in dense_range_abs_max(sd, m_max):
+        worst = max(worst, max(0.0, top - 1.0))
+    return {"metric": worst, "detail": {"m_max": m_max}}
+
+
+def frucht_graph():
+    """The Frucht graph: 3-regular on 12 vertices with no nontrivial automorphism."""
+    shifts = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
+    edges |= {tuple(sorted((i, (i + s) % 12))) for i, s in enumerate(shifts)}
+    return build_graph(12, sorted(edges))
+
+
+def cycle_plus_matching(n: int, seed: int):
+    """A 3-regular graph: the n-cycle plus a seeded perfect matching of non-neighbours."""
+    rng = np.random.default_rng(seed)
+    while True:
+        perm = rng.permutation(n)
+        pairs = [(int(a), int(b)) for a, b in zip(perm[0::2], perm[1::2])]
+        if all((a - b) % n not in (0, 1, n - 1) for a, b in pairs):
+            return build_graph(n, [(i, (i + 1) % n) for i in range(n)] + pairs)
+
+
+RANGE_SOURCES = {
+    "PETERSEN": lambda: SuiteContext(named_graph("PETERSEN")),
+    "K33": lambda: SuiteContext(named_graph("K33")),
+    "X13_5": lambda: SuiteContext(*lps.build_lps(13, 5)),
+    "X17_5": lambda: SuiteContext(*lps.build_lps(17, 5)),
+    "X29_5_nonbipartite": lambda: SuiteContext(*lps.build_lps(29, 5)),
+    # not vertex-transitive: rows of a_m differ, so an entry the blocks miss shows
+    "FRUCHT": lambda: SuiteContext(frucht_graph()),
+    "C50_matching": lambda: SuiteContext(cycle_plus_matching(50, 11)),
+}
+
+
+@pytest.mark.parametrize("name", RANGE_SOURCES)
+def test_range_matches_dense_projector_stack(name):
+    ctx = RANGE_SOURCES[name]()
+    got = range_abs_max(ctx.sd, 200)
+    assert np.max(np.abs(got - dense_range_abs_max(ctx.sd, 200))) <= 1e-12
+    assert check_range(ctx) == dense_check_range(ctx.sd)
+
+
+@pytest.mark.parametrize("block", [1, 3, 5, 7, 12, 16, 64])
+def test_range_block_remainders(monkeypatch, block):
+    # n = 12: a multiple of the block, a remainder, or one short block
+    sd = SuiteContext(frucht_graph()).sd
+    want = dense_range_abs_max(sd, 40)
+    monkeypatch.setattr(suite, "RANGE_BLOCK", block)
+    assert np.max(np.abs(range_abs_max(sd, 40) - want)) <= 1e-12
+
+
+def test_range_empty_principal_part():
+    # a doubled edge is 2-regular with spectrum {2, -2} = {q+1, -(q+1)}: nothing principal
+    ctx = SuiteContext(build_graph(2, [(0, 1, 2)]))
+    assert ctx.sd.principal() == []
+    want = {"metric": 0.0, "detail": {"m_max": 200, "note": "empty principal part"}}
+    assert check_range(ctx) == dense_check_range(ctx.sd) == want
