@@ -413,11 +413,24 @@ def stf_verify(
     (2 n q (q+1)/pi) Integral_0^pi sin^2(theta)/((q+1)^2 - 4q cos^2 theta) h(theta) d theta
     + sum_m N_m q^{-m/2} hhat(m).  Returns (lhs, geometric, |difference|).
     counts, if given, are N_1, N_2, ... at least to h's top frequency.
+
+    The difference is not lhs - geometric: both sides grow like q^{m/2}
+    hhat(m), so their float round-off would scale with q^{m/2}.  The
+    trivial clusters q+1 and, on a bipartite graph, -(q+1) contribute
+    (+-1)^m (q^{m/2} + q^{-m/2}) hhat(m) each; that share minus
+    N_m q^{-m/2} hhat(m) is formed exactly in Q(sqrt q) per frequency and
+    converted once, and only the O(n) remainder is summed in floats.
     """
     q = cert.q
-    lhs = 0.0
+    lhs = rest = 0.0
+    trivial = []  # (sign, mult) of the clusters at q+1 and, if bipartite, at -(q+1)
     for cl in sd.clusters:
-        lhs += cl.mult * h.eval_x(cl.value / (2.0 * math.sqrt(q)))
+        term = cl.mult * h.eval_x(cl.value / (2.0 * math.sqrt(q)))
+        lhs += term
+        if cl.value == q + 1 or (cert.bipartite and cl.value == -(q + 1)):
+            trivial.append((1 if cl.value > 0 else -1, cl.mult))
+        else:
+            rest += term
 
     def integrand(theta: float) -> float:
         s = math.sin(theta)
@@ -430,7 +443,8 @@ def stf_verify(
     integral, abserr = result[0], result[1]
     if abserr > 1e-8:
         raise QuadratureFailure(f"quadrature error estimate {abserr} exceeds 1e-8")
-    geometric = (2.0 * g.n * q * (q + 1) / math.pi) * integral
+    identity_term = (2.0 * g.n * q * (q + 1) / math.pi) * integral
+    geometric = identity_term
     if h.support:
         m_max = h.max_frequency()
         if counts is None:
@@ -439,7 +453,11 @@ def stf_verify(
             raise ValueError("counts shorter than the test function's top frequency")
         for m, v in h.support:
             geometric += counts[m - 1] * q ** (-m / 2.0) * v
-    return lhs, geometric, abs(lhs - geometric)
+    exact_part = sum(k for _, k in trivial) * h.hhat0
+    for m, v in h.support:
+        share = sum(k * s**m for s, k in trivial) * (half_power(q, m) + half_power(q, -m))
+        exact_part += float(share - counts[m - 1] * half_power(q, -m)) * v
+    return lhs, geometric, abs(exact_part + rest - identity_term)
 
 
 # ---------------------------------------------------------------------------

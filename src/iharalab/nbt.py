@@ -23,7 +23,11 @@ The trace sweeps use the product identity B_a B_b = B_{a+b} + q^b B_{a-b}
 products of B_0..B_{ceil(M/2)}, which costs ceil(M/2) - 1 matrix steps and
 O(n^2) memory.  Then N_m = Tr B_m + e_m(q-1)n and Tr T~_m = Tr B_m +
 q Tr T~_{m-2}.  A_m, M_m and T~_m as matrices still come from the A_m
-recurrence, which check_chebyshev compares against B_m.
+recurrence.  Both families are integer polynomials in A whose
+coefficients depend only on q, so M_m = B_m + e_m(q-1)I holds for every
+graph iff it holds in Z[x]; m_and_b_polynomials runs the recurrences
+there, and check_chebyshev compares them once instead of on n x n
+matrices.
 """
 
 from __future__ import annotations
@@ -175,6 +179,38 @@ def chebyshev_b_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list
     for _ in range(2, m_max + 1):
         out.append(_mul_adj(out[-1], out[-2], cert.q, g.neighbors))
     return out
+
+
+def m_and_b_polynomials(q: int, m_max: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Coefficient lists of M_1..M_{m_max} and B_1..B_{m_max} as polynomials in x = A.
+
+    The A_m and B_m recurrences of ExactMatrixSeq and chebyshev_b_range,
+    and M_m = A_m - (q-1) sum_{k=1}^{floor((m-1)/2)} A_{m-2k}, run on
+    integer coefficient lists (constant term first) instead of matrices.
+    Exact, independent of any graph, and O(m_max^3) integer operations.
+    """
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+
+    def times_x_minus(cur: list[int], prev: list[int], s: int) -> list[int]:
+        out = [0, *cur]
+        for i, c in enumerate(prev):
+            out[i] -= s * c
+        return out
+
+    a = [[1], [0, 1]]
+    b = [[2], [0, 1]]
+    for m in range(2, m_max + 1):
+        a.append(times_x_minus(a[-1], a[-2], q + 1 if m == 2 else q))
+        b.append(times_x_minus(b[-1], b[-2], q))
+    ms = []
+    for m in range(1, m_max + 1):
+        poly = list(a[m])
+        for k in range(1, (m - 1) // 2 + 1):
+            for i, c in enumerate(a[m - 2 * k]):
+                poly[i] -= (q - 1) * c
+        ms.append(poly)
+    return ms, b[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -160,33 +160,42 @@ def count_reduced_paths_bf(
     return sum(walk(first, 1) for first in al.out[i])
 
 
-def count_reduced_paths_all(
+def count_reduced_walks_all(
     g: Graph, m_max: int, *, depth_guard: int = DEFAULT_DEPTH_GUARD, budget: int = DEFAULT_BUDGET
-) -> list[list[list[int]]]:
-    """All-pairs reduced path counts for m in 0..m_max.
+) -> tuple[list[int], list[list[list[int]]]]:
+    """Cycle counts and all-pairs path counts for every length up to m_max, one sweep.
 
-    Returns a list of n x n integer matrices; entry [m][i][j] matches
-    count_reduced_paths_bf(g, i, j, m).
+    Returns (counts, mats): counts[m-1] matches count_reduced_cycles_bf(g, m)
+    for m in 1..m_max, and mats[m][i][j] matches count_reduced_paths_bf(g,
+    i, j, m) for m in 0..m_max.  Each non-backtracking walk is enumerated
+    once, from its origin through its first arc; it is a reduced cycle
+    when it ends at its origin and its last arc is not the inverse of
+    its first.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
     _check_cost(g, m_max, depth_guard, budget)
     al = ArcList.from_graph(g)
+    totals = [0] * (m_max + 1)
     mats = [[[0] * g.n for _ in range(g.n)] for _ in range(m_max + 1)]
     for v in range(g.n):
         mats[0][v][v] = 1
 
-    def walk(src: int, cur: int, depth: int) -> None:
-        here = al.arcs[cur][1]
-        mats[depth][src][here] += 1
-        if depth == m_max:
-            return
-        banned = al.inverse[cur]
-        for nxt in al.out[here]:
-            if nxt != banned:
-                walk(src, nxt, depth + 1)
+    terminus = [t for _, t in al.arcs]
+    # the arcs that may follow arc a: out of its terminus, except its inverse
+    follow = [[b for b in al.out[t] if b != al.inverse[a]] for a, t in enumerate(terminus)]
+
+    def walk(rows: list[list[int]], src: int, first_inv: int, cur: int, depth: int) -> None:
+        here = terminus[cur]
+        rows[depth][here] += 1
+        if here == src and cur != first_inv:
+            totals[depth] += 1
+        if depth < m_max:
+            for nxt in follow[cur]:
+                walk(rows, src, first_inv, nxt, depth + 1)
 
     for src in range(g.n):
+        rows = [mat[src] for mat in mats]  # row src of every mats[depth]
         for first in al.out[src]:
-            walk(src, first, 1)
-    return mats
+            walk(rows, src, al.inverse[first], first, 1)
+    return totals[1:], mats

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -214,10 +214,9 @@ def check_oracle(ctx: SuiteContext, *, m_max: int = 10, budget: int = DEFAULT_BU
     depth = _oracle_depth(ctx.g, m_max, budget)
     if depth < 1:
         raise IharaLabError("oracle budget too small for depth 1")
-    counts_bf = oracle.count_reduced_cycles_all(ctx.g, depth, budget=budget)
+    counts_bf, paths_bf = oracle.count_reduced_walks_all(ctx.g, depth, budget=budget)
     counts_rec = nbt.n_reduced_range(ctx.g, ctx.cert, depth, method="full")
     worst = max(abs(a - b) for a, b in zip(counts_bf, counts_rec))
-    paths_bf = oracle.count_reduced_paths_all(ctx.g, depth, budget=budget)
     paths_rec = nbt.a_matrix_range(ctx.g, ctx.cert, depth)
     for m in range(depth + 1):
         for i in range(ctx.g.n):
@@ -235,44 +234,73 @@ def check_oracle(ctx: SuiteContext, *, m_max: int = 10, budget: int = DEFAULT_BU
     }
 
 
-def check_chebyshev(ctx: SuiteContext, *, m_max: int = 30) -> dict:
-    """M_m against 2 q^{m/2} T_m(A / 2 sqrt q) + e_m (q-1) I, scaled by q^{m/2}.
+def _zx_identity_defect(q: int, m_max: int) -> int:
+    """Largest |coefficient| of M_m - B_m - e_m(q-1) in Z[x] over m = 1..m_max; 0 iff the identity holds."""
+    worst = 0
+    for m, (mp, bp) in enumerate(zip(*nbt.m_and_b_polynomials(q, m_max)), 1):
+        diff = [x - y for x, y in zip_longest(mp, bp, fillvalue=0)]
+        diff[0] -= (1 - m % 2) * (q - 1)
+        worst = max(worst, *map(abs, diff))
+    return worst
 
-    The Chebyshev side is evaluated through its integer-matrix recurrence
-    (an algebraic identity, so the comparison is exact); on small graphs
-    the float spectral evaluation is compared too.
+
+def _trace_route_metric(ctx: SuiteContext, m_max: int) -> float:
+    """Exact Tr B_m against sum_l mult_l w_l, w_l = 2 q^{m/2} T_m(lambda_l / 2 sqrt q).
+
+    The trivial eigenvalues q+1 and, on a bipartite graph, -(q+1)
+    contribute (q^m + 1)(1 + (-1)^m [bipartite]) exactly, so that share
+    is taken off the integer trace and out of the float sum.  The rest
+    is scaled by n q^{m/2}, or by sum_l mult_l |w_l| when a non-trivial
+    cluster lies outside [-2 sqrt q, 2 sqrt q] and that sum is larger.
+    """
+    q, n, sd = ctx.cert.q, ctx.g.n, ctx.sd
+    traces = nbt._traces_by_method(ctx.g, q, m_max, "auto")
+    trivial = {q + 1, -(q + 1)} if ctx.cert.bipartite else {q + 1}
+    root = 2.0 * math.sqrt(q)
+    worst = 0.0
+    for m in range(1, m_max + 1):
+        exact = traces[m] - (q**m + 1) * (1 + (-1) ** m * ctx.cert.bipartite)
+        scale = 2.0 * q ** (m / 2.0)
+        spectral = spread = 0.0
+        outside = False
+        for cl in sd.clusters:
+            mult = cl.mult - (cl.value in trivial)
+            if mult:
+                w = scale * nbt.cheb_t_real(m, cl.value / root)
+                spectral += mult * w
+                spread += mult * abs(w)
+                outside = outside or abs(cl.value) > root
+        norm = n * q ** (m / 2.0)
+        if outside:
+            norm = max(norm, spread)
+        worst = max(worst, abs(exact - spectral) / norm)
+    return worst
+
+
+def check_chebyshev(ctx: SuiteContext, *, m_max: int = 30) -> dict:
+    """M_m = 2 q^{m/2} T_m(A / 2 sqrt q) + e_m (q-1) I for m = 1..m_max, in three parts.
+
+    1. The identity in Z[x]: both sides are integer polynomials in A, so
+       it holds for every graph iff the coefficient lists agree; any
+       nonzero difference (at least 1) fails the check.
+    2. At every n, the exact Tr B_m of the half-length trace sweep against
+       the spectral sum over the eigenvalue clusters (_trace_route_metric).
+    3. On graphs with n <= 12, the exact M_m matrices against the float
+       spectral M_m entry by entry, scaled by q^{m/2}.
     """
     q = ctx.cert.q
     n = ctx.g.n
-    float_route = n <= 12
-    bs = nbt.chebyshev_b_range(ctx.g, ctx.cert, m_max)
-    seq = nbt.ExactMatrixSeq(ctx.g, ctx.cert)
-    worst = Fraction(0)
-    fworst = 0.0
-    for m in range(1, m_max + 1):
-        seq.advance()
-        mm = seq.m_current()
-        em = 1 - (m & 1)
-        shift = em * (q - 1)
-        diff = 0
-        for i in range(n):
-            row_m = mm[i]
-            row_b = bs[m][i]
-            for j in range(n):
-                expect = row_b[j] + (shift if i == j else 0)
-                d = abs(row_m[j] - expect)
-                if d > diff:
-                    diff = d
-        scaled = Fraction(diff**2, q**m)  # (diff / q^{m/2})^2, kept rational
-        if scaled > worst:
-            worst = scaled
-        if float_route:
+    metric = max(float(_zx_identity_defect(q, m_max)), _trace_route_metric(ctx, m_max))
+    detail: dict = {"m_max": m_max, "route": "integer recurrence"}
+    if n <= 12:
+        seq = nbt.ExactMatrixSeq(ctx.g, ctx.cert)
+        fworst = 0.0
+        for m in range(1, m_max + 1):
+            seq.advance()
+            mm = seq.m_current()
             fm = nbt.m_matrix_chebyshev(ctx.sd, m)
             fdiff = float(np.max(np.abs(np.array(mm, dtype=float) - fm)))
             fworst = max(fworst, fdiff / q ** (m / 2.0))
-    metric = math.sqrt(float(worst))
-    detail: dict = {"m_max": m_max, "route": "integer recurrence"}
-    if float_route:
         detail["float_route_metric"] = fworst
         metric = max(metric, fworst)
     return {"metric": metric, "detail": detail}

@@ -356,6 +356,21 @@ def test_stf_mixed_function(corpus, spectra):
     assert disc < 1e-8
 
 
+@pytest.mark.parametrize("p", [17, 29])
+def test_stf_is_scale_free_on_lps(p):
+    """X^{17,5} and X^{29,5} failed at 1.0e-7 and 1.2e-7 when the two sides were subtracted in floats."""
+    g, _ = build_lps(p, 5)
+    cert = certify_regular(g)
+    sd = eigendecompose(g, cert)
+    counts = n_reduced_range(g, cert, 12)
+    for m0 in range(13):
+        h = StfTestFunction.single(m0) if m0 else StfTestFunction(hhat0=1.0)
+        lhs, geometric, disc = stf_verify(g, cert, sd, h, counts=counts)
+        assert disc < 1e-11, (m0, disc)
+        # the reported float sides still agree to their own round-off
+        assert math.isclose(lhs, geometric, rel_tol=1e-12, abs_tol=1e-9), m0
+
+
 def test_stf_function_evaluations():
     h = StfTestFunction(hhat0=0.5, support=((2, 1.0), (5, -0.25)))
     assert h.max_frequency() == 5

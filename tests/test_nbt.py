@@ -26,7 +26,7 @@ from iharalab.nbt import (
     n_reduced_range,
     t_tilde_traces,
 )
-from iharalab.oracle import count_reduced_cycles_all, count_reduced_paths_all
+from iharalab.oracle import count_reduced_cycles_all, count_reduced_walks_all
 
 # ---------------------------------------------------------------------------
 # reference routes
@@ -130,7 +130,7 @@ M_ORACLE = 8
 
 def test_a_matrix_counts_paths(corpus):
     for name, (g, cert) in corpus.items():
-        mats = count_reduced_paths_all(g, M_ORACLE)
+        mats = count_reduced_walks_all(g, M_ORACLE)[1]
         recs = a_matrix_range(g, cert, M_ORACLE)
         assert recs == mats, name
 
@@ -219,11 +219,14 @@ def test_chebyshev_b_identity_small(corpus):
 
 
 def test_chebyshev_b_identity_x135(x135):
+    """M_m = B_m + e_m (q-1) I entry by entry for m <= 30: the reference for the sweep code."""
     g, _, cert, _ = x135
     q = cert.q
-    bs = chebyshev_b_range(g, cert, 12)
-    for m in (1, 2, 3, 7, 12):
-        mm = m_matrix(g, cert, m)
+    bs = chebyshev_b_range(g, cert, 30)
+    seq = ExactMatrixSeq(g, cert)
+    for m in range(1, 31):
+        seq.advance()
+        mm = seq.m_current()
         shift = (q - 1) if m % 2 == 0 else 0
         for i in range(g.n):
             row_m, row_b = mm[i], bs[m][i]

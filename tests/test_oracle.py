@@ -3,6 +3,8 @@
 count_nbt_closed_bf and count_tailed_closed_bf below split the closed
 non-backtracking walks at a vertex into tailless and tailed ones; they
 are reference searches for the decomposition tests here.
+count_reduced_paths_all is the all-pairs path sweep that
+count_reduced_walks_all folded into its cycle sweep.
 """
 
 import pytest
@@ -17,8 +19,8 @@ from iharalab.oracle import (
     _check_cost,
     count_reduced_cycles_all,
     count_reduced_cycles_bf,
-    count_reduced_paths_all,
     count_reduced_paths_bf,
+    count_reduced_walks_all,
 )
 
 # ---------------------------------------------------------------------------
@@ -75,6 +77,30 @@ def count_tailed_closed_bf(
     return sum(walk(first, first, 1) for first in al.out[v])
 
 
+def count_reduced_paths_all(g: Graph, m_max: int) -> list[list[list[int]]]:
+    """All-pairs reduced path counts for m in 0..m_max, one search per first arc."""
+    _check_cost(g, m_max, DEFAULT_DEPTH_GUARD, DEFAULT_BUDGET)
+    al = ArcList.from_graph(g)
+    mats = [[[0] * g.n for _ in range(g.n)] for _ in range(m_max + 1)]
+    for v in range(g.n):
+        mats[0][v][v] = 1
+
+    def walk(src: int, cur: int, depth: int) -> None:
+        here = al.arcs[cur][1]
+        mats[depth][src][here] += 1
+        if depth == m_max:
+            return
+        banned = al.inverse[cur]
+        for nxt in al.out[here]:
+            if nxt != banned:
+                walk(src, nxt, depth + 1)
+
+    for src in range(g.n):
+        for first in al.out[src]:
+            walk(src, first, 1)
+    return mats
+
+
 def test_triangle_hand_counts(corpus):
     g, _ = corpus["K3"]
     # the only reduced closed paths go all the way around: 3 starts x 2 directions
@@ -109,11 +135,31 @@ def test_all_sweep_matches_single_calls(corpus):
 
 def test_paths_all_matches_single_calls(corpus):
     g, _ = corpus["K4"]
-    mats = count_reduced_paths_all(g, 5)
+    mats = count_reduced_walks_all(g, 5)[1]
     for m in (0, 1, 2, 5):
         for i in range(g.n):
             for j in range(g.n):
                 assert mats[m][i][j] == count_reduced_paths_bf(g, i, j, m)
+
+
+def test_walks_all_matches_the_two_sweeps(corpus, x135):
+    graphs = {name: (g, 7) for name, (g, _) in corpus.items()}
+    # a 5-regular multigraph with double edges and one loop at every vertex
+    looped = [(0, 1, 2), (1, 2), (2, 3, 2), (3, 0), (0, 0), (1, 1), (2, 2), (3, 3)]
+    graphs["looped 5-regular"] = (build_graph(4, looped), 6)
+    graphs["X^{13,5}"] = (x135[0], 3)
+    for name, (g, m_max) in graphs.items():
+        counts, mats = count_reduced_walks_all(g, m_max)
+        assert counts == count_reduced_cycles_all(g, m_max), name
+        assert mats == count_reduced_paths_all(g, m_max), name
+
+
+def test_walks_all_guards():
+    g = build_graph(2, [(0, 1, 2)])
+    with pytest.raises(ValueError):
+        count_reduced_walks_all(g, 0)
+    with pytest.raises(DepthExceeded):
+        count_reduced_walks_all(g, 15)
 
 
 def test_paths_m0_is_identity(corpus):
@@ -133,7 +179,7 @@ def test_closed_decomposition(corpus):
     """Non-backtracking closed walks split into tailless and tailed ones."""
     for name in ("K4", "PETERSEN", "CUBE"):
         g, _ = corpus[name]
-        mats = count_reduced_paths_all(g, 8)
+        mats = count_reduced_walks_all(g, 8)[1]
         for m in range(2, 9):
             for v in range(g.n):
                 closed = count_nbt_closed_bf(g, v, m)
