@@ -1,38 +1,48 @@
 """Survey LPS graphs over several (p, q) pairs and report spectral margins.
 
 For each pair: the quotient group, order, degree, bipartiteness, the
-largest non-trivial adjacency eigenvalue in absolute value, and its
-margin below the Ramanujan bound 2 sqrt(p).  Pairs whose group order
-exceeds --max-n are skipped (dense eigensolve cost).  Run from the
-repository root:
+seconds taken by build_lps plus certify_regular, and the process's peak
+RSS (ru_maxrss) after them.  Pairs of order at most --max-n also get the
+largest non-trivial adjacency eigenvalue in absolute value and its
+margin below the Ramanujan bound 2 sqrt(p); above it only the dense
+eigensolve is skipped.  Run from the repository root:
 
     python3 scripts/lps_survey.py
     python3 scripts/lps_survey.py --pairs 13,5 17,13 --max-n 4000
+    python3 scripts/lps_survey.py --pairs 5,17 5,29 --max-n 2500
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import resource
 import sys
 import time
 
 import numpy as np
 
 from iharalab.graphs import certify_regular
-from iharalab.lps import build_lps, lps_params
+from iharalab.lps import build_lps
 
 DEFAULT_PAIRS = ((13, 5), (17, 5), (29, 5), (5, 13), (17, 13))
 
 
 def survey_pair(p: int, q: int, max_n: int) -> None:
-    params = lps_params(p, q)
-    if params.expected_n > max_n:
-        print(f"X^{{{p},{q}}}: skipped, n={params.expected_n} exceeds --max-n {max_n}")
-        return
     t0 = time.perf_counter()
     g, params = build_lps(p, q)
     cert = certify_regular(g)
+    built = time.perf_counter() - t0
+    maxrss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    head = (
+        f"X^{{{p},{q}}}: {params.group_kind}(F_{q})  n={g.n}  degree={cert.degree}  "
+        f"bipartite={'yes' if cert.bipartite else 'no'}  "
+        f"build+certify={built:.2f}s  maxrss={maxrss_mib:.0f}MiB"
+    )
+    if g.n > max_n:
+        print(f"{head}  eigvalsh skipped: n exceeds --max-n {max_n}")
+        return
+    t0 = time.perf_counter()
     evals = np.linalg.eigvalsh(g.as_numpy())
     elapsed = time.perf_counter() - t0
     bound = 2.0 * math.sqrt(p)
@@ -41,10 +51,8 @@ def survey_pair(p: int, q: int, max_n: int) -> None:
     top = max(abs(v) for v in nontrivial)
     status = "ramanujan" if top <= bound + 1e-9 else "NOT ramanujan"
     print(
-        f"X^{{{p},{q}}}: {params.group_kind}(F_{q})  n={g.n}  degree={cert.degree}  "
-        f"bipartite={'yes' if cert.bipartite else 'no'}  "
-        f"max|lambda|={top:.6f}  bound={bound:.6f}  "
-        f"margin={bound - top:.6f}  {status}  ({elapsed:.1f}s)"
+        f"{head}  max|lambda|={top:.6f}  bound={bound:.6f}  "
+        f"margin={bound - top:.6f}  {status}  (eigvalsh {elapsed:.1f}s)"
     )
 
 
@@ -53,7 +61,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", nargs="*", default=None,
                     help="p,q pairs, e.g. 13,5 17,13 (default: a small survey set)")
     ap.add_argument("--max-n", type=int, default=2500,
-                    help="skip pairs whose group order exceeds this")
+                    help="skip the eigensolve for pairs whose group order exceeds this")
     args = ap.parse_args(argv)
     if args.pairs is None:
         pairs = list(DEFAULT_PAIRS)

@@ -1,18 +1,21 @@
-"""Finite undirected multigraphs with a small-integer adjacency matrix.
+"""Finite undirected multigraphs stored as sorted neighbour lists.
 
-The central object is an immutable :class:`Graph` storing the adjacency
-matrix as nested tuples of Python ints, so exact integer linear algebra
-downstream never touches floats.  Loops are allowed and contribute 2 to
-the diagonal entry, matching the convention under which row sums equal
-vertex degrees.
+The central object is an immutable :class:`Graph` storing, for each
+vertex, the sorted tuple of its neighbours as Python ints, one entry per
+edge end, so memory grows with the edges rather than with n^2.  A loop
+at v lists v twice in v's tuple, matching the convention under which a
+loop adds 2 to the diagonal of the adjacency matrix and list lengths
+equal vertex degrees.  The dense matrix is built only on request, by
+:meth:`Graph.as_numpy`.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import index
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -32,46 +35,35 @@ class Graph:
 
     Attributes:
         n: number of vertices.
-        adj: adjacency matrix as nested tuples; adj[i][j] is the number
-            of edges between i and j, with each loop adding 2 to adj[i][i].
+        neighbors: neighbors[i] is the sorted tuple of i's neighbours,
+            w listed once per edge between i and w; a loop at i lists i
+            twice, so len(neighbors[i]) is the degree of i and the
+            adjacency entry a_ij is neighbors[i].count(j).
         vertex_transitive_hint: set by constructors that guarantee vertex
             transitivity (named graphs, Cayley graphs); enables
             single-row shortcuts that are verified against the full
             computation in the test suite.
-        neighbors: neighbors[i] lists each neighbor w of i adj[i][w]
-            times, so a loop appears adj[i][i] times; always derived
-            from adj.
     """
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
+    neighbors: tuple[tuple[int, ...], ...]
     vertex_transitive_hint: bool = False
-    neighbors: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        vertices = range(self.n)
-        nbrs = tuple(
-            tuple(w for w in compress(vertices, row) for _ in range(row[w])) for row in self.adj
-        )
-        object.__setattr__(self, "neighbors", nbrs)
 
     @property
     def edge_count(self) -> int:
         """Number of edges, loops counted once each."""
-        total = 0
-        for i in range(self.n):
-            for j in range(i, self.n):
-                if i == j:
-                    total += self.adj[i][i] // 2
-                else:
-                    total += self.adj[i][j]
-        return total
+        return sum(map(len, self.neighbors)) // 2
 
     def degree(self, v: int) -> int:
-        return sum(self.adj[v])
+        return len(self.neighbors[v])
 
     def as_numpy(self) -> np.ndarray:
-        return np.array(self.adj, dtype=float)
+        """The dense n x n float adjacency matrix, built on each call."""
+        a = np.zeros((self.n, self.n))
+        rows = np.repeat(np.arange(self.n), [len(nb) for nb in self.neighbors])
+        cols = np.fromiter(chain.from_iterable(self.neighbors), dtype=np.intp, count=len(rows))
+        np.add.at(a, (rows, cols), 1.0)
+        return a
 
 
 @dataclass(frozen=True)
@@ -96,12 +88,13 @@ def build_graph(n: int, edges: Iterable[Sequence[int]], *, vertex_transitive_hin
     """Build a Graph from an edge list.
 
     Each edge is (i, j) or (i, j, multiplicity).  A loop (i, i) with
-    multiplicity c adds 2*c to adj[i][i].  Raises EmptyGraph for n <= 0
-    and DisconnectedGraph when the result is not connected.
+    multiplicity c lists i 2*c times among i's neighbours.  Raises
+    EmptyGraph for n <= 0 and DisconnectedGraph when the result is not
+    connected.
     """
     if n <= 0:
         raise EmptyGraph("graph must have at least one vertex")
-    a = [[0] * n for _ in range(n)]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for e in edges:
         if len(e) == 2:
             i, j = e
@@ -110,16 +103,17 @@ def build_graph(n: int, edges: Iterable[Sequence[int]], *, vertex_transitive_hin
             i, j, c = e
         else:
             raise ParseError(f"edge {e!r} must have 2 or 3 components")
+        i, j, c = index(i), index(j), index(c)
         if not (0 <= i < n and 0 <= j < n):
             raise ParseError(f"edge {e!r} references a vertex outside 0..{n - 1}")
         if c < 0:
             raise ParseError(f"edge {e!r} has negative multiplicity")
         if i == j:
-            a[i][i] += 2 * c
+            nbrs[i] += [i] * (2 * c)
         else:
-            a[i][j] += c
-            a[j][i] += c
-    g = Graph(n, tuple(tuple(row) for row in a), vertex_transitive_hint)
+            nbrs[i] += [j] * c
+            nbrs[j] += [i] * c
+    g = Graph(n, tuple(tuple(sorted(nb)) for nb in nbrs), vertex_transitive_hint)
     _require_connected(g)
     return g
 
@@ -189,7 +183,7 @@ def certify_regular(g: Graph) -> RegularityCertificate:
     irregular.  Bipartiteness is decided by 2-coloring; the certificate
     carries the bipartition when one exists.
     """
-    degs = [g.degree(v) for v in range(g.n)]
+    degs = [len(nb) for nb in g.neighbors]
     d0 = degs[0]
     for d in degs[1:]:
         if d != d0:
@@ -203,17 +197,12 @@ def certify_regular(g: Graph) -> RegularityCertificate:
     bipartite = True
     while queue and bipartite:
         v = queue.pop()
-        if g.adj[v][v]:
-            bipartite = False
-            break
-        for w, c in enumerate(g.adj[v]):
-            if not c:
-                continue
+        for w in g.neighbors[v]:
             if color[w] == -1:
                 color[w] = 1 - color[v]
                 queue.append(w)
             elif color[w] == color[v]:
-                bipartite = False
+                bipartite = False  # includes a loop, w == v
                 break
     parts = None
     if bipartite:
@@ -225,12 +214,13 @@ def certify_regular(g: Graph) -> RegularityCertificate:
 
 
 def _edges_canonical(g: Graph) -> list[list[int]]:
+    """[i, j, multiplicity] for every i <= j joined by an edge, in (i, j) order."""
     out = []
-    for i in range(g.n):
-        for j in range(i, g.n):
-            c = g.adj[i][i] // 2 if i == j else g.adj[i][j]
-            if c:
-                out.append([i, j, c])
+    for i, nb in enumerate(g.neighbors):
+        for j, ends in groupby(nb):
+            if j >= i:
+                c = sum(1 for _ in ends)
+                out.append([i, j, c // 2 if i == j else c])
     return out
 
 

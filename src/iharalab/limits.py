@@ -324,7 +324,7 @@ def average_cusp_reference(sd) -> float:
 
 
 def average_cusp(
-    g_lps: Graph, params, N: int, sd=None, *, normalized: list | None = None
+    g_lps: Graph, params, N: int, sd, *, normalized: list | None = None
 ) -> tuple[float, dict]:
     """Average of a(p^m)/(2 p^{m/2}) over m <= N, with its rate bound.
 
@@ -332,11 +332,6 @@ def average_cusp(
     reference constant the partial-sum bound gives for it.  The terms,
     as normalized_cusp_terms returns them, are summed exactly.
     """
-    if sd is None:
-        from .graphs import certify_regular
-        from .spectral import eigendecompose
-
-        sd = eigendecompose(g_lps, certify_regular(g_lps))
     if normalized is None:
         normalized = normalized_cusp_terms(g_lps, params, N)
     if len(normalized) < N + 1:

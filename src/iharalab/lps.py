@@ -232,8 +232,8 @@ def lps_params(p: int, q: int) -> LpsParams:
 def build_lps(p: int, q: int, *, allow_large: bool = False) -> tuple[Graph, LpsParams]:
     """Construct X^{p,q} and its parameter record.
 
-    Refuses q > 29 unless allow_large is set (group order grows like q^3
-    and the dense adjacency matrix with it).
+    Refuses q > 29 unless allow_large is set (group order grows like q^3,
+    and every check's cost with it).
     """
     params = lps_params(p, q)
     if q > DEFAULT_Q_LIMIT and not allow_large:

@@ -47,8 +47,16 @@ IntMatrix = list[list[int]]
 # exact integer kernels
 
 
+def _adjacency_row(n: int, nb: Sequence[int]) -> list[int]:
+    row = [0] * n
+    for w in nb:
+        row[w] += 1
+    return row
+
+
 def _adjacency_rows(g: Graph) -> IntMatrix:
-    return [list(row) for row in g.adj]
+    """The dense integer adjacency rows, for the full-matrix sweeps only."""
+    return [_adjacency_row(g.n, nb) for nb in g.neighbors]
 
 
 def _identity_rows(n: int, scale: int = 1) -> IntMatrix:
@@ -232,12 +240,12 @@ def _b_traces(g: Graph, q: int, m_max: int, v: int | None = None) -> list[int]:
     if v is None:
         step, dot, size = _mul_adj, _frobenius, g.n
         prev, cur = _identity_rows(g.n, 2), _adjacency_rows(g)
-        tr_a = sum(g.adj[i][i] for i in range(g.n))
+        tr_a = sum(nb.count(i) for i, nb in enumerate(g.neighbors))
     else:
         step, dot, size = _row_mul_adj, _dot, 1
-        prev, cur = [0] * g.n, list(g.adj[v])
+        prev, cur = [0] * g.n, _adjacency_row(g.n, g.neighbors[v])
         prev[v] = 2
-        tr_a = g.adj[v][v]
+        tr_a = g.neighbors[v].count(v)
     out = [2 * size]
     qk = 1  # q^k while prev = B_k and cur = B_{k+1}
     for m in range(1, m_max + 1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DepthExceeded
-from .graphs import Graph
+from .graphs import Graph, _edges_canonical
 
 DEFAULT_DEPTH_GUARD = 14
 DEFAULT_BUDGET = 10**9
@@ -34,17 +34,12 @@ class ArcList:
     def from_graph(cls, g: Graph) -> "ArcList":
         arcs: list[tuple[int, int]] = []
         inverse: list[int] = []
-        for i in range(g.n):
-            for j in range(i, g.n):
-                if i == j:
-                    count = g.adj[i][i] // 2
-                else:
-                    count = g.adj[i][j]
-                for _ in range(count):
-                    a = len(arcs)
-                    arcs.append((i, j))
-                    arcs.append((j, i))
-                    inverse.extend([a + 1, a])
+        for i, j, count in _edges_canonical(g):
+            for _ in range(count):
+                a = len(arcs)
+                arcs.append((i, j))
+                arcs.append((j, i))
+                inverse.extend([a + 1, a])
         out: list[list[int]] = [[] for _ in range(g.n)]
         for a, (o, _) in enumerate(arcs):
             out[o].append(a)
@@ -65,10 +60,10 @@ def _check_cost(g: Graph, m: int, depth_guard: int, budget: int) -> None:
         raise DepthExceeded(f"estimated {est} steps exceeds budget {budget}")
 
 
-def count_reduced_cycles_bf(
-    g: Graph, m: int, *, depth_guard: int = DEFAULT_DEPTH_GUARD, budget: int = DEFAULT_BUDGET
-) -> int:
-    """Count reduced (backtrackless and tailless) closed paths of length m.
+def count_reduced_cycles_all(
+    g: Graph, m_max: int, *, depth_guard: int = DEFAULT_DEPTH_GUARD, budget: int = DEFAULT_BUDGET
+) -> list[int]:
+    """Reduced (backtrackless and tailless) closed paths of each length 1..m_max, one sweep.
 
     A path is an arc sequence (e_1..e_m) with t(e_i) = o(e_{i+1}),
     closed means o(e_1) = t(e_m), non-backtracking means
@@ -76,33 +71,6 @@ def count_reduced_cycles_bf(
     e_1 != inverse(e_m).  Every starting point and orientation is
     counted separately.
     """
-    if m < 1:
-        raise ValueError("cycle length must be at least 1")
-    _check_cost(g, m, depth_guard, budget)
-    al = ArcList.from_graph(g)
-    total = 0
-
-    def walk(first: int, cur: int, banned: int, depth: int) -> int:
-        here = al.arcs[cur][1]
-        if depth == m:
-            if here == al.arcs[first][0] and cur != al.inverse[first]:
-                return 1
-            return 0
-        count = 0
-        for nxt in al.out[here]:
-            if nxt != banned:
-                count += walk(first, nxt, al.inverse[nxt], depth + 1)
-        return count
-
-    for first in range(len(al.arcs)):
-        total += walk(first, first, al.inverse[first], 1)
-    return total
-
-
-def count_reduced_cycles_all(
-    g: Graph, m_max: int, *, depth_guard: int = DEFAULT_DEPTH_GUARD, budget: int = DEFAULT_BUDGET
-) -> list[int]:
-    """Counts from count_reduced_cycles_bf for every m in 1..m_max, one sweep."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     _check_cost(g, m_max, depth_guard, budget)
@@ -122,42 +90,8 @@ def count_reduced_cycles_all(
 
     for first in range(len(al.arcs)):
         walk(first, first, 1)
+    del walk  # break the closure's self-reference so its tables free now, not at a later gc
     return totals[1:]
-
-
-def count_reduced_paths_bf(
-    g: Graph,
-    i: int,
-    j: int,
-    m: int,
-    *,
-    depth_guard: int = DEFAULT_DEPTH_GUARD,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """Count non-backtracking arc sequences of length m from vertex i to j.
-
-    No tail condition applies; tails are a closed-walk concept.  m = 0
-    counts the empty path, so the result is the identity matrix entry.
-    """
-    if m < 0:
-        raise ValueError("path length must be nonnegative")
-    if m == 0:
-        return 1 if i == j else 0
-    _check_cost(g, m, depth_guard, budget)
-    al = ArcList.from_graph(g)
-
-    def walk(cur: int, depth: int) -> int:
-        here = al.arcs[cur][1]
-        if depth == m:
-            return 1 if here == j else 0
-        banned = al.inverse[cur]
-        count = 0
-        for nxt in al.out[here]:
-            if nxt != banned:
-                count += walk(nxt, depth + 1)
-        return count
-
-    return sum(walk(first, 1) for first in al.out[i])
 
 
 def count_reduced_walks_all(
@@ -165,9 +99,10 @@ def count_reduced_walks_all(
 ) -> tuple[list[int], list[list[list[int]]]]:
     """Cycle counts and all-pairs path counts for every length up to m_max, one sweep.
 
-    Returns (counts, mats): counts[m-1] matches count_reduced_cycles_bf(g, m)
-    for m in 1..m_max, and mats[m][i][j] matches count_reduced_paths_bf(g,
-    i, j, m) for m in 0..m_max.  Each non-backtracking walk is enumerated
+    Returns (counts, mats): counts equals count_reduced_cycles_all(g,
+    m_max), and mats[m][i][j] counts the non-backtracking arc sequences of
+    length m from i to j for m in 0..m_max (no tail condition; m = 0 gives
+    the identity).  Each non-backtracking walk is enumerated
     once, from its origin through its first arc; it is a reduced cycle
     when it ends at its origin and its last arc is not the inverse of
     its first.
@@ -198,4 +133,5 @@ def count_reduced_walks_all(
         rows = [mat[src] for mat in mats]  # row src of every mats[depth]
         for first in al.out[src]:
             walk(rows, src, al.inverse[first], first, 1)
+    del walk  # as in count_reduced_cycles_all
     return totals[1:], mats

@@ -193,6 +193,14 @@ def resolve_source(config: VerificationSuiteConfig) -> SuiteContext:
                 params = lps.lps_params(int(doc["lps"]["p"]), int(doc["lps"]["q"]))
             except (KeyError, TypeError, ValueError):
                 pass  # a malformed record leaves the graph without LPS parameters
+        if params is not None and (
+            g.n != params.expected_n or any(len(nb) != params.p + 1 for nb in g.neighbors)
+        ):
+            raise ParseError(
+                f"{config.source}: its lps record (p={params.p}, q={params.q}) needs "
+                f"{params.expected_n} vertices of degree {params.p + 1}, but the graph has "
+                f"{g.n} vertices of degrees {sorted({len(nb) for nb in g.neighbors})}"
+            )
         return SuiteContext(g, params, label=config.source)
     raise ParseError(f"unknown source kind {config.source_kind!r}")
 

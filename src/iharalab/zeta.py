@@ -20,7 +20,7 @@ from math import comb, isqrt, prod
 import numpy as np
 
 from .errors import DepthExceeded, InvalidPrime, NotRegular
-from .graphs import Graph, RegularityCertificate, certify_regular
+from .graphs import Graph, RegularityCertificate, _edges_canonical, certify_regular
 from .lps import LpsParams, is_prime, legendre_symbol
 from .nbt import adjacency_power_traces, n_reduced_range, t_tilde_traces
 from .oracle import count_reduced_cycles_all
@@ -72,11 +72,15 @@ def _coefficient_bound(g: Graph, degrees: list[int]) -> int:
     + sum_{j != i} a_ij^2, so |det| <= sqrt(prod N_i) there (Hadamard),
     which bounds every c_k (Cauchy).
     """
-    norms = (
-        (1 + row[i] + abs(d - 1)) ** 2 + sum(x * x for x in row) - row[i] ** 2
-        for i, (row, d) in enumerate(zip(g.adj, degrees))
-    )
-    return isqrt(prod(norms)) + 1
+    diag = [0] * g.n
+    off = [0] * g.n  # sum_{j != i} a_ij^2
+    for i, j, c in _edges_canonical(g):
+        if i == j:
+            diag[i] = 2 * c
+        else:
+            off[i] += c * c
+            off[j] += c * c
+    return isqrt(prod((1 + a + abs(d - 1)) ** 2 + s for a, s, d in zip(diag, off, degrees))) + 1
 
 
 def _charpoly_mod(bass: np.ndarray, p: int) -> list[int]:
@@ -128,7 +132,7 @@ def ihara_bass_reciprocal(g: Graph) -> ZetaReciprocal:
     cost = -(-(2 * bound).bit_length() // _PRIME_BITS) * (2 * n) ** 3
     if cost > BASS_COST_CEILING:
         raise DepthExceeded(f"Bass charpoly cost {cost:.2e} exceeds {BASS_COST_CEILING:.0e}")
-    a = np.array(g.adj, dtype=np.int64)
+    a = g.as_numpy().astype(np.int64)
     eye, zero = np.eye(n, dtype=np.int64), np.zeros_like(a)
     bass = np.block([[a, np.diag([1 - d for d in degrees])], [eye, zero]])
     primes = []
@@ -229,12 +233,10 @@ def eisenstein_C(p: int, q: int, m: int) -> Fraction:
     return first * Fraction(4, q * (q * q - 1)) * geom
 
 
-def cusp_coefficients_range(
-    g_lps: Graph, params: LpsParams, m_max: int, *, method: str = "auto"
-) -> list[Fraction]:
+def cusp_coefficients_range(g_lps: Graph, params: LpsParams, m_max: int) -> list[Fraction]:
     """[a(p^0), ..., a(p^{m_max})] in one trace sweep."""
     cert = certify_regular(g_lps)
-    tts = t_tilde_traces(g_lps, cert, m_max, method=method)
+    tts = t_tilde_traces(g_lps, cert, m_max)
     return [
         Fraction(2 * tts[m], g_lps.n) - eisenstein_C(params.p, params.q, m)
         for m in range(m_max + 1)
@@ -247,7 +249,7 @@ def _tempered_count(sd) -> int:
 
 
 def phi_series(
-    g_lps: Graph, params: LpsParams, order: int, sd=None
+    g_lps: Graph, params: LpsParams, order: int, sd
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The generating function phi(t) = sum a(p^m)/(2 p^{m/2}) t^m, two ways.
 
@@ -268,10 +270,6 @@ def phi_series(
     p = params.p
     n = g_lps.n
     cert = certify_regular(g_lps)
-    if sd is None:
-        from .spectral import eigendecompose
-
-        sd = eigendecompose(g_lps, cert)
     # spectral side: a(p^m) / (2 p^{m/2})
     amounts = cusp_coefficients_range(g_lps, params, order)
     spectral = [

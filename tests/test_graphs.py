@@ -1,8 +1,12 @@
 """Graph construction, named corpus, serialization, certificates."""
 
 import io
+import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iharalab.errors import (
     DisconnectedGraph,
@@ -12,19 +16,21 @@ from iharalab.errors import (
     UnknownName,
 )
 from iharalab.graphs import (
+    _edges_canonical,
     build_graph,
     certify_regular,
     load_graph,
     named_graph,
     save_graph,
 )
+from iharalab.lps import build_lps
 
 
 def test_build_simple_triangle():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.n == 3
     assert g.edge_count == 3
-    assert g.adj[0][1] == 1 and g.adj[1][0] == 1
+    assert g.neighbors == ((1, 2), (0, 2), (0, 1))
 
 
 def test_build_rejects_empty():
@@ -43,10 +49,10 @@ def test_build_rejects_bad_vertex():
 
 
 def test_multiedge_and_loop_counting():
-    # double edge plus a loop; the loop adds 2 per unit to the diagonal
+    # double edge plus a loop; the loop lists its vertex twice, adding 2 to the diagonal
     g = build_graph(2, [(0, 1, 2), (0, 0, 1)])
-    assert g.adj[0][1] == 2
-    assert g.adj[0][0] == 2
+    assert g.neighbors == ((0, 0, 1, 1), (0, 0))
+    assert g.as_numpy().tolist() == [[2.0, 2.0], [2.0, 0.0]]
     assert g.edge_count == 3  # two parallel edges and one loop
     assert g.degree(0) == 4 and g.degree(1) == 2
 
@@ -69,11 +75,11 @@ def test_named_bipartite_flags(corpus):
 
 
 def test_k3_is_cycle_alias():
-    assert named_graph("K3").adj == named_graph("CYCLE(3)").adj
+    assert named_graph("K3") == named_graph("CYCLE(3)")
 
 
 def test_named_case_insensitive():
-    assert named_graph("petersen").adj == named_graph("PETERSEN").adj
+    assert named_graph("petersen") == named_graph("PETERSEN")
 
 
 def test_named_cycle_sizes():
@@ -102,8 +108,7 @@ def test_bipartite_parts_cover(corpus):
     a, b = cert.parts
     assert sorted(a + b) == list(range(g.n))
     for i in a:
-        for j in a:
-            assert g.adj[i][j] == 0
+        assert not set(a).intersection(g.neighbors[i])
 
 
 def test_loop_graph_not_bipartite():
@@ -119,7 +124,7 @@ def test_save_load_roundtrip(corpus, fmt, tmp_path):
         path = str(tmp_path / f"{name}.{fmt}")
         save_graph(g, path, fmt=fmt)
         g2 = load_graph(path)
-        assert g2.adj == g.adj, name
+        assert g2.neighbors == g.neighbors, name
 
 
 def test_save_load_roundtrip_multigraph(tmp_path):
@@ -127,7 +132,7 @@ def test_save_load_roundtrip_multigraph(tmp_path):
     for fmt in ("json", "edgelist"):
         path = str(tmp_path / f"m.{fmt}")
         save_graph(g, path, fmt=fmt)
-        assert load_graph(path).adj == g.adj
+        assert load_graph(path) == g
 
 
 def test_load_edgelist_with_comments():
@@ -162,3 +167,94 @@ def test_as_numpy_symmetric(corpus):
         a = g.as_numpy()
         assert (a == a.T).all()
         assert a.sum() == 2 * g.edge_count
+
+
+# ---------------------------------------------------------------------------
+# the neighbour lists against a dense matrix built here from the edge list
+
+
+def _dense(n: int, edges) -> list[list[int]]:
+    a = [[0] * n for _ in range(n)]
+    for i, j, c in edges:
+        if i == j:
+            a[i][i] += 2 * c
+        else:
+            a[i][j] += c
+            a[j][i] += c
+    return a
+
+
+def _bipartition(a: list[list[int]]):
+    """Both colour classes of the 2-colouring with vertex 0 in the first, or None."""
+    n = len(a)
+    for mask in range(0, 1 << n, 2):
+        colour = [(mask >> v) & 1 for v in range(n)]
+        if all(colour[i] != colour[j] for i in range(n) for j in range(n) if a[i][j]):
+            return tuple(tuple(v for v in range(n) if colour[v] == c) for c in (0, 1))
+    return None
+
+
+@st.composite
+def multigraphs(draw):
+    """(n, edges): loops, parallel and zero-multiplicity edges, connected by a path.
+
+    Half the draws add a union of permutations (i, s(i)) to the path's closing
+    cycle, which makes the graph regular, loops and double edges included.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    if draw(st.booleans()):
+        edges = [(i, (i + 1) % n, 1) for i in range(n)]
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            perm = draw(st.permutations(range(n)))
+            edges += [(i, perm[i], 1) for i in range(n)]
+    else:
+        edges = [(i, i + 1, draw(st.integers(min_value=1, max_value=2))) for i in range(n - 1)]
+        mult = st.integers(min_value=1, max_value=3)
+        edges += draw(st.lists(st.tuples(vertex, vertex, mult), max_size=8))
+    edges += draw(st.lists(st.tuples(vertex, vertex, st.just(0)), max_size=3))
+    return n, draw(st.permutations(edges))
+
+
+@given(multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_neighbour_lists_match_the_dense_reference(graph):
+    n, edges = graph
+    g = build_graph(n, edges)
+    a = _dense(n, edges)
+    canonical = [[i, j, a[i][i] // 2 if i == j else a[i][j]] for i in range(n) for j in range(i, n)]
+    canonical = [e for e in canonical if e[2]]
+    assert g.edge_count == sum(c for _, _, c in canonical)
+    assert [g.degree(v) for v in range(n)] == [sum(row) for row in a]
+    assert g.as_numpy().tolist() == [[float(x) for x in row] for row in a]
+    assert _edges_canonical(g) == canonical
+    if len({sum(row) for row in a}) > 1:
+        with pytest.raises(NotRegular):
+            certify_regular(g)
+    else:
+        cert = certify_regular(g)
+        parts = _bipartition(a)
+        assert cert.degree == sum(a[0])
+        assert (cert.bipartite, cert.parts) == (parts is not None, parts)
+    want = {
+        "json": json.dumps({"n": n, "edges": canonical}, indent=1) + "\n",
+        "edgelist": f"n {n}\n"
+        + "".join(f"{i} {j}\n" if c == 1 else f"{i} {j} {c}\n" for i, j, c in canonical),
+    }
+    for fmt, text in want.items():
+        out = io.StringIO()
+        save_graph(g, out, fmt=fmt)
+        assert out.getvalue() == text, fmt
+        assert load_graph(io.StringIO(text)) == g, fmt
+
+
+def test_lps_graph_memory_is_linear_in_the_edges():
+    # X^{5,13}: n = 2184, degree 6; the pointers of a dense n x n matrix alone take 36 MiB
+    tracemalloc.start()
+    try:
+        g, _ = build_lps(5, 13)
+        certify_regular(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak

@@ -334,7 +334,7 @@ def test_a_matrix_low_orders(corpus):
     q = cert.q
     a0, a1, a2 = a_matrix_range(g, cert, 2)
     assert all(a0[i][i] == 1 for i in range(g.n))
-    assert a1 == [list(row) for row in g.adj]
     adj = g.as_numpy().astype(int)
+    assert a1 == adj.tolist()
     want = adj @ adj - (q + 1) * np.eye(g.n, dtype=int)
     assert (np.array(a2) == want).all()

@@ -6,6 +6,7 @@ They are kept here, unchanged, so the shorter B_m routes in nbt have an
 independent exact target.
 """
 
+import dataclasses
 import math
 import random
 from typing import Sequence
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from iharalab import nbt
-from iharalab.graphs import Graph, build_graph, certify_regular
+from iharalab.graphs import Graph, _edges_canonical, build_graph, certify_regular
 from iharalab.nbt import (
     ExactMatrixSeq,
     a_matrix_range,
@@ -38,11 +39,12 @@ def _columns(g: Graph):
     bare indices when every multiplicity is 1 (simple flag on), else as
     (w, multiplicity) pairs.
     """
-    simple = all(c == 1 for row in g.adj for c in row if c)
+    adj = g.as_numpy().astype(int).tolist()
+    simple = all(c == 1 for row in adj for c in row if c)
     if simple:
-        cols = [tuple(w for w in range(g.n) if g.adj[w][j]) for j in range(g.n)]
+        cols = [tuple(w for w in range(g.n) if adj[w][j]) for j in range(g.n)]
     else:
-        cols = [tuple((w, g.adj[w][j]) for w in range(g.n) if g.adj[w][j]) for j in range(g.n)]
+        cols = [tuple((w, adj[w][j]) for w in range(g.n) if adj[w][j]) for j in range(g.n)]
     return cols, simple
 
 
@@ -122,12 +124,7 @@ def relabeled(g: Graph, seed: int) -> Graph:
     """g with its vertices permuted and without the vertex-transitive hint."""
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
-    edges = []
-    for i in range(g.n):
-        for j in range(i, g.n):
-            c = g.adj[i][i] // 2 if i == j else g.adj[i][j]
-            if c:
-                edges.append((perm[i], perm[j], c))
+    edges = [(perm[i], perm[j], c) for i, j, c in _edges_canonical(g)]
     return build_graph(g.n, edges)
 
 
@@ -237,10 +234,12 @@ def test_neighbors_repeat_each_vertex_by_its_multiplicity(corpus):
     graphs = [g for g, _ in corpus.values()] + [build_graph(4, MULTI_EDGES)]
     for g in graphs:
         for v in range(g.n):
-            assert [g.neighbors[v].count(w) for w in range(g.n)] == list(g.adj[v])
+            counts = [g.neighbors[v].count(w) for w in range(g.n)]
+            assert counts == g.as_numpy()[v].tolist()
+            assert list(g.neighbors[v]) == sorted(g.neighbors[v])
             assert len(g.neighbors[v]) == g.degree(v)
-    with pytest.raises(TypeError):
-        Graph(1, ((2,),), False, ((0,),))  # neighbors is derived, never passed
+    # the neighbour lists are the only adjacency representation stored
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "neighbors", "vertex_transitive_hint"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from iharalab import limits, lps, nbt, suite
 from iharalab.errors import ParseError
+from iharalab.cli import main
 from iharalab.graphs import build_graph, load_graph, named_graph, save_graph
 from iharalab.suite import (
     CHECK_ORDER,
@@ -111,18 +112,34 @@ def test_resolve_named_and_unknown_kind():
         resolve_source(VerificationSuiteConfig(source_kind="bogus"))
 
 
-def test_resolve_file_recovers_lps_params(tmp_path):
-    path = tmp_path / "g.json"
-    payload = {
-        "n": 4,
-        "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
-        "lps": {"p": 13, "q": 5},
-    }
-    path.write_text(json.dumps(payload))
+def _lps_emit(tmp_path, lps_record: dict):
+    """The X^{13,5} file `lps --p 13 --q 5 --emit` writes, with its lps record replaced."""
+    path = tmp_path / "x135.json"
+    assert main(["lps", "--p", "13", "--q", "5", "--emit", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert doc["lps"] == {"p": 13, "q": 5, "kind": "PGL2"}
+    path.write_text(json.dumps({**doc, "lps": lps_record}))
+    return path
+
+
+def test_resolve_file_recovers_lps_params(tmp_path, x135):
+    path = _lps_emit(tmp_path, {"p": 13, "q": 5, "kind": "PGL2"})
     ctx = resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
-    assert ctx.g.n == 4
-    assert ctx.params is not None
-    assert (ctx.params.p, ctx.params.q) == (13, 5)
+    assert ctx.g.neighbors == x135[0].neighbors
+    assert ctx.params == x135[1]
+
+
+def test_resolve_file_rejects_a_mismatched_lps_record(tmp_path):
+    # X^{17,5} also has 120 vertices but degree 18; X^{13,17} has degree 14 on 2448
+    for record in ({"p": 17, "q": 5}, {"p": 13, "q": 17}):
+        path = _lps_emit(tmp_path, record)
+        with pytest.raises(ParseError, match="lps record"):
+            resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
+    k4 = tmp_path / "k4.json"
+    edges = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+    k4.write_text(json.dumps({"n": 4, "edges": edges, "lps": {"p": 13, "q": 5}}))
+    with pytest.raises(ParseError, match="lps record"):
+        resolve_source(VerificationSuiteConfig(source_kind="file", source=str(k4)))
 
 
 def test_resolve_file_without_params(tmp_path):
@@ -132,14 +149,13 @@ def test_resolve_file_without_params(tmp_path):
     assert ctx.params is None
 
 
-def test_resolve_file_reads_once(tmp_path, monkeypatch):
+def test_resolve_file_reads_once(tmp_path, monkeypatch, x135):
     k4 = named_graph("K4")
     edgelist = tmp_path / "k4.txt"
     save_graph(k4, str(edgelist), fmt="edgelist")
     plain = {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
-    cases = [(edgelist, None)]
+    cases = [(edgelist, None), (_lps_emit(tmp_path, {"p": 13, "q": 5}), lps.lps_params(13, 5))]
     for name, lps_key, want in (
-        ("lps.json", {"p": 13, "q": 5}, lps.lps_params(13, 5)),
         ("missing_q.json", {"p": 13}, None),
         ("list.json", [13, 5], None),
         ("text.json", {"p": "x", "q": 5}, None),
@@ -161,7 +177,7 @@ def test_resolve_file_reads_once(tmp_path, monkeypatch):
             ctx = resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
         assert opened.count(str(path)) == 1, path.name
         assert ctx.g == load_graph(str(path)), path.name
-        assert ctx.g.adj == k4.adj, path.name
+        assert ctx.g.neighbors == (x135[0] if want else k4).neighbors, path.name
         assert ctx.params == want, path.name
         assert ctx.label == str(path)
 

@@ -67,9 +67,10 @@ def bareiss_determinant(mat: list[list[int]]) -> int:
 
 def _det_point(g: Graph, degrees: list[int], u: int) -> int:
     n = g.n
+    adj = g.as_numpy().astype(int).tolist()
     mat = [
         [
-            (1 + u * u * (degrees[i] - 1) if i == j else 0) - u * g.adj[i][j]
+            (1 + u * u * (degrees[i] - 1) if i == j else 0) - u * adj[i][j]
             for j in range(n)
         ]
         for i in range(n)
@@ -238,7 +239,8 @@ def _random_multigraph(rng: random.Random) -> Graph:
 
 def _hadamard_bound(g: Graph) -> int:
     total = 1
-    for i, row in enumerate(g.adj):
+    for i, nb in enumerate(g.neighbors):
+        row = [nb.count(j) for j in range(g.n)]
         diag = 1 + row[i] + abs(g.degree(i) - 1)
         total *= diag**2 + sum(x * x for j, x in enumerate(row) if j != i)
     return isqrt(total) + 1
