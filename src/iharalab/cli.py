@@ -12,67 +12,51 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import limits, lps, nbt, oracle, suite, zeta
 from .errors import IharaLabError, NotRegular, ParseError
-from .graphs import _edges_canonical, certify_regular, save_graph
+from .graphs import certify_regular, save_graph
 
 
 def _fmt(x) -> str:
     """Deterministic cell formatting: ints/rationals exact, floats .17g."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(c) for c in row])
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _print_table(header: list[str], rows: list[list]) -> None:
-    print("\t".join(header))
-    for row in rows:
-        print("\t".join(_fmt(c) for c in row))
+def _emit_json(args, payload: dict) -> None:
+    """Indented JSON to the --emit path, else to stdout."""
+    text = json.dumps(payload, indent=2)
+    if args.emit:
+        with open(args.emit, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"wrote {args.emit}")
+    else:
+        print(text)
 
 
 def _emit_rows(args, header: list[str], rows: list[list]) -> None:
-    if args.emit:
-        if args.emit.endswith(".json"):
-            payload = {"columns": header, "rows": [[_fmt(c) for c in row] for row in rows]}
-            _write_json(args.emit, payload)
-        else:
-            _write_csv(args.emit, header, rows)
-        print(f"wrote {args.emit}")
+    """A table as CSV (JSON for a .json path) to --emit, else tab-separated to stdout."""
+    cells = [[_fmt(c) for c in row] for row in rows]
+    if not args.emit:
+        for line in [header, *cells]:
+            print("\t".join(line))
+    elif args.emit.endswith(".json"):
+        _emit_json(args, {"columns": header, "rows": cells})
     else:
-        _print_table(header, rows)
+        with open(args.emit, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *cells])
+        print(f"wrote {args.emit}")
 
 
 def _load_source(source: str) -> suite.SuiteContext:
     """Positional graph source: an existing file path, else a named graph."""
-    if os.path.exists(source):
-        cfg = suite.VerificationSuiteConfig(source_kind="file", source=source)
-    else:
-        cfg = suite.VerificationSuiteConfig(source_kind="named", source=source)
-    return suite.resolve_source(cfg)
+    return suite.resolve_source(suite.VerificationSuiteConfig.from_dict(suite.source_entry(source)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +89,7 @@ def cmd_lps(args) -> int:
     print(f"degree: {cert.degree} ({len(gens)} generators)")
     print(f"bipartite: {'yes' if cert.bipartite else 'no'}")
     if args.emit:
-        edges = [[i, j] if c == 1 else [i, j, c] for i, j, c in _edges_canonical(g)]
-        payload = {
-            "n": g.n,
-            "edges": edges,
-            "lps": {"p": args.p, "q": args.q, "kind": params.group_kind},
-        }
-        _write_json(args.emit, payload)
+        save_graph(g, args.emit, fmt="json", lps={"p": args.p, "q": args.q, "kind": params.group_kind})
         print(f"wrote {args.emit}")
     return 0
 
@@ -136,7 +114,7 @@ def cmd_spectrum(args) -> int:
 def cmd_nbt(args) -> int:
     ctx = _load_source(args.source)
     if args.what == "nm":
-        counts = nbt.n_reduced_range(ctx.g, ctx.cert, args.m_max, method=args.method)
+        counts = nbt.n_reduced_range(ctx.g, ctx.cert, args.m_max)
         rows = [[m, counts[m - 1]] for m in range(1, args.m_max + 1)]
         _emit_rows(args, ["m", "n_m"], rows)
     elif args.what == "f":
@@ -144,7 +122,7 @@ def cmd_nbt(args) -> int:
         rows = [[m, values[m]] for m in range(args.m_max + 1)]
         _emit_rows(args, ["m", "f_m"], rows)
     else:  # ttilde
-        traces = nbt.t_tilde_traces(ctx.g, ctx.cert, args.m_max, method=args.method)
+        traces = nbt.t_tilde_traces(ctx.g, ctx.cert, args.m_max)
         rows = [[m, traces[m]] for m in range(args.m_max + 1)]
         _emit_rows(args, ["m", "trace_t_tilde_m"], rows)
     return 0
@@ -196,11 +174,7 @@ def cmd_zeta(args) -> int:
         "zeta_coeffs": zeta_out,
         "n_m": nm_out,
     }
-    if args.emit:
-        _write_json(args.emit, payload)
-        print(f"wrote {args.emit}")
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit_json(args, payload)
     return 0
 
 
@@ -235,11 +209,7 @@ def cmd_cuspgen(args) -> int:
         "bipartite": cert.bipartite,
         "rows": rows,
     }
-    if args.emit:
-        _write_json(args.emit, payload)
-        print(f"wrote {args.emit}")
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit_json(args, payload)
     return 0
 
 
@@ -307,11 +277,7 @@ def cmd_stf(args) -> int:
         "hhat0": args.hhat0,
         "support": [[m, v] for m, v in support],
     }
-    if args.emit:
-        _write_json(args.emit, payload)
-        print(f"wrote {args.emit}")
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit_json(args, payload)
     return 0
 
 
@@ -325,40 +291,17 @@ def cmd_huang(args) -> int:
     return 0
 
 
+# verify flags named after the config keys they set
+_VERIFY_KEYS = ("lps", "checks", "horizons", "k", "tol", "budget", "emit")
+
+
 def cmd_verify(args) -> int:
-    if args.config:
-        config = suite.VerificationSuiteConfig.from_json_file(args.config)
-    else:
-        if args.lps:
-            try:
-                p_str, q_str = args.lps.split(",")
-                p, q = int(p_str), int(q_str)
-            except ValueError as exc:
-                raise ParseError(f"--lps expects p,q, got {args.lps!r}") from exc
-            kind, source = "lps", ""
-        elif args.graph:
-            p = q = None
-            if os.path.exists(args.graph):
-                kind, source = "file", args.graph
-            else:
-                kind, source = "named", args.graph
-        else:
-            raise ParseError("verify needs --graph, --lps, or --config")
-        checks = suite.validate_checks(
-            tuple(args.checks.split(",")) if args.checks else suite.CHECK_ORDER
-        )
-        config = suite.VerificationSuiteConfig(
-            source_kind=kind,
-            source=source,
-            p=p,
-            q=q,
-            checks=checks,
-            horizons=tuple(args.horizons) if args.horizons else None,
-            k_values=tuple(args.k) if args.k else (1, 2, 3, 4),
-            tol_override=args.tol,
-            budget=args.budget,
-            emit=args.emit,
-        )
+    """The flags the user typed set their config keys on top of the --config file's."""
+    keys = {k: getattr(args, k) for k in _VERIFY_KEYS if getattr(args, k) is not None}
+    if args.graph is not None:
+        keys.update(suite.source_entry(args.graph))
+    cls = suite.VerificationSuiteConfig
+    config = cls.from_json_file(args.config, keys) if args.config else cls.from_dict(keys)
     code, results = suite.run_suite(config)
     for r in results:
         metric = "-" if r.metric is None else _fmt(r.metric)
@@ -411,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_nbt.add_argument("source")
     p_nbt.add_argument("--m-max", type=int, default=20)
     p_nbt.add_argument("--what", choices=["nm", "f", "ttilde"], default="nm")
-    p_nbt.add_argument("--method", choices=["auto", "full", "row"], default="auto")
     p_nbt.add_argument("--vertex", type=int, default=0)
     p_nbt.add_argument("--emit")
     p_nbt.set_defaults(func=cmd_nbt)
@@ -464,11 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--graph", help="named graph or file path")
     p_verify.add_argument("--lps", help="p,q pair")
     p_verify.add_argument("--config", help="JSON config file")
-    p_verify.add_argument("--checks", help="comma-separated subset of checks")
+    p_verify.add_argument("--checks", type=lambda text: text.split(","), help="comma-separated names")
     p_verify.add_argument("--horizons", type=_int_list, default=None)
     p_verify.add_argument("--k", type=_int_list, default=None)
     p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--budget", type=int, default=suite.DEFAULT_BUDGET)
+    p_verify.add_argument("--budget", type=int)
     p_verify.add_argument("--emit", help="JSON summary path")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -480,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IharaLabError as exc:

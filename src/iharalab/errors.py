@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
-Every guard in the library raises one of these instead of a bare
-ValueError so callers (and the CLI) can tell input mistakes apart from
-genuine numerical trouble.
+Faults in the input data and in the numerics raise one of these: a
+malformed graph file or verify request (ParseError), a graph the
+operation does not apply to, a solver or budget limit.  An argument
+outside its range, such as m_max < 1 or a vertex outside 0..n-1, raises
+a plain ValueError.  The CLI exits 2 on ParseError and ValueError and 1
+on every other IharaLabError.
 """
 
 
@@ -38,7 +41,7 @@ class NotRegular(GraphError):
 
 
 class ParseError(IharaLabError):
-    """Raised on malformed graph files; carries the 1-based line number."""
+    """Raised on a malformed graph file or verify request; may carry a 1-based line number."""
 
     def __init__(self, message, line=None):
         super().__init__(message)

@@ -224,41 +224,44 @@ def _edges_canonical(g: Graph) -> list[list[int]]:
     return out
 
 
-def save_graph(g: Graph, dest: str | IO[str], *, fmt: str | None = None) -> None:
+def graph_document(g: Graph, lps: dict | None = None) -> dict:
+    """The JSON graph-file object: {"n", "edges"}, then the "lps" record when given.
+
+    An edge is [i, j], or [i, j, multiplicity] when that exceeds 1, for
+    i <= j in (i, j) order.  An lps record is {"p", "q", "kind"}.
+    """
+    edges = [[i, j] if c == 1 else [i, j, c] for i, j, c in _edges_canonical(g)]
+    doc = {"n": g.n, "edges": edges}
+    if lps is not None:
+        doc["lps"] = lps
+    return doc
+
+
+def save_graph(g: Graph, dest: str | IO[str], *, fmt: str | None = None, lps: dict | None = None) -> None:
     """Write a graph to a path or file object.
 
-    Formats: "json" ({"n": ..., "edges": [[i, j, mult], ...]}) or
-    "edgelist" (a "n <count>" header line then one "i j [mult]" line per
-    edge).  When fmt is None it is inferred from the path suffix,
-    defaulting to edgelist for non-.json paths and file objects.
+    Formats: "json" (graph_document on one line, which alone can carry
+    an lps record) or "edgelist" (a "n <count>" header line then one
+    "i j [mult]" line per edge).  When fmt is None it is inferred from
+    the path suffix, defaulting to edgelist for non-.json paths and file
+    objects.
     """
-    close = False
-    if isinstance(dest, str):
-        if fmt is None:
-            fmt = "json" if dest.endswith(".json") else "edgelist"
-        fh = open(dest, "w")
-        close = True
+    if fmt is None:
+        fmt = "json" if isinstance(dest, str) and dest.endswith(".json") else "edgelist"
+    if fmt == "json":
+        text = json.dumps(graph_document(g, lps), separators=(",", ":")) + "\n"
+    elif fmt != "edgelist":
+        raise ValueError(f"unknown format {fmt!r}")
+    elif lps is not None:
+        raise ValueError("an edge list cannot carry an lps record")
     else:
-        fh = dest
-        if fmt is None:
-            fmt = "edgelist"
-    try:
-        edges = _edges_canonical(g)
-        if fmt == "json":
-            json.dump({"n": g.n, "edges": edges}, fh, indent=1)
-            fh.write("\n")
-        elif fmt == "edgelist":
-            fh.write(f"n {g.n}\n")
-            for i, j, c in edges:
-                if c == 1:
-                    fh.write(f"{i} {j}\n")
-                else:
-                    fh.write(f"{i} {j} {c}\n")
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-    finally:
-        if close:
-            fh.close()
+        edges = (f"{i} {j}\n" if c == 1 else f"{i} {j} {c}\n" for i, j, c in _edges_canonical(g))
+        text = f"n {g.n}\n" + "".join(edges)
+    if isinstance(dest, str):
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        dest.write(text)
 
 
 def load_graph(src: str | IO[str]) -> Graph:
@@ -278,17 +281,11 @@ def load_graph_doc(src: str | IO[str]) -> tuple[Graph, dict | None]:
     record of an `lps --emit` file, read them here instead of parsing
     the file a second time.
     """
-    close = False
     if isinstance(src, str):
-        fh = open(src)
-        close = True
+        with open(src, encoding="utf-8") as fh:
+            text = fh.read()
     else:
-        fh = src
-    try:
-        text = fh.read()
-    finally:
-        if close:
-            fh.close()
+        text = src.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

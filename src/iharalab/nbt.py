@@ -274,6 +274,8 @@ def f_values(g: Graph, cert: RegularityCertificate, m_max: int, v: int = 0) -> l
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
     theta = _theta_from_b(_b_traces(g, cert.q, m_max, v), cert.q, 1)
     return [t - (theta[m - 2] if m >= 2 else 0) for m, t in enumerate(theta)]
 

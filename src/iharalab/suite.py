@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -97,53 +98,79 @@ class VerificationSuiteConfig:
     emit: str | None = None
 
     @classmethod
-    def from_json_file(cls, path: str) -> "VerificationSuiteConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
+    def from_json_file(cls, path: str, overrides: dict | None = None) -> "VerificationSuiteConfig":
+        """from_dict on the JSON object in path, with the keys of overrides set on top."""
+        try:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"config is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ParseError(f"cannot read config {path!r}: {exc.strerror}") from exc
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ParseError(f"config {path!r} is not valid JSON: {exc}") from exc
+        if isinstance(raw, dict):
+            raw.update(overrides or {})
         return cls.from_dict(raw)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "VerificationSuiteConfig":
+        """Parse one verify request; a malformed value raises ParseError naming its key.
+
+        Exactly one of the source keys "graph", "file" and "lps" (a
+        [p, q] list or a "p,q" string) must be present.
+        """
         if not isinstance(raw, dict):
             raise ParseError("config must be a JSON object")
-        kind = None
-        source = ""
-        p = q = None
-        if "lps" in raw:
-            pair = raw["lps"]
-            if isinstance(pair, str):
-                pair = pair.split(",")
-            if len(pair) != 2:
-                raise ParseError("lps source must be a (p, q) pair")
-            kind, p, q = "lps", int(pair[0]), int(pair[1])
-        elif "file" in raw:
-            kind, source = "file", str(raw["file"])
-        elif "graph" in raw:
-            kind, source = "named", str(raw["graph"])
-        else:
-            raise ParseError("config needs one of: graph, file, lps")
-        checks = tuple(raw.get("checks", CHECK_ORDER))
-        validate_checks(checks)
-        horizons = raw.get("horizons")
-        if horizons is not None:
-            horizons = tuple(int(x) for x in horizons)
-        k_values = tuple(int(x) for x in raw.get("k", (1, 2, 3, 4)))
+        keys = [key for key in ("graph", "file", "lps") if key in raw]
+        if len(keys) != 1:
+            raise ParseError(f"config needs exactly one source key of graph, file, lps; got {keys}")
+        key = keys[0]
+        source, p, q = raw[key], None, None
+        if key == "lps":
+            pair = source.split(",") if isinstance(source, str) else source
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ParseError(f"config key 'lps' needs a (p, q) pair, got {source!r}")
+            p, q = (_parse("lps", x, int) for x in pair)
+            source = ""
+        elif not isinstance(source, str):
+            raise ParseError(f"config key {key!r} needs a string, got {source!r}")
+        checks, horizons, tol = raw.get("checks", CHECK_ORDER), raw.get("horizons"), raw.get("tol")
+        if not isinstance(checks, (list, tuple)):
+            raise ParseError(f"config key 'checks' needs a list of check names, got {checks!r}")
+        if not isinstance(raw.get("emit", ""), str):
+            raise ParseError(f"config key 'emit' needs a path, got {raw['emit']!r}")
         return cls(
-            source_kind=kind,
+            source_kind="named" if key == "graph" else key,
             source=source,
             p=p,
             q=q,
-            checks=checks,
-            horizons=horizons,
-            k_values=k_values,
-            tol_override=float(raw["tol"]) if "tol" in raw else None,
-            budget=int(raw.get("budget", DEFAULT_BUDGET)),
-            order=int(raw.get("order", 10)),
+            checks=validate_checks(checks),
+            horizons=None if horizons is None else _parse_ints("horizons", horizons),
+            k_values=_parse_ints("k", raw.get("k", (1, 2, 3, 4))),
+            tol_override=None if tol is None else _parse("tol", tol, float),
+            budget=_parse("budget", raw.get("budget", DEFAULT_BUDGET), int),
+            order=_parse("order", raw.get("order", 10), int),
             emit=raw.get("emit"),
         )
+
+
+def _parse(key: str, value, kind: type):
+    """kind(str(value)), so that an int key takes ints and digit strings but no float or bool."""
+    try:
+        return kind(str(value))
+    except ValueError:
+        wanted = "an integer" if kind is int else "a number"
+        raise ParseError(f"config key {key!r} needs {wanted}, got {value!r}") from None
+
+
+def _parse_ints(key: str, values) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ParseError(f"config key {key!r} needs a list of integers, got {values!r}")
+    return tuple(_parse(key, x, int) for x in values)
+
+
+def source_entry(source: str) -> dict:
+    """The config entry of a SOURCE argument: {"file": s} if the path exists, else {"graph": s}."""
+    return {"file": source} if os.path.exists(source) else {"graph": source}
 
 
 def validate_checks(checks) -> tuple[str, ...]:
@@ -186,23 +213,37 @@ def resolve_source(config: VerificationSuiteConfig) -> SuiteContext:
     if config.source_kind == "named":
         return SuiteContext(named_graph(config.source), label=config.source.upper())
     if config.source_kind == "file":
-        g, doc = load_graph_doc(config.source)
-        params = None
-        if doc is not None and "lps" in doc:
-            try:
-                params = lps.lps_params(int(doc["lps"]["p"]), int(doc["lps"]["q"]))
-            except (KeyError, TypeError, ValueError):
-                pass  # a malformed record leaves the graph without LPS parameters
-        if params is not None and (
-            g.n != params.expected_n or any(len(nb) != params.p + 1 for nb in g.neighbors)
-        ):
-            raise ParseError(
-                f"{config.source}: its lps record (p={params.p}, q={params.q}) needs "
-                f"{params.expected_n} vertices of degree {params.p + 1}, but the graph has "
-                f"{g.n} vertices of degrees {sorted({len(nb) for nb in g.neighbors})}"
-            )
+        try:
+            g, doc = load_graph_doc(config.source)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read graph file {config.source!r}: {exc}") from exc
+        params = None if doc is None or "lps" not in doc else _lps_record(config.source, doc["lps"], g)
         return SuiteContext(g, params, label=config.source)
     raise ParseError(f"unknown source kind {config.source_kind!r}")
+
+
+def _lps_record(path: str, record, g: Graph) -> lps.LpsParams:
+    """The parameters a graph file's lps record {p, q, kind} names; they must fit the graph."""
+    if not isinstance(record, dict) or sorted(record) != ["kind", "p", "q"]:
+        raise ParseError(f"{path}: its lps record {record!r} is not an object with keys p, q, kind")
+    p, q = record["p"], record["q"]
+    if type(p) is not int or type(q) is not int:
+        raise ParseError(f"{path}: its lps record needs integer p and q, got {p!r} and {q!r}")
+    try:
+        params = lps.lps_params(p, q)
+    except IharaLabError as exc:
+        raise ParseError(f"{path}: its lps record (p={p}, q={q}) is invalid: {exc}") from exc
+    if record["kind"] != params.group_kind:
+        raise ParseError(
+            f"{path}: its lps record names kind {record['kind']!r}, but X^{{{p},{q}}} is {params.group_kind}"
+        )
+    if g.n != params.expected_n or any(len(nb) != p + 1 for nb in g.neighbors):
+        raise ParseError(
+            f"{path}: its lps record (p={p}, q={q}) needs "
+            f"{params.expected_n} vertices of degree {p + 1}, but the graph has "
+            f"{g.n} vertices of degrees {sorted({len(nb) for nb in g.neighbors})}"
+        )
+    return params
 
 
 # ---------------------------------------------------------------------------

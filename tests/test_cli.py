@@ -5,10 +5,12 @@ import json
 
 import pytest
 
-from iharalab import nbt, zeta
+from iharalab import nbt, suite, zeta
 from iharalab.cli import main
 from iharalab.graphs import load_graph
 from iharalab.lps import build_lps
+from iharalab.oracle import count_reduced_cycles_all
+from iharalab.suite import CHECK_ORDER
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +220,92 @@ def test_lps_emit_then_verify_cusp_phi(tmp_path, capsys):
 
 def test_verify_lps_flag_parse_error(capsys):
     assert main(["verify", "--lps", "13-5", "--checks", "huang"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 2 with an error line, never a traceback
+
+MALFORMED = [
+    ["oracle", "K4", "--m-max", "0"],
+    ["huang", "K4", "--m-max", "0"],
+    ["limits", "K4", "--k", "0"],
+    ["zeta", "K4", "--order", "-1"],
+    ["nbt", "K4", "--what", "f", "--m-max", "-1"],
+    ["limits", "K4", "--horizons", "5,3"],
+    ["limits", "K4", "--what", "average-nm", "--horizons", "1"],
+    ["nbt", "K33", "--what", "f", "--vertex", "9"],
+    ["nbt", "PETERSEN", "--what", "f", "--vertex", "-1"],
+    ["verify", "--lps", "x,5"],
+    # an argument starting with "{" is written to a config file first
+    ["verify", "--config", '{"lps": "x,5"}'],
+    ["verify", "--config", '{"graph": "K4", "budget": "lots"}'],
+    ["verify", "--config", '{"graph": "K4", "checks": "oracle"}'],
+    ["verify", "--config", '{"graph": "K4", "lps": [13, 5]}'],
+    ["verify", "--config", "missing.json"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_two(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for idx, arg in enumerate(argv):
+        if arg.startswith("{"):
+            (tmp_path / "cfg.json").write_text(arg)
+            argv = argv[:idx] + ["cfg.json"] + argv[idx + 1 :]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_verify_missing_source_file_still_writes_the_summary(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"file": "missing.json", "emit": "summary.json"}))
+    assert main(["verify", "--config", "cfg.json"]) == 1
+    results = json.loads((tmp_path / "summary.json").read_text())["results"]
+    assert [r["check"] for r in results] == list(CHECK_ORDER)
+    assert {r["status"] for r in results} == {"error"}
+    assert "missing.json" in results[0]["detail"]["error"]
+
+
+def test_verify_flags_override_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"graph": "K4", "checks": ["oracle", "huang"], "budget": "lots"}))
+    assert main(["verify", "--config", str(cfg), "--checks", "huang", "--budget", "1000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("[PASS ] huang ")
+
+
+def test_lps_emit_then_verify_graph_recovers_graph_and_params(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "x135.json"
+    assert main(["lps", "--p", "13", "--q", "5", "--emit", str(path)]) == 0
+    contexts = []
+    real = suite.resolve_source
+
+    def recording(config):
+        contexts.append(real(config))
+        return contexts[-1]
+
+    monkeypatch.setattr(suite, "resolve_source", recording)
+    assert main(["verify", "--graph", str(path), "--checks", "cusp"]) == 0
+    g, params = build_lps(13, 5)
+    (ctx,) = contexts
+    assert ctx.g.neighbors == g.neighbors
+    assert ctx.params == params
+
+
+def test_nbt_counts_on_a_graph_that_is_not_vertex_transitive(tmp_path, capsys):
+    # the Frucht graph, LCF [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]: cubic with no symmetry
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = {tuple(sorted((i, (i + s) % 12))) for i in range(12) for s in (1, lcf[i])}
+    path = tmp_path / "frucht.json"
+    path.write_text(json.dumps({"n": 12, "edges": sorted(edges)}))
+    assert main(["nbt", str(path), "--m-max", "6"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    counts = [int(n_m) for _, n_m in rows]
+    assert counts == [0, 0, 18, 8, 30, 66]
+    assert counts == count_reduced_cycles_all(load_graph(str(path)), 6)
+    # the single-row route, which gives wrong counts here, is no longer selectable
+    with pytest.raises(SystemExit) as exc:
+        main(["nbt", str(path), "--m-max", "6", "--method", "row"])
+    assert exc.value.code == 2

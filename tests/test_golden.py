@@ -28,7 +28,6 @@ import pytest
 from iharalab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-VERIFY = ["verify", "--checks"]
 
 # case -> argv; "{out}" stands for the emitted file's name
 CASES = {
@@ -41,8 +40,8 @@ CASES = {
     "cuspgen_13_5": ["cuspgen", "--p", "13", "--q", "5", "--order", "6"],
     "cuspgen_29_5": ["cuspgen", "--p", "29", "--q", "5", "--order", "6"],
     "huang_petersen": ["huang", "PETERSEN"],
-    "verify_k4": VERIFY + ["oracle,ihara-bass,huang", "--graph", "K4"],
-    "verify_x135": VERIFY + ["cusp,phi", "--lps", "13,5"],
+    "verify_k4": ["verify", "--graph", "K4", "--checks", "oracle,ihara-bass,huang"],
+    "verify_x135": ["verify", "--lps", "13,5", "--checks", "cusp,phi"],
     "graph_k4_emit": ["graph", "K4", "--emit", "{out}"],
     "lps_13_5_emit": ["lps", "--p", "13", "--q", "5", "--emit", "{out}"],
 }

@@ -135,6 +135,15 @@ def test_save_load_roundtrip_multigraph(tmp_path):
         assert load_graph(path) == g
 
 
+def test_only_json_carries_an_lps_record(tmp_path):
+    g = named_graph("K4")
+    with pytest.raises(ValueError, match="lps record"):
+        save_graph(g, str(tmp_path / "k4.txt"), lps={"p": 13, "q": 5, "kind": "PGL2"})
+    assert not (tmp_path / "k4.txt").exists()
+    with pytest.raises(ValueError, match="unknown format"):
+        save_graph(g, io.StringIO(), fmt="yaml")
+
+
 def test_load_edgelist_with_comments():
     text = "# comment line\nn 3\n0 1\n1 2\n# trailing\n0 2\n"
     g = load_graph(io.StringIO(text))
@@ -236,8 +245,9 @@ def test_neighbour_lists_match_the_dense_reference(graph):
         parts = _bipartition(a)
         assert cert.degree == sum(a[0])
         assert (cert.bipartite, cert.parts) == (parts is not None, parts)
+    edges = [[i, j] if c == 1 else [i, j, c] for i, j, c in canonical]
     want = {
-        "json": json.dumps({"n": n, "edges": canonical}, indent=1) + "\n",
+        "json": json.dumps({"n": n, "edges": edges}, separators=(",", ":")) + "\n",
         "edgelist": f"n {n}\n"
         + "".join(f"{i} {j}\n" if c == 1 else f"{i} {j} {c}\n" for i, j, c in canonical),
     }
@@ -246,6 +256,8 @@ def test_neighbour_lists_match_the_dense_reference(graph):
         save_graph(g, out, fmt=fmt)
         assert out.getvalue() == text, fmt
         assert load_graph(io.StringIO(text)) == g, fmt
+    # the JSON layout save_graph wrote before graph_document still loads
+    assert load_graph(io.StringIO(json.dumps({"n": n, "edges": canonical}, indent=1))) == g
 
 
 def test_lps_graph_memory_is_linear_in_the_edges():

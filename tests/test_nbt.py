@@ -202,6 +202,13 @@ def test_f_values_are_diagonal_entries(corpus):
         assert vals == [mats[m][0][0] for m in range(M_ORACLE + 1)], name
 
 
+def test_f_values_rejects_a_vertex_outside_the_graph(corpus):
+    g, cert = corpus["PETERSEN"]
+    for v in (-1, g.n):
+        with pytest.raises(ValueError, match="outside 0..9"):
+            f_values(g, cert, 3, v=v)
+
+
 def test_chebyshev_b_identity_small(corpus):
     """M_m = B_m + e_m (q-1) I exactly, B_m the integer Chebyshev matrices."""
     for name, (g, cert) in corpus.items():

@@ -2,6 +2,7 @@
 
 import builtins
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +82,53 @@ def test_config_rejects():
         VerificationSuiteConfig.from_dict(["not", "a", "dict"])
 
 
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"lps": "x,5"}, "lps"),
+        ({"lps": [13.0, 5]}, "lps"),
+        ({"lps": {"p": 13, "q": 5}}, "lps"),
+        ({"graph": "K4", "budget": "lots"}, "budget"),
+        ({"graph": "K4", "order": 2.5}, "order"),
+        ({"graph": "K4", "horizons": [10, "x"]}, "horizons"),
+        ({"graph": "K4", "horizons": 10}, "horizons"),
+        ({"graph": "K4", "k": [True]}, "k"),
+        ({"graph": "K4", "tol": "small"}, "tol"),
+        ({"graph": "K4", "checks": "oracle"}, "checks"),
+        ({"graph": 4}, "graph"),
+        ({"file": "k4.json", "emit": 1}, "emit"),
+        ({"checks": ["huang"]}, "source key"),
+        ({"graph": "K4", "lps": [13, 5]}, "source key"),
+    ],
+)
+def test_config_rejects_each_malformed_value_by_key(raw, key):
+    with pytest.raises(ParseError, match=key):
+        VerificationSuiteConfig.from_dict(raw)
+
+
+def test_config_file_missing_or_not_utf8(tmp_path):
+    with pytest.raises(ParseError, match="cannot read config"):
+        VerificationSuiteConfig.from_json_file(str(tmp_path / "missing.json"))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ParseError, match="not valid JSON"):
+        VerificationSuiteConfig.from_json_file(str(binary))
+
+
+def test_config_file_keys_under_overrides(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"graph": "K33", "checks": ["oracle"], "tol": 0.5}))
+    cfg = VerificationSuiteConfig.from_json_file(str(path), {"checks": ["huang"], "budget": 7})
+    assert (cfg.source, cfg.checks, cfg.tol_override, cfg.budget) == ("K33", ("huang",), 0.5, 7)
+
+
+def test_source_entry_prefers_an_existing_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert suite.source_entry("K4") == {"graph": "K4"}
+    (tmp_path / "K4").write_text("n 1\n")
+    assert suite.source_entry("K4") == {"file": "K4"}
+
+
 def test_config_from_json_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"graph": "K33", "checks": ["huang"]}))
@@ -131,15 +179,54 @@ def test_resolve_file_recovers_lps_params(tmp_path, x135):
 
 def test_resolve_file_rejects_a_mismatched_lps_record(tmp_path):
     # X^{17,5} also has 120 vertices but degree 18; X^{13,17} has degree 14 on 2448
-    for record in ({"p": 17, "q": 5}, {"p": 13, "q": 17}):
+    for record in ({"p": 17, "q": 5, "kind": "PGL2"}, {"p": 13, "q": 17, "kind": "PSL2"}):
         path = _lps_emit(tmp_path, record)
-        with pytest.raises(ParseError, match="lps record"):
+        with pytest.raises(ParseError, match="lps record .* needs"):
             resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
     k4 = tmp_path / "k4.json"
     edges = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
-    k4.write_text(json.dumps({"n": 4, "edges": edges, "lps": {"p": 13, "q": 5}}))
+    k4.write_text(json.dumps({"n": 4, "edges": edges, "lps": {"p": 13, "q": 5, "kind": "PGL2"}}))
     with pytest.raises(ParseError, match="lps record"):
         resolve_source(VerificationSuiteConfig(source_kind="file", source=str(k4)))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"p": "x", "q": 5},
+        {"p": 13, "q": 5, "kind": "PSL2"},
+        {"p": 13, "q": 5},
+        {"p": 9, "q": 5, "kind": "PGL2"},
+    ],
+)
+def test_resolve_file_rejects_a_malformed_lps_record(tmp_path, record, capsys):
+    path = _lps_emit(tmp_path, record)
+    with pytest.raises(ParseError, match="lps record"):
+        resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
+    # every SOURCE subcommand shares the resolver
+    assert main(["graph", str(path)]) == 2
+    assert "lps record" in capsys.readouterr().err
+
+
+def test_resolve_missing_file_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="cannot read graph file"):
+        resolve_source(VerificationSuiteConfig(source_kind="file", source=str(tmp_path / "gone.json")))
+
+
+def test_files_of_both_earlier_writers_still_load(tmp_path, x135):
+    """save_graph's indented JSON and lps --emit's indented JSON, as written before graph_document."""
+    g, params = x135[0], x135[1]
+    edges = [[i, j] for i in range(g.n) for j in g.neighbors[i] if i < j]
+    old_save = tmp_path / "save.json"
+    old_save.write_text(json.dumps({"n": g.n, "edges": [e + [1] for e in edges]}, indent=1) + "\n")
+    old_lps = tmp_path / "lps.json"
+    record = {"p": 13, "q": 5, "kind": "PGL2"}
+    old_lps.write_text(json.dumps({"n": g.n, "edges": edges, "lps": record}, indent=2) + "\n")
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "lps_13_5.json"
+    for path, want in ((old_save, None), (old_lps, params), (bench, params)):
+        ctx = resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
+        assert ctx.g == load_graph(str(path))
+        assert (ctx.g.neighbors, ctx.params) == (g.neighbors, want), path.name
 
 
 def test_resolve_file_without_params(tmp_path):
@@ -154,15 +241,17 @@ def test_resolve_file_reads_once(tmp_path, monkeypatch, x135):
     edgelist = tmp_path / "k4.txt"
     save_graph(k4, str(edgelist), fmt="edgelist")
     plain = {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
-    cases = [(edgelist, None), (_lps_emit(tmp_path, {"p": 13, "q": 5}), lps.lps_params(13, 5))]
-    for name, lps_key, want in (
-        ("missing_q.json", {"p": 13}, None),
-        ("list.json", [13, 5], None),
-        ("text.json", {"p": "x", "q": 5}, None),
+    record = {"p": 13, "q": 5, "kind": "PGL2"}
+    cases = [(edgelist, None), (_lps_emit(tmp_path, record), lps.lps_params(13, 5))]
+    # a malformed record is refused after the one read
+    for name, lps_key in (
+        ("missing_q.json", {"p": 13, "kind": "PGL2"}),
+        ("list.json", [13, 5]),
+        ("text.json", {"p": "x", "q": 5}),
     ):
         path = tmp_path / name
         path.write_text(json.dumps({**plain, "lps": lps_key}))
-        cases.append((path, want))
+        cases.append((path, ParseError))
     opened = []
     real_open = builtins.open
 
@@ -172,10 +261,17 @@ def test_resolve_file_reads_once(tmp_path, monkeypatch, x135):
 
     for path, want in cases:
         opened.clear()
+        config = VerificationSuiteConfig(source_kind="file", source=str(path))
         with monkeypatch.context() as mp:
             mp.setattr(builtins, "open", counting_open)
-            ctx = resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
+            if want is ParseError:
+                with pytest.raises(ParseError, match="lps record"):
+                    resolve_source(config)
+            else:
+                ctx = resolve_source(config)
         assert opened.count(str(path)) == 1, path.name
+        if want is ParseError:
+            continue
         assert ctx.g == load_graph(str(path)), path.name
         assert ctx.g.neighbors == (x135[0] if want else k4).neighbors, path.name
         assert ctx.params == want, path.name
