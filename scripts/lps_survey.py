@@ -2,10 +2,14 @@
 
 For each pair: the quotient group, order, degree, bipartiteness, the
 seconds taken by build_lps plus certify_regular, and the process's peak
-RSS (ru_maxrss) after them.  Pairs of order at most --max-n also get the
-largest non-trivial adjacency eigenvalue in absolute value and its
-margin below the Ramanujan bound 2 sqrt(p); above it only the dense
-eigensolve is skipped.  Run from the repository root:
+RSS (ru_maxrss) after them.  Then, in a fresh process of its own that
+builds the graph again, the seconds of the coset-block spectral route
+(lps.cayley_cosets plus spectral.block_decompose), its cluster count and
+that process's ru_maxrss.  Pairs of order at most --max-n also get the
+largest non-trivial adjacency eigenvalue in absolute value from the
+dense eigvalsh and its margin below the Ramanujan bound 2 sqrt(p);
+above it only the dense eigensolve is skipped.  Run from the repository
+root:
 
     python3 scripts/lps_survey.py
     python3 scripts/lps_survey.py --pairs 13,5 17,13 --max-n 4000
@@ -16,16 +20,32 @@ from __future__ import annotations
 
 import argparse
 import math
+import multiprocessing
 import resource
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from iharalab.graphs import certify_regular
-from iharalab.lps import build_lps
+from iharalab.lps import build_lps, cayley_cosets
+from iharalab.spectral import block_decompose
 
 DEFAULT_PAIRS = ((13, 5), (17, 5), (29, 5), (5, 13), (17, 13))
+
+
+def maxrss_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def block_route(p: int, q: int) -> tuple[float, int, float]:
+    """Seconds and cluster count of the coset-block route on X^{p,q}, and ru_maxrss after it."""
+    g, params = build_lps(p, q)
+    cert = certify_regular(g)
+    t0 = time.perf_counter()
+    sd = block_decompose(g, cert, cayley_cosets(g, params))
+    return time.perf_counter() - t0, len(sd.clusters), maxrss_mib()
 
 
 def survey_pair(p: int, q: int, max_n: int) -> None:
@@ -33,11 +53,14 @@ def survey_pair(p: int, q: int, max_n: int) -> None:
     g, params = build_lps(p, q)
     cert = certify_regular(g)
     built = time.perf_counter() - t0
-    maxrss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    rss = maxrss_mib()
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        block_s, clusters, block_rss = pool.submit(block_route, p, q).result()
     head = (
         f"X^{{{p},{q}}}: {params.group_kind}(F_{q})  n={g.n}  degree={cert.degree}  "
         f"bipartite={'yes' if cert.bipartite else 'no'}  "
-        f"build+certify={built:.2f}s  maxrss={maxrss_mib:.0f}MiB"
+        f"build+certify={built:.2f}s  maxrss={rss:.0f}MiB  "
+        f"blocks={block_s:.2f}s ({clusters} clusters, own process maxrss={block_rss:.0f}MiB)"
     )
     if g.n > max_n:
         print(f"{head}  eigvalsh skipped: n exceeds --max-n {max_n}")

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+import numpy as np
+
 from .errors import GroupSizeMismatch, InvalidPrime, NoSquareRoot
 from .graphs import Graph, build_graph, certify_regular
 
@@ -182,26 +184,26 @@ def embed_generator(gen: QuaternionGenerator, q: int, i_mod_q: int) -> Mat:
     )
 
 
-def enumerate_group(q: int, kind: str) -> list[Mat]:
-    """Canonical forms of PGL2(F_q) or PSL2(F_q), sorted.
+def group_elements(q: int, kind: str) -> np.ndarray:
+    """Canonical forms of PGL2(F_q) or PSL2(F_q), sorted, as the rows of an (n, 4) int64 array.
 
-    PSL2 membership is decided by the canonical form's determinant being
-    a nonzero square mod q.
+    The canonical forms are (0, 1, c, d) with c != 0, which sort first,
+    and (1, b, c, d) with d != bc, so none needs canonicalizing.  PSL2
+    keeps those whose determinant is a nonzero square.
     """
-    squares = {x * x % q for x in range(1, q)}
-    seen = set()
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    det = (a * d - b * c) % q
-                    if det == 0:
-                        continue
-                    m = canonical_form((a, b, c, d), q)
-                    if kind == "PSL2" and mat_det(m, q) not in squares:
-                        continue
-                    seen.add(m)
-    return sorted(seen)
+    r = np.arange(q)
+    c, d = np.meshgrid(r[1:], r, indexing="ij")
+    low = np.stack([np.zeros_like(c), np.ones_like(c), c, d], axis=-1).reshape(-1, 4)
+    b, c, d = np.meshgrid(r, r, r, indexing="ij")
+    high = np.stack([np.ones_like(b), b, c, d], axis=-1).reshape(-1, 4)
+    mats = np.concatenate([low, high])
+    det = (mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]) % q
+    keep = det != 0
+    if kind == "PSL2":
+        square = np.zeros(q, dtype=bool)
+        square[r[1:] ** 2 % q] = True
+        keep &= square[det]
+    return mats[keep]
 
 
 def lps_params(p: int, q: int) -> LpsParams:
@@ -229,6 +231,18 @@ def lps_params(p: int, q: int) -> LpsParams:
     )
 
 
+def connection_set(params: LpsParams) -> list[Mat]:
+    """Canonical forms of the p+1 embedded generators, in quaternion_generators order."""
+    p, q = params.p, params.q
+    out = []
+    for gen in quaternion_generators(p):
+        m = embed_generator(gen, q, params.i_mod_q)
+        if mat_det(m, q) != p % q:
+            raise GroupSizeMismatch("generator embedding has wrong determinant")
+        out.append(canonical_form(m, q))
+    return out
+
+
 def build_lps(p: int, q: int, *, allow_large: bool = False) -> tuple[Graph, LpsParams]:
     """Construct X^{p,q} and its parameter record.
 
@@ -243,15 +257,8 @@ def build_lps(p: int, q: int, *, allow_large: bool = False) -> tuple[Graph, LpsP
     leg = params.legendre_pq
     kind = params.group_kind
     expected_n = params.expected_n
-    i_mod_q = params.i_mod_q
-    gens = quaternion_generators(p)
-    gen_mats = []
-    for gen in gens:
-        m = embed_generator(gen, q, i_mod_q)
-        if mat_det(m, q) != p % q:
-            raise GroupSizeMismatch("generator embedding has wrong determinant")
-        gen_mats.append(canonical_form(m, q))
-    vertices = enumerate_group(q, kind)
+    gen_mats = connection_set(params)
+    vertices = list(map(tuple, group_elements(q, kind).tolist()))
     if len(vertices) != expected_n:
         raise GroupSizeMismatch(
             f"enumerated {len(vertices)} elements of {kind}(F_{q}), expected {expected_n}"
@@ -279,3 +286,57 @@ def build_lps(p: int, q: int, *, allow_large: bool = False) -> tuple[Graph, LpsP
     if cert.bipartite != (leg == -1):
         raise GroupSizeMismatch("bipartiteness disagrees with the Legendre symbol")
     return g, params
+
+
+@dataclass(frozen=True)
+class CosetData:
+    """The vertices of X^{p,q} as r_i u_b, with u_b = [[1, b], [0, 1]] and U = {u_b} = Z/q.
+
+    Vertex v is r_{coset[v]} u_{shift[v]}; reps[i] is the vertex r_i.
+    The representatives are [[1, 0], [c, det]] and [[0, 1], [c, 0]], so
+    the identity vertex is one of them.  Right translations commute
+    with the adjacency (v is joined to s v), so U acts on every
+    eigenspace.
+    """
+
+    q: int
+    coset: np.ndarray
+    shift: np.ndarray
+    reps: np.ndarray
+    identity: int
+
+
+def cayley_cosets(g: Graph, params: LpsParams) -> CosetData | None:
+    """The coset data of X^{p,q} if g is exactly build_lps's graph, else None.
+
+    Rebuilds every vertex's neighbours s v in build_lps's vertex order
+    and compares them with g.neighbors, so a relabeled or rewired graph
+    that merely carries the parameters gets None.
+    """
+    p, q = params.p, params.q
+    vert = group_elements(q, params.group_kind)
+    if g.n != len(vert) or any(len(nb) != p + 1 for nb in g.neighbors):
+        return None
+    weights = np.array([q**3, q**2, q, 1])
+    index = np.full(q**4, -1)
+    index[vert @ weights] = np.arange(g.n)
+    inverse = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)])
+    a, b, c, d = vert.T
+    nbrs = np.empty((g.n, p + 1), dtype=np.int64)
+    for k, (s0, s1, s2, s3) in enumerate(connection_set(params)):
+        w = np.stack([s0 * a + s1 * c, s0 * b + s1 * d, s2 * a + s3 * c, s2 * b + s3 * d], axis=1) % q
+        lead = np.where(w[:, 0] != 0, w[:, 0], w[:, 1])
+        nbrs[:, k] = index[(w * inverse[lead][:, None] % q) @ weights]
+    nbrs.sort(axis=1)
+    if tuple(map(tuple, nbrs.tolist())) != g.neighbors:
+        return None
+    # the coset of (1, b, c, d) is keyed by (c, d - bc), that of (0, 1, c, d) by c
+    high = a == 1
+    key = np.where(high, q + c * q + (d - b * c) % q, c)
+    shift = np.where(high, b, d * inverse[c] % q)
+    _, coset = np.unique(key, return_inverse=True)
+    reps = np.empty(g.n // q, dtype=np.int64)
+    at_rep = np.flatnonzero(shift == 0)
+    reps[coset[at_rep]] = at_rep
+    identity = int(index[q**3 + 1])  # (1, 0, 0, 1)
+    return CosetData(q=q, coset=coset, shift=shift, reps=reps, identity=identity)

@@ -170,32 +170,15 @@ def a_matrix_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[In
     return out
 
 
-def chebyshev_b_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[IntMatrix]:
-    """Exact [B_0..B_{m_max}] with B_m = 2q^{m/2} T_m(A/(2 sqrt q)).
-
-    Despite the irrational-looking definition these are integer matrices:
-    B_0 = 2I, B_1 = A, B_m = B_{m-1}A - qB_{m-2}.  The identity
-    M_m = B_m + e_m(q-1)I for m >= 1 links them to the reduced-cycle
-    matrices without any floating point.
-    """
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
-    out = [_identity_rows(g.n, 2)]
-    if m_max == 0:
-        return out
-    out.append(_adjacency_rows(g))
-    for _ in range(2, m_max + 1):
-        out.append(_mul_adj(out[-1], out[-2], cert.q, g.neighbors))
-    return out
-
-
 def m_and_b_polynomials(q: int, m_max: int) -> tuple[list[list[int]], list[list[int]]]:
     """Coefficient lists of M_1..M_{m_max} and B_1..B_{m_max} as polynomials in x = A.
 
-    The A_m and B_m recurrences of ExactMatrixSeq and chebyshev_b_range,
-    and M_m = A_m - (q-1) sum_{k=1}^{floor((m-1)/2)} A_{m-2k}, run on
+    The A_m recurrence of ExactMatrixSeq, the B_m recurrence
+    B_0 = 2, B_1 = x, B_m = x B_{m-1} - q B_{m-2}, and
+    M_m = A_m - (q-1) sum_{k=1}^{floor((m-1)/2)} A_{m-2k}, run on
     integer coefficient lists (constant term first) instead of matrices.
-    Exact, independent of any graph, and O(m_max^3) integer operations.
+    Exact, independent of any graph, and O(m_max^3) integer operations;
+    no B_m matrix is ever built in the library.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -237,6 +220,8 @@ def _b_traces(g: Graph, q: int, m_max: int, v: int | None = None) -> list[int]:
     rows r_k = e_v^T B_k, where (B_{2k})_vv = <r_k, r_k> - 2q^k.  At
     q = 0 the recurrence gives B_m = A^m for m >= 1.
     """
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
     if v is None:
         step, dot, size = _mul_adj, _frobenius, g.n
         prev, cur = _identity_rows(g.n, 2), _adjacency_rows(g)
@@ -272,8 +257,6 @@ def f_values(g: Graph, cert: RegularityCertificate, m_max: int, v: int = 0) -> l
 
     A_m = T~_m - T~_{m-2}, and the diagonal of T~_m comes from that of B_m.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
     theta = _theta_from_b(_b_traces(g, cert.q, m_max, v), cert.q, 1)

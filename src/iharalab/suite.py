@@ -22,7 +22,7 @@ import numpy as np
 from . import limits, lps, nbt, oracle, zeta
 from .errors import IharaLabError, ParseError
 from .graphs import Graph, certify_regular, load_graph_doc, named_graph
-from .spectral import eigendecompose
+from .spectral import block_decompose, eigendecompose
 
 CHECK_ORDER = (
     "oracle",
@@ -184,7 +184,14 @@ def validate_checks(checks) -> tuple[str, ...]:
 
 
 class SuiteContext:
-    """Graph plus lazily computed certificate and spectral data."""
+    """Graph plus lazily computed certificate and spectral data.
+
+    The spectral data comes from the coset-block route when the graph
+    is exactly build_lps's X^{p,q} for params (lps.cayley_cosets
+    rebuilds it, so a relabeled or rewired file that carries an lps
+    record does not qualify), and from the dense eigendecompose
+    otherwise.
+    """
 
     def __init__(self, g: Graph, params: lps.LpsParams | None = None, label: str = ""):
         self.g = g
@@ -202,7 +209,11 @@ class SuiteContext:
     @property
     def sd(self):
         if self._sd is None:
-            self._sd = eigendecompose(self.g, self.cert)
+            cosets = None if self.params is None else lps.cayley_cosets(self.g, self.params)
+            if cosets is None:
+                self._sd = eigendecompose(self.g, self.cert)
+            else:
+                self._sd = block_decompose(self.g, self.cert, cosets)
         return self._sd
 
 
@@ -371,16 +382,21 @@ RANGE_BLOCK = 16
 def range_abs_max(sd, m_max: int) -> np.ndarray:
     """max_ij |a_m(i, j)| for m = 1..m_max, with a_m = sum_l cos(m theta_l) P_l.
 
-    Works on the principal eigenvector blocks V_l without forming P_l:
-    for each block J of RANGE_BLOCK vertex columns, S_J[l] holds
-    V_l[j0:] V_l[J]^T, the entries of P_l on and below the diagonal
-    block (a_m is symmetric), and one GEMM with C = cos(m theta_l)
-    gives those entries of every a_m at once.
+    From the block route, whose clusters carry the identity rows
+    P_l(e, .) of a Cayley graph, a_m(v, w) = a_m(e, w v^-1), so one
+    (m_max x L) (L x n) product gives every entry.  From the dense
+    route it works on the principal eigenvector blocks V_l without
+    forming P_l: for each block J of RANGE_BLOCK vertex columns, S_J[l]
+    holds V_l[j0:] V_l[J]^T, the entries of P_l on and below the
+    diagonal block (a_m is symmetric), and one GEMM with
+    C = cos(m theta_l) gives those entries of every a_m at once.
     """
     principal = sd.principal()
     n, n_l = sd.n, len(principal)
     thetas = np.array([cl.theta.real for cl in principal])
     c = np.cos(np.outer(np.arange(1, m_max + 1), thetas))
+    if principal[0].identity_row is not None:
+        return np.abs(c @ np.stack([cl.identity_row for cl in principal])).max(axis=1)
     # two buffers sized for the first, largest block serve every block; a
     # fresh pair per block left about 1 MiB more peak RSS after a few
     # passes over n=120 graphs
@@ -403,9 +419,16 @@ def range_abs_max(sd, m_max: int) -> np.ndarray:
 
 def check_range(ctx: SuiteContext, *, m_max: int = 200) -> dict:
     """Entries of a_m must stay inside [-1, 1]; metric is the worst excess."""
-    if not ctx.sd.principal():
+    sd = ctx.sd
+    if not sd.principal():
         return {"metric": 0.0, "detail": {"m_max": m_max, "note": "empty principal part"}}
-    worst = max(0.0, float(np.max(range_abs_max(ctx.sd, m_max))) - 1.0)
+    if sd.clusters[0].identity_row is not None and any(
+        abs(cl.value) != ctx.cert.degree for cl in sd.singular()
+    ):
+        # X^{p,q} is Ramanujan, so any singular cluster besides +-(q+1) puts
+        # the block spectrum in doubt: take the dense route's rows instead
+        sd = eigendecompose(ctx.g, ctx.cert)
+    worst = max(0.0, float(np.max(range_abs_max(sd, m_max))) - 1.0)
     return {"metric": worst, "detail": {"m_max": m_max}}
 
 

@@ -231,6 +231,8 @@ MALFORMED = [
     ["limits", "K4", "--k", "0"],
     ["zeta", "K4", "--order", "-1"],
     ["nbt", "K4", "--what", "f", "--m-max", "-1"],
+    ["nbt", "PETERSEN", "--m-max", "-1"],
+    ["cuspgen", "--p", "13", "--q", "5", "--order", "-1"],
     ["limits", "K4", "--horizons", "5,3"],
     ["limits", "K4", "--what", "average-nm", "--horizons", "1"],
     ["nbt", "K33", "--what", "f", "--vertex", "9"],

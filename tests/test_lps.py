@@ -10,7 +10,8 @@ from iharalab.graphs import certify_regular
 from iharalab.lps import (
     build_lps,
     canonical_form,
-    enumerate_group,
+    cayley_cosets,
+    group_elements,
     is_prime,
     legendre_symbol,
     lps_params,
@@ -119,11 +120,51 @@ def test_mat_det_multiplicative():
     assert mat_det(mat_mul(a, b, q), q) == mat_det(a, q) * mat_det(b, q) % q
 
 
+def enumerate_group(q: int, kind: str) -> list[tuple[int, int, int, int]]:
+    """Canonical forms of PGL2(F_q) or PSL2(F_q), sorted, by canonicalizing all q^4 matrices.
+
+    PSL2 membership is decided by the canonical form's determinant being
+    a nonzero square mod q.
+    """
+    squares = {x * x % q for x in range(1, q)}
+    seen = set()
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                for d in range(q):
+                    if (a * d - b * c) % q == 0:
+                        continue
+                    m = canonical_form((a, b, c, d), q)
+                    if kind == "PSL2" and mat_det(m, q) not in squares:
+                        continue
+                    seen.add(m)
+    return sorted(seen)
+
+
 def test_enumerate_group_orders():
     # |PGL2(F_5)| = 120, |PSL2(F_5)| = 60
-    assert len(enumerate_group(5, "PGL2")) == 120
-    assert len(enumerate_group(5, "PSL2")) == 60
-    assert len(enumerate_group(13, "PGL2")) == 2184
+    assert len(group_elements(5, "PGL2")) == 120
+    assert len(group_elements(5, "PSL2")) == 60
+    assert len(group_elements(13, "PGL2")) == 2184
+
+
+@pytest.mark.parametrize("q", [5, 13])
+@pytest.mark.parametrize("kind", ["PGL2", "PSL2"])
+def test_group_elements_match_enumerate_group(q, kind):
+    assert list(map(tuple, group_elements(q, kind).tolist())) == enumerate_group(q, kind)
+
+
+@pytest.mark.parametrize("p, q", [(13, 5), (17, 13)])
+def test_cayley_cosets_factor_every_vertex(p, q):
+    g, params = build_lps(p, q)
+    cosets = cayley_cosets(g, params)
+    vert = [tuple(v) for v in group_elements(q, params.group_kind).tolist()]
+    assert vert[cosets.identity] == (1, 0, 0, 1)
+    assert cosets.reps[cosets.coset[cosets.identity]] == cosets.identity
+    assert np.bincount(cosets.coset).tolist() == [q] * (g.n // q)
+    for v in range(g.n):
+        r = vert[cosets.reps[cosets.coset[v]]]
+        assert canonical_form(mat_mul(r, (1, int(cosets.shift[v]), 0, 1), q), q) == vert[v]
 
 
 def test_lps_params_fields():

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from b_matrices import chebyshev_b_range
 
 from iharalab import nbt, suite
 from iharalab.errors import NotRamanujan
@@ -20,7 +21,6 @@ from iharalab.nbt import (
     adjacency_power_traces,
     cheb_t_real,
     cheb_u_real,
-    chebyshev_b_range,
     f_values,
     m_matrix_chebyshev,
     n_reduced_range,

@@ -1,14 +1,17 @@
-"""Eigendecomposition into integer-snapped clusters with eigenvector blocks."""
+"""Eigendecomposition into integer-snapped clusters: the dense route and the coset-block route."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from iharalab.errors import ClusterAmbiguity, OutOfRange
-from iharalab.graphs import build_graph, certify_regular
-from iharalab.spectral import eigendecompose, theta_of
+from iharalab.errors import ClusterAmbiguity, DepthExceeded, OutOfRange
+from iharalab.graphs import Graph, build_graph, certify_regular
+from iharalab.lps import build_lps, cayley_cosets
+from iharalab.spectral import block_decompose, eigendecompose, theta_of
+from iharalab.suite import range_abs_max
 
 PINNED_SPECTRA = {
     "K3": {2: 1, -1: 2},
@@ -153,3 +156,62 @@ def test_custom_cluster_tol_merges():
     cert = certify_regular(g)
     sd = eigendecompose(g, cert, cluster_tol=0.15)
     assert {round(c.value) for c in sd.clusters} == {2, 0, -2}
+
+
+def test_dense_route_refuses_past_its_memory_ceiling(monkeypatch):
+    # 16 n^2 bytes at n = 8200 exceed 1 GiB; the guard fires before any matrix exists
+    n = 8200
+    g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    cert = certify_regular(g)
+
+    def no_dense(self):
+        raise AssertionError("the dense adjacency was built")
+
+    monkeypatch.setattr(Graph, "as_numpy", no_dense)
+    with pytest.raises(DepthExceeded, match="n=8200"):
+        eigendecompose(g, cert)
+
+
+# ---------------------------------------------------------------------------
+# the coset-block route of X^{p,q} against the dense reference
+
+
+@pytest.fixture(scope="module", params=[(13, 5), (17, 5), (17, 13), (5, 13)], ids=lambda pq: f"X{pq[0]}_{pq[1]}")
+def both_routes(request):
+    g, params = build_lps(*request.param)
+    cert = certify_regular(g)
+    cosets = cayley_cosets(g, params)
+    return cosets, block_decompose(g, cert, cosets), eigendecompose(g, cert)
+
+
+def test_block_route_matches_dense_clusters(both_routes):
+    _, block, dense = both_routes
+    assert [cl.mult for cl in block.clusters] == [cl.mult for cl in dense.clusters]
+    assert [cl.principal for cl in block.clusters] == [cl.principal for cl in dense.clusters]
+    for got, want in zip(block.clusters, dense.clusters):
+        assert abs(got.value - want.value) <= 1e-12
+        assert abs(got.theta - want.theta) <= 1e-9
+        assert got.vectors is None and want.identity_row is None
+
+
+def test_block_route_identity_rows_match_dense_projectors(both_routes):
+    cosets, block, dense = both_routes
+    e = cosets.identity
+    for got, want in zip(block.clusters, dense.clusters):
+        assert np.max(np.abs(got.identity_row - want.vectors[e] @ want.vectors.T)) <= 1e-12
+        assert not got.identity_row.flags.writeable
+    assert np.max(np.abs(range_abs_max(block, 200) - range_abs_max(dense, 200))) <= 1e-12
+
+
+def test_block_route_memory_stays_below_the_dense_matrix(x513):
+    # X^{5,13}: n = 2184 and 168 x 168 blocks; one dense n x n float matrix is 36 MiB
+    g, params, cert = x513
+    cosets = cayley_cosets(g, params)
+    tracemalloc.start()
+    try:
+        sd = block_decompose(g, cert, cosets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(cl.mult for cl in sd.clusters) == g.n
+    assert peak < 16 * 2**20, peak

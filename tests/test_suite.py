@@ -1,7 +1,9 @@
 """Verification suite: config parsing, orchestration, summary emission."""
 
 import builtins
+import dataclasses
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from iharalab import limits, lps, nbt, suite
 from iharalab.errors import ParseError
 from iharalab.cli import main
 from iharalab.graphs import build_graph, load_graph, named_graph, save_graph
+from iharalab.spectral import eigendecompose
 from iharalab.suite import (
     CHECK_ORDER,
     DEFAULT_TOLERANCES,
@@ -175,6 +178,58 @@ def test_resolve_file_recovers_lps_params(tmp_path, x135):
     ctx = resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
     assert ctx.g.neighbors == x135[0].neighbors
     assert ctx.params == x135[1]
+
+
+def _takes_block_route(ctx) -> bool:
+    sd = ctx.sd
+    return all(cl.vectors is None and cl.identity_row is not None for cl in sd.clusters)
+
+
+def _rewritten_x135(tmp_path, x135, edges) -> SuiteContext:
+    path = tmp_path / "x135_rewritten.json"
+    path.write_text(json.dumps({"n": x135[0].n, "edges": edges, "lps": {"p": 13, "q": 5, "kind": "PGL2"}}))
+    ctx = resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
+    assert ctx.params == x135[1]  # the lps record alone is accepted
+    return ctx
+
+
+def test_an_lps_emit_file_takes_the_block_route(tmp_path):
+    path = _lps_emit(tmp_path, {"p": 13, "q": 5, "kind": "PGL2"})
+    ctx = resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
+    assert _takes_block_route(ctx)
+    assert _takes_block_route(SuiteContext(*lps.build_lps(13, 5)))
+
+
+def test_a_relabeled_lps_file_takes_the_dense_route(tmp_path, x135):
+    g = x135[0]
+    perm = list(range(g.n))
+    random.Random(8101).shuffle(perm)
+    edges = [sorted((perm[i], perm[j])) for i in range(g.n) for j in g.neighbors[i] if i < j]
+    ctx = _rewritten_x135(tmp_path, x135, edges)
+    assert lps.cayley_cosets(ctx.g, ctx.params) is None
+    assert not _takes_block_route(ctx)
+    # an isomorphic graph: the dense spectrum equals the block route's
+    block = SuiteContext(*lps.build_lps(13, 5)).sd
+    assert [cl.mult for cl in ctx.sd.clusters] == [cl.mult for cl in block.clusters]
+    assert max(abs(a.value - b.value) for a, b in zip(ctx.sd.clusters, block.clusters)) <= 1e-12
+
+
+def test_a_two_switched_lps_file_takes_the_dense_route(tmp_path, x135):
+    # replace edges ab, cd by ad, cb: every degree stays 14, the graph is no longer X^{13,5}
+    g = x135[0]
+    edges = {(i, j) for i in range(g.n) for j in g.neighbors[i] if i < j}
+    a, b = 0, g.neighbors[0][0]
+    c, d = next(
+        (c, d)
+        for c, d in sorted(edges)
+        if len({a, b, c, d}) == 4 and d not in g.neighbors[a] and b not in g.neighbors[c]
+    )
+    edges -= {(a, b), (c, d)}
+    edges |= {tuple(sorted((a, d))), tuple(sorted((c, b)))}
+    ctx = _rewritten_x135(tmp_path, x135, sorted(map(list, edges)))
+    assert {len(nb) for nb in ctx.g.neighbors} == {14}
+    assert lps.cayley_cosets(ctx.g, ctx.params) is None
+    assert not _takes_block_route(ctx)
 
 
 def test_resolve_file_rejects_a_mismatched_lps_record(tmp_path):
@@ -505,10 +560,32 @@ RANGE_SOURCES = {
 
 @pytest.mark.parametrize("name", RANGE_SOURCES)
 def test_range_matches_dense_projector_stack(name):
+    # the LPS sources take the coset-block route; the reference is always dense
     ctx = RANGE_SOURCES[name]()
+    dense = eigendecompose(ctx.g, ctx.cert)
     got = range_abs_max(ctx.sd, 200)
-    assert np.max(np.abs(got - dense_range_abs_max(ctx.sd, 200))) <= 1e-12
-    assert check_range(ctx) == dense_check_range(ctx.sd)
+    assert np.max(np.abs(got - dense_range_abs_max(dense, 200))) <= 1e-12
+    assert check_range(ctx) == dense_check_range(dense)
+
+
+def test_range_rechecks_a_nontrivial_singular_cluster_densely(monkeypatch):
+    # on X^{p,q} the block route's only singular clusters are +-(p+1); any other sends range to eigh
+    ctx = SuiteContext(*lps.build_lps(13, 5))
+    sd = ctx.sd
+    want = check_range(ctx)
+    odd = next(i for i, cl in enumerate(sd.clusters) if cl.principal)
+    clusters = list(sd.clusters)
+    clusters[odd] = dataclasses.replace(clusters[odd], principal=False)
+    ctx._sd = dataclasses.replace(sd, clusters=tuple(clusters))
+    calls = []
+
+    def dense(g, cert):
+        calls.append(g)
+        return eigendecompose(g, cert)
+
+    monkeypatch.setattr(suite, "eigendecompose", dense)
+    assert check_range(ctx) == want
+    assert calls == [ctx.g]
 
 
 @pytest.mark.parametrize("block", [1, 3, 5, 7, 12, 16, 64])
