@@ -27,11 +27,10 @@ from iharalab.errors import NotRamanujan
 from iharalab.graphs import certify_regular, named_graph
 from iharalab.limits import (
     angle_condition,
-    average_cusp,
+    average_cusp_sweep,
     average_nm_sweep,
     cesaro_a,
     cesaro_s,
-    normalized_cusp_terms,
     require_ramanujan,
 )
 from iharalab.lps import build_lps
@@ -82,15 +81,13 @@ def write_average_nm(path: str, horizons: list[int]) -> None:
 def write_cusp(path: str, horizons: list[int]) -> None:
     g, params = build_lps(13, 5)
     sd = eigendecompose(g, certify_regular(g))
-    terms = normalized_cusp_terms(g, params, max(horizons))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["N", "average", "scaled", "reference", "term_bound", "max_term"])
-        for n_val in horizons:
-            avg, rep = average_cusp(g, params, n_val, sd, normalized=terms)
-            w.writerow([n_val, repr(avg), repr(rep["scaled_average"]),
-                        repr(rep["reference_constant"]), repr(rep["term_bound"]),
-                        repr(rep["max_term"])])
+        for row in average_cusp_sweep(g, params, sd, horizons):
+            w.writerow([row["N"], repr(row["average"]), repr(row["scaled_average"]),
+                        repr(row["reference_constant"]), repr(row["term_bound"]),
+                        repr(row["max_term"])])
 
 
 def main(argv=None) -> int:

@@ -240,13 +240,9 @@ def cmd_limits(args) -> int:
         if ctx.params is None:
             raise ParseError("limits --what cusp needs an LPS graph file with its parameters")
         horizons = horizons or list(suite.DEFAULT_HORIZONS["cusp"])
-        normalized = limits.normalized_cusp_terms(ctx.g, ctx.params, max(horizons))
         header = ["N", "average", "scaled_average", "reference_constant"]
-        rows = []
-        for N in horizons:
-            avg, report = limits.average_cusp(ctx.g, ctx.params, N, ctx.sd, normalized=normalized)
-            rows.append([N, avg, report["scaled_average"], report["reference_constant"]])
-        _emit_rows(args, header, rows)
+        sweep = limits.average_cusp_sweep(ctx.g, ctx.params, ctx.sd, horizons)
+        _emit_rows(args, header, [[r[k] for k in header] for r in sweep])
     return 0
 
 

@@ -34,7 +34,7 @@ from .errors import AngleConditionViolated, NotRamanujan, QuadratureFailure
 from .graphs import Graph, RegularityCertificate
 from .nbt import cheb_t_real, n_reduced_range
 from .qext import SqrtExt, half_power
-from .zeta import cusp_coefficients_range
+from .zeta import normalized_cusp_terms
 
 
 # ---------------------------------------------------------------------------
@@ -323,43 +323,25 @@ def average_cusp_reference(sd) -> float:
     return total / sd.n
 
 
-def average_cusp(
-    g_lps: Graph, params, N: int, sd, *, normalized: list | None = None
-) -> tuple[float, dict]:
-    """Average of a(p^m)/(2 p^{m/2}) over m <= N, with its rate bound.
+def average_cusp_sweep(g_lps: Graph, params, sd, horizons: Sequence[int]) -> list[dict]:
+    """Average of a(p^m)/(2 p^{m/2}) over m <= N at each horizon N, with its rate bound.
 
-    Returns (average, report).  The report carries |average| * N and the
-    reference constant the partial-sum bound gives for it.  The terms,
-    as normalized_cusp_terms returns them, are summed exactly.
+    One normalized_cusp_terms call, to the largest horizon, serves every
+    row, and each sum is exact.  A row carries N, the average,
+    |average| * N (scaled_average), the reference constant the
+    partial-sum bound gives for it, the spectral term bound and the
+    largest |term| up to N.
     """
-    if normalized is None:
-        normalized = normalized_cusp_terms(g_lps, params, N)
-    if len(normalized) < N + 1:
-        raise ValueError("normalized terms shorter than horizon")
-    total = sum(normalized[1 : N + 1], Fraction(0))
-    average = float(total) / N
-    report = {
-        "scaled_average": abs(average) * N,
-        "reference_constant": average_cusp_reference(sd),
-        "term_bound": cusp_term_bound(sd),
-        "max_term": max(abs(float(t)) for t in normalized[1 : N + 1]),
-    }
-    return average, report
-
-
-def normalized_cusp_terms(g_lps: Graph, params, m_max: int) -> list:
-    """[a(p^m)/(2 p^{m/2}) for m = 0..m_max], exact in Q(sqrt p).
-
-    Fractions when every term is rational, as on bipartite LPS graphs,
-    where the odd-m terms vanish; SqrtExt values otherwise, because
-    odd-m terms of non-bipartite graphs carry sqrt(p).
-    """
-    amounts = cusp_coefficients_range(g_lps, params, m_max)
-    p = params.p
-    out = [SqrtExt.of(p, a) / (2 * half_power(p, m)) for m, a in enumerate(amounts)]
-    if all(v.is_rational() for v in out):
-        return [v.rational_part() for v in out]
-    return out
+    normalized = normalized_cusp_terms(g_lps, params, max(horizons))
+    reference, bound = average_cusp_reference(sd), cusp_term_bound(sd)
+    rows = []
+    for N in horizons:
+        terms = normalized[1 : N + 1]
+        average = float(sum(terms, Fraction(0))) / N
+        max_term = max(abs(float(t)) for t in terms)
+        rows.append(dict(N=N, average=average, scaled_average=abs(average) * N,
+                         reference_constant=reference, term_bound=bound, max_term=max_term))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import GroupSizeMismatch, InvalidPrime, NoSquareRoot
-from .graphs import Graph, build_graph, certify_regular
+from .graphs import Graph, _require_connected, certify_regular
 
 Mat = tuple[int, int, int, int]  # row-major 2x2 over F_q
 
@@ -254,38 +254,55 @@ def build_lps(p: int, q: int, *, allow_large: bool = False) -> tuple[Graph, LpsP
         raise InvalidPrime(
             f"q={q} exceeds the desk-scale limit {DEFAULT_Q_LIMIT}; pass allow_large=True to proceed"
         )
-    leg = params.legendre_pq
     kind = params.group_kind
-    expected_n = params.expected_n
-    gen_mats = connection_set(params)
-    vertices = list(map(tuple, group_elements(q, kind).tolist()))
-    if len(vertices) != expected_n:
+    vert = group_elements(q, kind)
+    n = len(vert)
+    if n != params.expected_n:
         raise GroupSizeMismatch(
-            f"enumerated {len(vertices)} elements of {kind}(F_{q}), expected {expected_n}"
+            f"enumerated {n} elements of {kind}(F_{q}), expected {params.expected_n}"
         )
-    index = {v: i for i, v in enumerate(vertices)}
-    counts: dict[tuple[int, int], int] = {}
-    for vi, v in enumerate(vertices):
-        for gm in gen_mats:
-            w = canonical_form(mat_mul(gm, v, q), q)
-            wi = index[w]
-            if wi == vi:
-                raise GroupSizeMismatch("connection set acts with a fixed point")
-            counts[(vi, wi)] = counts.get((vi, wi), 0) + 1
+    table = _neighbour_table(params, vert)
+    own = np.arange(n)[:, None]
+    if (table == own).any():
+        raise GroupSizeMismatch("connection set acts with a fixed point")
     # arc counts must be symmetric since the connection set is inverse-closed
-    edges = []
-    for (vi, wi), c in sorted(counts.items()):
-        if counts.get((wi, vi), 0) != c:
-            raise GroupSizeMismatch("connection set is not closed under inverses")
-        if vi < wi:
-            edges.append((vi, wi, c))
-    g = build_graph(len(vertices), edges, vertex_transitive_hint=True)
+    if not np.array_equal(np.sort(own * n + table, axis=None), np.sort(table * n + own, axis=None)):
+        raise GroupSizeMismatch("connection set is not closed under inverses")
+    g = Graph(n, tuple(map(tuple, table.tolist())), vertex_transitive_hint=True)
+    _require_connected(g)
     cert = certify_regular(g)
     if cert.degree != p + 1:
         raise GroupSizeMismatch(f"degree {cert.degree} != p+1 = {p + 1}")
-    if cert.bipartite != (leg == -1):
+    if cert.bipartite != (params.legendre_pq == -1):
         raise GroupSizeMismatch("bipartiteness disagrees with the Legendre symbol")
     return g, params
+
+
+def _inverses(q: int) -> np.ndarray:
+    """[0, 1^{-1}, ..., (q-1)^{-1}] mod q."""
+    return np.array([0] + [pow(x, q - 2, q) for x in range(1, q)])
+
+
+def _neighbour_table(params: LpsParams, vert: np.ndarray) -> np.ndarray:
+    """The (n, p+1) table whose row v lists the indices of s v, s in connection_set(params), sorted.
+
+    vert is group_elements' array for params; each product is
+    canonicalized by scaling its first nonzero row-major entry to 1 and
+    looked up among vert's rows (-1 if it is not one of them).
+    """
+    q = params.q
+    weights = np.array([q**3, q**2, q, 1])
+    index = np.full(q**4, -1)
+    index[vert @ weights] = np.arange(len(vert))
+    inverse = _inverses(q)
+    a, b, c, d = vert.T
+    table = np.empty((len(vert), params.p + 1), dtype=np.int64)
+    for k, (s0, s1, s2, s3) in enumerate(connection_set(params)):
+        w = np.stack([s0 * a + s1 * c, s0 * b + s1 * d, s2 * a + s3 * c, s2 * b + s3 * d], axis=1) % q
+        lead = np.where(w[:, 0] != 0, w[:, 0], w[:, 1])
+        table[:, k] = index[(w * inverse[lead][:, None] % q) @ weights]
+    table.sort(axis=1)
+    return table
 
 
 @dataclass(frozen=True)
@@ -317,26 +334,16 @@ def cayley_cosets(g: Graph, params: LpsParams) -> CosetData | None:
     vert = group_elements(q, params.group_kind)
     if g.n != len(vert) or any(len(nb) != p + 1 for nb in g.neighbors):
         return None
-    weights = np.array([q**3, q**2, q, 1])
-    index = np.full(q**4, -1)
-    index[vert @ weights] = np.arange(g.n)
-    inverse = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)])
-    a, b, c, d = vert.T
-    nbrs = np.empty((g.n, p + 1), dtype=np.int64)
-    for k, (s0, s1, s2, s3) in enumerate(connection_set(params)):
-        w = np.stack([s0 * a + s1 * c, s0 * b + s1 * d, s2 * a + s3 * c, s2 * b + s3 * d], axis=1) % q
-        lead = np.where(w[:, 0] != 0, w[:, 0], w[:, 1])
-        nbrs[:, k] = index[(w * inverse[lead][:, None] % q) @ weights]
-    nbrs.sort(axis=1)
-    if tuple(map(tuple, nbrs.tolist())) != g.neighbors:
+    if tuple(map(tuple, _neighbour_table(params, vert).tolist())) != g.neighbors:
         return None
     # the coset of (1, b, c, d) is keyed by (c, d - bc), that of (0, 1, c, d) by c
+    a, b, c, d = vert.T
     high = a == 1
     key = np.where(high, q + c * q + (d - b * c) % q, c)
-    shift = np.where(high, b, d * inverse[c] % q)
+    shift = np.where(high, b, d * _inverses(q)[c] % q)
     _, coset = np.unique(key, return_inverse=True)
     reps = np.empty(g.n // q, dtype=np.int64)
     at_rep = np.flatnonzero(shift == 0)
     reps[coset[at_rep]] = at_rep
-    identity = int(index[q**3 + 1])  # (1, 0, 0, 1)
+    identity = int(np.flatnonzero((vert == (1, 0, 0, 1)).all(axis=1))[0])
     return CosetData(q=q, coset=coset, shift=shift, reps=reps, identity=identity)

@@ -510,21 +510,15 @@ def check_cusp(
     """Averaged normalized cusp coefficients stay O(1/N)."""
     if ctx.params is None:
         raise IharaLabError("cusp check needs an LPS graph source")
-    top = max(horizons)
-    normalized = limits.normalized_cusp_terms(ctx.g, ctx.params, top)
-    ref = limits.average_cusp_reference(ctx.sd)
-    worst = 0.0
-    rows = []
-    for N in horizons:
-        avg, report = limits.average_cusp(
-            ctx.g, ctx.params, N, ctx.sd, normalized=normalized
-        )
-        load = report["scaled_average"] / (BAND_FACTOR * ref)
-        worst = max(worst, load)
-        rows.append({"N": N, "average": avg, "scaled_average": report["scaled_average"]})
+    rows = limits.average_cusp_sweep(ctx.g, ctx.params, ctx.sd, horizons)
+    ref = rows[0]["reference_constant"]  # the same at every horizon
+    worst = max([0.0] + [r["scaled_average"] / (BAND_FACTOR * ref) for r in rows])
     return {
         "metric": worst,
-        "detail": {"rows": rows, "reference_constant": ref},
+        "detail": {
+            "rows": [{k: r[k] for k in ("N", "average", "scaled_average")} for r in rows],
+            "reference_constant": ref,
+        },
     }
 
 
@@ -536,14 +530,14 @@ def check_phi(ctx: SuiteContext, *, order: int = 8) -> dict:
     """
     if ctx.params is None:
         raise IharaLabError("phi check needs an LPS graph source")
-    spectral, closed = zeta.phi_series(ctx.g, ctx.params, order, sd=ctx.sd)
+    spectral, closed = zeta.phi_series(ctx.g, ctx.cert, ctx.params, order, ctx.sd)
     diffs = [
         abs(float(a) - float(b)) for a, b in zip(spectral.coeffs, closed.coeffs)
     ]
     metric = max(diffs)
     eps_values = (1e-2, 1e-3, 1e-4)
     g_values = [
-        abs(-e * zeta.phi_closed_point(ctx.g, ctx.params, ctx.sd, 1.0 - e))
+        abs(-e * zeta.phi_closed_point(ctx.g, ctx.cert, ctx.params, ctx.sd, 1.0 - e))
         for e in eps_values
     ]
     ratios = [g_values[i] / g_values[i + 1] for i in range(len(g_values) - 1)]

@@ -5,10 +5,13 @@ reduced-cycle counts, Z(u) = exp(sum_m N_m u^m / m), and equals the
 reciprocal of (1-u^2)^{r-1} det(I - uA + u^2(D-I)) with r the first
 Betti number.  This module computes both sides exactly (the determinant
 as the charpoly of the 2n x 2n Bass matrix mod primes with CRT, or as a
-power-sum series on regular graphs), plus the Eisenstein/cusp split for
-LPS graphs and the generating function phi(t) of normalized cusp
-coefficients by two independent routes (spectral trace data vs. the
-zeta log-derivative closed form).
+power-sum series on regular graphs); verify_ihara_bass compares them.
+For LPS graphs it adds the Eisenstein/cusp split, the normalized cusp
+terms a(p^m)/(2 p^{m/2}), and the generating function phi(t) of those
+terms two ways: as their sum, from the Tr T~_m sweep, and as a closed
+form in the zeta log-derivative Z'/Z = sum N_m u^{m-1}, whose N_m come
+from the N_m sweep.  The closed form does not re-derive N_m from the
+determinant: that the two agree is what the ihara-bass check tests.
 """
 
 from __future__ import annotations
@@ -243,47 +246,64 @@ def cusp_coefficients_range(g_lps: Graph, params: LpsParams, m_max: int) -> list
     ]
 
 
+def normalized_cusp_terms(g_lps: Graph, params: LpsParams, m_max: int) -> list:
+    """[a(p^m)/(2 p^{m/2}) for m = 0..m_max], exact in Q(sqrt p).
+
+    The one place these terms are formed.  Fractions when every term is
+    rational, as on bipartite LPS graphs, where the odd-m terms vanish;
+    SqrtExt values otherwise, because odd-m terms of non-bipartite
+    graphs carry sqrt(p).
+    """
+    amounts = cusp_coefficients_range(g_lps, params, m_max)
+    p = params.p
+    return _rational_if_possible(
+        [SqrtExt.of(p, a) / (2 * half_power(p, m)) for m, a in enumerate(amounts)]
+    )
+
+
+def _rational_if_possible(values: list[SqrtExt]) -> list:
+    """The rational parts as Fractions when every value is rational, else the values."""
+    if all(v.is_rational() for v in values):
+        return [v.rational_part() for v in values]
+    return values
+
+
 def _tempered_count(sd) -> int:
     """l = number of eigenvalues with |lambda| < 2 sqrt(q), with multiplicity."""
     return sum(c.mult for c in sd.principal())
 
 
 def phi_series(
-    g_lps: Graph, params: LpsParams, order: int, sd
+    g_lps: Graph, cert: RegularityCertificate, params: LpsParams, order: int, sd
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The generating function phi(t) = sum a(p^m)/(2 p^{m/2}) t^m, two ways.
 
     Returns (spectral, closed_form) truncated series.  The spectral side
-    sums normalized cusp coefficients.  The closed form is
+    is normalized_cusp_terms, from the Tr T~_m sweep and the Eisenstein
+    coefficients.  The closed form is
 
         phi(t) = (1/(n(1-t^2))) * { l + (t/sqrt p)(Z'/Z)(t/sqrt p)
                                     - (p-1) n t^2/(p - t^2) + t*F(t) }
 
     with F(t) = -2pt/(1-pt^2) - 2p^{-1}t/(1-p^{-1}t^2) in the bipartite
     case and F(t) = -sqrt(p)/(1-sqrt(p)t) - p^{-1/2}/(1-p^{-1/2}t)
-    otherwise, l the number of tempered eigenvalues with multiplicity,
-    and Z'/Z the zeta log-derivative series.  Both sides are computed in
-    Q(sqrt p) exactly; coefficients are returned as exact rationals when
-    the irrational parts vanish (always, for bipartite X^{p,q}) and as
+    otherwise, l the number of tempered eigenvalues of sd with
+    multiplicity, and Z'/Z = sum N_m u^{m-1} with N_m from the exact
+    sweep n_reduced_range (the ihara-bass check tests that these N_m
+    give the determinant form).  Both sides are computed in Q(sqrt p)
+    exactly; coefficients are returned as exact rationals when the
+    irrational parts vanish (always, for bipartite X^{p,q}) and as
     floats otherwise.
     """
     p = params.p
     n = g_lps.n
-    cert = certify_regular(g_lps)
-    # spectral side: a(p^m) / (2 p^{m/2})
-    amounts = cusp_coefficients_range(g_lps, params, order)
-    spectral = [
-        SqrtExt.of(p, amounts[m]) / (2 * half_power(p, m)) for m in range(order + 1)
-    ]
+    spectral = normalized_cusp_terms(g_lps, params, order)
     # closed form: assemble the brace series over Q(sqrt p)
     zero = SqrtExt.of(p, 0)
     braces = [zero for _ in range(order + 1)]
     braces[0] = braces[0] + _tempered_count(sd)
     # (t/sqrt p)(Z'/Z)(t/sqrt p): coefficient of t^m is N_m p^{-m/2}
-    recip = reciprocal_series_regular(g_lps, cert, order)
-    logder = (-recip.derivative()) * recip.inverse()  # sum N_m u^{m-1}
-    for m in range(1, order + 1):
-        nm = logder.coeffs[m - 1]
+    for m, nm in enumerate(n_reduced_range(g_lps, cert, order), start=1):
         if nm:
             braces[m] = braces[m] + SqrtExt.of(p, nm) * half_power(p, -m)
     # -(p-1) n t^2/(p - t^2) = -(p-1) n sum_{j>=1} t^{2j} / p^j
@@ -301,21 +321,11 @@ def phi_series(
         for k in range(1, order + 1):
             braces[k] = braces[k] - (half_power(p, k) + half_power(p, -k))
     # divide by n(1 - t^2): phi_m = (1/n) sum_j braces[m - 2j]
-    closed = []
-    for m in range(order + 1):
-        acc = zero
-        j = m
-        while j >= 0:
-            acc = acc + braces[j]
-            j -= 2
-        closed.append(acc / n)
-    return _sqrtext_series(spectral, order), _sqrtext_series(closed, order)
-
-
-def _sqrtext_series(values: list[SqrtExt], order: int) -> TruncatedSeries:
-    if all(v.is_rational() for v in values):
-        return TruncatedSeries.from_coeffs([v.rational_part() for v in values], order)
-    return TruncatedSeries.from_coeffs([float(v) for v in values], order)
+    closed = [sum(braces[m::-2], zero) / n for m in range(order + 1)]
+    return tuple(  # Fractions stay exact; SqrtExt terms become floats
+        TruncatedSeries.from_coeffs([t if isinstance(t, Fraction) else float(t) for t in c], order)
+        for c in (spectral, _rational_if_possible(closed))
+    )
 
 
 def zeta_log_derivative_point(sd, betti_r: int, u: float) -> float:
@@ -331,11 +341,12 @@ def zeta_log_derivative_point(sd, betti_r: int, u: float) -> float:
     return total
 
 
-def phi_closed_point(g_lps: Graph, params: LpsParams, sd, t: float) -> float:
+def phi_closed_point(
+    g_lps: Graph, cert: RegularityCertificate, params: LpsParams, sd, t: float
+) -> float:
     """Evaluate the closed form of phi at a real point inside the unit disk."""
     p = params.p
     n = g_lps.n
-    cert = certify_regular(g_lps)
     betti_r = g_lps.edge_count - g_lps.n + 1
     rp = p**0.5
     u = t / rp

@@ -18,13 +18,12 @@ from iharalab.graphs import build_graph
 from iharalab.limits import (
     StfTestFunction,
     angle_condition,
-    average_cusp,
     average_cusp_reference,
+    average_cusp_sweep,
     average_nm_sweep,
     cesaro_a,
     cesaro_s,
     huang_range,
-    normalized_cusp_terms,
     stf_verify,
 )
 from iharalab.lps import build_lps, quaternion_generators
@@ -311,12 +310,10 @@ def test_criterion_08_theta_identity(x513):
 def test_criterion_09_cusp_average_band(x135):
     start = time.perf_counter()
     g, params, _, sd = x135
-    terms = normalized_cusp_terms(g, params, 200)
     ref = average_cusp_reference(sd)
     worst_load = 0.0
-    for N in (50, 100, 200):
-        avg, rep = average_cusp(g, params, N, sd, normalized=terms)
-        worst_load = max(worst_load, rep["scaled_average"] / (4.0 * ref))
+    for row in average_cusp_sweep(g, params, sd, (50, 100, 200)):
+        worst_load = max(worst_load, row["scaled_average"] / (4.0 * ref))
     ok = worst_load <= 1.0
     _report(
         9,
@@ -330,14 +327,14 @@ def test_criterion_09_cusp_average_band(x135):
 
 def test_criterion_10_generating_function(x135):
     start = time.perf_counter()
-    g, params, _, sd = x135
+    g, params, cert, sd = x135
     tol = 1e-6
-    spectral, closed = phi_series(g, params, 8, sd=sd)
+    spectral, closed = phi_series(g, cert, params, 8, sd)
     coeff_dev = max(
         abs(float(a) - float(b)) for a, b in zip(spectral.coeffs, closed.coeffs)
     )
     eps_values = (1e-2, 1e-3, 1e-4)
-    g_values = [abs(-e * phi_closed_point(g, params, sd, 1.0 - e)) for e in eps_values]
+    g_values = [abs(-e * phi_closed_point(g, cert, params, sd, 1.0 - e)) for e in eps_values]
     ratios = [g_values[i] / g_values[i + 1] for i in range(2)]
     decay_ok = all(6.0 <= r <= 14.0 for r in ratios)
     ok = coeff_dev <= tol and decay_ok

@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iharalab import limits, zeta
 from iharalab.chebyshev import central_binomial_weight
 from iharalab.errors import AngleConditionViolated, NotRamanujan
 from iharalab.graphs import build_graph, certify_regular
 from iharalab.limits import (
     StfTestFunction,
     angle_condition,
-    average_cusp,
+    average_cusp_reference,
+    average_cusp_sweep,
     average_nm,
     average_nm_reference,
     average_nm_sweep,
@@ -276,33 +278,62 @@ def test_average_nm_sweep_shares_reference(corpus, spectra):
 
 
 def test_normalized_terms_match_phi(x135):
-    g, params, _, sd = x135
-    spectral, _ = phi_series(g, params, 8, sd=sd)
+    g, params, cert, sd = x135
+    spectral, _ = phi_series(g, cert, params, 8, sd)
     assert normalized_cusp_terms(g, params, 8) == list(spectral.coeffs)
+
+
+def test_normalized_terms_resolve_from_limits():
+    assert limits.normalized_cusp_terms is zeta.normalized_cusp_terms
 
 
 def test_average_cusp_degenerate_horizon(x135):
     g, params, _, sd = x135
-    avg, report = average_cusp(g, params, 1, sd)
-    assert avg == 0.0  # a(13) vanishes on a bipartite graph
-    assert report["scaled_average"] == 0.0
-    assert report["reference_constant"] > 0.0
+    (row,) = average_cusp_sweep(g, params, sd, [1])
+    assert row["average"] == 0.0  # a(13) vanishes on a bipartite graph
+    assert row["scaled_average"] == 0.0
+    assert row["reference_constant"] > 0.0
 
 
 def test_average_cusp_band(x135):
     g, params, _, sd = x135
-    terms = normalized_cusp_terms(g, params, 200)
-    for N in (50, 100, 200):
-        avg, report = average_cusp(g, params, N, sd, normalized=terms)
-        assert report["scaled_average"] <= 4.0 * report["reference_constant"], N
-        assert report["max_term"] <= cusp_term_bound(sd) + 1e-12
+    for row in average_cusp_sweep(g, params, sd, (50, 100, 200)):
+        assert row["scaled_average"] <= 4.0 * row["reference_constant"], row["N"]
+        assert row["max_term"] <= cusp_term_bound(sd) + 1e-12
 
 
 def test_average_cusp_matches_hand_sum(x135):
     g, params, _, sd = x135
     terms = normalized_cusp_terms(g, params, 6)
-    avg, _ = average_cusp(g, params, 6, sd, normalized=terms)
-    assert avg == float(sum(terms[1:7], Fraction(0))) / 6
+    (row,) = average_cusp_sweep(g, params, sd, [6])
+    assert row["average"] == float(sum(terms[1:7], Fraction(0))) / 6
+
+
+def per_horizon_rows(terms, sd, horizons):
+    """Reference: each horizon's average and report formed on its own, term list sliced to N."""
+    rows = []
+    for N in horizons:
+        average = float(sum(terms[1 : N + 1], Fraction(0))) / N
+        rows.append(
+            {
+                "N": N,
+                "average": average,
+                "scaled_average": abs(average) * N,
+                "reference_constant": average_cusp_reference(sd),
+                "term_bound": cusp_term_bound(sd),
+                "max_term": max(abs(float(t)) for t in terms[1 : N + 1]),
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("p, q", [(13, 5), (29, 5)])
+def test_average_cusp_sweep_matches_per_horizon_rows(p, q):
+    g, params = build_lps(p, q)
+    sd = eigendecompose(g, certify_regular(g))
+    horizons = (10, 20, 50, 100, 200, 7)  # the sweep keeps the order it is given
+    want = per_horizon_rows(normalized_cusp_terms(g, params, 200), sd, horizons)
+    assert average_cusp_sweep(g, params, sd, horizons) == want
 
 
 def test_normalized_terms_exact_on_non_bipartite():
@@ -315,10 +346,10 @@ def test_normalized_terms_exact_on_non_bipartite():
     amounts = cusp_coefficients_range(g, params, 50)
     assert all(t * 2 * half_power(29, m) == a for m, (t, a) in enumerate(zip(terms, amounts)))
     sd = eigendecompose(g, cert)
-    avg, report = average_cusp(g, params, 50, sd, normalized=terms)
-    assert avg == float(sum(terms[1:51], Fraction(0))) / 50
-    assert report["scaled_average"] <= 4.0 * report["reference_constant"]
-    assert report["max_term"] <= cusp_term_bound(sd) + 1e-12
+    (row,) = average_cusp_sweep(g, params, sd, [50])
+    assert row["average"] == float(sum(terms[1:51], Fraction(0))) / 50
+    assert row["scaled_average"] <= 4.0 * row["reference_constant"]
+    assert row["max_term"] <= cusp_term_bound(sd) + 1e-12
 
 
 # ---------------------------------------------------------------------------

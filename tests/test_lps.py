@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iharalab.errors import InvalidPrime, NoSquareRoot
+from iharalab import lps
+from iharalab.errors import DisconnectedGraph, GroupSizeMismatch, InvalidPrime, NoSquareRoot
 from iharalab.graphs import certify_regular
 from iharalab.lps import (
     build_lps,
     canonical_form,
     cayley_cosets,
+    connection_set,
     group_elements,
     is_prime,
     legendre_symbol,
@@ -203,6 +205,58 @@ def test_x135_spectrum_symmetric(x135):
     _, _, _, sd = x135
     values = sorted(round(c.value, 6) for c in sd.clusters for _ in range(c.mult))
     assert values == sorted(-v for v in values)
+
+
+def product_loop_neighbours(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Reference: each vertex's neighbours s v, one canonical_form(mat_mul(s, v)) at a time."""
+    params = lps_params(p, q)
+    vertices = list(map(tuple, group_elements(q, params.group_kind).tolist()))
+    index = {v: i for i, v in enumerate(vertices)}
+    gens = connection_set(params)
+    return tuple(
+        tuple(sorted(index[canonical_form(mat_mul(s, v, q), q)] for s in gens)) for v in vertices
+    )
+
+
+@pytest.mark.parametrize("p, q", [(13, 5), (17, 5), (29, 5), (17, 13), (5, 13)])
+def test_build_lps_matches_the_product_loop(p, q):
+    g, _ = build_lps(p, q)
+    assert g.neighbors == product_loop_neighbours(p, q)
+    assert g.vertex_transitive_hint
+    assert all(isinstance(w, int) for w in g.neighbors[0])
+
+
+def _with_connection_set(monkeypatch, edit):
+    real = lps.connection_set
+    monkeypatch.setattr(lps, "connection_set", lambda params: edit(real(params)))
+
+
+def test_build_lps_rejects_a_fixed_point(monkeypatch):
+    _with_connection_set(monkeypatch, lambda gens: [(1, 0, 0, 1), *gens[1:]])
+    with pytest.raises(GroupSizeMismatch, match="fixed point"):
+        build_lps(13, 5)
+
+
+def test_build_lps_rejects_a_set_not_closed_under_inverses(monkeypatch):
+    # replace one generator by its square, whose inverse is not in the set
+    _with_connection_set(
+        monkeypatch, lambda gens: [canonical_form(mat_mul(gens[0], gens[0], 5), 5), *gens[1:]]
+    )
+    with pytest.raises(GroupSizeMismatch, match="inverses"):
+        build_lps(13, 5)
+
+
+def test_build_lps_rejects_a_disconnected_graph(monkeypatch):
+    # p+1 copies of one generator and its inverse: inverse-closed, but the
+    # cyclic subgroup they generate is far smaller than the group
+    def copies(gens):
+        s = gens[0]
+        inv = next(t for t in gens if canonical_form(mat_mul(s, t, 5), 5) == (1, 0, 0, 1))
+        return [s, inv] * (len(gens) // 2)
+
+    _with_connection_set(monkeypatch, copies)
+    with pytest.raises(DisconnectedGraph):
+        build_lps(13, 5)
 
 
 def test_build_psl_case():

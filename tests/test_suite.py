@@ -4,12 +4,14 @@ import builtins
 import dataclasses
 import json
 import random
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iharalab import limits, lps, nbt, suite
+from iharalab import graphs, limits, lps, nbt, suite, zeta
 from iharalab.errors import ParseError
 from iharalab.cli import main
 from iharalab.graphs import build_graph, load_graph, named_graph, save_graph
@@ -479,6 +481,64 @@ def test_lps_source_cusp_and_phi(tmp_path):
     assert by_name["cusp"].status == "pass"
     payload = json.loads(emit.read_text())
     assert [row["check"] for row in payload["results"]] == ["cusp", "phi"]
+
+
+def _count_calls_everywhere(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call to module.name, under each iharalab name bound to it."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("iharalab.")]:
+        for attr, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("p, q", [(13, 5), (17, 13)])
+def test_phi_check_takes_no_full_matrix_step_on_lps_sources(p, q, monkeypatch):
+    ctx = SuiteContext(*lps.build_lps(p, q))
+    ctx.sd  # the context's certificate and spectrum, shared by every check
+    steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
+    certs = _count_calls_everywhere(monkeypatch, graphs, "certify_regular")
+    cfg = VerificationSuiteConfig(source_kind="lps", p=p, q=q, checks=("phi",))
+    res = run_check("phi", ctx, cfg)
+    assert (res.status, res.metric) == ("pass", 0.0)
+    assert steps == []
+    assert len(certs) <= 1
+
+
+def test_phi_check_on_a_relabeled_lps_file(tmp_path, x135):
+    g = x135[0]
+    perm = list(range(g.n))
+    random.Random(8102).shuffle(perm)
+    edges = [sorted((perm[i], perm[j])) for i in range(g.n) for j in g.neighbors[i] if i < j]
+    ctx = _rewritten_x135(tmp_path, x135, edges)
+    cfg = VerificationSuiteConfig(source_kind="file", source="x135_rewritten.json", checks=("phi",))
+    res = run_check("phi", ctx, cfg)
+    assert (res.status, res.metric) == ("pass", 0.0)
+
+
+@pytest.mark.parametrize("p, q", [(13, 5), (29, 5)])
+def test_cusp_check_forms_the_terms_once(p, q, monkeypatch):
+    ctx = SuiteContext(*lps.build_lps(p, q))
+    horizons = suite.DEFAULT_HORIZONS["cusp"]
+    terms = zeta.normalized_cusp_terms(ctx.g, ctx.params, max(horizons))
+    ref = limits.average_cusp_reference(ctx.sd)
+    want = []
+    for N in horizons:
+        average = float(sum(terms[1 : N + 1], Fraction(0))) / N
+        want.append({"N": N, "average": average, "scaled_average": abs(average) * N})
+    calls = _count_calls_everywhere(monkeypatch, zeta, "normalized_cusp_terms")
+    cfg = VerificationSuiteConfig(source_kind="lps", p=p, q=q, checks=("cusp",))
+    res = run_check("cusp", ctx, cfg)
+    assert [args[2] for args in calls] == [max(horizons)]
+    assert res.detail == {"rows": want, "reference_constant": ref}
+    assert res.metric == max(r["scaled_average"] for r in want) / (suite.BAND_FACTOR * ref)
 
 
 def test_cusp_check_passes_on_non_bipartite_lps():

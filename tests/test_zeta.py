@@ -22,9 +22,10 @@ import iharalab
 from iharalab import zeta
 from iharalab.errors import DepthExceeded, InvalidPrime
 from iharalab.graphs import Graph, build_graph, named_graph
-from iharalab.lps import is_prime
+from iharalab.lps import build_lps, is_prime
 from iharalab.nbt import f_values, n_reduced_range
 from iharalab.series import TruncatedSeries
+from iharalab.suite import SuiteContext
 from iharalab.zeta import (
     cusp_coefficients_range,
     det_series_regular,
@@ -412,24 +413,46 @@ def test_theta_identity_x135(x135):
 
 
 def test_phi_routes_agree_exactly(x135):
-    g, params, _, sd = x135
-    spectral, closed = phi_series(g, params, 10, sd=sd)
+    g, params, cert, sd = x135
+    spectral, closed = phi_series(g, cert, params, 10, sd)
     assert spectral.coeffs == closed.coeffs
 
 
 def test_phi_constant_term(x135):
-    g, params, _, sd = x135
-    spectral, _ = phi_series(g, params, 4, sd=sd)
+    g, params, cert, sd = x135
+    spectral, _ = phi_series(g, cert, params, 4, sd)
     l = sum(c.mult for c in sd.principal())
     assert spectral.coeffs[0] == Fraction(l, g.n)
 
 
 def test_phi_odd_coefficients_vanish(x135):
-    g, params, _, sd = x135
-    spectral, closed = phi_series(g, params, 9, sd=sd)
+    g, params, cert, sd = x135
+    spectral, closed = phi_series(g, cert, params, 9, sd)
     for m in (1, 3, 5, 7, 9):
         assert spectral.coeffs[m] == 0
         assert closed.coeffs[m] == 0
+
+
+def determinant_counts(g, cert, order: int) -> list:
+    """Reference N_1..N_order: Z'/Z = -R'/R = sum N_m u^{m-1} for R = reciprocal_series_regular."""
+    recip = reciprocal_series_regular(g, cert, order)
+    logder = (-recip.derivative()) * recip.inverse()
+    return list(logder.coeffs[:order])
+
+
+@pytest.mark.parametrize("p, q", [(13, 5), (17, 5), (29, 5), (17, 13)])
+def test_phi_closed_form_matches_the_determinant_counts(p, q, monkeypatch):
+    ctx = SuiteContext(*build_lps(p, q))
+    g, cert, params, sd = ctx.g, ctx.cert, ctx.params, ctx.sd
+    want = determinant_counts(g, cert, 8)
+    assert want == n_reduced_range(g, cert, 8)
+    spectral, closed = phi_series(g, cert, params, 8, sd)
+    monkeypatch.setattr(zeta, "n_reduced_range", lambda *args: want)
+    ref_spectral, ref_closed = phi_series(g, cert, params, 8, sd)
+    assert closed.coeffs == ref_closed.coeffs
+    assert spectral.coeffs == ref_spectral.coeffs
+    kind = Fraction if cert.bipartite else float
+    assert all(type(c) is kind for c in spectral.coeffs + closed.coeffs)
 
 
 def test_zeta_series_mode_exact(corpus):
