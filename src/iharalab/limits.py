@@ -32,7 +32,7 @@ from scipy.integrate import quad
 from .chebyshev import central_binomial_weight, cos_power_as_cosines
 from .errors import AngleConditionViolated, NotRamanujan, QuadratureFailure
 from .graphs import Graph, RegularityCertificate
-from .nbt import cheb_t_real, n_reduced_range
+from .nbt import TraceSweep, cheb_t_real, n_reduced_range
 from .qext import SqrtExt, half_power
 from .zeta import normalized_cusp_terms
 
@@ -294,11 +294,16 @@ def average_nm(
 
 
 def average_nm_sweep(
-    g: Graph, cert: RegularityCertificate, sd, horizons: Sequence[int]
+    g: Graph,
+    cert: RegularityCertificate,
+    sd,
+    horizons: Sequence[int],
+    *,
+    sweep: TraceSweep | None = None,
 ) -> list[AverageNmReport]:
-    """average_nm at several horizons off one exact N_m sweep."""
+    """average_nm at several horizons off one exact N_m sweep (sweep, or a fresh one when None)."""
     ns = _validate_horizons(horizons)
-    counts = n_reduced_range(g, cert, ns[-1])
+    counts = n_reduced_range(g, cert, ns[-1], sweep=sweep)
     return [average_nm(g, cert, sd, N, counts=counts) for N in ns]
 
 
@@ -323,16 +328,19 @@ def average_cusp_reference(sd) -> float:
     return total / sd.n
 
 
-def average_cusp_sweep(g_lps: Graph, params, sd, horizons: Sequence[int]) -> list[dict]:
+def average_cusp_sweep(
+    g_lps: Graph, params, sd, horizons: Sequence[int], *, sweep: TraceSweep | None = None
+) -> list[dict]:
     """Average of a(p^m)/(2 p^{m/2}) over m <= N at each horizon N, with its rate bound.
 
-    One normalized_cusp_terms call, to the largest horizon, serves every
-    row, and each sum is exact.  A row carries N, the average,
+    One normalized_cusp_terms call, to the largest horizon and from
+    sweep (a fresh one when None), serves every row, and each sum is
+    exact.  A row carries N, the average,
     |average| * N (scaled_average), the reference constant the
     partial-sum bound gives for it, the spectral term bound and the
     largest |term| up to N.
     """
-    normalized = normalized_cusp_terms(g_lps, params, max(horizons))
+    normalized = normalized_cusp_terms(g_lps, params, max(horizons), sweep=sweep)
     reference, bound = average_cusp_reference(sd), cusp_term_bound(sd)
     rows = []
     for N in horizons:
@@ -441,8 +449,10 @@ def stf_verify(
 # Huang's positivity sequence
 
 
-def huang_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[float]:
-    """[h_1..h_{m_max}] from the exact branch formulas.
+def huang_range(
+    g: Graph, cert: RegularityCertificate, m_max: int, *, sweep: TraceSweep | None = None
+) -> list[float]:
+    """[h_1..h_{m_max}] from the exact branch formulas, with N_m from sweep (a fresh one when None).
 
     Non-bipartite: h_m = 2(n-1) + n e_m (q-1)/q^{m/2}
                          + (q^{m/2} + q^{-m/2}) - N_m/q^{m/2}.
@@ -456,7 +466,7 @@ def huang_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[float
         raise ValueError("m_max must be at least 1")
     q = cert.q
     n = g.n
-    counts = n_reduced_range(g, cert, m_max)
+    counts = n_reduced_range(g, cert, m_max, sweep=sweep)
     out = []
     for m in range(1, m_max + 1):
         e_m = 1 if m % 2 == 0 else 0

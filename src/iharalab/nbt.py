@@ -22,19 +22,24 @@ The trace sweeps use the product identity B_a B_b = B_{a+b} + q^b B_{a-b}
 (a >= b) and the symmetry of B_k: Tr B_m for all m <= M comes from inner
 products of B_0..B_{ceil(M/2)}, which costs ceil(M/2) - 1 matrix steps and
 O(n^2) memory.  Then N_m = Tr B_m + e_m(q-1)n and Tr T~_m = Tr B_m +
-q Tr T~_{m-2}.  A_m, M_m and T~_m as matrices still come from the A_m
-recurrence.  Both families are integer polynomials in A whose
-coefficients depend only on q, so M_m = B_m + e_m(q-1)I holds for every
-graph iff it holds in Z[x]; m_and_b_polynomials runs the recurrences
-there, and check_chebyshev compares them once instead of on n x n
-matrices.
+q Tr T~_{m-2}.  The sweep is a generator that takes each step only when
+it is resumed for the next odd index; TraceSweep keeps one such stream
+and the traces it has yielded, so callers that share it (the checks of
+one suite context, through the sweep= argument of n_reduced_range and
+t_tilde_traces) pay for the longest prefix once.  A_m, M_m and T~_m as
+matrices still come from the A_m recurrence.  Both families are
+integer polynomials in A whose coefficients depend only on q, so
+M_m = B_m + e_m(q-1)I holds for every graph iff it holds in Z[x];
+m_and_b_polynomials runs the recurrences there, and check_chebyshev
+compares them once instead of on n x n matrices.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -208,20 +213,20 @@ def m_and_b_polynomials(q: int, m_max: int) -> tuple[list[list[int]], list[list[
 # scalar sweeps: N_m, f_m, trace families
 
 
-def _b_traces(g: Graph, q: int, m_max: int, v: int | None = None) -> list[int]:
-    """[Tr B_0..Tr B_{m_max}], or the diagonal entries (B_m)_vv for a vertex v.
+def _b_trace_stream(g: Graph, q: int, v: int | None = None) -> Iterator[int]:
+    """Tr B_0, Tr B_1, ... without end, or the diagonal entries (B_m)_vv for a vertex v.
 
     B_a B_b = B_{a+b} + q^b B_{a-b} for a >= b, and every B_k is
     symmetric, so
         Tr B_{2k}   = <B_k, B_k> - 2n q^k,
         Tr B_{2k+1} = <B_{k+1}, B_k> - q^k Tr A.
-    The sweep stops at B_{ceil(m_max/2)}: ceil(m_max/2) - 1 kernel steps,
-    holding three matrices at a time.  With a vertex v it runs on the
-    rows r_k = e_v^T B_k, where (B_{2k})_vv = <r_k, r_k> - 2q^k.  At
-    q = 0 the recurrence gives B_m = A^m for m >= 1.
+    The stream holds three matrices at a time and takes the kernel step
+    to B_{k+1} only when it is resumed for Tr B_{2k+1}, so a consumer
+    that stops after Tr B_m has paid ceil(m/2) - 1 steps.  With a vertex
+    v it runs on the rows r_k = e_v^T B_k, where
+    (B_{2k})_vv = <r_k, r_k> - 2q^k.  At q = 0 the recurrence gives
+    B_m = A^m for m >= 1.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
     if v is None:
         step, dot, size = _mul_adj, _frobenius, g.n
         prev, cur = _identity_rows(g.n, 2), _adjacency_rows(g)
@@ -231,17 +236,68 @@ def _b_traces(g: Graph, q: int, m_max: int, v: int | None = None) -> list[int]:
         prev, cur = [0] * g.n, _adjacency_row(g.n, g.neighbors[v])
         prev[v] = 2
         tr_a = g.neighbors[v].count(v)
-    out = [2 * size]
+    yield 2 * size
     qk = 1  # q^k while prev = B_k and cur = B_{k+1}
-    for m in range(1, m_max + 1):
-        if m % 2:
-            out.append(dot(cur, prev) - qk * tr_a)
-            qk *= q
-        else:
-            out.append(dot(cur, cur) - 2 * size * qk)
-            if m < m_max:
-                prev, cur = cur, step(cur, prev, q, g.neighbors)
-    return out
+    while True:
+        yield dot(cur, prev) - qk * tr_a
+        qk *= q
+        yield dot(cur, cur) - 2 * size * qk
+        prev, cur = cur, step(cur, prev, q, g.neighbors)
+
+
+def _b_traces(g: Graph, q: int, m_max: int, v: int | None = None) -> list[int]:
+    """[Tr B_0..Tr B_{m_max}], or [(B_0)_vv..(B_{m_max})_vv]: the stream's first m_max + 1 items."""
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
+    return list(islice(_b_trace_stream(g, q, v), m_max + 1))
+
+
+def _resolve_method(g: Graph, method: str) -> str:
+    if method == "auto":
+        return "row" if g.vertex_transitive_hint else "full"
+    if method not in ("row", "full"):
+        raise ValueError(f"unknown method {method!r}")
+    return method
+
+
+class TraceSweep:
+    """One resumable sweep of Tr B_0, Tr B_1, ... on a (q+1)-regular graph.
+
+    prefix(m) hands out [Tr B_0..Tr B_m].  It resumes the stream only
+    past the longest prefix handed out so far, so any order of requests
+    costs the kernel steps of the largest one.  method "full" traces the
+    matrix recurrence; "row" sweeps row 0 and yields n (B_m)_00, which is
+    exact on vertex-transitive graphs; "auto" picks "row" exactly when
+    the graph carries the vertex-transitivity hint.  The sweep holds its
+    last two matrices until it is dropped.
+    """
+
+    def __init__(self, g: Graph, q: int, method: str = "auto"):
+        self.g = g
+        self.q = q
+        row = _resolve_method(g, method) == "row"
+        self._scale = g.n if row else 1
+        self._stream = _b_trace_stream(g, q, 0 if row else None)
+        self._traces: list[int] = []
+
+    def prefix(self, m_max: int) -> list[int]:
+        if m_max < 0:
+            raise ValueError("m_max must be nonnegative")
+        more = m_max + 1 - len(self._traces)
+        if more > 0:
+            self._traces.extend(self._scale * b for b in islice(self._stream, more))
+        return self._traces[: m_max + 1]
+
+
+def _sweep_for(g: Graph, q: int, method: str, sweep: TraceSweep | None) -> TraceSweep:
+    """sweep, or a fresh one on method's route when it is None."""
+    if sweep is None:
+        return TraceSweep(g, q, method)
+    if method != "auto":
+        raise ValueError("a given sweep carries its own route; pass method or sweep, not both")
+    if sweep.g is not g or sweep.q != q:
+        raise ValueError("the sweep belongs to another graph or degree")
+    return sweep
 
 
 def _theta_from_b(bs: Sequence[int], q: int, t0: int) -> list[int]:
@@ -263,42 +319,35 @@ def f_values(g: Graph, cert: RegularityCertificate, m_max: int, v: int = 0) -> l
     return [t - (theta[m - 2] if m >= 2 else 0) for m, t in enumerate(theta)]
 
 
-def _resolve_method(g: Graph, method: str) -> str:
-    if method == "auto":
-        return "row" if g.vertex_transitive_hint else "full"
-    if method not in ("row", "full"):
-        raise ValueError(f"unknown method {method!r}")
-    return method
-
-
-def _traces_by_method(g: Graph, q: int, m_max: int, method: str) -> list[int]:
-    """[Tr B_0..Tr B_{m_max}]; "row" takes n (B_m)_00, exact on vertex-transitive graphs."""
-    if _resolve_method(g, method) == "row":
-        return [g.n * b for b in _b_traces(g, q, m_max, 0)]
-    return _b_traces(g, q, m_max)
-
-
 def n_reduced_range(
-    g: Graph, cert: RegularityCertificate, m_max: int, *, method: str = "auto"
+    g: Graph,
+    cert: RegularityCertificate,
+    m_max: int,
+    *,
+    method: str = "auto",
+    sweep: TraceSweep | None = None,
 ) -> list[int]:
     """Exact [N_1..N_{m_max}], from N_m = Tr B_m + e_m (q-1) n.
 
-    method "full" traces the matrix recurrence; "row" uses a single-row
-    sweep and multiplies by n, which is valid on vertex-transitive
-    graphs (all constructors that set the hint).  "auto" picks "row"
-    exactly when the graph carries the vertex-transitivity hint; the
-    test suite pins the two routes against each other.
+    The traces come from sweep, or from a fresh TraceSweep on method's
+    route when sweep is None; the test suite pins the "row" and "full"
+    routes against each other.
     """
     q = cert.q
-    bs = _traces_by_method(g, q, m_max, method)
+    bs = _sweep_for(g, q, method, sweep).prefix(m_max)
     return [bs[m] + (1 - m % 2) * (q - 1) * g.n for m in range(1, m_max + 1)]
 
 
 def t_tilde_traces(
-    g: Graph, cert: RegularityCertificate, m_max: int, *, method: str = "auto"
+    g: Graph,
+    cert: RegularityCertificate,
+    m_max: int,
+    *,
+    method: str = "auto",
+    sweep: TraceSweep | None = None,
 ) -> list[int]:
-    """Exact [Tr(T~_0)..Tr(T~_{m_max})]."""
-    bs = _traces_by_method(g, cert.q, m_max, method)
+    """Exact [Tr(T~_0)..Tr(T~_{m_max})], from sweep as in n_reduced_range."""
+    bs = _sweep_for(g, cert.q, method, sweep).prefix(m_max)
     return _theta_from_b(bs, cert.q, g.n)
 
 

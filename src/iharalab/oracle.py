@@ -105,7 +105,8 @@ def count_reduced_walks_all(
     the identity).  Each non-backtracking walk is enumerated
     once, from its origin through its first arc; it is a reduced cycle
     when it ends at its origin and its last arc is not the inverse of
-    its first.
+    its first.  The walks of length m_max are counted one by one in the
+    loop of their length m_max - 1 prefix rather than in a call each.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -119,15 +120,24 @@ def count_reduced_walks_all(
     terminus = [t for _, t in al.arcs]
     # the arcs that may follow arc a: out of its terminus, except its inverse
     follow = [[b for b in al.out[t] if b != al.inverse[a]] for a, t in enumerate(terminus)]
+    follow_ends = [[terminus[b] for b in arcs] for arcs in follow]
 
     def walk(rows: list[list[int]], src: int, first_inv: int, cur: int, depth: int) -> None:
         here = terminus[cur]
         rows[depth][here] += 1
         if here == src and cur != first_inv:
             totals[depth] += 1
-        if depth < m_max:
+        if depth < m_max - 1:
             for nxt in follow[cur]:
                 walk(rows, src, first_inv, nxt, depth + 1)
+        elif depth < m_max:
+            last = rows[m_max]
+            closed = 0
+            for nxt, there in zip(follow[cur], follow_ends[cur]):
+                last[there] += 1
+                if there == src and nxt != first_inv:
+                    closed += 1
+            totals[m_max] += closed
 
     for src in range(g.n):
         rows = [mat[src] for mat in mats]  # row src of every mats[depth]

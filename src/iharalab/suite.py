@@ -184,13 +184,18 @@ def validate_checks(checks) -> tuple[str, ...]:
 
 
 class SuiteContext:
-    """Graph plus lazily computed certificate and spectral data.
+    """Graph plus lazily computed certificate, spectral data and trace sweep.
 
     The spectral data comes from the coset-block route when the graph
     is exactly build_lps's X^{p,q} for params (lps.cayley_cosets
     rebuilds it, so a relabeled or rewired file that carries an lps
     record does not qualify), and from the dense eigendecompose
-    otherwise.
+    otherwise.  The sweep is the context's one nbt.TraceSweep on the
+    "auto" route: chebyshev, average-nm, stf, cusp, phi and huang read
+    their Tr B_m, N_m and Tr T~_m from its prefixes, so a pass takes the
+    kernel steps of the longest request once.  It lives and dies with
+    the context; nothing of it is cached on the graph or the
+    certificate.
     """
 
     def __init__(self, g: Graph, params: lps.LpsParams | None = None, label: str = ""):
@@ -199,6 +204,7 @@ class SuiteContext:
         self.label = label
         self._cert = None
         self._sd = None
+        self._sweep = None
 
     @property
     def cert(self):
@@ -215,6 +221,12 @@ class SuiteContext:
             else:
                 self._sd = block_decompose(self.g, self.cert, cosets)
         return self._sd
+
+    @property
+    def sweep(self) -> nbt.TraceSweep:
+        if self._sweep is None:
+            self._sweep = nbt.TraceSweep(self.g, self.cert.q)
+        return self._sweep
 
 
 def resolve_source(config: VerificationSuiteConfig) -> SuiteContext:
@@ -314,7 +326,7 @@ def _trace_route_metric(ctx: SuiteContext, m_max: int) -> float:
     cluster lies outside [-2 sqrt q, 2 sqrt q] and that sum is larger.
     """
     q, n, sd = ctx.cert.q, ctx.g.n, ctx.sd
-    traces = nbt._traces_by_method(ctx.g, q, m_max, "auto")
+    traces = ctx.sweep.prefix(m_max)
     trivial = {q + 1, -(q + 1)} if ctx.cert.bipartite else {q + 1}
     root = 2.0 * math.sqrt(q)
     worst = 0.0
@@ -478,7 +490,7 @@ def check_average_nm(
     ctx: SuiteContext, *, horizons: tuple[int, ...] = DEFAULT_HORIZONS["average-nm"]
 ) -> dict:
     """(1/N) sum N_m q^{-m/2} against the corollary's main terms."""
-    reports = limits.average_nm_sweep(ctx.g, ctx.cert, ctx.sd, horizons)
+    reports = limits.average_nm_sweep(ctx.g, ctx.cert, ctx.sd, horizons, sweep=ctx.sweep)
     ref = reports[0].reference_constant
     worst = max(abs(r.scaled_residual) for r in reports) / (BAND_FACTOR * ref)
     return {
@@ -493,7 +505,7 @@ def check_average_nm(
 
 def check_stf(ctx: SuiteContext, *, m0_max: int = 12) -> dict:
     """Trace formula for all single-frequency test functions and the constant."""
-    counts = nbt.n_reduced_range(ctx.g, ctx.cert, m0_max)
+    counts = nbt.n_reduced_range(ctx.g, ctx.cert, m0_max, sweep=ctx.sweep)
     worst = 0.0
     rows = []
     for m0 in range(0, m0_max + 1):
@@ -510,7 +522,7 @@ def check_cusp(
     """Averaged normalized cusp coefficients stay O(1/N)."""
     if ctx.params is None:
         raise IharaLabError("cusp check needs an LPS graph source")
-    rows = limits.average_cusp_sweep(ctx.g, ctx.params, ctx.sd, horizons)
+    rows = limits.average_cusp_sweep(ctx.g, ctx.params, ctx.sd, horizons, sweep=ctx.sweep)
     ref = rows[0]["reference_constant"]  # the same at every horizon
     worst = max([0.0] + [r["scaled_average"] / (BAND_FACTOR * ref) for r in rows])
     return {
@@ -530,7 +542,7 @@ def check_phi(ctx: SuiteContext, *, order: int = 8) -> dict:
     """
     if ctx.params is None:
         raise IharaLabError("phi check needs an LPS graph source")
-    spectral, closed = zeta.phi_series(ctx.g, ctx.cert, ctx.params, order, ctx.sd)
+    spectral, closed = zeta.phi_series(ctx.g, ctx.cert, ctx.params, order, ctx.sd, sweep=ctx.sweep)
     diffs = [
         abs(float(a) - float(b)) for a, b in zip(spectral.coeffs, closed.coeffs)
     ]
@@ -558,7 +570,7 @@ def check_phi(ctx: SuiteContext, *, order: int = 8) -> dict:
 
 def check_huang(ctx: SuiteContext, *, m_max: int = 30) -> dict:
     """h_m >= 0 at even m; metric is the worst violation."""
-    values = limits.huang_range(ctx.g, ctx.cert, m_max)
+    values = limits.huang_range(ctx.g, ctx.cert, m_max, sweep=ctx.sweep)
     worst = 0.0
     for m in range(2, m_max + 1, 2):
         worst = max(worst, -min(0.0, values[m - 1]))

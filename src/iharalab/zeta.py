@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DepthExceeded, InvalidPrime, NotRegular
 from .graphs import Graph, RegularityCertificate, _edges_canonical, certify_regular
 from .lps import LpsParams, is_prime, legendre_symbol
-from .nbt import adjacency_power_traces, n_reduced_range, t_tilde_traces
+from .nbt import TraceSweep, adjacency_power_traces, n_reduced_range, t_tilde_traces
 from .oracle import count_reduced_cycles_all
 from .qext import SqrtExt, half_power
 from .series import TruncatedSeries, binomial_one_minus_u2
@@ -236,25 +236,30 @@ def eisenstein_C(p: int, q: int, m: int) -> Fraction:
     return first * Fraction(4, q * (q * q - 1)) * geom
 
 
-def cusp_coefficients_range(g_lps: Graph, params: LpsParams, m_max: int) -> list[Fraction]:
-    """[a(p^0), ..., a(p^{m_max})] in one trace sweep."""
+def cusp_coefficients_range(
+    g_lps: Graph, params: LpsParams, m_max: int, *, sweep: TraceSweep | None = None
+) -> list[Fraction]:
+    """[a(p^0), ..., a(p^{m_max})] from one trace sweep: sweep, or a fresh one when None."""
     cert = certify_regular(g_lps)
-    tts = t_tilde_traces(g_lps, cert, m_max)
+    tts = t_tilde_traces(g_lps, cert, m_max, sweep=sweep)
     return [
         Fraction(2 * tts[m], g_lps.n) - eisenstein_C(params.p, params.q, m)
         for m in range(m_max + 1)
     ]
 
 
-def normalized_cusp_terms(g_lps: Graph, params: LpsParams, m_max: int) -> list:
+def normalized_cusp_terms(
+    g_lps: Graph, params: LpsParams, m_max: int, *, sweep: TraceSweep | None = None
+) -> list:
     """[a(p^m)/(2 p^{m/2}) for m = 0..m_max], exact in Q(sqrt p).
 
-    The one place these terms are formed.  Fractions when every term is
+    The one place these terms are formed, from the traces of sweep (a
+    fresh one when None).  Fractions when every term is
     rational, as on bipartite LPS graphs, where the odd-m terms vanish;
     SqrtExt values otherwise, because odd-m terms of non-bipartite
     graphs carry sqrt(p).
     """
-    amounts = cusp_coefficients_range(g_lps, params, m_max)
+    amounts = cusp_coefficients_range(g_lps, params, m_max, sweep=sweep)
     p = params.p
     return _rational_if_possible(
         [SqrtExt.of(p, a) / (2 * half_power(p, m)) for m, a in enumerate(amounts)]
@@ -274,7 +279,13 @@ def _tempered_count(sd) -> int:
 
 
 def phi_series(
-    g_lps: Graph, cert: RegularityCertificate, params: LpsParams, order: int, sd
+    g_lps: Graph,
+    cert: RegularityCertificate,
+    params: LpsParams,
+    order: int,
+    sd,
+    *,
+    sweep: TraceSweep | None = None,
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The generating function phi(t) = sum a(p^m)/(2 p^{m/2}) t^m, two ways.
 
@@ -290,20 +301,23 @@ def phi_series(
     otherwise, l the number of tempered eigenvalues of sd with
     multiplicity, and Z'/Z = sum N_m u^{m-1} with N_m from the exact
     sweep n_reduced_range (the ihara-bass check tests that these N_m
-    give the determinant form).  Both sides are computed in Q(sqrt p)
+    give the determinant form).  Both read one Tr B_m sweep: sweep, or
+    a fresh one when None.  Both sides are computed in Q(sqrt p)
     exactly; coefficients are returned as exact rationals when the
     irrational parts vanish (always, for bipartite X^{p,q}) and as
     floats otherwise.
     """
     p = params.p
     n = g_lps.n
-    spectral = normalized_cusp_terms(g_lps, params, order)
+    if sweep is None:
+        sweep = TraceSweep(g_lps, cert.q)
+    spectral = normalized_cusp_terms(g_lps, params, order, sweep=sweep)
     # closed form: assemble the brace series over Q(sqrt p)
     zero = SqrtExt.of(p, 0)
     braces = [zero for _ in range(order + 1)]
     braces[0] = braces[0] + _tempered_count(sd)
     # (t/sqrt p)(Z'/Z)(t/sqrt p): coefficient of t^m is N_m p^{-m/2}
-    for m, nm in enumerate(n_reduced_range(g_lps, cert, order), start=1):
+    for m, nm in enumerate(n_reduced_range(g_lps, cert, order, sweep=sweep), start=1):
         if nm:
             braces[m] = braces[m] + SqrtExt.of(p, nm) * half_power(p, -m)
     # -(p-1) n t^2/(p - t^2) = -(p-1) n sum_{j>=1} t^{2j} / p^j

@@ -243,6 +243,73 @@ def test_neighbors_repeat_each_vertex_by_its_multiplicity(corpus):
 
 
 # ---------------------------------------------------------------------------
+# the resumable sweep
+
+@pytest.fixture(scope="module")
+def sweep_graphs(x135):
+    return {
+        "relabeled X^{13,5}": relabeled(x135[0], seed=5),
+        "looped 5-regular": build_graph(4, MULTI_EDGES),
+        "one vertex, two loops": build_graph(1, [(0, 0, 2)]),
+    }
+
+
+@pytest.fixture(scope="module")
+def one_shot():
+    """(graph, q, method, m_max) -> [Tr B_0..Tr B_{m_max}] from one _b_traces call, kept for the module."""
+    memo = {}
+
+    def traces(g: Graph, q: int, method: str, m_max: int) -> list[int]:
+        key = (id(g), method, m_max)
+        if key not in memo:
+            if method == "row":
+                memo[key] = [g.n * b for b in nbt._b_traces(g, q, m_max, 0)]
+            else:
+                memo[key] = nbt._b_traces(g, q, m_max)
+        return memo[key]
+
+    return traces
+
+
+@pytest.mark.parametrize("order", [(30, 80, 12, 200, 8), (200, 1), (0, 1, 2), (2, 1, 0)])
+def test_sweep_prefixes_equal_one_shot_traces(sweep_graphs, one_shot, order):
+    for name, g in sweep_graphs.items():
+        q = certify_regular(g).q
+        for method in ("full", "row"):
+            sweep = nbt.TraceSweep(g, q, method)
+            for m_max in order:
+                got = sweep.prefix(m_max)
+                assert got == one_shot(g, q, method, m_max), (name, method, m_max)
+                assert type(got) is list and all(type(x) is int for x in got)
+            with pytest.raises(ValueError):
+                sweep.prefix(-1)
+
+
+def test_shared_sweep_matches_reference_x135(sweep_graphs, x135_reference):
+    h = sweep_graphs["relabeled X^{13,5}"]
+    cert = certify_regular(h)
+    sweep = nbt.TraceSweep(h, cert.q)
+    n_ref, theta_ref = x135_reference
+    assert t_tilde_traces(h, cert, M_LONG, sweep=sweep) == theta_ref
+    assert n_reduced_range(h, cert, 80, sweep=sweep) == n_ref[:80]
+    assert n_reduced_range(h, cert, M_LONG, sweep=sweep) == n_ref
+    with pytest.raises(ValueError):
+        n_reduced_range(h, cert, -1, sweep=sweep)
+
+
+def test_a_sweep_serves_only_its_own_graph_and_route(corpus):
+    g, cert = corpus["PETERSEN"]
+    sweep = nbt.TraceSweep(g, cert.q)
+    other, other_cert = corpus["K4"]
+    with pytest.raises(ValueError, match="another graph"):
+        n_reduced_range(other, other_cert, 4, sweep=sweep)
+    with pytest.raises(ValueError, match="not both"):
+        t_tilde_traces(g, cert, 4, method="full", sweep=sweep)
+    with pytest.raises(ValueError, match="unknown method"):
+        nbt.TraceSweep(g, cert.q, "diagonal")
+
+
+# ---------------------------------------------------------------------------
 # step counts: the halving is deterministic, unlike a timing
 
 
@@ -273,6 +340,12 @@ def test_full_sweep_takes_half_the_matrix_steps(corpus, monkeypatch):
     calls[0] = 0
     n_reduced_range(g, cert, 7, method="full")
     assert calls[0] == 3
+    for order in ((30, 80, 12, 200, 8), (200, 1)):
+        calls[0] = 0
+        sweep = nbt.TraceSweep(g, cert.q, "full")
+        for m_max in order:
+            sweep.prefix(m_max)
+        assert calls[0] == half, order  # the largest request's steps, once
 
 
 def test_row_sweep_takes_half_the_row_steps(corpus, monkeypatch):

@@ -10,6 +10,7 @@ count_reduced_walks_all folded into its cycle sweep.
 import pytest
 from lattice_points import lattice_count
 from reduced_walks_bf import count_reduced_cycles_bf, count_reduced_paths_bf
+from test_nbt_traces import relabeled
 
 from iharalab.errors import DepthExceeded
 from iharalab.graphs import Graph, build_graph
@@ -151,6 +152,43 @@ def test_walks_all_matches_the_two_sweeps(corpus, x135):
         counts, mats = count_reduced_walks_all(g, m_max)
         assert counts == count_reduced_cycles_all(g, m_max), name
         assert mats == count_reduced_paths_all(g, m_max), name
+
+
+@pytest.fixture(scope="module")
+def single_length_counts(corpus, x135):
+    """name -> (graph, [N_1..N_4], [A_0..A_4]) from the single-length searches.
+
+    The path matrices of the relabeled X^{13,5} come from
+    count_reduced_paths_all, which searches from every first arc at once;
+    one count_reduced_paths_bf per vertex pair would take minutes there.
+    """
+    graphs = {name: g for name, (g, _) in corpus.items()}
+    # a 5-regular multigraph with double edges and one loop at every vertex
+    looped = [(0, 1, 2), (1, 2), (2, 3, 2), (3, 0), (0, 0), (1, 1), (2, 2), (3, 3)]
+    graphs["looped 5-regular"] = build_graph(4, looped)
+    graphs["relabeled X^{13,5}"] = relabeled(x135[0], 13)
+    out = {}
+    for name, g in graphs.items():
+        cycles = [count_reduced_cycles_bf(g, m) for m in range(1, 5)]
+        if g.n > 12:
+            paths = count_reduced_paths_all(g, 4)
+        else:
+            paths = [
+                [[count_reduced_paths_bf(g, i, j, m) for j in range(g.n)] for i in range(g.n)]
+                for m in range(5)
+            ]
+        out[name] = (g, cycles, paths)
+    return out
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 3, 4])
+def test_walks_all_matches_the_single_length_searches(single_length_counts, m_max):
+    # m_max = 1 counts every walk at the top level, m_max = 2 every last
+    # step in the first-arc calls: the two edges of the last-level loop
+    for name, (g, cycles, paths) in single_length_counts.items():
+        counts, mats = count_reduced_walks_all(g, m_max)
+        assert counts == cycles[:m_max], name
+        assert mats == paths[: m_max + 1], name
 
 
 def test_walks_all_guards():

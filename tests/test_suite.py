@@ -2,9 +2,11 @@
 
 import builtins
 import dataclasses
+import gc
 import json
 import random
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -488,9 +490,9 @@ def _count_calls_everywhere(monkeypatch, module, name: str) -> list:
     calls = []
     real = getattr(module, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     for mod in [m for k, m in sys.modules.items() if k.startswith("iharalab.")]:
         for attr, value in list(vars(mod).items()):
@@ -512,15 +514,85 @@ def test_phi_check_takes_no_full_matrix_step_on_lps_sources(p, q, monkeypatch):
     assert len(certs) <= 1
 
 
-def test_phi_check_on_a_relabeled_lps_file(tmp_path, x135):
+def _relabeled_x135_file(tmp_path, x135) -> SuiteContext:
+    """A fresh context over X^{13,5} read from a file with permuted vertices and its lps record."""
     g = x135[0]
     perm = list(range(g.n))
     random.Random(8102).shuffle(perm)
     edges = [sorted((perm[i], perm[j])) for i in range(g.n) for j in g.neighbors[i] if i < j]
-    ctx = _rewritten_x135(tmp_path, x135, edges)
+    return _rewritten_x135(tmp_path, x135, edges)
+
+
+def test_phi_check_on_a_relabeled_lps_file(tmp_path, x135, monkeypatch):
+    ctx = _relabeled_x135_file(tmp_path, x135)
+    steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
     cfg = VerificationSuiteConfig(source_kind="file", source="x135_rewritten.json", checks=("phi",))
     res = run_check("phi", ctx, cfg)
     assert (res.status, res.metric) == ("pass", 0.0)
+    assert len(steps) == 3  # B_2..B_4 for Tr B_m to m = 8, shared by T~_m and N_m
+
+
+def _steps_per_check(ctx: SuiteContext, config: VerificationSuiteConfig, steps: list) -> dict:
+    """check -> full-matrix kernel steps it took, for the checks that took any; every check must pass."""
+    out = {}
+    for name in CHECK_ORDER:
+        before = len(steps)
+        res = run_check(name, ctx, config)
+        assert res.status == "pass", (name, res.detail)
+        if len(steps) > before:
+            out[name] = len(steps) - before
+    return out
+
+
+def test_one_trace_sweep_serves_every_check_of_a_relabeled_file(tmp_path, x135, monkeypatch):
+    ctx = _relabeled_x135_file(tmp_path, x135)
+    steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
+    cfg = VerificationSuiteConfig(source_kind="file", source="x135_rewritten.json")
+    per_check = _steps_per_check(ctx, cfg, steps)
+    # oracle (A_2..A_4 and B_2) and ihara-bass (B_2..B_5 and A^2..A^5) sweep on their own;
+    # chebyshev (to m = 30), average-nm (80) and cusp (200) extend the shared
+    # sweep, and stf (12), phi (8) and huang (30) read prefixes of it
+    assert per_check == {"oracle": 4, "chebyshev": 14, "ihara-bass": 8, "average-nm": 25, "cusp": 60}
+    assert sum(per_check.values()) == 111  # 189 with a sweep per call
+    taken = len(steps)
+    ctx.sweep.prefix(200)
+    assert len(steps) == taken  # the sweep already stands at m = 200
+
+
+def test_lps_source_takes_full_matrix_steps_only_in_oracle_and_ihara_bass(monkeypatch):
+    ctx = SuiteContext(*lps.build_lps(13, 5))
+    steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
+    cfg = VerificationSuiteConfig(source_kind="lps", p=13, q=5)
+    assert _steps_per_check(ctx, cfg, steps) == {"oracle": 4, "ihara-bass": 8}
+
+
+def test_each_context_owns_its_sweep(tmp_path, x135, monkeypatch):
+    first = _relabeled_x135_file(tmp_path, x135)
+    second = SuiteContext(first.g, first.params, first.label)
+    second._cert = first.cert  # as a benchmark pass copies a set-up's certificate
+    steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
+    cfg = VerificationSuiteConfig(source_kind="file", source="x135_rewritten.json", checks=("huang",))
+    for ctx in (first, second):
+        before = len(steps)
+        assert run_check("huang", ctx, cfg).status == "pass"
+        assert len(steps) - before == 14  # B_2..B_15 for m = 30, paid by each context
+    assert first.sweep is not second.sweep
+
+
+def test_a_dropped_context_frees_its_sweep_without_the_cycle_collector(tmp_path, x135):
+    ctx = _relabeled_x135_file(tmp_path, x135)
+    cfg = VerificationSuiteConfig(source_kind="file", source="x135_rewritten.json", checks=("huang",))
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_check("huang", ctx, cfg).status == "pass"
+        sweep = weakref.ref(ctx.sweep)
+        stream = weakref.ref(ctx.sweep._stream)
+        del ctx
+        assert sweep() is None and stream() is None  # freed by reference counting alone
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("p, q", [(13, 5), (29, 5)])

@@ -447,7 +447,7 @@ def test_phi_closed_form_matches_the_determinant_counts(p, q, monkeypatch):
     want = determinant_counts(g, cert, 8)
     assert want == n_reduced_range(g, cert, 8)
     spectral, closed = phi_series(g, cert, params, 8, sd)
-    monkeypatch.setattr(zeta, "n_reduced_range", lambda *args: want)
+    monkeypatch.setattr(zeta, "n_reduced_range", lambda *args, **kwargs: want)
     ref_spectral, ref_closed = phi_series(g, cert, params, 8, sd)
     assert closed.coeffs == ref_closed.coeffs
     assert spectral.coeffs == ref_spectral.coeffs
