@@ -14,11 +14,12 @@ import argparse
 import sys
 
 from iharalab.errors import NotRamanujan
-from iharalab.graphs import certify_regular, named_graph
+from iharalab.graphs import named_graph
 from iharalab.limits import require_ramanujan
 from iharalab.lps import build_lps
 from iharalab.nbt import n_reduced_range
 from iharalab.spectral import eigendecompose
+from iharalab.suite import SuiteContext
 from iharalab.zeta import ihara_bass_reciprocal
 
 NAMED = ("K3", "K4", "K33", "PETERSEN", "CUBE")
@@ -35,10 +36,10 @@ def _ramanujan_label(sd) -> str:
     return "yes"
 
 
-def _report_row(label: str, g, m_max: int) -> None:
-    cert = certify_regular(g)
+def _report_row(label: str, ctx: SuiteContext, m_max: int) -> None:
+    g, cert = ctx.g, ctx.cert
     sd = eigendecompose(g, cert)
-    counts = n_reduced_range(g, cert, m_max)
+    counts = n_reduced_range(g, cert, m_max, sweep=ctx.sweep)
     print(f"{label}")
     print(f"  n={g.n}  degree={cert.degree}  q={cert.q}"
           f"  bipartite={'yes' if cert.bipartite else 'no'}"
@@ -61,10 +62,10 @@ def main(argv=None) -> int:
         print("error: --m-max must be at least 1", file=sys.stderr)
         return 2
     for name in NAMED:
-        _report_row(name, named_graph(name), args.m_max)
+        _report_row(name, SuiteContext(named_graph(name)), args.m_max)
     if not args.no_lps:
-        g, params = build_lps(13, 5)
-        _report_row(f"X^{{13,5}} ({params.group_kind}(F_{params.q}))", g, args.m_max)
+        ctx = SuiteContext(*build_lps(13, 5))  # its sweep runs on the identity row
+        _report_row(f"X^{{13,5}} ({ctx.params.group_kind}(F_{ctx.params.q}))", ctx, args.m_max)
     return 0
 
 

@@ -35,6 +35,7 @@ from iharalab.limits import (
 )
 from iharalab.lps import build_lps
 from iharalab.spectral import eigendecompose
+from iharalab.suite import SuiteContext
 
 NAMED = ("K3", "K4", "K33", "PETERSEN", "CUBE")
 
@@ -79,12 +80,12 @@ def write_average_nm(path: str, horizons: list[int]) -> None:
 
 
 def write_cusp(path: str, horizons: list[int]) -> None:
-    g, params = build_lps(13, 5)
-    sd = eigendecompose(g, certify_regular(g))
+    ctx = SuiteContext(*build_lps(13, 5))  # its sweep runs on the identity row
+    sd = eigendecompose(ctx.g, ctx.cert)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["N", "average", "scaled", "reference", "term_bound", "max_term"])
-        for row in average_cusp_sweep(g, params, sd, horizons):
+        for row in average_cusp_sweep(ctx.g, ctx.params, sd, horizons, sweep=ctx.sweep):
             w.writerow([row["N"], repr(row["average"]), repr(row["scaled_average"]),
                         repr(row["reference_constant"]), repr(row["term_bound"]),
                         repr(row["max_term"])])

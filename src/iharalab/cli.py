@@ -114,7 +114,7 @@ def cmd_spectrum(args) -> int:
 def cmd_nbt(args) -> int:
     ctx = _load_source(args.source)
     if args.what == "nm":
-        counts = nbt.n_reduced_range(ctx.g, ctx.cert, args.m_max)
+        counts = nbt.n_reduced_range(ctx.g, ctx.cert, args.m_max, sweep=ctx.sweep)
         rows = [[m, counts[m - 1]] for m in range(1, args.m_max + 1)]
         _emit_rows(args, ["m", "n_m"], rows)
     elif args.what == "f":
@@ -122,7 +122,7 @@ def cmd_nbt(args) -> int:
         rows = [[m, values[m]] for m in range(args.m_max + 1)]
         _emit_rows(args, ["m", "f_m"], rows)
     else:  # ttilde
-        traces = nbt.t_tilde_traces(ctx.g, ctx.cert, args.m_max)
+        traces = nbt.t_tilde_traces(ctx.g, ctx.cert, args.m_max, sweep=ctx.sweep)
         rows = [[m, traces[m]] for m in range(args.m_max + 1)]
         _emit_rows(args, ["m", "trace_t_tilde_m"], rows)
     return 0
@@ -132,7 +132,7 @@ def cmd_oracle(args) -> int:
     ctx = _load_source(args.source)
     counts = oracle.count_reduced_cycles_all(ctx.g, args.m_max, budget=args.budget)
     try:
-        rec = nbt.n_reduced_range(ctx.g, ctx.cert, args.m_max, method="full")
+        rec = nbt.n_reduced_range(ctx.g, ctx.cert, args.m_max, sweep=ctx.sweep)
     except NotRegular:
         rec = None
     header = ["m", "bruteforce"] + (["recurrence", "equal"] if rec else [])
@@ -179,9 +179,9 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_cuspgen(args) -> int:
-    g, params = lps.build_lps(args.p, args.q, allow_large=args.allow_large)
-    cert = certify_regular(g)
-    traces = nbt.t_tilde_traces(g, cert, args.order)
+    ctx = suite.SuiteContext(*lps.build_lps(args.p, args.q, allow_large=args.allow_large))
+    g, params, cert = ctx.g, ctx.params, ctx.cert
+    traces = nbt.t_tilde_traces(g, cert, args.order, sweep=ctx.sweep)
     rows = []
     for m in range(args.order + 1):
         theta_coeff = Fraction(2 * traces[m], g.n)
@@ -229,7 +229,7 @@ def cmd_limits(args) -> int:
         _emit_rows(args, header, rows)
     elif args.what == "average-nm":
         horizons = horizons or list(suite.DEFAULT_HORIZONS["average-nm"])
-        reports = limits.average_nm_sweep(ctx.g, ctx.cert, ctx.sd, horizons)
+        reports = limits.average_nm_sweep(ctx.g, ctx.cert, ctx.sd, horizons, sweep=ctx.sweep)
         header = ["N", "lhs", "main_terms", "residual", "scaled_residual", "reference_constant"]
         rows = [
             [r.N, r.lhs, r.main_terms, r.residual, r.scaled_residual, r.reference_constant]
@@ -241,8 +241,8 @@ def cmd_limits(args) -> int:
             raise ParseError("limits --what cusp needs an LPS graph file with its parameters")
         horizons = horizons or list(suite.DEFAULT_HORIZONS["cusp"])
         header = ["N", "average", "scaled_average", "reference_constant"]
-        sweep = limits.average_cusp_sweep(ctx.g, ctx.params, ctx.sd, horizons)
-        _emit_rows(args, header, [[r[k] for k in header] for r in sweep])
+        rows = limits.average_cusp_sweep(ctx.g, ctx.params, ctx.sd, horizons, sweep=ctx.sweep)
+        _emit_rows(args, header, [[r[k] for k in header] for r in rows])
     return 0
 
 
@@ -279,7 +279,7 @@ def cmd_stf(args) -> int:
 
 def cmd_huang(args) -> int:
     ctx = _load_source(args.source)
-    values = limits.huang_range(ctx.g, ctx.cert, args.m_max)
+    values = limits.huang_range(ctx.g, ctx.cert, args.m_max, sweep=ctx.sweep)
     rows = [[m, values[m - 1]] for m in range(1, args.m_max + 1)]
     _emit_rows(args, ["m", "h_m"], rows)
     worst = min(values[m - 1] for m in range(2, args.m_max + 1, 2)) if args.m_max >= 2 else 0.0

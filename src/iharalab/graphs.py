@@ -39,15 +39,14 @@ class Graph:
             w listed once per edge between i and w; a loop at i lists i
             twice, so len(neighbors[i]) is the degree of i and the
             adjacency entry a_ij is neighbors[i].count(j).
-        vertex_transitive_hint: set by constructors that guarantee vertex
-            transitivity (named graphs, Cayley graphs); enables
-            single-row shortcuts that are verified against the full
-            computation in the test suite.
+
+    A graph carries no symmetry claim.  The single-row shortcuts of the
+    exact sweeps need one; the suite context grants them only to a
+    graph that lps.cayley_cosets confirms is X^{p,q}.
     """
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
-    vertex_transitive_hint: bool = False
 
     @property
     def edge_count(self) -> int:
@@ -84,7 +83,7 @@ class RegularityCertificate:
     parts: tuple[tuple[int, ...], tuple[int, ...]] | None
 
 
-def build_graph(n: int, edges: Iterable[Sequence[int]], *, vertex_transitive_hint: bool = False) -> Graph:
+def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a Graph from an edge list.
 
     Each edge is (i, j) or (i, j, multiplicity).  A loop (i, i) with
@@ -113,7 +112,7 @@ def build_graph(n: int, edges: Iterable[Sequence[int]], *, vertex_transitive_hin
         else:
             nbrs[i] += [j] * c
             nbrs[j] += [i] * c
-    g = Graph(n, tuple(tuple(sorted(nb)) for nb in nbrs), vertex_transitive_hint)
+    g = Graph(n, tuple(tuple(sorted(nb)) for nb in nbrs))
     _require_connected(g)
     return g
 
@@ -152,11 +151,11 @@ def named_graph(name: str) -> Graph:
         if n < 3:
             raise UnknownName(f"cycle length must be at least 3, got {n}")
         edges = [(i, (i + 1) % n) for i in range(n)]
-        return build_graph(n, edges, vertex_transitive_hint=True)
+        return build_graph(n, edges)
     if key == "K4":
-        return build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)], vertex_transitive_hint=True)
+        return build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     if key == "K33":
-        return build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)], vertex_transitive_hint=True)
+        return build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
     if key == "PETERSEN":
         edges = []
         # outer 5-cycle, inner 5-cycle with step 2, and the five spokes
@@ -164,7 +163,7 @@ def named_graph(name: str) -> Graph:
             edges.append((i, (i + 1) % 5))
             edges.append((5 + i, 5 + (i + 2) % 5))
             edges.append((i, 5 + i))
-        return build_graph(10, edges, vertex_transitive_hint=True)
+        return build_graph(10, edges)
     if key == "CUBE":
         edges = []
         for v in range(8):
@@ -172,7 +171,7 @@ def named_graph(name: str) -> Graph:
                 w = v ^ (1 << b)
                 if v < w:
                     edges.append((v, w))
-        return build_graph(8, edges, vertex_transitive_hint=True)
+        return build_graph(8, edges)
     raise UnknownName(f"unknown graph name {name!r}")
 
 

@@ -268,7 +268,7 @@ def build_lps(p: int, q: int, *, allow_large: bool = False) -> tuple[Graph, LpsP
     # arc counts must be symmetric since the connection set is inverse-closed
     if not np.array_equal(np.sort(own * n + table, axis=None), np.sort(table * n + own, axis=None)):
         raise GroupSizeMismatch("connection set is not closed under inverses")
-    g = Graph(n, tuple(map(tuple, table.tolist())), vertex_transitive_hint=True)
+    g = Graph(n, tuple(map(tuple, table.tolist())))
     _require_connected(g)
     cert = certify_regular(g)
     if cert.degree != p + 1:

@@ -26,8 +26,16 @@ q Tr T~_{m-2}.  The sweep is a generator that takes each step only when
 it is resumed for the next odd index; TraceSweep keeps one such stream
 and the traces it has yielded, so callers that share it (the checks of
 one suite context, through the sweep= argument of n_reduced_range and
-t_tilde_traces) pay for the longest prefix once.  A_m, M_m and T~_m as
-matrices still come from the A_m recurrence.  Both families are
+t_tilde_traces) pay for the longest prefix once.
+
+Without a sweep the traces take the full matrix route.  The "row" route
+runs the same identities on row v of B_k and multiplies by n, which is
+exact only when every diagonal entry equals the one at v, as on a
+Cayley graph; nothing here checks that.  suite.SuiteContext grants the
+row route to a graph that lps.cayley_cosets confirms is X^{p,q}, and
+the test suite pins the two routes against each other.  Row v of A_m
+comes from the same row recurrence (a_rows).  A_m, M_m and T~_m as
+matrices come from the A_m recurrence of ExactMatrixSeq.  Both families are
 integer polynomials in A whose coefficients depend only on q, so
 M_m = B_m + e_m(q-1)I holds for every graph iff it holds in Z[x];
 m_and_b_polynomials runs the recurrences there, and check_chebyshev
@@ -165,14 +173,19 @@ class ExactMatrixSeq:
         return sum(self.curr[i][i] for i in range(self.n))
 
 
-def a_matrix_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[IntMatrix]:
-    """Exact [A_0, ..., A_{m_max}] in one sweep (materializes all of them)."""
-    seq = ExactMatrixSeq(g, cert)
-    out = [[row[:] for row in seq.a_current()]]
-    for _ in range(m_max):
-        seq.advance()
-        out.append([row[:] for row in seq.a_current()])
-    return out
+def a_rows(g: Graph, cert: RegularityCertificate, m_max: int, v: int) -> list[list[int]]:
+    """Exact [row v of A_0, ..., row v of A_{m_max}], by the row recurrence.
+
+    Row v of A_m is e_v^T A_m, and e_v^T A_{m-1} A - q e_v^T A_{m-2}
+    (q+1 at m = 2) is one _row_mul_adj step, so the sweep holds rows only.
+    """
+    rows = [[0] * g.n]
+    rows[0][v] = 1
+    if m_max >= 1:
+        rows.append(_adjacency_row(g.n, g.neighbors[v]))
+    for m in range(2, m_max + 1):
+        rows.append(_row_mul_adj(rows[-1], rows[-2], cert.q + (m == 2), g.neighbors))
+    return rows
 
 
 def m_and_b_polynomials(q: int, m_max: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -252,32 +265,28 @@ def _b_traces(g: Graph, q: int, m_max: int, v: int | None = None) -> list[int]:
     return list(islice(_b_trace_stream(g, q, v), m_max + 1))
 
 
-def _resolve_method(g: Graph, method: str) -> str:
-    if method == "auto":
-        return "row" if g.vertex_transitive_hint else "full"
-    if method not in ("row", "full"):
-        raise ValueError(f"unknown method {method!r}")
-    return method
-
-
 class TraceSweep:
     """One resumable sweep of Tr B_0, Tr B_1, ... on a (q+1)-regular graph.
 
     prefix(m) hands out [Tr B_0..Tr B_m].  It resumes the stream only
     past the longest prefix handed out so far, so any order of requests
     costs the kernel steps of the largest one.  method "full" traces the
-    matrix recurrence; "row" sweeps row 0 and yields n (B_m)_00, which is
-    exact on vertex-transitive graphs; "auto" picks "row" exactly when
-    the graph carries the vertex-transitivity hint.  The sweep holds its
-    last two matrices until it is dropped.
+    matrix recurrence; "row" sweeps row `vertex` and yields
+    n (B_m)_{vertex,vertex}, which is the trace only when every diagonal
+    entry is the same, as on a Cayley graph.  The sweep does not check
+    that: suite.SuiteContext asks for "row" only on a graph that
+    lps.cayley_cosets certifies.  The sweep holds its last two matrices
+    (rows) until it is dropped.
     """
 
-    def __init__(self, g: Graph, q: int, method: str = "auto"):
+    def __init__(self, g: Graph, q: int, method: str = "full", vertex: int = 0):
+        if method not in ("row", "full"):
+            raise ValueError(f"unknown method {method!r}")
         self.g = g
         self.q = q
-        row = _resolve_method(g, method) == "row"
+        row = method == "row"
         self._scale = g.n if row else 1
-        self._stream = _b_trace_stream(g, q, 0 if row else None)
+        self._stream = _b_trace_stream(g, q, vertex if row else None)
         self._traces: list[int] = []
 
     def prefix(self, m_max: int) -> list[int]:
@@ -289,11 +298,11 @@ class TraceSweep:
         return self._traces[: m_max + 1]
 
 
-def _sweep_for(g: Graph, q: int, method: str, sweep: TraceSweep | None) -> TraceSweep:
-    """sweep, or a fresh one on method's route when it is None."""
+def _sweep_for(g: Graph, q: int, method: str | None, sweep: TraceSweep | None) -> TraceSweep:
+    """sweep, or a fresh one on method's route (full when None) when it is None."""
     if sweep is None:
-        return TraceSweep(g, q, method)
-    if method != "auto":
+        return TraceSweep(g, q, method or "full")
+    if method is not None:
         raise ValueError("a given sweep carries its own route; pass method or sweep, not both")
     if sweep.g is not g or sweep.q != q:
         raise ValueError("the sweep belongs to another graph or degree")
@@ -324,14 +333,14 @@ def n_reduced_range(
     cert: RegularityCertificate,
     m_max: int,
     *,
-    method: str = "auto",
+    method: str | None = None,
     sweep: TraceSweep | None = None,
 ) -> list[int]:
     """Exact [N_1..N_{m_max}], from N_m = Tr B_m + e_m (q-1) n.
 
     The traces come from sweep, or from a fresh TraceSweep on method's
-    route when sweep is None; the test suite pins the "row" and "full"
-    routes against each other.
+    route ("full" unless method is "row") when sweep is None; the test
+    suite pins the two routes against each other.
     """
     q = cert.q
     bs = _sweep_for(g, q, method, sweep).prefix(m_max)
@@ -343,7 +352,7 @@ def t_tilde_traces(
     cert: RegularityCertificate,
     m_max: int,
     *,
-    method: str = "auto",
+    method: str | None = None,
     sweep: TraceSweep | None = None,
 ) -> list[int]:
     """Exact [Tr(T~_0)..Tr(T~_{m_max})], from sweep as in n_reduced_range."""
@@ -351,13 +360,16 @@ def t_tilde_traces(
     return _theta_from_b(bs, cert.q, g.n)
 
 
-def adjacency_power_traces(g: Graph, m_max: int) -> list[int]:
+def adjacency_power_traces(g: Graph, m_max: int, vertex: int | None = None) -> list[int]:
     """Exact [Tr(A^0)..Tr(A^{m_max})] for the plain adjacency powers.
 
     Tr A^{2k} = <A^k, A^k> and Tr A^{2k+1} = <A^{k+1}, A^k>: the q = 0
-    case of the B_m sweep.
+    case of the B_m sweep.  With a vertex the sweep runs on that row and
+    returns n (A^k)_{vertex,vertex}, the trace only on a graph whose
+    diagonal entries all agree, as on a Cayley graph.
     """
-    return [g.n] + _b_traces(g, 0, m_max)[1:]
+    scale = 1 if vertex is None else g.n
+    return [g.n] + [scale * w for w in _b_traces(g, 0, m_max, vertex)[1:]]
 
 
 # ---------------------------------------------------------------------------

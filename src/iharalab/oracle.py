@@ -9,6 +9,7 @@ the search being a direct transcription of the definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DepthExceeded
 from .graphs import Graph, _edges_canonical
@@ -95,27 +96,39 @@ def count_reduced_cycles_all(
 
 
 def count_reduced_walks_all(
-    g: Graph, m_max: int, *, depth_guard: int = DEFAULT_DEPTH_GUARD, budget: int = DEFAULT_BUDGET
+    g: Graph,
+    m_max: int,
+    *,
+    sources: Sequence[int] | None = None,
+    depth_guard: int = DEFAULT_DEPTH_GUARD,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[list[int], list[list[list[int]]]]:
-    """Cycle counts and all-pairs path counts for every length up to m_max, one sweep.
+    """Cycle counts and path-count rows for every length up to m_max, one sweep.
 
-    Returns (counts, mats): counts equals count_reduced_cycles_all(g,
-    m_max), and mats[m][i][j] counts the non-backtracking arc sequences of
-    length m from i to j for m in 0..m_max (no tail condition; m = 0 gives
-    the identity).  Each non-backtracking walk is enumerated
-    once, from its origin through its first arc; it is a reduced cycle
-    when it ends at its origin and its last arc is not the inverse of
-    its first.  The walks of length m_max are counted one by one in the
-    loop of their length m_max - 1 prefix rather than in a call each.
+    The walks start at the vertices of sources (every vertex when it is
+    None).  Returns (counts, mats): mats[m][k][j] counts the
+    non-backtracking arc sequences of length m from sources[k] to j for
+    m in 0..m_max (no tail condition; m = 0 gives the identity rows),
+    and counts[m - 1] the reduced cycles of length m that start at a
+    source.  With every vertex as a source, counts equals
+    count_reduced_cycles_all(g, m_max) and mats[m] is the full matrix.
+    The cost guard counts the walks from every vertex, whatever sources is.
+
+    Each non-backtracking walk is enumerated once, from its origin
+    through its first arc; it is a reduced cycle when it ends at its
+    origin and its last arc is not the inverse of its first.  The walks
+    of length m_max are counted one by one in the loop of their length
+    m_max - 1 prefix rather than in a call each.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     _check_cost(g, m_max, depth_guard, budget)
     al = ArcList.from_graph(g)
+    sources = range(g.n) if sources is None else sources
     totals = [0] * (m_max + 1)
-    mats = [[[0] * g.n for _ in range(g.n)] for _ in range(m_max + 1)]
-    for v in range(g.n):
-        mats[0][v][v] = 1
+    mats = [[[0] * g.n for _ in sources] for _ in range(m_max + 1)]
+    for k, src in enumerate(sources):
+        mats[0][k][src] = 1
 
     terminus = [t for _, t in al.arcs]
     # the arcs that may follow arc a: out of its terminus, except its inverse
@@ -139,8 +152,8 @@ def count_reduced_walks_all(
                     closed += 1
             totals[m_max] += closed
 
-    for src in range(g.n):
-        rows = [mat[src] for mat in mats]  # row src of every mats[depth]
+    for k, src in enumerate(sources):
+        rows = [mat[k] for mat in mats]  # src's row of every mats[depth]
         for first in al.out[src]:
             walk(rows, src, al.inverse[first], first, 1)
     del walk  # as in count_reduced_cycles_all

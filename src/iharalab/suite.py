@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import limits, lps, nbt, oracle, zeta
-from .errors import IharaLabError, ParseError
+from .errors import IharaLabError, NotRegular, ParseError
 from .graphs import Graph, certify_regular, load_graph_doc, named_graph
 from .spectral import block_decompose, eigendecompose
 
@@ -183,19 +183,30 @@ def validate_checks(checks) -> tuple[str, ...]:
     return out
 
 
-class SuiteContext:
-    """Graph plus lazily computed certificate, spectral data and trace sweep.
+_UNSET = object()
 
-    The spectral data comes from the coset-block route when the graph
-    is exactly build_lps's X^{p,q} for params (lps.cayley_cosets
-    rebuilds it, so a relabeled or rewired file that carries an lps
-    record does not qualify), and from the dense eigendecompose
-    otherwise.  The sweep is the context's one nbt.TraceSweep on the
-    "auto" route: chebyshev, average-nm, stf, cusp, phi and huang read
-    their Tr B_m, N_m and Tr T~_m from its prefixes, so a pass takes the
-    kernel steps of the longest request once.  It lives and dies with
-    the context; nothing of it is cached on the graph or the
-    certificate.
+
+class SuiteContext:
+    """Graph plus lazily computed certificates, spectral data and trace sweep.
+
+    cosets is lps.cayley_cosets(g, params): the coset data when the
+    graph is exactly build_lps's X^{p,q} for params, else None.  It
+    rebuilds every neighbour list, so a relabeled or rewired file that
+    carries an lps record gets None.  This class is the one place that
+    turns that certificate into a route.  On a Cayley graph (v joined to
+    s v) A commutes with right translation, so every polynomial X in A
+    has Tr X = n X(e, e) for the identity vertex e (Terras, Fourier
+    Analysis on Finite Groups and Applications, 1999).  With cosets set,
+    sd comes from the coset blocks, the sweep runs on row e (row_vertex)
+    and yields n times its diagonal entries, and the oracle and
+    ihara-bass work on row e too.  Without it, sd is the dense
+    eigendecompose and every exact sweep takes the full matrix route.
+
+    The sweep is the context's one nbt.TraceSweep: every check that
+    reads Tr B_m, N_m or Tr T~_m reads its prefixes, so a pass takes the
+    kernel steps of the longest request once.  All of it lives and dies
+    with the context; nothing is cached on the graph, the regularity
+    certificate or the parameters.
     """
 
     def __init__(self, g: Graph, params: lps.LpsParams | None = None, label: str = ""):
@@ -203,6 +214,7 @@ class SuiteContext:
         self.params = params
         self.label = label
         self._cert = None
+        self._cosets = _UNSET
         self._sd = None
         self._sweep = None
 
@@ -213,19 +225,33 @@ class SuiteContext:
         return self._cert
 
     @property
+    def cosets(self) -> lps.CosetData | None:
+        if self._cosets is _UNSET:
+            self._cosets = None if self.params is None else lps.cayley_cosets(self.g, self.params)
+        return self._cosets
+
+    @property
+    def row_vertex(self) -> int | None:
+        """The identity vertex, whose row stands for every row, when cosets is set; else None."""
+        return None if self.cosets is None else self.cosets.identity
+
+    @property
     def sd(self):
         if self._sd is None:
-            cosets = None if self.params is None else lps.cayley_cosets(self.g, self.params)
-            if cosets is None:
+            if self.cosets is None:
                 self._sd = eigendecompose(self.g, self.cert)
             else:
-                self._sd = block_decompose(self.g, self.cert, cosets)
+                self._sd = block_decompose(self.g, self.cert, self.cosets)
         return self._sd
 
     @property
     def sweep(self) -> nbt.TraceSweep:
         if self._sweep is None:
-            self._sweep = nbt.TraceSweep(self.g, self.cert.q)
+            v = self.row_vertex
+            if v is None:
+                self._sweep = nbt.TraceSweep(self.g, self.cert.q)
+            else:
+                self._sweep = nbt.TraceSweep(self.g, self.cert.q, "row", v)
         return self._sweep
 
 
@@ -282,20 +308,27 @@ def _oracle_depth(g: Graph, m_max: int, budget: int) -> int:
 
 
 def check_oracle(ctx: SuiteContext, *, m_max: int = 10, budget: int = DEFAULT_BUDGET) -> dict:
-    """Recurrence vs. brute-force enumeration: cycle counts and path matrices."""
+    """Recurrence vs. brute-force enumeration: cycle counts and path-count rows.
+
+    The depth is the largest whose search from every vertex fits the
+    budget.  With the context's Cayley certificate the search starts at
+    the identity vertex e only: its rows are compared with row e of A_m
+    (nbt.a_rows), and n times its closed reduced walks with N_m from
+    the context's sweep.  Otherwise it starts at every vertex, and each
+    vertex's rows are compared with its own row recurrence.
+    """
     depth = _oracle_depth(ctx.g, m_max, budget)
     if depth < 1:
         raise IharaLabError("oracle budget too small for depth 1")
-    counts_bf, paths_bf = oracle.count_reduced_walks_all(ctx.g, depth, budget=budget)
-    counts_rec = nbt.n_reduced_range(ctx.g, ctx.cert, depth, method="full")
+    v = ctx.row_vertex
+    sources = range(ctx.g.n) if v is None else [v]
+    closed, rows_bf = oracle.count_reduced_walks_all(ctx.g, depth, sources=sources, budget=budget)
+    counts_bf = closed if v is None else [ctx.g.n * c for c in closed]
+    counts_rec = nbt.n_reduced_range(ctx.g, ctx.cert, depth, sweep=ctx.sweep)
     worst = max(abs(a - b) for a, b in zip(counts_bf, counts_rec))
-    paths_rec = nbt.a_matrix_range(ctx.g, ctx.cert, depth)
-    for m in range(depth + 1):
-        for i in range(ctx.g.n):
-            for j in range(ctx.g.n):
-                d = abs(paths_bf[m][i][j] - paths_rec[m][i][j])
-                if d > worst:
-                    worst = d
+    for k, src in enumerate(sources):
+        for m, row in enumerate(nbt.a_rows(ctx.g, ctx.cert, depth, src)):
+            worst = max(worst, *(abs(a - b) for a, b in zip(rows_bf[m][k], row)))
     return {
         "metric": float(worst),
         "detail": {
@@ -379,8 +412,17 @@ def check_chebyshev(ctx: SuiteContext, *, m_max: int = 30) -> dict:
 
 
 def check_ihara_bass(ctx: SuiteContext, *, order: int = 10) -> dict:
-    """Cycle-count series vs. the determinant formula, exact rationals."""
-    discrepancy = zeta.verify_ihara_bass(ctx.g, order=order)
+    """Cycle-count series vs. the determinant formula, exact rationals.
+
+    On a regular graph N_m comes from the context's sweep and the power
+    traces of the determinant side from row_vertex's row when the
+    context holds the Cayley certificate (zeta.verify_ihara_bass).
+    """
+    try:
+        sweep = ctx.sweep
+    except NotRegular:  # the cycle oracle against the Bass charpoly
+        sweep = None
+    discrepancy = zeta.verify_ihara_bass(ctx.g, order=order, sweep=sweep, vertex=ctx.row_vertex)
     return {"metric": float(discrepancy), "detail": {"order": order}}
 
 

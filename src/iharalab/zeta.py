@@ -154,15 +154,19 @@ def ihara_bass_reciprocal(g: Graph) -> ZetaReciprocal:
     return ZetaReciprocal(betti_r=g.edge_count - n + 1, det_coeffs=tuple(coeffs), n=n)
 
 
-def det_series_regular(g: Graph, cert: RegularityCertificate, order: int) -> TruncatedSeries:
+def det_series_regular(
+    g: Graph, cert: RegularityCertificate, order: int, *, vertex: int | None = None
+) -> TruncatedSeries:
     """det(I - uA + q u^2 I) as an exact series, via power-sum traces.
 
     log det(I - X) = -sum_j Tr(X^j)/j with X = uA - qu^2 I; Tr(X^j)
-    expands over adjacency power traces.  This route never builds the
-    degree-2n polynomial, so its cost follows the order asked for, not n.
+    expands over adjacency power traces, which come from row vertex
+    when one is given (nbt.adjacency_power_traces).  This route never
+    builds the degree-2n polynomial, so its cost follows the order asked
+    for, not n.
     """
     q = cert.q
-    w = adjacency_power_traces(g, order)
+    w = adjacency_power_traces(g, order, vertex)
     log_coeffs = [Fraction(0)] * (order + 1)
     for j in range(1, order + 1):
         for i in range(j + 1):
@@ -174,10 +178,12 @@ def det_series_regular(g: Graph, cert: RegularityCertificate, order: int) -> Tru
     return TruncatedSeries.from_coeffs(log_coeffs, order).exp()
 
 
-def reciprocal_series_regular(g: Graph, cert: RegularityCertificate, order: int) -> TruncatedSeries:
-    """Z(u)^{-1} as an exact series for a regular graph, power-sum route."""
+def reciprocal_series_regular(
+    g: Graph, cert: RegularityCertificate, order: int, *, vertex: int | None = None
+) -> TruncatedSeries:
+    """Z(u)^{-1} as an exact series for a regular graph, power-sum route (vertex as in det_series_regular)."""
     betti_r = g.edge_count - g.n + 1
-    return binomial_one_minus_u2(betti_r - 1, order) * det_series_regular(g, cert, order)
+    return binomial_one_minus_u2(betti_r - 1, order) * det_series_regular(g, cert, order, vertex=vertex)
 
 
 def zeta_series_from_counts(counts: list[int], order: int | None = None) -> TruncatedSeries:
@@ -190,21 +196,29 @@ def zeta_series_from_counts(counts: list[int], order: int | None = None) -> Trun
     return TruncatedSeries.from_coeffs(log_coeffs, order).exp()
 
 
-def verify_ihara_bass(g: Graph, order: int = 10) -> Fraction:
+def verify_ihara_bass(
+    g: Graph, order: int = 10, *, sweep: TraceSweep | None = None, vertex: int | None = None
+) -> Fraction:
     """Max |coefficient difference| between the two exact zeta routes.
 
-    Counts come from the matrix recurrence when the graph is regular and
-    from the brute-force cycle oracle otherwise; the other side is the
-    determinant form of the reciprocal (power-sum series for regular
-    graphs, the Bass-matrix charpoly otherwise).  Exact zero expected.
+    On a regular graph the counts come from the B_m trace sweep (sweep,
+    or a fresh full-matrix one when None) and the determinant form from
+    the power-sum series, whose Tr A^k come from a sweep at q = 0 of its
+    own: on the full matrices, or n times row vertex's diagonal entries
+    when one is given.  That is the trace only when every diagonal entry
+    agrees; suite.SuiteContext passes the identity vertex of a graph it
+    certifies as X^{p,q}.  The two sides stay independent recurrences,
+    at q and at 0.  An irregular graph takes its counts from the
+    brute-force cycle oracle and its determinant from the Bass-matrix
+    charpoly, and ignores sweep and vertex.  Exact zero expected.
     """
     try:
         cert = certify_regular(g)
     except NotRegular:
         cert = None
     if cert is not None:
-        counts = n_reduced_range(g, cert, order, method="full")
-        recip = reciprocal_series_regular(g, cert, order)
+        counts = n_reduced_range(g, cert, order, sweep=sweep)
+        recip = reciprocal_series_regular(g, cert, order, vertex=vertex)
         from_bass = recip.inverse()
     else:
         counts = count_reduced_cycles_all(g, order)

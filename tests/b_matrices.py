@@ -1,12 +1,12 @@
-"""The integer Chebyshev matrices B_m by their matrix recurrence, the reference for the B_m sweeps.
+"""The matrices B_m and A_m by their matrix recurrences, the reference for the row and trace sweeps.
 
 The library checks M_m = B_m + e_m(q-1)I once in Z[x]
 (nbt.m_and_b_polynomials) and sweeps only traces and single rows of
-B_m; tests compare those against the full matrices built here.
+B_m and A_m; tests compare those against the full matrices built here.
 """
 
 from iharalab.graphs import Graph, RegularityCertificate
-from iharalab.nbt import IntMatrix, _adjacency_rows, _identity_rows, _mul_adj
+from iharalab.nbt import ExactMatrixSeq, IntMatrix, _adjacency_rows, _identity_rows, _mul_adj
 
 
 def chebyshev_b_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[IntMatrix]:
@@ -25,4 +25,14 @@ def chebyshev_b_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list
     out.append(_adjacency_rows(g))
     for _ in range(2, m_max + 1):
         out.append(_mul_adj(out[-1], out[-2], cert.q, g.neighbors))
+    return out
+
+
+def a_matrix_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[IntMatrix]:
+    """Exact [A_0, ..., A_{m_max}] in one sweep (materializes all of them)."""
+    seq = ExactMatrixSeq(g, cert)
+    out = [[row[:] for row in seq.a_current()]]
+    for _ in range(m_max):
+        seq.advance()
+        out.append([row[:] for row in seq.a_current()])
     return out

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from b_matrices import chebyshev_b_range
+from b_matrices import a_matrix_range, chebyshev_b_range
 from lattice_points import lattice_count
 
 from iharalab.chebyshev import central_binomial_weight
@@ -29,7 +29,6 @@ from iharalab.limits import (
 from iharalab.lps import build_lps, quaternion_generators
 from iharalab.nbt import (
     ExactMatrixSeq,
-    a_matrix_range,
     f_values,
     m_matrix_chebyshev,
     n_reduced_range,

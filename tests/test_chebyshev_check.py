@@ -89,12 +89,13 @@ def test_no_matrix_sweep_above_twelve_vertices(x135, monkeypatch):
         raise AssertionError("ExactMatrixSeq built for n > 12")
 
     monkeypatch.setattr(nbt, "ExactMatrixSeq", no_seq)
-    g = x135[0]
-    assert g.vertex_transitive_hint
-    assert run_check("chebyshev", SuiteContext(g), CONFIG).status == "pass"
+    g, params = x135[0], x135[1]
+    ctx = SuiteContext(g, params)
+    assert ctx.cosets is not None  # the Cayley certificate grants the row route
+    assert run_check("chebyshev", ctx, CONFIG).status == "pass"
     assert full[0] == 0
     assert row[0] == 14
-    copy = relabeled(g, 7)
-    assert not copy.vertex_transitive_hint
-    assert run_check("chebyshev", SuiteContext(copy), CONFIG).status == "pass"
+    copy = SuiteContext(relabeled(g, 7), params)
+    assert copy.cosets is None  # the same parameters certify no relabeled graph
+    assert run_check("chebyshev", copy, CONFIG).status == "pass"
     assert 0 < full[0] <= 14

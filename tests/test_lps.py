@@ -197,7 +197,7 @@ def test_build_x135(x135):
     assert params.group_kind == "PGL2"
     # simple graph: no multi-edges among the generators at this size
     assert all(len(set(nb)) == len(nb) for nb in g.neighbors)
-    assert g.vertex_transitive_hint
+    assert cayley_cosets(g, params) is not None
 
 
 def test_x135_spectrum_symmetric(x135):
@@ -220,9 +220,9 @@ def product_loop_neighbours(p: int, q: int) -> tuple[tuple[int, ...], ...]:
 
 @pytest.mark.parametrize("p, q", [(13, 5), (17, 5), (29, 5), (17, 13), (5, 13)])
 def test_build_lps_matches_the_product_loop(p, q):
-    g, _ = build_lps(p, q)
+    g, params = build_lps(p, q)
     assert g.neighbors == product_loop_neighbours(p, q)
-    assert g.vertex_transitive_hint
+    assert cayley_cosets(g, params) is not None
     assert all(isinstance(w, int) for w in g.neighbors[0])
 
 

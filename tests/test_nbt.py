@@ -10,14 +10,15 @@ import math
 
 import numpy as np
 import pytest
-from b_matrices import chebyshev_b_range
+from b_matrices import a_matrix_range, chebyshev_b_range
 
 from iharalab import nbt, suite
 from iharalab.errors import NotRamanujan
-from iharalab.graphs import Graph, RegularityCertificate, named_graph
+from iharalab.graphs import Graph, RegularityCertificate, build_graph, certify_regular, named_graph
+from iharalab.lps import cayley_cosets
 from iharalab.nbt import (
     ExactMatrixSeq,
-    a_matrix_range,
+    a_rows,
     adjacency_power_traces,
     cheb_t_real,
     cheb_u_real,
@@ -133,6 +134,26 @@ def test_a_matrix_counts_paths(corpus):
         mats = count_reduced_walks_all(g, M_ORACLE)[1]
         recs = a_matrix_range(g, cert, M_ORACLE)
         assert recs == mats, name
+
+
+def test_a_rows_are_the_rows_of_the_a_matrices(corpus, x135):
+    graphs = dict(corpus)
+    looped = build_graph(4, [(0, 1, 2), (1, 2), (2, 3, 2), (3, 0), (0, 0), (1, 1), (2, 2), (3, 3)])
+    graphs["looped 5-regular"] = (looped, certify_regular(looped))
+    graphs["X^{13,5}"] = (x135[0], x135[2])
+    for name, (g, cert) in graphs.items():
+        mats = a_matrix_range(g, cert, M_ORACLE)
+        for v in sorted({0, g.n // 2, g.n - 1}):
+            for m_max in (0, 1, 2, M_ORACLE):
+                want = [mats[m][v] for m in range(m_max + 1)]
+                assert a_rows(g, cert, m_max, v) == want, (name, v, m_max)
+
+
+def test_adjacency_power_traces_from_one_row_of_a_cayley_graph(x135):
+    g, params, _, _ = x135
+    full = adjacency_power_traces(g, 40)
+    for v in (0, cayley_cosets(g, params).identity):
+        assert adjacency_power_traces(g, 40, v) == full, v
 
 
 def test_m_matrix_trace_is_cycle_count(corpus):

@@ -13,18 +13,19 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from b_matrices import a_matrix_range
 
 from iharalab import nbt
 from iharalab.graphs import Graph, _edges_canonical, build_graph, certify_regular
 from iharalab.nbt import (
     ExactMatrixSeq,
-    a_matrix_range,
     adjacency_power_traces,
     f_values,
     n_reduced_range,
     t_tilde_traces,
 )
 from iharalab.oracle import count_reduced_cycles_all
+from iharalab.suite import SuiteContext
 
 M_LONG = 200
 
@@ -121,7 +122,7 @@ def reference(g, cert, m_max: int) -> tuple[list[int], list[int]]:
 
 
 def relabeled(g: Graph, seed: int) -> Graph:
-    """g with its vertices permuted and without the vertex-transitive hint."""
+    """g with its vertices permuted, so that no Cayley certificate for g fits it."""
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     edges = [(perm[i], perm[j], c) for i, j, c in _edges_canonical(g)]
@@ -150,13 +151,15 @@ def test_full_and_row_routes_match_reference_x135(x135, x135_reference):
         assert t_tilde_traces(g, cert, M_LONG, method=method) == theta_ref, method
 
 
-def test_relabeled_x135_without_hint_matches_reference(x135, x135_reference):
-    g, _, _, _ = x135
+def test_relabeled_x135_without_certificate_matches_reference(x135, x135_reference):
+    g, params, _, _ = x135
     h = relabeled(g, seed=5)
     cert = certify_regular(h)
-    assert not h.vertex_transitive_hint and h != g
+    ctx = SuiteContext(h, params)
+    assert h != g and ctx.cosets is None and ctx.row_vertex is None
+    assert ctx.sweep._scale == 1  # the full matrix route
     n_ref, theta_ref = x135_reference
-    assert n_reduced_range(h, cert, M_LONG) == n_ref
+    assert n_reduced_range(h, cert, M_LONG, sweep=ctx.sweep) == n_ref
     assert t_tilde_traces(h, cert, M_LONG) == theta_ref
 
 
@@ -239,7 +242,7 @@ def test_neighbors_repeat_each_vertex_by_its_multiplicity(corpus):
             assert list(g.neighbors[v]) == sorted(g.neighbors[v])
             assert len(g.neighbors[v]) == g.degree(v)
     # the neighbour lists are the only adjacency representation stored
-    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "neighbors", "vertex_transitive_hint"]
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "neighbors"]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from iharalab.oracle import (
     _check_cost,
     count_reduced_cycles_all,
     count_reduced_walks_all,
+    walk_estimate,
 )
 
 # ---------------------------------------------------------------------------
@@ -191,12 +192,29 @@ def test_walks_all_matches_the_single_length_searches(single_length_counts, m_ma
         assert mats == paths[: m_max + 1], name
 
 
+@pytest.mark.parametrize("m_max", [1, 3])
+def test_walks_from_chosen_sources_are_rows_of_the_full_sweep(single_length_counts, m_max):
+    for name, (g, cycles, paths) in single_length_counts.items():
+        per_vertex = [0] * m_max
+        for v in range(g.n):
+            counts, rows = count_reduced_walks_all(g, m_max, sources=[v])
+            assert rows == [[paths[m][v]] for m in range(m_max + 1)], (name, v)
+            per_vertex = [a + b for a, b in zip(per_vertex, counts)]
+        assert per_vertex == cycles[:m_max], name  # each cycle counted at its start
+        picked = [g.n - 1, 0]
+        counts, rows = count_reduced_walks_all(g, m_max, sources=picked)
+        assert rows == [[paths[m][v] for v in picked] for m in range(m_max + 1)], name
+        assert count_reduced_walks_all(g, m_max, sources=range(g.n)) == (cycles[:m_max], paths[: m_max + 1])
+
+
 def test_walks_all_guards():
     g = build_graph(2, [(0, 1, 2)])
     with pytest.raises(ValueError):
         count_reduced_walks_all(g, 0)
     with pytest.raises(DepthExceeded):
         count_reduced_walks_all(g, 15)
+    with pytest.raises(DepthExceeded):  # the guard prices a search from every vertex
+        count_reduced_walks_all(g, 3, sources=[0], budget=walk_estimate(g, 3) - 1)
 
 
 def test_paths_m0_is_identity(corpus):

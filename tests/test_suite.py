@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iharalab import graphs, limits, lps, nbt, suite, zeta
+from iharalab import graphs, limits, lps, nbt, oracle, suite, zeta
 from iharalab.errors import ParseError
 from iharalab.cli import main
 from iharalab.graphs import build_graph, load_graph, named_graph, save_graph
@@ -549,21 +549,112 @@ def test_one_trace_sweep_serves_every_check_of_a_relabeled_file(tmp_path, x135, 
     steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
     cfg = VerificationSuiteConfig(source_kind="file", source="x135_rewritten.json")
     per_check = _steps_per_check(ctx, cfg, steps)
-    # oracle (A_2..A_4 and B_2) and ihara-bass (B_2..B_5 and A^2..A^5) sweep on their own;
-    # chebyshev (to m = 30), average-nm (80) and cusp (200) extend the shared
-    # sweep, and stf (12), phi (8) and huang (30) read prefixes of it
-    assert per_check == {"oracle": 4, "chebyshev": 14, "ihara-bass": 8, "average-nm": 25, "cusp": 60}
-    assert sum(per_check.values()) == 111  # 189 with a sweep per call
+    # the oracle (to m = 4), chebyshev (30), average-nm (80) and cusp (200)
+    # extend the shared sweep, B_2..B_100 in all; ihara-bass (10), stf (12),
+    # phi (8) and huang (30) read prefixes of it.  ihara-bass adds A^2..A^5
+    # for its power traces, and the oracle's rows of A_m take row steps only
+    assert per_check == {"oracle": 1, "chebyshev": 13, "ihara-bass": 4, "average-nm": 25, "cusp": 60}
+    assert sum(per_check.values()) == 103
     taken = len(steps)
     ctx.sweep.prefix(200)
     assert len(steps) == taken  # the sweep already stands at m = 200
 
 
-def test_lps_source_takes_full_matrix_steps_only_in_oracle_and_ihara_bass(monkeypatch):
-    ctx = SuiteContext(*lps.build_lps(13, 5))
+def test_certified_lps_sources_take_no_full_matrix_step(tmp_path, monkeypatch):
+    emitted = tmp_path / "x135.json"
+    assert main(["lps", "--p", "13", "--q", "5", "--emit", str(emitted)]) == 0
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(emitted.read_bytes())
+    contexts = {
+        "--lps 13,5": SuiteContext(*lps.build_lps(13, 5)),
+        "byte copy of the emitted file": resolve_source(
+            VerificationSuiteConfig(source_kind="file", source=str(copy))
+        ),
+    }
     steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
     cfg = VerificationSuiteConfig(source_kind="lps", p=13, q=5)
-    assert _steps_per_check(ctx, cfg, steps) == {"oracle": 4, "ihara-bass": 8}
+    for label, ctx in contexts.items():
+        assert ctx.cosets is not None and ctx.row_vertex == ctx.cosets.identity, label
+        assert _steps_per_check(ctx, cfg, steps) == {}, label
+
+
+def test_uncertified_contexts_take_the_full_route(tmp_path, x135):
+    g, params = x135[0], x135[1]
+    relabeled_file = _relabeled_x135_file(tmp_path, x135)
+    for ctx in (SuiteContext(g), relabeled_file, SuiteContext(named_graph("PETERSEN"))):
+        assert ctx.cosets is None and ctx.row_vertex is None
+        assert ctx.sweep._scale == 1  # Tr B_m of the full matrices
+    certified = SuiteContext(g, params)
+    assert certified.sweep._scale == g.n  # n times the identity row's diagonal
+
+
+def _spy_on_sources(monkeypatch, most: int | None = None) -> list:
+    """Record the sources of every oracle search; refuse a search from more than most vertices."""
+    seen = []
+    real = oracle.count_reduced_walks_all
+
+    def spy(g, m_max, *, sources=None, **kwargs):
+        seen.append(None if sources is None else list(sources))
+        assert most is None or len(seen[-1] or range(g.n)) <= most, "the search starts everywhere"
+        return real(g, m_max, sources=sources, **kwargs)
+
+    monkeypatch.setattr(oracle, "count_reduced_walks_all", spy)
+    return seen
+
+
+def _oracle_outcome(ctx: SuiteContext) -> tuple:
+    res = run_check("oracle", ctx, VerificationSuiteConfig(source_kind="lps", p=13, q=5, checks=("oracle",)))
+    return res.status, res.metric, res.detail
+
+
+def test_the_identity_row_oracle_reports_what_the_full_one_does(tmp_path, x135, monkeypatch):
+    g, params = x135[0], x135[1]
+    sources = _spy_on_sources(monkeypatch)
+    certified = SuiteContext(g, params)
+    outcome = _oracle_outcome(certified)
+    assert outcome == _oracle_outcome(SuiteContext(g))
+    assert outcome == _oracle_outcome(_relabeled_x135_file(tmp_path, x135))
+    assert sources == [[certified.row_vertex], list(range(g.n)), list(range(g.n))]
+    status, metric, detail = outcome
+    assert (status, metric, detail["depth"]) == ("pass", 0.0, 4)
+    assert detail["n_m_bruteforce"] == nbt.n_reduced_range(g, x135[2], 4, method="full")
+
+
+@pytest.mark.parametrize("certified", [True, False])
+@pytest.mark.parametrize("corrupt", ["row", "count"])
+def test_the_oracle_check_sees_a_wrong_recurrence(x135, monkeypatch, certified, corrupt):
+    g, params = x135[0], x135[1]
+    ctx = SuiteContext(g, params if certified else None)
+    if corrupt == "row":
+        real = nbt.a_rows
+
+        def wrong_rows(g, cert, m_max, v):
+            rows = real(g, cert, m_max, v)
+            rows[m_max][g.neighbors[v][0]] += 1
+            return rows
+
+        monkeypatch.setattr(nbt, "a_rows", wrong_rows)
+    else:
+        real = nbt.n_reduced_range
+        monkeypatch.setattr(nbt, "n_reduced_range", lambda *a, **k: [x + 2 for x in real(*a, **k)])
+    status, metric, _ = _oracle_outcome(ctx)
+    assert status == "fail" and metric >= 1.0
+
+
+def test_oracle_and_ihara_bass_run_on_the_identity_row_of_x_5_29(monkeypatch):
+    ctx = SuiteContext(*lps.build_lps(5, 29))  # n = 12180: one n x n matrix of ints is over 1 GB
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n x n matrix was built")
+
+    for name in ("_mul_adj", "_identity_rows", "_adjacency_rows"):
+        monkeypatch.setattr(nbt, name, refuse)
+    sources = _spy_on_sources(monkeypatch, most=1)
+    cfg = VerificationSuiteConfig(source_kind="lps", p=5, q=29, checks=("oracle", "ihara-bass"))
+    oracle_res, bass = (run_check(name, ctx, cfg) for name in cfg.checks)
+    assert (oracle_res.status, oracle_res.metric, oracle_res.detail["depth"]) == ("pass", 0.0, 4)
+    assert (bass.status, bass.metric) == ("pass", 0.0)
+    assert sources == [[ctx.row_vertex]]
 
 
 def test_each_context_owns_its_sweep(tmp_path, x135, monkeypatch):

@@ -22,8 +22,8 @@ import iharalab
 from iharalab import zeta
 from iharalab.errors import DepthExceeded, InvalidPrime
 from iharalab.graphs import Graph, build_graph, named_graph
-from iharalab.lps import build_lps, is_prime
-from iharalab.nbt import f_values, n_reduced_range
+from iharalab.lps import build_lps, cayley_cosets, is_prime
+from iharalab.nbt import TraceSweep, f_values, n_reduced_range
 from iharalab.series import TruncatedSeries
 from iharalab.suite import SuiteContext
 from iharalab.zeta import (
@@ -204,6 +204,25 @@ def test_verify_ihara_bass_zero(corpus):
     for name in ("K3", "K4", "K33", "PETERSEN"):
         g, _ = corpus[name]
         assert verify_ihara_bass(g, order=10) == 0, name
+
+
+def test_verify_ihara_bass_on_the_identity_row(x135):
+    g, params, cert, _ = x135
+    e = cayley_cosets(g, params).identity
+    assert verify_ihara_bass(g, order=10, sweep=TraceSweep(g, cert.q, "row", e), vertex=e) == 0
+    assert reciprocal_series_regular(g, cert, 10, vertex=e) == reciprocal_series_regular(g, cert, 10)
+
+
+def test_a_row_route_without_a_certificate_fails_the_identity():
+    # the Frucht graph is 3-regular with no automorphism but the identity,
+    # so no one row's diagonal entries give the traces
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    g = build_graph(12, [(i, (i + 1) % 12) for i in range(12)] + [
+        (i, (i + s) % 12) for i, s in enumerate(lcf) if i < (i + s) % 12
+    ])
+    assert SuiteContext(g).row_vertex is None
+    assert verify_ihara_bass(g, order=10) == 0
+    assert all(verify_ihara_bass(g, order=10, vertex=v) != 0 for v in range(g.n))
 
 
 def test_tree_zeta_is_one():
