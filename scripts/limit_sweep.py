@@ -64,28 +64,25 @@ def write_average_nm(path: str, horizons: list[int]) -> None:
         w = csv.writer(fh)
         w.writerow(["graph", "N", "lhs", "main_terms", "residual", "scaled", "reference"])
         for name in NAMED:
-            g = named_graph(name)
-            cert = certify_regular(g)
-            sd = eigendecompose(g, cert)
+            ctx = SuiteContext(named_graph(name))
             try:
-                require_ramanujan(sd)
+                require_ramanujan(ctx.sd)
             except NotRamanujan:
                 continue
-            if cert.q < 2:
+            if ctx.cert.q < 2:
                 continue
-            for rep in average_nm_sweep(g, cert, sd, horizons):
+            for rep in average_nm_sweep(ctx, horizons):
                 w.writerow([name, rep.N, repr(rep.lhs), repr(rep.main_terms),
                             repr(rep.residual), repr(rep.scaled_residual),
                             repr(rep.reference_constant)])
 
 
 def write_cusp(path: str, horizons: list[int]) -> None:
-    ctx = SuiteContext(*build_lps(13, 5))  # its sweep runs on the identity row
-    sd = eigendecompose(ctx.g, ctx.cert)
+    ctx = SuiteContext(*build_lps(13, 5))  # certified: row sweep and block spectrum
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["N", "average", "scaled", "reference", "term_bound", "max_term"])
-        for row in average_cusp_sweep(ctx.g, ctx.params, sd, horizons, sweep=ctx.sweep):
+        for row in average_cusp_sweep(ctx, horizons):
             w.writerow([row["N"], repr(row["average"]), repr(row["scaled_average"]),
                         repr(row["reference_constant"]), repr(row["term_bound"]),
                         repr(row["max_term"])])

@@ -130,7 +130,12 @@ def cmd_nbt(args) -> int:
 
 def cmd_oracle(args) -> int:
     ctx = _load_source(args.source)
-    counts = oracle.count_reduced_cycles_all(ctx.g, args.m_max, budget=args.budget)
+    g, v = ctx.g, ctx.row_vertex
+    if v is None:
+        counts = oracle.count_reduced_cycles_all(g, args.m_max, budget=args.budget)
+    else:  # on a certified X^{p,q} the search from e stands for every vertex
+        closed, _ = oracle.count_reduced_walks_all(g, args.m_max, sources=[v], budget=args.budget)
+        counts = [g.n * c for c in closed]
     try:
         rec = nbt.n_reduced_range(ctx.g, ctx.cert, args.m_max, sweep=ctx.sweep)
     except NotRegular:
@@ -153,7 +158,7 @@ def cmd_zeta(args) -> int:
     ctx = _load_source(args.source)
     betti_r = ctx.g.edge_count - ctx.g.n + 1
     try:
-        recip = zeta.reciprocal_series_regular(ctx.g, ctx.cert, args.order)
+        recip = zeta.reciprocal_series_regular(ctx, args.order)
     except NotRegular:
         recip = zeta.ihara_bass_reciprocal(ctx.g).series(args.order)
     zs = recip.inverse()
@@ -229,7 +234,7 @@ def cmd_limits(args) -> int:
         _emit_rows(args, header, rows)
     elif args.what == "average-nm":
         horizons = horizons or list(suite.DEFAULT_HORIZONS["average-nm"])
-        reports = limits.average_nm_sweep(ctx.g, ctx.cert, ctx.sd, horizons, sweep=ctx.sweep)
+        reports = limits.average_nm_sweep(ctx, horizons)
         header = ["N", "lhs", "main_terms", "residual", "scaled_residual", "reference_constant"]
         rows = [
             [r.N, r.lhs, r.main_terms, r.residual, r.scaled_residual, r.reference_constant]
@@ -241,7 +246,7 @@ def cmd_limits(args) -> int:
             raise ParseError("limits --what cusp needs an LPS graph file with its parameters")
         horizons = horizons or list(suite.DEFAULT_HORIZONS["cusp"])
         header = ["N", "average", "scaled_average", "reference_constant"]
-        rows = limits.average_cusp_sweep(ctx.g, ctx.params, ctx.sd, horizons, sweep=ctx.sweep)
+        rows = limits.average_cusp_sweep(ctx, horizons)
         _emit_rows(args, header, [[r[k] for k in header] for r in rows])
     return 0
 
@@ -265,7 +270,7 @@ def cmd_stf(args) -> int:
     ctx = _load_source(args.source)
     support = tuple(_parse_hhat(args.hhat or []))
     h = limits.StfTestFunction(hhat0=args.hhat0, support=support)
-    lhs, geo, disc = limits.stf_verify(ctx.g, ctx.cert, ctx.sd, h)
+    lhs, geo, disc = limits.stf_verify(ctx, h)
     payload = {
         "lhs": lhs,
         "geometric": geo,
@@ -279,7 +284,7 @@ def cmd_stf(args) -> int:
 
 def cmd_huang(args) -> int:
     ctx = _load_source(args.source)
-    values = limits.huang_range(ctx.g, ctx.cert, args.m_max, sweep=ctx.sweep)
+    values = limits.huang_range(ctx, args.m_max)
     rows = [[m, values[m - 1]] for m in range(1, args.m_max + 1)]
     _emit_rows(args, ["m", "h_m"], rows)
     worst = min(values[m - 1] for m in range(2, args.m_max + 1, 2)) if args.m_max >= 2 else 0.0

@@ -17,6 +17,12 @@ reference constant derived from the partial-sum bound
 constant is what the proofs actually control; the observed max/min
 ratio across horizons is reported as a diagnostic but oscillatory
 near-zeros make it unusable as a pass/fail gate.
+
+The Cesaro functions and the reference constants take spectral data
+only.  The reports that read exact counts (average_nm, the two sweeps,
+stf_verify, huang_range) take a suite.SuiteContext and read the graph,
+certificate, spectrum, parameters and trace sweep from it, so they run
+on the route the context's certificate picks and have none of their own.
 """
 
 from __future__ import annotations
@@ -24,17 +30,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
 from .chebyshev import central_binomial_weight, cos_power_as_cosines
 from .errors import AngleConditionViolated, NotRamanujan, QuadratureFailure
-from .graphs import Graph, RegularityCertificate
-from .nbt import TraceSweep, cheb_t_real, n_reduced_range
+from .graphs import RegularityCertificate
+from .nbt import cheb_t_real, n_reduced_range
 from .qext import SqrtExt, half_power
 from .zeta import normalized_cusp_terms
+
+if TYPE_CHECKING:
+    from .suite import SuiteContext
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +256,7 @@ def average_nm_reference(sd, cert: RegularityCertificate) -> float:
     return total
 
 
-def average_nm(
-    g: Graph, cert: RegularityCertificate, sd, N: int, *, counts: list[int] | None = None
-) -> AverageNmReport:
+def average_nm(ctx: SuiteContext, N: int) -> AverageNmReport:
     """Average of N_m / q^{m/2} for m <= N against its main terms.
 
     lhs and main terms are assembled exactly in Q(sqrt q); the two
@@ -262,14 +269,12 @@ def average_nm(
     """
     if N < 2:
         raise ValueError("N must be at least 2")
+    sd, cert = ctx.sd, ctx.cert
     require_ramanujan(sd)
     q = cert.q
     if q < 2:
         raise ValueError("main-term formula needs q >= 2")
-    if counts is None:
-        counts = n_reduced_range(g, cert, N)
-    if len(counts) < N:
-        raise ValueError("counts shorter than horizon")
+    counts = n_reduced_range(ctx.g, cert, N, sweep=ctx.sweep)
     total = SqrtExt.of(q, 0)
     for m in range(1, N + 1):
         nm = counts[m - 1]
@@ -293,18 +298,9 @@ def average_nm(
     )
 
 
-def average_nm_sweep(
-    g: Graph,
-    cert: RegularityCertificate,
-    sd,
-    horizons: Sequence[int],
-    *,
-    sweep: TraceSweep | None = None,
-) -> list[AverageNmReport]:
-    """average_nm at several horizons off one exact N_m sweep (sweep, or a fresh one when None)."""
-    ns = _validate_horizons(horizons)
-    counts = n_reduced_range(g, cert, ns[-1], sweep=sweep)
-    return [average_nm(g, cert, sd, N, counts=counts) for N in ns]
+def average_nm_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[AverageNmReport]:
+    """average_nm at several horizons; every N_m prefix comes from the context's one sweep."""
+    return [average_nm(ctx, N) for N in _validate_horizons(horizons)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +324,18 @@ def average_cusp_reference(sd) -> float:
     return total / sd.n
 
 
-def average_cusp_sweep(
-    g_lps: Graph, params, sd, horizons: Sequence[int], *, sweep: TraceSweep | None = None
-) -> list[dict]:
+def average_cusp_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[dict]:
     """Average of a(p^m)/(2 p^{m/2}) over m <= N at each horizon N, with its rate bound.
 
-    One normalized_cusp_terms call, to the largest horizon and from
-    sweep (a fresh one when None), serves every row, and each sum is
-    exact.  A row carries N, the average,
+    One normalized_cusp_terms call, to the largest horizon and from the
+    context's sweep, serves every row, and each sum is exact.  A row
+    carries N, the average,
     |average| * N (scaled_average), the reference constant the
     partial-sum bound gives for it, the spectral term bound and the
     largest |term| up to N.
     """
-    normalized = normalized_cusp_terms(g_lps, params, max(horizons), sweep=sweep)
+    sd = ctx.sd
+    normalized = normalized_cusp_terms(ctx.g, ctx.params, max(horizons), sweep=ctx.sweep)
     reference, bound = average_cusp_reference(sd), cusp_term_bound(sd)
     rows = []
     for N in horizons:
@@ -384,20 +379,13 @@ class StfTestFunction:
         return self.hhat0 + sum(2.0 * v * cheb_t_real(m, x) for m, v in self.support)
 
 
-def stf_verify(
-    g: Graph,
-    cert: RegularityCertificate,
-    sd,
-    h: StfTestFunction,
-    *,
-    counts: list[int] | None = None,
-) -> tuple[float, float, float]:
+def stf_verify(ctx: SuiteContext, h: StfTestFunction) -> tuple[float, float, float]:
     """Check the trace formula: spectral side vs. identity + cycle terms.
 
     lhs = sum_clusters mult * h(theta); geometric side =
     (2 n q (q+1)/pi) Integral_0^pi sin^2(theta)/((q+1)^2 - 4q cos^2 theta) h(theta) d theta
-    + sum_m N_m q^{-m/2} hhat(m).  Returns (lhs, geometric, |difference|).
-    counts, if given, are N_1, N_2, ... at least to h's top frequency.
+    + sum_m N_m q^{-m/2} hhat(m), with N_m from the context's sweep.
+    Returns (lhs, geometric, |difference|).
 
     The difference is not lhs - geometric: both sides grow like q^{m/2}
     hhat(m), so their float round-off would scale with q^{m/2}.  The
@@ -406,6 +394,9 @@ def stf_verify(
     N_m q^{-m/2} hhat(m) is formed exactly in Q(sqrt q) per frequency and
     converted once, and only the O(n) remainder is summed in floats.
     """
+    g, cert = ctx.g, ctx.cert
+    counts = n_reduced_range(g, cert, h.max_frequency(), sweep=ctx.sweep) if h.support else []
+    sd = ctx.sd
     q = cert.q
     lhs = rest = 0.0
     trivial = []  # (sign, mult) of the clusters at q+1 and, if bipartite, at -(q+1)
@@ -430,14 +421,8 @@ def stf_verify(
         raise QuadratureFailure(f"quadrature error estimate {abserr} exceeds 1e-8")
     identity_term = (2.0 * g.n * q * (q + 1) / math.pi) * integral
     geometric = identity_term
-    if h.support:
-        m_max = h.max_frequency()
-        if counts is None:
-            counts = n_reduced_range(g, cert, m_max)
-        if len(counts) < m_max:
-            raise ValueError("counts shorter than the test function's top frequency")
-        for m, v in h.support:
-            geometric += counts[m - 1] * q ** (-m / 2.0) * v
+    for m, v in h.support:
+        geometric += counts[m - 1] * q ** (-m / 2.0) * v
     exact_part = sum(k for _, k in trivial) * h.hhat0
     for m, v in h.support:
         share = sum(k * s**m for s, k in trivial) * (half_power(q, m) + half_power(q, -m))
@@ -449,10 +434,8 @@ def stf_verify(
 # Huang's positivity sequence
 
 
-def huang_range(
-    g: Graph, cert: RegularityCertificate, m_max: int, *, sweep: TraceSweep | None = None
-) -> list[float]:
-    """[h_1..h_{m_max}] from the exact branch formulas, with N_m from sweep (a fresh one when None).
+def huang_range(ctx: SuiteContext, m_max: int) -> list[float]:
+    """[h_1..h_{m_max}] from the exact branch formulas, with N_m from the context's sweep.
 
     Non-bipartite: h_m = 2(n-1) + n e_m (q-1)/q^{m/2}
                          + (q^{m/2} + q^{-m/2}) - N_m/q^{m/2}.
@@ -462,11 +445,11 @@ def huang_range(
     everything in Q(sqrt q); the float conversion happens only at the
     very end.)
     """
+    cert, n = ctx.cert, ctx.g.n
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     q = cert.q
-    n = g.n
-    counts = n_reduced_range(g, cert, m_max, sweep=sweep)
+    counts = n_reduced_range(ctx.g, cert, m_max, sweep=ctx.sweep)
     out = []
     for m in range(1, m_max + 1):
         e_m = 1 if m % 2 == 0 else 0

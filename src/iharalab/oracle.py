@@ -8,6 +8,7 @@ the search being a direct transcription of the definitions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,6 +96,46 @@ def count_reduced_cycles_all(
     return totals[1:]
 
 
+def _arc_tables(
+    g: Graph, sources: Sequence[int], radius: int
+) -> tuple[dict[int, int], list[int], list[int]]:
+    """(first, terminus, inverse) for the arcs out of the vertices within radius of sources.
+
+    The arcs out of a tabled vertex v are numbered first[v], first[v] + 1,
+    ... in the order of g.neighbors[v], and terminus[a] is where arc a
+    ends.  inverse[a] is the reversed arc, or -1 when a ends at a vertex
+    outside the table.  As in ArcList, the r-th edge end at w among v's
+    neighbours pairs with the r-th end at v among w's, and the two ends
+    of a loop pair with each other.
+    """
+    first: dict[int, int] = {}
+    count = 0
+    layer = sources
+    for _ in range(radius + 1):
+        grown = []
+        for v in layer:
+            if v not in first:
+                first[v] = count
+                count += len(g.neighbors[v])
+                grown.append(v)
+        layer = [w for v in grown for w in g.neighbors[v]]
+    terminus: list[int] = []
+    inverse: list[int] = []
+    for v, base in first.items():
+        nb = g.neighbors[v]
+        for k, w in enumerate(nb):
+            terminus.append(w)
+            back = first.get(w)
+            r = k - bisect_left(nb, w)  # this is the r-th end at w in v's list
+            if back is None:
+                inverse.append(-1)
+            elif w == v:
+                inverse.append(base + k - r + (r ^ 1))
+            else:
+                inverse.append(back + bisect_left(g.neighbors[w], v) + r)
+    return first, terminus, inverse
+
+
 def count_reduced_walks_all(
     g: Graph,
     m_max: int,
@@ -118,22 +159,27 @@ def count_reduced_walks_all(
     through its first arc; it is a reduced cycle when it ends at its
     origin and its last arc is not the inverse of its first.  The walks
     of length m_max are counted one by one in the loop of their length
-    m_max - 1 prefix rather than in a call each.
+    m_max - 1 prefix rather than in a call each.  A walk of length m_max
+    takes only arcs out of vertices within m_max - 1 of its origin, so
+    the arc and follower tables hold those arcs only (_arc_tables).
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     _check_cost(g, m_max, depth_guard, budget)
-    al = ArcList.from_graph(g)
     sources = range(g.n) if sources is None else sources
     totals = [0] * (m_max + 1)
     mats = [[[0] * g.n for _ in sources] for _ in range(m_max + 1)]
     for k, src in enumerate(sources):
         mats[0][k][src] = 1
 
-    terminus = [t for _, t in al.arcs]
-    # the arcs that may follow arc a: out of its terminus, except its inverse
-    follow = [[b for b in al.out[t] if b != al.inverse[a]] for a, t in enumerate(terminus)]
-    follow_ends = [[terminus[b] for b in arcs] for arcs in follow]
+    first, terminus, inverse = _arc_tables(g, sources, m_max - 1)
+    # the arcs that may follow arc a: out of its terminus t, except its
+    # inverse; None when t's arcs are not tabled, which no walk needs
+    follow = [
+        None if inv < 0 else [b for b in range(first[t], first[t] + len(g.neighbors[t])) if b != inv]
+        for t, inv in zip(terminus, inverse)
+    ]
+    follow_ends = [None if arcs is None else [terminus[b] for b in arcs] for arcs in follow]
 
     def walk(rows: list[list[int]], src: int, first_inv: int, cur: int, depth: int) -> None:
         here = terminus[cur]
@@ -154,7 +200,7 @@ def count_reduced_walks_all(
 
     for k, src in enumerate(sources):
         rows = [mat[k] for mat in mats]  # src's row of every mats[depth]
-        for first in al.out[src]:
-            walk(rows, src, al.inverse[first], first, 1)
+        for arc in range(first[src], first[src] + len(g.neighbors[src])):
+            walk(rows, src, inverse[arc], arc, 1)
     del walk  # as in count_reduced_cycles_all
     return totals[1:], mats

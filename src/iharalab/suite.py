@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import limits, lps, nbt, oracle, zeta
-from .errors import IharaLabError, NotRegular, ParseError
+from .errors import IharaLabError, ParseError
 from .graphs import Graph, certify_regular, load_graph_doc, named_graph
 from .spectral import block_decompose, eigendecompose
 
@@ -204,9 +204,12 @@ class SuiteContext:
 
     The sweep is the context's one nbt.TraceSweep: every check that
     reads Tr B_m, N_m or Tr T~_m reads its prefixes, so a pass takes the
-    kernel steps of the longest request once.  All of it lives and dies
-    with the context; nothing is cached on the graph, the regularity
-    certificate or the parameters.
+    kernel steps of the longest request once.  The report functions of
+    limits and zeta take the context itself and read the graph,
+    certificate, spectrum, parameters and sweep from it, so no caller
+    picks a route of its own.  All of it lives and dies with the
+    context; nothing is cached on the graph, the regularity certificate
+    or the parameters.
     """
 
     def __init__(self, g: Graph, params: lps.LpsParams | None = None, label: str = ""):
@@ -412,17 +415,8 @@ def check_chebyshev(ctx: SuiteContext, *, m_max: int = 30) -> dict:
 
 
 def check_ihara_bass(ctx: SuiteContext, *, order: int = 10) -> dict:
-    """Cycle-count series vs. the determinant formula, exact rationals.
-
-    On a regular graph N_m comes from the context's sweep and the power
-    traces of the determinant side from row_vertex's row when the
-    context holds the Cayley certificate (zeta.verify_ihara_bass).
-    """
-    try:
-        sweep = ctx.sweep
-    except NotRegular:  # the cycle oracle against the Bass charpoly
-        sweep = None
-    discrepancy = zeta.verify_ihara_bass(ctx.g, order=order, sweep=sweep, vertex=ctx.row_vertex)
+    """Cycle-count series vs. the determinant formula, exact rationals (zeta.verify_ihara_bass)."""
+    discrepancy = zeta.verify_ihara_bass(ctx, order)
     return {"metric": float(discrepancy), "detail": {"order": order}}
 
 
@@ -532,7 +526,7 @@ def check_average_nm(
     ctx: SuiteContext, *, horizons: tuple[int, ...] = DEFAULT_HORIZONS["average-nm"]
 ) -> dict:
     """(1/N) sum N_m q^{-m/2} against the corollary's main terms."""
-    reports = limits.average_nm_sweep(ctx.g, ctx.cert, ctx.sd, horizons, sweep=ctx.sweep)
+    reports = limits.average_nm_sweep(ctx, horizons)
     ref = reports[0].reference_constant
     worst = max(abs(r.scaled_residual) for r in reports) / (BAND_FACTOR * ref)
     return {
@@ -547,12 +541,11 @@ def check_average_nm(
 
 def check_stf(ctx: SuiteContext, *, m0_max: int = 12) -> dict:
     """Trace formula for all single-frequency test functions and the constant."""
-    counts = nbt.n_reduced_range(ctx.g, ctx.cert, m0_max, sweep=ctx.sweep)
     worst = 0.0
     rows = []
     for m0 in range(0, m0_max + 1):
         h = limits.StfTestFunction.single(m0) if m0 else limits.StfTestFunction(hhat0=1.0)
-        lhs, geo, disc = limits.stf_verify(ctx.g, ctx.cert, ctx.sd, h, counts=counts)
+        lhs, geo, disc = limits.stf_verify(ctx, h)
         worst = max(worst, disc)
         rows.append({"m0": m0, "lhs": lhs, "geometric": geo, "discrepancy": disc})
     return {"metric": worst, "detail": {"rows": rows}}
@@ -564,7 +557,7 @@ def check_cusp(
     """Averaged normalized cusp coefficients stay O(1/N)."""
     if ctx.params is None:
         raise IharaLabError("cusp check needs an LPS graph source")
-    rows = limits.average_cusp_sweep(ctx.g, ctx.params, ctx.sd, horizons, sweep=ctx.sweep)
+    rows = limits.average_cusp_sweep(ctx, horizons)
     ref = rows[0]["reference_constant"]  # the same at every horizon
     worst = max([0.0] + [r["scaled_average"] / (BAND_FACTOR * ref) for r in rows])
     return {
@@ -584,14 +577,14 @@ def check_phi(ctx: SuiteContext, *, order: int = 8) -> dict:
     """
     if ctx.params is None:
         raise IharaLabError("phi check needs an LPS graph source")
-    spectral, closed = zeta.phi_series(ctx.g, ctx.cert, ctx.params, order, ctx.sd, sweep=ctx.sweep)
+    spectral, closed = zeta.phi_series(ctx, order)
     diffs = [
         abs(float(a) - float(b)) for a, b in zip(spectral.coeffs, closed.coeffs)
     ]
     metric = max(diffs)
     eps_values = (1e-2, 1e-3, 1e-4)
     g_values = [
-        abs(-e * zeta.phi_closed_point(ctx.g, ctx.cert, ctx.params, ctx.sd, 1.0 - e))
+        abs(-e * zeta.phi_closed_point(ctx, 1.0 - e))
         for e in eps_values
     ]
     ratios = [g_values[i] / g_values[i + 1] for i in range(len(g_values) - 1)]
@@ -612,7 +605,7 @@ def check_phi(ctx: SuiteContext, *, order: int = 8) -> dict:
 
 def check_huang(ctx: SuiteContext, *, m_max: int = 30) -> dict:
     """h_m >= 0 at even m; metric is the worst violation."""
-    values = limits.huang_range(ctx.g, ctx.cert, m_max, sweep=ctx.sweep)
+    values = limits.huang_range(ctx, m_max)
     worst = 0.0
     for m in range(2, m_max + 1, 2):
         worst = max(worst, -min(0.0, values[m - 1]))

@@ -12,6 +12,12 @@ terms two ways: as their sum, from the Tr T~_m sweep, and as a closed
 form in the zeta log-derivative Z'/Z = sum N_m u^{m-1}, whose N_m come
 from the N_m sweep.  The closed form does not re-derive N_m from the
 determinant: that the two agree is what the ihara-bass check tests.
+
+The report functions (det_series_regular, reciprocal_series_regular,
+verify_ihara_bass, phi_series, phi_closed_point) take a
+suite.SuiteContext and read the graph, certificate, spectrum, parameters
+and trace sweep from it; the graph-level cusp coefficient functions take
+an optional sweep, which the reports pass from the context.
 """
 
 from __future__ import annotations
@@ -19,16 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, prod
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DepthExceeded, InvalidPrime, NotRegular
-from .graphs import Graph, RegularityCertificate, _edges_canonical, certify_regular
+from .graphs import Graph, _edges_canonical, certify_regular
 from .lps import LpsParams, is_prime, legendre_symbol
 from .nbt import TraceSweep, adjacency_power_traces, n_reduced_range, t_tilde_traces
 from .oracle import count_reduced_cycles_all
 from .qext import SqrtExt, half_power
 from .series import TruncatedSeries, binomial_one_minus_u2
+
+if TYPE_CHECKING:
+    from .suite import SuiteContext
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +164,17 @@ def ihara_bass_reciprocal(g: Graph) -> ZetaReciprocal:
     return ZetaReciprocal(betti_r=g.edge_count - n + 1, det_coeffs=tuple(coeffs), n=n)
 
 
-def det_series_regular(
-    g: Graph, cert: RegularityCertificate, order: int, *, vertex: int | None = None
-) -> TruncatedSeries:
+def det_series_regular(ctx: SuiteContext, order: int) -> TruncatedSeries:
     """det(I - uA + q u^2 I) as an exact series, via power-sum traces.
 
     log det(I - X) = -sum_j Tr(X^j)/j with X = uA - qu^2 I; Tr(X^j)
-    expands over adjacency power traces, which come from row vertex
-    when one is given (nbt.adjacency_power_traces).  This route never
-    builds the degree-2n polynomial, so its cost follows the order asked
-    for, not n.
+    expands over adjacency power traces, which come from the context's
+    row vertex when it has one (nbt.adjacency_power_traces).  This route
+    never builds the degree-2n polynomial, so its cost follows the order
+    asked for, not n.  Raises NotRegular on an irregular graph.
     """
-    q = cert.q
-    w = adjacency_power_traces(g, order, vertex)
+    q = ctx.cert.q
+    w = adjacency_power_traces(ctx.g, order, ctx.row_vertex)
     log_coeffs = [Fraction(0)] * (order + 1)
     for j in range(1, order + 1):
         for i in range(j + 1):
@@ -178,12 +186,10 @@ def det_series_regular(
     return TruncatedSeries.from_coeffs(log_coeffs, order).exp()
 
 
-def reciprocal_series_regular(
-    g: Graph, cert: RegularityCertificate, order: int, *, vertex: int | None = None
-) -> TruncatedSeries:
-    """Z(u)^{-1} as an exact series for a regular graph, power-sum route (vertex as in det_series_regular)."""
-    betti_r = g.edge_count - g.n + 1
-    return binomial_one_minus_u2(betti_r - 1, order) * det_series_regular(g, cert, order, vertex=vertex)
+def reciprocal_series_regular(ctx: SuiteContext, order: int) -> TruncatedSeries:
+    """Z(u)^{-1} as an exact series for a regular graph, power-sum route (det_series_regular)."""
+    betti_r = ctx.g.edge_count - ctx.g.n + 1
+    return binomial_one_minus_u2(betti_r - 1, order) * det_series_regular(ctx, order)
 
 
 def zeta_series_from_counts(counts: list[int], order: int | None = None) -> TruncatedSeries:
@@ -196,33 +202,26 @@ def zeta_series_from_counts(counts: list[int], order: int | None = None) -> Trun
     return TruncatedSeries.from_coeffs(log_coeffs, order).exp()
 
 
-def verify_ihara_bass(
-    g: Graph, order: int = 10, *, sweep: TraceSweep | None = None, vertex: int | None = None
-) -> Fraction:
+def verify_ihara_bass(ctx: SuiteContext, order: int = 10) -> Fraction:
     """Max |coefficient difference| between the two exact zeta routes.
 
-    On a regular graph the counts come from the B_m trace sweep (sweep,
-    or a fresh full-matrix one when None) and the determinant form from
-    the power-sum series, whose Tr A^k come from a sweep at q = 0 of its
-    own: on the full matrices, or n times row vertex's diagonal entries
-    when one is given.  That is the trace only when every diagonal entry
-    agrees; suite.SuiteContext passes the identity vertex of a graph it
-    certifies as X^{p,q}.  The two sides stay independent recurrences,
-    at q and at 0.  An irregular graph takes its counts from the
-    brute-force cycle oracle and its determinant from the Bass-matrix
-    charpoly, and ignores sweep and vertex.  Exact zero expected.
+    On a regular graph the counts come from the context's B_m trace
+    sweep and the determinant form from the power-sum series, whose
+    Tr A^k come from a sweep at q = 0 of its own on the context's route:
+    n times the identity row's diagonal entries on a certified X^{p,q},
+    the full matrices otherwise.  The two sides stay independent
+    recurrences, at q and at 0.  When the context's sweep raises
+    NotRegular, the counts come from the brute-force cycle oracle and
+    the determinant from the Bass-matrix charpoly.  Exact zero expected.
     """
     try:
-        cert = certify_regular(g)
+        sweep = ctx.sweep
     except NotRegular:
-        cert = None
-    if cert is not None:
-        counts = n_reduced_range(g, cert, order, sweep=sweep)
-        recip = reciprocal_series_regular(g, cert, order, vertex=vertex)
-        from_bass = recip.inverse()
+        counts = count_reduced_cycles_all(ctx.g, order)
+        from_bass = ihara_bass_reciprocal(ctx.g).zeta_series(order)
     else:
-        counts = count_reduced_cycles_all(g, order)
-        from_bass = ihara_bass_reciprocal(g).zeta_series(order)
+        counts = n_reduced_range(ctx.g, ctx.cert, order, sweep=sweep)
+        from_bass = reciprocal_series_regular(ctx, order).inverse()
     from_counts = zeta_series_from_counts(counts, order)
     return max(abs(a - b) for a, b in zip(from_counts.coeffs, from_bass.coeffs))
 
@@ -292,15 +291,7 @@ def _tempered_count(sd) -> int:
     return sum(c.mult for c in sd.principal())
 
 
-def phi_series(
-    g_lps: Graph,
-    cert: RegularityCertificate,
-    params: LpsParams,
-    order: int,
-    sd,
-    *,
-    sweep: TraceSweep | None = None,
-) -> tuple[TruncatedSeries, TruncatedSeries]:
+def phi_series(ctx: SuiteContext, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The generating function phi(t) = sum a(p^m)/(2 p^{m/2}) t^m, two ways.
 
     Returns (spectral, closed_form) truncated series.  The spectral side
@@ -312,19 +303,17 @@ def phi_series(
 
     with F(t) = -2pt/(1-pt^2) - 2p^{-1}t/(1-p^{-1}t^2) in the bipartite
     case and F(t) = -sqrt(p)/(1-sqrt(p)t) - p^{-1/2}/(1-p^{-1/2}t)
-    otherwise, l the number of tempered eigenvalues of sd with
-    multiplicity, and Z'/Z = sum N_m u^{m-1} with N_m from the exact
-    sweep n_reduced_range (the ihara-bass check tests that these N_m
-    give the determinant form).  Both read one Tr B_m sweep: sweep, or
-    a fresh one when None.  Both sides are computed in Q(sqrt p)
+    otherwise, l the number of tempered eigenvalues of the context's
+    spectrum with multiplicity, and Z'/Z = sum N_m u^{m-1} with N_m
+    from the exact sweep n_reduced_range (the ihara-bass check tests
+    that these N_m give the determinant form).  Both read the context's
+    Tr B_m sweep.  Both sides are computed in Q(sqrt p)
     exactly; coefficients are returned as exact rationals when the
     irrational parts vanish (always, for bipartite X^{p,q}) and as
     floats otherwise.
     """
-    p = params.p
-    n = g_lps.n
-    if sweep is None:
-        sweep = TraceSweep(g_lps, cert.q)
+    g_lps, cert, params, sd, sweep = ctx.g, ctx.cert, ctx.params, ctx.sd, ctx.sweep
+    p, n = params.p, g_lps.n
     spectral = normalized_cusp_terms(g_lps, params, order, sweep=sweep)
     # closed form: assemble the brace series over Q(sqrt p)
     zero = SqrtExt.of(p, 0)
@@ -369,19 +358,17 @@ def zeta_log_derivative_point(sd, betti_r: int, u: float) -> float:
     return total
 
 
-def phi_closed_point(
-    g_lps: Graph, cert: RegularityCertificate, params: LpsParams, sd, t: float
-) -> float:
+def phi_closed_point(ctx: SuiteContext, t: float) -> float:
     """Evaluate the closed form of phi at a real point inside the unit disk."""
-    p = params.p
-    n = g_lps.n
-    betti_r = g_lps.edge_count - g_lps.n + 1
+    g_lps, sd = ctx.g, ctx.sd
+    p, n = ctx.params.p, g_lps.n
+    betti_r = g_lps.edge_count - n + 1
     rp = p**0.5
     u = t / rp
     braces = _tempered_count(sd)
     braces += u * zeta_log_derivative_point(sd, betti_r, u)
     braces -= (p - 1) * n * t * t / (p - t * t)
-    if cert.bipartite:
+    if ctx.cert.bipartite:
         f = -2.0 * p * t / (1.0 - p * t * t) - (2.0 / p) * t / (1.0 - t * t / p)
     else:
         f = -rp / (1.0 - rp * t) - (1.0 / rp) / (1.0 - t / rp)

@@ -1,4 +1,4 @@
-"""Shared fixtures: the small named corpus and the two Cayley graphs."""
+"""Shared fixtures: the small named corpus, the two Cayley graphs and suite contexts on them."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 from iharalab.graphs import certify_regular, named_graph
 from iharalab.lps import build_lps
 from iharalab.spectral import eigendecompose
+from iharalab.suite import SuiteContext
 
 NAMED = ("K3", "K4", "K33", "PETERSEN", "CUBE")
 
@@ -28,6 +29,12 @@ def spectra(corpus):
 
 
 @pytest.fixture(scope="session")
+def contexts(corpus):
+    """name -> SuiteContext for the named corpus: full-matrix route, dense spectrum."""
+    return {name: SuiteContext(g) for name, (g, _) in corpus.items()}
+
+
+@pytest.fixture(scope="session")
 def x135():
     """(graph, params, cert, sd) for the 14-regular bipartite Cayley graph."""
     g, params = build_lps(13, 5)
@@ -45,3 +52,10 @@ def x513():
     """
     g, params = build_lps(5, 13)
     return g, params, certify_regular(g)
+
+
+@pytest.fixture(scope="session")
+def x135_ctx(x135):
+    """A SuiteContext on x135's graph and parameters: certified, so row route and block spectrum."""
+    g, params, _, _ = x135
+    return SuiteContext(g, params)

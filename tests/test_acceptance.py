@@ -122,12 +122,11 @@ def test_criterion_02_chebyshev_identity(corpus, spectra):
     )
 
 
-def test_criterion_03_ihara_bass(corpus):
+def test_criterion_03_ihara_bass(contexts):
     start = time.perf_counter()
     worst = Fraction(0)
     for name in ("K3", "K4", "K33", "PETERSEN"):
-        g, _ = corpus[name]
-        worst = max(worst, abs(verify_ihara_bass(g, order=10)))
+        worst = max(worst, abs(verify_ihara_bass(contexts[name], order=10)))
     tree = build_graph(3, [(0, 1), (1, 2)])
     tree_series = ihara_bass_reciprocal(tree).zeta_series(10)
     tree_ok = tree_series.coeffs[0] == 1 and all(c == 0 for c in tree_series.coeffs[1:])
@@ -198,17 +197,12 @@ def test_criterion_05_cesaro_band(spectra, x135):
     )
 
 
-def test_criterion_06_average_nm_band(corpus, spectra, x135):
+def test_criterion_06_average_nm_band(contexts, x135_ctx):
     start = time.perf_counter()
-    g135, _, cert135, sd135 = x135
-    cases = [
-        ("PETERSEN", *corpus["PETERSEN"], spectra["PETERSEN"]),
-        ("K33", *corpus["K33"], spectra["K33"]),
-        ("X{13,5}", g135, cert135, sd135),
-    ]
+    cases = [contexts["PETERSEN"], contexts["K33"], x135_ctx]
     worst_load = 0.0
-    for name, g, cert, sd in cases:
-        for rep in average_nm_sweep(g, cert, sd, (20, 40, 80)):
+    for ctx in cases:
+        for rep in average_nm_sweep(ctx, (20, 40, 80)):
             load = abs(rep.scaled_residual) / (4.0 * rep.reference_constant)
             worst_load = max(worst_load, load)
     ok = worst_load <= 1.0
@@ -306,12 +300,11 @@ def test_criterion_08_theta_identity(x513):
     )
 
 
-def test_criterion_09_cusp_average_band(x135):
+def test_criterion_09_cusp_average_band(x135_ctx):
     start = time.perf_counter()
-    g, params, _, sd = x135
-    ref = average_cusp_reference(sd)
+    ref = average_cusp_reference(x135_ctx.sd)
     worst_load = 0.0
-    for row in average_cusp_sweep(g, params, sd, (50, 100, 200)):
+    for row in average_cusp_sweep(x135_ctx, (50, 100, 200)):
         worst_load = max(worst_load, row["scaled_average"] / (4.0 * ref))
     ok = worst_load <= 1.0
     _report(
@@ -324,16 +317,15 @@ def test_criterion_09_cusp_average_band(x135):
     )
 
 
-def test_criterion_10_generating_function(x135):
+def test_criterion_10_generating_function(x135_ctx):
     start = time.perf_counter()
-    g, params, cert, sd = x135
     tol = 1e-6
-    spectral, closed = phi_series(g, cert, params, 8, sd)
+    spectral, closed = phi_series(x135_ctx, 8)
     coeff_dev = max(
         abs(float(a) - float(b)) for a, b in zip(spectral.coeffs, closed.coeffs)
     )
     eps_values = (1e-2, 1e-3, 1e-4)
-    g_values = [abs(-e * phi_closed_point(g, cert, params, sd, 1.0 - e)) for e in eps_values]
+    g_values = [abs(-e * phi_closed_point(x135_ctx, 1.0 - e)) for e in eps_values]
     ratios = [g_values[i] / g_values[i + 1] for i in range(2)]
     decay_ok = all(6.0 <= r <= 14.0 for r in ratios)
     ok = coeff_dev <= tol and decay_ok
@@ -348,16 +340,14 @@ def test_criterion_10_generating_function(x135):
     )
 
 
-def test_criterion_11_trace_formula(corpus, spectra):
+def test_criterion_11_trace_formula(contexts):
     start = time.perf_counter()
     tol = 1e-8
     worst = 0.0
     for name in ("PETERSEN", "K33", "K4"):
-        g, cert = corpus[name]
-        sd = spectra[name]
         for m0 in range(0, 13):
             h = StfTestFunction.single(m0) if m0 else StfTestFunction(hhat0=1.0)
-            _, _, disc = stf_verify(g, cert, sd, h)
+            _, _, disc = stf_verify(contexts[name], h)
             worst = max(worst, disc)
     ok = worst <= tol
     _report(
@@ -370,15 +360,12 @@ def test_criterion_11_trace_formula(corpus, spectra):
     )
 
 
-def test_criterion_12_huang_nonnegativity(corpus, x135):
+def test_criterion_12_huang_nonnegativity(contexts, x135_ctx):
     start = time.perf_counter()
     tol = -1e-9
     worst = math.inf
-    g135, _, cert135, _ = x135
-    cases = [(name, *corpus[name]) for name in CORPUS_NAMES]
-    cases.append(("X{13,5}", g135, cert135))
-    for name, g, cert in cases:
-        vals = huang_range(g, cert, 30)
+    for ctx in [*(contexts[name] for name in CORPUS_NAMES), x135_ctx]:
+        vals = huang_range(ctx, 30)
         for m in range(2, 31, 2):
             worst = min(worst, vals[m - 1])
     ok = worst >= tol

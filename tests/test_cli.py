@@ -2,15 +2,18 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from iharalab import nbt, suite, zeta
+from iharalab import nbt, oracle, suite, zeta
 from iharalab.cli import main
 from iharalab.graphs import load_graph
 from iharalab.lps import build_lps
 from iharalab.oracle import count_reduced_cycles_all
 from iharalab.suite import CHECK_ORDER
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,49 @@ def test_lps_emit_then_verify_graph_recovers_graph_and_params(tmp_path, monkeypa
     (ctx,) = contexts
     assert ctx.g.neighbors == g.neighbors
     assert ctx.params == params
+
+
+# the report subcommands on a byte copy of an lps --emit file, which
+# lps.cayley_cosets certifies: each reads the suite context's routes, so
+# none takes a full n x n matrix step or searches from every vertex
+ROW_ROUTE_COMMANDS = [
+    ["zeta", "--order", "12"],
+    ["stf", "--hhat", "12:1"],
+    ["oracle", "--m-max", "4"],
+    ["limits", "--what", "average-nm"],
+    ["limits", "--what", "cusp"],
+    ["huang"],
+]
+
+
+@pytest.mark.parametrize("command", ROW_ROUTE_COMMANDS, ids=" ".join)
+def test_report_commands_take_no_matrix_step_on_a_certified_file(command, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "x135.json"
+    path.write_bytes((GOLDEN / "lps_13_5_emit.json").read_bytes())
+    calls = []
+    for module, name in ((nbt, "_mul_adj"), (oracle, "count_reduced_cycles_all")):
+        real = getattr(module, name)
+
+        def recording(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    assert main([command[0], str(path), *command[1:]]) == 0
+    assert calls == []
+
+
+def test_zeta_on_a_certified_file_matches_the_full_route(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "lps_13_5_emit.json").read_text())
+    certified, plain = tmp_path / "certified.json", tmp_path / "plain.json"
+    certified.write_text(json.dumps(doc))
+    del doc["lps"]  # no parameters, so no certificate: full route
+    plain.write_text(json.dumps(doc))
+    outputs = []
+    for path in (certified, plain):
+        assert main(["zeta", str(path), "--order", "12"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_nbt_counts_on_a_graph_that_is_not_vertex_transitive(tmp_path, capsys):

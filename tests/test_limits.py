@@ -39,6 +39,7 @@ from iharalab.lps import build_lps
 from iharalab.nbt import n_reduced_range
 from iharalab.qext import half_power
 from iharalab.spectral import eigendecompose
+from iharalab.suite import SuiteContext
 from iharalab.zeta import cusp_coefficients_range, phi_series
 
 
@@ -222,19 +223,18 @@ def test_prism_is_not_ramanujan(prism16):
 # averaged N_m
 
 
-def test_average_nm_band(corpus, spectra):
+def test_average_nm_band(contexts):
     for name in ("K33", "PETERSEN", "CUBE", "K4"):
-        g, cert = corpus[name]
-        for report in average_nm_sweep(g, cert, spectra[name], (20, 40, 80)):
+        for report in average_nm_sweep(contexts[name], (20, 40, 80)):
             assert abs(report.scaled_residual) <= 4.0 * report.reference_constant, (
                 name,
                 report.N,
             )
 
 
-def test_average_nm_exact_k33(corpus, spectra):
+def test_average_nm_exact_k33(corpus, contexts):
     g, cert = corpus["K33"]
-    report = average_nm(g, cert, spectra["K33"], 10)
+    report = average_nm(contexts["K33"], 10)
     # bipartite main term: (1/N) 2 q^{N//2+1}/(q-1), no eigenvalue at 2 sqrt 2
     assert report.main_terms == 2.0 * 2 ** (10 // 2 + 1) / 1 / 10
     counts = n_reduced_range(g, cert, 10)
@@ -245,29 +245,26 @@ def test_average_nm_exact_k33(corpus, spectra):
     assert report.lhs == float(lhs / 10)
 
 
-def test_average_nm_rejects_small_n(corpus, spectra):
-    g, cert = corpus["K33"]
+def test_average_nm_rejects_small_n(contexts):
     with pytest.raises(ValueError):
-        average_nm(g, cert, spectra["K33"], 1)
+        average_nm(contexts["K33"], 1)
 
 
-def test_average_nm_rejects_degree_two(corpus, spectra):
+def test_average_nm_rejects_degree_two(corpus, spectra, contexts):
     g, cert = corpus["K3"]
     with pytest.raises(ValueError):
-        average_nm(g, cert, spectra["K3"], 10)
+        average_nm(contexts["K3"], 10)
     with pytest.raises(ValueError):
         average_nm_reference(spectra["K3"], cert)
 
 
 def test_average_nm_rejects_non_ramanujan(prism16):
-    g, cert, sd = prism16
     with pytest.raises(NotRamanujan):
-        average_nm(g, cert, sd, 10)
+        average_nm(SuiteContext(prism16[0]), 10)
 
 
-def test_average_nm_sweep_shares_reference(corpus, spectra):
-    g, cert = corpus["PETERSEN"]
-    reports = average_nm_sweep(g, cert, spectra["PETERSEN"], (10, 20, 40))
+def test_average_nm_sweep_shares_reference(contexts):
+    reports = average_nm_sweep(contexts["PETERSEN"], (10, 20, 40))
     assert len(reports) == 3
     refs = {r.reference_constant for r in reports}
     assert len(refs) == 1
@@ -277,9 +274,9 @@ def test_average_nm_sweep_shares_reference(corpus, spectra):
 # averaged cusp coefficients
 
 
-def test_normalized_terms_match_phi(x135):
-    g, params, cert, sd = x135
-    spectral, _ = phi_series(g, cert, params, 8, sd)
+def test_normalized_terms_match_phi(x135, x135_ctx):
+    g, params, _, _ = x135
+    spectral, _ = phi_series(x135_ctx, 8)
     assert normalized_cusp_terms(g, params, 8) == list(spectral.coeffs)
 
 
@@ -287,25 +284,23 @@ def test_normalized_terms_resolve_from_limits():
     assert limits.normalized_cusp_terms is zeta.normalized_cusp_terms
 
 
-def test_average_cusp_degenerate_horizon(x135):
-    g, params, _, sd = x135
-    (row,) = average_cusp_sweep(g, params, sd, [1])
+def test_average_cusp_degenerate_horizon(x135_ctx):
+    (row,) = average_cusp_sweep(x135_ctx, [1])
     assert row["average"] == 0.0  # a(13) vanishes on a bipartite graph
     assert row["scaled_average"] == 0.0
     assert row["reference_constant"] > 0.0
 
 
-def test_average_cusp_band(x135):
-    g, params, _, sd = x135
-    for row in average_cusp_sweep(g, params, sd, (50, 100, 200)):
+def test_average_cusp_band(x135_ctx):
+    for row in average_cusp_sweep(x135_ctx, (50, 100, 200)):
         assert row["scaled_average"] <= 4.0 * row["reference_constant"], row["N"]
-        assert row["max_term"] <= cusp_term_bound(sd) + 1e-12
+        assert row["max_term"] <= cusp_term_bound(x135_ctx.sd) + 1e-12
 
 
-def test_average_cusp_matches_hand_sum(x135):
-    g, params, _, sd = x135
+def test_average_cusp_matches_hand_sum(x135, x135_ctx):
+    g, params, _, _ = x135
     terms = normalized_cusp_terms(g, params, 6)
-    (row,) = average_cusp_sweep(g, params, sd, [6])
+    (row,) = average_cusp_sweep(x135_ctx, [6])
     assert row["average"] == float(sum(terms[1:7], Fraction(0))) / 6
 
 
@@ -329,11 +324,10 @@ def per_horizon_rows(terms, sd, horizons):
 
 @pytest.mark.parametrize("p, q", [(13, 5), (29, 5)])
 def test_average_cusp_sweep_matches_per_horizon_rows(p, q):
-    g, params = build_lps(p, q)
-    sd = eigendecompose(g, certify_regular(g))
+    ctx = SuiteContext(*build_lps(p, q))
     horizons = (10, 20, 50, 100, 200, 7)  # the sweep keeps the order it is given
-    want = per_horizon_rows(normalized_cusp_terms(g, params, 200), sd, horizons)
-    assert average_cusp_sweep(g, params, sd, horizons) == want
+    want = per_horizon_rows(normalized_cusp_terms(ctx.g, ctx.params, 200), ctx.sd, horizons)
+    assert average_cusp_sweep(ctx, horizons) == want
 
 
 def test_normalized_terms_exact_on_non_bipartite():
@@ -345,58 +339,51 @@ def test_normalized_terms_exact_on_non_bipartite():
     assert not terms[1].is_rational()
     amounts = cusp_coefficients_range(g, params, 50)
     assert all(t * 2 * half_power(29, m) == a for m, (t, a) in enumerate(zip(terms, amounts)))
-    sd = eigendecompose(g, cert)
-    (row,) = average_cusp_sweep(g, params, sd, [50])
+    ctx = SuiteContext(g, params)
+    (row,) = average_cusp_sweep(ctx, [50])
     assert row["average"] == float(sum(terms[1:51], Fraction(0))) / 50
     assert row["scaled_average"] <= 4.0 * row["reference_constant"]
-    assert row["max_term"] <= cusp_term_bound(sd) + 1e-12
+    assert row["max_term"] <= cusp_term_bound(ctx.sd) + 1e-12
 
 
 # ---------------------------------------------------------------------------
 # trace formula
 
 
-def test_stf_constant_function(corpus, spectra):
+def test_stf_constant_function(contexts):
     for name in ("K4", "PETERSEN"):
-        g, cert = corpus[name]
         h = StfTestFunction(hhat0=1.0)
-        lhs, geometric, disc = stf_verify(g, cert, spectra[name], h)
-        assert lhs == float(g.n)
+        lhs, geometric, disc = stf_verify(contexts[name], h)
+        assert lhs == float(contexts[name].g.n)
         assert disc < 1e-9, name
 
 
-def test_stf_single_frequencies(corpus, spectra):
-    g, cert = corpus["K4"]
+def test_stf_single_frequencies(contexts):
     for m in range(1, 7):
-        lhs, geometric, disc = stf_verify(g, cert, spectra["K4"], StfTestFunction.single(m))
+        lhs, geometric, disc = stf_verify(contexts["K4"], StfTestFunction.single(m))
         assert disc < 1e-8, m
 
 
-def test_stf_even_frequency_anchor(corpus, spectra):
+def test_stf_even_frequency_anchor(contexts):
     # k4: N_2 = 0, so the geometric side is the pure integral term
-    g, cert = corpus["K4"]
-    lhs, geometric, disc = stf_verify(g, cert, spectra["K4"], StfTestFunction.single(2))
+    lhs, geometric, disc = stf_verify(contexts["K4"], StfTestFunction.single(2))
     assert abs(geometric - (-4.0 * (2 - 1) / 2.0)) < 1e-9
     assert abs(lhs - (-2.0)) < 1e-12
 
 
-def test_stf_mixed_function(corpus, spectra):
-    g, cert = corpus["PETERSEN"]
+def test_stf_mixed_function(contexts):
     h = StfTestFunction(hhat0=0.7, support=((1, 0.3), (4, -0.2)))
-    lhs, geometric, disc = stf_verify(g, cert, spectra["PETERSEN"], h)
+    lhs, geometric, disc = stf_verify(contexts["PETERSEN"], h)
     assert disc < 1e-8
 
 
 @pytest.mark.parametrize("p", [17, 29])
 def test_stf_is_scale_free_on_lps(p):
     """X^{17,5} and X^{29,5} failed at 1.0e-7 and 1.2e-7 when the two sides were subtracted in floats."""
-    g, _ = build_lps(p, 5)
-    cert = certify_regular(g)
-    sd = eigendecompose(g, cert)
-    counts = n_reduced_range(g, cert, 12)
+    ctx = SuiteContext(build_lps(p, 5)[0])  # no parameters: dense spectrum, full route
     for m0 in range(13):
         h = StfTestFunction.single(m0) if m0 else StfTestFunction(hhat0=1.0)
-        lhs, geometric, disc = stf_verify(g, cert, sd, h, counts=counts)
+        lhs, geometric, disc = stf_verify(ctx, h)
         assert disc < 1e-11, (m0, disc)
         # the reported float sides still agree to their own round-off
         assert math.isclose(lhs, geometric, rel_tol=1e-12, abs_tol=1e-9), m0
@@ -415,29 +402,26 @@ def test_stf_function_evaluations():
 # positivity sequence
 
 
-def test_huang_anchor_k4(corpus):
-    g, cert = corpus["K4"]
-    h1, h2 = huang_range(g, cert, 2)
+def test_huang_anchor_k4(contexts):
+    h1, h2 = huang_range(contexts["K4"], 2)
     assert abs(h1 - (6.0 + 3.0 / math.sqrt(2.0))) < 1e-12
     # m = 2: 2(n-1) + n(q-1)/q + (q + 1/q) - N_2/q with N_2 = 0
     assert h2 == 6.0 + 4.0 * 0.5 + 2.5
 
 
-def test_huang_nonnegative_even_on_corpus(corpus, spectra):
-    for name, (g, cert) in corpus.items():
-        vals = huang_range(g, cert, 30)
+def test_huang_nonnegative_even_on_corpus(contexts):
+    for name, ctx in contexts.items():
+        vals = huang_range(ctx, 30)
         for m in range(2, 31, 2):
             assert vals[m - 1] >= -1e-9, (name, m)
 
 
 def test_huang_negative_for_non_ramanujan(prism16):
-    g, cert, _ = prism16
-    vals = huang_range(g, cert, 60)
+    vals = huang_range(SuiteContext(prism16[0]), 60)
     worst = min(vals[m - 1] for m in range(2, 61, 2))
     assert worst < -1.0
 
 
-def test_huang_rejects_bad_m(corpus):
-    g, cert = corpus["K4"]
+def test_huang_rejects_bad_m(contexts):
     with pytest.raises(ValueError):
-        huang_range(g, cert, 0)
+        huang_range(contexts["K4"], 0)

@@ -156,6 +156,17 @@ def test_adjacency_power_traces_from_one_row_of_a_cayley_graph(x135):
         assert adjacency_power_traces(g, 40, v) == full, v
 
 
+def test_no_one_row_of_the_frucht_graph_gives_the_power_traces():
+    # the Frucht graph is 3-regular with no automorphism but the identity,
+    # so the row route is wrong from every vertex; no certificate grants it
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    g = build_graph(12, [(i, (i + 1) % 12) for i in range(12)] + [
+        (i, (i + s) % 12) for i, s in enumerate(lcf) if i < (i + s) % 12
+    ])
+    full = adjacency_power_traces(g, 10)
+    assert all(adjacency_power_traces(g, 10, v) != full for v in range(g.n))
+
+
 def test_m_matrix_trace_is_cycle_count(corpus):
     for name, (g, cert) in corpus.items():
         counts = count_reduced_cycles_all(g, M_ORACLE)

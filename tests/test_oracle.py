@@ -18,6 +18,7 @@ from iharalab.oracle import (
     DEFAULT_BUDGET,
     DEFAULT_DEPTH_GUARD,
     ArcList,
+    _arc_tables,
     _check_cost,
     count_reduced_cycles_all,
     count_reduced_walks_all,
@@ -192,7 +193,7 @@ def test_walks_all_matches_the_single_length_searches(single_length_counts, m_ma
         assert mats == paths[: m_max + 1], name
 
 
-@pytest.mark.parametrize("m_max", [1, 3])
+@pytest.mark.parametrize("m_max", [1, 2, 3, 4])
 def test_walks_from_chosen_sources_are_rows_of_the_full_sweep(single_length_counts, m_max):
     for name, (g, cycles, paths) in single_length_counts.items():
         per_vertex = [0] * m_max
@@ -205,6 +206,23 @@ def test_walks_from_chosen_sources_are_rows_of_the_full_sweep(single_length_coun
         counts, rows = count_reduced_walks_all(g, m_max, sources=picked)
         assert rows == [[paths[m][v] for v in picked] for m in range(m_max + 1)], name
         assert count_reduced_walks_all(g, m_max, sources=range(g.n)) == (cycles[:m_max], paths[: m_max + 1])
+
+
+def test_walk_tables_hold_the_arcs_near_the_sources(x135):
+    g = x135[0]
+    first, terminus, inverse = _arc_tables(g, [0], 1)
+    assert len(first) == 1 + 14 and len(terminus) == 15 * 14  # 0 and its 14 neighbours
+    assert all((inv >= 0) == (t in first) for t, inv in zip(terminus, inverse))
+    looped = build_graph(4, [(0, 1, 2), (1, 2), (2, 3, 2), (3, 0), (0, 0), (1, 1), (2, 2), (3, 3)])
+    for graph in (g, looped):
+        first, terminus, inverse = _arc_tables(graph, range(graph.n), 0)
+        assert len(terminus) == 2 * graph.edge_count
+        origin = [v for v in first for _ in graph.neighbors[v]]
+        # every arc has a reversed arc, the pairing is an involution, and a
+        # loop's two ends pair with each other, as in ArcList
+        assert all(inverse[inverse[a]] == a != inverse[a] for a in range(len(terminus)))
+        assert all(terminus[inverse[a]] == origin[a] for a in range(len(terminus)))
+        assert sorted(zip(origin, terminus)) == sorted(ArcList.from_graph(graph).arcs)
 
 
 def test_walks_all_guards():

@@ -129,3 +129,33 @@ run(Seq())
     for use in ("seq.rewind()", "getattr(seq, 'rewind')()"):
         trees[Path("caller.py")] = ast.parse(f"def call(seq):\n    return {use}\n")
         assert _unused(trees, [defining]) == [], use
+
+
+def _calling_scopes(tree: ast.Module, name: str) -> list[str]:
+    """The dotted class and function scope of every call to name, as a bare name or an attribute."""
+    found = []
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_the_suite_context_and_nbt_build_a_trace_sweep():
+    # a report function that built a sweep of its own would pick a route the
+    # suite context's certificate did not; only these two places may
+    callers = set()
+    for path in sorted(ROOT.glob("src/iharalab/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers.update(f"{path.stem}.{scope}" for scope in _calling_scopes(tree, "TraceSweep"))
+    assert callers == {"suite.SuiteContext.sweep", "nbt._sweep_for"}

@@ -442,20 +442,29 @@ def test_stf_check_sweeps_counts_once(monkeypatch):
     ctx = SuiteContext(named_graph("PETERSEN"))
     cfg = VerificationSuiteConfig(source_kind="named", source="PETERSEN", checks=("stf",))
     want = []
+    fresh = SuiteContext(ctx.g)
     for m0 in range(13):
         h = limits.StfTestFunction.single(m0) if m0 else limits.StfTestFunction(hhat0=1.0)
-        want.append(limits.stf_verify(ctx.g, ctx.cert, ctx.sd, h))
-    calls = []
-    real = nbt.n_reduced_range
+        want.append(limits.stf_verify(fresh, h))
+    sweeps, steps = [], []
+    real_range, real_step = nbt.n_reduced_range, nbt._mul_adj
 
     def counting(g, cert, m_max, *args, **kwargs):
-        calls.append(m_max)
-        return real(g, cert, m_max, *args, **kwargs)
+        sweeps.append(kwargs["sweep"])
+        return real_range(g, cert, m_max, *args, **kwargs)
+
+    def stepping(*args):
+        steps.append(1)
+        return real_step(*args)
 
     monkeypatch.setattr(nbt, "n_reduced_range", counting)
     monkeypatch.setattr(limits, "n_reduced_range", counting)
+    monkeypatch.setattr(nbt, "_mul_adj", stepping)
     res = run_check("stf", ctx, cfg)
-    assert calls == [12]
+    # one N_m prefix per frequency, all from the context's sweep, which
+    # steps to Tr B_12 once: ceil(12/2) - 1 kernel steps
+    assert len(sweeps) == 12 and all(s is ctx.sweep for s in sweeps)
+    assert len(steps) == 5
     got = [(r["lhs"], r["geometric"], r["discrepancy"]) for r in res.detail["rows"]]
     assert got == want
 

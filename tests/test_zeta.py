@@ -23,7 +23,7 @@ from iharalab import zeta
 from iharalab.errors import DepthExceeded, InvalidPrime
 from iharalab.graphs import Graph, build_graph, named_graph
 from iharalab.lps import build_lps, cayley_cosets, is_prime
-from iharalab.nbt import TraceSweep, f_values, n_reduced_range
+from iharalab.nbt import f_values, n_reduced_range
 from iharalab.series import TruncatedSeries
 from iharalab.suite import SuiteContext
 from iharalab.zeta import (
@@ -172,21 +172,21 @@ def test_k4_reciprocal_polynomial(corpus):
     assert list(zr.series(8).coeffs) == [1, 0, 0, -8, -6, 0, 16, 24, -3]
 
 
-def test_det_series_matches_interpolation(corpus):
+def test_det_series_matches_interpolation(corpus, contexts):
     """Power-sum route equals the Bass charpoly route, coefficientwise."""
     for name, (g, cert) in corpus.items():
         zr = ihara_bass_reciprocal(g)
-        series = det_series_regular(g, cert, 12)
+        series = det_series_regular(contexts[name], 12)
         for k in range(13):
             det_coeff = zr.det_coeffs[k] if k < len(zr.det_coeffs) else 0
             assert series.coeffs[k] == det_coeff, (name, k)
 
 
-def test_reciprocal_series_matches_full_product(corpus):
+def test_reciprocal_series_matches_full_product(corpus, contexts):
     for name in ("K4", "PETERSEN"):
         g, cert = corpus[name]
         zr = ihara_bass_reciprocal(g)
-        fast = reciprocal_series_regular(g, cert, 10)
+        fast = reciprocal_series_regular(contexts[name], 10)
         slow = zr.series(10)
         assert fast.coeffs == slow.coeffs, name
 
@@ -200,17 +200,17 @@ def test_spectrum_factored_poly(spectra, corpus):
         assert coeffs == reference_det_coeffs(g), name
 
 
-def test_verify_ihara_bass_zero(corpus):
+def test_verify_ihara_bass_zero(contexts):
     for name in ("K3", "K4", "K33", "PETERSEN"):
-        g, _ = corpus[name]
-        assert verify_ihara_bass(g, order=10) == 0, name
+        assert verify_ihara_bass(contexts[name], order=10) == 0, name
 
 
 def test_verify_ihara_bass_on_the_identity_row(x135):
-    g, params, cert, _ = x135
-    e = cayley_cosets(g, params).identity
-    assert verify_ihara_bass(g, order=10, sweep=TraceSweep(g, cert.q, "row", e), vertex=e) == 0
-    assert reciprocal_series_regular(g, cert, 10, vertex=e) == reciprocal_series_regular(g, cert, 10)
+    g, params, _, _ = x135
+    row, full = SuiteContext(g, params), SuiteContext(g)
+    assert row.row_vertex == cayley_cosets(g, params).identity and full.row_vertex is None
+    assert verify_ihara_bass(row, order=10) == 0
+    assert reciprocal_series_regular(row, 10) == reciprocal_series_regular(full, 10)
 
 
 def test_a_row_route_without_a_certificate_fails_the_identity():
@@ -221,8 +221,7 @@ def test_a_row_route_without_a_certificate_fails_the_identity():
         (i, (i + s) % 12) for i, s in enumerate(lcf) if i < (i + s) % 12
     ])
     assert SuiteContext(g).row_vertex is None
-    assert verify_ihara_bass(g, order=10) == 0
-    assert all(verify_ihara_bass(g, order=10, vertex=v) != 0 for v in range(g.n))
+    assert verify_ihara_bass(SuiteContext(g), order=10) == 0
 
 
 def test_tree_zeta_is_one():
@@ -237,7 +236,7 @@ def test_tree_zeta_is_one():
 def test_irregular_graph_route():
     # path with a doubled middle edge: irregular but still checkable
     g = build_graph(3, [(0, 1, 2), (1, 2, 1)])
-    assert verify_ihara_bass(g, order=8) == 0
+    assert verify_ihara_bass(SuiteContext(g), order=8) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,7 @@ def test_bass_route_x135_full_polynomial(x135, charpoly_primes):
     coeffs = list(ihara_bass_reciprocal(g).det_coeffs)
     assert len(charpoly_primes) == 18
     _check_bass_result(g, coeffs, charpoly_primes)
-    want = det_series_regular(g, cert, 2 * g.n).coeffs
+    want = det_series_regular(SuiteContext(g), 2 * g.n).coeffs
     assert coeffs + [0] * (2 * g.n + 1 - len(coeffs)) == list(want)
 
 
@@ -367,10 +366,10 @@ def test_petersen_zeta_coefficients(corpus):
     assert all(zs.coeffs[k] == 0 for k in (1, 2, 3, 4))
 
 
-def test_zeta_log_derivative_recovers_counts(corpus):
+def test_zeta_log_derivative_recovers_counts(corpus, contexts):
     g, cert = corpus["CUBE"]
     counts = n_reduced_range(g, cert, 10)
-    recip = reciprocal_series_regular(g, cert, 10)
+    recip = reciprocal_series_regular(contexts["CUBE"], 10)
     logder = (-recip.derivative()) * recip.inverse()
     for m in range(1, 11):
         assert logder.coeffs[m - 1] == counts[m - 1], m
@@ -431,30 +430,28 @@ def test_theta_identity_x135(x135):
         assert 2 * total == lattice_count(5, 13**m), m
 
 
-def test_phi_routes_agree_exactly(x135):
-    g, params, cert, sd = x135
-    spectral, closed = phi_series(g, cert, params, 10, sd)
+def test_phi_routes_agree_exactly(x135_ctx):
+    spectral, closed = phi_series(x135_ctx, 10)
     assert spectral.coeffs == closed.coeffs
 
 
-def test_phi_constant_term(x135):
+def test_phi_constant_term(x135, x135_ctx):
     g, params, cert, sd = x135
-    spectral, _ = phi_series(g, cert, params, 4, sd)
+    spectral, _ = phi_series(x135_ctx, 4)
     l = sum(c.mult for c in sd.principal())
     assert spectral.coeffs[0] == Fraction(l, g.n)
 
 
-def test_phi_odd_coefficients_vanish(x135):
-    g, params, cert, sd = x135
-    spectral, closed = phi_series(g, cert, params, 9, sd)
+def test_phi_odd_coefficients_vanish(x135_ctx):
+    spectral, closed = phi_series(x135_ctx, 9)
     for m in (1, 3, 5, 7, 9):
         assert spectral.coeffs[m] == 0
         assert closed.coeffs[m] == 0
 
 
-def determinant_counts(g, cert, order: int) -> list:
+def determinant_counts(ctx, order: int) -> list:
     """Reference N_1..N_order: Z'/Z = -R'/R = sum N_m u^{m-1} for R = reciprocal_series_regular."""
-    recip = reciprocal_series_regular(g, cert, order)
+    recip = reciprocal_series_regular(ctx, order)
     logder = (-recip.derivative()) * recip.inverse()
     return list(logder.coeffs[:order])
 
@@ -462,19 +459,18 @@ def determinant_counts(g, cert, order: int) -> list:
 @pytest.mark.parametrize("p, q", [(13, 5), (17, 5), (29, 5), (17, 13)])
 def test_phi_closed_form_matches_the_determinant_counts(p, q, monkeypatch):
     ctx = SuiteContext(*build_lps(p, q))
-    g, cert, params, sd = ctx.g, ctx.cert, ctx.params, ctx.sd
-    want = determinant_counts(g, cert, 8)
+    g, cert = ctx.g, ctx.cert
+    want = determinant_counts(ctx, 8)
     assert want == n_reduced_range(g, cert, 8)
-    spectral, closed = phi_series(g, cert, params, 8, sd)
+    spectral, closed = phi_series(ctx, 8)
     monkeypatch.setattr(zeta, "n_reduced_range", lambda *args, **kwargs: want)
-    ref_spectral, ref_closed = phi_series(g, cert, params, 8, sd)
+    ref_spectral, ref_closed = phi_series(ctx, 8)
     assert closed.coeffs == ref_closed.coeffs
     assert spectral.coeffs == ref_spectral.coeffs
     kind = Fraction if cert.bipartite else float
     assert all(type(c) is kind for c in spectral.coeffs + closed.coeffs)
 
 
-def test_zeta_series_mode_exact(corpus):
-    g, cert = corpus["K4"]
-    s = reciprocal_series_regular(g, cert, 6)
+def test_zeta_series_mode_exact(contexts):
+    s = reciprocal_series_regular(contexts["K4"], 6)
     assert all(isinstance(c, (int, Fraction)) for c in s.coeffs)
