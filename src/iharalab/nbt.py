@@ -18,22 +18,39 @@ Conventions for a (q+1)-regular graph:
 
 Every matrix swept here is a polynomial in A, so it commutes with A and
 row i of X A is the sum of the rows of X at i's neighbors (Graph.neighbors).
-The trace sweeps use the product identity B_a B_b = B_{a+b} + q^b B_{a-b}
-(a >= b) and the symmetry of B_k: Tr B_m for all m <= M comes from inner
-products of B_0..B_{ceil(M/2)}, which costs ceil(M/2) - 1 matrix steps and
-O(n^2) memory.  Then N_m = Tr B_m + e_m(q-1)n and Tr T~_m = Tr B_m +
-q Tr T~_{m-2}.  The sweep is a generator that takes each step only when
-it is resumed for the next odd index; TraceSweep keeps one such stream
-and the traces it has yielded, so callers that share it (the checks of
-one suite context, through the sweep= argument of n_reduced_range and
-t_tilde_traces) pay for the longest prefix once.
+N_m = Tr B_m + e_m(q-1)n and Tr T~_m = Tr B_m + q Tr T~_{m-2}, so every
+trace family is read off one stream Tr B_0, Tr B_1, ...  TraceSweep keeps
+one such stream and the traces it has yielded, so callers that share it
+(the checks of one suite context, through the sweep= argument of
+n_reduced_range and t_tilde_traces) pay for the longest prefix once.
+Without a sweep the traces take the full route, which has two streams:
 
-Without a sweep the traces take the full matrix route.  The "row" route
-runs the same identities on row v of B_k and multiplies by n, which is
-exact only when every diagonal entry equals the one at v, as on a
-Cayley graph; nothing here checks that.  suite.SuiteContext grants the
-row route to a graph that lps.cayley_cosets confirms is X^{p,q}, and
-the test suite pins the two routes against each other.  Row v of A_m
+- The characteristic polynomial.  B_m has the eigenvalues alpha^m + beta^m
+  with alpha + beta = lambda and alpha beta = q for each eigenvalue lambda
+  of A, so Tr B_m is the m-th power sum of the roots of
+  x^n chi_A(x + q/x) = prod_lambda (x^2 - lambda x + q), and Newton's
+  identities give every m from one exact chi_A (Lubotzky, Phillips and
+  Sarnak, Combinatorica 8, 1988, read X^{p,q} off the spectrum of A the
+  same way).  integer_charpoly finds chi_A modulo 26-bit primes and lifts
+  it by CRT; zeta.ihara_bass_reciprocal shares that modular layer.  It
+  serves while its price, primes x n^3, is within COST_CEILING: up to
+  n = 285 at degree 14 (n = 120 takes 18 primes) and n = 337 at degree 3.
+- The matrix recurrence, past that price.  It uses the product identity
+  B_a B_b = B_{a+b} + q^b B_{a-b} (a >= b) and the symmetry of B_k:
+  Tr B_m for all m <= M comes from inner products of B_0..B_{ceil(M/2)},
+  which costs ceil(M/2) - 1 steps and O(n^2) memory.  It is a generator
+  that takes each step only when it is resumed for the next odd index,
+  and it refuses a request whose n^2 ceil(M/2) passes COST_CEILING
+  before its first step.  adjacency_power_traces (the q = 0 case) always
+  takes it, so the ihara-bass check compares N_m from chi_A with Tr A^k
+  from integer matrix powers, two independent exact routes.
+
+The "row" route runs the matrix identities on row v of B_k and
+multiplies by n, which is exact only when every diagonal entry equals
+the one at v, as on a Cayley graph; nothing here checks that.
+suite.SuiteContext grants the row route to a graph that
+lps.cayley_cosets confirms is X^{p,q}, and the test suite pins the
+routes against each other.  Row v of A_m
 comes from the same row recurrence (a_rows).  A_m, M_m and T~_m as
 matrices come from the A_m recurrence of ExactMatrixSeq.  Both families are
 integer polynomials in A whose coefficients depend only on q, so
@@ -46,12 +63,15 @@ from __future__ import annotations
 
 import math
 from itertools import islice
+from math import comb, prod
 from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import DepthExceeded
 from .graphs import Graph, RegularityCertificate
+from .lps import is_prime
 
 IntMatrix = list[list[int]]
 
@@ -173,6 +193,95 @@ class ExactMatrixSeq:
         return sum(self.curr[i][i] for i in range(self.n))
 
 
+# ---------------------------------------------------------------------------
+# exact characteristic polynomials, modulo primes and lifted by CRT
+
+# Ceiling on the exact routes' work.  integer_charpoly prices primes x size^3
+# (the Bass matrix of X^{13,5}: 18 x 240^3 = 2.5e8); size^3 alone passes it
+# for every size > 1000, so no dot product sums more than 1000 terms.  The
+# matrix trace stream prices n^2 x ceil(m/2) (n = 1092 to m = 200: 1.2e8).
+COST_CEILING = 10**9
+
+_PRIME_BITS = 26
+_PRIMES: list[int] = []  # largest primes below 2^26, descending; filled on use
+
+
+def _prime(i: int) -> int:
+    """The (i+1)-th largest prime below 2^26."""
+    while len(_PRIMES) <= i:
+        c = (_PRIMES[-1] if _PRIMES else 1 << _PRIME_BITS) - 1
+        while not is_prime(c):
+            c -= 1
+        _PRIMES.append(c)
+    return _PRIMES[i]
+
+
+def _charpoly_price(size: int, bound: int) -> int:
+    """integer_charpoly's work on a size x size matrix: about bits(2 bound)/26 primes times size^3."""
+    return -(-(2 * bound).bit_length() // _PRIME_BITS) * size**3
+
+
+def require_charpoly_price(size: int, bound: int) -> None:
+    """Raise DepthExceeded when _charpoly_price(size, bound) passes COST_CEILING."""
+    price = _charpoly_price(size, bound)
+    if price > COST_CEILING:
+        raise DepthExceeded(f"charpoly cost {price:.2e} exceeds {COST_CEILING:.0e}")
+
+
+def _charpoly_mod(matrix: np.ndarray, p: int) -> list[int]:
+    """det(xI - L) mod p for an int64 matrix L, constant term first.
+
+    Hessenberg form by similarity (pivot swaps, row eliminations undone
+    by column operations), then the Hessenberg recurrence over the leading
+    blocks.  Residues are below p < 2^26, so products stay below 2^52 and
+    any int64 dot product over at most 2047 terms stays below 2^63.
+    """
+    h = matrix % p
+    size = len(h)
+    for j in range(size - 2):
+        nonzero = np.flatnonzero(h[j + 1 :, j])
+        if nonzero.size == 0:
+            continue
+        piv = j + 1 + nonzero[0]
+        h[[j + 1, piv]] = h[[piv, j + 1]]
+        h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+        t = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, p) % p
+        h[j + 2 :, j:] = (h[j + 2 :, j:] - np.outer(t, h[j + 1, j:])) % p
+        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ t) % p
+    # polys[c]: charpoly of the leading c x c block; w[r] = prod_{r<k<=c} h[k,k-1]
+    polys = np.zeros((size + 1, size + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    w = np.zeros(0, dtype=np.int64)
+    for c in range(size):
+        if c:
+            w = np.append(w, 1) * h[c, c - 1] % p
+        nxt = np.roll(polys[c], 1) - h[c, c] * polys[c]
+        nxt[:c] -= (h[:c, c] * w % p) @ polys[:c, :c]
+        polys[c + 1] = nxt % p
+    return polys[size].tolist()
+
+
+def integer_charpoly(matrix: np.ndarray, bound: int) -> list[int]:
+    """det(xI - matrix) over Z, constant term first, for an int64 matrix whose coefficients are at most bound in size.
+
+    Found mod the largest primes below 2^26 until their product passes
+    2 bound, then lifted by symmetric CRT.  Raises DepthExceeded as
+    require_charpoly_price does.  The result is only as right as bound;
+    every caller checks it against an identity it must satisfy.
+    """
+    require_charpoly_price(len(matrix), bound)
+    primes = []
+    while prod(primes) <= 2 * bound:
+        primes.append(_prime(len(primes)))
+    modulus = prod(primes)
+    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+    coeffs = []
+    for residues in zip(*(_charpoly_mod(matrix, p) for p in primes)):
+        x = sum(r * wt for r, wt in zip(residues, weights)) % modulus
+        coeffs.append(x - modulus if 2 * x > modulus else x)
+    return coeffs
+
+
 def a_rows(g: Graph, cert: RegularityCertificate, m_max: int, v: int) -> list[list[int]]:
     """Exact [row v of A_0, ..., row v of A_{m_max}], by the row recurrence.
 
@@ -258,25 +367,97 @@ def _b_trace_stream(g: Graph, q: int, v: int | None = None) -> Iterator[int]:
         prev, cur = cur, step(cur, prev, q, g.neighbors)
 
 
+def _require_matrix_price(n: int, m_max: int) -> None:
+    """Raise DepthExceeded when the matrix stream to Tr B_{m_max}, priced n^2 ceil(m_max/2), passes COST_CEILING."""
+    price = n * n * -(-m_max // 2)
+    if price > COST_CEILING:
+        raise DepthExceeded(f"matrix trace sweep to m={m_max} costs {price:.2e}, over {COST_CEILING:.0e}")
+
+
 def _b_traces(g: Graph, q: int, m_max: int, v: int | None = None) -> list[int]:
     """[Tr B_0..Tr B_{m_max}], or [(B_0)_vv..(B_{m_max})_vv]: the stream's first m_max + 1 items."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
+    if v is None:
+        _require_matrix_price(g.n, m_max)
     return list(islice(_b_trace_stream(g, q, v), m_max + 1))
+
+
+def _pair_polynomial(chi: Sequence[int], q: int) -> list[int]:
+    """x^n chi(x + q/x) = prod_lambda (x^2 - lambda x + q) for chi = prod_lambda (y - lambda), constant term first."""
+    n = len(chi) - 1
+    out = [0] * (2 * n + 1)
+    power = [1]  # (x^2 + q)^k, coefficients of x^0, x^2, x^4, ...
+    for k, c in enumerate(chi):
+        # x^n y^k = x^(n-k) (x^2 + q)^k
+        for j, b in enumerate(power):
+            out[n - k + 2 * j] += c * b
+        power = [q * a + b for a, b in zip(power + [0], [0] + power)]
+    return out
+
+
+def _power_sums(poly: Sequence[int]) -> Iterator[int]:
+    """p_0, p_1, ... without end: the power sums of the roots of a monic integer polynomial.
+
+    With r_i the coefficient of x^(deg - i) (r_0 = 1, r_i = 0 past deg),
+    Newton's identities p_m = -m r_m - sum_{0<i<m} r_i p_{m-i} need no
+    division, so every p_m is an exact integer.
+    """
+    deg = len(poly) - 1
+    r = poly[::-1]
+    sums = [deg]
+    yield deg
+    m = 1
+    while True:
+        # sums[m-1], sums[m-2], ... paired with r_1, r_2, ... up to r_{min(m-1, deg)}
+        s = -sum(map(mul, r[1:m], reversed(sums[max(m - deg, 1) :])))
+        if m <= deg:
+            s -= m * r[m]
+        sums.append(s)
+        yield s
+        m += 1
+
+
+def _charpoly_trace_stream(g: Graph, q: int) -> Iterator[int] | None:
+    """Tr B_0, Tr B_1, ... from the exact characteristic polynomial of A, or None when that is priced past COST_CEILING.
+
+    B_m has the eigenvalues alpha^m + beta^m with alpha + beta = lambda
+    and alpha beta = q for each eigenvalue lambda of A, so Tr B_m is the
+    m-th power sum of the roots of x^n chi_A(x + q/x).  Every |lambda|
+    is at most the largest degree d, so |c_k| <= C(n, k) d^k bounds the
+    coefficients; chi_A must come out monic with chi_A(d) = 0, since
+    the degree is an eigenvalue of every regular graph, or the sweep
+    raises ArithmeticError.
+    """
+    n, d = g.n, max(map(len, g.neighbors))
+    if n**3 > COST_CEILING:  # one prime's work alone passes it
+        return None
+    bound = max(comb(n, k) * d**k for k in range(n + 1))
+    if _charpoly_price(n, bound) > COST_CEILING:
+        return None
+    chi = integer_charpoly(g.as_numpy().astype(np.int64), bound)
+    if chi[-1] != 1 or sum(c * d**k for k, c in enumerate(chi)) != 0:
+        raise ArithmeticError("charpoly of A fails monic or chi_A(degree) = 0")
+    return _power_sums(_pair_polynomial(chi, q))
 
 
 class TraceSweep:
     """One resumable sweep of Tr B_0, Tr B_1, ... on a (q+1)-regular graph.
 
-    prefix(m) hands out [Tr B_0..Tr B_m].  It resumes the stream only
-    past the longest prefix handed out so far, so any order of requests
-    costs the kernel steps of the largest one.  method "full" traces the
-    matrix recurrence; "row" sweeps row `vertex` and yields
-    n (B_m)_{vertex,vertex}, which is the trace only when every diagonal
-    entry is the same, as on a Cayley graph.  The sweep does not check
-    that: suite.SuiteContext asks for "row" only on a graph that
-    lps.cayley_cosets certifies.  The sweep holds its last two matrices
-    (rows) until it is dropped.
+    prefix(m) hands out [Tr B_0..Tr B_m].  It starts its stream at the
+    first request and resumes it only past the longest prefix handed
+    out so far, so any order of requests pays for the largest one once.
+    method "full" reads the traces off chi_A, found exactly once at the
+    first request (_charpoly_trace_stream), when its price is within
+    COST_CEILING; past that it traces the matrix recurrence and refuses,
+    with DepthExceeded and before any step, a request whose n^2
+    ceil(m/2) passes the same ceiling.  "row" sweeps row `vertex` and
+    yields n (B_m)_{vertex,vertex}, which is the trace only when every
+    diagonal entry is the same, as on a Cayley graph.  The sweep does
+    not check that: suite.SuiteContext asks for "row" only on a graph
+    that lps.cayley_cosets certifies.  The sweep holds its last two
+    matrices (rows), or the coefficients of x^n chi_A(x + q/x), until
+    it is dropped.
     """
 
     def __init__(self, g: Graph, q: int, method: str = "full", vertex: int = 0):
@@ -284,16 +465,29 @@ class TraceSweep:
             raise ValueError(f"unknown method {method!r}")
         self.g = g
         self.q = q
-        row = method == "row"
-        self._scale = g.n if row else 1
-        self._stream = _b_trace_stream(g, q, vertex if row else None)
+        self._vertex = vertex if method == "row" else None
+        self._scale = 1 if self._vertex is None else g.n
+        self._stream: Iterator[int] | None = None
+        self._matrices = False  # the full route streams matrices
         self._traces: list[int] = []
+
+    def _start(self) -> Iterator[int]:
+        if self._vertex is None:
+            stream = _charpoly_trace_stream(self.g, self.q)
+            if stream is not None:
+                return stream
+            self._matrices = True
+        return _b_trace_stream(self.g, self.q, self._vertex)
 
     def prefix(self, m_max: int) -> list[int]:
         if m_max < 0:
             raise ValueError("m_max must be nonnegative")
         more = m_max + 1 - len(self._traces)
         if more > 0:
+            if self._stream is None:
+                self._stream = self._start()
+            if self._matrices:
+                _require_matrix_price(self.g.n, m_max)
             self._traces.extend(self._scale * b for b in islice(self._stream, more))
         return self._traces[: m_max + 1]
 

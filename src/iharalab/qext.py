@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import isqrt
 
 
 def _as_fraction(x) -> Fraction:
@@ -105,7 +105,26 @@ class SqrtExt:
         return self.a
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * sqrt(self.d)
+        """The float nearest a + b sqrt(d), rounded once from the exact value.
+
+        With b != 0 the value is irrational, so it is no tie between two
+        floats: bracket it by isqrt between two fractions 1/(2^k ad bd)
+        apart, and double k until both ends round to the same float.
+        """
+        if self.b == 0:
+            return float(self.a)
+        an, ad = self.a.numerator, self.a.denominator
+        bn, bd = self.b.numerator, self.b.denominator
+        sign = 1 if bn > 0 else -1
+        k = 64
+        while True:
+            # floor(|b| sqrt(d) ad bd 2^k) < |b| sqrt(d) ad bd 2^k < the floor + 1
+            root = isqrt(self.d * (bn * ad) ** 2 << 2 * k)
+            den = ad * bd << k
+            low = (an * bd << k) + sign * root
+            if (x := low / den) == (low + sign) / den:
+                return x
+            k *= 2
 
     def __repr__(self) -> str:
         if self.b == 0:

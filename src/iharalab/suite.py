@@ -200,14 +200,18 @@ class SuiteContext:
     sd comes from the coset blocks, the sweep runs on row e (row_vertex)
     and yields n times its diagonal entries, and the oracle and
     ihara-bass work on row e too.  Without it, sd is the dense
-    eigendecompose and every exact sweep takes the full matrix route.
+    eigendecompose and every exact sweep takes the full route: the
+    sweep reads Tr B_m off the exact chi_A, formed once at its first
+    request, up to nbt.COST_CEILING (n = 285 at degree 14), and runs
+    the n x n matrix recurrence past it; the oracle's rows of A_m and
+    ihara-bass's Tr A^k stay on integer recurrences of their own.
 
     The sweep is the context's one nbt.TraceSweep: every check that
-    reads Tr B_m, N_m or Tr T~_m reads its prefixes, so a pass takes the
-    kernel steps of the longest request once.  The report functions of
-    limits and zeta take the context itself and read the graph,
-    certificate, spectrum, parameters and sweep from it, so no caller
-    picks a route of its own.  All of it lives and dies with the
+    reads Tr B_m, N_m or Tr T~_m reads its prefixes, so a pass pays for
+    chi_A, or the kernel steps of the longest request, once.  The report
+    functions of limits and zeta take the context itself and read the
+    graph, certificate, spectrum, parameters and sweep from it, so no
+    caller picks a route of its own.  All of it lives and dies with the
     context; nothing is cached on the graph, the regularity certificate
     or the parameters.
     """

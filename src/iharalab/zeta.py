@@ -4,8 +4,9 @@ The zeta function of a finite connected graph is determined by its
 reduced-cycle counts, Z(u) = exp(sum_m N_m u^m / m), and equals the
 reciprocal of (1-u^2)^{r-1} det(I - uA + u^2(D-I)) with r the first
 Betti number.  This module computes both sides exactly (the determinant
-as the charpoly of the 2n x 2n Bass matrix mod primes with CRT, or as a
-power-sum series on regular graphs); verify_ihara_bass compares them.
+as the charpoly of the 2n x 2n Bass matrix by nbt.integer_charpoly, the
+modular layer it shares with the trace sweep, or as a power-sum series
+on regular graphs); verify_ihara_bass compares them.
 For LPS graphs it adds the Eisenstein/cusp split, the normalized cusp
 terms a(p^m)/(2 p^{m/2}), and the generating function phi(t) of those
 terms two ways: as their sum, from the Tr T~_m sweep, and as a closed
@@ -29,10 +30,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DepthExceeded, InvalidPrime, NotRegular
+from .errors import InvalidPrime, NotRegular
 from .graphs import Graph, _edges_canonical, certify_regular
 from .lps import LpsParams, is_prime, legendre_symbol
-from .nbt import TraceSweep, adjacency_power_traces, n_reduced_range, t_tilde_traces
+from .nbt import (
+    TraceSweep,
+    adjacency_power_traces,
+    integer_charpoly,
+    n_reduced_range,
+    require_charpoly_price,
+    t_tilde_traces,
+)
 from .oracle import count_reduced_cycles_all
 from .qext import SqrtExt, half_power
 from .series import TruncatedSeries, binomial_one_minus_u2
@@ -43,24 +51,6 @@ if TYPE_CHECKING:
 
 # ---------------------------------------------------------------------------
 # Ihara-Bass determinant side
-
-# Ceiling on ihara_bass_reciprocal's work in primes x (2n)^3: X^{13,5} needs
-# 18 x 240^3 = 2.5e8, and every n >= 1024 exceeds it, so 2n <= 2047 always.
-BASS_COST_CEILING = 10**9
-
-_PRIME_BITS = 26
-_PRIMES: list[int] = []  # largest primes below 2^26, descending; filled on use
-
-
-def _prime(i: int) -> int:
-    """The (i+1)-th largest prime below 2^26."""
-    while len(_PRIMES) <= i:
-        c = (_PRIMES[-1] if _PRIMES else 1 << _PRIME_BITS) - 1
-        while not is_prime(c):
-            c -= 1
-        _PRIMES.append(c)
-    return _PRIMES[i]
-
 
 @dataclass(frozen=True)
 class ZetaReciprocal:
@@ -96,67 +86,24 @@ def _coefficient_bound(g: Graph, degrees: list[int]) -> int:
     return isqrt(prod((1 + a + abs(d - 1)) ** 2 + s for a, s, d in zip(diag, off, degrees))) + 1
 
 
-def _charpoly_mod(bass: np.ndarray, p: int) -> list[int]:
-    """det(xI - L) mod p, constant term first.
-
-    Hessenberg form by similarity (pivot swaps, row eliminations undone
-    by column operations), then the Hessenberg recurrence over the leading
-    blocks.  Residues are below p < 2^26, so products stay below 2^52 and
-    any int64 dot product over at most 2047 terms stays below 2^63.
-    """
-    h = bass % p
-    size = len(h)
-    for j in range(size - 2):
-        nonzero = np.flatnonzero(h[j + 1 :, j])
-        if nonzero.size == 0:
-            continue
-        piv = j + 1 + nonzero[0]
-        h[[j + 1, piv]] = h[[piv, j + 1]]
-        h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
-        t = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, p) % p
-        h[j + 2 :, j:] = (h[j + 2 :, j:] - np.outer(t, h[j + 1, j:])) % p
-        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ t) % p
-    # polys[c]: charpoly of the leading c x c block; w[r] = prod_{r<k<=c} h[k,k-1]
-    polys = np.zeros((size + 1, size + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    w = np.zeros(0, dtype=np.int64)
-    for c in range(size):
-        if c:
-            w = np.append(w, 1) * h[c, c - 1] % p
-        nxt = np.roll(polys[c], 1) - h[c, c] * polys[c]
-        nxt[:c] -= (h[:c, c] * w % p) @ polys[:c, :c]
-        polys[c + 1] = nxt % p
-    return polys[size].tolist()
-
-
 def ihara_bass_reciprocal(g: Graph) -> ZetaReciprocal:
     """Exact reciprocal zeta polynomial data for any connected graph.
 
     For the Bass matrix L = [[A, I-D], [I, 0]] a Schur complement gives
     det(I - uA + u^2(D-I)) = det(I - uL), so c_k is the coefficient of
-    x^{2n-k} in det(xI - L): found mod the largest primes below 2^26 until
-    their product passes 2H (_coefficient_bound), then by symmetric CRT.
-    Raises DepthExceeded past BASS_COST_CEILING, and ArithmeticError
-    unless c_0 = 1, sum c_k = det(D - A) = 0 and c_{2n} = prod (d_i - 1).
+    x^{2n-k} in det(xI - L): nbt.integer_charpoly under the bound H of
+    _coefficient_bound.  Raises DepthExceeded past nbt.COST_CEILING,
+    before L is built, and ArithmeticError unless c_0 = 1,
+    sum c_k = det(D - A) = 0 and c_{2n} = prod (d_i - 1).
     """
     n = g.n
     degrees = [g.degree(v) for v in range(n)]
     bound = _coefficient_bound(g, degrees)
-    cost = -(-(2 * bound).bit_length() // _PRIME_BITS) * (2 * n) ** 3
-    if cost > BASS_COST_CEILING:
-        raise DepthExceeded(f"Bass charpoly cost {cost:.2e} exceeds {BASS_COST_CEILING:.0e}")
+    require_charpoly_price(2 * n, bound)
     a = g.as_numpy().astype(np.int64)
     eye, zero = np.eye(n, dtype=np.int64), np.zeros_like(a)
     bass = np.block([[a, np.diag([1 - d for d in degrees])], [eye, zero]])
-    primes = []
-    while prod(primes) <= 2 * bound:
-        primes.append(_prime(len(primes)))
-    modulus = prod(primes)
-    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
-    coeffs = []
-    for residues in zip(*(_charpoly_mod(bass, p) for p in primes)):
-        x = sum(r * wt for r, wt in zip(residues, weights)) % modulus
-        coeffs.insert(0, x - modulus if 2 * x > modulus else x)
+    coeffs = integer_charpoly(bass, bound)[::-1]
     if coeffs[0] != 1 or sum(coeffs) != 0 or coeffs[-1] != prod(d - 1 for d in degrees):
         raise ArithmeticError("Bass charpoly fails c_0 = 1, P(1) = 0 or c_2n = prod(d_i - 1)")
     while len(coeffs) > 1 and coeffs[-1] == 0:

@@ -84,6 +84,7 @@ def test_corrupted_identity_fails_the_check(contexts, monkeypatch, edit, label):
 def test_no_matrix_sweep_above_twelve_vertices(x135, monkeypatch):
     full = _count_calls(monkeypatch, "_mul_adj")
     row = _count_calls(monkeypatch, "_row_mul_adj")
+    charpolys = _count_calls(monkeypatch, "integer_charpoly")
 
     def no_seq(*args):
         raise AssertionError("ExactMatrixSeq built for n > 12")
@@ -93,9 +94,9 @@ def test_no_matrix_sweep_above_twelve_vertices(x135, monkeypatch):
     ctx = SuiteContext(g, params)
     assert ctx.cosets is not None  # the Cayley certificate grants the row route
     assert run_check("chebyshev", ctx, CONFIG).status == "pass"
-    assert full[0] == 0
-    assert row[0] == 14
+    assert (full[0], row[0], charpolys[0]) == (0, 14, 0)
     copy = SuiteContext(relabeled(g, 7), params)
     assert copy.cosets is None  # the same parameters certify no relabeled graph
     assert run_check("chebyshev", copy, CONFIG).status == "pass"
-    assert 0 < full[0] <= 14
+    # the full route reads Tr B_m off one exact chi_A, with no matrix step
+    assert (full[0], row[0], charpolys[0]) == (0, 14, 1)

@@ -9,6 +9,7 @@ independent exact target.
 import dataclasses
 import math
 import random
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +17,8 @@ import pytest
 from b_matrices import a_matrix_range
 
 from iharalab import nbt
-from iharalab.graphs import Graph, _edges_canonical, build_graph, certify_regular
+from iharalab.errors import DepthExceeded
+from iharalab.graphs import Graph, _edges_canonical, build_graph, certify_regular, named_graph
 from iharalab.nbt import (
     ExactMatrixSeq,
     adjacency_power_traces,
@@ -263,7 +265,7 @@ def one_shot():
     memo = {}
 
     def traces(g: Graph, q: int, method: str, m_max: int) -> list[int]:
-        key = (id(g), method, m_max)
+        key = (id(g), q, method, m_max)
         if key not in memo:
             if method == "row":
                 memo[key] = [g.n * b for b in nbt._b_traces(g, q, m_max, 0)]
@@ -286,6 +288,54 @@ def test_sweep_prefixes_equal_one_shot_traces(sweep_graphs, one_shot, order):
                 assert type(got) is list and all(type(x) is int for x in got)
             with pytest.raises(ValueError):
                 sweep.prefix(-1)
+
+
+def test_charpoly_route_equals_the_matrix_stream(sweep_graphs, one_shot, monkeypatch):
+    graphs = {name: named_graph(name) for name in ("K4", "PETERSEN", "CUBE", "CYCLE(9)")}
+    graphs.update(sweep_graphs)
+    charpolys = _count_calls(monkeypatch, "integer_charpoly")
+    for name, g in graphs.items():
+        q = certify_regular(g).q
+        for sweep_q in (q, 0):  # B_m at q = 0 is A^m for m >= 1
+            before = charpolys[0]
+            got = nbt.TraceSweep(g, sweep_q).prefix(M_LONG)
+            assert charpolys[0] == before + 1, name
+            assert got == one_shot(g, sweep_q, "full", M_LONG), (name, sweep_q)
+            assert all(type(x) is int for x in got)
+
+
+@pytest.mark.parametrize("order", [(30, 80, 12, 200, 8), (200, 1), (0, 1, 2), (2, 1, 0)])
+def test_any_order_of_requests_forms_chi_a_once(corpus, monkeypatch, order):
+    g, cert = corpus["PETERSEN"]
+    charpolys = _count_calls(monkeypatch, "integer_charpoly")
+    steps = _count_calls(monkeypatch, "_mul_adj")
+    sweep = nbt.TraceSweep(g, cert.q)
+    assert charpolys[0] == 0  # nothing is formed before the first request
+    for m_max in order:
+        sweep.prefix(m_max)
+    assert (charpolys[0], steps[0]) == (1, 0)
+
+
+def test_charpoly_route_checks_its_result(corpus, monkeypatch):
+    real = nbt._charpoly_mod
+
+    def corrupted(matrix, p):
+        residues = real(matrix, p)
+        residues[len(residues) // 2] = (residues[len(residues) // 2] + 1) % p
+        return residues
+
+    monkeypatch.setattr(nbt, "_charpoly_mod", corrupted)
+    for name in ("K4", "PETERSEN"):
+        g, cert = corpus[name]
+        with pytest.raises(ArithmeticError):
+            nbt.TraceSweep(g, cert.q).prefix(4)
+
+
+def test_pair_polynomial_and_power_sums_by_hand():
+    # chi = (y - 3)(y + 1): x^2 chi(x + 2/x) = (x^2 - 3x + 2)(x^2 + x + 2)
+    assert nbt._pair_polynomial([-3, -2, 1], 2) == [4, -4, 1, -2, 1]
+    # the roots of x^2 - 3x + 2 are 1 and 2, so p_m = 1 + 2^m
+    assert list(islice(nbt._power_sums([2, -3, 1]), 6)) == [2, 3, 5, 9, 17, 33]
 
 
 def test_shared_sweep_matches_reference_x135(sweep_graphs, x135_reference):
@@ -331,24 +381,55 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
 def test_full_sweep_takes_half_the_matrix_steps(corpus, monkeypatch):
     g, cert = corpus["PETERSEN"]
     calls = _count_calls(monkeypatch, "_mul_adj")
+    charpolys = _count_calls(monkeypatch, "integer_charpoly")
     half = math.ceil(M_LONG / 2) - 1  # B_2..B_100; B_0 and B_1 are free
-    n_reduced_range(g, cert, M_LONG, method="full")
-    assert calls[0] == half  # the full-length A_m sweep took 200
-    calls[0] = 0
-    t_tilde_traces(g, cert, M_LONG, method="full")
-    assert calls[0] == half
-    calls[0] = 0
     adjacency_power_traces(g, M_LONG)
-    assert calls[0] == half
+    assert calls[0] == half  # the full-length A_m sweep took 200
+    # within the ceiling the full route reads every trace off one chi_A
     calls[0] = 0
-    n_reduced_range(g, cert, 7, method="full")
+    n_reduced_range(g, cert, M_LONG, method="full")
+    t_tilde_traces(g, cert, M_LONG, method="full")
+    assert (calls[0], charpolys[0]) == (0, 2)
+    # past it the matrix stream takes over: CYCLE(51) prices chi_A at
+    # 4 primes x 51^3 = 5.3e5 and the matrix sweep to m = 200 at 51^2 x 100
+    ring = named_graph("CYCLE(51)")
+    ring_cert = certify_regular(ring)
+    monkeypatch.setattr(nbt, "COST_CEILING", 4 * 10**5)
+    charpolys[0] = 0
+    for sweep in (n_reduced_range, t_tilde_traces):
+        calls[0] = 0
+        sweep(ring, ring_cert, M_LONG, method="full")
+        assert calls[0] == half
+    calls[0] = 0
+    n_reduced_range(ring, ring_cert, 7, method="full")
     assert calls[0] == 3
     for order in ((30, 80, 12, 200, 8), (200, 1)):
         calls[0] = 0
-        sweep = nbt.TraceSweep(g, cert.q, "full")
+        sweep = nbt.TraceSweep(ring, ring_cert.q, "full")
         for m_max in order:
             sweep.prefix(m_max)
         assert calls[0] == half, order  # the largest request's steps, once
+    assert charpolys[0] == 0
+
+
+def test_matrix_sweep_past_the_ceiling_fails_before_its_first_step(corpus, monkeypatch):
+    g, cert = corpus["PETERSEN"]
+    calls = _count_calls(monkeypatch, "_mul_adj")
+    # chi_A prices 1 prime x 10^3; the matrix stream n^2 ceil(m/2), 500 at m = 10
+    monkeypatch.setattr(nbt, "COST_CEILING", 500)
+    sweep = nbt.TraceSweep(g, cert.q)
+    with pytest.raises(DepthExceeded, match="m=200"):
+        sweep.prefix(M_LONG)
+    with pytest.raises(DepthExceeded):
+        adjacency_power_traces(g, 11)
+    with pytest.raises(DepthExceeded):
+        n_reduced_range(g, cert, M_LONG, method="full")
+    assert calls[0] == 0
+    assert sweep.prefix(10) == nbt._b_traces(g, cert.q, 10)
+    taken = calls[0]
+    with pytest.raises(DepthExceeded):
+        sweep.prefix(11)
+    assert calls[0] == taken == 2 * 4  # B_2..B_5, by the sweep and by _b_traces
 
 
 def test_row_sweep_takes_half_the_row_steps(corpus, monkeypatch):

@@ -1,13 +1,17 @@
 """Exact arithmetic in Q(sqrt d)."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iharalab.lps import build_lps
 from iharalab.qext import SqrtExt, half_power
+from iharalab.suite import SuiteContext
+from iharalab.zeta import normalized_cusp_terms
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -95,3 +99,33 @@ def test_mixed_int_fraction_ops():
     assert 2 * x == SqrtExt.of(3, 2, 2)
     assert x - Fraction(1, 2) == SqrtExt.of(3, Fraction(1, 2), 1)
     assert x / 2 == SqrtExt.of(3, Fraction(1, 2), Fraction(1, 2))
+
+
+def _nearest_float(x: SqrtExt) -> float:
+    """a + b sqrt(d) in 60-digit decimal, then rounded to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = Decimal(x.a.numerator) / x.a.denominator
+        exact += Decimal(x.b.numerator) / x.b.denominator * Decimal(x.d).sqrt()
+        return float(exact)
+
+
+@given(_elem(2), st.sampled_from([2, 3, 5, 13, 29]))
+@settings(max_examples=200, deadline=None)
+def test_float_is_correctly_rounded(x, d):
+    x = SqrtExt.of(d, x.a, x.b)
+    assert float(x) == _nearest_float(x)
+
+
+def test_float_rounds_once_where_two_roundings_miss():
+    # X^{29,5}'s normalized cusp terms at m = 3, 5 and 11, where the sum
+    # of the two rounded parts is 1 ulp off the correctly rounded value
+    ctx = SuiteContext(*build_lps(29, 5))
+    terms = normalized_cusp_terms(ctx.g, ctx.params, 11, sweep=ctx.sweep)
+    for m in (3, 5, 11):
+        x = terms[m]
+        assert float(x) == _nearest_float(x) != float(x.a) + float(x.b) * math.sqrt(29), m
+    # a - b sqrt 2 cancels to about 1e-18, far below either part's rounding
+    x = SqrtExt.of(2, Fraction(-665857, 470832 * 10**6), Fraction(1, 10**6))
+    assert float(x) == _nearest_float(x) != float(x.a) + float(x.b) * math.sqrt(2)
+    assert float(SqrtExt.of(3, -2, 0)) == -2.0

@@ -446,25 +446,22 @@ def test_stf_check_sweeps_counts_once(monkeypatch):
     for m0 in range(13):
         h = limits.StfTestFunction.single(m0) if m0 else limits.StfTestFunction(hhat0=1.0)
         want.append(limits.stf_verify(fresh, h))
-    sweeps, steps = [], []
-    real_range, real_step = nbt.n_reduced_range, nbt._mul_adj
+    sweeps = []
+    real_range = nbt.n_reduced_range
 
     def counting(g, cert, m_max, *args, **kwargs):
         sweeps.append(kwargs["sweep"])
         return real_range(g, cert, m_max, *args, **kwargs)
 
-    def stepping(*args):
-        steps.append(1)
-        return real_step(*args)
-
     monkeypatch.setattr(nbt, "n_reduced_range", counting)
     monkeypatch.setattr(limits, "n_reduced_range", counting)
-    monkeypatch.setattr(nbt, "_mul_adj", stepping)
+    steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
+    charpolys = _count_calls_everywhere(monkeypatch, nbt, "integer_charpoly")
     res = run_check("stf", ctx, cfg)
     # one N_m prefix per frequency, all from the context's sweep, which
-    # steps to Tr B_12 once: ceil(12/2) - 1 kernel steps
+    # reads them off one chi_A and takes no matrix step
     assert len(sweeps) == 12 and all(s is ctx.sweep for s in sweeps)
-    assert len(steps) == 5
+    assert (len(steps), len(charpolys)) == (0, 1)
     got = [(r["lhs"], r["geometric"], r["discrepancy"]) for r in res.detail["rows"]]
     assert got == want
 
@@ -535,10 +532,12 @@ def _relabeled_x135_file(tmp_path, x135) -> SuiteContext:
 def test_phi_check_on_a_relabeled_lps_file(tmp_path, x135, monkeypatch):
     ctx = _relabeled_x135_file(tmp_path, x135)
     steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
+    charpolys = _count_calls_everywhere(monkeypatch, nbt, "integer_charpoly")
     cfg = VerificationSuiteConfig(source_kind="file", source="x135_rewritten.json", checks=("phi",))
     res = run_check("phi", ctx, cfg)
     assert (res.status, res.metric) == ("pass", 0.0)
-    assert len(steps) == 3  # B_2..B_4 for Tr B_m to m = 8, shared by T~_m and N_m
+    # Tr B_m to m = 8 from one chi_A, shared by T~_m and N_m
+    assert (len(steps), len(charpolys)) == (0, 1)
 
 
 def _steps_per_check(ctx: SuiteContext, config: VerificationSuiteConfig, steps: list) -> dict:
@@ -556,17 +555,24 @@ def _steps_per_check(ctx: SuiteContext, config: VerificationSuiteConfig, steps: 
 def test_one_trace_sweep_serves_every_check_of_a_relabeled_file(tmp_path, x135, monkeypatch):
     ctx = _relabeled_x135_file(tmp_path, x135)
     steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
+    charpolys = _count_calls_everywhere(monkeypatch, nbt, "integer_charpoly")
     cfg = VerificationSuiteConfig(source_kind="file", source="x135_rewritten.json")
-    per_check = _steps_per_check(ctx, cfg, steps)
-    # the oracle (to m = 4), chebyshev (30), average-nm (80) and cusp (200)
-    # extend the shared sweep, B_2..B_100 in all; ihara-bass (10), stf (12),
-    # phi (8) and huang (30) read prefixes of it.  ihara-bass adds A^2..A^5
-    # for its power traces, and the oracle's rows of A_m take row steps only
-    assert per_check == {"oracle": 1, "chebyshev": 13, "ihara-bass": 4, "average-nm": 25, "cusp": 60}
-    assert sum(per_check.values()) == 103
-    taken = len(steps)
-    ctx.sweep.prefix(200)
-    assert len(steps) == taken  # the sweep already stands at m = 200
+    per_check = {}
+    for name in CHECK_ORDER:
+        before = len(steps), len(charpolys)
+        res = run_check(name, ctx, cfg)
+        assert res.status == "pass", (name, res.detail)
+        taken = len(steps) - before[0], len(charpolys) - before[1]
+        if taken != (0, 0):
+            per_check[name] = taken
+    # (matrix steps, chi_A) per check.  The oracle (to m = 4) forms chi_A,
+    # and every later check reads the same sweep: chebyshev (30),
+    # average-nm (80) and cusp (200) extend it by Newton's identities
+    # alone.  ihara-bass takes A^2..A^5 for its power traces, the one
+    # matrix stream left, and the oracle's rows of A_m take row steps only
+    assert per_check == {"oracle": (0, 1), "ihara-bass": (4, 0)}
+    ctx.sweep.prefix(400)
+    assert (len(steps), len(charpolys)) == (4, 1)  # the sweep needs nothing more
 
 
 def test_certified_lps_sources_take_no_full_matrix_step(tmp_path, monkeypatch):
@@ -671,11 +677,13 @@ def test_each_context_owns_its_sweep(tmp_path, x135, monkeypatch):
     second = SuiteContext(first.g, first.params, first.label)
     second._cert = first.cert  # as a benchmark pass copies a set-up's certificate
     steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
+    charpolys = _count_calls_everywhere(monkeypatch, nbt, "integer_charpoly")
     cfg = VerificationSuiteConfig(source_kind="file", source="x135_rewritten.json", checks=("huang",))
     for ctx in (first, second):
-        before = len(steps)
+        before = len(charpolys)
         assert run_check("huang", ctx, cfg).status == "pass"
-        assert len(steps) - before == 14  # B_2..B_15 for m = 30, paid by each context
+        assert len(charpolys) - before == 1  # chi_A, formed by each context
+    assert steps == []
     assert first.sweep is not second.sweep
 
 

@@ -19,7 +19,7 @@ import pytest
 from lattice_points import lattice_count
 
 import iharalab
-from iharalab import zeta
+from iharalab import nbt, zeta
 from iharalab.errors import DepthExceeded, InvalidPrime
 from iharalab.graphs import Graph, build_graph, named_graph
 from iharalab.lps import build_lps, cayley_cosets, is_prime
@@ -269,13 +269,13 @@ def _hadamard_bound(g: Graph) -> int:
 def charpoly_primes(monkeypatch):
     """The primes of every per-prime charpoly call, in call order."""
     calls = []
-    real = zeta._charpoly_mod
+    real = nbt._charpoly_mod
 
     def counting(bass, p):
         calls.append(p)
         return real(bass, p)
 
-    monkeypatch.setattr(zeta, "_charpoly_mod", counting)
+    monkeypatch.setattr(nbt, "_charpoly_mod", counting)
     return calls
 
 
@@ -286,7 +286,7 @@ def _check_bass_result(g: Graph, coeffs: list[int], primes: list[int]) -> None:
     assert sum(full) == 0
     assert full[-1] == prod(g.degree(v) - 1 for v in range(g.n))
     assert max(abs(c) for c in full) <= bound
-    assert primes == [zeta._prime(i) for i in range(len(primes))]
+    assert primes == [nbt._prime(i) for i in range(len(primes))]
     assert prod(primes) > 2 * bound >= prod(primes[:-1])
 
 
@@ -322,14 +322,14 @@ def test_bass_route_x135_full_polynomial(x135, charpoly_primes):
 
 
 def test_bass_route_checks_its_result(corpus, monkeypatch):
-    real = zeta._charpoly_mod
+    real = nbt._charpoly_mod
 
     def corrupted(bass, p):
         residues = real(bass, p)
         residues[len(residues) // 2] = (residues[len(residues) // 2] + 1) % p
         return residues
 
-    monkeypatch.setattr(zeta, "_charpoly_mod", corrupted)
+    monkeypatch.setattr(nbt, "_charpoly_mod", corrupted)
     with pytest.raises(ArithmeticError):
         ihara_bass_reciprocal(corpus["K4"][0])
 
@@ -343,7 +343,7 @@ def test_bass_cost_guard_fails_fast():
 
 
 def test_prime_table_fits_int64_dot_products():
-    primes = [zeta._prime(i) for i in range(64)]
+    primes = [nbt._prime(i) for i in range(64)]
     assert primes == sorted(set(primes), reverse=True)
     assert all(p < 2**26 and is_prime(p) for p in primes)
     assert all(2047 * (p - 1) ** 2 < 2**63 for p in primes)
@@ -351,7 +351,7 @@ def test_prime_table_fits_int64_dot_products():
 
 def test_import_leaves_prime_table_empty():
     src = os.path.dirname(os.path.dirname(iharalab.__file__))
-    code = "import iharalab, iharalab.zeta as z; assert z._PRIMES == [], z._PRIMES"
+    code = "import iharalab, iharalab.nbt as z; assert z._PRIMES == [], z._PRIMES"
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
