@@ -18,7 +18,6 @@ from iharalab.graphs import named_graph
 from iharalab.limits import require_ramanujan
 from iharalab.lps import build_lps
 from iharalab.nbt import n_reduced_range
-from iharalab.spectral import eigendecompose
 from iharalab.suite import SuiteContext
 from iharalab.zeta import ihara_bass_reciprocal
 
@@ -38,12 +37,11 @@ def _ramanujan_label(sd) -> str:
 
 def _report_row(label: str, ctx: SuiteContext, m_max: int) -> None:
     g, cert = ctx.g, ctx.cert
-    sd = eigendecompose(g, cert)
     counts = n_reduced_range(g, cert, m_max, sweep=ctx.sweep)
     print(f"{label}")
     print(f"  n={g.n}  degree={cert.degree}  q={cert.q}"
           f"  bipartite={'yes' if cert.bipartite else 'no'}"
-          f"  ramanujan={_ramanujan_label(sd)}")
+          f"  ramanujan={_ramanujan_label(ctx.sd)}")
     print(f"  N_1..N_{m_max}: {counts}")
     if g.n <= DET_COEFF_LIMIT:
         zr = ihara_bass_reciprocal(g)

@@ -24,7 +24,7 @@ import os
 import sys
 
 from iharalab.errors import NotRamanujan
-from iharalab.graphs import certify_regular, named_graph
+from iharalab.graphs import named_graph
 from iharalab.limits import (
     angle_condition,
     average_cusp_sweep,
@@ -34,7 +34,6 @@ from iharalab.limits import (
     require_ramanujan,
 )
 from iharalab.lps import build_lps
-from iharalab.spectral import eigendecompose
 from iharalab.suite import SuiteContext
 
 NAMED = ("K3", "K4", "K33", "PETERSEN", "CUBE")
@@ -45,8 +44,7 @@ def write_cesaro(path: str, horizons: list[int], k_max: int) -> None:
         w = csv.writer(fh)
         w.writerow(["graph", "k", "variant", "N", "deviation", "scaled", "reference"])
         for name in NAMED:
-            g = named_graph(name)
-            sd = eigendecompose(g, certify_regular(g))
+            sd = SuiteContext(named_graph(name)).sd
             for k in range(1, k_max + 1):
                 if not angle_condition(sd, k):
                     continue

@@ -13,11 +13,11 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from . import limits, lps, nbt, oracle, suite, zeta
 from .errors import IharaLabError, NotRegular, ParseError
 from .graphs import certify_regular, save_graph
+from .qext import SqrtExt
 
 
 def _fmt(x) -> str:
@@ -130,12 +130,9 @@ def cmd_nbt(args) -> int:
 
 def cmd_oracle(args) -> int:
     ctx = _load_source(args.source)
-    g, v = ctx.g, ctx.row_vertex
-    if v is None:
-        counts = oracle.count_reduced_cycles_all(g, args.m_max, budget=args.budget)
-    else:  # on a certified X^{p,q} the search from e stands for every vertex
-        closed, _ = oracle.count_reduced_walks_all(g, args.m_max, sources=[v], budget=args.budget)
-        counts = [g.n * c for c in closed]
+    sources, scale = suite.oracle_sources(ctx)
+    walks = oracle.reduced_walks(ctx.g, args.m_max, sources, budget=args.budget)
+    counts = [scale * sum(col) for col in zip(*(closed for closed, _ in walks))]
     try:
         rec = nbt.n_reduced_range(ctx.g, ctx.cert, args.m_max, sweep=ctx.sweep)
     except NotRegular:
@@ -186,26 +183,22 @@ def cmd_zeta(args) -> int:
 def cmd_cuspgen(args) -> int:
     ctx = suite.SuiteContext(*lps.build_lps(args.p, args.q, allow_large=args.allow_large))
     g, params, cert = ctx.g, ctx.params, ctx.cert
-    traces = nbt.t_tilde_traces(g, cert, args.order, sweep=ctx.sweep)
+    cusps = zeta.cusp_coefficients_range(g, params, args.order, sweep=ctx.sweep)
     rows = []
-    for m in range(args.order + 1):
-        theta_coeff = Fraction(2 * traces[m], g.n)
+    for m, (cusp, term) in enumerate(zip(cusps, zeta.normalize_cusp(cusps, args.p))):
         eis = zeta.eisenstein_C(args.p, args.q, m)
-        cusp = theta_coeff - eis  # a(p^m), as zeta.cusp_coefficients_range gives it
-        row = {
+        # a(p^m)/(2 p^{m/2}) is rational unless m is odd with a nonzero cusp term
+        if isinstance(term, SqrtExt):
+            normalized = str(term.rational_part()) if term.is_rational() else _fmt(float(term))
+        else:
+            normalized = str(term)
+        rows.append({
             "m": m,
-            "theta_coeff": str(theta_coeff),
+            "theta_coeff": str(cusp + eis),
             "eisenstein": str(eis),
             "cusp": str(cusp),
-        }
-        # a(p^m)/(2 p^{m/2}); rational unless m is odd with a nonzero cusp term
-        if m % 2 == 0:
-            row["normalized"] = str(cusp / (2 * Fraction(args.p) ** (m // 2)))
-        elif cusp == 0:
-            row["normalized"] = "0"
-        else:
-            row["normalized"] = _fmt(float(cusp) / (2.0 * args.p ** (m / 2.0)))
-        rows.append(row)
+            "normalized": normalized,
+        })
     payload = {
         "p": args.p,
         "q": args.q,

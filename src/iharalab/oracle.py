@@ -1,51 +1,22 @@
-"""Brute-force enumeration oracles.
+"""Brute-force enumeration oracle.
 
-These routines define ground truth for small instances by explicit
-depth-first search over arcs.  They deliberately share no code with the
-matrix recurrences they are used to validate: correctness here rests on
-the search being a direct transcription of the definitions.
+reduced_walks counts non-backtracking walks by explicit depth-first
+search over arcs, one source vertex at a time.  It deliberately shares
+no code with the matrix recurrences it is used to validate: correctness
+here rests on the search being a direct transcription of the
+definitions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DepthExceeded
-from .graphs import Graph, _edges_canonical
+from .graphs import Graph
 
 DEFAULT_DEPTH_GUARD = 14
 DEFAULT_BUDGET = 10**9
-
-
-@dataclass(frozen=True)
-class ArcList:
-    """Oriented arcs of an undirected multigraph.
-
-    arcs[a] = (origin, terminus); inverse[a] is the reversed arc.
-    Parallel edges yield distinct arc pairs and a loop yields two
-    mutually inverse arcs, so len(arcs) = 2 * edge_count always.
-    """
-
-    arcs: tuple[tuple[int, int], ...]
-    inverse: tuple[int, ...]
-    out: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "ArcList":
-        arcs: list[tuple[int, int]] = []
-        inverse: list[int] = []
-        for i, j, count in _edges_canonical(g):
-            for _ in range(count):
-                a = len(arcs)
-                arcs.append((i, j))
-                arcs.append((j, i))
-                inverse.extend([a + 1, a])
-        out: list[list[int]] = [[] for _ in range(g.n)]
-        for a, (o, _) in enumerate(arcs):
-            out[o].append(a)
-        return cls(tuple(arcs), tuple(inverse), tuple(tuple(o) for o in out))
 
 
 def walk_estimate(g: Graph, m: int) -> int:
@@ -62,40 +33,6 @@ def _check_cost(g: Graph, m: int, depth_guard: int, budget: int) -> None:
         raise DepthExceeded(f"estimated {est} steps exceeds budget {budget}")
 
 
-def count_reduced_cycles_all(
-    g: Graph, m_max: int, *, depth_guard: int = DEFAULT_DEPTH_GUARD, budget: int = DEFAULT_BUDGET
-) -> list[int]:
-    """Reduced (backtrackless and tailless) closed paths of each length 1..m_max, one sweep.
-
-    A path is an arc sequence (e_1..e_m) with t(e_i) = o(e_{i+1}),
-    closed means o(e_1) = t(e_m), non-backtracking means
-    e_{i+1} != inverse(e_i), and tailless additionally requires
-    e_1 != inverse(e_m).  Every starting point and orientation is
-    counted separately.
-    """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    _check_cost(g, m_max, depth_guard, budget)
-    al = ArcList.from_graph(g)
-    totals = [0] * (m_max + 1)
-
-    def walk(first: int, cur: int, depth: int) -> None:
-        here = al.arcs[cur][1]
-        if here == al.arcs[first][0] and cur != al.inverse[first]:
-            totals[depth] += 1
-        if depth == m_max:
-            return
-        banned = al.inverse[cur]
-        for nxt in al.out[here]:
-            if nxt != banned:
-                walk(first, nxt, depth + 1)
-
-    for first in range(len(al.arcs)):
-        walk(first, first, 1)
-    del walk  # break the closure's self-reference so its tables free now, not at a later gc
-    return totals[1:]
-
-
 def _arc_tables(
     g: Graph, sources: Sequence[int], radius: int
 ) -> tuple[dict[int, int], list[int], list[int]]:
@@ -104,9 +41,9 @@ def _arc_tables(
     The arcs out of a tabled vertex v are numbered first[v], first[v] + 1,
     ... in the order of g.neighbors[v], and terminus[a] is where arc a
     ends.  inverse[a] is the reversed arc, or -1 when a ends at a vertex
-    outside the table.  As in ArcList, the r-th edge end at w among v's
-    neighbours pairs with the r-th end at v among w's, and the two ends
-    of a loop pair with each other.
+    outside the table.  The r-th edge end at w among v's neighbours
+    pairs with the r-th end at v among w's, so parallel edges give
+    distinct arc pairs, and the two ends of a loop pair with each other.
     """
     first: dict[int, int] = {}
     count = 0
@@ -136,71 +73,85 @@ def _arc_tables(
     return first, terminus, inverse
 
 
-def count_reduced_walks_all(
+def reduced_walks(
     g: Graph,
     m_max: int,
+    sources: Sequence[int],
     *,
-    sources: Sequence[int] | None = None,
     depth_guard: int = DEFAULT_DEPTH_GUARD,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[list[int], list[list[list[int]]]]:
-    """Cycle counts and path-count rows for every length up to m_max, one sweep.
+) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """Per source, in order: (closed, rows) for every walk length up to m_max.
 
-    The walks start at the vertices of sources (every vertex when it is
-    None).  Returns (counts, mats): mats[m][k][j] counts the
-    non-backtracking arc sequences of length m from sources[k] to j for
-    m in 0..m_max (no tail condition; m = 0 gives the identity rows),
-    and counts[m - 1] the reduced cycles of length m that start at a
-    source.  With every vertex as a source, counts equals
-    count_reduced_cycles_all(g, m_max) and mats[m] is the full matrix.
-    The cost guard counts the walks from every vertex, whatever sources is.
+    rows[m][j] counts the non-backtracking arc sequences of length m
+    from the source to j, for m in 0..m_max (no tail condition; m = 0
+    gives the identity row), so rows[m] is the source's row of A_m.
+    closed[m - 1] counts the reduced (backtrackless and tailless) closed
+    walks of length m that start at the source: those that end there
+    and whose last arc is not the inverse of their first.  Summed over
+    every vertex, closed gives N_1..N_{m_max}, every starting point and
+    orientation counted separately.
 
-    Each non-backtracking walk is enumerated once, from its origin
-    through its first arc; it is a reduced cycle when it ends at its
-    origin and its last arc is not the inverse of its first.  The walks
-    of length m_max are counted one by one in the loop of their length
-    m_max - 1 prefix rather than in a call each.  A walk of length m_max
-    takes only arcs out of vertices within m_max - 1 of its origin, so
-    the arc and follower tables hold those arcs only (_arc_tables).
+    The guards raise here, at the call, before any walk: m_max < 1, the
+    depth guard, and the step budget, which prices a search from every
+    vertex whatever sources is.  The search itself runs as the result is
+    iterated, and it holds one source's rows at a time; each source's
+    rows are fresh lists that the caller may keep or drop.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     _check_cost(g, m_max, depth_guard, budget)
-    sources = range(g.n) if sources is None else sources
-    totals = [0] * (m_max + 1)
-    mats = [[[0] * g.n for _ in sources] for _ in range(m_max + 1)]
-    for k, src in enumerate(sources):
-        mats[0][k][src] = 1
+    return _walks(g, m_max, sources)
 
+
+def _walks(g: Graph, m_max: int, sources: Sequence[int]) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """The search of reduced_walks, past its guards.
+
+    Each non-backtracking walk is enumerated once, from its source
+    through its first arc.  The walks of length m_max are counted one by
+    one in the loop of their length m_max - 1 prefix rather than in a
+    call each.  A walk of length m_max takes only arcs out of vertices
+    within m_max - 1 of its source, so the arc and follower tables hold
+    those arcs only (_arc_tables).
+    """
     first, terminus, inverse = _arc_tables(g, sources, m_max - 1)
-    # the arcs that may follow arc a: out of its terminus t, except its
-    # inverse; None when t's arcs are not tabled, which no walk needs
+    pairs = list(zip(range(len(terminus)), terminus))  # (arc, its terminus), one tuple per arc
+    # the arcs that may follow arc a, as pairs: out of its terminus t,
+    # except its inverse; None when t's arcs are not tabled, which no
+    # walk needs
     follow = [
-        None if inv < 0 else [b for b in range(first[t], first[t] + len(g.neighbors[t])) if b != inv]
+        None if inv < 0 else [pairs[b] for b in range(first[t], first[t] + len(g.neighbors[t])) if b != inv]
         for t, inv in zip(terminus, inverse)
     ]
-    follow_ends = [None if arcs is None else [terminus[b] for b in arcs] for arcs in follow]
+    top = m_max - 1  # the depth whose followers end a walk
 
-    def walk(rows: list[list[int]], src: int, first_inv: int, cur: int, depth: int) -> None:
-        here = terminus[cur]
+    # src, first_inv, rows, last and closed belong to the current source
+    # and its first arc, set in the loop below
+    def walk(cur: int, here: int, depth: int) -> None:
         rows[depth][here] += 1
         if here == src and cur != first_inv:
-            totals[depth] += 1
-        if depth < m_max - 1:
-            for nxt in follow[cur]:
-                walk(rows, src, first_inv, nxt, depth + 1)
-        elif depth < m_max:
-            last = rows[m_max]
-            closed = 0
-            for nxt, there in zip(follow[cur], follow_ends[cur]):
+            closed[depth] += 1
+        if depth == top:
+            count = 0
+            for nxt, there in follow[cur]:
                 last[there] += 1
                 if there == src and nxt != first_inv:
-                    closed += 1
-            totals[m_max] += closed
+                    count += 1
+            closed[m_max] += count
+        elif depth < top:
+            deeper = depth + 1
+            for nxt, there in follow[cur]:
+                walk(nxt, there, deeper)
 
-    for k, src in enumerate(sources):
-        rows = [mat[k] for mat in mats]  # src's row of every mats[depth]
-        for arc in range(first[src], first[src] + len(g.neighbors[src])):
-            walk(rows, src, inverse[arc], arc, 1)
-    del walk  # as in count_reduced_cycles_all
-    return totals[1:], mats
+    try:
+        for src in sources:
+            rows = [[0] * g.n for _ in range(m_max + 1)]
+            rows[0][src] = 1
+            last = rows[m_max]
+            closed = [0] * (m_max + 1)
+            for arc in range(first[src], first[src] + len(g.neighbors[src])):
+                first_inv = inverse[arc]
+                walk(arc, terminus[arc], 1)
+            yield closed[1:], rows
+    finally:
+        del walk  # break the closure's self-reference so the tables free now, not at a later gc

@@ -15,7 +15,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -314,28 +314,43 @@ def _oracle_depth(g: Graph, m_max: int, budget: int) -> int:
     return m
 
 
+def oracle_sources(ctx: SuiteContext) -> tuple[Sequence[int], int]:
+    """(sources, scale) of the oracle search: scale times the sources' closed walks is N_m.
+
+    On a certified X^{p,q} the search from the identity vertex e stands
+    for every vertex, so N_m is n times its closed walks; otherwise the
+    search starts at every vertex and the scale is 1.
+    """
+    v = ctx.row_vertex
+    return (range(ctx.g.n), 1) if v is None else ([v], ctx.g.n)
+
+
 def check_oracle(ctx: SuiteContext, *, m_max: int = 10, budget: int = DEFAULT_BUDGET) -> dict:
     """Recurrence vs. brute-force enumeration: cycle counts and path-count rows.
 
     The depth is the largest whose search from every vertex fits the
-    budget.  With the context's Cayley certificate the search starts at
-    the identity vertex e only: its rows are compared with row e of A_m
-    (nbt.a_rows), and n times its closed reduced walks with N_m from
-    the context's sweep.  Otherwise it starts at every vertex, and each
-    vertex's rows are compared with its own row recurrence.
+    budget, and the search starts at oracle_sources(ctx): the identity
+    vertex e alone with the context's Cayley certificate, every vertex
+    otherwise.  Each source's rows are compared with its own rows of
+    A_m (nbt.a_rows) as the search yields them, so no n x n table is
+    held.  The closed walks, summed and scaled, are compared with N_m
+    from the context's sweep.
     """
     depth = _oracle_depth(ctx.g, m_max, budget)
     if depth < 1:
         raise IharaLabError("oracle budget too small for depth 1")
-    v = ctx.row_vertex
-    sources = range(ctx.g.n) if v is None else [v]
-    closed, rows_bf = oracle.count_reduced_walks_all(ctx.g, depth, sources=sources, budget=budget)
-    counts_bf = closed if v is None else [ctx.g.n * c for c in closed]
+    sources, scale = oracle_sources(ctx)
+    walks = oracle.reduced_walks(ctx.g, depth, sources, budget=budget)
+    closed = [0] * depth
+    worst = 0
+    for src, (at_src, rows_bf) in zip(sources, walks):
+        closed = [a + b for a, b in zip(closed, at_src)]
+        for row_bf, row in zip(rows_bf, nbt.a_rows(ctx.g, ctx.cert, depth, src)):
+            if row_bf != row:
+                worst = max(worst, *(abs(a - b) for a, b in zip(row_bf, row)))
+    counts_bf = [scale * c for c in closed]
     counts_rec = nbt.n_reduced_range(ctx.g, ctx.cert, depth, sweep=ctx.sweep)
-    worst = max(abs(a - b) for a, b in zip(counts_bf, counts_rec))
-    for k, src in enumerate(sources):
-        for m, row in enumerate(nbt.a_rows(ctx.g, ctx.cert, depth, src)):
-            worst = max(worst, *(abs(a - b) for a, b in zip(rows_bf[m][k], row)))
+    worst = max(worst, *(abs(a - b) for a, b in zip(counts_bf, counts_rec)))
     return {
         "metric": float(worst),
         "detail": {

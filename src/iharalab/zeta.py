@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .nbt import (
     require_charpoly_price,
     t_tilde_traces,
 )
-from .oracle import count_reduced_cycles_all
+from .oracle import reduced_walks
 from .qext import SqrtExt, half_power
 from .series import TruncatedSeries, binomial_one_minus_u2
 
@@ -158,13 +158,14 @@ def verify_ihara_bass(ctx: SuiteContext, order: int = 10) -> Fraction:
     n times the identity row's diagonal entries on a certified X^{p,q},
     the full matrices otherwise.  The two sides stay independent
     recurrences, at q and at 0.  When the context's sweep raises
-    NotRegular, the counts come from the brute-force cycle oracle and
+    NotRegular, the counts come from the brute-force walk oracle and
     the determinant from the Bass-matrix charpoly.  Exact zero expected.
     """
     try:
         sweep = ctx.sweep
     except NotRegular:
-        counts = count_reduced_cycles_all(ctx.g, order)
+        walks = reduced_walks(ctx.g, order, range(ctx.g.n))
+        counts = [sum(col) for col in zip(*(closed for closed, _ in walks))]
         from_bass = ihara_bass_reciprocal(ctx.g).zeta_series(order)
     else:
         counts = n_reduced_range(ctx.g, ctx.cert, order, sweep=sweep)
@@ -211,16 +212,21 @@ def cusp_coefficients_range(
 def normalized_cusp_terms(
     g_lps: Graph, params: LpsParams, m_max: int, *, sweep: TraceSweep | None = None
 ) -> list:
-    """[a(p^m)/(2 p^{m/2}) for m = 0..m_max], exact in Q(sqrt p).
+    """[a(p^m)/(2 p^{m/2}) for m = 0..m_max], exact in Q(sqrt p), from the traces of sweep.
 
-    The one place these terms are formed, from the traces of sweep (a
-    fresh one when None).  Fractions when every term is
-    rational, as on bipartite LPS graphs, where the odd-m terms vanish;
-    SqrtExt values otherwise, because odd-m terms of non-bipartite
-    graphs carry sqrt(p).
+    normalize_cusp of cusp_coefficients_range (a fresh sweep when None).
     """
-    amounts = cusp_coefficients_range(g_lps, params, m_max, sweep=sweep)
-    p = params.p
+    return normalize_cusp(cusp_coefficients_range(g_lps, params, m_max, sweep=sweep), params.p)
+
+
+def normalize_cusp(amounts: Sequence[Fraction], p: int) -> list:
+    """[a(p^m)/(2 p^{m/2}) for m = 0, 1, ...] from the cusp coefficients amounts = [a(p^m)].
+
+    The one place these terms are formed, exact in Q(sqrt p).  Fractions
+    when every term is rational, as on bipartite LPS graphs, where the
+    odd-m terms vanish; SqrtExt values otherwise, because odd-m terms of
+    non-bipartite graphs carry sqrt(p).
+    """
     return _rational_if_possible(
         [SqrtExt.of(p, a) / (2 * half_power(p, m)) for m, a in enumerate(amounts)]
     )

@@ -1,13 +1,60 @@
-"""Single-length brute-force searches, the reference for the oracle sweeps.
+"""Single-length brute-force searches, the reference for the oracle walker.
 
 count_reduced_cycles_bf and count_reduced_paths_bf search one length at
-a time by explicit depth-first search over arcs, straight from the
-definitions; tests compare the one-sweep routes in iharalab.oracle
-against them.
+a time by explicit depth-first search over an ArcList, straight from the
+definitions; tests compare iharalab.oracle.reduced_walks against them.
+reduced_cycle_counts and reduced_walk_matrices gather that walker's
+per-source output into N_1..N_m and whole A_m matrices, for the tests
+that check the recurrences against the oracle.
 """
 
-from iharalab.graphs import Graph
-from iharalab.oracle import DEFAULT_BUDGET, DEFAULT_DEPTH_GUARD, ArcList, _check_cost
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from iharalab.graphs import Graph, _edges_canonical
+from iharalab.oracle import DEFAULT_BUDGET, DEFAULT_DEPTH_GUARD, _check_cost, reduced_walks
+
+
+@dataclass(frozen=True)
+class ArcList:
+    """Oriented arcs of an undirected multigraph.
+
+    arcs[a] = (origin, terminus); inverse[a] is the reversed arc.
+    Parallel edges yield distinct arc pairs and a loop yields two
+    mutually inverse arcs, so len(arcs) = 2 * edge_count always.
+    """
+
+    arcs: tuple[tuple[int, int], ...]
+    inverse: tuple[int, ...]
+    out: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_graph(cls, g: Graph) -> "ArcList":
+        arcs: list[tuple[int, int]] = []
+        inverse: list[int] = []
+        for i, j, count in _edges_canonical(g):
+            for _ in range(count):
+                a = len(arcs)
+                arcs.append((i, j))
+                arcs.append((j, i))
+                inverse.extend([a + 1, a])
+        out: list[list[int]] = [[] for _ in range(g.n)]
+        for a, (o, _) in enumerate(arcs):
+            out[o].append(a)
+        return cls(tuple(arcs), tuple(inverse), tuple(tuple(o) for o in out))
+
+
+def reduced_cycle_counts(g: Graph, m_max: int) -> list[int]:
+    """[N_1, ..., N_m_max] from the oracle walker, summed over every source."""
+    walks = reduced_walks(g, m_max, range(g.n))
+    return [sum(col) for col in zip(*(closed for closed, _ in walks))]
+
+
+def reduced_walk_matrices(g: Graph, m_max: int) -> list[list[list[int]]]:
+    """[A_0, ..., A_m_max] stacked from the oracle walker's per-source rows."""
+    by_source = [rows for _, rows in reduced_walks(g, m_max, range(g.n))]
+    return [[rows[m] for rows in by_source] for m in range(m_max + 1)]
 
 
 def count_reduced_cycles_bf(

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 from b_matrices import a_matrix_range, chebyshev_b_range
 from lattice_points import lattice_count
+from reduced_walks_bf import reduced_cycle_counts, reduced_walk_matrices
 
 from iharalab.chebyshev import central_binomial_weight
 from iharalab.graphs import build_graph
@@ -33,7 +34,6 @@ from iharalab.nbt import (
     m_matrix_chebyshev,
     n_reduced_range,
 )
-from iharalab.oracle import count_reduced_cycles_all, count_reduced_walks_all
 from iharalab.zeta import (
     cusp_coefficients_range,
     eisenstein_C,
@@ -59,10 +59,10 @@ def test_criterion_01_oracle_equality(corpus):
     anchors = {}
     for name in CORPUS_NAMES:
         g, cert = corpus[name]
-        counts_bf = count_reduced_cycles_all(g, 10)
+        counts_bf = reduced_cycle_counts(g, 10)
         counts_rec = n_reduced_range(g, cert, 10, method="full")
         assert counts_bf == counts_rec, name
-        paths_bf = count_reduced_walks_all(g, 10)[1]
+        paths_bf = reduced_walk_matrices(g, 10)
         paths_rec = a_matrix_range(g, cert, 10)
         for m in range(11):
             for i in range(g.n):

@@ -1,16 +1,19 @@
 """Command-line interface: exit codes, emitted files, determinism."""
 
+import decimal
 import hashlib
 import json
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reduced_walks_bf import reduced_cycle_counts
 
 from iharalab import nbt, oracle, suite, zeta
 from iharalab.cli import main
 from iharalab.graphs import load_graph
 from iharalab.lps import build_lps
-from iharalab.oracle import count_reduced_cycles_all
 from iharalab.suite import CHECK_ORDER
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -154,6 +157,23 @@ def test_cuspgen_one_trace_sweep(tmp_path, monkeypatch):
     g, params = build_lps(13, 5)
     cusps = zeta.cusp_coefficients_range(g, params, 8)
     assert [row["cusp"] for row in json.loads(path.read_text())["rows"]] == [str(c) for c in cusps]
+
+
+@pytest.mark.parametrize("p, q, order", [(29, 5, 33), (17, 13, 27)])
+def test_cuspgen_odd_normalized_terms_are_correctly_rounded(p, q, order, tmp_path):
+    # a(p^m)/(2 p^{m/2}) at odd m on a non-bipartite graph is irrational:
+    # the printed float must be the one nearest the exact value, which a
+    # float division by 2.0 * p ** (m / 2.0) misses by an ulp at some m
+    path = tmp_path / "cusp.json"
+    assert main(["cuspgen", "--p", str(p), "--q", str(q), "--order", str(order), "--emit", str(path)]) == 0
+    odd = [row for row in json.loads(path.read_text())["rows"] if row["m"] % 2 and row["cusp"] != "0"]
+    assert len(odd) > order // 4
+    with decimal.localcontext() as dec:
+        dec.prec = 60
+        for row in odd:
+            cusp = Fraction(row["cusp"])
+            exact = Decimal(cusp.numerator) / cusp.denominator / (2 * Decimal(p ** row["m"]).sqrt())
+            assert row["normalized"] == format(float(exact), ".17g"), row["m"]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +321,7 @@ def test_lps_emit_then_verify_graph_recovers_graph_and_params(tmp_path, monkeypa
 
 # the report subcommands on a byte copy of an lps --emit file, which
 # lps.cayley_cosets certifies: each reads the suite context's routes, so
-# none takes a full n x n matrix step or searches from every vertex
+# none takes a full n x n matrix step, and only oracle walks, from e alone
 ROW_ROUTE_COMMANDS = [
     ["zeta", "--order", "12"],
     ["stf", "--hhat", "12:1"],
@@ -317,16 +337,21 @@ def test_report_commands_take_no_matrix_step_on_a_certified_file(command, tmp_pa
     path = tmp_path / "x135.json"
     path.write_bytes((GOLDEN / "lps_13_5_emit.json").read_bytes())
     calls = []
-    for module, name in ((nbt, "_mul_adj"), (oracle, "count_reduced_cycles_all")):
-        real = getattr(module, name)
+    real_step, real_walks = nbt._mul_adj, oracle.reduced_walks
 
-        def recording(*args, real=real, name=name, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+    def step(*args, **kwargs):
+        calls.append("_mul_adj")
+        return real_step(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, recording)
+    def walks(g, m_max, sources, **kwargs):
+        calls.append(len(sources))
+        return real_walks(g, m_max, sources, **kwargs)
+
+    monkeypatch.setattr(nbt, "_mul_adj", step)
+    for module in (oracle, zeta):
+        monkeypatch.setattr(module, "reduced_walks", walks)
     assert main([command[0], str(path), *command[1:]]) == 0
-    assert calls == []
+    assert calls == ([1] if command[0] == "oracle" else [])  # one search, from one source
 
 
 def test_zeta_on_a_certified_file_matches_the_full_route(tmp_path, capsys):
@@ -352,7 +377,7 @@ def test_nbt_counts_on_a_graph_that_is_not_vertex_transitive(tmp_path, capsys):
     rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
     counts = [int(n_m) for _, n_m in rows]
     assert counts == [0, 0, 18, 8, 30, 66]
-    assert counts == count_reduced_cycles_all(load_graph(str(path)), 6)
+    assert counts == reduced_cycle_counts(load_graph(str(path)), 6)
     # the single-row route, which gives wrong counts here, is no longer selectable
     with pytest.raises(SystemExit) as exc:
         main(["nbt", str(path), "--m-max", "6", "--method", "row"])

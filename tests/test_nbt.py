@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from b_matrices import a_matrix_range, chebyshev_b_range
+from reduced_walks_bf import reduced_cycle_counts, reduced_walk_matrices
 
 from iharalab import nbt, suite
 from iharalab.errors import NotRamanujan
@@ -27,7 +28,6 @@ from iharalab.nbt import (
     n_reduced_range,
     t_tilde_traces,
 )
-from iharalab.oracle import count_reduced_cycles_all, count_reduced_walks_all
 
 # ---------------------------------------------------------------------------
 # reference routes
@@ -131,7 +131,7 @@ M_ORACLE = 8
 
 def test_a_matrix_counts_paths(corpus):
     for name, (g, cert) in corpus.items():
-        mats = count_reduced_walks_all(g, M_ORACLE)[1]
+        mats = reduced_walk_matrices(g, M_ORACLE)
         recs = a_matrix_range(g, cert, M_ORACLE)
         assert recs == mats, name
 
@@ -169,7 +169,7 @@ def test_no_one_row_of_the_frucht_graph_gives_the_power_traces():
 
 def test_m_matrix_trace_is_cycle_count(corpus):
     for name, (g, cert) in corpus.items():
-        counts = count_reduced_cycles_all(g, M_ORACLE)
+        counts = reduced_cycle_counts(g, M_ORACLE)
         seq = ExactMatrixSeq(g, cert)
         for m in range(1, M_ORACLE + 1):
             seq.advance()
@@ -179,7 +179,7 @@ def test_m_matrix_trace_is_cycle_count(corpus):
 
 def test_n_reduced_matches_oracle(corpus):
     for name, (g, cert) in corpus.items():
-        counts = count_reduced_cycles_all(g, M_ORACLE)
+        counts = reduced_cycle_counts(g, M_ORACLE)
         assert n_reduced_range(g, cert, M_ORACLE, method="full") == counts, name
 
 

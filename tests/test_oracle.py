@@ -2,14 +2,23 @@
 
 count_nbt_closed_bf and count_tailed_closed_bf below split the closed
 non-backtracking walks at a vertex into tailless and tailed ones; they
-are reference searches for the decomposition tests here.
-count_reduced_paths_all is the all-pairs path sweep that
-count_reduced_walks_all folded into its cycle sweep.
+are reference searches for the decomposition tests here, and their
+difference is the reduced cycles that start at the vertex.
+count_reduced_paths_all is the all-pairs path search that the walker
+reduced_walks runs one source at a time.
 """
+
+import tracemalloc
 
 import pytest
 from lattice_points import lattice_count
-from reduced_walks_bf import count_reduced_cycles_bf, count_reduced_paths_bf
+from reduced_walks_bf import (
+    ArcList,
+    count_reduced_cycles_bf,
+    count_reduced_paths_bf,
+    reduced_cycle_counts,
+    reduced_walk_matrices,
+)
 from test_nbt_traces import relabeled
 
 from iharalab.errors import DepthExceeded
@@ -17,13 +26,12 @@ from iharalab.graphs import Graph, build_graph
 from iharalab.oracle import (
     DEFAULT_BUDGET,
     DEFAULT_DEPTH_GUARD,
-    ArcList,
     _arc_tables,
     _check_cost,
-    count_reduced_cycles_all,
-    count_reduced_walks_all,
+    reduced_walks,
     walk_estimate,
 )
+from iharalab.suite import SuiteContext, check_oracle
 
 # ---------------------------------------------------------------------------
 # reference routes
@@ -130,14 +138,14 @@ def test_petersen_anchors(corpus):
 def test_all_sweep_matches_single_calls(corpus):
     for name in ("K3", "K4", "K33"):
         g, _ = corpus[name]
-        sweep = count_reduced_cycles_all(g, 7)
+        sweep = reduced_cycle_counts(g, 7)
         singles = [count_reduced_cycles_bf(g, m) for m in range(1, 8)]
         assert sweep == singles, name
 
 
 def test_paths_all_matches_single_calls(corpus):
     g, _ = corpus["K4"]
-    mats = count_reduced_walks_all(g, 5)[1]
+    mats = reduced_walk_matrices(g, 5)
     for m in (0, 1, 2, 5):
         for i in range(g.n):
             for j in range(g.n):
@@ -151,9 +159,8 @@ def test_walks_all_matches_the_two_sweeps(corpus, x135):
     graphs["looped 5-regular"] = (build_graph(4, looped), 6)
     graphs["X^{13,5}"] = (x135[0], 3)
     for name, (g, m_max) in graphs.items():
-        counts, mats = count_reduced_walks_all(g, m_max)
-        assert counts == count_reduced_cycles_all(g, m_max), name
-        assert mats == count_reduced_paths_all(g, m_max), name
+        assert reduced_cycle_counts(g, m_max) == [count_reduced_cycles_bf(g, m) for m in range(1, m_max + 1)], name
+        assert reduced_walk_matrices(g, m_max) == count_reduced_paths_all(g, m_max), name
 
 
 @pytest.fixture(scope="module")
@@ -188,9 +195,8 @@ def test_walks_all_matches_the_single_length_searches(single_length_counts, m_ma
     # m_max = 1 counts every walk at the top level, m_max = 2 every last
     # step in the first-arc calls: the two edges of the last-level loop
     for name, (g, cycles, paths) in single_length_counts.items():
-        counts, mats = count_reduced_walks_all(g, m_max)
-        assert counts == cycles[:m_max], name
-        assert mats == paths[: m_max + 1], name
+        assert reduced_cycle_counts(g, m_max) == cycles[:m_max], name
+        assert reduced_walk_matrices(g, m_max) == paths[: m_max + 1], name
 
 
 @pytest.mark.parametrize("m_max", [1, 2, 3, 4])
@@ -198,14 +204,28 @@ def test_walks_from_chosen_sources_are_rows_of_the_full_sweep(single_length_coun
     for name, (g, cycles, paths) in single_length_counts.items():
         per_vertex = [0] * m_max
         for v in range(g.n):
-            counts, rows = count_reduced_walks_all(g, m_max, sources=[v])
-            assert rows == [[paths[m][v]] for m in range(m_max + 1)], (name, v)
+            [(counts, rows)] = reduced_walks(g, m_max, [v])
+            assert rows == [paths[m][v] for m in range(m_max + 1)], (name, v)
             per_vertex = [a + b for a, b in zip(per_vertex, counts)]
         assert per_vertex == cycles[:m_max], name  # each cycle counted at its start
-        picked = [g.n - 1, 0]
-        counts, rows = count_reduced_walks_all(g, m_max, sources=picked)
-        assert rows == [[paths[m][v] for v in picked] for m in range(m_max + 1)], name
-        assert count_reduced_walks_all(g, m_max, sources=range(g.n)) == (cycles[:m_max], paths[: m_max + 1])
+        picked = [g.n - 1, 0, g.n - 1]
+        walks = list(reduced_walks(g, m_max, picked))
+        assert [rows for _, rows in walks] == [[paths[m][v] for m in range(m_max + 1)] for v in picked], name
+        assert walks[0] == walks[2] and walks[0][1] is not walks[2][1], name  # fresh rows per source
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 3, 5])
+def test_closed_walks_at_each_source_are_the_tailless_ones(corpus, m_max):
+    # the reduced cycles that start at v are the non-backtracking closed
+    # walks at v that have no tail, so the per-length searches give them too
+    graphs = {name: g for name, (g, _) in corpus.items()}
+    graphs["looped 5-regular"] = build_graph(4, [(0, 1, 2), (1, 2), (2, 3, 2), (3, 0), (0, 0), (1, 1), (2, 2), (3, 3)])
+    graphs["double edge"] = build_graph(2, [(0, 1, 2)])
+    graphs["two loops"] = build_graph(1, [(0, 0, 2)])
+    for name, g in graphs.items():
+        for v, (closed, _) in enumerate(reduced_walks(g, m_max, range(g.n))):
+            want = [count_nbt_closed_bf(g, v, m) - count_tailed_closed_bf(g, v, m) for m in range(1, m_max + 1)]
+            assert closed == want, (name, v)
 
 
 def test_walk_tables_hold_the_arcs_near_the_sources(x135):
@@ -227,12 +247,42 @@ def test_walk_tables_hold_the_arcs_near_the_sources(x135):
 
 def test_walks_all_guards():
     g = build_graph(2, [(0, 1, 2)])
+
+    def unread():  # sources the walker must not reach: a guard raises at the call
+        raise AssertionError("a search started")
+        yield
+
     with pytest.raises(ValueError):
-        count_reduced_walks_all(g, 0)
+        reduced_walks(g, 0, unread())
     with pytest.raises(DepthExceeded):
-        count_reduced_walks_all(g, 15)
+        reduced_walks(g, 15, unread())
     with pytest.raises(DepthExceeded):  # the guard prices a search from every vertex
-        count_reduced_walks_all(g, 3, sources=[0], budget=walk_estimate(g, 3) - 1)
+        reduced_walks(g, 3, [0], budget=walk_estimate(g, 3) - 1)
+    with pytest.raises(AssertionError, match="a search started"):
+        next(reduced_walks(g, 3, unread()))  # past the guards the search starts on iteration
+
+
+def test_a_full_oracle_check_holds_one_source_at_a_time(x135):
+    """From every vertex the check holds what it holds from one: a source's rows at a time.
+
+    The relabeled X^{13,5} has no certificate, so its oracle searches
+    from all n = 120 vertices; X^{13,5} itself searches from e alone.
+    Both walk to depth 4 over the same arc tables.  Holding A_0..A_4
+    whole would take (depth + 1) n^2 list slots more.
+    """
+    g, params = x135[0], x135[1]
+    peaks = []
+    for ctx in (SuiteContext(relabeled(g, 13), params), SuiteContext(g, params)):
+        check_oracle(ctx)  # a first run forms the trace sweep and warms the interpreter
+        tracemalloc.start()
+        try:
+            result = check_oracle(ctx)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (result["metric"], result["detail"]["depth"]) == (0.0, 4)
+    slot = 8
+    assert peaks[1] > 0 and peaks[0] - peaks[1] < g.n * g.n * slot  # less than one n x n table
 
 
 def test_paths_m0_is_identity(corpus):
@@ -252,7 +302,7 @@ def test_closed_decomposition(corpus):
     """Non-backtracking closed walks split into tailless and tailed ones."""
     for name in ("K4", "PETERSEN", "CUBE"):
         g, _ = corpus[name]
-        mats = count_reduced_walks_all(g, 8)[1]
+        mats = reduced_walk_matrices(g, 8)
         for m in range(2, 9):
             for v in range(g.n):
                 closed = count_nbt_closed_bf(g, v, m)

@@ -606,14 +606,15 @@ def test_uncertified_contexts_take_the_full_route(tmp_path, x135):
 def _spy_on_sources(monkeypatch, most: int | None = None) -> list:
     """Record the sources of every oracle search; refuse a search from more than most vertices."""
     seen = []
-    real = oracle.count_reduced_walks_all
+    real = oracle.reduced_walks
 
-    def spy(g, m_max, *, sources=None, **kwargs):
-        seen.append(None if sources is None else list(sources))
-        assert most is None or len(seen[-1] or range(g.n)) <= most, "the search starts everywhere"
-        return real(g, m_max, sources=sources, **kwargs)
+    def spy(g, m_max, sources, **kwargs):
+        seen.append(list(sources))
+        assert most is None or len(seen[-1]) <= most, "the search starts everywhere"
+        return real(g, m_max, sources, **kwargs)
 
-    monkeypatch.setattr(oracle, "count_reduced_walks_all", spy)
+    monkeypatch.setattr(oracle, "reduced_walks", spy)
+    monkeypatch.setattr(zeta, "reduced_walks", spy)
     return seen
 
 
