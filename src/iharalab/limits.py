@@ -8,8 +8,9 @@ finite, falsifiable computations:
 * The average of N_m / q^{m/2} against its main terms.
 * The average of normalized cusp coefficients a(p^m)/(2 p^{m/2}).
 * A Selberg-type trace formula for finite-support test functions.
-* Huang's h_m sequence, nonnegative at even indices exactly when the
-  graph is Ramanujan.
+* Huang's h_m = R_0 - R_m q^{-m/2}, the sum of 2 - 2 T_m(lambda / 2 sqrt q)
+  over the nontrivial eigenvalues, nonnegative at even indices exactly
+  when the graph is Ramanujan.
 
 Rate bands compare |deviation| * N against 4 times an explicit
 reference constant derived from the partial-sum bound
@@ -23,6 +24,8 @@ only.  The reports that read exact counts (average_nm, the two sweeps,
 stf_verify, huang_range) take a suite.SuiteContext and read the graph,
 certificate, spectrum, parameters and trace sweep from it, so they run
 on the route the context's certificate picks and have none of their own.
+stf_verify and huang_range take the trivial eigenvalues +-(q+1) out through
+it too (SuiteContext.remainders and nontrivial_clusters).
 """
 
 from __future__ import annotations
@@ -64,11 +67,6 @@ def shifted_cos_partial_sum_bound(phi: float) -> float:
     return 1.0 / abs(math.sin(phi / 2.0)) + 1.0
 
 
-def _harmonics(k: int) -> list[int]:
-    """The nonzero frequencies k, k-2, ... appearing in cos^k and sin^k."""
-    return [k - 2 * j for j in range((k + 1) // 2)]
-
-
 def angle_condition(sd, k: int, tol: float = 1e-9) -> bool:
     """Check that no harmonic of a principal angle degenerates.
 
@@ -80,9 +78,10 @@ def angle_condition(sd, k: int, tol: float = 1e-9) -> bool:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    harmonics = [h for h, _ in cos_power_as_cosines(k) if h]
     for cl in sd.principal():
         th = cl.theta.real
-        for h in _harmonics(k):
+        for h in harmonics:
             frac = (h * th) % (2.0 * math.pi)
             if min(frac, 2.0 * math.pi - frac) < tol:
                 return False
@@ -98,6 +97,8 @@ def cesaro_reference(sd, k: int, variant: str) -> float:
     Infinite when the angle condition fails, which is exactly when no
     finite constant exists.
     """
+    if not angle_condition(sd, k):
+        return math.inf
     total = 0.0
     for cl in sd.principal():
         th = cl.theta.real
@@ -105,11 +106,6 @@ def cesaro_reference(sd, k: int, variant: str) -> float:
         for h, w in cos_power_as_cosines(k):
             if h == 0:
                 continue
-            # same resonance test as angle_condition, so the constant is
-            # finite exactly when the gate passes
-            frac = (h * th) % (2.0 * math.pi)
-            if min(frac, 2.0 * math.pi - frac) < 1e-9:
-                return math.inf
             if variant == "a":
                 per += float(w) * cos_partial_sum_bound(h * th)
             elif variant == "s":
@@ -389,24 +385,22 @@ def stf_verify(ctx: SuiteContext, h: StfTestFunction) -> tuple[float, float, flo
 
     The difference is not lhs - geometric: both sides grow like q^{m/2}
     hhat(m), so their float round-off would scale with q^{m/2}.  The
-    trivial clusters q+1 and, on a bipartite graph, -(q+1) contribute
-    (+-1)^m (q^{m/2} + q^{-m/2}) hhat(m) each; that share minus
-    N_m q^{-m/2} hhat(m) is formed exactly in Q(sqrt q) per frequency and
-    converted once, and only the O(n) remainder is summed in floats.
+    trivial clusters' terms minus the cycle terms N_m q^{-m/2} hhat(m)
+    are -(R_m + e_m (q-1) n) q^{-m/2} hhat(m) per frequency (R_m from
+    SuiteContext.remainders, on the same N_m), formed exactly in Q(sqrt q)
+    and converted once; only the O(n) nontrivial sum is formed in floats.
     """
     g, cert = ctx.g, ctx.cert
-    counts = n_reduced_range(g, cert, h.max_frequency(), sweep=ctx.sweep) if h.support else []
-    sd = ctx.sd
+    m_max = h.max_frequency()
+    counts = n_reduced_range(g, cert, m_max, sweep=ctx.sweep) if h.support else []
+    remainders = ctx.remainders(m_max, counts)
     q = cert.q
+    root = 2.0 * math.sqrt(q)
     lhs = rest = 0.0
-    trivial = []  # (sign, mult) of the clusters at q+1 and, if bipartite, at -(q+1)
-    for cl in sd.clusters:
-        term = cl.mult * h.eval_x(cl.value / (2.0 * math.sqrt(q)))
-        lhs += term
-        if cl.value == q + 1 or (cert.bipartite and cl.value == -(q + 1)):
-            trivial.append((1 if cl.value > 0 else -1, cl.mult))
-        else:
-            rest += term
+    for cl in ctx.sd.clusters:
+        lhs += cl.mult * h.eval_x(cl.value / root)
+    for cl, mult in ctx.nontrivial_clusters():
+        rest += mult * h.eval_x(cl.value / root)
 
     def integrand(theta: float) -> float:
         s = math.sin(theta)
@@ -423,10 +417,10 @@ def stf_verify(ctx: SuiteContext, h: StfTestFunction) -> tuple[float, float, flo
     geometric = identity_term
     for m, v in h.support:
         geometric += counts[m - 1] * q ** (-m / 2.0) * v
-    exact_part = sum(k for _, k in trivial) * h.hhat0
+    exact_part = len(ctx.trivial_values()) * h.hhat0
     for m, v in h.support:
-        share = sum(k * s**m for s, k in trivial) * (half_power(q, m) + half_power(q, -m))
-        exact_part += float(share - counts[m - 1] * half_power(q, -m)) * v
+        e_m = 1 - m % 2
+        exact_part += float(-(remainders[m] + e_m * (q - 1) * g.n) * half_power(q, -m)) * v
     return lhs, geometric, abs(exact_part + rest - identity_term)
 
 
@@ -435,29 +429,15 @@ def stf_verify(ctx: SuiteContext, h: StfTestFunction) -> tuple[float, float, flo
 
 
 def huang_range(ctx: SuiteContext, m_max: int) -> list[float]:
-    """[h_1..h_{m_max}] from the exact branch formulas, with N_m from the context's sweep.
+    """[h_1..h_{m_max}], h_m = R_0 - R_m q^{-m/2}, with R_m from SuiteContext.remainders.
 
-    Non-bipartite: h_m = 2(n-1) + n e_m (q-1)/q^{m/2}
-                         + (q^{m/2} + q^{-m/2}) - N_m/q^{m/2}.
-    Bipartite:     h_m = 2(n-2) + n e_m (q-1)/q^{m/2}
-                         + 2 e_m (q^{m/2} + q^{-m/2}) - N_m/q^{m/2}.
-    (2 T_m((q+1)/(2 sqrt q)) = q^{m/2} + q^{-m/2} exactly, which keeps
-    everything in Q(sqrt q); the float conversion happens only at the
-    very end.)
+    This is Huang's h_m = sum over the nontrivial eigenvalues of
+    2 - 2 T_m(lambda / 2 sqrt q), one formula on bipartite and
+    non-bipartite graphs.  It is formed exactly in Q(sqrt q) and
+    converted to float once per m.
     """
-    cert, n = ctx.cert, ctx.g.n
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    q = cert.q
-    counts = n_reduced_range(ctx.g, cert, m_max, sweep=ctx.sweep)
-    out = []
-    for m in range(1, m_max + 1):
-        e_m = 1 if m % 2 == 0 else 0
-        qneg = half_power(q, -m)
-        bridge = half_power(q, m) + qneg
-        if cert.bipartite:
-            val = 2 * (n - 2) + n * e_m * (q - 1) * qneg + 2 * e_m * bridge - counts[m - 1] * qneg
-        else:
-            val = 2 * (n - 1) + n * e_m * (q - 1) * qneg + bridge - counts[m - 1] * qneg
-        out.append(float(val))
-    return out
+    q = ctx.cert.q
+    remainders = ctx.remainders(m_max)
+    return [float(remainders[0] - remainders[m] * half_power(q, -m)) for m in range(1, m_max + 1)]

@@ -549,9 +549,10 @@ def t_tilde_traces(
     method: str | None = None,
     sweep: TraceSweep | None = None,
 ) -> list[int]:
-    """Exact [Tr(T~_0)..Tr(T~_{m_max})], from sweep as in n_reduced_range."""
-    bs = _sweep_for(g, cert.q, method, sweep).prefix(m_max)
-    return _theta_from_b(bs, cert.q, g.n)
+    """Exact [Tr(T~_0)..Tr(T~_{m_max})], from sweep as in n_reduced_range; cert may be None then."""
+    q = sweep.q if cert is None else cert.q
+    bs = _sweep_for(g, q, method, sweep).prefix(m_max)
+    return _theta_from_b(bs, q, g.n)
 
 
 def adjacency_power_traces(g: Graph, m_max: int, vertex: int | None = None) -> list[int]:

@@ -5,6 +5,8 @@ metric <= tolerance.  Band-style checks (cesaro, average-nm, cusp) divide
 the observed scaled deviation by four times the reference constant their
 proof supplies, so the tolerance is 1.0 and the metric is a dimensionless
 load factor.  Exact-identity checks (oracle, ihara-bass) use tolerance 0.
+SuiteContext splits off the trivial eigenvalues +-(q+1) for chebyshev,
+stf, huang and phi: they read remainders and nontrivial_clusters.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import limits, lps, nbt, oracle, zeta
 from .errors import IharaLabError, ParseError
 from .graphs import Graph, certify_regular, load_graph_doc, named_graph
-from .spectral import block_decompose, eigendecompose
+from .spectral import Cluster, block_decompose, eigendecompose
 
 CHECK_ORDER = (
     "oracle",
@@ -261,6 +263,32 @@ class SuiteContext:
                 self._sweep = nbt.TraceSweep(self.g, self.cert.q, "row", v)
         return self._sweep
 
+    def trivial_values(self) -> tuple[int, ...]:
+        """The trivial eigenvalues: q+1 and, on a bipartite graph, -(q+1)."""
+        d = self.cert.degree
+        return (d, -d) if self.cert.bipartite else (d,)
+
+    def remainders(self, m_max: int, counts: Sequence[int] | None = None) -> list[int]:
+        """Exact [R_0..R_{m_max}], R_m = Tr B_m - (q^m + 1)(1 + (-1)^m [bipartite]).
+
+        That is Tr B_m less the trivial eigenvalues' 2 q^{m/2} T_m(+-(q+1) / 2 sqrt q),
+        so R_m sums 2 q^{m/2} T_m(lambda / 2 sqrt q) over nontrivial_clusters().
+        Tr B_m = N_m - e_m (q-1) n (Tr B_0 = 2n), with N_m from n_reduced_range
+        on the context's sweep, or counts when the caller has read them there.
+        """
+        q, n = self.cert.q, self.g.n
+        if counts is None:
+            counts = nbt.n_reduced_range(self.g, self.cert, m_max, sweep=self.sweep)
+        traces = [2 * n] + [nm - (1 - m % 2) * (q - 1) * n for m, nm in enumerate(counts, 1)]
+        signs = [lam // self.cert.degree for lam in self.trivial_values()]
+        return [b - (q**m + 1) * sum(s**m for s in signs) for m, b in enumerate(traces)]
+
+    def nontrivial_clusters(self) -> list[tuple[Cluster, int]]:
+        """(cluster, multiplicity) of sd, with one copy of each trivial value taken out."""
+        trivial = self.trivial_values()
+        pairs = ((cl, cl.mult - (cl.value in trivial)) for cl in self.sd.clusters)
+        return [(cl, mult) for cl, mult in pairs if mult]
+
 
 def resolve_source(config: VerificationSuiteConfig) -> SuiteContext:
     if config.source_kind == "lps":
@@ -372,35 +400,30 @@ def _zx_identity_defect(q: int, m_max: int) -> int:
 
 
 def _trace_route_metric(ctx: SuiteContext, m_max: int) -> float:
-    """Exact Tr B_m against sum_l mult_l w_l, w_l = 2 q^{m/2} T_m(lambda_l / 2 sqrt q).
+    """Exact R_m (SuiteContext.remainders) against sum mult w_l over the nontrivial clusters.
 
-    The trivial eigenvalues q+1 and, on a bipartite graph, -(q+1)
-    contribute (q^m + 1)(1 + (-1)^m [bipartite]) exactly, so that share
-    is taken off the integer trace and out of the float sum.  The rest
-    is scaled by n q^{m/2}, or by sum_l mult_l |w_l| when a non-trivial
-    cluster lies outside [-2 sqrt q, 2 sqrt q] and that sum is larger.
+    w_l = 2 q^{m/2} T_m(lambda_l / 2 sqrt q).  The difference is scaled
+    by n q^{m/2}, or by sum mult |w_l| when a nontrivial cluster lies
+    outside [-2 sqrt q, 2 sqrt q] and that sum is larger.
     """
-    q, n, sd = ctx.cert.q, ctx.g.n, ctx.sd
-    traces = ctx.sweep.prefix(m_max)
-    trivial = {q + 1, -(q + 1)} if ctx.cert.bipartite else {q + 1}
+    q, n = ctx.cert.q, ctx.g.n
+    remainders = ctx.remainders(m_max)
+    clusters = ctx.nontrivial_clusters()
     root = 2.0 * math.sqrt(q)
     worst = 0.0
     for m in range(1, m_max + 1):
-        exact = traces[m] - (q**m + 1) * (1 + (-1) ** m * ctx.cert.bipartite)
         scale = 2.0 * q ** (m / 2.0)
         spectral = spread = 0.0
         outside = False
-        for cl in sd.clusters:
-            mult = cl.mult - (cl.value in trivial)
-            if mult:
-                w = scale * nbt.cheb_t_real(m, cl.value / root)
-                spectral += mult * w
-                spread += mult * abs(w)
-                outside = outside or abs(cl.value) > root
+        for cl, mult in clusters:
+            w = scale * nbt.cheb_t_real(m, cl.value / root)
+            spectral += mult * w
+            spread += mult * abs(w)
+            outside = outside or abs(cl.value) > root
         norm = n * q ** (m / 2.0)
         if outside:
             norm = max(norm, spread)
-        worst = max(worst, abs(exact - spectral) / norm)
+        worst = max(worst, abs(remainders[m] - spectral) / norm)
     return worst
 
 
@@ -490,7 +513,7 @@ def check_range(ctx: SuiteContext, *, m_max: int = 200) -> dict:
     if not sd.principal():
         return {"metric": 0.0, "detail": {"m_max": m_max, "note": "empty principal part"}}
     if sd.clusters[0].identity_row is not None and any(
-        abs(cl.value) != ctx.cert.degree for cl in sd.singular()
+        cl.value not in ctx.trivial_values() for cl in sd.singular()
     ):
         # X^{p,q} is Ramanujan, so any singular cluster besides +-(q+1) puts
         # the block spectrum in doubt: take the dense route's rows instead

@@ -11,8 +11,9 @@ For LPS graphs it adds the Eisenstein/cusp split, the normalized cusp
 terms a(p^m)/(2 p^{m/2}), and the generating function phi(t) of those
 terms two ways: as their sum, from the Tr T~_m sweep, and as a closed
 form in the zeta log-derivative Z'/Z = sum N_m u^{m-1}, whose N_m come
-from the N_m sweep.  The closed form does not re-derive N_m from the
-determinant: that the two agree is what the ihara-bass check tests.
+from the N_m sweep; past t^0 its braces are R_m p^{-m/2}, with R_m from
+suite.SuiteContext.remainders.  The closed form does not re-derive N_m
+from the determinant: that the two agree is what the ihara-bass check tests.
 
 The report functions (det_series_regular, reciprocal_series_regular,
 verify_ihara_bass, phi_series, phi_closed_point) take a
@@ -200,8 +201,8 @@ def eisenstein_C(p: int, q: int, m: int) -> Fraction:
 def cusp_coefficients_range(
     g_lps: Graph, params: LpsParams, m_max: int, *, sweep: TraceSweep | None = None
 ) -> list[Fraction]:
-    """[a(p^0), ..., a(p^{m_max})] from one trace sweep: sweep, or a fresh one when None."""
-    cert = certify_regular(g_lps)
+    """[a(p^0), ..., a(p^{m_max})] from sweep, or from a fresh one (the one case that certifies)."""
+    cert = certify_regular(g_lps) if sweep is None else None
     tts = t_tilde_traces(g_lps, cert, m_max, sweep=sweep)
     return [
         Fraction(2 * tts[m], g_lps.n) - eisenstein_C(params.p, params.q, m)
@@ -257,39 +258,24 @@ def phi_series(ctx: SuiteContext, order: int) -> tuple[TruncatedSeries, Truncate
     with F(t) = -2pt/(1-pt^2) - 2p^{-1}t/(1-p^{-1}t^2) in the bipartite
     case and F(t) = -sqrt(p)/(1-sqrt(p)t) - p^{-1/2}/(1-p^{-1/2}t)
     otherwise, l the number of tempered eigenvalues of the context's
-    spectrum with multiplicity, and Z'/Z = sum N_m u^{m-1} with N_m
-    from the exact sweep n_reduced_range (the ihara-bass check tests
-    that these N_m give the determinant form).  Both read the context's
-    Tr B_m sweep.  Both sides are computed in Q(sqrt p)
-    exactly; coefficients are returned as exact rationals when the
-    irrational parts vanish (always, for bipartite X^{p,q}) and as
-    floats otherwise.
+    spectrum with multiplicity, and Z'/Z = sum N_m u^{m-1}.  At t^m,
+    m >= 1, the three other terms give N_m p^{-m/2}, -e_m (p-1) n p^{-m/2}
+    (together Tr B_m p^{-m/2}) and -(p^m + 1)(1 + (-1)^m [bipartite]) p^{-m/2},
+    the trivial eigenvalues' share, so the braces are
+    [l, R_1 p^{-1/2}, R_2 p^{-1}, ...] with R_m from
+    suite.SuiteContext.remainders.  Its N_m come from the exact sweep
+    n_reduced_range (the ihara-bass check tests that these N_m give the
+    determinant form).  Both sides read the context's Tr B_m sweep and
+    are computed in Q(sqrt p) exactly; coefficients are returned as
+    exact rationals when the irrational parts vanish (always, for
+    bipartite X^{p,q}) and as floats otherwise.
     """
-    g_lps, cert, params, sd, sweep = ctx.g, ctx.cert, ctx.params, ctx.sd, ctx.sweep
-    p, n = params.p, g_lps.n
-    spectral = normalized_cusp_terms(g_lps, params, order, sweep=sweep)
-    # closed form: assemble the brace series over Q(sqrt p)
+    p, n = ctx.params.p, ctx.g.n
+    spectral = normalized_cusp_terms(ctx.g, ctx.params, order, sweep=ctx.sweep)
+    remainders = ctx.remainders(order)
     zero = SqrtExt.of(p, 0)
-    braces = [zero for _ in range(order + 1)]
-    braces[0] = braces[0] + _tempered_count(sd)
-    # (t/sqrt p)(Z'/Z)(t/sqrt p): coefficient of t^m is N_m p^{-m/2}
-    for m, nm in enumerate(n_reduced_range(g_lps, cert, order, sweep=sweep), start=1):
-        if nm:
-            braces[m] = braces[m] + SqrtExt.of(p, nm) * half_power(p, -m)
-    # -(p-1) n t^2/(p - t^2) = -(p-1) n sum_{j>=1} t^{2j} / p^j
-    for j in range(1, order // 2 + 1):
-        braces[2 * j] = braces[2 * j] - Fraction((p - 1) * n, p**j)
-    # + t F(t)
-    if cert.bipartite:
-        # tF = -2 sum_{j>=0} (p^{j+1} + p^{-(j+1)}) t^{2j+2}
-        for j in range(0, (order - 2) // 2 + 1):
-            braces[2 * j + 2] = braces[2 * j + 2] - 2 * (
-                Fraction(p ** (j + 1)) + Fraction(1, p ** (j + 1))
-            )
-    else:
-        # tF = -sum_{k>=1} (p^{k/2} + p^{-k/2}) t^k
-        for k in range(1, order + 1):
-            braces[k] = braces[k] - (half_power(p, k) + half_power(p, -k))
+    braces = [zero + _tempered_count(ctx.sd)]
+    braces += [remainders[m] * half_power(p, -m) for m in range(1, order + 1)]
     # divide by n(1 - t^2): phi_m = (1/n) sum_j braces[m - 2j]
     closed = [sum(braces[m::-2], zero) / n for m in range(order + 1)]
     return tuple(  # Fractions stay exact; SqrtExt terms become floats

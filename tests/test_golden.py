@@ -40,6 +40,7 @@ CASES = {
     "cuspgen_13_5": ["cuspgen", "--p", "13", "--q", "5", "--order", "6"],
     "cuspgen_29_5": ["cuspgen", "--p", "29", "--q", "5", "--order", "6"],
     "huang_petersen": ["huang", "PETERSEN"],
+    "huang_cube": ["huang", "CUBE"],
     "verify_k4": ["verify", "--graph", "K4", "--checks", "oracle,ihara-bass,huang"],
     "verify_x135": ["verify", "--lps", "13,5", "--checks", "cusp,phi"],
     "graph_k4_emit": ["graph", "K4", "--emit", "{out}"],

@@ -4,6 +4,7 @@ import builtins
 import dataclasses
 import gc
 import json
+import math
 import random
 import sys
 import weakref
@@ -844,3 +845,77 @@ def test_range_empty_principal_part():
     assert ctx.sd.principal() == []
     want = {"metric": 0.0, "detail": {"m_max": 200, "note": "empty principal part"}}
     assert check_range(ctx) == dense_check_range(ctx.sd) == want
+
+
+# ---------------------------------------------------------------------------
+# trivial eigenvalues and the remainders R_m
+
+
+@pytest.fixture(scope="module")
+def x1713_ctx():
+    """A certified context on X^{17,13} (n = 1092): row route and block spectrum."""
+    return SuiteContext(*lps.build_lps(17, 13), label="X^{17,13}")
+
+
+@pytest.fixture
+def ramanujan_contexts(contexts, x135_ctx, x1713_ctx):
+    """The named corpus, X^{13,5} and X^{17,13}, all Ramanujan graphs."""
+    return [*contexts.values(), x135_ctx, x1713_ctx]
+
+
+def _nontrivial_sum(ctx: SuiteContext, f) -> float:
+    """The sum of mult * f(value / 2 sqrt q) over ctx.nontrivial_clusters()."""
+    root = 2.0 * math.sqrt(ctx.cert.q)
+    return sum(mult * f(cl.value / root) for cl, mult in ctx.nontrivial_clusters())
+
+
+def test_each_trivial_value_is_a_simple_cluster(ramanujan_contexts):
+    for ctx in ramanujan_contexts:
+        d = ctx.cert.degree
+        assert ctx.trivial_values() == ((d, -d) if ctx.cert.bipartite else (d,))
+        mults = {cl.value: cl.mult for cl in ctx.sd.clusters}
+        assert all(mults.get(lam) == 1 for lam in ctx.trivial_values()), ctx.label
+        kept = ctx.nontrivial_clusters()
+        assert sum(mult for _, mult in kept) == ctx.g.n - len(ctx.trivial_values())
+        assert all(cl.value not in ctx.trivial_values() for cl, _ in kept)
+
+
+def test_remainders_are_the_nontrivial_spectral_sums(ramanujan_contexts):
+    m_max = 30
+    for ctx in ramanujan_contexts:
+        q, n = ctx.cert.q, ctx.g.n
+        remainders = ctx.remainders(m_max)
+        assert len(remainders) == m_max + 1
+        assert remainders[0] == 2 * (n - len(ctx.trivial_values()))
+        counts = nbt.n_reduced_range(ctx.g, ctx.cert, m_max, sweep=ctx.sweep)
+        assert ctx.remainders(m_max, counts) == remainders
+        for m, r_m in enumerate(remainders):
+            scale = 2.0 * q ** (m / 2.0)
+            spectral = _nontrivial_sum(ctx, lambda x: scale * nbt.cheb_t_real(m, x))
+            assert abs(r_m - spectral) <= 1e-9 * n * q ** (m / 2.0), (ctx.label, m)
+
+
+def test_huang_is_the_nontrivial_sum_of_two_minus_two_t_m(ramanujan_contexts):
+    for ctx in ramanujan_contexts:
+        root = 2.0 * math.sqrt(ctx.cert.q)
+        assert all(abs(cl.value) <= root for cl, _ in ctx.nontrivial_clusters()), ctx.label
+        for m, h_m in enumerate(limits.huang_range(ctx, 30), 1):
+            want = _nontrivial_sum(ctx, lambda x: 2.0 - 2.0 * nbt.cheb_t_real(m, x))
+            assert abs(h_m - want) <= 1e-9 * ctx.g.n, (ctx.label, m)
+
+
+def test_certified_and_relabeled_x135_give_the_same_remainders(tmp_path, x135, x135_ctx):
+    relabeled = _relabeled_x135_file(tmp_path, x135)
+    assert relabeled.row_vertex is None and x135_ctx.row_vertex is not None
+    assert relabeled.remainders(40) == x135_ctx.remainders(40)
+
+
+def test_cusp_coefficients_certify_only_for_a_fresh_sweep(x135_ctx, monkeypatch):
+    certs = _count_calls_everywhere(monkeypatch, graphs, "certify_regular")
+    ctx = SuiteContext(x135_ctx.g, x135_ctx.params)
+    ctx.sweep  # certifies once, as every context does
+    assert len(certs) == 1
+    from_sweep = zeta.cusp_coefficients_range(ctx.g, ctx.params, 12, sweep=ctx.sweep)
+    assert len(certs) == 1
+    assert zeta.cusp_coefficients_range(ctx.g, ctx.params, 12) == from_sweep
+    assert len(certs) == 2
