@@ -1,11 +1,11 @@
-"""Truncated power series over exact rationals or doubles.
+"""Truncated power series over exact rationals.
 
 A TruncatedSeries holds coefficients c_0..c_M.  Arithmetic between two
-series truncates to the smaller order.  The coefficient ring is
-whatever the inputs live in: Fractions and ints stay exact, floats make
-the mode flag flip to "float".  exp uses the standard
-derivative-recursion, so it stays within the ring generated by the
-coefficients (division only by integers).
+series truncates to the smaller order.  Coefficients are exact: ints
+and Fractions, or qext.SqrtExt values in a series that is only added,
+multiplied and differentiated.  exp uses the standard derivative-recursion,
+so it stays within the ring generated by the coefficients (division
+only by integers).
 """
 
 from __future__ import annotations
@@ -15,15 +15,10 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def _is_exact(values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     coeffs: tuple
     order: int
-    mode: str
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence, order: int | None = None) -> "TruncatedSeries":
@@ -35,7 +30,7 @@ class TruncatedSeries:
         if len(cs) < order + 1:
             cs.extend([0] * (order + 1 - len(cs)))
         cs = cs[: order + 1]
-        return cls(tuple(cs), order, "exact" if _is_exact(cs) else "float")
+        return cls(tuple(cs), order)
 
     def __getitem__(self, m: int):
         return self.coeffs[m]
@@ -70,7 +65,7 @@ class TruncatedSeries:
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("series has zero constant term")
-        inv0 = Fraction(1) / Fraction(c0) if self.mode == "exact" else 1.0 / c0
+        inv0 = 1 / Fraction(c0)
         out = [inv0]
         for m in range(1, self.order + 1):
             acc = 0
@@ -92,13 +87,12 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         if self.coeffs[0] != 0:
             raise ValueError("exp needs zero constant term")
-        exact = self.mode == "exact"
-        out = [Fraction(1) if exact else 1.0]
+        out = [Fraction(1)]
         for m in range(1, self.order + 1):
             acc = 0
             for k in range(1, m + 1):
                 acc += k * self.coeffs[k] * out[m - k]
-            out.append((Fraction(acc) if exact else acc) / m)
+            out.append(Fraction(acc, m))
         return self._with(out)
 
 

@@ -12,14 +12,18 @@ terms a(p^m)/(2 p^{m/2}), and the generating function phi(t) of those
 terms two ways: as their sum, from the Tr T~_m sweep, and as a closed
 form in the zeta log-derivative Z'/Z = sum N_m u^{m-1}, whose N_m come
 from the N_m sweep; past t^0 its braces are R_m p^{-m/2}, with R_m from
-suite.SuiteContext.remainders.  The closed form does not re-derive N_m
-from the determinant: that the two agree is what the ihara-bass check tests.
+suite.SuiteContext.remainders.  Both are exact in Q(sqrt p), and phi
+compares them exactly.  The closed form does not re-derive N_m from the
+determinant: that the two agree is what the ihara-bass check tests.
+phi_closed_point evaluates the closed form at a float point from the
+nontrivial eigenvalues alone, the trivial ones' terms cancelling exactly.
 
 The report functions (det_series_regular, reciprocal_series_regular,
 verify_ihara_bass, phi_series, phi_closed_point) take a
-suite.SuiteContext and read the graph, certificate, spectrum, parameters
-and trace sweep from it; the graph-level cusp coefficient functions take
-an optional sweep, which the reports pass from the context.
+suite.SuiteContext and read the graph, certificate, spectrum (its
+nontrivial clusters, for phi_closed_point), parameters and trace sweep
+from it; the graph-level cusp coefficient functions take an optional
+sweep, which the reports pass from the context.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ class ZetaReciprocal:
 
     betti_r: int
     det_coeffs: tuple[int, ...]
-    n: int
 
     def series(self, order: int) -> TruncatedSeries:
         det = TruncatedSeries.from_coeffs(list(self.det_coeffs), order)
@@ -109,7 +112,7 @@ def ihara_bass_reciprocal(g: Graph) -> ZetaReciprocal:
         raise ArithmeticError("Bass charpoly fails c_0 = 1, P(1) = 0 or c_2n = prod(d_i - 1)")
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return ZetaReciprocal(betti_r=g.edge_count - n + 1, det_coeffs=tuple(coeffs), n=n)
+    return ZetaReciprocal(betti_r=g.edge_count - n + 1, det_coeffs=tuple(coeffs))
 
 
 def det_series_regular(ctx: SuiteContext, order: int) -> TruncatedSeries:
@@ -240,11 +243,6 @@ def _rational_if_possible(values: list[SqrtExt]) -> list:
     return values
 
 
-def _tempered_count(sd) -> int:
-    """l = number of eigenvalues with |lambda| < 2 sqrt(q), with multiplicity."""
-    return sum(c.mult for c in sd.principal())
-
-
 def phi_series(ctx: SuiteContext, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The generating function phi(t) = sum a(p^m)/(2 p^{m/2}) t^m, two ways.
 
@@ -265,51 +263,50 @@ def phi_series(ctx: SuiteContext, order: int) -> tuple[TruncatedSeries, Truncate
     [l, R_1 p^{-1/2}, R_2 p^{-1}, ...] with R_m from
     suite.SuiteContext.remainders.  Its N_m come from the exact sweep
     n_reduced_range (the ihara-bass check tests that these N_m give the
-    determinant form).  Both sides read the context's Tr B_m sweep and
-    are computed in Q(sqrt p) exactly; coefficients are returned as
-    exact rationals when the irrational parts vanish (always, for
-    bipartite X^{p,q}) and as floats otherwise.
+    determinant form).  Both sides read the context's Tr B_m sweep, and
+    their coefficients are exact in Q(sqrt p): Fractions when every
+    irrational part vanishes (always, for bipartite X^{p,q}), SqrtExt
+    values otherwise.
     """
     p, n = ctx.params.p, ctx.g.n
     spectral = normalized_cusp_terms(ctx.g, ctx.params, order, sweep=ctx.sweep)
     remainders = ctx.remainders(order)
     zero = SqrtExt.of(p, 0)
-    braces = [zero + _tempered_count(ctx.sd)]
+    braces = [zero + sum(cl.mult for cl in ctx.sd.principal())]
     braces += [remainders[m] * half_power(p, -m) for m in range(1, order + 1)]
     # divide by n(1 - t^2): phi_m = (1/n) sum_j braces[m - 2j]
     closed = [sum(braces[m::-2], zero) / n for m in range(order + 1)]
-    return tuple(  # Fractions stay exact; SqrtExt terms become floats
-        TruncatedSeries.from_coeffs([t if isinstance(t, Fraction) else float(t) for t in c], order)
-        for c in (spectral, _rational_if_possible(closed))
+    return (
+        TruncatedSeries.from_coeffs(spectral, order),
+        TruncatedSeries.from_coeffs(_rational_if_possible(closed), order),
     )
 
 
-def zeta_log_derivative_point(sd, betti_r: int, u: float) -> float:
-    """(Z'/Z)(u) from the factored reciprocal, evaluated at a real point.
-
-    Z'/Z = 2u(r-1)/(1-u^2) + sum_lambda mult * (lambda - 2qu)/(1 - lambda u + q u^2).
-    """
-    q = sd.q
-    total = 2.0 * u * (betti_r - 1) / (1.0 - u * u)
-    for cl in sd.clusters:
-        lam = cl.value
-        total += cl.mult * (lam - 2.0 * q * u) / (1.0 - lam * u + q * u * u)
-    return total
-
-
 def phi_closed_point(ctx: SuiteContext, t: float) -> float:
-    """Evaluate the closed form of phi at a real point inside the unit disk."""
-    g_lps, sd = ctx.g, ctx.sd
-    p, n = ctx.params.p, g_lps.n
-    betti_r = g_lps.edge_count - n + 1
-    rp = p**0.5
-    u = t / rp
-    braces = _tempered_count(sd)
-    braces += u * zeta_log_derivative_point(sd, betti_r, u)
-    braces -= (p - 1) * n * t * t / (p - t * t)
-    if ctx.cert.bipartite:
-        f = -2.0 * p * t / (1.0 - p * t * t) - (2.0 / p) * t / (1.0 - t * t / p)
-    else:
-        f = -rp / (1.0 - rp * t) - (1.0 / rp) / (1.0 - t / rp)
-    braces += t * f
-    return braces / (n * (1.0 - t * t))
+    """Evaluate the closed form of phi at a real point t, |t| < 1.
+
+    With u = t/sqrt p it is (1/n) times the sum over
+    ctx.nontrivial_clusters() of
+
+        mult / (1 - lambda u + p u^2)                          (tempered lambda)
+        mult u (lambda - 2pu) / ((1 - t^2)(1 - lambda u + p u^2))     (any other)
+
+    In phi_series' closed form, the Betti term (p-1) n u^2/(1-u^2) of
+    u (Z'/Z)(u) and the trivial eigenvalues' terms cancel
+    -(p-1) n t^2/(p - t^2) + t F(t) exactly, and a tempered cluster's
+    term absorbs its share of l: 1 + u(lambda - 2pu)/(1 - lambda u + p u^2)
+    = (1 - t^2)/(1 - lambda u + p u^2).  No two O(n) sums cancel, so the
+    value keeps its relative accuracy as t -> 1.
+    """
+    p = ctx.params.p
+    u = t / p**0.5
+    total = 0.0
+    for cl, mult in ctx.nontrivial_clusters():
+        lam = cl.value
+        denom = 1.0 - lam * u + p * u * u
+        if cl.principal:
+            total += mult / denom
+        else:
+            # 1 - t is exact for t in [1/2, 1], unlike 1 - t * t
+            total += mult * u * (lam - 2.0 * p * u) / ((1.0 - t) * (1.0 + t) * denom)
+    return total / ctx.g.n

@@ -16,14 +16,12 @@ from iharalab.series import TruncatedSeries, binomial_one_minus_u2
 def log(s: TruncatedSeries) -> TruncatedSeries:
     if s.coeffs[0] != 1:
         raise ValueError("log needs constant term 1")
-    exact = s.mode == "exact"
-    out = [Fraction(0) if exact else 0.0]
+    out = [Fraction(0)]
     for m in range(1, s.order + 1):
         acc = 0
         for k in range(1, m):
             acc += k * out[k] * s.coeffs[m - k]
-        val = s.coeffs[m] - (Fraction(acc) if exact else acc) / m
-        out.append(val)
+        out.append(s.coeffs[m] - Fraction(acc, m))
     return TruncatedSeries.from_coeffs(out, s.order)
 
 

@@ -7,6 +7,7 @@ spectrum-factored product for regular graphs with integral spectra.
 They give the Bass-matrix charpoly route an independent exact target.
 """
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -24,6 +25,7 @@ from iharalab.errors import DepthExceeded, InvalidPrime
 from iharalab.graphs import Graph, build_graph, named_graph
 from iharalab.lps import build_lps, cayley_cosets, is_prime
 from iharalab.nbt import f_values, n_reduced_range
+from iharalab.qext import SqrtExt, half_power
 from iharalab.series import TruncatedSeries
 from iharalab.suite import SuiteContext
 from iharalab.zeta import (
@@ -31,6 +33,7 @@ from iharalab.zeta import (
     det_series_regular,
     eisenstein_C,
     ihara_bass_reciprocal,
+    phi_closed_point,
     phi_series,
     reciprocal_series_regular,
     verify_ihara_bass,
@@ -463,12 +466,77 @@ def test_phi_closed_form_matches_the_determinant_counts(p, q, monkeypatch):
     want = determinant_counts(ctx, 8)
     assert want == n_reduced_range(g, cert, 8)
     spectral, closed = phi_series(ctx, 8)
-    monkeypatch.setattr(zeta, "n_reduced_range", lambda *args, **kwargs: want)
+    # the closed form's N_m, as SuiteContext.remainders reads them
+    monkeypatch.setattr(nbt, "n_reduced_range", lambda *args, **kwargs: want)
     ref_spectral, ref_closed = phi_series(ctx, 8)
     assert closed.coeffs == ref_closed.coeffs
     assert spectral.coeffs == ref_spectral.coeffs
-    kind = Fraction if cert.bipartite else float
+    kind = Fraction if cert.bipartite else SqrtExt
     assert all(type(c) is kind for c in spectral.coeffs + closed.coeffs)
+
+
+PHI_LADDER = [(13, 5), (29, 5), (17, 13), (5, 13)]
+
+
+@pytest.fixture(scope="module")
+def phi_ladder():
+    """(p, q) -> SuiteContext on X^{p,q}, bipartite and not."""
+    return {pq: SuiteContext(*build_lps(*pq)) for pq in PHI_LADDER}
+
+
+def phi_point_reference(ctx, t: Fraction) -> SqrtExt:
+    """phi_series' closed form at t, exact in Q(sqrt p) for the float cluster values of ctx.sd:
+
+    (1/(n(1-t^2))) {l + u (Z'/Z)(u) - (p-1) n t^2/(p - t^2) + t F(t)}, u = t/sqrt p,
+    with Z'/Z = 2u(r-1)/(1-u^2) + sum mult (lambda - 2pu)/(1 - lambda u + p u^2)
+    over every cluster, trivial ones included.
+    """
+    p, n = ctx.params.p, ctx.g.n
+    root = half_power(p, 1)
+    u = root * t / p
+    betti_r = ctx.g.edge_count - n + 1
+    logder = 2 * u * (betti_r - 1) / (1 - u * u)
+    for cl in ctx.sd.clusters:
+        lam = Fraction(cl.value)
+        logder += cl.mult * (lam - 2 * p * u) / (1 - lam * u + p * u * u)
+    if ctx.cert.bipartite:
+        f = -2 * p * t / (1 - p * t * t) - Fraction(2, p) * t / (1 - t * t / p)
+    else:
+        f = -root / (1 - root * t) - half_power(p, -1) / (1 - root * t / p)
+    tempered = sum(cl.mult for cl in ctx.sd.principal())
+    braces = tempered + u * logder - (p - 1) * n * t * t / (p - t * t) + t * f
+    return braces / (n * (1 - t * t))
+
+
+@pytest.mark.parametrize("p, q", PHI_LADDER)
+def test_phi_point_keeps_its_relative_accuracy_near_the_pole(phi_ladder, p, q):
+    ctx = phi_ladder[p, q]
+    t = 1.0 - 1e-4
+    want = float(phi_point_reference(ctx, Fraction(t)))
+    assert abs(phi_closed_point(ctx, t) - want) <= 1e-14 * abs(want)
+
+
+def test_phi_point_reads_clusters_outside_the_tempered_band(x135_ctx):
+    """Flag the tempered cluster nearest 0 as not principal: its term moves to the other branch."""
+    ctx = SuiteContext(x135_ctx.g, x135_ctx.params)
+    sd = x135_ctx.sd
+    low = min(sd.principal(), key=lambda cl: abs(cl.value))
+    clusters = tuple(
+        dataclasses.replace(cl, principal=False) if cl is low else cl for cl in sd.clusters
+    )
+    ctx._sd = dataclasses.replace(sd, clusters=clusters)
+    for t in (0.5, 1.0 - 1e-4):
+        want = float(phi_point_reference(ctx, Fraction(t)))
+        assert abs(phi_closed_point(ctx, t) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("p, q", PHI_LADDER)
+def test_phi_point_sums_the_closed_series(phi_ladder, p, q):
+    ctx = phi_ladder[p, q]
+    _, closed = phi_series(ctx, 60)
+    t = 0.5
+    total = sum(float(c) * t**m for m, c in enumerate(closed.coeffs))
+    assert abs(total - phi_closed_point(ctx, t)) <= 1e-13 * abs(total)
 
 
 def test_zeta_series_mode_exact(contexts):
