@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import limits, lps, nbt, oracle, suite, zeta
@@ -260,8 +261,10 @@ def _parse_hhat(pairs: list[str]) -> list[tuple[int, float]]:
 
 
 def cmd_stf(args) -> int:
-    ctx = _load_source(args.source)
     support = tuple(_parse_hhat(args.hhat or []))
+    if not all(math.isfinite(v) for v in (args.hhat0, *(v for _, v in support))):
+        raise ParseError("--hhat0 and the --hhat values must be finite")
+    ctx = _load_source(args.source)
     h = limits.StfTestFunction(hhat0=args.hhat0, support=support)
     lhs, geo, disc = limits.stf_verify(ctx, h)
     payload = {

@@ -29,6 +29,10 @@ class UnknownName(GraphError):
     """Raised for an unrecognized named-graph identifier."""
 
 
+class DegreeTooSmall(GraphError):
+    """Raised on a 1-regular graph (q = 0) by what needs q >= 1: the spectral angle and q^{-m/2}."""
+
+
 class NotRegular(GraphError):
     """Raised when a regularity certificate is requested for an irregular graph.
 
@@ -91,7 +95,3 @@ class DepthExceeded(IharaLabError):
 
 class AngleConditionViolated(IharaLabError):
     """Raised when a spectral angle is a rational multiple of pi that voids a limit statement."""
-
-
-class QuadratureFailure(IharaLabError):
-    """Raised when numerical integration fails to reach the requested accuracy."""

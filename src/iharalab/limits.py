@@ -7,7 +7,8 @@ finite, falsifiable computations:
   their closed-form limits, with an O(1/N) rate band.
 * The average of N_m / q^{m/2} against its main terms.
 * The average of normalized cusp coefficients a(p^m)/(2 p^{m/2}).
-* A Selberg-type trace formula for finite-support test functions.
+* A Selberg-type trace formula for finite-support test functions, with
+  its identity term in closed form (Ahumada, 1987; Terras, 2011).
 * Huang's h_m = R_0 - R_m q^{-m/2}, the sum of 2 - 2 T_m(lambda / 2 sqrt q)
   over the nontrivial eigenvalues, nonnegative at even indices exactly
   when the graph is Ramanujan.
@@ -25,7 +26,7 @@ stf_verify, huang_range) take a suite.SuiteContext and read the graph,
 certificate, spectrum, parameters and trace sweep from it, so they run
 on the route the context's certificate picks and have none of their own.
 stf_verify and huang_range take the trivial eigenvalues +-(q+1) out through
-it too (SuiteContext.remainders and nontrivial_clusters).
+it too (SuiteContext.remainders and nontrivial_chebyshev_sums).
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+# only perfbench/spans.py reads quad; the import goes with ROADMAP item 1
+from scipy.integrate import quad  # noqa: F401
 
 from .chebyshev import central_binomial_weight, cos_power_as_cosines
-from .errors import AngleConditionViolated, NotRamanujan, QuadratureFailure
+from .errors import AngleConditionViolated, NotRamanujan
 from .graphs import RegularityCertificate
 from .nbt import cheb_t_real, n_reduced_range
 from .qext import SqrtExt, half_power
@@ -267,9 +269,8 @@ def average_nm(ctx: SuiteContext, N: int) -> AverageNmReport:
         raise ValueError("N must be at least 2")
     sd, cert = ctx.sd, ctx.cert
     require_ramanujan(sd)
+    reference = average_nm_reference(sd, cert)  # raises unless q >= 2
     q = cert.q
-    if q < 2:
-        raise ValueError("main-term formula needs q >= 2")
     counts = n_reduced_range(ctx.g, cert, N, sweep=ctx.sweep)
     total = SqrtExt.of(q, 0)
     for m in range(1, N + 1):
@@ -290,7 +291,7 @@ def average_nm(ctx: SuiteContext, N: int) -> AverageNmReport:
         main_terms=float(main),
         residual=float(residual),
         scaled_residual=float(residual) * N,
-        reference_constant=average_nm_reference(sd, cert),
+        reference_constant=reference,
     )
 
 
@@ -356,15 +357,10 @@ class StfTestFunction:
 
     @classmethod
     def single(cls, m: int, value: float = 1.0) -> "StfTestFunction":
-        if m == 0:
-            return cls(hhat0=value)
-        return cls(support=((m, value),))
+        return cls(hhat0=value) if m == 0 else cls(support=((m, value),))
 
     def max_frequency(self) -> int:
         return max((m for m, _ in self.support), default=0)
-
-    def eval_theta(self, theta: float) -> float:
-        return self.hhat0 + sum(2.0 * v * math.cos(m * theta) for m, v in self.support)
 
     def eval_x(self, x: float) -> float:
         """h at the angle with cos(theta) = x, via Chebyshev values.
@@ -375,53 +371,46 @@ class StfTestFunction:
         return self.hhat0 + sum(2.0 * v * cheb_t_real(m, x) for m, v in self.support)
 
 
+def identity_coefficient(q: int, m: int) -> SqrtExt:
+    """I_m = (2q(q+1)/pi) Int_0^pi sin^2 t cos(mt) / ((q+1)^2 - 4q cos^2 t) dt, in closed form.
+
+    The identity term integrates h against the tree's Plancherel measure,
+    whose Fourier coefficients are rational (Ahumada, 1987; Terras, Zeta
+    Functions of Graphs, 2011): I_0 = 1, I_odd = 0, I_{2k} = -(q-1)/(2 q^k).
+    """
+    if m % 2:
+        return SqrtExt.of(q, 0)
+    return SqrtExt.of(q, 1) if m == 0 else -(q - 1) * half_power(q, -m) / 2
+
+
 def stf_verify(ctx: SuiteContext, h: StfTestFunction) -> tuple[float, float, float]:
     """Check the trace formula: spectral side vs. identity + cycle terms.
 
-    lhs = sum_clusters mult * h(theta); geometric side =
-    (2 n q (q+1)/pi) Integral_0^pi sin^2(theta)/((q+1)^2 - 4q cos^2 theta) h(theta) d theta
-    + sum_m N_m q^{-m/2} hhat(m), with N_m from the context's sweep.
-    Returns (lhs, geometric, |difference|).
+    lhs = sum_clusters mult * h(theta); geometric side = the identity term
+    n (hhat0 + sum 2 hhat(m) I_m) = n (hhat0 - (q-1) sum_k hhat(2k) q^{-k})
+    + sum_m N_m q^{-m/2} hhat(m), with N_m from the context's sweep, formed
+    exactly in Q(sqrt q).  Returns (lhs, geometric, |difference|).
 
-    The difference is not lhs - geometric: both sides grow like q^{m/2}
-    hhat(m), so their float round-off would scale with q^{m/2}.  The
-    trivial clusters' terms minus the cycle terms N_m q^{-m/2} hhat(m)
-    are -(R_m + e_m (q-1) n) q^{-m/2} hhat(m) per frequency (R_m from
-    SuiteContext.remainders, on the same N_m), formed exactly in Q(sqrt q)
-    and converted once; only the O(n) nontrivial sum is formed in floats.
+    The difference is not lhs - geometric, whose float round-off would grow
+    like q^{m/2} hhat(m).  Less the trivial clusters' terms and the identity
+    and cycle terms, hhat0 cancels exactly and each frequency leaves
+    hhat(m) (S_m - R_m q^{-m/2}), the comparison chebyshev makes: S_m from
+    SuiteContext.nontrivial_chebyshev_sums, R_m exact from remainders on
+    the same N_m.  Only S_m is a float sum.
     """
-    g, cert = ctx.g, ctx.cert
-    m_max = h.max_frequency()
-    counts = n_reduced_range(g, cert, m_max, sweep=ctx.sweep) if h.support else []
+    g, q, m_max = ctx.g, ctx.cert.q, h.max_frequency()
+    counts = n_reduced_range(g, ctx.cert, m_max, sweep=ctx.sweep) if h.support else []
     remainders = ctx.remainders(m_max, counts)
-    q = cert.q
+    sums, _ = ctx.nontrivial_chebyshev_sums(m_max)
     root = 2.0 * math.sqrt(q)
-    lhs = rest = 0.0
-    for cl in ctx.sd.clusters:
-        lhs += cl.mult * h.eval_x(cl.value / root)
-    for cl, mult in ctx.nontrivial_clusters():
-        rest += mult * h.eval_x(cl.value / root)
-
-    def integrand(theta: float) -> float:
-        s = math.sin(theta)
-        c = math.cos(theta)
-        return s * s / ((q + 1) ** 2 - 4.0 * q * c * c) * h.eval_theta(theta)
-
-    result = quad(integrand, 0.0, math.pi, epsabs=1e-10, limit=200, full_output=1)
-    if len(result) > 3:
-        raise QuadratureFailure(f"quadrature did not converge: {result[3]}")
-    integral, abserr = result[0], result[1]
-    if abserr > 1e-8:
-        raise QuadratureFailure(f"quadrature error estimate {abserr} exceeds 1e-8")
-    identity_term = (2.0 * g.n * q * (q + 1) / math.pi) * integral
-    geometric = identity_term
+    lhs = sum(cl.mult * h.eval_x(cl.value / root) for cl in ctx.sd.clusters)
+    geometric = SqrtExt.of(q, g.n * Fraction(h.hhat0))
+    difference = 0.0
     for m, v in h.support:
-        geometric += counts[m - 1] * q ** (-m / 2.0) * v
-    exact_part = len(ctx.trivial_values()) * h.hhat0
-    for m, v in h.support:
-        e_m = 1 - m % 2
-        exact_part += float(-(remainders[m] + e_m * (q - 1) * g.n) * half_power(q, -m)) * v
-    return lhs, geometric, abs(exact_part + rest - identity_term)
+        q_m = half_power(q, -m)
+        geometric += (2 * g.n * identity_coefficient(q, m) + counts[m - 1] * q_m) * Fraction(v)
+        difference += v * (sums[m] - float(remainders[m] * q_m))
+    return lhs, float(geometric), abs(difference)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from .errors import DegreeTooSmall
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -140,6 +142,8 @@ def half_power(d: int, m: int) -> SqrtExt:
             return SqrtExt.of(d, whole)
         return SqrtExt.of(d, 0, whole)
     if d == 0:
-        raise ZeroDivisionError("negative power of 0")
-    pos = half_power(d, -m)
-    return SqrtExt.of(d, 1) / pos
+        raise DegreeTooSmall(f"q^({m}/2) needs q >= 1, got q = 0")
+    # d^{-k} at even m = -2k, sqrt(d) d^{-k} at odd m = 1 - 2k
+    if m % 2 == 0:
+        return SqrtExt.of(d, Fraction(1, d ** (-m // 2)))
+    return SqrtExt.of(d, 0, Fraction(1, d ** ((1 - m) // 2)))

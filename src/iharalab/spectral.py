@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusterAmbiguity, DepthExceeded, EigensolverFailure, OutOfRange
+from .errors import ClusterAmbiguity, DegreeTooSmall, DepthExceeded, EigensolverFailure, OutOfRange
 from .graphs import Graph, RegularityCertificate
 from .lps import CosetData
 
@@ -103,8 +103,11 @@ def theta_of(lam: float, q: int, tol: float | None = None) -> complex:
 
     Real in (0, pi) for |lam| < 2 sqrt(q); -i*y (y >= 0) at and beyond
     the positive edge; pi + i*y beyond the negative edge.  Raises
-    OutOfRange when |lam| exceeds q + 1 by more than tol.
+    OutOfRange when |lam| exceeds q + 1 by more than tol, and
+    DegreeTooSmall at q = 0, where no angle exists.
     """
+    if q < 1:
+        raise DegreeTooSmall(f"the spectral angle needs q >= 1, got q = {q}")
     if tol is None:
         tol = 1e-9 * (q + 1)
     if abs(lam) > q + 1 + tol:

@@ -6,7 +6,8 @@ the observed scaled deviation by four times the reference constant their
 proof supplies, so the tolerance is 1.0 and the metric is a dimensionless
 load factor.  Exact-identity checks (oracle, ihara-bass) use tolerance 0.
 SuiteContext splits off the trivial eigenvalues +-(q+1) for chebyshev,
-stf, huang and phi: they read remainders and nontrivial_clusters.
+stf, huang and phi: they read remainders, nontrivial_clusters and
+nontrivial_chebyshev_sums.
 """
 
 from __future__ import annotations
@@ -156,12 +157,15 @@ class VerificationSuiteConfig:
 
 
 def _parse(key: str, value, kind: type):
-    """kind(str(value)), so that an int key takes ints and digit strings but no float or bool."""
+    """kind(str(value)); an int key refuses floats and bools, a float key NaN and infinities."""
+    wanted = "an integer" if kind is int else "a finite number"
     try:
-        return kind(str(value))
+        out = kind(str(value))
     except ValueError:
-        wanted = "an integer" if kind is int else "a number"
         raise ParseError(f"config key {key!r} needs {wanted}, got {value!r}") from None
+    if kind is float and not math.isfinite(out):
+        raise ParseError(f"config key {key!r} needs {wanted}, got {value!r}")
+    return out
 
 
 def _parse_ints(key: str, values) -> tuple[int, ...]:
@@ -289,6 +293,16 @@ class SuiteContext:
         pairs = ((cl, cl.mult - (cl.value in trivial)) for cl in self.sd.clusters)
         return [(cl, mult) for cl, mult in pairs if mult]
 
+    def nontrivial_chebyshev_sums(self, m_max: int) -> tuple[list[float], list[float]]:
+        """[S_0..S_{m_max}] and the sums of mult |T_m|, S_m = sum mult 2 T_m(lambda / 2 sqrt q).
+
+        Both sum over nontrivial_clusters(); S_m is the float side of R_m q^{-m/2} (remainders).
+        """
+        root = 2.0 * math.sqrt(self.cert.q)
+        x_mult = [(cl.value / root, mult) for cl, mult in self.nontrivial_clusters()]
+        terms = [[mult * nbt.cheb_t_real(m, x) for x, mult in x_mult] for m in range(m_max + 1)]
+        return [2.0 * sum(t) for t in terms], [sum(map(abs, t)) for t in terms]
+
 
 def resolve_source(config: VerificationSuiteConfig) -> SuiteContext:
     if config.source_kind == "lps":
@@ -400,30 +414,18 @@ def _zx_identity_defect(q: int, m_max: int) -> int:
 
 
 def _trace_route_metric(ctx: SuiteContext, m_max: int) -> float:
-    """Exact R_m (SuiteContext.remainders) against sum mult w_l over the nontrivial clusters.
+    """Exact R_m (SuiteContext.remainders) against q^{m/2} S_m (nontrivial_chebyshev_sums).
 
-    w_l = 2 q^{m/2} T_m(lambda_l / 2 sqrt q).  The difference is scaled
-    by n q^{m/2}, or by sum mult |w_l| when a nontrivial cluster lies
-    outside [-2 sqrt q, 2 sqrt q] and that sum is larger.
+    The difference is scaled by q^{m/2} max(n, sum mult |T_m(lambda / 2 sqrt q)|);
+    the sum stays below n unless a nontrivial cluster lies outside [-2 sqrt q, 2 sqrt q].
     """
     q, n = ctx.cert.q, ctx.g.n
     remainders = ctx.remainders(m_max)
-    clusters = ctx.nontrivial_clusters()
-    root = 2.0 * math.sqrt(q)
+    sums, spreads = ctx.nontrivial_chebyshev_sums(m_max)
     worst = 0.0
     for m in range(1, m_max + 1):
-        scale = 2.0 * q ** (m / 2.0)
-        spectral = spread = 0.0
-        outside = False
-        for cl, mult in clusters:
-            w = scale * nbt.cheb_t_real(m, cl.value / root)
-            spectral += mult * w
-            spread += mult * abs(w)
-            outside = outside or abs(cl.value) > root
-        norm = n * q ** (m / 2.0)
-        if outside:
-            norm = max(norm, spread)
-        worst = max(worst, abs(remainders[m] - spectral) / norm)
+        scale = q ** (m / 2.0)
+        worst = max(worst, abs(remainders[m] - scale * sums[m]) / (max(n, spreads[m]) * scale))
     return worst
 
 
@@ -586,8 +588,7 @@ def check_stf(ctx: SuiteContext, *, m0_max: int = 12) -> dict:
     worst = 0.0
     rows = []
     for m0 in range(0, m0_max + 1):
-        h = limits.StfTestFunction.single(m0) if m0 else limits.StfTestFunction(hhat0=1.0)
-        lhs, geo, disc = limits.stf_verify(ctx, h)
+        lhs, geo, disc = limits.stf_verify(ctx, limits.StfTestFunction.single(m0))
         worst = max(worst, disc)
         rows.append({"m0": m0, "lhs": lhs, "geometric": geo, "discrepancy": disc})
     return {"metric": worst, "detail": {"rows": rows}}
@@ -688,11 +689,7 @@ def _runner_kwargs(name: str, config: VerificationSuiteConfig) -> dict:
 
 
 def run_check(name: str, ctx: SuiteContext, config: VerificationSuiteConfig) -> CheckResult:
-    tolerance = (
-        config.tol_override
-        if config.tol_override is not None
-        else DEFAULT_TOLERANCES[name]
-    )
+    tolerance = DEFAULT_TOLERANCES[name] if config.tol_override is None else config.tol_override
     start = time.perf_counter()
     try:
         outcome = _RUNNERS[name](ctx, **_runner_kwargs(name, config))
@@ -708,7 +705,8 @@ def run_check(name: str, ctx: SuiteContext, config: VerificationSuiteConfig) -> 
         )
     elapsed = time.perf_counter() - start
     metric = outcome["metric"]
-    failed = metric > tolerance or outcome.get("extra_fail", False)
+    # written so that a NaN metric or tolerance fails
+    failed = not metric <= tolerance or outcome.get("extra_fail", False)
     return CheckResult(
         check=name,
         status="fail" if failed else "pass",

@@ -267,6 +267,11 @@ MALFORMED = [
     ["verify", "--config", '{"graph": "K4", "checks": "oracle"}'],
     ["verify", "--config", '{"graph": "K4", "lps": [13, 5]}'],
     ["verify", "--config", "missing.json"],
+    ["verify", "--graph", "PETERSEN", "--tol", "nan"],
+    ["verify", "--graph", "K4", "--tol", "inf"],
+    ["stf", "K4", "--hhat", "2:nan"],
+    ["stf", "K4", "--hhat", "3:-inf"],
+    ["stf", "K4", "--hhat0", "nan"],
 ]
 
 
@@ -281,6 +286,25 @@ def test_malformed_input_exits_two(argv, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["stf", "--hhat", "2:1"], ["spectrum"], ["huang"]], ids=" ".join)
+def test_a_one_regular_graph_is_a_typed_error(argv, tmp_path, monkeypatch, capsys):
+    """K2 has q = 0: no spectral angle and no q^{-m/2}."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k2.txt").write_text("n 2\n0 1\n")
+    assert main([argv[0], "k2.txt", *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DegreeTooSmall: ")
+    assert "Traceback" not in err
+
+
+def test_verify_reports_the_typed_error_on_a_one_regular_graph(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k2.txt").write_text("n 2\n0 1\n")
+    assert main(["verify", "--graph", "k2.txt", "--checks", "chebyshev,stf,huang", "--emit", "s.json"]) == 1
+    results = json.loads((tmp_path / "s.json").read_text())["results"]
+    assert all(r["detail"]["error"].startswith("DegreeTooSmall: ") for r in results)
 
 
 def test_verify_missing_source_file_still_writes_the_summary(tmp_path, monkeypatch, capsys):

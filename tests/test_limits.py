@@ -30,6 +30,7 @@ from iharalab.limits import (
     cos_partial_sum_bound,
     cusp_term_bound,
     huang_range,
+    identity_coefficient,
     normalized_cusp_terms,
     require_ramanujan,
     shifted_cos_partial_sum_bound,
@@ -350,12 +351,33 @@ def test_normalized_terms_exact_on_non_bipartite():
 # trace formula
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 8, 13, 29])
+def test_identity_coefficients_match_the_plancherel_integral(q):
+    """I_m against (2q(q+1)/pi) Integral_0^pi sin^2 t cos(mt) / ((q+1)^2 - 4q cos^2 t) dt."""
+    integrate = pytest.importorskip("scipy.integrate")
+    scale = 2 * q * (q + 1) / math.pi
+    for m in range(25):
+        # (q+1)^2 - 4q cos^2 t = (q-1)^2 + 4q sin^2 t, which keeps q = 1 stable near t = 0
+        value, _ = integrate.quad(
+            lambda t: scale * math.sin(t) ** 2 * math.cos(m * t) / ((q - 1) ** 2 + 4 * q * math.sin(t) ** 2),
+            0.0, math.pi, epsabs=1e-14, limit=200,
+        )
+        assert abs(value - float(identity_coefficient(q, m))) < 1e-13, (q, m)
+
+
+def test_identity_coefficients_are_rational():
+    assert identity_coefficient(5, 0) == 1
+    assert all(identity_coefficient(5, m) == 0 for m in (1, 3, 11))
+    assert identity_coefficient(5, 4) == Fraction(-4, 50)
+    assert identity_coefficient(1, 6) == 0
+
+
 def test_stf_constant_function(contexts):
     for name in ("K4", "PETERSEN"):
         h = StfTestFunction(hhat0=1.0)
         lhs, geometric, disc = stf_verify(contexts[name], h)
-        assert lhs == float(contexts[name].g.n)
-        assert disc < 1e-9, name
+        assert lhs == geometric == float(contexts[name].g.n)
+        assert disc == 0.0, name
 
 
 def test_stf_single_frequencies(contexts):
@@ -365,9 +387,9 @@ def test_stf_single_frequencies(contexts):
 
 
 def test_stf_even_frequency_anchor(contexts):
-    # k4: N_2 = 0, so the geometric side is the pure integral term
+    # k4: N_2 = 0, so the geometric side is the identity term n 2 I_2 = -n (q-1)/q
     lhs, geometric, disc = stf_verify(contexts["K4"], StfTestFunction.single(2))
-    assert abs(geometric - (-4.0 * (2 - 1) / 2.0)) < 1e-9
+    assert geometric == -2.0
     assert abs(lhs - (-2.0)) < 1e-12
 
 
@@ -389,11 +411,25 @@ def test_stf_is_scale_free_on_lps(p):
         assert math.isclose(lhs, geometric, rel_tol=1e-12, abs_tol=1e-9), m0
 
 
+@pytest.mark.parametrize("certified", [True, False])
+def test_stf_discrepancy_is_the_shared_nontrivial_comparison(certified, x135_ctx, contexts):
+    """Each single-frequency discrepancy is |S_m - R_m q^{-m/2}|, from the helper chebyshev reads too."""
+    ctx = x135_ctx if certified else contexts["PETERSEN"]
+    assert (ctx.row_vertex is not None) == certified
+    q = ctx.cert.q
+    sums, _ = ctx.nontrivial_chebyshev_sums(12)
+    remainders = ctx.remainders(12)
+    for m in range(1, 13):
+        _, _, disc = stf_verify(ctx, StfTestFunction.single(m))
+        assert disc == abs(sums[m] - float(remainders[m] * half_power(q, -m))), m
+
+
 def test_stf_function_evaluations():
     h = StfTestFunction(hhat0=0.5, support=((2, 1.0), (5, -0.25)))
     assert h.max_frequency() == 5
     for t in (0.1, 0.9, 2.2, 3.0):
-        assert abs(h.eval_x(math.cos(t)) - h.eval_theta(t)) < 1e-12
+        want = 0.5 + 2.0 * math.cos(2 * t) - 0.5 * math.cos(5 * t)
+        assert abs(h.eval_x(math.cos(t)) - want) < 1e-12
     assert StfTestFunction.single(0, 2.0).hhat0 == 2.0
     assert StfTestFunction.single(3).support == ((3, 1.0),)
 

@@ -107,6 +107,8 @@ def test_config_rejects():
         ({"file": "k4.json", "emit": 1}, "emit"),
         ({"checks": ["huang"]}, "source key"),
         ({"graph": "K4", "lps": [13, 5]}, "source key"),
+        ({"graph": "K4", "tol": "nan"}, "tol"),
+        ({"graph": "K4", "tol": float("inf")}, "tol"),
     ],
 )
 def test_config_rejects_each_malformed_value_by_key(raw, key):
@@ -426,6 +428,16 @@ def test_tol_override_forces_fail():
     assert code == 1
     assert results[0].status == "fail"
     assert results[0].metric == 0.0
+
+
+def test_a_nan_tolerance_fails_every_check_it_reaches():
+    # a config built in Python skips from_dict's finite test
+    cfg = VerificationSuiteConfig(
+        source_kind="named", source="K4", checks=("oracle", "huang"), tol_override=float("nan")
+    )
+    code, results = run_suite(cfg)
+    assert code == 1
+    assert [r.status for r in results] == ["fail", "fail"]
 
 
 def test_run_check_oracle_direct():
