@@ -32,9 +32,11 @@ Without a sweep the traces take the full route, which has two streams:
   identities give every m from one exact chi_A (Lubotzky, Phillips and
   Sarnak, Combinatorica 8, 1988, read X^{p,q} off the spectrum of A the
   same way).  integer_charpoly finds chi_A modulo 26-bit primes and lifts
-  it by CRT; zeta.ihara_bass_reciprocal shares that modular layer.  It
-  serves while its price, primes x n^3, is within COST_CEILING: up to
-  n = 285 at degree 14 (n = 120 takes 18 primes) and n = 337 at degree 3.
+  it by CRT under Hadamard's bound on its coefficients, C(n, k) d^{k/2}
+  on a simple d-regular graph; zeta.ihara_bass_reciprocal shares that
+  modular layer.  It serves while its price, primes x n^3, is within
+  COST_CEILING: up to n = 325 at degree 14 (n = 120 takes 11 primes) and
+  n = 362 at degree 3.
 - The matrix recurrence, past that price.  It uses the product identity
   B_a B_b = B_{a+b} + q^b B_{a-b} (a >= b) and the symmetry of B_k:
   Tr B_m for all m <= M comes from inner products of B_0..B_{ceil(M/2)},
@@ -423,19 +425,23 @@ def _charpoly_trace_stream(g: Graph, q: int) -> Iterator[int] | None:
 
     B_m has the eigenvalues alpha^m + beta^m with alpha + beta = lambda
     and alpha beta = q for each eigenvalue lambda of A, so Tr B_m is the
-    m-th power sum of the roots of x^n chi_A(x + q/x).  Every |lambda|
-    is at most the largest degree d, so |c_k| <= C(n, k) d^k bounds the
-    coefficients; chi_A must come out monic with chi_A(d) = 0, since
-    the degree is an eigenvalue of every regular graph, or the sweep
-    raises ArithmeticError.
+    m-th power sum of the roots of x^n chi_A(x + q/x).  c_k is +- the sum
+    of the C(n, k) principal k x k minors of A, and Hadamard's inequality
+    bounds each by the product of its rows' lengths, at most r^k with
+    r^2 = max_i sum_j a_ij^2 (r = sqrt(d) on a simple d-regular graph),
+    so |c_k| <= C(n, k) r^k; chi_A must come out monic with chi_A(d) = 0
+    for the largest degree d, since the degree is an eigenvalue of every
+    regular graph, or the sweep raises ArithmeticError.
     """
     n, d = g.n, max(map(len, g.neighbors))
     if n**3 > COST_CEILING:  # one prime's work alone passes it
         return None
-    bound = max(comb(n, k) * d**k for k in range(n + 1))
+    a = g.as_numpy().astype(np.int64)
+    r2 = int((a * a).sum(axis=1).max())
+    bound = math.isqrt(max(comb(n, k) ** 2 * r2**k for k in range(n + 1))) + 1
     if _charpoly_price(n, bound) > COST_CEILING:
         return None
-    chi = integer_charpoly(g.as_numpy().astype(np.int64), bound)
+    chi = integer_charpoly(a, bound)
     if chi[-1] != 1 or sum(c * d**k for k, c in enumerate(chi)) != 0:
         raise ArithmeticError("charpoly of A fails monic or chi_A(degree) = 0")
     return _power_sums(_pair_polynomial(chi, q))

@@ -1,22 +1,29 @@
 """Brute-force enumeration oracle.
 
-reduced_walks counts non-backtracking walks by explicit depth-first
-search over arcs, one source vertex at a time.  It deliberately shares
-no code with the matrix recurrences it is used to validate: correctness
-here rests on the search being a direct transcription of the
-definitions.
+reduced_walks counts non-backtracking walks by enumerating them, one
+source vertex at a time: a numpy frontier holds one element per walk and
+extends every walk by every arc that may follow its last one.  It
+deliberately shares no code with the matrix recurrences it is used to
+validate: correctness here rests on the search being a direct
+transcription of the definitions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import DepthExceeded
 from .graphs import Graph
 
 DEFAULT_DEPTH_GUARD = 14
 DEFAULT_BUDGET = 10**9
+# Walks held at once per frontier chunk: a source's search holds at most
+# one chunk per depth (two int64 arrays each), whatever the budget.
+FRONTIER_CAP = 1 << 16
 
 
 def walk_estimate(g: Graph, m: int) -> int:
@@ -107,51 +114,60 @@ def reduced_walks(
 def _walks(g: Graph, m_max: int, sources: Sequence[int]) -> Iterator[tuple[list[int], list[list[int]]]]:
     """The search of reduced_walks, past its guards.
 
-    Each non-backtracking walk is enumerated once, from its source
-    through its first arc.  The walks of length m_max are counted one by
-    one in the loop of their length m_max - 1 prefix rather than in a
-    call each.  A walk of length m_max takes only arcs out of vertices
-    within m_max - 1 of its source, so the arc and follower tables hold
-    those arcs only (_arc_tables).
+    Each non-backtracking walk from a source is one element of a numpy
+    frontier: its current arc and the inverse of its first arc.  A level
+    of the frontier is every walk of one length; its termini give the
+    source's row of A_depth by one bincount, and the next level is every
+    walk's followers, gathered by one flat index.  Walks are never merged
+    by their current arc, which would turn the search into a power of
+    the Hashimoto matrix.  A level of more than FRONTIER_CAP walks is
+    taken chunk by chunk, depth first, so a source holds at most one
+    chunk per depth whatever the budget.  A walk of length m_max takes
+    only arcs out of vertices within m_max - 1 of its source, so the arc
+    and follower tables hold those arcs only (_arc_tables).
     """
     first, terminus, inverse = _arc_tables(g, sources, m_max - 1)
-    pairs = list(zip(range(len(terminus)), terminus))  # (arc, its terminus), one tuple per arc
-    # the arcs that may follow arc a, as pairs: out of its terminus t,
-    # except its inverse; None when t's arcs are not tabled, which no
-    # walk needs
-    follow = [
-        None if inv < 0 else [pairs[b] for b in range(first[t], first[t] + len(g.neighbors[t])) if b != inv]
+    end = np.array(terminus, dtype=np.int64)
+    # the arcs that may follow arc a, follow[start[a] : start[a] + length[a]]:
+    # out of its terminus t, except its inverse; none when t's arcs are
+    # not tabled, which no walk needs
+    follow_lists = [
+        [b for b in range(first[t], first[t] + len(g.neighbors[t])) if b != inv] if inv >= 0 else []
         for t, inv in zip(terminus, inverse)
     ]
-    top = m_max - 1  # the depth whose followers end a walk
+    length = np.array([len(f) for f in follow_lists], dtype=np.int64)
+    start = np.cumsum(length) - length
+    follow = np.fromiter(chain.from_iterable(follow_lists), dtype=np.int64, count=int(length.sum()))
+    inverse_arr = np.array(inverse, dtype=np.int64)
+    del follow_lists  # the arrays replace it while the walk runs
+    piece = max(FRONTIER_CAP // max(int(length.max(initial=0)), 1), 1)  # walks whose followers fit the cap
 
-    # src, first_inv, rows, last and closed belong to the current source
-    # and its first arc, set in the loop below
-    def walk(cur: int, here: int, depth: int) -> None:
-        rows[depth][here] += 1
-        if here == src and cur != first_inv:
-            closed[depth] += 1
-        if depth == top:
-            count = 0
-            for nxt, there in follow[cur]:
-                last[there] += 1
-                if there == src and nxt != first_inv:
-                    count += 1
-            closed[m_max] += count
-        elif depth < top:
-            deeper = depth + 1
-            for nxt, there in follow[cur]:
-                walk(nxt, there, deeper)
+    def children(cur: np.ndarray, first_inv: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The followers of the walks (cur, first_inv), piece by piece."""
+        for lo in range(0, len(cur), piece):
+            arcs = cur[lo : lo + piece]
+            counts = length[arcs]
+            total = int(counts.sum())
+            if total:  # the k-th follower of the i-th walk sits at start[arc_i] + k
+                base = start[arcs] - (np.cumsum(counts) - counts)
+                yield follow[np.repeat(base, counts) + np.arange(total)], np.repeat(first_inv[lo : lo + piece], counts)
 
-    try:
-        for src in sources:
-            rows = [[0] * g.n for _ in range(m_max + 1)]
-            rows[0][src] = 1
-            last = rows[m_max]
-            closed = [0] * (m_max + 1)
-            for arc in range(first[src], first[src] + len(g.neighbors[src])):
-                first_inv = inverse[arc]
-                walk(arc, terminus[arc], 1)
-            yield closed[1:], rows
-    finally:
-        del walk  # break the closure's self-reference so the tables free now, not at a later gc
+    for src in sources:
+        rows = np.zeros((m_max + 1, g.n), dtype=np.int64)
+        rows[0, src] = 1
+        closed = [0] * (m_max + 1)
+        out = np.arange(first[src], first[src] + len(g.neighbors[src]), dtype=np.int64)
+        levels = [iter([(out, inverse_arr[out])])]  # levels[depth - 1]: the chunks of depth still to take
+        while levels:
+            chunk = next(levels[-1], None)
+            if chunk is None:
+                levels.pop()
+                continue
+            cur, first_inv = chunk
+            depth = len(levels)
+            here = end[cur]
+            rows[depth] += np.bincount(here, minlength=g.n)
+            closed[depth] += int(np.count_nonzero((here == src) & (cur != first_inv)))
+            if depth < m_max:
+                levels.append(children(cur, first_inv))
+        yield closed[1:], rows.tolist()

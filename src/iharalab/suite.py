@@ -208,7 +208,7 @@ class SuiteContext:
     ihara-bass work on row e too.  Without it, sd is the dense
     eigendecompose and every exact sweep takes the full route: the
     sweep reads Tr B_m off the exact chi_A, formed once at its first
-    request, up to nbt.COST_CEILING (n = 285 at degree 14), and runs
+    request, up to nbt.COST_CEILING (n = 325 at degree 14), and runs
     the n x n matrix recurrence past it; the oracle's rows of A_m and
     ihara-bass's Tr A^k stay on integer recurrences of their own.
 

@@ -331,6 +331,39 @@ def test_charpoly_route_checks_its_result(corpus, monkeypatch):
             nbt.TraceSweep(g, cert.q).prefix(4)
 
 
+def _spectral_radius_charpoly(g: Graph) -> list[int]:
+    """chi_A under the bound |c_k| <= C(n, k) d^k, from every |lambda| <= d for the largest degree d."""
+    d = max(map(len, g.neighbors))
+    bound = max(math.comb(g.n, k) * d**k for k in range(g.n + 1))
+    return nbt.integer_charpoly(g.as_numpy().astype(np.int64), bound)
+
+
+def test_hadamard_bound_covers_every_coefficient(corpus, sweep_graphs, monkeypatch):
+    bounds = []
+    real = nbt.integer_charpoly
+
+    def recorded(matrix, bound):
+        bounds.append(bound)
+        return real(matrix, bound)
+
+    monkeypatch.setattr(nbt, "integer_charpoly", recorded)
+    residues = _count_calls(monkeypatch, "_charpoly_mod")
+    graphs = {name: g for name, (g, _) in corpus.items()}
+    graphs.update((name, g) for name, g in sweep_graphs.items() if g.n < 100)
+    for name, g in graphs.items():
+        bounds.clear()
+        nbt.TraceSweep(g, certify_regular(g).q).prefix(4)
+        [bound] = bounds
+        chi = _spectral_radius_charpoly(g)
+        assert chi[-1] == 1 and bound >= max(map(abs, chi)), name
+    h = sweep_graphs["relabeled X^{13,5}"]
+    bounds.clear()
+    residues[0] = 0
+    nbt.TraceSweep(h, certify_regular(h).q).prefix(4)
+    # 2 bound has 267 bits, where C(n, k) 14^k needed 468: 11 primes, not 18
+    assert ((2 * bounds[0]).bit_length(), residues[0]) == (267, 11)
+
+
 def test_pair_polynomial_and_power_sums_by_hand():
     # chi = (y - 3)(y + 1): x^2 chi(x + 2/x) = (x^2 - 3x + 2)(x^2 + x + 2)
     assert nbt._pair_polynomial([-3, -2, 1], 2) == [4, -4, 1, -2, 1]
@@ -391,10 +424,10 @@ def test_full_sweep_takes_half_the_matrix_steps(corpus, monkeypatch):
     t_tilde_traces(g, cert, M_LONG, method="full")
     assert (calls[0], charpolys[0]) == (0, 2)
     # past it the matrix stream takes over: CYCLE(51) prices chi_A at
-    # 4 primes x 51^3 = 5.3e5 and the matrix sweep to m = 200 at 51^2 x 100
+    # 3 primes x 51^3 = 397953 and the matrix sweep to m = 200 at 51^2 x 100
     ring = named_graph("CYCLE(51)")
     ring_cert = certify_regular(ring)
-    monkeypatch.setattr(nbt, "COST_CEILING", 4 * 10**5)
+    monkeypatch.setattr(nbt, "COST_CEILING", 3 * 10**5)
     charpolys[0] = 0
     for sweep in (n_reduced_range, t_tilde_traces):
         calls[0] = 0

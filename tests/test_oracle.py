@@ -21,8 +21,10 @@ from reduced_walks_bf import (
 )
 from test_nbt_traces import relabeled
 
+from iharalab import oracle
 from iharalab.errors import DepthExceeded
-from iharalab.graphs import Graph, build_graph
+from iharalab.graphs import Graph, build_graph, certify_regular
+from iharalab.nbt import n_reduced_range
 from iharalab.oracle import (
     DEFAULT_BUDGET,
     DEFAULT_DEPTH_GUARD,
@@ -192,8 +194,8 @@ def single_length_counts(corpus, x135):
 
 @pytest.mark.parametrize("m_max", [1, 2, 3, 4])
 def test_walks_all_matches_the_single_length_searches(single_length_counts, m_max):
-    # m_max = 1 counts every walk at the top level, m_max = 2 every last
-    # step in the first-arc calls: the two edges of the last-level loop
+    # m_max = 1 takes the first arcs alone, m_max = 2 one level of
+    # followers: the two shallowest frontiers
     for name, (g, cycles, paths) in single_length_counts.items():
         assert reduced_cycle_counts(g, m_max) == cycles[:m_max], name
         assert reduced_walk_matrices(g, m_max) == paths[: m_max + 1], name
@@ -283,6 +285,48 @@ def test_a_full_oracle_check_holds_one_source_at_a_time(x135):
         assert (result["metric"], result["detail"]["depth"]) == (0.0, 4)
     slot = 8
     assert peaks[1] > 0 and peaks[0] - peaks[1] < g.n * g.n * slot  # less than one n x n table
+
+
+def _source_walks_bf(g: Graph, v: int, m_max: int) -> tuple[list[int], list[list[int]]]:
+    """(closed, rows) of reduced_walks for source v, from the single-length searches."""
+    closed = [count_nbt_closed_bf(g, v, m) - count_tailed_closed_bf(g, v, m) for m in range(1, m_max + 1)]
+    rows = [[count_reduced_paths_bf(g, v, j, m) for j in range(g.n)] for m in range(m_max + 1)]
+    return closed, rows
+
+
+@pytest.mark.parametrize("cap", [None, 5])
+def test_walks_from_some_sources_of_an_irregular_multigraph(monkeypatch, cap):
+    # a path 0..9 with a double edge, a loop, two loops at one vertex and a
+    # chord; from sources 0 and 2 the tables stop at radius m_max - 1 = 3,
+    # so the arcs from 5 to 6 end outside them and have no followers
+    g = build_graph(10, [(0, 1, 2), (1, 1), (1, 2), (2, 3), (3, 3, 2), (3, 4), (1, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)])
+    if cap is not None:  # 1 and 3 have 5 followers per arc: one walk's followers per chunk
+        monkeypatch.setattr(oracle, "FRONTIER_CAP", cap)
+    m_max, picked = 4, [2, 0, 2]
+    _, terminus, inverse = _arc_tables(g, picked, m_max - 1)
+    assert 6 in terminus and 6 not in {terminus[a] for a, inv in enumerate(inverse) if inv >= 0}
+    want = {v: _source_walks_bf(g, v, m_max) for v in set(picked)}
+    assert list(reduced_walks(g, m_max, picked)) == [want[v] for v in picked]
+
+
+def test_a_source_holds_one_frontier_chunk_per_depth():
+    """A last level far past the cap, under the default budget, costs chunks, not the level."""
+    n, m_max = 20, 12
+    g = build_graph(n, [(i, (i + s) % n) for i in range(n) for s in (1, 3)])  # 4-regular circulant
+    assert walk_estimate(g, m_max) <= DEFAULT_BUDGET
+    assert 4 * 3 ** (m_max - 1) > 10 * oracle.FRONTIER_CAP
+    tracemalloc.start()
+    try:
+        [(closed, rows)] = reduced_walks(g, m_max, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m_max * 2 * 8 * oracle.FRONTIER_CAP  # one chunk per depth, two int64 arrays each
+    assert [sum(row) for row in rows] == [1] + [4 * 3 ** (m - 1) for m in range(1, m_max + 1)]  # every walk once
+    closed_bf, rows_bf = _source_walks_bf(g, 0, 7)
+    assert (closed[:7], rows[:8]) == (closed_bf, rows_bf)
+    cert = certify_regular(g)  # a circulant is vertex-transitive: N_m = n closed_m
+    assert [n * c for c in closed] == n_reduced_range(g, cert, m_max)
 
 
 def test_paths_m0_is_identity(corpus):
