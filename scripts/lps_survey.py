@@ -5,7 +5,12 @@ seconds taken by build_lps plus certify_regular, and the process's peak
 RSS (ru_maxrss) after them.  Then, in a fresh process of its own that
 builds the graph again, the seconds of the coset-block spectral route
 (lps.cayley_cosets plus spectral.block_decompose), its cluster count and
-that process's ru_maxrss.  Pairs of order at most --max-n also get the
+that process's ru_maxrss.  Then, back in the first process, the
+number of cells of the identity vertex's rooted equitable quotient
+and the seconds of the row sweep to m = 200 on it (nbt.TraceSweep's
+"row" route, the quotient's colour refinement included), with the
+refinement's own seconds, so the larger rungs show which of the two
+dominates.  Pairs of order at most --max-n also get the
 largest non-trivial adjacency eigenvalue in absolute value from the
 dense eigvalsh and its margin below the Ramanujan bound 2 sqrt(p);
 above it only the dense eigensolve is skipped.  Run from the repository
@@ -28,11 +33,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from iharalab import nbt
 from iharalab.graphs import certify_regular
 from iharalab.lps import build_lps, cayley_cosets
 from iharalab.spectral import block_decompose
 
 DEFAULT_PAIRS = ((13, 5), (17, 5), (29, 5), (5, 13), (17, 13))
+ROW_M = 200  # the cusp check's horizon
 
 
 def maxrss_mib() -> float:
@@ -48,6 +55,16 @@ def block_route(p: int, q: int) -> tuple[float, int, float]:
     return time.perf_counter() - t0, len(sd.clusters), maxrss_mib()
 
 
+def row_route(g, cert, params) -> tuple[int, float, float]:
+    """Cells of the identity's rooted quotient, the seconds of its refinement, and of the row sweep to ROW_M."""
+    v = cayley_cosets(g, params).identity
+    t0 = time.perf_counter()
+    cells = len(nbt._rooted_quotient(g, v)[1])
+    t1 = time.perf_counter()
+    nbt.TraceSweep(g, cert.q, "row", v).prefix(ROW_M)  # forms its own quotient
+    return cells, t1 - t0, time.perf_counter() - t1
+
+
 def survey_pair(p: int, q: int, max_n: int) -> None:
     t0 = time.perf_counter()
     g, params = build_lps(p, q)
@@ -56,11 +73,13 @@ def survey_pair(p: int, q: int, max_n: int) -> None:
     rss = maxrss_mib()
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         block_s, clusters, block_rss = pool.submit(block_route, p, q).result()
+    cells, refine_s, row_s = row_route(g, cert, params)
     head = (
         f"X^{{{p},{q}}}: {params.group_kind}(F_{q})  n={g.n}  degree={cert.degree}  "
         f"bipartite={'yes' if cert.bipartite else 'no'}  "
         f"build+certify={built:.2f}s  maxrss={rss:.0f}MiB  "
-        f"blocks={block_s:.2f}s ({clusters} clusters, own process maxrss={block_rss:.0f}MiB)"
+        f"blocks={block_s:.2f}s ({clusters} clusters, own process maxrss={block_rss:.0f}MiB)  "
+        f"row sweep to m={ROW_M}={row_s:.3f}s ({cells} cells, refinement {refine_s:.3f}s)"
     )
     if g.n > max_n:
         print(f"{head}  eigvalsh skipped: n exceeds --max-n {max_n}")

@@ -265,39 +265,50 @@ def average_nm(ctx: SuiteContext, N: int) -> AverageNmReport:
     (1/N) q^{(N+1)/2}/(sqrt q - 1), minus twice the multiplicity of
     2 sqrt q.
     """
-    if N < 2:
+    return average_nm_sweep(ctx, [N])[0]
+
+
+def average_nm_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[AverageNmReport]:
+    """average_nm at several horizons, from one running sum of N_m q^{-m/2} to the largest.
+
+    The N_m come from the context's one sweep; each report reads the
+    exact sum's prefix at its horizon.
+    """
+    hs = _validate_horizons(horizons)
+    if hs[0] < 2:
         raise ValueError("N must be at least 2")
     sd, cert = ctx.sd, ctx.cert
     require_ramanujan(sd)
     reference = average_nm_reference(sd, cert)  # raises unless q >= 2
     q = cert.q
-    counts = n_reduced_range(ctx.g, cert, N, sweep=ctx.sweep)
-    total = SqrtExt.of(q, 0)
-    for m in range(1, N + 1):
-        nm = counts[m - 1]
-        if nm:
-            total = total + nm * half_power(q, -m)
-    lhs = total / N
+    counts = n_reduced_range(ctx.g, cert, hs[-1], sweep=ctx.sweep)
     m_pos_root = sd.multiplicity_at(2.0 * math.sqrt(q))
-    if cert.bipartite:
-        main = SqrtExt.of(q, Fraction(2 * q ** (N // 2 + 1), q - 1)) / N
-    else:
-        main = half_power(q, N + 1) / SqrtExt.of(q, -1, 1) / N
-    main = main - 2 * m_pos_root
-    residual = lhs - main
-    return AverageNmReport(
-        N=N,
-        lhs=float(lhs),
-        main_terms=float(main),
-        residual=float(residual),
-        scaled_residual=float(residual) * N,
-        reference_constant=reference,
-    )
-
-
-def average_nm_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[AverageNmReport]:
-    """average_nm at several horizons; every N_m prefix comes from the context's one sweep."""
-    return [average_nm(ctx, N) for N in _validate_horizons(horizons)]
+    total = SqrtExt.of(q, 0)
+    m = 0
+    reports = []
+    for N in hs:
+        for m in range(m + 1, N + 1):
+            nm = counts[m - 1]
+            if nm:
+                total = total + nm * half_power(q, -m)
+        lhs = total / N
+        if cert.bipartite:
+            main = SqrtExt.of(q, Fraction(2 * q ** (N // 2 + 1), q - 1)) / N
+        else:
+            main = half_power(q, N + 1) / SqrtExt.of(q, -1, 1) / N
+        main = main - 2 * m_pos_root
+        residual = lhs - main
+        reports.append(
+            AverageNmReport(
+                N=N,
+                lhs=float(lhs),
+                main_terms=float(main),
+                residual=float(residual),
+                scaled_residual=float(residual) * N,
+                reference_constant=reference,
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,14 @@ multiplies by n, which is exact only when every diagonal entry equals
 the one at v, as on a Cayley graph; nothing here checks that.
 suite.SuiteContext grants the row route to a graph that
 lps.cayley_cosets confirms is X^{p,q}, and the test suite pins the
-routes against each other.  Row v of A_m
-comes from the same row recurrence (a_rows).  A_m, M_m and T~_m as
+routes against each other.  The row is never held with n entries: it
+is constant on each cell of the coarsest equitable partition with {v}
+as a cell (_rooted_quotient, by colour refinement), so the identities
+run on one entry per cell, 12 on X^{13,5} and 54 on X^{17,13}.  That
+quotient is exact on any graph and at any vertex, so f_values and
+adjacency_power_traces with a vertex use it without a certificate.
+Row v of A_m, which the oracle compares entry by entry, comes from
+the same row recurrence on all n entries (a_rows).  A_m, M_m and T~_m as
 matrices come from the A_m recurrence of ExactMatrixSeq.  Both families are
 integer polynomials in A whose coefficients depend only on q, so
 M_m = B_m + e_m(q-1)I holds for every graph iff it holds in Z[x];
@@ -111,7 +117,11 @@ def _mul_adj(rows: IntMatrix, prev: IntMatrix, q: int, nbrs) -> IntMatrix:
 
 
 def _row_mul_adj(row: list[int], prev: list[int], q: int, nbrs) -> list[int]:
-    """x A - q p for a row vector x; entry j sums x over j's neighbors."""
+    """x A - q p for a row vector x; entry j sums x over j's neighbors.
+
+    On a quotient the entries are cells and nbrs[c] lists the cells of a
+    representative's neighbors, which is the same sum for every vertex of c.
+    """
     get = row.__getitem__
     return [sum(map(get, nb)) - q * p for nb, p in zip(nbrs, prev)]
 
@@ -337,6 +347,46 @@ def m_and_b_polynomials(q: int, m_max: int) -> tuple[list[list[int]], list[list[
 # scalar sweeps: N_m, f_m, trace families
 
 
+def _rooted_quotient(g: Graph, v: int) -> tuple[np.ndarray, list[list[int]]]:
+    """The coarsest equitable partition of g with {v} as a cell, by colour refinement.
+
+    Starts from the colours {v} and the rest.  Each round keys a vertex
+    by its colour and the sorted colours of its neighbors, one entry per
+    edge end (padded with -1 up to the largest degree), and recolours by
+    the distinct keys; the key holds the old colour, so each round
+    refines the last.  When a round adds no class, every vertex of a cell
+    has the same multiset of neighbor cells, so the partition is equitable
+    by construction (McKay and Piperno, J. Symbolic Comput. 60, 2014).
+    Every polynomial in A then maps e_v to a vector constant on each cell
+    (Godsil, Algebraic Combinatorics, 1993, ch. 5).
+
+    Returns (cell_of, cells): cell_of[w] is w's cell, numbered 0..C-1,
+    and cells[c] lists the cells of the neighbors of c's first vertex,
+    one entry per edge end.
+    """
+    n = g.n
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} is outside 0..{n - 1}")
+    width = max(map(len, g.neighbors))
+    table = np.full((n, width), n, dtype=np.intp)  # column n reads colour -1
+    for i, nb in enumerate(g.neighbors):
+        table[i, : len(nb)] = nb
+    colour = np.zeros(n + 1, dtype=np.int64)
+    colour[v], colour[n] = 1, -1
+    count = min(n, 2)
+    while True:
+        keys = np.empty((n, width + 1), dtype=np.int64)
+        keys[:, 0] = colour[:n]
+        keys[:, 1:] = np.sort(colour[table], axis=1)
+        rows = keys.view(np.dtype((np.void, keys.itemsize * (width + 1)))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        colour[:n] = inverse
+        if len(first) == count:
+            break
+        count = len(first)
+    return colour[:n], [colour[list(g.neighbors[r])].tolist() for r in first]
+
+
 def _b_trace_stream(g: Graph, q: int, v: int | None = None) -> Iterator[int]:
     """Tr B_0, Tr B_1, ... without end, or the diagonal entries (B_m)_vv for a vertex v.
 
@@ -347,26 +397,38 @@ def _b_trace_stream(g: Graph, q: int, v: int | None = None) -> Iterator[int]:
     The stream holds three matrices at a time and takes the kernel step
     to B_{k+1} only when it is resumed for Tr B_{2k+1}, so a consumer
     that stops after Tr B_m has paid ceil(m/2) - 1 steps.  With a vertex
-    v it runs on the rows r_k = e_v^T B_k, where
-    (B_{2k})_vv = <r_k, r_k> - 2q^k.  At q = 0 the recurrence gives
-    B_m = A^m for m >= 1.
+    v it runs the same identities on the rows r_k = e_v^T B_k, where
+    (B_{2k})_vv = <r_k, r_k> - 2q^k, but on the quotient of
+    _rooted_quotient(g, v): r_k is constant on each cell, r_k = P u_k
+    with one entry u_k[c] per cell, so a step costs a sum over each
+    cell's neighbor cells and <r_a, r_b> = sum_c size_c u_a[c] u_b[c].
+    u_0 is 2 at v's cell and u_1[c] counts v among the neighbors of c's
+    representative.  At q = 0 the recurrence gives B_m = A^m for m >= 1.
     """
     if v is None:
-        step, dot, size = _mul_adj, _frobenius, g.n
+        step, dot, size, nbrs = _mul_adj, _frobenius, g.n, g.neighbors
         prev, cur = _identity_rows(g.n, 2), _adjacency_rows(g)
         tr_a = sum(nb.count(i) for i, nb in enumerate(g.neighbors))
     else:
-        step, dot, size = _row_mul_adj, _dot, 1
-        prev, cur = [0] * g.n, _adjacency_row(g.n, g.neighbors[v])
-        prev[v] = 2
-        tr_a = g.neighbors[v].count(v)
+        cell_of, nbrs = _rooted_quotient(g, v)
+        sizes, root = np.bincount(cell_of).tolist(), int(cell_of[v])
+        step, size = _row_mul_adj, 1
+
+        def dot(x: list[int], y: list[int]) -> int:
+            return sum(map(mul, sizes, map(mul, x, y)))
+
+        if len(sizes) == g.n:  # discrete: every weight is 1
+            dot = _dot
+        prev, cur = [0] * len(sizes), [nb.count(root) for nb in nbrs]
+        prev[root] = 2
+        tr_a = cur[root]
     yield 2 * size
     qk = 1  # q^k while prev = B_k and cur = B_{k+1}
     while True:
         yield dot(cur, prev) - qk * tr_a
         qk *= q
         yield dot(cur, cur) - 2 * size * qk
-        prev, cur = cur, step(cur, prev, q, g.neighbors)
+        prev, cur = cur, step(cur, prev, q, nbrs)
 
 
 def _require_matrix_price(n: int, m_max: int) -> None:
@@ -457,13 +519,14 @@ class TraceSweep:
     first request (_charpoly_trace_stream), when its price is within
     COST_CEILING; past that it traces the matrix recurrence and refuses,
     with DepthExceeded and before any step, a request whose n^2
-    ceil(m/2) passes the same ceiling.  "row" sweeps row `vertex` and
-    yields n (B_m)_{vertex,vertex}, which is the trace only when every
-    diagonal entry is the same, as on a Cayley graph.  The sweep does
-    not check that: suite.SuiteContext asks for "row" only on a graph
-    that lps.cayley_cosets certifies.  The sweep holds its last two
-    matrices (rows), or the coefficients of x^n chi_A(x + q/x), until
-    it is dropped.
+    ceil(m/2) passes the same ceiling.  "row" sweeps row `vertex` on
+    its rooted equitable quotient (_rooted_quotient, formed at the first
+    request) and yields n (B_m)_{vertex,vertex}, which is the trace only
+    when every diagonal entry is the same, as on a Cayley graph.  The
+    sweep does not check that: suite.SuiteContext asks for "row" only on
+    a graph that lps.cayley_cosets certifies.  The sweep holds its last
+    two matrices (or two rows of one entry per cell), or the
+    coefficients of x^n chi_A(x + q/x), until it is dropped.
     """
 
     def __init__(self, g: Graph, q: int, method: str = "full", vertex: int = 0):
@@ -518,12 +581,11 @@ def _theta_from_b(bs: Sequence[int], q: int, t0: int) -> list[int]:
 
 
 def f_values(g: Graph, cert: RegularityCertificate, m_max: int, v: int = 0) -> list[int]:
-    """[f_0..f_{m_max}] with f_m = (A_m)_{vv}, via a single-row sweep.
+    """[f_0..f_{m_max}] with f_m = (A_m)_{vv}, via a single-row sweep on v's rooted equitable quotient.
 
     A_m = T~_m - T~_{m-2}, and the diagonal of T~_m comes from that of B_m.
+    Raises ValueError when v is not a vertex of g.
     """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
     theta = _theta_from_b(_b_traces(g, cert.q, m_max, v), cert.q, 1)
     return [t - (theta[m - 2] if m >= 2 else 0) for m, t in enumerate(theta)]
 
@@ -565,9 +627,10 @@ def adjacency_power_traces(g: Graph, m_max: int, vertex: int | None = None) -> l
     """Exact [Tr(A^0)..Tr(A^{m_max})] for the plain adjacency powers.
 
     Tr A^{2k} = <A^k, A^k> and Tr A^{2k+1} = <A^{k+1}, A^k>: the q = 0
-    case of the B_m sweep.  With a vertex the sweep runs on that row and
-    returns n (A^k)_{vertex,vertex}, the trace only on a graph whose
-    diagonal entries all agree, as on a Cayley graph.
+    case of the B_m sweep.  With a vertex the sweep runs on that row, on
+    its rooted equitable quotient, and returns n (A^k)_{vertex,vertex},
+    the trace only on a graph whose diagonal entries all agree, as on a
+    Cayley graph.
     """
     scale = 1 if vertex is None else g.n
     return [g.n] + [scale * w for w in _b_traces(g, 0, m_max, vertex)[1:]]

@@ -232,7 +232,7 @@ def normalize_cusp(amounts: Sequence[Fraction], p: int) -> list:
     non-bipartite graphs carry sqrt(p).
     """
     return _rational_if_possible(
-        [SqrtExt.of(p, a) / (2 * half_power(p, m)) for m, a in enumerate(amounts)]
+        [half_power(p, -m) * (Fraction(a) / 2) for m, a in enumerate(amounts)]
     )
 
 

@@ -1,12 +1,22 @@
-"""The matrices B_m and A_m by their matrix recurrences, the reference for the row and trace sweeps.
+"""The matrices B_m and A_m by their matrix recurrences, and full rows of B_m, the reference for the row and trace sweeps.
 
 The library checks M_m = B_m + e_m(q-1)I once in Z[x]
 (nbt.m_and_b_polynomials) and sweeps only traces and single rows of
-B_m and A_m; tests compare those against the full matrices built here.
+B_m and A_m, the rows of B_m on a rooted quotient; tests compare those
+against the full matrices and rows built here.
 """
 
 from iharalab.graphs import Graph, RegularityCertificate
-from iharalab.nbt import ExactMatrixSeq, IntMatrix, _adjacency_rows, _identity_rows, _mul_adj
+from iharalab.nbt import (
+    ExactMatrixSeq,
+    IntMatrix,
+    _adjacency_row,
+    _adjacency_rows,
+    _dot,
+    _identity_rows,
+    _mul_adj,
+    _row_mul_adj,
+)
 
 
 def chebyshev_b_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[IntMatrix]:
@@ -36,3 +46,22 @@ def a_matrix_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[In
         seq.advance()
         out.append([row[:] for row in seq.a_current()])
     return out
+
+
+def row_b_diagonals(g: Graph, q: int, m_max: int, v: int) -> list[int]:
+    """Exact [(B_0)_vv..(B_{m_max})_vv] from the length-n rows r_k = e_v^T B_k.
+
+    The identities of nbt._b_trace_stream on whole rows:
+    (B_{2k})_vv = <r_k, r_k> - 2q^k and (B_{2k+1})_vv = <r_{k+1}, r_k> - q^k A_vv,
+    one row step per two entries and no quotient.
+    """
+    prev, cur = [0] * g.n, _adjacency_row(g.n, g.neighbors[v])
+    prev[v] = 2
+    a_vv = g.neighbors[v].count(v)
+    out, qk = [2], 1  # q^k while prev = r_k and cur = r_{k+1}
+    while len(out) <= m_max:
+        out.append(_dot(cur, prev) - qk * a_vv)
+        qk *= q
+        out.append(_dot(cur, cur) - 2 * qk)
+        prev, cur = cur, _row_mul_adj(cur, prev, q, g.neighbors)
+    return out[: m_max + 1]

@@ -38,7 +38,7 @@ from iharalab.limits import (
 )
 from iharalab.lps import build_lps
 from iharalab.nbt import n_reduced_range
-from iharalab.qext import half_power
+from iharalab.qext import SqrtExt, half_power
 from iharalab.spectral import eigendecompose
 from iharalab.suite import SuiteContext
 from iharalab.zeta import cusp_coefficients_range, phi_series
@@ -271,6 +271,21 @@ def test_average_nm_sweep_shares_reference(contexts):
     assert len(refs) == 1
 
 
+def test_average_nm_sweep_reads_each_horizon_off_one_running_sum(corpus, contexts):
+    g, cert = corpus["PETERSEN"]
+    horizons = (2, 3, 10, 21, 40)
+    reports = average_nm_sweep(contexts["PETERSEN"], horizons)
+    counts = n_reduced_range(g, cert, 40)
+    for report, N in zip(reports, horizons):
+        total = SqrtExt.of(2, 0)
+        for m in range(1, N + 1):
+            total = total + counts[m - 1] * half_power(2, -m)
+        assert report == average_nm(contexts["PETERSEN"], N)
+        assert (report.N, report.lhs) == (N, float(total / N))
+    with pytest.raises(ValueError, match="at least 2"):
+        average_nm_sweep(contexts["PETERSEN"], (1, 10))
+
+
 # ---------------------------------------------------------------------------
 # averaged cusp coefficients
 
@@ -279,6 +294,16 @@ def test_normalized_terms_match_phi(x135, x135_ctx):
     g, params, _, _ = x135
     spectral, _ = phi_series(x135_ctx, 8)
     assert normalized_cusp_terms(g, params, 8) == list(spectral.coeffs)
+
+
+def test_normalize_cusp_is_a_over_two_p_to_the_half_m():
+    amounts = [Fraction(59, 30), Fraction(-3, 7), 5, 0, Fraction(1, 11), -4]
+    want = [SqrtExt.of(13, a) / (2 * half_power(13, m)) for m, a in enumerate(amounts)]
+    assert zeta.normalize_cusp(amounts, 13) == want
+    even = [0 if m % 2 else a for m, a in enumerate(amounts)]
+    got = zeta.normalize_cusp(even, 13)
+    assert all(type(x) is Fraction for x in got)
+    assert got == [Fraction(a) / (2 * 13 ** (m // 2)) for m, a in enumerate(even)]
 
 
 def test_normalized_terms_resolve_from_limits():
