@@ -61,7 +61,7 @@ def row_route(g, cert, params) -> tuple[int, float, float]:
     t0 = time.perf_counter()
     cells = len(nbt._rooted_quotient(g, v)[1])
     t1 = time.perf_counter()
-    nbt.TraceSweep(g, cert.q, "row", v).prefix(ROW_M)  # forms its own quotient
+    nbt.TraceSweep(g, cert.q, "row", v).prefix(ROW_M)  # refines again, one round per step
     return cells, t1 - t0, time.perf_counter() - t1
 
 

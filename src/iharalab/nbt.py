@@ -52,12 +52,13 @@ multiplies by n, which is exact only when every diagonal entry equals
 the one at v, as on a Cayley graph; nothing here checks that.
 suite.SuiteContext grants the row route to a graph that
 lps.cayley_cosets confirms is X^{p,q}, and the test suite pins the
-routes against each other.  The row is never held with n entries: it
-is constant on each cell of the coarsest equitable partition with {v}
-as a cell (_rooted_quotient, by colour refinement), so the identities
-run on one entry per cell, 12 on X^{13,5} and 54 on X^{17,13}.  That
-quotient is exact on any graph and at any vertex, so f_values and
-adjacency_power_traces with a vertex use it without a certificate.
+routes against each other.  The row is held with one entry per cell
+of a colour refinement from {v} and the rest (_rooted_refinement),
+one round per step, until the refinement reaches the coarsest
+equitable partition with {v} as a cell: 12 cells on X^{13,5} and 54
+on X^{17,13}.  That is exact on any graph and at any vertex, so
+f_values and adjacency_power_traces with a vertex use it without a
+certificate.
 Row v of A_m, which the oracle compares entry by entry, comes from
 the same row recurrence on all n entries (a_rows).  A_m, M_m and T~_m as
 matrices come from the A_m recurrence of ExactMatrixSeq.  Both families are
@@ -347,44 +348,64 @@ def m_and_b_polynomials(q: int, m_max: int) -> tuple[list[list[int]], list[list[
 # scalar sweeps: N_m, f_m, trace families
 
 
-def _rooted_quotient(g: Graph, v: int) -> tuple[np.ndarray, list[list[int]]]:
-    """The coarsest equitable partition of g with {v} as a cell, by colour refinement.
+def _rooted_refinement(g: Graph, v: int) -> Iterator[tuple[np.ndarray, list[list[int]], list[int] | None]]:
+    """Colour refinement of g from the cells {v} and the rest, one round per item.
 
-    Starts from the colours {v} and the rest.  Each round keys a vertex
-    by its colour and the sorted colours of its neighbors, one entry per
-    edge end (padded with -1 up to the largest degree), and recolours by
-    the distinct keys; the key holds the old colour, so each round
-    refines the last.  When a round adds no class, every vertex of a cell
-    has the same multiset of neighbor cells, so the partition is equitable
-    by construction (McKay and Piperno, J. Symbolic Comput. 60, 2014).
-    Every polynomial in A then maps e_v to a vector constant on each cell
-    (Godsil, Algebraic Combinatorics, 1993, ch. 5).
-
-    Returns (cell_of, cells): cell_of[w] is w's cell, numbered 0..C-1,
-    and cells[c] lists the cells of the neighbors of c's first vertex,
-    one entry per edge end.
+    Each round keys a vertex by its cell and the sorted cells of its
+    neighbors, one entry per edge end (padded with -1 up to the largest
+    degree), and splits the cells by the distinct keys; the key holds
+    the old cell, so each round refines the last and {v} stays a cell.
+    Each item is (cell_of, cells, parent): cell_of[w] is w's cell,
+    numbered 0..C-1, cells[c] lists the cells of the neighbors of c's
+    first vertex, one entry per edge end, and parent[c] is the cell of
+    the previous item that holds c (None on the first item, the start).
+    The items end before the first round that adds no cell: then every
+    vertex of a cell has the same multiset of neighbor cells, so the
+    last item is equitable by construction (McKay and Piperno,
+    J. Symbolic Comput. 60, 2014).  The number of rounds is about v's
+    eccentricity, n/2 on a cycle, which is why the row stream takes them
+    one per step instead of all at once.
     """
     n = g.n
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} is outside 0..{n - 1}")
-    width = max(map(len, g.neighbors))
+    degree = np.array([len(nb) for nb in g.neighbors])
+    width = int(degree.max())
     table = np.full((n, width), n, dtype=np.intp)  # column n reads colour -1
     for i, nb in enumerate(g.neighbors):
         table[i, : len(nb)] = nb
-    colour = np.zeros(n + 1, dtype=np.int64)
-    colour[v], colour[n] = 1, -1
-    count = min(n, 2)
+    colour = np.ones(n + 1, dtype=np.int64)
+    colour[v], colour[n] = 0, -1
+
+    def item(first: np.ndarray, parent: list[int] | None):
+        rows = colour[table[first]].tolist()
+        return colour[:n].copy(), [row[:d] for row, d in zip(rows, degree[first].tolist())], parent
+
+    first = np.unique(colour[:n], return_index=True)[1]
+    yield item(first, None)
+    keys = np.empty((n, width + 1), dtype=np.int64)
+    packed = keys.view(np.dtype((np.void, keys.itemsize * (width + 1)))).ravel()
     while True:
-        keys = np.empty((n, width + 1), dtype=np.int64)
         keys[:, 0] = colour[:n]
         keys[:, 1:] = np.sort(colour[table], axis=1)
-        rows = keys.view(np.dtype((np.void, keys.itemsize * (width + 1)))).ravel()
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        colour[:n] = inverse
-        if len(first) == count:
-            break
         count = len(first)
-    return colour[:n], [colour[list(g.neighbors[r])].tolist() for r in first]
+        _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+        if len(first) == count:
+            return
+        parent = colour[first].tolist()
+        colour[:n] = inverse
+        yield item(first, parent)
+
+
+def _rooted_quotient(g: Graph, v: int) -> tuple[np.ndarray, list[list[int]]]:
+    """(cell_of, cells) of the coarsest equitable partition of g with {v} as a cell: _rooted_refinement's last item.
+
+    Every polynomial in A maps e_v to a vector constant on each of its
+    cells (Godsil, Algebraic Combinatorics, 1993, ch. 5).
+    """
+    for cell_of, cells, _ in _rooted_refinement(g, v):
+        pass
+    return cell_of, cells
 
 
 def _b_trace_stream(g: Graph, q: int, v: int | None = None) -> Iterator[int]:
@@ -397,38 +418,61 @@ def _b_trace_stream(g: Graph, q: int, v: int | None = None) -> Iterator[int]:
     The stream holds three matrices at a time and takes the kernel step
     to B_{k+1} only when it is resumed for Tr B_{2k+1}, so a consumer
     that stops after Tr B_m has paid ceil(m/2) - 1 steps.  With a vertex
-    v it runs the same identities on the rows r_k = e_v^T B_k, where
-    (B_{2k})_vv = <r_k, r_k> - 2q^k, but on the quotient of
-    _rooted_quotient(g, v): r_k is constant on each cell, r_k = P u_k
-    with one entry u_k[c] per cell, so a step costs a sum over each
-    cell's neighbor cells and <r_a, r_b> = sum_c size_c u_a[c] u_b[c].
-    u_0 is 2 at v's cell and u_1[c] counts v among the neighbors of c's
-    representative.  At q = 0 the recurrence gives B_m = A^m for m >= 1.
+    v it runs the same identities on the rows of _row_b_stream.
+    At q = 0 the recurrence gives B_m = A^m for m >= 1.
     """
-    if v is None:
-        step, dot, size, nbrs = _mul_adj, _frobenius, g.n, g.neighbors
-        prev, cur = _identity_rows(g.n, 2), _adjacency_rows(g)
-        tr_a = sum(nb.count(i) for i, nb in enumerate(g.neighbors))
-    else:
-        cell_of, nbrs = _rooted_quotient(g, v)
-        sizes, root = np.bincount(cell_of).tolist(), int(cell_of[v])
-        step, size = _row_mul_adj, 1
-
-        def dot(x: list[int], y: list[int]) -> int:
-            return sum(map(mul, sizes, map(mul, x, y)))
-
-        if len(sizes) == g.n:  # discrete: every weight is 1
-            dot = _dot
-        prev, cur = [0] * len(sizes), [nb.count(root) for nb in nbrs]
-        prev[root] = 2
-        tr_a = cur[root]
-    yield 2 * size
+    if v is not None:
+        yield from _row_b_stream(g, q, v)
+        return
+    prev, cur = _identity_rows(g.n, 2), _adjacency_rows(g)
+    tr_a = sum(nb.count(i) for i, nb in enumerate(g.neighbors))
+    yield 2 * g.n
     qk = 1  # q^k while prev = B_k and cur = B_{k+1}
     while True:
-        yield dot(cur, prev) - qk * tr_a
+        yield _frobenius(cur, prev) - qk * tr_a
         qk *= q
-        yield dot(cur, cur) - 2 * size * qk
-        prev, cur = cur, step(cur, prev, q, nbrs)
+        yield _frobenius(cur, cur) - 2 * g.n * qk
+        prev, cur = cur, _mul_adj(cur, prev, q, g.neighbors)
+
+
+def _row_b_stream(g: Graph, q: int, v: int) -> Iterator[int]:
+    """(B_0)_vv, (B_1)_vv, ... without end, from the rows r_k = e_v^T B_k held one entry per cell.
+
+    (B_{2k})_vv = <r_k, r_k> - 2q^k and (B_{2k+1})_vv = <r_{k+1}, r_k> - q^k A_vv.
+    r_k is constant on each cell of round k of _rooted_refinement(g, v):
+    by induction, vertices that share a cell of round k + 1 have the
+    same multiset of round-k neighbor cells, so the same sum in
+    r_{k+1} = r_k A - q r_{k-1}.  Before each step the stream takes one
+    more round, while there is one, and lifts its two rows onto the
+    new cells; the step sums over each cell's neighbor cells, and
+    <r_a, r_b> = sum_c size_c u_a[c] u_b[c] with r_k = P u_k.  Past the
+    last round every step runs on the coarsest equitable partition with
+    {v} as a cell, so a step costs no more than a row of n entries and a
+    round costs one sort of the n x degree neighbor cells.
+    """
+    rounds = _rooted_refinement(g, v)
+    cell_of, cells, _ = next(rounds)
+    sizes = np.bincount(cell_of).tolist()
+    rows = [[0] * len(cells)]
+    rows[0][cell_of[v]] = 2  # u_0
+    yield 2
+    qk = 1  # q^k while rows = [u_k, u_{k+1}]
+    while True:
+        refined = next(rounds, None)
+        if refined is not None:
+            cell_of, cells, parent = refined
+            rows = [[u[p] for p in parent] for u in rows]
+            sizes = np.bincount(cell_of).tolist()
+        if len(rows) == 1:  # u_1 counts v among the neighbors of each cell's first vertex
+            root = int(cell_of[v])
+            rows.append([nb.count(root) for nb in cells])
+            a_vv = rows[1][root]
+        else:
+            rows = [rows[1], _row_mul_adj(rows[1], rows[0], q, cells)]
+        prev, cur = rows
+        yield sum(map(mul, sizes, map(mul, cur, prev))) - qk * a_vv
+        qk *= q
+        yield sum(map(mul, sizes, map(mul, cur, cur))) - 2 * qk
 
 
 def _require_matrix_price(n: int, m_max: int) -> None:
@@ -519,9 +563,9 @@ class TraceSweep:
     first request (_charpoly_trace_stream), when its price is within
     COST_CEILING; past that it traces the matrix recurrence and refuses,
     with DepthExceeded and before any step, a request whose n^2
-    ceil(m/2) passes the same ceiling.  "row" sweeps row `vertex` on
-    its rooted equitable quotient (_rooted_quotient, formed at the first
-    request) and yields n (B_m)_{vertex,vertex}, which is the trace only
+    ceil(m/2) passes the same ceiling.  "row" sweeps row `vertex` one
+    entry per cell of its rooted refinement (_row_b_stream) and yields
+    n (B_m)_{vertex,vertex}, which is the trace only
     when every diagonal entry is the same, as on a Cayley graph.  The
     sweep does not check that: suite.SuiteContext asks for "row" only on
     a graph that lps.cayley_cosets certifies.  The sweep holds its last
@@ -581,7 +625,7 @@ def _theta_from_b(bs: Sequence[int], q: int, t0: int) -> list[int]:
 
 
 def f_values(g: Graph, cert: RegularityCertificate, m_max: int, v: int = 0) -> list[int]:
-    """[f_0..f_{m_max}] with f_m = (A_m)_{vv}, via a single-row sweep on v's rooted equitable quotient.
+    """[f_0..f_{m_max}] with f_m = (A_m)_{vv}, via a single-row sweep on v's rooted refinement (_row_b_stream).
 
     A_m = T~_m - T~_{m-2}, and the diagonal of T~_m comes from that of B_m.
     Raises ValueError when v is not a vertex of g.
@@ -627,10 +671,10 @@ def adjacency_power_traces(g: Graph, m_max: int, vertex: int | None = None) -> l
     """Exact [Tr(A^0)..Tr(A^{m_max})] for the plain adjacency powers.
 
     Tr A^{2k} = <A^k, A^k> and Tr A^{2k+1} = <A^{k+1}, A^k>: the q = 0
-    case of the B_m sweep.  With a vertex the sweep runs on that row, on
-    its rooted equitable quotient, and returns n (A^k)_{vertex,vertex},
-    the trace only on a graph whose diagonal entries all agree, as on a
-    Cayley graph.
+    case of the B_m sweep.  With a vertex the sweep runs on that row,
+    one entry per cell of its rooted refinement, and returns
+    n (A^k)_{vertex,vertex}, the trace only on a graph whose diagonal
+    entries all agree, as on a Cayley graph.
     """
     scale = 1 if vertex is None else g.n
     return [g.n] + [scale * w for w in _b_traces(g, 0, m_max, vertex)[1:]]

@@ -204,8 +204,9 @@ class SuiteContext:
     has Tr X = n X(e, e) for the identity vertex e (Terras, Fourier
     Analysis on Finite Groups and Applications, 1999).  With cosets set,
     sd comes from the coset blocks, the sweep runs on row e (row_vertex),
-    held as one entry per cell of the coarsest equitable partition with
-    {e} as a cell (12 cells on X^{13,5}, 54 on X^{17,13}), and yields n
+    held as one entry per cell of a colour refinement from {e} that ends
+    at the coarsest equitable partition with {e} as a cell (12 cells on
+    X^{13,5}, 54 on X^{17,13}), and yields n
     times its diagonal entries, and the oracle and
     ihara-bass work on row e too.  Without it, sd is the dense
     eigendecompose and every exact sweep takes the full route: the

@@ -1,11 +1,16 @@
 """The row stream on the rooted equitable quotient against the length-n row stream.
 
-nbt._b_trace_stream with a vertex v runs on the cells of the coarsest
-equitable partition that has {v} as a cell (nbt._rooted_quotient).
+nbt._b_trace_stream with a vertex v runs on the cells of a colour
+refinement from {v} and the rest, one round per row step, which ends
+at the coarsest equitable partition that has {v} as a cell
+(nbt._rooted_refinement, nbt._rooted_quotient).
 b_matrices.row_b_diagonals runs the same identities on whole rows; the
 two must agree at every vertex, for the graph's q and for q = 0, on
-regular, irregular, looped and asymmetric graphs.
+regular, irregular, looped and asymmetric graphs, before and after the
+refinement ends.
 """
+
+import math
 
 import pytest
 from b_matrices import row_b_diagonals
@@ -99,3 +104,24 @@ def test_an_asymmetric_graph_has_the_discrete_partition(graphs):
 def test_cell_counts_on_lps_graphs(p, q, cells):
     g, params = build_lps(p, q)
     assert len(nbt._rooted_quotient(g, cayley_cosets(g, params).identity)[1]) == cells
+
+
+def test_the_row_sweep_takes_one_refining_round_per_step(monkeypatch):
+    # CYCLE(401) needs 200 rounds to reach its 201 distance classes from
+    # vertex 0; a short sweep must not wait for them
+    g = named_graph("CYCLE(401)")
+    assert len(nbt._rooted_quotient(g, 0)[1]) == 201
+    refinement, drawn = nbt._rooted_refinement, [0]
+
+    def counted(g, v):
+        for item in refinement(g, v):
+            drawn[0] += 1
+            yield item
+
+    monkeypatch.setattr(nbt, "_rooted_refinement", counted)
+    sweep = nbt.TraceSweep(g, 1, "row", 0)
+    for m_max in (10, 41):
+        assert sweep.prefix(m_max) == [g.n * b for b in row_b_diagonals(g, 1, m_max, 0)]
+        # the start, then one round before u_1 and before each of the
+        # ceil(m_max/2) - 1 row steps
+        assert drawn[0] == 1 + math.ceil(m_max / 2)
