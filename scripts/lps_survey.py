@@ -3,9 +3,12 @@
 For each pair: the quotient group, order, degree, bipartiteness, the
 seconds taken by build_lps plus certify_regular, and the process's peak
 RSS (ru_maxrss) after them.  Then, in a fresh process of its own that
-builds the graph again, the seconds of the coset-block spectral route
-(lps.cayley_cosets plus spectral.block_decompose), its cluster count and
-that process's ru_maxrss.  Then, back in the first process, the
+builds the graph again, the seconds of the quotient spectral route
+(spectral.quotient_decompose at lps.cayley_identity's vertex e), its
+cluster count, that process's ru_maxrss, and the worst distance
+|n P_l(e, e) - mult_l| over the clusters: the route refuses a graph once
+that distance passes spectral.MULT_TOL (1e-3), so the column shows the
+margin as the rungs grow.  Then, back in the first process, the
 number of cells of the identity vertex's rooted equitable quotient
 and the seconds of the row sweep to m = 200 on it (nbt.TraceSweep's
 "row" route, the quotient's colour refinement included), with the
@@ -35,8 +38,8 @@ import numpy as np
 
 from iharalab import nbt
 from iharalab.graphs import certify_regular
-from iharalab.lps import build_lps, cayley_cosets
-from iharalab.spectral import block_decompose
+from iharalab.lps import build_lps, cayley_identity
+from iharalab.spectral import quotient_decompose
 
 DEFAULT_PAIRS = ((13, 5), (17, 5), (29, 5), (5, 13), (17, 13))
 ROW_M = 200  # the cusp check's horizon
@@ -46,18 +49,22 @@ def maxrss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
-def block_route(p: int, q: int) -> tuple[float, int, float]:
-    """Seconds and cluster count of the coset-block route on X^{p,q}, and ru_maxrss after it."""
+def quotient_route(p: int, q: int) -> tuple[float, int, float, float]:
+    """Seconds, cluster count and ru_maxrss of the quotient route on X^{p,q}, and its worst |n P_l(e, e) - mult_l|."""
     g, params = build_lps(p, q)
     cert = certify_regular(g)
+    v = cayley_identity(g, params)
     t0 = time.perf_counter()
-    sd = block_decompose(g, cert, cayley_cosets(g, params))
-    return time.perf_counter() - t0, len(sd.clusters), maxrss_mib()
+    sd = quotient_decompose(g, cert, v)
+    elapsed, rss = time.perf_counter() - t0, maxrss_mib()
+    root = nbt._rooted_quotient(g, v)[0][v]  # identity_row[root] is P_l(e, e)
+    slack = max(abs(g.n * cl.identity_row[root] - cl.mult) for cl in sd.clusters)
+    return elapsed, len(sd.clusters), rss, float(slack)
 
 
 def row_route(g, cert, params) -> tuple[int, float, float]:
     """Cells of the identity's rooted quotient, the seconds of its refinement, and of the row sweep to ROW_M."""
-    v = cayley_cosets(g, params).identity
+    v = cayley_identity(g, params)
     t0 = time.perf_counter()
     cells = len(nbt._rooted_quotient(g, v)[1])
     t1 = time.perf_counter()
@@ -72,13 +79,14 @@ def survey_pair(p: int, q: int, max_n: int) -> None:
     built = time.perf_counter() - t0
     rss = maxrss_mib()
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        block_s, clusters, block_rss = pool.submit(block_route, p, q).result()
+        quotient_s, clusters, quotient_rss, slack = pool.submit(quotient_route, p, q).result()
     cells, refine_s, row_s = row_route(g, cert, params)
     head = (
         f"X^{{{p},{q}}}: {params.group_kind}(F_{q})  n={g.n}  degree={cert.degree}  "
         f"bipartite={'yes' if cert.bipartite else 'no'}  "
         f"build+certify={built:.2f}s  maxrss={rss:.0f}MiB  "
-        f"blocks={block_s:.2f}s ({clusters} clusters, own process maxrss={block_rss:.0f}MiB)  "
+        f"quotient={quotient_s:.2f}s ({clusters} clusters, own process maxrss={quotient_rss:.0f}MiB, "
+        f"worst |nP(e,e)-mult|={slack:.1e})  "
         f"row sweep to m={ROW_M}={row_s:.3f}s ({cells} cells, refinement {refine_s:.3f}s)"
     )
     if g.n > max_n:

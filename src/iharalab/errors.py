@@ -73,6 +73,8 @@ class ClusterAmbiguity(IharaLabError):
 
     The gap falls inside the ambiguous window [tol, 10*tol) where neither
     merging nor splitting is defensible; re-run with a different tolerance.
+    The quotient route also raises it when its multiplicities are not
+    integers within tol or do not sum to n.
     """
 
     def __init__(self, message, gap=None, tol=None):

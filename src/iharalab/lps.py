@@ -278,11 +278,6 @@ def build_lps(p: int, q: int, *, allow_large: bool = False) -> tuple[Graph, LpsP
     return g, params
 
 
-def _inverses(q: int) -> np.ndarray:
-    """[0, 1^{-1}, ..., (q-1)^{-1}] mod q."""
-    return np.array([0] + [pow(x, q - 2, q) for x in range(1, q)])
-
-
 def _neighbour_table(params: LpsParams, vert: np.ndarray) -> np.ndarray:
     """The (n, p+1) table whose row v lists the indices of s v, s in connection_set(params), sorted.
 
@@ -294,7 +289,7 @@ def _neighbour_table(params: LpsParams, vert: np.ndarray) -> np.ndarray:
     weights = np.array([q**3, q**2, q, 1])
     index = np.full(q**4, -1)
     index[vert @ weights] = np.arange(len(vert))
-    inverse = _inverses(q)
+    inverse = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)])  # 0 has none
     a, b, c, d = vert.T
     table = np.empty((len(vert), params.p + 1), dtype=np.int64)
     for k, (s0, s1, s2, s3) in enumerate(connection_set(params)):
@@ -305,45 +300,16 @@ def _neighbour_table(params: LpsParams, vert: np.ndarray) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class CosetData:
-    """The vertices of X^{p,q} as r_i u_b, with u_b = [[1, b], [0, 1]] and U = {u_b} = Z/q.
-
-    Vertex v is r_{coset[v]} u_{shift[v]}; reps[i] is the vertex r_i.
-    The representatives are [[1, 0], [c, det]] and [[0, 1], [c, 0]], so
-    the identity vertex is one of them.  Right translations commute
-    with the adjacency (v is joined to s v), so U acts on every
-    eigenspace.
-    """
-
-    q: int
-    coset: np.ndarray
-    shift: np.ndarray
-    reps: np.ndarray
-    identity: int
-
-
-def cayley_cosets(g: Graph, params: LpsParams) -> CosetData | None:
-    """The coset data of X^{p,q} if g is exactly build_lps's graph, else None.
+def cayley_identity(g: Graph, params: LpsParams) -> int | None:
+    """The identity vertex of X^{p,q} if g is exactly build_lps's graph, else None.
 
     Rebuilds every vertex's neighbours s v in build_lps's vertex order
     and compares them with g.neighbors, so a relabeled or rewired graph
     that merely carries the parameters gets None.
     """
-    p, q = params.p, params.q
-    vert = group_elements(q, params.group_kind)
-    if g.n != len(vert) or any(len(nb) != p + 1 for nb in g.neighbors):
+    vert = group_elements(params.q, params.group_kind)
+    if g.n != len(vert) or any(len(nb) != params.p + 1 for nb in g.neighbors):
         return None
     if tuple(map(tuple, _neighbour_table(params, vert).tolist())) != g.neighbors:
         return None
-    # the coset of (1, b, c, d) is keyed by (c, d - bc), that of (0, 1, c, d) by c
-    a, b, c, d = vert.T
-    high = a == 1
-    key = np.where(high, q + c * q + (d - b * c) % q, c)
-    shift = np.where(high, b, d * _inverses(q)[c] % q)
-    _, coset = np.unique(key, return_inverse=True)
-    reps = np.empty(g.n // q, dtype=np.int64)
-    at_rep = np.flatnonzero(shift == 0)
-    reps[coset[at_rep]] = at_rep
-    identity = int(np.flatnonzero((vert == (1, 0, 0, 1)).all(axis=1))[0])
-    return CosetData(q=q, coset=coset, shift=shift, reps=reps, identity=identity)
+    return int(np.flatnonzero((vert == (1, 0, 0, 1)).all(axis=1))[0])

@@ -51,7 +51,7 @@ The "row" route runs the matrix identities on row v of B_k and
 multiplies by n, which is exact only when every diagonal entry equals
 the one at v, as on a Cayley graph; nothing here checks that.
 suite.SuiteContext grants the row route to a graph that
-lps.cayley_cosets confirms is X^{p,q}, and the test suite pins the
+lps.cayley_identity confirms is X^{p,q}, and the test suite pins the
 routes against each other.  The row is held with one entry per cell
 of a colour refinement from {v} and the rest (_rooted_refinement),
 one round per step, until the refinement reaches the coarsest
@@ -568,7 +568,7 @@ class TraceSweep:
     n (B_m)_{vertex,vertex}, which is the trace only
     when every diagonal entry is the same, as on a Cayley graph.  The
     sweep does not check that: suite.SuiteContext asks for "row" only on
-    a graph that lps.cayley_cosets certifies.  The sweep holds its last
+    a graph that lps.cayley_identity certifies.  The sweep holds its last
     two matrices (or two rows of one entry per cell), or the
     coefficients of x^n chi_A(x + q/x), until it is dropped.
     """

@@ -16,15 +16,15 @@ There are two routes:
   n^2 floats; past DENSE_BYTES_CEILING it raises DepthExceeded.  The
   projector P_l = V_l V_l^T is formed only when `Cluster.projector` is
   read.
-- block_decompose, for a graph that lps.cayley_cosets confirms is
-  exactly build_lps's X^{p,q}: q Hermitian (n/q) x (n/q) blocks, one per
-  character of U = {[[1, b], [0, 1]]} (Terras, Fourier Analysis on
-  Finite Groups and Applications, 1999).  Each cluster keeps no
-  eigenvectors, only the row P_l(e, .) at the identity vertex e; on a
-  Cayley graph that row holds every entry, P_l(v, w) = P_l(e, w v^-1).
+- quotient_decompose, for a vertex-transitive graph: one dense `eigh`
+  of the rooted equitable quotient at a vertex v (12 cells on X^{13,5},
+  54 on X^{17,13}).  Each cluster keeps no eigenvectors, only the row
+  P_l(v, .), once per cell; on a Cayley graph with v the identity that
+  row holds every entry, P_l(x, y) = P_l(v, y x^-1).
 
-suite.SuiteContext.sd picks the block route whenever cayley_cosets
-accepts the graph, and the dense route otherwise.
+suite.SuiteContext.sd picks the quotient route at the identity vertex
+whenever lps.cayley_identity accepts the graph, and the dense route
+otherwise.
 
 The spectral angle theta of an eigenvalue is defined by
 lambda = 2 sqrt(q) cos(theta).  Principal eigenvalues get a real angle
@@ -42,11 +42,18 @@ import numpy as np
 
 from .errors import ClusterAmbiguity, DegreeTooSmall, DepthExceeded, EigensolverFailure, OutOfRange
 from .graphs import Graph, RegularityCertificate
-from .lps import CosetData
+from .nbt import _rooted_quotient
 
 # The dense route holds the adjacency and the eigenvector matrix, 16 n^2
 # bytes; past this many bytes (n > 8192) it raises DepthExceeded.
 DENSE_BYTES_CEILING = 2**30
+
+# quotient_decompose raises ClusterAmbiguity when n P_l(v, v) is farther
+# than this from an integer.  The worst cluster of a certified X^{p,q}
+# read 8.5e-14 at n=120, 5.1e-12 at n=1092, 6.3e-9 at n=12180 and
+# 5.1e-10 at n=50616; the Frucht graph, which is not vertex-transitive,
+# reads n P_l(v, v) = 0.11 at its lowest eigenvalue.
+MULT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -55,9 +62,10 @@ class Cluster:
 
     From the dense route, vectors is the read-only n x mult block V_l
     of orthonormal eigenvectors (blocks of different clusters are
-    mutually orthogonal) and identity_row is None.  From the block
+    mutually orthogonal) and identity_row is None.  From the quotient
     route, vectors is None and identity_row is the read-only row
-    P_l(e, .) of the projector at the identity vertex.
+    P_l(v, .) of the projector at the root v, one entry per cell of the
+    rooted quotient: P_l(v, x) for every x in that cell.
     """
 
     value: float
@@ -180,63 +188,47 @@ def eigendecompose(
     return SpectralData(n=g.n, q=q, cluster_tol=cluster_tol, clusters=clusters)
 
 
-def block_decompose(
-    g: Graph, cert: RegularityCertificate, cosets: CosetData, cluster_tol: float | None = None
+def quotient_decompose(
+    g: Graph, cert: RegularityCertificate, v: int, cluster_tol: float | None = None
 ) -> SpectralData:
-    """The clustered spectrum of X^{p,q} from its q twisted coset blocks.
+    """The clustered spectrum of a vertex-transitive graph from its rooted equitable quotient at v.
 
-    g must be the graph cosets describes (lps.cayley_cosets checks
-    that).  For the character psi_t(b) = exp(2 pi i t b / q) of U,
-    M_t[i, j] = sum of psi_t(b) over the generators s with
-    s r_i = r_j u_b; its eigenvector phi lifts to the eigenvector
-    F(r_i u_b) = psi_t(b) phi_i / sqrt(q) of A, and spec(A) is the union
-    of the q block spectra.  M_{q-t} is the complex conjugate of M_t, so
-    only t <= q/2 is solved.  A first pass clusters the block
-    eigenvalues with the same gap rule as eigendecompose; a second pass
-    recomputes each block's eigenvectors and keeps, per cluster, only
-    the row P_l(e, .) at the identity vertex e.  Memory stays
-    O(n * clusters + (n/q)^2) floats.
+    With Q the quotient matrix of nbt._rooted_quotient(g, v) and D its
+    cell sizes, A acts as S = D^{1/2} Q D^{-1/2} on the span of the
+    cells' indicators scaled by D^{-1/2}, which holds e_v (Godsil,
+    Algebraic Combinatorics, 1993, ch. 5).  For the eigenvector columns
+    W of S in a cluster, P_l(v, v) = sum W[c(v)]^2, and identity_row
+    holds P_l(v, x) = (W W[c(v)])[c(x)] / sqrt|c(x)| once per cell.  If
+    every vertex looks like v, mult_l = n P_l(v, v); ClusterAmbiguity is
+    raised when some n P_l(v, v) is not a positive integer within
+    MULT_TOL or the multiplicities do not sum to n.  Clusters follow
+    eigendecompose's gap rule and tolerance.
     """
     q = cert.q
     if cluster_tol is None:
         cluster_tol = 1e-8 * (q + 1)
-    field, k = cosets.q, len(cosets.reps)
-    nbrs = np.array([g.neighbors[r] for r in cosets.reps])
-    rows = np.repeat(np.arange(k), nbrs.shape[1])
-    cols = cosets.coset[nbrs].ravel()
-    shifts = cosets.shift[nbrs].ravel()
-    roots = np.exp(2j * np.pi * np.arange(field) / field)
-
-    def eig(t: int, vectors: bool):
-        m = np.zeros((k, k), dtype=complex)
-        np.add.at(m, (rows, cols), roots[t * shifts % field])
-        try:
-            return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverFailure(f"block eigensolver failed at t={t}: {exc}") from exc
-
-    # psi_{q-t} = conj(psi_t), so M_{q-t} = conj(M_t): same eigenvalues, conjugate eigenvectors
-    half = range(field // 2 + 1)
-    spectra = [eig(t, False) for t in half]
-    evals = np.sort(np.concatenate(spectra + spectra[1:]))
-    groups = _group(evals, q, cluster_tol)
-    # block eigenvalues are assigned to clusters by the midpoints of the gaps between them
-    cuts = np.array([(evals[start - 1] + evals[start]) / 2.0 for start, _, _, _ in groups[1:]])
-    e0 = cosets.coset[cosets.identity]
-    # r[l, t, j] = sum over the cluster-l eigenvectors phi of block t of phi_e0 conj(phi_j)
-    r = np.zeros((len(groups), field, k), dtype=complex)
-    for t in half:
-        block_evals, phi = eig(t, True)
-        ids = np.searchsorted(cuts, block_evals)
-        firsts = np.flatnonzero(np.diff(ids, prepend=-1))
-        sums = np.add.reduceat(phi.conj() * phi[e0], firsts, axis=1).T
-        r[ids[firsts], t] = sums
-        if t:
-            r[ids[firsts], field - t] = sums.conj()
+    cell_of, cells = _rooted_quotient(g, v)
+    k = len(cells)
+    rows = np.repeat(np.arange(k), [len(nb) for nb in cells])
+    quotient = np.bincount(rows * k + np.concatenate(cells), minlength=k * k).reshape(k, k)
+    root = np.sqrt(np.bincount(cell_of, minlength=k))
+    s = quotient * root[:, None] / root
+    try:
+        evals, evecs = np.linalg.eigh((s + s.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"quotient eigensolver failed: {exc}") from exc
+    at_v = evecs[cell_of[v]]
     clusters = []
-    for l, (start, stop, value, principal) in enumerate(groups):
-        # P_l(e, r_j u_b) = sum_t conj(psi_t(b)) r[l, t, j] / q: a DFT over t
-        row = (np.fft.fft(r[l], axis=0).real / field)[cosets.shift, cosets.coset]
+    for start, stop, value, principal in _group(evals, q, cluster_tol):
+        w = at_v[start:stop]
+        scaled = g.n * float(w @ w)
+        mult = round(scaled)
+        if abs(scaled - mult) > MULT_TOL or mult == 0:
+            raise ClusterAmbiguity(f"n P(v, v) = {scaled:.6g} at {value:.6g} is not a positive integer", tol=MULT_TOL)
+        row = evecs[:, start:stop] @ w / root
         row.setflags(write=False)
-        clusters.append(Cluster(value, stop - start, None, theta_of(value, q), principal, row))
+        clusters.append(Cluster(value, mult, None, theta_of(value, q), principal, row))
+    total = sum(cl.mult for cl in clusters)
+    if total != g.n:
+        raise ClusterAmbiguity(f"the quotient's multiplicities sum to {total}, not n = {g.n}", tol=MULT_TOL)
     return SpectralData(n=g.n, q=q, cluster_tol=cluster_tol, clusters=tuple(clusters))

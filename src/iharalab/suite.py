@@ -25,7 +25,7 @@ import numpy as np
 from . import limits, lps, nbt, oracle, zeta
 from .errors import IharaLabError, ParseError
 from .graphs import Graph, certify_regular, load_graph_doc, named_graph
-from .spectral import Cluster, block_decompose, eigendecompose
+from .spectral import Cluster, eigendecompose, quotient_decompose
 
 CHECK_ORDER = (
     "oracle",
@@ -195,19 +195,19 @@ _UNSET = object()
 class SuiteContext:
     """Graph plus lazily computed certificates, spectral data and trace sweep.
 
-    cosets is lps.cayley_cosets(g, params): the coset data when the
-    graph is exactly build_lps's X^{p,q} for params, else None.  It
-    rebuilds every neighbour list, so a relabeled or rewired file that
-    carries an lps record gets None.  This class is the one place that
-    turns that certificate into a route.  On a Cayley graph (v joined to
-    s v) A commutes with right translation, so every polynomial X in A
-    has Tr X = n X(e, e) for the identity vertex e (Terras, Fourier
-    Analysis on Finite Groups and Applications, 1999).  With cosets set,
-    sd comes from the coset blocks, the sweep runs on row e (row_vertex),
-    held as one entry per cell of a colour refinement from {e} that ends
-    at the coarsest equitable partition with {e} as a cell (12 cells on
-    X^{13,5}, 54 on X^{17,13}), and yields n
-    times its diagonal entries, and the oracle and
+    row_vertex is lps.cayley_identity(g, params): the identity vertex e
+    when the graph is exactly build_lps's X^{p,q} for params, else None.
+    It rebuilds every neighbour list, so a relabeled or rewired file
+    that carries an lps record gets None.  This class is the one place
+    that turns that certificate into a route.  On a Cayley graph (v
+    joined to s v) A commutes with right translation, so every
+    polynomial X in A has Tr X = n X(e, e) and every row of X is a
+    permutation of row e (Terras, Fourier Analysis on Finite Groups and
+    Applications, 1999).  With row_vertex set, sd is
+    spectral.quotient_decompose at e, and the sweep runs on row e, held
+    as one entry per cell of a colour refinement from {e} that ends at
+    the same rooted equitable quotient (12 cells on X^{13,5}, 54 on
+    X^{17,13}), and yields n times its diagonal entries; the oracle and
     ihara-bass work on row e too.  Without it, sd is the dense
     eigendecompose and every exact sweep takes the full route: the
     sweep reads Tr B_m off the exact chi_A, formed once at its first
@@ -230,7 +230,7 @@ class SuiteContext:
         self.params = params
         self.label = label
         self._cert = None
-        self._cosets = _UNSET
+        self._row_vertex = _UNSET
         self._sd = None
         self._sweep = None
 
@@ -241,23 +241,17 @@ class SuiteContext:
         return self._cert
 
     @property
-    def cosets(self) -> lps.CosetData | None:
-        if self._cosets is _UNSET:
-            self._cosets = None if self.params is None else lps.cayley_cosets(self.g, self.params)
-        return self._cosets
-
-    @property
     def row_vertex(self) -> int | None:
-        """The identity vertex, whose row stands for every row, when cosets is set; else None."""
-        return None if self.cosets is None else self.cosets.identity
+        """The identity vertex, whose row stands for every row, on a certified X^{p,q}; else None."""
+        if self._row_vertex is _UNSET:
+            self._row_vertex = None if self.params is None else lps.cayley_identity(self.g, self.params)
+        return self._row_vertex
 
     @property
     def sd(self):
         if self._sd is None:
-            if self.cosets is None:
-                self._sd = eigendecompose(self.g, self.cert)
-            else:
-                self._sd = block_decompose(self.g, self.cert, self.cosets)
+            v = self.row_vertex
+            self._sd = eigendecompose(self.g, self.cert) if v is None else quotient_decompose(self.g, self.cert, v)
         return self._sd
 
     @property
@@ -477,9 +471,10 @@ RANGE_BLOCK = 16
 def range_abs_max(sd, m_max: int) -> np.ndarray:
     """max_ij |a_m(i, j)| for m = 1..m_max, with a_m = sum_l cos(m theta_l) P_l.
 
-    From the block route, whose clusters carry the identity rows
-    P_l(e, .) of a Cayley graph, a_m(v, w) = a_m(e, w v^-1), so one
-    (m_max x L) (L x n) product gives every entry.  From the dense
+    From the quotient route, whose clusters carry the identity rows
+    P_l(e, .) of a Cayley graph once per cell, a_m(v, w) = a_m(e, w v^-1)
+    and a_m(e, .) is constant on each cell, so one (m_max x L) (L x cells)
+    product gives every entry's value.  From the dense
     route it works on the principal eigenvector blocks V_l without
     forming P_l: for each block J of RANGE_BLOCK vertex columns, S_J[l]
     holds V_l[j0:] V_l[J]^T, the entries of P_l on and below the
@@ -521,7 +516,7 @@ def check_range(ctx: SuiteContext, *, m_max: int = 200) -> dict:
         cl.value not in ctx.trivial_values() for cl in sd.singular()
     ):
         # X^{p,q} is Ramanujan, so any singular cluster besides +-(q+1) puts
-        # the block spectrum in doubt: take the dense route's rows instead
+        # the quotient spectrum in doubt: take the dense route's rows instead
         sd = eigendecompose(ctx.g, ctx.cert)
     worst = max(0.0, float(np.max(range_abs_max(sd, m_max))) - 1.0)
     return {"metric": worst, "detail": {"m_max": m_max}}

@@ -56,6 +56,6 @@ def x513():
 
 @pytest.fixture(scope="session")
 def x135_ctx(x135):
-    """A SuiteContext on x135's graph and parameters: certified, so row route and block spectrum."""
+    """A SuiteContext on x135's graph and parameters: certified, so row route and quotient spectrum."""
     g, params, _, _ = x135
     return SuiteContext(g, params)

@@ -92,11 +92,11 @@ def test_no_matrix_sweep_above_twelve_vertices(x135, monkeypatch):
     monkeypatch.setattr(nbt, "ExactMatrixSeq", no_seq)
     g, params = x135[0], x135[1]
     ctx = SuiteContext(g, params)
-    assert ctx.cosets is not None  # the Cayley certificate grants the row route
+    assert ctx.row_vertex is not None  # the Cayley certificate grants the row route
     assert run_check("chebyshev", ctx, CONFIG).status == "pass"
     assert (full[0], row[0], charpolys[0]) == (0, 14, 0)
     copy = SuiteContext(relabeled(g, 7), params)
-    assert copy.cosets is None  # the same parameters certify no relabeled graph
+    assert copy.row_vertex is None  # the same parameters certify no relabeled graph
     assert run_check("chebyshev", copy, CONFIG).status == "pass"
     # the full route reads Tr B_m off one exact chi_A, with no matrix step
     assert (full[0], row[0], charpolys[0]) == (0, 14, 1)

@@ -344,7 +344,7 @@ def test_lps_emit_then_verify_graph_recovers_graph_and_params(tmp_path, monkeypa
 
 
 # the report subcommands on a byte copy of an lps --emit file, which
-# lps.cayley_cosets certifies: each reads the suite context's routes, so
+# lps.cayley_identity certifies: each reads the suite context's routes, so
 # none takes a full n x n matrix step, and only oracle walks, from e alone
 ROW_ROUTE_COMMANDS = [
     ["zeta", "--order", "12"],

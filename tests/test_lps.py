@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from coset_blocks import test_cayley_cosets_factor_every_vertex  # noqa: F401  (collected here)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from iharalab.graphs import certify_regular
 from iharalab.lps import (
     build_lps,
     canonical_form,
-    cayley_cosets,
+    cayley_identity,
     connection_set,
     group_elements,
     is_prime,
@@ -156,19 +157,6 @@ def test_group_elements_match_enumerate_group(q, kind):
     assert list(map(tuple, group_elements(q, kind).tolist())) == enumerate_group(q, kind)
 
 
-@pytest.mark.parametrize("p, q", [(13, 5), (17, 13)])
-def test_cayley_cosets_factor_every_vertex(p, q):
-    g, params = build_lps(p, q)
-    cosets = cayley_cosets(g, params)
-    vert = [tuple(v) for v in group_elements(q, params.group_kind).tolist()]
-    assert vert[cosets.identity] == (1, 0, 0, 1)
-    assert cosets.reps[cosets.coset[cosets.identity]] == cosets.identity
-    assert np.bincount(cosets.coset).tolist() == [q] * (g.n // q)
-    for v in range(g.n):
-        r = vert[cosets.reps[cosets.coset[v]]]
-        assert canonical_form(mat_mul(r, (1, int(cosets.shift[v]), 0, 1), q), q) == vert[v]
-
-
 def test_lps_params_fields():
     params = lps_params(13, 5)
     assert params.legendre_pq == -1
@@ -197,7 +185,7 @@ def test_build_x135(x135):
     assert params.group_kind == "PGL2"
     # simple graph: no multi-edges among the generators at this size
     assert all(len(set(nb)) == len(nb) for nb in g.neighbors)
-    assert cayley_cosets(g, params) is not None
+    assert cayley_identity(g, params) is not None
 
 
 def test_x135_spectrum_symmetric(x135):
@@ -222,7 +210,7 @@ def product_loop_neighbours(p: int, q: int) -> tuple[tuple[int, ...], ...]:
 def test_build_lps_matches_the_product_loop(p, q):
     g, params = build_lps(p, q)
     assert g.neighbors == product_loop_neighbours(p, q)
-    assert cayley_cosets(g, params) is not None
+    assert cayley_identity(g, params) is not None
     assert all(isinstance(w, int) for w in g.neighbors[0])
 
 

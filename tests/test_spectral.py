@@ -1,4 +1,4 @@
-"""Eigendecomposition into integer-snapped clusters: the dense route and the coset-block route."""
+"""Eigendecomposition into integer-snapped clusters: the dense route and the rooted-quotient route."""
 
 import cmath
 import math
@@ -6,11 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from coset_blocks import block_decompose, cayley_cosets
+from test_suite import cycle_plus_matching, frucht_graph
 
 from iharalab.errors import ClusterAmbiguity, DepthExceeded, OutOfRange
 from iharalab.graphs import Graph, build_graph, certify_regular
-from iharalab.lps import build_lps, cayley_cosets
-from iharalab.spectral import block_decompose, eigendecompose, theta_of
+from iharalab.lps import build_lps, cayley_identity
+from iharalab.nbt import _rooted_quotient
+from iharalab.spectral import eigendecompose, quotient_decompose, theta_of
 from iharalab.suite import range_abs_max
 
 PINNED_SPECTRA = {
@@ -172,46 +175,82 @@ def test_dense_route_refuses_past_its_memory_ceiling(monkeypatch):
         eigendecompose(g, cert)
 
 
-# ---------------------------------------------------------------------------
-# the coset-block route of X^{p,q} against the dense reference
+# the rooted-quotient route of X^{p,q} against the dense route and the coset-block reference
 
 
 @pytest.fixture(scope="module", params=[(13, 5), (17, 5), (17, 13), (5, 13)], ids=lambda pq: f"X{pq[0]}_{pq[1]}")
 def both_routes(request):
+    """(e, cell_of, quotient, dense, block): the spectra of X^{p,q} by the three routes."""
     g, params = build_lps(*request.param)
     cert = certify_regular(g)
-    cosets = cayley_cosets(g, params)
-    return cosets, block_decompose(g, cert, cosets), eigendecompose(g, cert)
+    e = cayley_identity(g, params)
+    cell_of, _ = _rooted_quotient(g, e)
+    block = block_decompose(g, cert, cayley_cosets(g, params))
+    return e, cell_of, quotient_decompose(g, cert, e), eigendecompose(g, cert), block
+
+
+def _assert_same_clusters(got, want):
+    assert [cl.mult for cl in got.clusters] == [cl.mult for cl in want.clusters]
+    assert [cl.principal for cl in got.clusters] == [cl.principal for cl in want.clusters]
+    for a, b in zip(got.clusters, want.clusters):
+        assert abs(a.value - b.value) <= 1e-12
+        assert abs(a.theta - b.theta) <= 1e-9
+
+
+def test_quotient_route_matches_dense_clusters(both_routes):
+    _, _, quotient, dense, _ = both_routes
+    _assert_same_clusters(quotient, dense)
+    assert all(cl.vectors is None for cl in quotient.clusters)
+
+
+def test_quotient_route_identity_rows_match_dense_projectors(both_routes):
+    e, cell_of, quotient, dense, _ = both_routes
+    for got, want in zip(quotient.clusters, dense.clusters):
+        assert got.identity_row.shape == (cell_of.max() + 1,)
+        assert np.max(np.abs(got.identity_row[cell_of] - want.vectors[e] @ want.vectors.T)) <= 1e-12
+        assert not got.identity_row.flags.writeable
+    assert np.max(np.abs(range_abs_max(quotient, 200) - range_abs_max(dense, 200))) <= 1e-12
+
+
+def test_quotient_route_matches_the_block_reference(both_routes):
+    _, cell_of, quotient, _, block = both_routes
+    _assert_same_clusters(quotient, block)
+    for got, want in zip(quotient.clusters, block.clusters):
+        assert np.max(np.abs(got.identity_row[cell_of] - want.identity_row)) <= 1e-12
 
 
 def test_block_route_matches_dense_clusters(both_routes):
-    _, block, dense = both_routes
-    assert [cl.mult for cl in block.clusters] == [cl.mult for cl in dense.clusters]
-    assert [cl.principal for cl in block.clusters] == [cl.principal for cl in dense.clusters]
+    _, _, _, dense, block = both_routes
+    _assert_same_clusters(block, dense)
     for got, want in zip(block.clusters, dense.clusters):
-        assert abs(got.value - want.value) <= 1e-12
-        assert abs(got.theta - want.theta) <= 1e-9
         assert got.vectors is None and want.identity_row is None
 
 
 def test_block_route_identity_rows_match_dense_projectors(both_routes):
-    cosets, block, dense = both_routes
-    e = cosets.identity
+    e, _, _, dense, block = both_routes
     for got, want in zip(block.clusters, dense.clusters):
         assert np.max(np.abs(got.identity_row - want.vectors[e] @ want.vectors.T)) <= 1e-12
         assert not got.identity_row.flags.writeable
     assert np.max(np.abs(range_abs_max(block, 200) - range_abs_max(dense, 200))) <= 1e-12
 
 
-def test_block_route_memory_stays_below_the_dense_matrix(x513):
-    # X^{5,13}: n = 2184 and 168 x 168 blocks; one dense n x n float matrix is 36 MiB
+def test_quotient_route_memory_stays_below_the_dense_matrix(x513):
+    # X^{5,13}: n = 2184; one dense n x n float matrix is 36 MiB
     g, params, cert = x513
-    cosets = cayley_cosets(g, params)
+    e = cayley_identity(g, params)
     tracemalloc.start()
     try:
-        sd = block_decompose(g, cert, cosets)
+        sd = quotient_decompose(g, cert, e)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sum(cl.mult for cl in sd.clusters) == g.n
     assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("graph", [frucht_graph, lambda: cycle_plus_matching(50, 11)], ids=["FRUCHT", "C50_matching"])
+def test_quotient_route_refuses_a_graph_that_is_not_vertex_transitive(graph):
+    # n P(0, 0) lands about 0.5 from an integer, and the multiplicities miss n
+    g = graph()
+    with pytest.raises(ClusterAmbiguity):
+        quotient_decompose(g, certify_regular(g), 0)

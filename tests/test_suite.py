@@ -187,7 +187,7 @@ def test_resolve_file_recovers_lps_params(tmp_path, x135):
     assert ctx.params == x135[1]
 
 
-def _takes_block_route(ctx) -> bool:
+def _takes_quotient_route(ctx) -> bool:
     sd = ctx.sd
     return all(cl.vectors is None and cl.identity_row is not None for cl in sd.clusters)
 
@@ -200,11 +200,11 @@ def _rewritten_x135(tmp_path, x135, edges) -> SuiteContext:
     return ctx
 
 
-def test_an_lps_emit_file_takes_the_block_route(tmp_path):
+def test_an_lps_emit_file_takes_the_quotient_route(tmp_path):
     path = _lps_emit(tmp_path, {"p": 13, "q": 5, "kind": "PGL2"})
     ctx = resolve_source(VerificationSuiteConfig(source_kind="file", source=str(path)))
-    assert _takes_block_route(ctx)
-    assert _takes_block_route(SuiteContext(*lps.build_lps(13, 5)))
+    assert _takes_quotient_route(ctx)
+    assert _takes_quotient_route(SuiteContext(*lps.build_lps(13, 5)))
 
 
 def test_a_relabeled_lps_file_takes_the_dense_route(tmp_path, x135):
@@ -213,12 +213,12 @@ def test_a_relabeled_lps_file_takes_the_dense_route(tmp_path, x135):
     random.Random(8101).shuffle(perm)
     edges = [sorted((perm[i], perm[j])) for i in range(g.n) for j in g.neighbors[i] if i < j]
     ctx = _rewritten_x135(tmp_path, x135, edges)
-    assert lps.cayley_cosets(ctx.g, ctx.params) is None
-    assert not _takes_block_route(ctx)
-    # an isomorphic graph: the dense spectrum equals the block route's
-    block = SuiteContext(*lps.build_lps(13, 5)).sd
-    assert [cl.mult for cl in ctx.sd.clusters] == [cl.mult for cl in block.clusters]
-    assert max(abs(a.value - b.value) for a, b in zip(ctx.sd.clusters, block.clusters)) <= 1e-12
+    assert lps.cayley_identity(ctx.g, ctx.params) is None
+    assert not _takes_quotient_route(ctx)
+    # an isomorphic graph: the dense spectrum equals the quotient route's
+    quotient = SuiteContext(*lps.build_lps(13, 5)).sd
+    assert [cl.mult for cl in ctx.sd.clusters] == [cl.mult for cl in quotient.clusters]
+    assert max(abs(a.value - b.value) for a, b in zip(ctx.sd.clusters, quotient.clusters)) <= 1e-12
 
 
 def test_a_two_switched_lps_file_takes_the_dense_route(tmp_path, x135):
@@ -235,8 +235,8 @@ def test_a_two_switched_lps_file_takes_the_dense_route(tmp_path, x135):
     edges |= {tuple(sorted((a, d))), tuple(sorted((c, b)))}
     ctx = _rewritten_x135(tmp_path, x135, sorted(map(list, edges)))
     assert {len(nb) for nb in ctx.g.neighbors} == {14}
-    assert lps.cayley_cosets(ctx.g, ctx.params) is None
-    assert not _takes_block_route(ctx)
+    assert lps.cayley_identity(ctx.g, ctx.params) is None
+    assert not _takes_quotient_route(ctx)
 
 
 def test_resolve_file_rejects_a_mismatched_lps_record(tmp_path):
@@ -602,7 +602,7 @@ def test_certified_lps_sources_take_no_full_matrix_step(tmp_path, monkeypatch):
     steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
     cfg = VerificationSuiteConfig(source_kind="lps", p=13, q=5)
     for label, ctx in contexts.items():
-        assert ctx.cosets is not None and ctx.row_vertex == ctx.cosets.identity, label
+        assert ctx.row_vertex is not None, label
         assert _steps_per_check(ctx, cfg, steps) == {}, label
 
 
@@ -610,7 +610,7 @@ def test_uncertified_contexts_take_the_full_route(tmp_path, x135):
     g, params = x135[0], x135[1]
     relabeled_file = _relabeled_x135_file(tmp_path, x135)
     for ctx in (SuiteContext(g), relabeled_file, SuiteContext(named_graph("PETERSEN"))):
-        assert ctx.cosets is None and ctx.row_vertex is None
+        assert ctx.row_vertex is None
         assert ctx.sweep._scale == 1  # Tr B_m of the full matrices
     certified = SuiteContext(g, params)
     assert certified.sweep._scale == g.n  # n times the identity row's diagonal
@@ -814,7 +814,7 @@ RANGE_SOURCES = {
 
 @pytest.mark.parametrize("name", RANGE_SOURCES)
 def test_range_matches_dense_projector_stack(name):
-    # the LPS sources take the coset-block route; the reference is always dense
+    # the LPS sources take the quotient route; the reference is always dense
     ctx = RANGE_SOURCES[name]()
     dense = eigendecompose(ctx.g, ctx.cert)
     got = range_abs_max(ctx.sd, 200)
@@ -823,7 +823,7 @@ def test_range_matches_dense_projector_stack(name):
 
 
 def test_range_rechecks_a_nontrivial_singular_cluster_densely(monkeypatch):
-    # on X^{p,q} the block route's only singular clusters are +-(p+1); any other sends range to eigh
+    # on X^{p,q} the quotient route's only singular clusters are +-(p+1); any other sends range to eigh
     ctx = SuiteContext(*lps.build_lps(13, 5))
     sd = ctx.sd
     want = check_range(ctx)
@@ -865,7 +865,7 @@ def test_range_empty_principal_part():
 
 @pytest.fixture(scope="module")
 def x1713_ctx():
-    """A certified context on X^{17,13} (n = 1092): row route and block spectrum."""
+    """A certified context on X^{17,13} (n = 1092): row route and quotient spectrum."""
     return SuiteContext(*lps.build_lps(17, 13), label="X^{17,13}")
 
 
