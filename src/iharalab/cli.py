@@ -289,7 +289,7 @@ def cmd_huang(args) -> int:
 
 
 # verify flags named after the config keys they set
-_VERIFY_KEYS = ("lps", "checks", "horizons", "k", "tol", "budget", "emit")
+_VERIFY_KEYS = ("lps", "checks", "horizons", "k", "tol", "budget", "emit", "allow_large")
 
 
 def cmd_verify(args) -> int:
@@ -409,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--budget", type=int)
     p_verify.add_argument("--emit", help="JSON summary path")
+    p_verify.add_argument("--allow-large", action="store_true", default=None, help="let --lps build q > 29")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -42,7 +42,7 @@ class Graph:
 
     A graph carries no symmetry claim.  The single-row shortcuts of the
     exact sweeps need one; the suite context grants them only to a
-    graph that lps.cayley_identity confirms is X^{p,q}.
+    graph that lps.cayley_root certifies is X^{p,q}.
     """
 
     n: int

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -252,7 +253,7 @@ def build_lps(p: int, q: int, *, allow_large: bool = False) -> tuple[Graph, LpsP
     params = lps_params(p, q)
     if q > DEFAULT_Q_LIMIT and not allow_large:
         raise InvalidPrime(
-            f"q={q} exceeds the desk-scale limit {DEFAULT_Q_LIMIT}; pass allow_large=True to proceed"
+            f"q={q} exceeds the desk-scale limit {DEFAULT_Q_LIMIT}; pass allow_large=True (--allow-large) to proceed"
         )
     kind = params.group_kind
     vert = group_elements(q, kind)
@@ -300,16 +301,111 @@ def _neighbour_table(params: LpsParams, vert: np.ndarray) -> np.ndarray:
     return table
 
 
-def cayley_identity(g: Graph, params: LpsParams) -> int | None:
-    """The identity vertex of X^{p,q} if g is exactly build_lps's graph, else None.
+def cayley_root(g: Graph, params: LpsParams) -> int | None:
+    """A vertex of g that a verified isomorphism onto build_lps's X^{p,q} maps to the identity e, else None.
 
-    Rebuilds every vertex's neighbours s v in build_lps's vertex order
-    and compares them with g.neighbors, so a relabeled or rewired graph
-    that merely carries the parameters gets None.
+    First the identity map: rebuild every vertex's neighbours s v in
+    build_lps's vertex order and compare them with g.neighbors, which
+    accepts build_lps's own graph and byte copies of its files, root e.
+    Otherwise search for an isomorphism phi of g onto that graph with
+    phi(0) = e (_isomorphism) and return 0.  X^{p,q} is vertex-transitive,
+    so phi exists for every relabeling of it.  A rewired graph, a leaf
+    map that fails its arc-by-arc check, or a search past SEARCH_NODES
+    gets None.
     """
     vert = group_elements(params.q, params.group_kind)
     if g.n != len(vert) or any(len(nb) != params.p + 1 for nb in g.neighbors):
         return None
-    if tuple(map(tuple, _neighbour_table(params, vert).tolist())) != g.neighbors:
-        return None
-    return int(np.flatnonzero((vert == (1, 0, 0, 1)).all(axis=1))[0])
+    e = int(np.flatnonzero((vert == (1, 0, 0, 1)).all(axis=1))[0])
+    reference = Graph(len(vert), tuple(map(tuple, _neighbour_table(params, vert).tolist())))
+    if reference.neighbors == g.neighbors:
+        return e
+    return None if _isomorphism(g, reference, 0, e)[0] is None else 0
+
+
+# Search nodes _isomorphism may refine before it gives up.  Relabeled
+# X^{13,5}, X^{17,5}, X^{17,13}, X^{13,17} and X^{5,29} each took 5 nodes,
+# and 2-switched X^{13,5}, X^{17,13} and X^{5,29} were refused at the first.
+SEARCH_NODES = 32
+
+
+def _isomorphism(g: Graph, h: Graph, u: int, v: int) -> tuple[np.ndarray | None, int]:
+    """(phi, nodes): an isomorphism phi of g onto h with phi[u] = v, or None, and the nodes searched.
+
+    g and h have one degree.  Individualize and refine (McKay and
+    Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
+    2014): colour u in g and v in h alone, refine both to their coarsest
+    equitable partitions (_equitable) and compare the two quotients.
+    While the partitions are not discrete, give the first vertex of g's
+    smallest cell of two or more a colour of its own, and try each
+    vertex of h's cell of the same number in turn, depth first.
+    Refinement numbers cells by their keys, so any isomorphism that
+    respects the start colourings keeps the cell numbers, and a branch
+    whose quotients differ holds none.  A node is one refinement of h;
+    a search that would take more than SEARCH_NODES gives None.  Equal
+    discrete quotients name phi, which is checked arc by arc
+    (_maps_arcs) before it is returned; if that check fails, the search
+    gives None rather than trust anything else it found.
+    """
+    from .nbt import _neighbour_array  # nbt imports this module
+
+    n, nodes = g.n, 0
+    table_g, table_h = _neighbour_array(g)[0], _neighbour_array(h)[0]
+    start_g, start_h = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+    start_g[u] = start_h[v] = 0
+    # per level: g's partition, its quotient and h's start colourings still to try
+    stack = [(*_equitable(table_g, start_g), iter([start_h]))]
+    while stack:
+        cell_g, quotient, candidates = stack[-1]
+        start_h = next(candidates, None)
+        if start_h is None:
+            stack.pop()
+            continue
+        if nodes == SEARCH_NODES:
+            return None, nodes
+        nodes += 1
+        cell_h, other = _equitable(table_h, start_h)
+        sizes = np.bincount(cell_g)
+        if not (np.array_equal(quotient, other) and np.array_equal(sizes, np.bincount(cell_h))):
+            continue
+        if len(sizes) == n:
+            phi = _leaf_map(cell_g, cell_h)
+            return (phi if _maps_arcs(table_g, table_h, phi) else None), nodes
+        c = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
+        start_g = next(_individualized(cell_g, c))
+        stack.append((*_equitable(table_g, start_g), _individualized(cell_h, c)))
+    return None, nodes
+
+
+def _equitable(table: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(colour, quotient): nbt._refinement of start to the end, and row c the sorted cells of cell c's neighbours."""
+    from .nbt import _refinement  # nbt imports this module
+
+    colour = np.append(start, -1)
+    for first in _refinement(table, colour):
+        pass
+    return colour[:-1], np.sort(colour[table[first]], axis=1)
+
+
+def _individualized(colour: np.ndarray, c: int) -> Iterator[np.ndarray]:
+    """colour with one vertex of cell c given a colour of its own, max + 1, for each vertex of c in turn."""
+    new = int(colour.max()) + 1
+    for x in np.flatnonzero(colour == c):
+        out = colour.copy()
+        out[x] = new
+        yield out
+
+
+def _leaf_map(cell_g: np.ndarray, cell_h: np.ndarray) -> np.ndarray:
+    """The bijection phi with cell_h[phi[w]] = cell_g[w], for two discrete partitions."""
+    return np.argsort(cell_h)[cell_g]
+
+
+def _maps_arcs(table_g: np.ndarray, table_h: np.ndarray, phi: np.ndarray) -> bool:
+    """Whether phi is a bijection that maps the neighbours of every vertex w, with multiplicity, onto those of phi[w].
+
+    Row w of each table lists w's neighbours in increasing order (nbt._neighbour_array of a regular graph).
+    """
+    if not np.array_equal(np.sort(phi), np.arange(len(table_g))):
+        return False
+    return np.array_equal(np.sort(phi[table_g], axis=1), table_h[phi])

@@ -51,7 +51,7 @@ The "row" route runs the matrix identities on row v of B_k and
 multiplies by n, which is exact only when every diagonal entry equals
 the one at v, as on a Cayley graph; nothing here checks that.
 suite.SuiteContext grants the row route to a graph that
-lps.cayley_identity confirms is X^{p,q}, and the test suite pins the
+lps.cayley_root certifies is X^{p,q}, and the test suite pins the
 routes against each other.  The row is held with one entry per cell
 of a colour refinement from {v} and the rest (_rooted_refinement),
 one round per step, until the refinement reaches the coarsest
@@ -71,7 +71,7 @@ compares them once instead of on n x n matrices.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import chain, islice
 from math import comb, prod
 from operator import mul
 from typing import Iterator, Sequence
@@ -348,41 +348,43 @@ def m_and_b_polynomials(q: int, m_max: int) -> tuple[list[list[int]], list[list[
 # scalar sweeps: N_m, f_m, trace families
 
 
-def _rooted_refinement(g: Graph, v: int) -> Iterator[tuple[np.ndarray, list[list[int]], list[int] | None]]:
-    """Colour refinement of g from the cells {v} and the rest, one round per item.
+def _neighbour_array(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(table, degree): row w of table lists g.neighbors[w], padded with n up to the largest degree.
 
-    Each round keys a vertex by its cell and the sorted cells of its
-    neighbors, one entry per edge end (padded with -1 up to the largest
-    degree), and splits the cells by the distinct keys; the key holds
-    the old cell, so each round refines the last and {v} stays a cell.
-    Each item is (cell_of, cells, parent): cell_of[w] is w's cell,
-    numbered 0..C-1, cells[c] lists the cells of the neighbors of c's
-    first vertex, one entry per edge end, and parent[c] is the cell of
-    the previous item that holds c (None on the first item, the start).
-    The items end before the first round that adds no cell: then every
-    vertex of a cell has the same multiset of neighbor cells, so the
-    last item is equitable by construction (McKay and Piperno,
-    J. Symbolic Comput. 60, 2014).  The number of rounds is about v's
-    eccentricity, n/2 on a cycle, which is why the row stream takes them
-    one per step instead of all at once.
+    _refinement's colour has n + 1 entries, so a padding entry reads colour -1.
     """
     n = g.n
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} is outside 0..{n - 1}")
-    degree = np.array([len(nb) for nb in g.neighbors])
+    degree = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=n)
     width = int(degree.max())
-    table = np.full((n, width), n, dtype=np.intp)  # column n reads colour -1
-    for i, nb in enumerate(g.neighbors):
-        table[i, : len(nb)] = nb
-    colour = np.ones(n + 1, dtype=np.int64)
-    colour[v], colour[n] = 0, -1
+    table = np.full((n, width), n, dtype=np.intp)
+    table[np.arange(width) < degree[:, None]] = np.fromiter(chain.from_iterable(g.neighbors), dtype=np.intp)
+    return table, degree
 
-    def item(first: np.ndarray, parent: list[int] | None):
-        rows = colour[table[first]].tolist()
-        return colour[:n].copy(), [row[:d] for row, d in zip(rows, degree[first].tolist())], parent
 
+def _refinement(table: np.ndarray, colour: np.ndarray) -> Iterator[np.ndarray]:
+    """Colour refinement on a _neighbour_array table, in place on colour, one round per item.
+
+    colour holds n + 1 entries: the start colour of each vertex,
+    numbered 0..C-1 with every colour used, then -1 for the padding
+    column n.  Each round keys a vertex by its cell and the sorted cells
+    of its neighbors, one entry per edge end (padded with -1 up to the
+    largest degree), and splits the cells by the distinct keys; the key
+    holds the old cell, so each round refines the last.  Each item is
+    the array of the first vertex of each cell, yielded once for the
+    start and once after each round that adds a cell, with colour
+    renumbered 0..C-1 by then.  The items end before the first round
+    that adds no cell: then every vertex of a cell has the same
+    multiset of neighbor cells, so the last colouring is equitable by
+    construction (McKay and Piperno, J. Symbolic Comput. 60, 2014).  A
+    round numbers the new cells in the sorted order of their keys,
+    which names cells, not vertices: an isomorphism that maps one start
+    colouring onto another maps each colouring of the first graph's
+    refinement onto the same one of the second's, cell numbers
+    included, so lps.cayley_root compares the two directly.
+    """
+    n, width = table.shape
     first = np.unique(colour[:n], return_index=True)[1]
-    yield item(first, None)
+    yield first
     keys = np.empty((n, width + 1), dtype=np.int64)
     packed = keys.view(np.dtype((np.void, keys.itemsize * (width + 1)))).ravel()
     while True:
@@ -392,9 +394,34 @@ def _rooted_refinement(g: Graph, v: int) -> Iterator[tuple[np.ndarray, list[list
         _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
         if len(first) == count:
             return
-        parent = colour[first].tolist()
         colour[:n] = inverse
-        yield item(first, parent)
+        yield first
+
+
+def _rooted_refinement(g: Graph, v: int) -> Iterator[tuple[np.ndarray, list[list[int]], list[int] | None]]:
+    """_refinement of g from the cells {v} and the rest, so {v} stays a cell.
+
+    Each item is (cell_of, cells, parent): cell_of[w] is w's cell,
+    numbered 0..C-1, cells[c] lists the cells of the neighbors of c's
+    first vertex, one entry per edge end, and parent[c] is the cell of
+    the previous item that holds c (None on the first item, the start).
+    The last item is the coarsest equitable partition with {v} as a
+    cell.  The number of rounds is about v's eccentricity, n/2 on a
+    cycle, which is why the row stream takes them one per step instead
+    of all at once.
+    """
+    n = g.n
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} is outside 0..{n - 1}")
+    table, degree = _neighbour_array(g)
+    colour = np.ones(n + 1, dtype=np.int64)
+    colour[v], colour[n] = 0, -1
+    cell_of = None
+    for first in _refinement(table, colour):
+        parent = None if cell_of is None else cell_of[first].tolist()
+        cell_of = colour[:n].copy()
+        rows = colour[table[first]].tolist()
+        yield cell_of, [row[:d] for row, d in zip(rows, degree[first].tolist())], parent
 
 
 def _rooted_quotient(g: Graph, v: int) -> tuple[np.ndarray, list[list[int]]]:
@@ -568,7 +595,7 @@ class TraceSweep:
     n (B_m)_{vertex,vertex}, which is the trace only
     when every diagonal entry is the same, as on a Cayley graph.  The
     sweep does not check that: suite.SuiteContext asks for "row" only on
-    a graph that lps.cayley_identity certifies.  The sweep holds its last
+    a graph that lps.cayley_root certifies.  The sweep holds its last
     two matrices (or two rows of one entry per cell), or the
     coefficients of x^n chi_A(x + q/x), until it is dropped.
     """

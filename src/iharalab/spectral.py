@@ -20,11 +20,12 @@ There are two routes:
   of the rooted equitable quotient at a vertex v (12 cells on X^{13,5},
   54 on X^{17,13}).  Each cluster keeps no eigenvectors, only the row
   P_l(v, .), once per cell; on a Cayley graph with v the identity that
-  row holds every entry, P_l(x, y) = P_l(v, y x^-1).
+  row holds every entry, P_l(x, y) = P_l(v, y x^-1), and an isomorphism
+  carries that to any relabeling of the graph.
 
-suite.SuiteContext.sd picks the quotient route at the identity vertex
-whenever lps.cayley_identity accepts the graph, and the dense route
-otherwise.
+suite.SuiteContext.sd picks the quotient route at the vertex that
+lps.cayley_root maps to the identity whenever it certifies the graph,
+and the dense route otherwise.
 
 The spectral angle theta of an eigenvalue is defined by
 lambda = 2 sqrt(q) cos(theta).  Principal eigenvalues get a real angle

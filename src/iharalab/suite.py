@@ -99,6 +99,7 @@ class VerificationSuiteConfig:
     budget: int = DEFAULT_BUDGET
     order: int = 10
     emit: str | None = None
+    allow_large: bool = False  # build_lps's allow_large, for an lps source past q = 29
 
     @classmethod
     def from_json_file(cls, path: str, overrides: dict | None = None) -> "VerificationSuiteConfig":
@@ -141,6 +142,8 @@ class VerificationSuiteConfig:
             raise ParseError(f"config key 'checks' needs a list of check names, got {checks!r}")
         if not isinstance(raw.get("emit", ""), str):
             raise ParseError(f"config key 'emit' needs a path, got {raw['emit']!r}")
+        if not isinstance(raw.get("allow_large", False), bool):
+            raise ParseError(f"config key 'allow_large' needs true or false, got {raw['allow_large']!r}")
         return cls(
             source_kind="named" if key == "graph" else key,
             source=source,
@@ -153,6 +156,7 @@ class VerificationSuiteConfig:
             budget=_parse("budget", raw.get("budget", DEFAULT_BUDGET), int),
             order=_parse("order", raw.get("order", 10), int),
             emit=raw.get("emit"),
+            allow_large=raw.get("allow_large", False),
         )
 
 
@@ -195,15 +199,17 @@ _UNSET = object()
 class SuiteContext:
     """Graph plus lazily computed certificates, spectral data and trace sweep.
 
-    row_vertex is lps.cayley_identity(g, params): the identity vertex e
-    when the graph is exactly build_lps's X^{p,q} for params, else None.
-    It rebuilds every neighbour list, so a relabeled or rewired file
-    that carries an lps record gets None.  This class is the one place
-    that turns that certificate into a route.  On a Cayley graph (v
-    joined to s v) A commutes with right translation, so every
+    row_vertex is lps.cayley_root(g, params): a vertex e that a verified
+    isomorphism maps onto the identity of build_lps's X^{p,q} for
+    params, or None.  build_lps's own vertex order gives its identity
+    vertex; any other order that the search certifies gives vertex 0.
+    A rewired file that carries an lps record gets None.  This class is
+    the one place that turns that certificate into a route.  On a Cayley
+    graph (v joined to s v) A commutes with right translation, so every
     polynomial X in A has Tr X = n X(e, e) and every row of X is a
     permutation of row e (Terras, Fourier Analysis on Finite Groups and
-    Applications, 1999).  With row_vertex set, sd is
+    Applications, 1999); an isomorphism carries both to the file's
+    labels.  With row_vertex set, sd is
     spectral.quotient_decompose at e, and the sweep runs on row e, held
     as one entry per cell of a colour refinement from {e} that ends at
     the same rooted equitable quotient (12 cells on X^{13,5}, 54 on
@@ -242,9 +248,9 @@ class SuiteContext:
 
     @property
     def row_vertex(self) -> int | None:
-        """The identity vertex, whose row stands for every row, on a certified X^{p,q}; else None."""
+        """The certified root of X^{p,q}, whose row stands for every row; None without a certificate."""
         if self._row_vertex is _UNSET:
-            self._row_vertex = None if self.params is None else lps.cayley_identity(self.g, self.params)
+            self._row_vertex = None if self.params is None else lps.cayley_root(self.g, self.params)
         return self._row_vertex
 
     @property
@@ -303,7 +309,7 @@ class SuiteContext:
 
 def resolve_source(config: VerificationSuiteConfig) -> SuiteContext:
     if config.source_kind == "lps":
-        g, params = lps.build_lps(config.p, config.q)
+        g, params = lps.build_lps(config.p, config.q, allow_large=config.allow_large)
         return SuiteContext(g, params, label=f"X^{{{config.p},{config.q}}}")
     if config.source_kind == "named":
         return SuiteContext(named_graph(config.source), label=config.source.upper())
@@ -356,7 +362,7 @@ def _oracle_depth(g: Graph, m_max: int, budget: int) -> int:
 def oracle_sources(ctx: SuiteContext) -> tuple[Sequence[int], int]:
     """(sources, scale) of the oracle search: scale times the sources' closed walks is N_m.
 
-    On a certified X^{p,q} the search from the identity vertex e stands
+    On a certified X^{p,q} the search from the root e (row_vertex) stands
     for every vertex, so N_m is n times its closed walks; otherwise the
     search starts at every vertex and the scale is 1.
     """
@@ -368,8 +374,8 @@ def check_oracle(ctx: SuiteContext, *, m_max: int = 10, budget: int = DEFAULT_BU
     """Recurrence vs. brute-force enumeration: cycle counts and path-count rows.
 
     The depth is the largest whose search from every vertex fits the
-    budget, and the search starts at oracle_sources(ctx): the identity
-    vertex e alone with the context's Cayley certificate, every vertex
+    budget, and the search starts at oracle_sources(ctx): the root e
+    alone with the context's Cayley certificate, every vertex
     otherwise.  Each source's rows are compared with its own rows of
     A_m (nbt.a_rows) as the search yields them, so no n x n table is
     held.  The closed walks, summed and scaled, are compared with N_m

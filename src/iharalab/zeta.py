@@ -159,7 +159,7 @@ def verify_ihara_bass(ctx: SuiteContext, order: int = 10) -> Fraction:
     On a regular graph the counts come from the context's B_m trace
     sweep and the determinant form from the power-sum series, whose
     Tr A^k come from a sweep at q = 0 of its own on the context's route:
-    n times the identity row's diagonal entries on a certified X^{p,q},
+    n times the root row's diagonal entries on a certified X^{p,q},
     the full matrices otherwise.  The two sides stay independent
     recurrences, at q and at 0.  When the context's sweep raises
     NotRegular, the counts come from the brute-force walk oracle and

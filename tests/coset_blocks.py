@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from iharalab.graphs import Graph, RegularityCertificate
-from iharalab.lps import LpsParams, build_lps, canonical_form, cayley_identity, group_elements, mat_mul
+from iharalab.lps import LpsParams, build_lps, canonical_form, cayley_root, group_elements, mat_mul
 from iharalab.spectral import Cluster, SpectralData, _group, theta_of
 
 
@@ -39,10 +39,14 @@ class CosetData:
 
 
 def cayley_cosets(g: Graph, params: LpsParams) -> CosetData | None:
-    """The coset data of X^{p,q} if lps.cayley_identity certifies g, else None."""
-    identity = cayley_identity(g, params)
-    if identity is None:
+    """The coset data of X^{p,q} if g is build_lps's graph in build_lps's own vertex order, else None.
+
+    The coset table is in those labels, so a relabeled copy that
+    lps.cayley_root certifies by its search gets None here.
+    """
+    if g.neighbors != build_lps(params.p, params.q, allow_large=True)[0].neighbors:
         return None
+    identity = cayley_root(g, params)
     q = params.q
     # the coset of (1, b, c, d) is keyed by (c, d - bc), that of (0, 1, c, d) by c
     a, b, c, d = group_elements(q, params.group_kind).T
@@ -127,3 +131,7 @@ def test_cayley_cosets_factor_every_vertex(p, q):
     for v in range(g.n):
         r = vert[cosets.reps[cosets.coset[v]]]
         assert canonical_form(mat_mul(r, (1, int(cosets.shift[v]), 0, 1), q), q) == vert[v]
+    # the table is in build_lps's labels: a relabeled copy gets none, though cayley_root certifies it
+    perm = np.random.default_rng(p * q).permutation(g.n)
+    copy = Graph(g.n, tuple(tuple(sorted(int(perm[w]) for w in g.neighbors[v])) for v in np.argsort(perm)))
+    assert cayley_root(copy, params) == 0 and cayley_cosets(copy, params) is None

@@ -6,7 +6,7 @@ and test_chebyshev_b_identity_x135).
 """
 
 import pytest
-from test_nbt_traces import _count_calls, relabeled
+from test_nbt_traces import _count_calls, relabeled, two_switched
 
 from iharalab import nbt, suite
 from iharalab.graphs import named_graph
@@ -96,7 +96,11 @@ def test_no_matrix_sweep_above_twelve_vertices(x135, monkeypatch):
     assert run_check("chebyshev", ctx, CONFIG).status == "pass"
     assert (full[0], row[0], charpolys[0]) == (0, 14, 0)
     copy = SuiteContext(relabeled(g, 7), params)
-    assert copy.row_vertex is None  # the same parameters certify no relabeled graph
+    assert copy.row_vertex == 0  # the isomorphism search certifies a relabeled copy
     assert run_check("chebyshev", copy, CONFIG).status == "pass"
+    assert (full[0], row[0], charpolys[0]) == (0, 28, 0)
+    rewired = SuiteContext(two_switched(g), params)
+    assert rewired.row_vertex is None  # the same parameters certify no rewired graph
+    assert run_check("chebyshev", rewired, CONFIG).status == "pass"
     # the full route reads Tr B_m off one exact chi_A, with no matrix step
-    assert (full[0], row[0], charpolys[0]) == (0, 14, 1)
+    assert (full[0], row[0], charpolys[0]) == (0, 28, 1)

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from reduced_walks_bf import reduced_cycle_counts
 
-from iharalab import nbt, oracle, suite, zeta
+from iharalab import lps, nbt, oracle, suite, zeta
 from iharalab.cli import main
+from iharalab.errors import InvalidPrime
 from iharalab.graphs import load_graph
 from iharalab.lps import build_lps
 from iharalab.suite import CHECK_ORDER
@@ -317,6 +318,22 @@ def test_verify_missing_source_file_still_writes_the_summary(tmp_path, monkeypat
     assert "missing.json" in results[0]["detail"]["error"]
 
 
+def test_verify_allow_large_flag_sets_its_config_key(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def stub(p, q, *, allow_large=False):  # records the request and builds nothing
+        seen.append(allow_large)
+        raise InvalidPrime("not built")
+
+    monkeypatch.setattr(lps, "build_lps", stub)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"lps": [5, 37], "checks": ["huang"], "allow_large": True}))
+    assert main(["verify", "--lps", "5,37", "--checks", "huang"]) == 1
+    assert main(["verify", "--lps", "5,37", "--checks", "huang", "--allow-large"]) == 1
+    assert main(["verify", "--config", str(cfg)]) == 1  # the absent flag keeps the file's key
+    assert seen == [False, True, True]
+
+
 def test_verify_flags_override_the_config_file(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"graph": "K4", "checks": ["oracle", "huang"], "budget": "lots"}))
@@ -344,7 +361,7 @@ def test_lps_emit_then_verify_graph_recovers_graph_and_params(tmp_path, monkeypa
 
 
 # the report subcommands on a byte copy of an lps --emit file, which
-# lps.cayley_identity certifies: each reads the suite context's routes, so
+# lps.cayley_root certifies: each reads the suite context's routes, so
 # none takes a full n x n matrix step, and only oracle walks, from e alone
 ROW_ROUTE_COMMANDS = [
     ["zeta", "--order", "12"],

@@ -16,7 +16,7 @@ from reduced_walks_bf import reduced_cycle_counts, reduced_walk_matrices
 from iharalab import nbt, suite
 from iharalab.errors import NotRamanujan
 from iharalab.graphs import Graph, RegularityCertificate, build_graph, certify_regular, named_graph
-from iharalab.lps import cayley_identity
+from iharalab.lps import cayley_root
 from iharalab.nbt import (
     ExactMatrixSeq,
     a_rows,
@@ -152,7 +152,7 @@ def test_a_rows_are_the_rows_of_the_a_matrices(corpus, x135):
 def test_adjacency_power_traces_from_one_row_of_a_cayley_graph(x135):
     g, params, _, _ = x135
     full = adjacency_power_traces(g, 40)
-    for v in (0, cayley_identity(g, params)):
+    for v in (0, cayley_root(g, params)):
         assert adjacency_power_traces(g, 40, v) == full, v
 
 

@@ -124,11 +124,29 @@ def reference(g, cert, m_max: int) -> tuple[list[int], list[int]]:
 
 
 def relabeled(g: Graph, seed: int) -> Graph:
-    """g with its vertices permuted, so that no Cayley certificate for g fits it."""
+    """g with its vertices permuted: lps.cayley_root certifies it only by its isomorphism search."""
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     edges = [(perm[i], perm[j], c) for i, j, c in _edges_canonical(g)]
     return build_graph(g.n, edges)
+
+
+def two_switched(g: Graph, a: int = 0) -> Graph:
+    """g with edges ab, cd replaced by ad, cb, where b is a's first neighbour and cd the first edge that allows it.
+
+    Every degree stays, but on X^{p,q} the result is no longer X^{p,q},
+    so lps.cayley_root refuses it and its context takes the full route.
+    """
+    edges = {(i, j) for i in range(g.n) for j in g.neighbors[i] if i < j}
+    b = g.neighbors[a][0]
+    c, d = next(
+        (c, d)
+        for c, d in sorted(edges)
+        if len({a, b, c, d}) == 4 and d not in g.neighbors[a] and b not in g.neighbors[c]
+    )
+    edges -= {(min(a, b), max(a, b)), (c, d)}
+    edges |= {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+    return build_graph(g.n, sorted(edges))
 
 
 # a 5-regular multigraph with double edges and one loop at every vertex
@@ -157,7 +175,8 @@ def test_relabeled_x135_without_certificate_matches_reference(x135, x135_referen
     g, params, _, _ = x135
     h = relabeled(g, seed=5)
     cert = certify_regular(h)
-    ctx = SuiteContext(h, params)
+    assert SuiteContext(h, params).row_vertex == 0  # with the parameters the search certifies h
+    ctx = SuiteContext(h)
     assert h != g and ctx.row_vertex is None
     assert ctx.sweep._scale == 1  # the full matrix route
     n_ref, theta_ref = x135_reference

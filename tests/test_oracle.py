@@ -267,14 +267,15 @@ def test_walks_all_guards():
 def test_a_full_oracle_check_holds_one_source_at_a_time(x135):
     """From every vertex the check holds what it holds from one: a source's rows at a time.
 
-    The relabeled X^{13,5} has no certificate, so its oracle searches
-    from all n = 120 vertices; X^{13,5} itself searches from e alone.
-    Both walk to depth 4 over the same arc tables.  Holding A_0..A_4
-    whole would take (depth + 1) n^2 list slots more.
+    The relabeled X^{13,5} without its parameters has no certificate, so
+    its oracle searches from all n = 120 vertices; X^{13,5} itself
+    searches from e alone.  Both walk to depth 4 over the same arc
+    tables.  Holding A_0..A_4 whole would take (depth + 1) n^2 list
+    slots more.
     """
     g, params = x135[0], x135[1]
     peaks = []
-    for ctx in (SuiteContext(relabeled(g, 13), params), SuiteContext(g, params)):
+    for ctx in (SuiteContext(relabeled(g, 13)), SuiteContext(g, params)):
         check_oracle(ctx)  # a first run forms the trace sweep and warms the interpreter
         tracemalloc.start()
         try:

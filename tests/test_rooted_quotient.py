@@ -17,7 +17,7 @@ from b_matrices import row_b_diagonals
 
 from iharalab import nbt
 from iharalab.graphs import Graph, build_graph, named_graph
-from iharalab.lps import build_lps, cayley_identity
+from iharalab.lps import build_lps, cayley_root
 
 M_MAX = 40
 
@@ -103,7 +103,7 @@ def test_an_asymmetric_graph_has_the_discrete_partition(graphs):
 @pytest.mark.parametrize("p, q, cells", [(13, 5, 12), (17, 13, 54)])
 def test_cell_counts_on_lps_graphs(p, q, cells):
     g, params = build_lps(p, q)
-    assert len(nbt._rooted_quotient(g, cayley_identity(g, params))[1]) == cells
+    assert len(nbt._rooted_quotient(g, cayley_root(g, params))[1]) == cells
 
 
 def test_the_row_sweep_takes_one_refining_round_per_step(monkeypatch):

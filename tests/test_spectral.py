@@ -11,7 +11,7 @@ from test_suite import cycle_plus_matching, frucht_graph
 
 from iharalab.errors import ClusterAmbiguity, DepthExceeded, OutOfRange
 from iharalab.graphs import Graph, build_graph, certify_regular
-from iharalab.lps import build_lps, cayley_identity
+from iharalab.lps import build_lps, cayley_root
 from iharalab.nbt import _rooted_quotient
 from iharalab.spectral import eigendecompose, quotient_decompose, theta_of
 from iharalab.suite import range_abs_max
@@ -183,7 +183,7 @@ def both_routes(request):
     """(e, cell_of, quotient, dense, block): the spectra of X^{p,q} by the three routes."""
     g, params = build_lps(*request.param)
     cert = certify_regular(g)
-    e = cayley_identity(g, params)
+    e = cayley_root(g, params)
     cell_of, _ = _rooted_quotient(g, e)
     block = block_decompose(g, cert, cayley_cosets(g, params))
     return e, cell_of, quotient_decompose(g, cert, e), eigendecompose(g, cert), block
@@ -237,7 +237,7 @@ def test_block_route_identity_rows_match_dense_projectors(both_routes):
 def test_quotient_route_memory_stays_below_the_dense_matrix(x513):
     # X^{5,13}: n = 2184; one dense n x n float matrix is 36 MiB
     g, params, cert = x513
-    e = cayley_identity(g, params)
+    e = cayley_root(g, params)
     tracemalloc.start()
     try:
         sd = quotient_decompose(g, cert, e)

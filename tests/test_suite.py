@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_nbt_traces import two_switched
 
 from iharalab import graphs, limits, lps, nbt, oracle, suite, zeta
 from iharalab.errors import ParseError
@@ -109,11 +110,30 @@ def test_config_rejects():
         ({"graph": "K4", "lps": [13, 5]}, "source key"),
         ({"graph": "K4", "tol": "nan"}, "tol"),
         ({"graph": "K4", "tol": float("inf")}, "tol"),
+        ({"lps": [5, 37], "allow_large": "yes"}, "allow_large"),
+        ({"lps": [5, 37], "allow_large": 1}, "allow_large"),
     ],
 )
 def test_config_rejects_each_malformed_value_by_key(raw, key):
     with pytest.raises(ParseError, match=key):
         VerificationSuiteConfig.from_dict(raw)
+
+
+def test_allow_large_reaches_build_lps_and_its_absence_refuses_q_past_29(monkeypatch):
+    assert VerificationSuiteConfig.from_dict({"lps": [5, 37], "allow_large": True}).allow_large
+    config = VerificationSuiteConfig.from_dict({"lps": [5, 37], "checks": ["huang"]})
+    assert not config.allow_large
+    code, (result,) = run_suite(config)  # refused before the group is enumerated
+    assert code == 1 and result.status == "error" and "--allow-large" in result.detail["error"]
+    seen, build_lps = [], lps.build_lps
+
+    def stub(p, q, *, allow_large=False):  # no q > 29 graph is built here
+        seen.append((p, q, allow_large))
+        return build_lps(13, 5)
+
+    monkeypatch.setattr(lps, "build_lps", stub)
+    resolve_source(dataclasses.replace(config, allow_large=True))
+    assert seen == [(5, 37, True)]
 
 
 def test_config_file_missing_or_not_utf8(tmp_path):
@@ -207,35 +227,21 @@ def test_an_lps_emit_file_takes_the_quotient_route(tmp_path):
     assert _takes_quotient_route(SuiteContext(*lps.build_lps(13, 5)))
 
 
-def test_a_relabeled_lps_file_takes_the_dense_route(tmp_path, x135):
-    g = x135[0]
-    perm = list(range(g.n))
-    random.Random(8101).shuffle(perm)
-    edges = [sorted((perm[i], perm[j])) for i in range(g.n) for j in g.neighbors[i] if i < j]
-    ctx = _rewritten_x135(tmp_path, x135, edges)
-    assert lps.cayley_identity(ctx.g, ctx.params) is None
-    assert not _takes_quotient_route(ctx)
-    # an isomorphic graph: the dense spectrum equals the quotient route's
+def test_a_relabeled_lps_file_takes_the_quotient_route(tmp_path, x135):
+    ctx = _relabeled_x135_file(tmp_path, x135)
+    assert lps.cayley_root(ctx.g, ctx.params) == 0 == ctx.row_vertex
+    assert _takes_quotient_route(ctx)
+    # the rooted quotient numbers its cells by their keys, not by labels,
+    # so the spectrum is the --lps source's to the last bit
     quotient = SuiteContext(*lps.build_lps(13, 5)).sd
-    assert [cl.mult for cl in ctx.sd.clusters] == [cl.mult for cl in quotient.clusters]
-    assert max(abs(a.value - b.value) for a, b in zip(ctx.sd.clusters, quotient.clusters)) <= 1e-12
+    assert [(cl.value, cl.mult) for cl in ctx.sd.clusters] == [(cl.value, cl.mult) for cl in quotient.clusters]
+    assert all(np.array_equal(a.identity_row, b.identity_row) for a, b in zip(ctx.sd.clusters, quotient.clusters))
 
 
 def test_a_two_switched_lps_file_takes_the_dense_route(tmp_path, x135):
-    # replace edges ab, cd by ad, cb: every degree stays 14, the graph is no longer X^{13,5}
-    g = x135[0]
-    edges = {(i, j) for i in range(g.n) for j in g.neighbors[i] if i < j}
-    a, b = 0, g.neighbors[0][0]
-    c, d = next(
-        (c, d)
-        for c, d in sorted(edges)
-        if len({a, b, c, d}) == 4 and d not in g.neighbors[a] and b not in g.neighbors[c]
-    )
-    edges -= {(a, b), (c, d)}
-    edges |= {tuple(sorted((a, d))), tuple(sorted((c, b)))}
-    ctx = _rewritten_x135(tmp_path, x135, sorted(map(list, edges)))
+    ctx = _two_switched_x135_file(tmp_path, x135)
     assert {len(nb) for nb in ctx.g.neighbors} == {14}
-    assert lps.cayley_identity(ctx.g, ctx.params) is None
+    assert lps.cayley_root(ctx.g, ctx.params) is None
     assert not _takes_quotient_route(ctx)
 
 
@@ -534,7 +540,7 @@ def test_phi_check_takes_no_full_matrix_step_on_lps_sources(p, q, monkeypatch):
 
 
 def _relabeled_x135_file(tmp_path, x135) -> SuiteContext:
-    """A fresh context over X^{13,5} read from a file with permuted vertices and its lps record."""
+    """A fresh context over X^{13,5} read from a file with permuted vertices and its lps record: certified by search."""
     g = x135[0]
     perm = list(range(g.n))
     random.Random(8102).shuffle(perm)
@@ -542,8 +548,13 @@ def _relabeled_x135_file(tmp_path, x135) -> SuiteContext:
     return _rewritten_x135(tmp_path, x135, edges)
 
 
-def test_phi_check_on_a_relabeled_lps_file(tmp_path, x135, monkeypatch):
-    ctx = _relabeled_x135_file(tmp_path, x135)
+def _two_switched_x135_file(tmp_path, x135) -> SuiteContext:
+    """A fresh context over a 2-switched X^{13,5} read from a file with X^{13,5}'s lps record: uncertified."""
+    return _rewritten_x135(tmp_path, x135, sorted(map(list, graphs._edges_canonical(two_switched(x135[0])))))
+
+
+def test_phi_check_on_a_rewired_lps_file(tmp_path, x135, monkeypatch):
+    ctx = _two_switched_x135_file(tmp_path, x135)
     steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
     charpolys = _count_calls_everywhere(monkeypatch, nbt, "integer_charpoly")
     cfg = VerificationSuiteConfig(source_kind="file", source="x135_rewritten.json", checks=("phi",))
@@ -565,8 +576,8 @@ def _steps_per_check(ctx: SuiteContext, config: VerificationSuiteConfig, steps: 
     return out
 
 
-def test_one_trace_sweep_serves_every_check_of_a_relabeled_file(tmp_path, x135, monkeypatch):
-    ctx = _relabeled_x135_file(tmp_path, x135)
+def test_one_trace_sweep_serves_every_check_of_a_rewired_file(tmp_path, x135, monkeypatch):
+    ctx = _two_switched_x135_file(tmp_path, x135)
     steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
     charpolys = _count_calls_everywhere(monkeypatch, nbt, "integer_charpoly")
     cfg = VerificationSuiteConfig(source_kind="file", source="x135_rewritten.json")
@@ -588,7 +599,7 @@ def test_one_trace_sweep_serves_every_check_of_a_relabeled_file(tmp_path, x135, 
     assert (len(steps), len(charpolys)) == (4, 1)  # the sweep needs nothing more
 
 
-def test_certified_lps_sources_take_no_full_matrix_step(tmp_path, monkeypatch):
+def test_certified_lps_sources_take_no_full_matrix_step(tmp_path, x135, monkeypatch):
     emitted = tmp_path / "x135.json"
     assert main(["lps", "--p", "13", "--q", "5", "--emit", str(emitted)]) == 0
     copy = tmp_path / "copy.json"
@@ -598,6 +609,7 @@ def test_certified_lps_sources_take_no_full_matrix_step(tmp_path, monkeypatch):
         "byte copy of the emitted file": resolve_source(
             VerificationSuiteConfig(source_kind="file", source=str(copy))
         ),
+        "relabeled file": _relabeled_x135_file(tmp_path, x135),
     }
     steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
     cfg = VerificationSuiteConfig(source_kind="lps", p=13, q=5)
@@ -608,8 +620,8 @@ def test_certified_lps_sources_take_no_full_matrix_step(tmp_path, monkeypatch):
 
 def test_uncertified_contexts_take_the_full_route(tmp_path, x135):
     g, params = x135[0], x135[1]
-    relabeled_file = _relabeled_x135_file(tmp_path, x135)
-    for ctx in (SuiteContext(g), relabeled_file, SuiteContext(named_graph("PETERSEN"))):
+    rewired_file = _two_switched_x135_file(tmp_path, x135)
+    for ctx in (SuiteContext(g), rewired_file, SuiteContext(named_graph("PETERSEN"))):
         assert ctx.row_vertex is None
         assert ctx.sweep._scale == 1  # Tr B_m of the full matrices
     certified = SuiteContext(g, params)
@@ -643,7 +655,8 @@ def test_the_identity_row_oracle_reports_what_the_full_one_does(tmp_path, x135, 
     outcome = _oracle_outcome(certified)
     assert outcome == _oracle_outcome(SuiteContext(g))
     assert outcome == _oracle_outcome(_relabeled_x135_file(tmp_path, x135))
-    assert sources == [[certified.row_vertex], list(range(g.n)), list(range(g.n))]
+    # the relabeled file's search certifies it, and its oracle starts at vertex 0 alone
+    assert sources == [[certified.row_vertex], list(range(g.n)), [0]]
     status, metric, detail = outcome
     assert (status, metric, detail["depth"]) == ("pass", 0.0, 4)
     assert detail["n_m_bruteforce"] == nbt.n_reduced_range(g, x135[2], 4, method="full")
@@ -687,7 +700,7 @@ def test_oracle_and_ihara_bass_run_on_the_identity_row_of_x_5_29(monkeypatch):
 
 
 def test_each_context_owns_its_sweep(tmp_path, x135, monkeypatch):
-    first = _relabeled_x135_file(tmp_path, x135)
+    first = _two_switched_x135_file(tmp_path, x135)
     second = SuiteContext(first.g, first.params, first.label)
     second._cert = first.cert  # as a benchmark pass copies a set-up's certificate
     steps = _count_calls_everywhere(monkeypatch, nbt, "_mul_adj")
@@ -702,7 +715,7 @@ def test_each_context_owns_its_sweep(tmp_path, x135, monkeypatch):
 
 
 def test_a_dropped_context_frees_its_sweep_without_the_cycle_collector(tmp_path, x135):
-    ctx = _relabeled_x135_file(tmp_path, x135)
+    ctx = _two_switched_x135_file(tmp_path, x135)
     cfg = VerificationSuiteConfig(source_kind="file", source="x135_rewritten.json", checks=("huang",))
     gc.collect()
     gc.disable()
@@ -918,8 +931,11 @@ def test_huang_is_the_nontrivial_sum_of_two_minus_two_t_m(ramanujan_contexts):
 
 def test_certified_and_relabeled_x135_give_the_same_remainders(tmp_path, x135, x135_ctx):
     relabeled = _relabeled_x135_file(tmp_path, x135)
-    assert relabeled.row_vertex is None and x135_ctx.row_vertex is not None
+    assert relabeled.row_vertex == 0 and x135_ctx.row_vertex is not None
     assert relabeled.remainders(40) == x135_ctx.remainders(40)
+    uncertified = SuiteContext(relabeled.g)  # the full route, from chi_A
+    assert uncertified.row_vertex is None
+    assert uncertified.remainders(40) == x135_ctx.remainders(40)
 
 
 def test_cusp_coefficients_certify_only_for_a_fresh_sweep(x135_ctx, monkeypatch):

@@ -23,7 +23,7 @@ import iharalab
 from iharalab import nbt, zeta
 from iharalab.errors import DepthExceeded, InvalidPrime
 from iharalab.graphs import Graph, build_graph, named_graph
-from iharalab.lps import build_lps, cayley_identity, is_prime
+from iharalab.lps import build_lps, cayley_root, is_prime
 from iharalab.nbt import f_values, n_reduced_range
 from iharalab.qext import SqrtExt, half_power
 from iharalab.series import TruncatedSeries
@@ -211,7 +211,7 @@ def test_verify_ihara_bass_zero(contexts):
 def test_verify_ihara_bass_on_the_identity_row(x135):
     g, params, _, _ = x135
     row, full = SuiteContext(g, params), SuiteContext(g)
-    assert row.row_vertex == cayley_identity(g, params) and full.row_vertex is None
+    assert row.row_vertex == cayley_root(g, params) and full.row_vertex is None
     assert verify_ihara_bass(row, order=10) == 0
     assert reciprocal_series_regular(row, 10) == reciprocal_series_regular(full, 10)
 
