@@ -37,8 +37,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-# only perfbench/spans.py reads quad; the import goes with ROADMAP item 1
-from scipy.integrate import quad  # noqa: F401
 
 from .chebyshev import central_binomial_weight, cos_power_as_cosines
 from .errors import AngleConditionViolated, NotRamanujan
@@ -49,6 +47,19 @@ from .zeta import normalized_cusp_terms
 
 if TYPE_CHECKING:
     from .suite import SuiteContext
+
+
+def quad(*args, **kwargs):
+    """Forward to scipy.integrate.quad, importing scipy on the first call.
+
+    Nothing in iharalab calls this.  Only the benchmark tracer
+    (perfbench/spans.py) binds limits.quad, so the name stays a module
+    global while scipy stays off the import path.  It goes when ROADMAP
+    item 2 rewrites the tracer.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 `import iharalab` loads every layer module, so code that patches the
 layers by walking sys.modules (the benchmark's tracer and capture
-wrappers) finds them all.
+wrappers) finds them all.  It does not load scipy: no computation uses
+it, and it costs about half a second and 50 MiB in every process.
 
 A top-level function or a method (dunders aside) in src/iharalab counts
 as referenced when its name appears in src/, scripts/ or perfbench/
@@ -21,6 +22,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import iharalab
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,6 +41,27 @@ def test_import_loads_every_layer_module():
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iharalab.__file__)))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_import_loads_no_scipy_module():
+    code = (
+        "import sys, iharalab, iharalab.cli\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iharalab.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_limits_quad_is_a_module_global_that_forwards_to_scipy():
+    # the benchmark tracer reads vars(limits)["quad"] and compares module
+    # globals before and after it runs, so the name must exist from import on
+    pytest.importorskip("scipy.integrate")
+    from iharalab import limits
+
+    assert "quad" in vars(limits)
+    assert limits.quad.__module__ == "iharalab.limits"
+    assert abs(limits.quad(lambda x: x * x, 0.0, 1.0)[0] - 1 / 3) < 1e-12
 
 
 def _definitions(tree: ast.Module):
