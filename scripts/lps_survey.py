@@ -43,7 +43,7 @@ import numpy as np
 
 from iharalab import nbt
 from iharalab import lps
-from iharalab.graphs import Graph, certify_regular
+from iharalab.graphs import Graph, certify_regular, neighbour_table, refine
 from iharalab.lps import build_lps, cayley_root
 from iharalab.spectral import quotient_decompose
 
@@ -63,7 +63,7 @@ def quotient_route(p: int, q: int) -> tuple[float, int, float, float]:
     t0 = time.perf_counter()
     sd = quotient_decompose(g, cert, v)
     elapsed, rss = time.perf_counter() - t0, maxrss_mib()
-    root = nbt._rooted_quotient(g, v)[0][v]  # identity_row[root] is P_l(e, e)
+    root = refine(neighbour_table(g), np.arange(g.n) != v)[0][v]  # identity_row[root] is P_l(e, e)
     slack = max(abs(g.n * cl.identity_row[root] - cl.mult) for cl in sd.clusters)
     return elapsed, len(sd.clusters), rss, float(slack)
 
@@ -72,9 +72,9 @@ def row_route(g, cert, params) -> tuple[int, float, float]:
     """Cells of the identity's rooted quotient, the seconds of its refinement, and of the row sweep to ROW_M."""
     v = cayley_root(g, params)
     t0 = time.perf_counter()
-    cells = len(nbt._rooted_quotient(g, v)[1])
+    cells = len(refine(neighbour_table(g), np.arange(g.n) != v)[1])
     t1 = time.perf_counter()
-    nbt.TraceSweep(g, cert.q, "row", v).prefix(ROW_M)  # refines again, one round per step
+    nbt.TraceSweep(g, cert.q, "row", v).prefix(ROW_M)  # refines again, to the same fixpoint
     return cells, t1 - t0, time.perf_counter() - t1
 
 

@@ -212,6 +212,61 @@ def certify_regular(g: Graph) -> RegularityCertificate:
     return RegularityCertificate(degree=d0, q=d0 - 1, bipartite=bipartite, parts=parts)
 
 
+def neighbour_table(g: Graph) -> np.ndarray:
+    """The (n, d) array whose row w lists g.neighbors[w], padded with n up to the largest degree d.
+
+    refine reads a padding entry as the colour -1.
+    """
+    n = g.n
+    degree = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=n)
+    width = int(degree.max())
+    table = np.full((n, width), n, dtype=np.intp)
+    table[np.arange(width) < degree[:, None]] = np.fromiter(chain.from_iterable(g.neighbors), dtype=np.intp)
+    return table
+
+
+def refine(table: np.ndarray, start: np.ndarray, rounds: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(cell_of, quotient): colour refinement of a neighbour_table's graph from start, `rounds` rounds deep or to its fixpoint.
+
+    start gives each vertex a colour numbered 0..C-1 with every colour
+    used; `np.arange(n) != v` is the rooted start, {v} and the rest.
+    Each round keys a vertex by its cell and the sorted cells of its
+    neighbours, one entry per edge end (-1 for padding), and splits the
+    cells by the distinct keys; the key holds the old cell, so each
+    round refines the last.  Vertices that share a cell after k rounds
+    have the same multiset of neighbour cells of round k - 1.  The
+    refinement stops after `rounds` rounds, or sooner at the first
+    round that adds no cell: then every vertex of a cell has the same
+    multiset of neighbour cells, so the partition is the coarsest
+    equitable one that refines start (McKay and Piperno, J. Symbolic
+    Comput. 60, 2014).  cell_of[w] is w's cell, numbered 0..C-1, and row
+    c of quotient lists the sorted cells of the neighbours of c's first
+    vertex, padded in front with -1 up to the largest degree.
+
+    A round numbers the new cells in the order np.unique sorts their
+    keys (by their bytes), and a round that adds no cell keeps the last
+    numbering.  Both name cells, not vertices: an isomorphism that maps
+    one start colouring onto another maps the first graph's cell_of
+    onto the second's, cell numbers included, and at the fixpoint the
+    two quotients are equal, so lps._isomorphism compares them directly.
+    """
+    n, width = table.shape
+    colour = np.append(start, -1).astype(np.int64)
+    first = np.unique(colour[:n], return_index=True)[1]
+    keys = np.empty((n, width + 1), dtype=np.int64)
+    packed = keys.view(np.dtype((np.void, keys.itemsize * (width + 1)))).ravel()
+    done = 0
+    while rounds is None or done < rounds:
+        keys[:, 0] = colour[:n]
+        keys[:, 1:] = np.sort(colour[table], axis=1)
+        _, split, inverse = np.unique(packed, return_index=True, return_inverse=True)
+        if len(split) == len(first):
+            break
+        first, colour[:n] = split, inverse
+        done += 1
+    return colour[:n], np.sort(colour[table[first]], axis=1)
+
+
 def _edges_canonical(g: Graph) -> list[list[int]]:
     """[i, j, multiplicity] for every i <= j joined by an edge, in (i, j) order."""
     out = []
@@ -293,10 +348,15 @@ def load_graph_doc(src: str | IO[str]) -> tuple[Graph, dict | None]:
             raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from exc
         if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
             raise ParseError("JSON graph must have 'n' and 'edges' keys")
-        try:
-            return build_graph(int(doc["n"]), doc["edges"]), doc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad JSON graph payload: {exc}") from exc
+        n, edges = doc["n"], doc["edges"]
+        if type(n) is not int:
+            raise ParseError(f"JSON graph needs an integer 'n', got {n!r}")
+        if not isinstance(edges, list):
+            raise ParseError(f"JSON graph needs a list of edges, got {edges!r}")
+        for e in edges:
+            if not (isinstance(e, list) and all(type(x) is int for x in e)):
+                raise ParseError(f"edge {e!r} is not a list of integers")
+        return build_graph(n, edges), doc
     lines = text.splitlines()
     header = None
     edges = []

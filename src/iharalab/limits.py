@@ -80,14 +80,18 @@ def shifted_cos_partial_sum_bound(phi: float) -> float:
     return 1.0 / abs(math.sin(phi / 2.0)) + 1.0
 
 
-def angle_condition(sd, k: int, tol: float = 1e-9) -> bool:
+# angle_condition's absolute tolerance on h theta mod 2 pi
+ANGLE_TOL = 1e-9
+
+
+def angle_condition(sd, k: int) -> bool:
     """Check that no harmonic of a principal angle degenerates.
 
     The averaged quantity (1/N) sum cos^k(m theta) converges at rate 1/N
     only when (k-2j) theta stays off 2 pi Z for every frequency k-2j > 0
     appearing in the power expansion; a single resonant frequency
     contributes a non-vanishing constant and destroys the rate.  Angles
-    are tested within the given absolute tolerance.
+    are tested within ANGLE_TOL.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -96,7 +100,7 @@ def angle_condition(sd, k: int, tol: float = 1e-9) -> bool:
         th = cl.theta.real
         for h in harmonics:
             frac = (h * th) % (2.0 * math.pi)
-            if min(frac, 2.0 * math.pi - frac) < tol:
+            if min(frac, 2.0 * math.pi - frac) < ANGLE_TOL:
                 return False
     return True
 

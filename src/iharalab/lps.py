@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GroupSizeMismatch, InvalidPrime, NoSquareRoot
-from .graphs import Graph, _require_connected, certify_regular
+from .graphs import Graph, _require_connected, certify_regular, neighbour_table, refine
 
 Mat = tuple[int, int, int, int]  # row-major 2x2 over F_q
 
@@ -335,26 +335,22 @@ def _isomorphism(g: Graph, h: Graph, u: int, v: int) -> tuple[np.ndarray | None,
     g and h have one degree.  Individualize and refine (McKay and
     Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
     2014): colour u in g and v in h alone, refine both to their coarsest
-    equitable partitions (_equitable) and compare the two quotients.
-    While the partitions are not discrete, give the first vertex of g's
-    smallest cell of two or more a colour of its own, and try each
-    vertex of h's cell of the same number in turn, depth first.
-    Refinement numbers cells by their keys, so any isomorphism that
-    respects the start colourings keeps the cell numbers, and a branch
-    whose quotients differ holds none.  A node is one refinement of h;
-    a search that would take more than SEARCH_NODES gives None.  Equal
+    equitable partitions (graphs.refine, to its fixpoint) and compare
+    the two quotients.  While the partitions are not discrete, give the
+    first vertex of g's smallest cell of two or more a colour of its
+    own, and try each vertex of h's cell of the same number in turn,
+    depth first.  refine numbers cells by their keys, so any isomorphism
+    that respects the start colourings keeps the cell numbers, and a
+    branch whose quotients differ holds none.  A node is one refinement
+    of h; a search that would take more than SEARCH_NODES gives None.  Equal
     discrete quotients name phi, which is checked arc by arc
     (_maps_arcs) before it is returned; if that check fails, the search
     gives None rather than trust anything else it found.
     """
-    from .nbt import _neighbour_array  # nbt imports this module
-
     n, nodes = g.n, 0
-    table_g, table_h = _neighbour_array(g)[0], _neighbour_array(h)[0]
-    start_g, start_h = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
-    start_g[u] = start_h[v] = 0
+    table_g, table_h = neighbour_table(g), neighbour_table(h)
     # per level: g's partition, its quotient and h's start colourings still to try
-    stack = [(*_equitable(table_g, start_g), iter([start_h]))]
+    stack = [(*refine(table_g, np.arange(n) != u), iter([np.arange(n) != v]))]
     while stack:
         cell_g, quotient, candidates = stack[-1]
         start_h = next(candidates, None)
@@ -364,7 +360,7 @@ def _isomorphism(g: Graph, h: Graph, u: int, v: int) -> tuple[np.ndarray | None,
         if nodes == SEARCH_NODES:
             return None, nodes
         nodes += 1
-        cell_h, other = _equitable(table_h, start_h)
+        cell_h, other = refine(table_h, start_h)
         sizes = np.bincount(cell_g)
         if not (np.array_equal(quotient, other) and np.array_equal(sizes, np.bincount(cell_h))):
             continue
@@ -373,18 +369,8 @@ def _isomorphism(g: Graph, h: Graph, u: int, v: int) -> tuple[np.ndarray | None,
             return (phi if _maps_arcs(table_g, table_h, phi) else None), nodes
         c = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
         start_g = next(_individualized(cell_g, c))
-        stack.append((*_equitable(table_g, start_g), _individualized(cell_h, c)))
+        stack.append((*refine(table_g, start_g), _individualized(cell_h, c)))
     return None, nodes
-
-
-def _equitable(table: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(colour, quotient): nbt._refinement of start to the end, and row c the sorted cells of cell c's neighbours."""
-    from .nbt import _refinement  # nbt imports this module
-
-    colour = np.append(start, -1)
-    for first in _refinement(table, colour):
-        pass
-    return colour[:-1], np.sort(colour[table[first]], axis=1)
 
 
 def _individualized(colour: np.ndarray, c: int) -> Iterator[np.ndarray]:
@@ -404,7 +390,7 @@ def _leaf_map(cell_g: np.ndarray, cell_h: np.ndarray) -> np.ndarray:
 def _maps_arcs(table_g: np.ndarray, table_h: np.ndarray, phi: np.ndarray) -> bool:
     """Whether phi is a bijection that maps the neighbours of every vertex w, with multiplicity, onto those of phi[w].
 
-    Row w of each table lists w's neighbours in increasing order (nbt._neighbour_array of a regular graph).
+    Row w of each table lists w's neighbours in increasing order (graphs.neighbour_table of a regular graph).
     """
     if not np.array_equal(np.sort(phi), np.arange(len(table_g))):
         return False

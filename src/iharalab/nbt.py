@@ -53,12 +53,12 @@ the one at v, as on a Cayley graph; nothing here checks that.
 suite.SuiteContext grants the row route to a graph that
 lps.cayley_root certifies is X^{p,q}, and the test suite pins the
 routes against each other.  The row is held with one entry per cell
-of a colour refinement from {v} and the rest (_rooted_refinement),
-one round per step, until the refinement reaches the coarsest
-equitable partition with {v} as a cell: 12 cells on X^{13,5} and 54
-on X^{17,13}.  That is exact on any graph and at any vertex, so
-f_values and adjacency_power_traces with a vertex use it without a
-certificate.
+of one fixed partition, graphs.refine from {v} and the rest
+(_row_b_stream): ceil(m/2) rounds deep for the entries up to m, or,
+for a TraceSweep, the fixpoint, the coarsest equitable partition with
+{v} as a cell (12 cells on X^{13,5} and 54 on X^{17,13}).  That is
+exact on any graph and at any vertex, so f_values and
+adjacency_power_traces with a vertex use it without a certificate.
 Row v of A_m, which the oracle compares entry by entry, comes from
 the same row recurrence on all n entries (a_rows).  A_m, M_m and T~_m as
 matrices come from the A_m recurrence of ExactMatrixSeq.  Both families are
@@ -71,7 +71,7 @@ compares them once instead of on n x n matrices.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
+from itertools import islice
 from math import comb, prod
 from operator import mul
 from typing import Iterator, Sequence
@@ -79,7 +79,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DepthExceeded
-from .graphs import Graph, RegularityCertificate
+from .graphs import Graph, RegularityCertificate, neighbour_table, refine
 from .lps import is_prime
 
 IntMatrix = list[list[int]]
@@ -348,95 +348,8 @@ def m_and_b_polynomials(q: int, m_max: int) -> tuple[list[list[int]], list[list[
 # scalar sweeps: N_m, f_m, trace families
 
 
-def _neighbour_array(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(table, degree): row w of table lists g.neighbors[w], padded with n up to the largest degree.
-
-    _refinement's colour has n + 1 entries, so a padding entry reads colour -1.
-    """
-    n = g.n
-    degree = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=n)
-    width = int(degree.max())
-    table = np.full((n, width), n, dtype=np.intp)
-    table[np.arange(width) < degree[:, None]] = np.fromiter(chain.from_iterable(g.neighbors), dtype=np.intp)
-    return table, degree
-
-
-def _refinement(table: np.ndarray, colour: np.ndarray) -> Iterator[np.ndarray]:
-    """Colour refinement on a _neighbour_array table, in place on colour, one round per item.
-
-    colour holds n + 1 entries: the start colour of each vertex,
-    numbered 0..C-1 with every colour used, then -1 for the padding
-    column n.  Each round keys a vertex by its cell and the sorted cells
-    of its neighbors, one entry per edge end (padded with -1 up to the
-    largest degree), and splits the cells by the distinct keys; the key
-    holds the old cell, so each round refines the last.  Each item is
-    the array of the first vertex of each cell, yielded once for the
-    start and once after each round that adds a cell, with colour
-    renumbered 0..C-1 by then.  The items end before the first round
-    that adds no cell: then every vertex of a cell has the same
-    multiset of neighbor cells, so the last colouring is equitable by
-    construction (McKay and Piperno, J. Symbolic Comput. 60, 2014).  A
-    round numbers the new cells in the sorted order of their keys,
-    which names cells, not vertices: an isomorphism that maps one start
-    colouring onto another maps each colouring of the first graph's
-    refinement onto the same one of the second's, cell numbers
-    included, so lps.cayley_root compares the two directly.
-    """
-    n, width = table.shape
-    first = np.unique(colour[:n], return_index=True)[1]
-    yield first
-    keys = np.empty((n, width + 1), dtype=np.int64)
-    packed = keys.view(np.dtype((np.void, keys.itemsize * (width + 1)))).ravel()
-    while True:
-        keys[:, 0] = colour[:n]
-        keys[:, 1:] = np.sort(colour[table], axis=1)
-        count = len(first)
-        _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
-        if len(first) == count:
-            return
-        colour[:n] = inverse
-        yield first
-
-
-def _rooted_refinement(g: Graph, v: int) -> Iterator[tuple[np.ndarray, list[list[int]], list[int] | None]]:
-    """_refinement of g from the cells {v} and the rest, so {v} stays a cell.
-
-    Each item is (cell_of, cells, parent): cell_of[w] is w's cell,
-    numbered 0..C-1, cells[c] lists the cells of the neighbors of c's
-    first vertex, one entry per edge end, and parent[c] is the cell of
-    the previous item that holds c (None on the first item, the start).
-    The last item is the coarsest equitable partition with {v} as a
-    cell.  The number of rounds is about v's eccentricity, n/2 on a
-    cycle, which is why the row stream takes them one per step instead
-    of all at once.
-    """
-    n = g.n
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} is outside 0..{n - 1}")
-    table, degree = _neighbour_array(g)
-    colour = np.ones(n + 1, dtype=np.int64)
-    colour[v], colour[n] = 0, -1
-    cell_of = None
-    for first in _refinement(table, colour):
-        parent = None if cell_of is None else cell_of[first].tolist()
-        cell_of = colour[:n].copy()
-        rows = colour[table[first]].tolist()
-        yield cell_of, [row[:d] for row, d in zip(rows, degree[first].tolist())], parent
-
-
-def _rooted_quotient(g: Graph, v: int) -> tuple[np.ndarray, list[list[int]]]:
-    """(cell_of, cells) of the coarsest equitable partition of g with {v} as a cell: _rooted_refinement's last item.
-
-    Every polynomial in A maps e_v to a vector constant on each of its
-    cells (Godsil, Algebraic Combinatorics, 1993, ch. 5).
-    """
-    for cell_of, cells, _ in _rooted_refinement(g, v):
-        pass
-    return cell_of, cells
-
-
-def _b_trace_stream(g: Graph, q: int, v: int | None = None) -> Iterator[int]:
-    """Tr B_0, Tr B_1, ... without end, or the diagonal entries (B_m)_vv for a vertex v.
+def _b_trace_stream(g: Graph, q: int) -> Iterator[int]:
+    """Tr B_0, Tr B_1, ... without end.
 
     B_a B_b = B_{a+b} + q^b B_{a-b} for a >= b, and every B_k is
     symmetric, so
@@ -444,13 +357,10 @@ def _b_trace_stream(g: Graph, q: int, v: int | None = None) -> Iterator[int]:
         Tr B_{2k+1} = <B_{k+1}, B_k> - q^k Tr A.
     The stream holds three matrices at a time and takes the kernel step
     to B_{k+1} only when it is resumed for Tr B_{2k+1}, so a consumer
-    that stops after Tr B_m has paid ceil(m/2) - 1 steps.  With a vertex
-    v it runs the same identities on the rows of _row_b_stream.
+    that stops after Tr B_m has paid ceil(m/2) - 1 steps.  _row_b_stream
+    runs the same identities on the rows of one vertex.
     At q = 0 the recurrence gives B_m = A^m for m >= 1.
     """
-    if v is not None:
-        yield from _row_b_stream(g, q, v)
-        return
     prev, cur = _identity_rows(g.n, 2), _adjacency_rows(g)
     tr_a = sum(nb.count(i) for i, nb in enumerate(g.neighbors))
     yield 2 * g.n
@@ -462,44 +372,38 @@ def _b_trace_stream(g: Graph, q: int, v: int | None = None) -> Iterator[int]:
         prev, cur = cur, _mul_adj(cur, prev, q, g.neighbors)
 
 
-def _row_b_stream(g: Graph, q: int, v: int) -> Iterator[int]:
-    """(B_0)_vv, (B_1)_vv, ... without end, from the rows r_k = e_v^T B_k held one entry per cell.
+def _row_b_stream(g: Graph, q: int, v: int, rounds: int | None = None) -> Iterator[int]:
+    """(B_0)_vv, (B_1)_vv, ... from the rows r_k = e_v^T B_k held one entry per cell; exact through (B_{2 rounds})_vv.
 
     (B_{2k})_vv = <r_k, r_k> - 2q^k and (B_{2k+1})_vv = <r_{k+1}, r_k> - q^k A_vv.
-    r_k is constant on each cell of round k of _rooted_refinement(g, v):
-    by induction, vertices that share a cell of round k + 1 have the
-    same multiset of round-k neighbor cells, so the same sum in
-    r_{k+1} = r_k A - q r_{k-1}.  Before each step the stream takes one
-    more round, while there is one, and lifts its two rows onto the
-    new cells; the step sums over each cell's neighbor cells, and
-    <r_a, r_b> = sum_c size_c u_a[c] u_b[c] with r_k = P u_k.  Past the
-    last round every step runs on the coarsest equitable partition with
-    {v} as a cell, so a step costs no more than a row of n entries and a
-    round costs one sort of the n x degree neighbor cells.
+    The cells are those of graphs.refine from {v} and the rest, `rounds`
+    rounds deep, or to the fixpoint (the coarsest equitable partition
+    with {v} as a cell) when rounds is None.  r_k is constant on the
+    cells of round k, by induction: a cell of round k + 1 fixes its
+    multiset of round-k neighbor cells, so the sum in
+    r_{k+1} = r_k A - q r_{k-1}.  So the partition carries r_0..r_rounds,
+    one entry u_k[c] per cell, and a step sums u_k over the neighbor
+    cells of each cell's first vertex; <r_a, r_b> = sum_c size_c u_a[c] u_b[c].
+    Past the stated index, the stream goes on but its items are wrong
+    unless the refinement reached its fixpoint.
     """
-    rounds = _rooted_refinement(g, v)
-    cell_of, cells, _ = next(rounds)
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
+    cell_of, quotient = refine(neighbour_table(g), np.arange(g.n) != v, rounds)
+    cells = [[c for c in row if c >= 0] for row in quotient.tolist()]
     sizes = np.bincount(cell_of).tolist()
-    rows = [[0] * len(cells)]
-    rows[0][cell_of[v]] = 2  # u_0
+    root = int(cell_of[v])
+    prev = [0] * len(cells)
+    prev[root] = 2  # u_0
     yield 2
-    qk = 1  # q^k while rows = [u_k, u_{k+1}]
+    cur = [nb.count(root) for nb in cells]  # u_1 counts v among the neighbors of each cell's first vertex
+    a_vv = cur[root]
+    qk = 1  # q^k while prev = u_k and cur = u_{k+1}
     while True:
-        refined = next(rounds, None)
-        if refined is not None:
-            cell_of, cells, parent = refined
-            rows = [[u[p] for p in parent] for u in rows]
-            sizes = np.bincount(cell_of).tolist()
-        if len(rows) == 1:  # u_1 counts v among the neighbors of each cell's first vertex
-            root = int(cell_of[v])
-            rows.append([nb.count(root) for nb in cells])
-            a_vv = rows[1][root]
-        else:
-            rows = [rows[1], _row_mul_adj(rows[1], rows[0], q, cells)]
-        prev, cur = rows
         yield sum(map(mul, sizes, map(mul, cur, prev))) - qk * a_vv
         qk *= q
         yield sum(map(mul, sizes, map(mul, cur, cur))) - 2 * qk
+        prev, cur = cur, _row_mul_adj(cur, prev, q, cells)
 
 
 def _require_matrix_price(n: int, m_max: int) -> None:
@@ -510,12 +414,15 @@ def _require_matrix_price(n: int, m_max: int) -> None:
 
 
 def _b_traces(g: Graph, q: int, m_max: int, v: int | None = None) -> list[int]:
-    """[Tr B_0..Tr B_{m_max}], or [(B_0)_vv..(B_{m_max})_vv]: the stream's first m_max + 1 items."""
+    """[Tr B_0..Tr B_{m_max}], or [(B_0)_vv..(B_{m_max})_vv] from a partition ceil(m_max/2) rounds deep."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     if v is None:
         _require_matrix_price(g.n, m_max)
-    return list(islice(_b_trace_stream(g, q, v), m_max + 1))
+        stream = _b_trace_stream(g, q)
+    else:
+        stream = _row_b_stream(g, q, v, -(-m_max // 2))
+    return list(islice(stream, m_max + 1))
 
 
 def _pair_polynomial(chi: Sequence[int], q: int) -> list[int]:
@@ -591,7 +498,9 @@ class TraceSweep:
     COST_CEILING; past that it traces the matrix recurrence and refuses,
     with DepthExceeded and before any step, a request whose n^2
     ceil(m/2) passes the same ceiling.  "row" sweeps row `vertex` one
-    entry per cell of its rooted refinement (_row_b_stream) and yields
+    entry per cell of its rooted equitable partition, which it refines
+    to the fixpoint at its first request (_row_b_stream, 3 to 8 rounds
+    on a certified X^{p,q}, n/2 on a cycle), and yields
     n (B_m)_{vertex,vertex}, which is the trace only
     when every diagonal entry is the same, as on a Cayley graph.  The
     sweep does not check that: suite.SuiteContext asks for "row" only on
@@ -612,12 +521,13 @@ class TraceSweep:
         self._traces: list[int] = []
 
     def _start(self) -> Iterator[int]:
-        if self._vertex is None:
-            stream = _charpoly_trace_stream(self.g, self.q)
-            if stream is not None:
-                return stream
+        if self._vertex is not None:
+            return _row_b_stream(self.g, self.q, self._vertex)
+        stream = _charpoly_trace_stream(self.g, self.q)
+        if stream is None:
             self._matrices = True
-        return _b_trace_stream(self.g, self.q, self._vertex)
+            stream = _b_trace_stream(self.g, self.q)
+        return stream
 
     def prefix(self, m_max: int) -> list[int]:
         if m_max < 0:
@@ -652,7 +562,7 @@ def _theta_from_b(bs: Sequence[int], q: int, t0: int) -> list[int]:
 
 
 def f_values(g: Graph, cert: RegularityCertificate, m_max: int, v: int = 0) -> list[int]:
-    """[f_0..f_{m_max}] with f_m = (A_m)_{vv}, via a single-row sweep on v's rooted refinement (_row_b_stream).
+    """[f_0..f_{m_max}] with f_m = (A_m)_{vv}, via a single-row sweep on v's rooted partition, ceil(m_max/2) rounds deep (_row_b_stream).
 
     A_m = T~_m - T~_{m-2}, and the diagonal of T~_m comes from that of B_m.
     Raises ValueError when v is not a vertex of g.
@@ -699,7 +609,8 @@ def adjacency_power_traces(g: Graph, m_max: int, vertex: int | None = None) -> l
 
     Tr A^{2k} = <A^k, A^k> and Tr A^{2k+1} = <A^{k+1}, A^k>: the q = 0
     case of the B_m sweep.  With a vertex the sweep runs on that row,
-    one entry per cell of its rooted refinement, and returns
+    one entry per cell of its rooted partition, ceil(m_max/2) rounds
+    deep, and returns
     n (A^k)_{vertex,vertex}, the trace only on a graph whose diagonal
     entries all agree, as on a Cayley graph.
     """

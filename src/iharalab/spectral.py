@@ -17,11 +17,12 @@ There are two routes:
   projector P_l = V_l V_l^T is formed only when `Cluster.projector` is
   read.
 - quotient_decompose, for a vertex-transitive graph: one dense `eigh`
-  of the rooted equitable quotient at a vertex v (12 cells on X^{13,5},
-  54 on X^{17,13}).  Each cluster keeps no eigenvectors, only the row
-  P_l(v, .), once per cell; on a Cayley graph with v the identity that
-  row holds every entry, P_l(x, y) = P_l(v, y x^-1), and an isomorphism
-  carries that to any relabeling of the graph.
+  of the rooted equitable quotient at a vertex v, which graphs.refine
+  reaches at its fixpoint (12 cells on X^{13,5}, 54 on X^{17,13}).
+  Each cluster keeps no eigenvectors, only the row P_l(v, .), once per
+  cell; on a Cayley graph with v the identity that row holds every
+  entry, P_l(x, y) = P_l(v, y x^-1), and an isomorphism carries that
+  to any relabeling of the graph.
 
 suite.SuiteContext.sd picks the quotient route at the vertex that
 lps.cayley_root maps to the identity whenever it certifies the graph,
@@ -42,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusterAmbiguity, DegreeTooSmall, DepthExceeded, EigensolverFailure, OutOfRange
-from .graphs import Graph, RegularityCertificate
-from .nbt import _rooted_quotient
+from .graphs import Graph, RegularityCertificate, neighbour_table, refine
 
 # The dense route holds the adjacency and the eigenvector matrix, 16 n^2
 # bytes; past this many bytes (n > 8192) it raises DepthExceeded.
@@ -101,25 +101,22 @@ class SpectralData:
     def singular(self) -> list[Cluster]:
         return [c for c in self.clusters if not c.principal]
 
-    def multiplicity_at(self, value: float, tol: float | None = None) -> int:
-        """Total multiplicity of clusters within tol of the given value."""
-        t = self.cluster_tol if tol is None else tol
-        return sum(c.mult for c in self.clusters if abs(c.value - value) <= t)
+    def multiplicity_at(self, value: float) -> int:
+        """Total multiplicity of clusters within cluster_tol of the given value."""
+        return sum(c.mult for c in self.clusters if abs(c.value - value) <= self.cluster_tol)
 
 
-def theta_of(lam: float, q: int, tol: float | None = None) -> complex:
+def theta_of(lam: float, q: int) -> complex:
     """Spectral angle theta with lam = 2 sqrt(q) cos(theta).
 
     Real in (0, pi) for |lam| < 2 sqrt(q); -i*y (y >= 0) at and beyond
     the positive edge; pi + i*y beyond the negative edge.  Raises
-    OutOfRange when |lam| exceeds q + 1 by more than tol, and
+    OutOfRange when |lam| exceeds q + 1 by more than 1e-9 (q + 1), and
     DegreeTooSmall at q = 0, where no angle exists.
     """
     if q < 1:
         raise DegreeTooSmall(f"the spectral angle needs q >= 1, got q = {q}")
-    if tol is None:
-        tol = 1e-9 * (q + 1)
-    if abs(lam) > q + 1 + tol:
+    if abs(lam) > q + 1 + 1e-9 * (q + 1):
         raise OutOfRange(f"|{lam}| exceeds the regular-graph bound {q + 1}")
     x = lam / (2.0 * math.sqrt(q))
     if abs(x) <= 1.0:
@@ -189,29 +186,28 @@ def eigendecompose(
     return SpectralData(n=g.n, q=q, cluster_tol=cluster_tol, clusters=clusters)
 
 
-def quotient_decompose(
-    g: Graph, cert: RegularityCertificate, v: int, cluster_tol: float | None = None
-) -> SpectralData:
+def quotient_decompose(g: Graph, cert: RegularityCertificate, v: int) -> SpectralData:
     """The clustered spectrum of a vertex-transitive graph from its rooted equitable quotient at v.
 
-    With Q the quotient matrix of nbt._rooted_quotient(g, v) and D its
-    cell sizes, A acts as S = D^{1/2} Q D^{-1/2} on the span of the
-    cells' indicators scaled by D^{-1/2}, which holds e_v (Godsil,
+    With Q the quotient matrix of the coarsest equitable partition with
+    {v} as a cell (graphs.refine from {v} and the rest, to its
+    fixpoint) and D its cell sizes, A acts as S = D^{1/2} Q D^{-1/2} on
+    the span of the cells' indicators scaled by D^{-1/2}, which holds e_v (Godsil,
     Algebraic Combinatorics, 1993, ch. 5).  For the eigenvector columns
     W of S in a cluster, P_l(v, v) = sum W[c(v)]^2, and identity_row
     holds P_l(v, x) = (W W[c(v)])[c(x)] / sqrt|c(x)| once per cell.  If
     every vertex looks like v, mult_l = n P_l(v, v); ClusterAmbiguity is
     raised when some n P_l(v, v) is not a positive integer within
     MULT_TOL or the multiplicities do not sum to n.  Clusters follow
-    eigendecompose's gap rule and tolerance.
+    eigendecompose's gap rule and default tolerance.
     """
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
     q = cert.q
-    if cluster_tol is None:
-        cluster_tol = 1e-8 * (q + 1)
-    cell_of, cells = _rooted_quotient(g, v)
+    cluster_tol = 1e-8 * (q + 1)
+    cell_of, cells = refine(neighbour_table(g), np.arange(g.n) != v)
     k = len(cells)
-    rows = np.repeat(np.arange(k), [len(nb) for nb in cells])
-    quotient = np.bincount(rows * k + np.concatenate(cells), minlength=k * k).reshape(k, k)
+    quotient = np.bincount((np.arange(k)[:, None] * k + cells).ravel(), minlength=k * k).reshape(k, k)
     root = np.sqrt(np.bincount(cell_of, minlength=k))
     s = quotient * root[:, None] / root
     try:

@@ -211,9 +211,10 @@ class SuiteContext:
     Applications, 1999); an isomorphism carries both to the file's
     labels.  With row_vertex set, sd is
     spectral.quotient_decompose at e, and the sweep runs on row e, held
-    as one entry per cell of a colour refinement from {e} that ends at
-    the same rooted equitable quotient (12 cells on X^{13,5}, 54 on
-    X^{17,13}), and yields n times its diagonal entries; the oracle and
+    as one entry per cell of the same rooted equitable quotient (12
+    cells on X^{13,5}, 54 on X^{17,13}), which the sweep refines to its
+    fixpoint once more at its first request, and yields n times its
+    diagonal entries; the oracle and
     ihara-bass work on row e too.  Without it, sd is the dense
     eigendecompose and every exact sweep takes the full route: the
     sweep reads Tr B_m off the exact chi_A, formed once at its first

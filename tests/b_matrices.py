@@ -51,7 +51,7 @@ def a_matrix_range(g: Graph, cert: RegularityCertificate, m_max: int) -> list[In
 def row_b_diagonals(g: Graph, q: int, m_max: int, v: int) -> list[int]:
     """Exact [(B_0)_vv..(B_{m_max})_vv] from the length-n rows r_k = e_v^T B_k.
 
-    The identities of nbt._b_trace_stream on whole rows:
+    The identities of nbt._row_b_stream on whole rows:
     (B_{2k})_vv = <r_k, r_k> - 2q^k and (B_{2k+1})_vv = <r_{k+1}, r_k> - q^k A_vv,
     one row step per two entries and no quotient.
     """

@@ -37,6 +37,22 @@ def test_graph_unknown_name(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 4.7, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+        {"n": True, "edges": []},
+        {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, True]]},
+    ],
+    ids=["float n", "boolean n", "boolean edge end"],
+)
+def test_graph_file_with_a_non_integer_field_is_parse_error(tmp_path, capsys, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["graph", str(path)]) == 2
+    assert "integer" in capsys.readouterr().err
+
+
 def test_verify_unknown_check_is_parse_error(capsys):
     assert main(["verify", "--graph", "k4", "--checks", "bogus"]) == 2
     assert "unknown check" in capsys.readouterr().err

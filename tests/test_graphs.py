@@ -171,6 +171,24 @@ def test_load_json_extra_keys_ignored(tmp_path):
     assert load_graph(path).n == 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 4.7, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}',  # once loaded as 4 vertices
+        '{"n": true, "edges": []}',  # once loaded as 1 vertex, q = -1
+        '{"n": "4", "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}',
+        '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, true]]}',  # once an edge to vertex 1
+        '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0.0]]}',
+        '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0, false]]}',
+        '{"n": 2, "edges": [0, 1]}',
+        '{"n": 2, "edges": {"0": 1}}',
+    ],
+)
+def test_load_json_refuses_a_field_that_is_not_an_integer(text):
+    with pytest.raises(ParseError):
+        load_graph(io.StringIO(text))
+
+
 def test_as_numpy_symmetric(corpus):
     for _, (g, _) in corpus.items():
         a = g.as_numpy()

@@ -20,6 +20,7 @@ import os
 import re
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -183,3 +184,99 @@ def test_only_the_suite_context_and_nbt_build_a_trace_sweep():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         callers.update(f"{path.stem}.{scope}" for scope in _calling_scopes(tree, "TraceSweep"))
     assert callers == {"suite.SuiteContext.sweep", "nbt._sweep_for"}
+
+
+def _imported_modules(node: ast.Import | ast.ImportFrom, modules: set[str]) -> list[str]:
+    """The iharalab modules (by file stem, "__init__" for the package) that one import statement loads."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name.split(".") for alias in node.names]
+        return [(parts[1:] or ["__init__"])[0] for parts in dotted if parts[0] == "iharalab"]
+    if node.level == 0 and (node.module or "").split(".")[0] != "iharalab":
+        return []
+    parts = ([] if node.module is None else node.module.split("."))[1 - node.level :]
+    if parts:
+        return [parts[0]]
+    return [alias.name if alias.name in modules else "__init__" for alias in node.names]
+
+
+def _is_type_checking(node: ast.AST) -> bool:
+    test = getattr(node, "test", None)
+    return isinstance(node, ast.If) and (
+        getattr(test, "id", None) == "TYPE_CHECKING" or getattr(test, "attr", None) == "TYPE_CHECKING"
+    )
+
+
+def _import_statements(tree: ast.Module):
+    """(node, in_function) for each import; blocks under `if TYPE_CHECKING:` are skipped."""
+
+    def visit(nodes, in_function: bool):
+        for node in nodes:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield node, in_function
+            elif _is_type_checking(node):
+                yield from visit(node.orelse, in_function)
+            else:
+                inner = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                yield from visit(ast.iter_child_nodes(node), inner)
+
+    return visit(tree.body, False)
+
+
+def _package_imports() -> tuple[dict[str, set[str]], list[str]]:
+    """(module -> iharalab modules it imports at module level, the function bodies that import one)."""
+    paths = sorted(ROOT.glob("src/iharalab/*.py"))
+    modules = {p.stem for p in paths}
+    graph: dict[str, set[str]] = {}
+    nested = []
+    for path in paths:
+        graph[path.stem] = set()
+        for node, in_function in _import_statements(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = _imported_modules(node, modules)
+            if in_function and targets:
+                nested.append(f"{path.name}:{node.lineno}")
+            elif not in_function:
+                graph[path.stem].update(targets)
+    return graph, nested
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the directed graph, as a path that ends where it starts, or []."""
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+def test_no_function_body_imports_a_package_module():
+    # an import deferred into a function hides a cycle between modules
+    assert _package_imports()[1] == []
+
+
+def test_the_module_level_imports_have_no_cycle():
+    graph = _package_imports()[0]
+    assert graph["__init__"] >= {"graphs", "nbt", "lps", "spectral", "suite"}
+    assert "graphs" in graph["lps"] and "nbt" not in graph["lps"]
+    assert _cycle(graph) == []
+
+
+def test_the_import_checks_see_deferred_imports_and_cycles():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from . import graphs\n"
+        "if TYPE_CHECKING:\n"
+        "    from .suite import SuiteContext\n"
+        "else:\n"
+        "    import iharalab.suite\n"
+        "def late():\n"
+        "    from .nbt import f\n"
+        "    import iharalab.lps\n"
+    )
+    found = [
+        (_imported_modules(node, {"graphs", "nbt", "lps", "suite"}), inside)
+        for node, inside in _import_statements(ast.parse(source))
+    ]
+    assert found == [([], False), (["graphs"], False), (["suite"], False), (["nbt"], True), (["lps"], True)]
+    cycle = _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}})
+    assert sorted(cycle[1:]) == ["a", "b", "c"] and cycle[0] == cycle[-1]
+    assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []

@@ -1,22 +1,23 @@
 """The row stream on the rooted equitable quotient against the length-n row stream.
 
-nbt._b_trace_stream with a vertex v runs on the cells of a colour
-refinement from {v} and the rest, one round per row step, which ends
-at the coarsest equitable partition that has {v} as a cell
-(nbt._rooted_refinement, nbt._rooted_quotient).
+nbt._row_b_stream, the stream of a vertex v, runs on the cells of
+graphs.refine from {v} and the rest: ceil(m/2) rounds deep for the
+first m + 1 diagonal entries (_b_traces), or to the fixpoint, the
+coarsest equitable partition that has {v} as a cell (a TraceSweep's
+row route).
 b_matrices.row_b_diagonals runs the same identities on whole rows; the
 two must agree at every vertex, for the graph's q and for q = 0, on
-regular, irregular, looped and asymmetric graphs, before and after the
-refinement ends.
+regular, irregular, looped and asymmetric graphs, at either depth.
 """
 
 import math
 
+import numpy as np
 import pytest
 from b_matrices import row_b_diagonals
 
 from iharalab import nbt
-from iharalab.graphs import Graph, build_graph, named_graph
+from iharalab.graphs import Graph, build_graph, named_graph, neighbour_table, refine
 from iharalab.lps import build_lps, cayley_root
 
 M_MAX = 40
@@ -29,6 +30,16 @@ def frucht() -> Graph:
     ring = [(i, (i + 1) % 12) for i in range(12)]
     chords = [(i, (i + s) % 12) for i, s in enumerate(FRUCHT_LCF) if i < (i + s) % 12]
     return build_graph(12, ring + chords)
+
+
+def rooted(g: Graph, v: int, rounds: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(cell_of, quotient) of graphs.refine from {v} and the rest."""
+    return refine(neighbour_table(g), np.arange(g.n) != v, rounds)
+
+
+def relabeled(g: Graph, perm: np.ndarray) -> Graph:
+    """The graph with vertex w of g renamed perm[w]."""
+    return Graph(g.n, tuple(tuple(sorted(int(perm[x]) for x in g.neighbors[w])) for w in np.argsort(perm)))
 
 
 def distances(g: Graph, v: int) -> dict[int, int]:
@@ -65,19 +76,25 @@ def test_quotient_stream_equals_the_length_n_row_stream(graphs):
         top = max(map(len, g.neighbors)) - 1
         for q in (top, 0):
             for v in range(g.n):
+                want = row_b_diagonals(g, q, M_MAX, v)
                 got = nbt._b_traces(g, q, M_MAX, v)
-                assert got == row_b_diagonals(g, q, M_MAX, v), (name, q, v)
+                assert got == want, (name, q, v)
                 assert all(type(x) is int for x in got)
+                # the row route of a sweep refines to the fixpoint instead
+                assert nbt.TraceSweep(g, q, "row", v).prefix(M_MAX) == [g.n * b for b in want], (name, q, v)
 
 
 def test_rooted_partition_is_equitable_with_v_alone(graphs):
     for name, g in graphs.items():
+        width = max(map(len, g.neighbors))
         for v in range(g.n):
-            cell_of, cells = nbt._rooted_quotient(g, v)
-            assert sorted(set(cell_of.tolist())) == list(range(len(cells))), (name, v)
+            cell_of, quotient = rooted(g, v)
+            assert quotient.shape == (cell_of.max() + 1, width), (name, v)
+            assert sorted(set(cell_of.tolist())) == list(range(len(quotient))), (name, v)
             assert [w for w in range(g.n) if cell_of[w] == cell_of[v]] == [v], (name, v)
             for w, nb in enumerate(g.neighbors):
-                assert sorted(cell_of[list(nb)].tolist()) == sorted(cells[cell_of[w]]), (name, v, w)
+                padded = [-1] * (width - len(nb)) + sorted(cell_of[list(nb)].tolist())
+                assert quotient[cell_of[w]].tolist() == padded, (name, v, w)
 
 
 def test_distance_classes_on_distance_regular_graphs(graphs):
@@ -87,8 +104,8 @@ def test_distance_classes_on_distance_regular_graphs(graphs):
         g = graphs[name]
         for v in range(g.n):
             dist = distances(g, v)
-            cell_of, cells = nbt._rooted_quotient(g, v)
-            assert len(cells) == classes, (name, v)
+            cell_of, quotient = rooted(g, v)
+            assert len(quotient) == classes, (name, v)
             for a in range(g.n):
                 for b in range(g.n):
                     assert (cell_of[a] == cell_of[b]) == (dist[a] == dist[b]), (name, v, a, b)
@@ -97,31 +114,68 @@ def test_distance_classes_on_distance_regular_graphs(graphs):
 def test_an_asymmetric_graph_has_the_discrete_partition(graphs):
     g = graphs["Frucht"]
     for v in range(g.n):
-        assert len(nbt._rooted_quotient(g, v)[1]) == g.n, v
+        assert len(rooted(g, v)[1]) == g.n, v
 
 
 @pytest.mark.parametrize("p, q, cells", [(13, 5, 12), (17, 13, 54)])
 def test_cell_counts_on_lps_graphs(p, q, cells):
     g, params = build_lps(p, q)
-    assert len(nbt._rooted_quotient(g, cayley_root(g, params))[1]) == cells
+    assert len(rooted(g, cayley_root(g, params))[1]) == cells
 
 
-def test_the_row_sweep_takes_one_refining_round_per_step(monkeypatch):
-    # CYCLE(401) needs 200 rounds to reach its 201 distance classes from
-    # vertex 0; a short sweep must not wait for them
+def test_the_rooted_refinement_runs_only_as_deep_as_asked(monkeypatch):
+    # from vertex 0 of CYCLE(401), round R < 200 splits off distance
+    # class R, and the 201 distance classes take 200 rounds
     g = named_graph("CYCLE(401)")
-    assert len(nbt._rooted_quotient(g, 0)[1]) == 201
-    refinement, drawn = nbt._rooted_refinement, [0]
+    dist = distances(g, 0)
+    for rounds in (0, 1, 5, 20, 199):
+        cell_of = rooted(g, 0, rounds)[0]
+        assert cell_of.max() + 1 == rounds + 2, rounds
+        classes = [min(dist[w], rounds + 1) for w in range(g.n)]
+        assert len({(c, int(cell_of[w])) for w, c in enumerate(classes)}) == rounds + 2, rounds
+    assert len(rooted(g, 0)[1]) == len(rooted(g, 0, 1000)[1]) == 201
 
-    def counted(g, v):
-        for item in refinement(g, v):
-            drawn[0] += 1
-            yield item
+    # _b_traces refines ceil(m/2) rounds, which carry r_0..r_ceil(m/2)
+    drawn = []
 
-    monkeypatch.setattr(nbt, "_rooted_refinement", counted)
-    sweep = nbt.TraceSweep(g, 1, "row", 0)
+    def counted(table, start, rounds=None):
+        out = refine(table, start, rounds)
+        drawn.append((rounds, len(out[1])))
+        return out
+
+    monkeypatch.setattr(nbt, "refine", counted)
     for m_max in (10, 41):
-        assert sweep.prefix(m_max) == [g.n * b for b in row_b_diagonals(g, 1, m_max, 0)]
-        # the start, then one round before u_1 and before each of the
-        # ceil(m_max/2) - 1 row steps
-        assert drawn[0] == 1 + math.ceil(m_max / 2)
+        assert nbt._b_traces(g, 1, m_max, 0) == row_b_diagonals(g, 1, m_max, 0), m_max
+        half = math.ceil(m_max / 2)
+        assert drawn.pop() == (half, half + 2), m_max
+    sweep = nbt.TraceSweep(g, 1, "row", 0)
+    assert sweep.prefix(41) == [g.n * b for b in row_b_diagonals(g, 1, 41, 0)]
+    assert drawn == [(None, 201)]
+
+
+def test_cell_numbers_past_one_byte_still_name_the_quotient_rows():
+    # unique orders the keys by their bytes, so past 256 cells the round
+    # that adds no cell numbers them apart from the last one that did
+    g = named_graph("CYCLE(601)")
+    table = neighbour_table(g)
+    for rounds in (299, 300, 400, None):
+        cell_of, quotient = rooted(g, 0, rounds)
+        assert len(quotient) == 301, rounds
+        assert np.array_equal(np.sort(cell_of[table], axis=1), quotient[cell_of]), rounds
+    sweep = nbt.TraceSweep(g, 1, "row", 0)
+    assert sweep.prefix(41) == [g.n * b for b in row_b_diagonals(g, 1, 41, 0)]
+
+
+@pytest.mark.parametrize("name", ["X^{13,5}", "irregular multigraph"])
+def test_refinement_numbers_cells_not_vertices(graphs, name):
+    # lps._isomorphism compares the colours of two graphs directly
+    g = build_lps(13, 5)[0] if name == "X^{13,5}" else graphs[name]
+    perm = np.random.default_rng(5).permutation(g.n)
+    h = relabeled(g, perm)
+    for v in range(min(g.n, 12)):
+        for rounds in (1, 2, None):
+            cell_g, quotient_g = rooted(g, v, rounds)
+            cell_h, quotient_h = rooted(h, int(perm[v]), rounds)
+            assert np.array_equal(cell_h[perm], cell_g), (v, rounds)
+        # at the fixpoint every vertex of a cell has the first one's neighbour cells
+        assert np.array_equal(quotient_h, quotient_g), v

@@ -10,9 +10,8 @@ from coset_blocks import block_decompose, cayley_cosets
 from test_suite import cycle_plus_matching, frucht_graph
 
 from iharalab.errors import ClusterAmbiguity, DepthExceeded, OutOfRange
-from iharalab.graphs import Graph, build_graph, certify_regular
+from iharalab.graphs import Graph, build_graph, certify_regular, neighbour_table, refine
 from iharalab.lps import build_lps, cayley_root
-from iharalab.nbt import _rooted_quotient
 from iharalab.spectral import eigendecompose, quotient_decompose, theta_of
 from iharalab.suite import range_abs_max
 
@@ -175,6 +174,13 @@ def test_dense_route_refuses_past_its_memory_ceiling(monkeypatch):
         eigendecompose(g, cert)
 
 
+def test_quotient_route_rejects_a_vertex_outside_the_graph():
+    g = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            quotient_decompose(g, certify_regular(g), v)
+
+
 # the rooted-quotient route of X^{p,q} against the dense route and the coset-block reference
 
 
@@ -184,7 +190,7 @@ def both_routes(request):
     g, params = build_lps(*request.param)
     cert = certify_regular(g)
     e = cayley_root(g, params)
-    cell_of, _ = _rooted_quotient(g, e)
+    cell_of, _ = refine(neighbour_table(g), np.arange(g.n) != e)
     block = block_decompose(g, cert, cayley_cosets(g, params))
     return e, cell_of, quotient_decompose(g, cert, e), eigendecompose(g, cert), block
 
