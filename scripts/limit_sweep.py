@@ -23,16 +23,9 @@ import csv
 import os
 import sys
 
-from iharalab.errors import NotRamanujan
+from iharalab.errors import AngleConditionViolated, NotRamanujan
 from iharalab.graphs import named_graph
-from iharalab.limits import (
-    angle_condition,
-    average_cusp_sweep,
-    average_nm_sweep,
-    cesaro_a,
-    cesaro_s,
-    require_ramanujan,
-)
+from iharalab.limits import average_cusp_sweep, average_nm_sweep, cesaro, require_ramanujan
 from iharalab.lps import build_lps
 from iharalab.suite import SuiteContext
 
@@ -46,10 +39,11 @@ def write_cesaro(path: str, horizons: list[int], k_max: int) -> None:
         for name in NAMED:
             sd = SuiteContext(named_graph(name)).sd
             for k in range(1, k_max + 1):
-                if not angle_condition(sd, k):
-                    continue
-                for variant, run in (("a", cesaro_a), ("s", cesaro_s)):
-                    rep = run(sd, k, horizons)
+                for variant in ("a", "s"):
+                    try:
+                        rep = cesaro(sd, k, horizons, variant)
+                    except AngleConditionViolated:
+                        continue
                     for n_val, dev, scaled in zip(
                         rep.N_values, rep.deviations, rep.scaled_deviations
                     ):

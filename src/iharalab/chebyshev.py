@@ -1,8 +1,8 @@
 """Cosine-power expansions with exact rational weights.
 
 cos^k(t) as a cosine series, and its mean over a period, which is the
-Cesaro limit weight of each principal eigenvalue.  The Chebyshev
-evaluators the float routes need live in nbt (cheb_t_real, cheb_u_real).
+Cesaro limit weight of each principal eigenvalue.  The float routes
+evaluate T_m with nbt.cheb_t_real; only tests and perfbench name cheb_u_real.
 """
 
 from __future__ import annotations

@@ -217,8 +217,7 @@ def cmd_limits(args) -> int:
     horizons = args.horizons
     if args.what == "cesaro":
         horizons = horizons or list(suite.DEFAULT_HORIZONS["cesaro"])
-        runner = limits.cesaro_a if args.variant == "a" else limits.cesaro_s
-        rep = runner(ctx.sd, args.k, horizons)
+        rep = limits.cesaro(ctx.sd, args.k, horizons, args.variant)
         header = ["N", "deviation", "scaled_deviation", "reference_constant", "rate_estimate"]
         rows = [
             [N, rep.deviations[i], rep.scaled_deviations[i], rep.reference_constant,

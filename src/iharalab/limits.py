@@ -20,19 +20,23 @@ constant is what the proofs actually control; the observed max/min
 ratio across horizons is reported as a diagnostic but oscillatory
 near-zeros make it unusable as a pass/fail gate.
 
-The Cesaro functions and the reference constants take spectral data
-only.  The reports that read exact counts (average_nm, the two sweeps,
-stf_verify, huang_range) take a suite.SuiteContext and read the graph,
-certificate, spectrum, parameters and trace sweep from it, so they run
-on the route the context's certificate picks and have none of their own.
-stf_verify and huang_range take the trivial eigenvalues +-(q+1) out through
-it too (SuiteContext.remainders and nontrivial_chebyshev_sums).
+cesaro and the reference constants take spectral data only, as one
+(theta, mult) array pair of the principal clusters (principal_angles).
+The N_m and cusp constants add their terms in cluster order with the
+builtin sum, so the average-nm and cusp metrics are bit for bit what a
+loop over the clusters gives.  The reports that read exact counts
+(average_nm, the two sweeps, stf_verify, huang_range) take a
+suite.SuiteContext and read the graph, certificate, spectrum,
+parameters and trace sweep from it, so they run on the route the
+context's certificate picks and have none of their own.  stf_verify and
+huang_range take the trivial eigenvalues +-(q+1) out through it too
+(SuiteContext.remainders and nontrivial_chebyshev_sums).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -66,22 +70,29 @@ def quad(*args, **kwargs):
 # partial-sum bounds and reference constants
 
 
-def cos_partial_sum_bound(phi: float) -> float:
-    """Bound for |sum_{m=1}^{N} cos(m phi)|, uniform in N, for phi not in 2 pi Z."""
-    return 1.0 / abs(math.sin(phi / 2.0)) + 0.5
+def cos_partial_sum_bound(phi):
+    """Bound for |sum_{m=1}^{N} cos(m phi)|, uniform in N, for phi not in 2 pi Z; elementwise on arrays."""
+    return 1.0 / np.abs(np.sin(phi / 2.0)) + 0.5
 
 
-def shifted_cos_partial_sum_bound(phi: float) -> float:
-    """Bound for |sum_{m=1}^{N} cos((m+1) phi)|, uniform in N.
+def shifted_cos_partial_sum_bound(phi):
+    """Bound for |sum_{m=1}^{N} cos((m+1) phi)|, uniform in N; elementwise on arrays.
 
     The shift drops the m = 1 term from the full sum starting at 1, so
     the closed-form bound 1/|sin(phi/2)| picks up at most 1.
     """
-    return 1.0 / abs(math.sin(phi / 2.0)) + 1.0
+    return 1.0 / np.abs(np.sin(phi / 2.0)) + 1.0
 
 
-# angle_condition's absolute tolerance on h theta mod 2 pi
+# the absolute tolerance on h theta mod 2 pi of the resonance test
 ANGLE_TOL = 1e-9
+
+
+def _harmonics(k: int) -> np.ndarray:
+    """Rows h and w: the frequencies h > 0 of cos^k (cos_power_as_cosines) and their float weights."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return np.array([(h, w) for h, w in cos_power_as_cosines(k) if h], dtype=float).T
 
 
 def angle_condition(sd, k: int) -> bool:
@@ -93,44 +104,8 @@ def angle_condition(sd, k: int) -> bool:
     contributes a non-vanishing constant and destroys the rate.  Angles
     are tested within ANGLE_TOL.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    harmonics = [h for h, _ in cos_power_as_cosines(k) if h]
-    for cl in sd.principal():
-        th = cl.theta.real
-        for h in harmonics:
-            frac = (h * th) % (2.0 * math.pi)
-            if min(frac, 2.0 * math.pi - frac) < ANGLE_TOL:
-                return False
-    return True
-
-
-def cesaro_reference(sd, k: int, variant: str) -> float:
-    """Explicit O(1/N) constant for the Cesaro deviation, from the proofs.
-
-    For each principal cluster the deviation of the scalar average is at
-    most (1/N) * sum over frequencies of weight * partial-sum bound; the
-    Euclidean matrix norm then aggregates with sqrt(multiplicity).
-    Infinite when the angle condition fails, which is exactly when no
-    finite constant exists.
-    """
-    if not angle_condition(sd, k):
-        return math.inf
-    total = 0.0
-    for cl in sd.principal():
-        th = cl.theta.real
-        per = 0.0
-        for h, w in cos_power_as_cosines(k):
-            if h == 0:
-                continue
-            if variant == "a":
-                per += float(w) * cos_partial_sum_bound(h * th)
-            elif variant == "s":
-                per += float(w) * shifted_cos_partial_sum_bound(h * th) / math.sin(th) ** k
-            else:
-                raise ValueError(f"unknown variant {variant!r}")
-        total += cl.mult * per * per
-    return math.sqrt(total)
+    frac = np.outer(_harmonics(k)[0], sd.principal_angles()[0]) % (2.0 * math.pi)
+    return not (np.minimum(frac, 2.0 * math.pi - frac) < ANGLE_TOL).any()
 
 
 def require_ramanujan(sd) -> None:
@@ -160,7 +135,7 @@ class CesaroReport:
     rate_estimate: float | None
     limit_constant: Fraction
     reference_constant: float
-    scaled_deviations: tuple[float, ...] = field(default=())
+    scaled_deviations: tuple[float, ...]
 
 
 def _validate_horizons(horizons: Sequence[int]) -> list[int]:
@@ -173,44 +148,40 @@ def _validate_horizons(horizons: Sequence[int]) -> list[int]:
 def _rate_estimate(ns: list[int], devs: list[float]) -> float | None:
     if any(d <= 0.0 for d in devs) or len(ns) < 2:
         return None
-    xs = np.log(np.array(ns, dtype=float))
-    ys = np.log(np.array(devs, dtype=float))
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(ns), np.log(devs), 1)[0])
 
 
-def _cesaro_run(sd, k: int, horizons: Sequence[int], variant: str) -> CesaroReport:
+def cesaro(sd, k: int, horizons: Sequence[int], variant: str) -> CesaroReport:
+    """Cesaro average of a_m^k ("a") or s_m^k ("s") against e_k binom(k,k/2)/2^k sum P_l.
+
+    The limit of s_m^k weights each P_l by sin(theta_l)^{-k}.  As the P_l
+    are orthogonal idempotents, each cluster averages a scalar power, and
+    the Frobenius deviation is sqrt(sum_l mult_l d_l^2).  The reference
+    constant, the proofs' O(1/N) constant, bounds each d_l by sum_h w_h
+    times the partial-sum bound at h theta_l over the frequencies h > 0 of
+    cos^k.  Raises AngleConditionViolated unless angle_condition holds.
+    """
+    if variant not in ("a", "s"):
+        raise ValueError(f"unknown variant {variant!r}")
     if not angle_condition(sd, k):
-        raise AngleConditionViolated(
-            f"a principal angle resonates at moment order k={k}; the averaged limit fails"
-        )
+        raise AngleConditionViolated(f"a principal angle resonates at moment order k={k}; the averaged limit fails")
     ns = _validate_horizons(horizons)
-    n_max = ns[-1]
+    theta, mult = sd.principal_angles()
+    harmonics, weights = _harmonics(k)
     weight = central_binomial_weight(k)
-    devs = []
-    principal = sd.principal()
-    # per-cluster scalar averages; the matrix deviation follows because the
-    # eigenvector blocks are orthonormal and mutually orthogonal:
-    # ||sum_l d_l V_l V_l^T||_F = sqrt(sum_l mult_l * d_l^2)
-    cums = []
-    targets = []
-    for cl in principal:
-        th = cl.theta.real
-        m = np.arange(1, n_max + 1, dtype=float)
-        if variant == "a":
-            scal = np.cos(m * th) ** k
-            target = float(weight)
-        else:
-            scal = (np.sin((m + 1) * th) / math.sin(th)) ** k
-            target = float(weight) / math.sin(th) ** k
-        cums.append(np.cumsum(scal))
-        targets.append(target)
-    for N in ns:
-        acc = 0.0
-        for cl, cum, target in zip(principal, cums, targets):
-            d = cum[N - 1] / N - target
-            acc += cl.mult * d * d
-        devs.append(math.sqrt(acc))
+    m = np.arange(1, ns[-1] + 1, dtype=float)
+    if variant == "a":
+        scal = np.cos(np.outer(m, theta)) ** k
+        target = float(weight)
+        per = cos_partial_sum_bound(np.outer(theta, harmonics)) @ weights
+    else:
+        sin_k = np.sin(theta) ** k
+        scal = (np.sin(np.outer(m + 1, theta)) / np.sin(theta)) ** k
+        target = float(weight) / sin_k
+        per = shifted_cos_partial_sum_bound(np.outer(theta, harmonics)) @ weights / sin_k
+    horizon = np.array(ns)
+    d = np.cumsum(scal, axis=0, out=scal)[horizon - 1] / horizon[:, None] - target
+    devs = np.sqrt((d * d) @ mult).tolist()
     return CesaroReport(
         k=k,
         variant=variant,
@@ -218,19 +189,9 @@ def _cesaro_run(sd, k: int, horizons: Sequence[int], variant: str) -> CesaroRepo
         deviations=tuple(devs),
         rate_estimate=_rate_estimate(ns, devs),
         limit_constant=weight,
-        reference_constant=cesaro_reference(sd, k, variant),
+        reference_constant=math.sqrt(mult @ (per * per)),
         scaled_deviations=tuple(d * N for d, N in zip(devs, ns)),
     )
-
-
-def cesaro_a(sd, k: int, horizons: Sequence[int]) -> CesaroReport:
-    """Cesaro average of a_m^k against (e_k binom(k,k/2)/2^k) sum P_lambda."""
-    return _cesaro_run(sd, k, horizons, "a")
-
-
-def cesaro_s(sd, k: int, horizons: Sequence[int]) -> CesaroReport:
-    """Cesaro average of s_m^k against the sin^{-k}-weighted limit."""
-    return _cesaro_run(sd, k, horizons, "s")
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +218,8 @@ def average_nm_reference(sd, cert: RegularityCertificate) -> float:
     q = sd.q
     if q < 2:
         raise ValueError("main-term formula needs q >= 2")
-    total = 0.0
-    for cl in sd.principal():
-        total += 2.0 * cl.mult * cos_partial_sum_bound(cl.theta.real)
+    theta, mult = sd.principal_angles()
+    total = float(sum(2.0 * mult * cos_partial_sum_bound(theta)))
     rq = math.sqrt(q)
     if cert.bipartite:
         branch = 2.0 * (q + 1) / (q - 1)
@@ -332,39 +292,37 @@ def average_nm_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[Average
 
 def cusp_term_bound(sd) -> float:
     """Spectral bound for each |a(p^m)|/(2 p^{m/2}): (1/n) sum mult/sin(theta)."""
-    total = 0.0
-    for cl in sd.principal():
-        total += cl.mult / math.sin(cl.theta.real)
-    return total / sd.n
+    theta, mult = sd.principal_angles()
+    return float(sum(mult / np.sin(theta))) / sd.n
 
 
 def average_cusp_reference(sd) -> float:
     """Bound for |average| * N: shifted partial sums weighted by 1/sin(theta)."""
-    total = 0.0
-    for cl in sd.principal():
-        th = cl.theta.real
-        total += cl.mult * shifted_cos_partial_sum_bound(th) / math.sin(th)
-    return total / sd.n
+    theta, mult = sd.principal_angles()
+    return float(sum(mult * shifted_cos_partial_sum_bound(theta) / np.sin(theta))) / sd.n
 
 
 def average_cusp_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[dict]:
     """Average of a(p^m)/(2 p^{m/2}) over m <= N at each horizon N, with its rate bound.
 
     One normalized_cusp_terms call, to the largest horizon and from the
-    context's sweep, serves every row, and each sum is exact.  A row
-    carries N, the average,
-    |average| * N (scaled_average), the reference constant the
+    context's sweep, serves every row, and each row reads one running
+    exact sum and one running max at its horizon.  A row carries N, the
+    average, |average| * N (scaled_average), the reference constant the
     partial-sum bound gives for it, the spectral term bound and the
     largest |term| up to N.
     """
+    hs = _validate_horizons(horizons)
     sd = ctx.sd
-    normalized = normalized_cusp_terms(ctx.g, ctx.params, max(horizons), sweep=ctx.sweep)
+    normalized = normalized_cusp_terms(ctx.g, ctx.params, hs[-1], sweep=ctx.sweep)
     reference, bound = average_cusp_reference(sd), cusp_term_bound(sd)
+    total, max_term, m = Fraction(0), 0.0, 0
     rows = []
-    for N in horizons:
-        terms = normalized[1 : N + 1]
-        average = float(sum(terms, Fraction(0))) / N
-        max_term = max(abs(float(t)) for t in terms)
+    for N in hs:
+        for m in range(m + 1, N + 1):
+            total += normalized[m]
+            max_term = max(max_term, abs(float(normalized[m])))
+        average = float(total) / N
         rows.append(dict(N=N, average=average, scaled_average=abs(average) * N,
                          reference_constant=reference, term_bound=bound, max_term=max_term))
     return rows

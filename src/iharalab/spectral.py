@@ -98,6 +98,10 @@ class SpectralData:
     def principal(self) -> list[Cluster]:
         return [c for c in self.clusters if c.principal]
 
+    def principal_angles(self) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, mult) of the principal clusters, in cluster order: a float and an int array."""
+        return np.array([c.theta.real for c in self.principal()]), np.array([c.mult for c in self.principal()])
+
     def singular(self) -> list[Cluster]:
         return [c for c in self.clusters if not c.principal]
 

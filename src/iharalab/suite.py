@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import limits, lps, nbt, oracle, zeta
-from .errors import IharaLabError, ParseError
+from .errors import AngleConditionViolated, IharaLabError, ParseError
 from .graphs import Graph, certify_regular, load_graph_doc, named_graph
 from .spectral import Cluster, eigendecompose, quotient_decompose
 
@@ -144,6 +144,12 @@ class VerificationSuiteConfig:
             raise ParseError(f"config key 'emit' needs a path, got {raw['emit']!r}")
         if not isinstance(raw.get("allow_large", False), bool):
             raise ParseError(f"config key 'allow_large' needs true or false, got {raw['allow_large']!r}")
+        k_values = _parse_ints("k", raw.get("k", (1, 2, 3, 4)))
+        if not k_values:
+            raise ParseError("config key 'k' needs at least one integer")
+        order = _parse("order", raw.get("order", 10), int)
+        if order < 1:
+            raise ParseError(f"config key 'order' needs an integer of at least 1, got {order}")
         return cls(
             source_kind="named" if key == "graph" else key,
             source=source,
@@ -151,10 +157,10 @@ class VerificationSuiteConfig:
             q=q,
             checks=validate_checks(checks),
             horizons=None if horizons is None else _parse_ints("horizons", horizons),
-            k_values=_parse_ints("k", raw.get("k", (1, 2, 3, 4))),
+            k_values=k_values,
             tol_override=None if tol is None else _parse("tol", tol, float),
             budget=_parse("budget", raw.get("budget", DEFAULT_BUDGET), int),
-            order=_parse("order", raw.get("order", 10), int),
+            order=order,
             emit=raw.get("emit"),
             allow_large=raw.get("allow_large", False),
         )
@@ -490,8 +496,7 @@ def range_abs_max(sd, m_max: int) -> np.ndarray:
     """
     principal = sd.principal()
     n, n_l = sd.n, len(principal)
-    thetas = np.array([cl.theta.real for cl in principal])
-    c = np.cos(np.outer(np.arange(1, m_max + 1), thetas))
+    c = np.cos(np.outer(np.arange(1, m_max + 1), sd.principal_angles()[0]))
     if principal[0].identity_row is not None:
         return np.abs(c @ np.stack([cl.identity_row for cl in principal])).max(axis=1)
     # two buffers sized for the first, largest block serve every block; a
@@ -535,23 +540,24 @@ def check_cesaro(
     k_values: tuple[int, ...] = (1, 2, 3, 4),
     horizons: tuple[int, ...] = DEFAULT_HORIZONS["cesaro"],
 ) -> dict:
-    """Cesaro averages of a_m^k and s_m^k against their limits.
+    """Cesaro averages of a_m^k and s_m^k against their limits (limits.cesaro).
 
     Load factor = scaled deviation over four times the partial-sum
     reference constant; combinations whose angle condition fails are
     reported as skipped rather than forced.
     """
-    sd = ctx.sd
+    if not k_values:
+        raise ValueError("the cesaro check needs at least one k")
     worst = 0.0
     rows = []
     skipped = []
     for k in k_values:
         for variant in ("a", "s"):
-            if not limits.angle_condition(sd, k):
+            try:
+                rep = limits.cesaro(ctx.sd, k, horizons, variant)
+            except AngleConditionViolated:
                 skipped.append(f"{variant} k={k}")
                 continue
-            runner = limits.cesaro_a if variant == "a" else limits.cesaro_s
-            rep = runner(sd, k, horizons)
             ref = rep.reference_constant
             load = max(rep.scaled_deviations) / (BAND_FACTOR * ref) if ref > 0 else 0.0
             worst = max(worst, load)

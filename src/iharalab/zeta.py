@@ -163,8 +163,10 @@ def verify_ihara_bass(ctx: SuiteContext, order: int = 10) -> Fraction:
     the full matrices otherwise.  The two sides stay independent
     recurrences, at q and at 0.  When the context's sweep raises
     NotRegular, the counts come from the brute-force walk oracle and
-    the determinant from the Bass-matrix charpoly.  Exact zero expected.
+    the determinant from the Bass-matrix charpoly.  Exact zero expected; order < 1 raises ValueError.
     """
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
     try:
         sweep = ctx.sweep
     except NotRegular:

@@ -22,8 +22,7 @@ from iharalab.limits import (
     average_cusp_reference,
     average_cusp_sweep,
     average_nm_sweep,
-    cesaro_a,
-    cesaro_s,
+    cesaro,
     huang_range,
     stf_verify,
 )
@@ -182,8 +181,8 @@ def test_criterion_05_cesaro_band(spectra, x135):
             if not angle_condition(sd, k):
                 skipped.append(f"{name} k={k}")
                 continue
-            for runner in (cesaro_a, cesaro_s):
-                rep = runner(sd, k, horizons)
+            for variant in ("a", "s"):
+                rep = cesaro(sd, k, horizons, variant)
                 load = max(rep.scaled_deviations) / (4.0 * rep.reference_constant)
                 worst_load = max(worst_load, load)
     ok = worst_load <= 1.0

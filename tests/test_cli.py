@@ -305,6 +305,42 @@ def test_malformed_input_exits_two(argv, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--graph", "PETERSEN", "--checks", "cesaro", "--k", ","],
+        ["verify", "--config", '{"graph": "PETERSEN", "checks": ["cesaro"], "k": []}'],
+    ],
+    ids=["flag", "config"],
+)
+def test_verify_refuses_an_empty_k(argv, tmp_path, monkeypatch, capsys):
+    """With no k the cesaro check would pass at metric 0 having tested nothing."""
+    monkeypatch.chdir(tmp_path)
+    if argv[1] == "--config":
+        (tmp_path / "cfg.json").write_text(argv[2])
+        argv = ["verify", "--config", "cfg.json"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'k' needs at least one integer")
+
+
+def test_verify_refuses_an_order_below_one(tmp_path, monkeypatch, capsys):
+    """At order 0 the ihara-bass check would compare only the constant coefficient, 1 = 1."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"graph": "K4", "checks": ["ihara-bass"], "order": 0}))
+    assert main(["verify", "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: config key 'order' needs an integer of at least 1")
+
+
+@pytest.mark.parametrize("horizons", ["200,50", "0,5"])
+def test_verify_cusp_refuses_the_horizons_the_other_sweeps_refuse(horizons, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--lps", "13,5", "--checks", "cusp", "--horizons", horizons, "--emit", "s.json"]) == 1
+    (result,) = json.loads((tmp_path / "s.json").read_text())["results"]
+    assert result["status"] == "error"
+    assert result["detail"]["error"].startswith("ValueError: horizons must be a strictly increasing list")
+
+
 @pytest.mark.parametrize("argv", [["stf", "--hhat", "2:1"], ["spectrum"], ["huang"]], ids=" ".join)
 def test_a_one_regular_graph_is_a_typed_error(argv, tmp_path, monkeypatch, capsys):
     """K2 has q = 0: no spectral angle and no q^{-m/2}."""

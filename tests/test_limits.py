@@ -2,6 +2,9 @@
 
 cesaro_matrix_average below is the reference for the scalar Cesaro
 route: it sums the k-th powers of the spectral matrices explicitly.
+cesaro_reference_by_cluster is the reference for cesaro's
+reference_constant: it sums the partial-sum bounds one cluster and one
+frequency at a time.
 """
 
 import math
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iharalab import limits, zeta
-from iharalab.chebyshev import central_binomial_weight
+from iharalab.chebyshev import central_binomial_weight, cos_power_as_cosines
 from iharalab.errors import AngleConditionViolated, NotRamanujan
 from iharalab.graphs import build_graph, certify_regular
 from iharalab.limits import (
@@ -24,9 +27,7 @@ from iharalab.limits import (
     average_nm,
     average_nm_reference,
     average_nm_sweep,
-    cesaro_a,
-    cesaro_reference,
-    cesaro_s,
+    cesaro,
     cos_partial_sum_bound,
     cusp_term_bound,
     huang_range,
@@ -70,7 +71,7 @@ def cesaro_matrix_average(sd, k: int, N: int, variant: str = "a") -> np.ndarray:
     """(1/N) sum_{m<=N} a_m^k (or s_m^k) as an explicit matrix.
 
     Slow reference route used to validate the scalar shortcut in
-    _cesaro_run; k-th powers of the spectral matrices reduce to k-th
+    cesaro; k-th powers of the spectral matrices reduce to k-th
     powers of scalars because the projectors are orthogonal idempotents.
     """
     out = np.zeros((sd.n, sd.n))
@@ -85,6 +86,28 @@ def cesaro_matrix_average(sd, k: int, N: int, variant: str = "a") -> np.ndarray:
             acc += (s**k) * cl.projector
         out += acc
     return out / N
+
+
+def cesaro_reference_by_cluster(sd, k: int, variant: str) -> float:
+    """cesaro's reference_constant, one principal cluster and one frequency of cos^k at a time.
+
+    Each cluster's deviation is at most the sum over frequencies h > 0 of
+    w_h times the partial-sum bound at h theta (the shifted bound over
+    sin(theta)^k for "s"); the Frobenius norm aggregates with sqrt(mult).
+    """
+    total = 0.0
+    for cl in sd.principal():
+        th = cl.theta.real
+        per = 0.0
+        for h, w in cos_power_as_cosines(k):
+            if h == 0:
+                continue
+            if variant == "a":
+                per += float(w) * cos_partial_sum_bound(h * th)
+            else:
+                per += float(w) * shifted_cos_partial_sum_bound(h * th) / math.sin(th) ** k
+        total += cl.mult * per * per
+    return math.sqrt(total)
 
 
 
@@ -143,14 +166,22 @@ def test_angle_condition_rejects_bad_k(spectra):
 
 def test_gated_cesaro_raises(spectra):
     with pytest.raises(AngleConditionViolated):
-        cesaro_a(spectra["K33"], 4, (10, 20))
+        cesaro(spectra["K33"], 4, (10, 20), "a")
     with pytest.raises(AngleConditionViolated):
-        cesaro_s(spectra["K3"], 3, (10, 20))
+        cesaro(spectra["K3"], 3, (10, 20), "s")
 
 
-def test_cesaro_reference_infinite_on_resonance(spectra):
-    assert cesaro_reference(spectra["K33"], 4, "a") == math.inf
-    assert math.isfinite(cesaro_reference(spectra["K33"], 2, "a"))
+def test_cesaro_reference_is_finite_off_resonance(spectra):
+    # K33: theta = pi / 2 resonates at k = 4, where no finite constant exists
+    for variant in ("a", "s"):
+        with pytest.raises(AngleConditionViolated):
+            cesaro(spectra["K33"], 4, (10, 20), variant)
+        assert math.isfinite(cesaro(spectra["K33"], 2, (10, 20), variant).reference_constant)
+
+
+def test_cesaro_refuses_an_unknown_variant(spectra):
+    with pytest.raises(ValueError, match="variant"):
+        cesaro(spectra["K4"], 2, (10, 20), "b")
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +194,33 @@ def test_cesaro_band_over_corpus(corpus, spectra):
         for k in (1, 2, 3, 4):
             if not angle_condition(sd, k):
                 continue
-            for fn in (cesaro_a, cesaro_s):
-                report = fn(sd, k, (100, 200, 400))
+            for variant in ("a", "s"):
+                report = cesaro(sd, k, (100, 200, 400), variant)
                 band = 4 * report.reference_constant
-                assert max(report.scaled_deviations) <= band, (name, k, fn.__name__)
+                assert max(report.scaled_deviations) <= band, (name, k, variant)
                 assert report.limit_constant == central_binomial_weight(k)
 
 
-def test_cesaro_matrix_route_matches_scalar(spectra):
-    sd = spectra["PETERSEN"]
-    for k, variant in ((1, "a"), (2, "a"), (2, "s"), (3, "s")):
-        report = (cesaro_a if variant == "a" else cesaro_s)(sd, k, (40,))
-        mat = cesaro_matrix_average(sd, k, 40, variant)
-        weight = float(central_binomial_weight(k))
-        target = np.zeros((sd.n, sd.n))
-        for cl in sd.principal():
-            if variant == "a":
-                target += weight * cl.projector
-            else:
-                target += weight / math.sin(cl.theta.real) ** k * cl.projector
-        dev = float(np.linalg.norm(mat - target))
-        assert abs(dev - report.deviations[0]) < 1e-9, (k, variant)
+def test_cesaro_matrix_route_matches_scalar(spectra, x135):
+    for name, sd in (("PETERSEN", spectra["PETERSEN"]), ("X{13,5}", x135[3])):  # both dense
+        for k, variant in ((1, "a"), (2, "a"), (2, "s"), (3, "s")):
+            report = cesaro(sd, k, (40,), variant)
+            ref = cesaro_reference_by_cluster(sd, k, variant)
+            assert abs(report.reference_constant - ref) <= 1e-12 * ref, (name, k, variant)
+            mat = cesaro_matrix_average(sd, k, 40, variant)
+            weight = float(central_binomial_weight(k))
+            target = np.zeros((sd.n, sd.n))
+            for cl in sd.principal():
+                if variant == "a":
+                    target += weight * cl.projector
+                else:
+                    target += weight / math.sin(cl.theta.real) ** k * cl.projector
+            dev = float(np.linalg.norm(mat - target))
+            assert abs(dev - report.deviations[0]) < 1e-9, (name, k, variant)
 
 
 def test_cesaro_report_fields(spectra):
-    report = cesaro_a(spectra["K4"], 2, (50, 100, 200))
+    report = cesaro(spectra["K4"], 2, (50, 100, 200), "a")
     assert report.N_values == (50, 100, 200)
     assert len(report.deviations) == 3
     assert report.scaled_deviations == tuple(
@@ -198,9 +231,9 @@ def test_cesaro_report_fields(spectra):
 
 def test_cesaro_bad_horizons(spectra):
     with pytest.raises(ValueError):
-        cesaro_a(spectra["K4"], 2, (100, 50))
+        cesaro(spectra["K4"], 2, (100, 50), "a")
     with pytest.raises(ValueError):
-        cesaro_a(spectra["K4"], 2, ())
+        cesaro(spectra["K4"], 2, (), "a")
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +384,16 @@ def per_horizon_rows(terms, sd, horizons):
 @pytest.mark.parametrize("p, q", [(13, 5), (29, 5)])
 def test_average_cusp_sweep_matches_per_horizon_rows(p, q):
     ctx = SuiteContext(*build_lps(p, q))
-    horizons = (10, 20, 50, 100, 200, 7)  # the sweep keeps the order it is given
+    horizons = (1, 7, 10, 20, 50, 100, 200)
     want = per_horizon_rows(normalized_cusp_terms(ctx.g, ctx.params, 200), ctx.sd, horizons)
     assert average_cusp_sweep(ctx, horizons) == want
+
+
+@pytest.mark.parametrize("horizons", [(200, 50), (50, 50), (0, 5), (-5, 5), ()])
+def test_average_cusp_sweep_refuses_bad_horizons(x135_ctx, horizons):
+    """The cesaro and average-nm sweeps' rule: a strictly increasing list of positive ints."""
+    with pytest.raises(ValueError, match="strictly increasing"):
+        average_cusp_sweep(x135_ctx, horizons)
 
 
 def test_normalized_terms_exact_on_non_bipartite():

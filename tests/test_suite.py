@@ -112,6 +112,9 @@ def test_config_rejects():
         ({"graph": "K4", "tol": float("inf")}, "tol"),
         ({"lps": [5, 37], "allow_large": "yes"}, "allow_large"),
         ({"lps": [5, 37], "allow_large": 1}, "allow_large"),
+        ({"graph": "K4", "k": []}, "'k'"),
+        ({"graph": "K4", "order": 0}, "'order'"),
+        ({"graph": "K4", "order": -3}, "'order'"),
     ],
 )
 def test_config_rejects_each_malformed_value_by_key(raw, key):
@@ -494,6 +497,17 @@ def test_cesaro_check_reports_skips():
     assert res.status == "pass"
     assert "a k=4" in res.detail["skipped"]
     assert "s k=4" in res.detail["skipped"]
+
+
+@pytest.mark.parametrize(
+    "check, change", [("cesaro", {"k_values": ()}), ("ihara-bass", {"order": 0})], ids=["no k", "order 0"]
+)
+def test_a_config_built_directly_gets_no_vacuous_pass(check, change):
+    """from_dict refuses these values; a config built without it errors in the check instead."""
+    cfg = VerificationSuiteConfig(source_kind="named", source="PETERSEN", checks=(check,), **change)
+    res = run_check(check, SuiteContext(named_graph("PETERSEN")), cfg)
+    assert res.status == "error"
+    assert res.detail["error"].startswith("ValueError: ")
 
 
 def test_lps_source_cusp_and_phi(tmp_path):
