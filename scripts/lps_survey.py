@@ -4,16 +4,16 @@ For each pair: the quotient group, order, degree, bipartiteness, the
 seconds taken by build_lps plus certify_regular, and the process's peak
 RSS (ru_maxrss) after them.  Then, in a fresh process of its own that
 builds the graph again, the seconds of the quotient spectral route
-(spectral.quotient_decompose at lps.cayley_root's vertex e), its
-cluster count, that process's ru_maxrss, and the worst distance
+(spectral.quotient_decompose on the rooted quotient at
+lps.cayley_root's vertex e, the quotient's colour refinement included),
+its cluster count, that process's ru_maxrss, and the worst distance
 |n P_l(e, e) - mult_l| over the clusters: the route refuses a graph once
 that distance passes spectral.MULT_TOL (1e-3), so the column shows the
 margin as the rungs grow.  Then, back in the first process, the
 number of cells of the identity vertex's rooted equitable quotient
-and the seconds of the row sweep to m = 200 on it (nbt.TraceSweep's
-"row" route, the quotient's colour refinement included), with the
-refinement's own seconds, so the larger rungs show which of the two
-dominates.  Then the certifier on a copy of the graph with its vertices
+(graphs.rooted_quotient), the seconds of its refinement and those of
+the row sweep to m = 200 on it (nbt.TraceSweep given the quotient),
+so the larger rungs show which of the two dominates.  Then the certifier on a copy of the graph with its vertices
 permuted by a seeded permutation (--seed): the seconds of
 lps.cayley_root, which must find a verified isomorphism onto X^{p,q}
 by its individualize-and-refine search, and the search nodes that took
@@ -43,7 +43,7 @@ import numpy as np
 
 from iharalab import nbt
 from iharalab import lps
-from iharalab.graphs import Graph, certify_regular, neighbour_table, refine
+from iharalab.graphs import Graph, certify_regular, rooted_quotient
 from iharalab.lps import build_lps, cayley_root
 from iharalab.spectral import quotient_decompose
 
@@ -61,9 +61,9 @@ def quotient_route(p: int, q: int) -> tuple[float, int, float, float]:
     cert = certify_regular(g)
     v = cayley_root(g, params)
     t0 = time.perf_counter()
-    sd = quotient_decompose(g, cert, v)
+    sd = quotient_decompose(g, cert, rooted_quotient(g, v))
     elapsed, rss = time.perf_counter() - t0, maxrss_mib()
-    root = refine(neighbour_table(g), np.arange(g.n) != v)[0][v]  # identity_row[root] is P_l(e, e)
+    root = sd.quotient.root  # the cell {e}: identity_row[root] is P_l(e, e)
     slack = max(abs(g.n * cl.identity_row[root] - cl.mult) for cl in sd.clusters)
     return elapsed, len(sd.clusters), rss, float(slack)
 
@@ -72,10 +72,10 @@ def row_route(g, cert, params) -> tuple[int, float, float]:
     """Cells of the identity's rooted quotient, the seconds of its refinement, and of the row sweep to ROW_M."""
     v = cayley_root(g, params)
     t0 = time.perf_counter()
-    cells = len(refine(neighbour_table(g), np.arange(g.n) != v)[1])
+    quotient = rooted_quotient(g, v)
     t1 = time.perf_counter()
-    nbt.TraceSweep(g, cert.q, "row", v).prefix(ROW_M)  # refines again, to the same fixpoint
-    return cells, t1 - t0, time.perf_counter() - t1
+    nbt.TraceSweep(g, cert.q, quotient).prefix(ROW_M)
+    return len(quotient.sizes), t1 - t0, time.perf_counter() - t1
 
 
 def relabeled_route(g, params, seed: int) -> tuple[float, int]:

@@ -215,8 +215,9 @@ def cmd_cuspgen(args) -> int:
 def cmd_limits(args) -> int:
     ctx = _load_source(args.source)
     horizons = args.horizons
+    if horizons is None:
+        horizons = suite.DEFAULT_HORIZONS[args.what]
     if args.what == "cesaro":
-        horizons = horizons or list(suite.DEFAULT_HORIZONS["cesaro"])
         rep = limits.cesaro(ctx.sd, args.k, horizons, args.variant)
         header = ["N", "deviation", "scaled_deviation", "reference_constant", "rate_estimate"]
         rows = [
@@ -226,7 +227,6 @@ def cmd_limits(args) -> int:
         ]
         _emit_rows(args, header, rows)
     elif args.what == "average-nm":
-        horizons = horizons or list(suite.DEFAULT_HORIZONS["average-nm"])
         reports = limits.average_nm_sweep(ctx, horizons)
         header = ["N", "lhs", "main_terms", "residual", "scaled_residual", "reference_constant"]
         rows = [
@@ -237,7 +237,6 @@ def cmd_limits(args) -> int:
     else:  # cusp
         if ctx.params is None:
             raise ParseError("limits --what cusp needs an LPS graph file with its parameters")
-        horizons = horizons or list(suite.DEFAULT_HORIZONS["cusp"])
         header = ["N", "average", "scaled_average", "reference_constant"]
         rows = limits.average_cusp_sweep(ctx, horizons)
         _emit_rows(args, header, [[r[k] for k in header] for r in rows])

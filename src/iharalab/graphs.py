@@ -229,7 +229,7 @@ def refine(table: np.ndarray, start: np.ndarray, rounds: int | None = None) -> t
     """(cell_of, quotient): colour refinement of a neighbour_table's graph from start, `rounds` rounds deep or to its fixpoint.
 
     start gives each vertex a colour numbered 0..C-1 with every colour
-    used; `np.arange(n) != v` is the rooted start, {v} and the rest.
+    used (rooted_quotient starts from {v} and the rest).
     Each round keys a vertex by its cell and the sorted cells of its
     neighbours, one entry per edge end (-1 for padding), and splits the
     cells by the distinct keys; the key holds the old cell, so each
@@ -265,6 +265,34 @@ def refine(table: np.ndarray, start: np.ndarray, rounds: int | None = None) -> t
         first, colour[:n] = split, inverse
         done += 1
     return colour[:n], np.sort(colour[table[first]], axis=1)
+
+
+@dataclass(frozen=True)
+class RootedQuotient:
+    """The cells of rooted_quotient(g, v): root is the cell {v}, and w is in cell cell_of[w], numbered 0..C-1."""
+
+    root: int
+    cell_of: np.ndarray
+    neighbours: tuple[tuple[int, ...], ...]  # the cells of the neighbours of each cell's first vertex
+    sizes: tuple[int, ...]  # the number of vertices in each cell
+
+
+def rooted_quotient(g: Graph, v: int, rounds: int | None = None) -> RootedQuotient:
+    """Colour refinement from {v} and the rest, `rounds` rounds deep or to its fixpoint; ValueError unless v is in g.
+
+    The fixpoint is the coarsest equitable partition with {v} as a cell
+    (12 cells on X^{13,5}, 54 on X^{17,13}, in 3 to 8 rounds on a
+    certified X^{p,q}; n/2 rounds on a cycle): row v of every polynomial
+    in A is constant on its cells, and on a vertex-transitive graph its
+    quotient matrix carries the spectrum.  The cells of round k carry
+    row v of A^j for j <= k.
+    """
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
+    cell_of, quotient = refine(neighbour_table(g), np.arange(g.n) != v, rounds)
+    cell_of.setflags(write=False)
+    neighbours = tuple(tuple(c for c in row if c >= 0) for row in quotient.tolist())
+    return RootedQuotient(int(cell_of[v]), cell_of, neighbours, tuple(np.bincount(cell_of).tolist()))
 
 
 def _edges_canonical(g: Graph) -> list[list[int]]:

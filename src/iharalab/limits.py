@@ -25,7 +25,7 @@ cesaro and the reference constants take spectral data only, as one
 The N_m and cusp constants add their terms in cluster order with the
 builtin sum, so the average-nm and cusp metrics are bit for bit what a
 loop over the clusters gives.  The reports that read exact counts
-(average_nm, the two sweeps, stf_verify, huang_range) take a
+(the three sweeps, stf_verify, huang_range) take a
 suite.SuiteContext and read the graph, certificate, spectrum,
 parameters and trace sweep from it, so they run on the route the
 context's certificate picks and have none of their own.  stf_verify and
@@ -229,8 +229,8 @@ def average_nm_reference(sd, cert: RegularityCertificate) -> float:
     return total
 
 
-def average_nm(ctx: SuiteContext, N: int) -> AverageNmReport:
-    """Average of N_m / q^{m/2} for m <= N against its main terms.
+def average_nm_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[AverageNmReport]:
+    """Average of N_m / q^{m/2} for m <= N against its main terms, at each horizon N.
 
     lhs and main terms are assembled exactly in Q(sqrt q); the two
     nearly cancel (both grow like q^{N/2}/N), so float subtraction of
@@ -238,15 +238,8 @@ def average_nm(ctx: SuiteContext, N: int) -> AverageNmReport:
     realistic q and N.  Main terms follow the bipartite branch
     (1/N) 2 q^{floor(N/2)+1}/(q-1) or the non-bipartite branch
     (1/N) q^{(N+1)/2}/(sqrt q - 1), minus twice the multiplicity of
-    2 sqrt q.
-    """
-    return average_nm_sweep(ctx, [N])[0]
-
-
-def average_nm_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[AverageNmReport]:
-    """average_nm at several horizons, from one running sum of N_m q^{-m/2} to the largest.
-
-    The N_m come from the context's one sweep; each report reads the
+    2 sqrt q.  The N_m come from the context's one sweep, one running
+    sum of N_m q^{-m/2} to the largest horizon; each report reads the
     exact sum's prefix at its horizon.
     """
     hs = _validate_horizons(horizons)

@@ -43,22 +43,21 @@ Without a sweep the traces take the full route, which has two streams:
   which costs ceil(M/2) - 1 steps and O(n^2) memory.  It is a generator
   that takes each step only when it is resumed for the next odd index,
   and it refuses a request whose n^2 ceil(M/2) passes COST_CEILING
-  before its first step.  adjacency_power_traces (the q = 0 case) always
-  takes it, so the ihara-bass check compares N_m from chi_A with Tr A^k
-  from integer matrix powers, two independent exact routes.
+  before its first step.  adjacency_power_traces (the q = 0 case) takes
+  it without a quotient, so the ihara-bass check compares N_m from chi_A
+  with Tr A^k from integer matrix powers, two independent exact routes.
 
-The "row" route runs the matrix identities on row v of B_k and
+The row route runs the matrix identities on row v of B_k and
 multiplies by n, which is exact only when every diagonal entry equals
 the one at v, as on a Cayley graph; nothing here checks that.
 suite.SuiteContext grants the row route to a graph that
 lps.cayley_root certifies is X^{p,q}, and the test suite pins the
 routes against each other.  The row is held with one entry per cell
-of one fixed partition, graphs.refine from {v} and the rest
-(_row_b_stream): ceil(m/2) rounds deep for the entries up to m, or,
-for a TraceSweep, the fixpoint, the coarsest equitable partition with
-{v} as a cell (12 cells on X^{13,5} and 54 on X^{17,13}).  That is
-exact on any graph and at any vertex, so f_values and
-adjacency_power_traces with a vertex use it without a certificate.
+of a rooted quotient at v (graphs.rooted_quotient, _row_b_stream):
+a TraceSweep reads the one that it is given, at its fixpoint, and
+f_values builds one ceil(m/2) rounds deep for the entries up to m.
+That is exact on any graph and at any vertex, so f_values uses it
+without a certificate.
 Row v of A_m, which the oracle compares entry by entry, comes from
 the same row recurrence on all n entries (a_rows).  A_m, M_m and T~_m as
 matrices come from the A_m recurrence of ExactMatrixSeq.  Both families are
@@ -79,7 +78,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DepthExceeded
-from .graphs import Graph, RegularityCertificate, neighbour_table, refine
+from .graphs import Graph, RegularityCertificate, RootedQuotient, rooted_quotient
 from .lps import is_prime
 
 IntMatrix = list[list[int]]
@@ -372,31 +371,24 @@ def _b_trace_stream(g: Graph, q: int) -> Iterator[int]:
         prev, cur = cur, _mul_adj(cur, prev, q, g.neighbors)
 
 
-def _row_b_stream(g: Graph, q: int, v: int, rounds: int | None = None) -> Iterator[int]:
-    """(B_0)_vv, (B_1)_vv, ... from the rows r_k = e_v^T B_k held one entry per cell; exact through (B_{2 rounds})_vv.
+def _row_b_stream(quotient: RootedQuotient, q: int) -> Iterator[int]:
+    """(B_0)_vv, (B_1)_vv, ... for the root v of quotient, from the rows r_k = e_v^T B_k held one entry per cell.
 
     (B_{2k})_vv = <r_k, r_k> - 2q^k and (B_{2k+1})_vv = <r_{k+1}, r_k> - q^k A_vv.
-    The cells are those of graphs.refine from {v} and the rest, `rounds`
-    rounds deep, or to the fixpoint (the coarsest equitable partition
-    with {v} as a cell) when rounds is None.  r_k is constant on the
-    cells of round k, by induction: a cell of round k + 1 fixes its
-    multiset of round-k neighbor cells, so the sum in
-    r_{k+1} = r_k A - q r_{k-1}.  So the partition carries r_0..r_rounds,
-    one entry u_k[c] per cell, and a step sums u_k over the neighbor
-    cells of each cell's first vertex; <r_a, r_b> = sum_c size_c u_a[c] u_b[c].
-    Past the stated index, the stream goes on but its items are wrong
-    unless the refinement reached its fixpoint.
+    r_k is constant on the cells of round k of the refinement, by
+    induction: a cell of round k + 1 fixes its multiset of round-k
+    neighbour cells, so the sum in r_{k+1} = r_k A - q r_{k-1}.  So a
+    quotient `rounds` rounds deep carries r_0..r_rounds, one entry
+    u_k[c] per cell, and the stream is exact through (B_{2 rounds})_vv,
+    or throughout at the fixpoint; past that its items are wrong.  A
+    step sums u_k over each cell's neighbour cells;
+    <r_a, r_b> = sum_c size_c u_a[c] u_b[c].
     """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
-    cell_of, quotient = refine(neighbour_table(g), np.arange(g.n) != v, rounds)
-    cells = [[c for c in row if c >= 0] for row in quotient.tolist()]
-    sizes = np.bincount(cell_of).tolist()
-    root = int(cell_of[v])
+    cells, sizes, root = quotient.neighbours, quotient.sizes, quotient.root
     prev = [0] * len(cells)
     prev[root] = 2  # u_0
     yield 2
-    cur = [nb.count(root) for nb in cells]  # u_1 counts v among the neighbors of each cell's first vertex
+    cur = [nb.count(root) for nb in cells]  # u_1 counts v among the neighbours of each cell's first vertex
     a_vv = cur[root]
     qk = 1  # q^k while prev = u_k and cur = u_{k+1}
     while True:
@@ -413,15 +405,15 @@ def _require_matrix_price(n: int, m_max: int) -> None:
         raise DepthExceeded(f"matrix trace sweep to m={m_max} costs {price:.2e}, over {COST_CEILING:.0e}")
 
 
-def _b_traces(g: Graph, q: int, m_max: int, v: int | None = None) -> list[int]:
-    """[Tr B_0..Tr B_{m_max}], or [(B_0)_vv..(B_{m_max})_vv] from a partition ceil(m_max/2) rounds deep."""
+def _b_traces(g: Graph, q: int, m_max: int, quotient: RootedQuotient | None = None) -> list[int]:
+    """[Tr B_0..Tr B_{m_max}], or [(B_0)_vv..(B_{m_max})_vv] on a quotient rooted at v at least ceil(m_max/2) deep."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    if v is None:
+    if quotient is None:
         _require_matrix_price(g.n, m_max)
         stream = _b_trace_stream(g, q)
     else:
-        stream = _row_b_stream(g, q, v, -(-m_max // 2))
+        stream = _row_b_stream(quotient, q)
     return list(islice(stream, m_max + 1))
 
 
@@ -493,36 +485,33 @@ class TraceSweep:
     prefix(m) hands out [Tr B_0..Tr B_m].  It starts its stream at the
     first request and resumes it only past the longest prefix handed
     out so far, so any order of requests pays for the largest one once.
-    method "full" reads the traces off chi_A, found exactly once at the
-    first request (_charpoly_trace_stream), when its price is within
-    COST_CEILING; past that it traces the matrix recurrence and refuses,
-    with DepthExceeded and before any step, a request whose n^2
-    ceil(m/2) passes the same ceiling.  "row" sweeps row `vertex` one
-    entry per cell of its rooted equitable partition, which it refines
-    to the fixpoint at its first request (_row_b_stream, 3 to 8 rounds
-    on a certified X^{p,q}, n/2 on a cycle), and yields
-    n (B_m)_{vertex,vertex}, which is the trace only
+    Without a quotient it takes the full route: it reads the traces off
+    chi_A, found exactly once at the first request
+    (_charpoly_trace_stream), when its price is within COST_CEILING;
+    past that it traces the matrix recurrence and refuses, with
+    DepthExceeded and before any step, a request whose n^2 ceil(m/2)
+    passes the same ceiling.  With a quotient rooted at v at its
+    fixpoint (graphs.rooted_quotient) it sweeps row v, one entry per
+    cell (_row_b_stream), and yields n (B_m)_vv, which is the trace only
     when every diagonal entry is the same, as on a Cayley graph.  The
-    sweep does not check that: suite.SuiteContext asks for "row" only on
-    a graph that lps.cayley_root certifies.  The sweep holds its last
-    two matrices (or two rows of one entry per cell), or the
+    sweep does not check that: suite.SuiteContext hands it a quotient
+    only on a graph that lps.cayley_root certifies.  The sweep holds its
+    last two matrices (or two rows of one entry per cell), or the
     coefficients of x^n chi_A(x + q/x), until it is dropped.
     """
 
-    def __init__(self, g: Graph, q: int, method: str = "full", vertex: int = 0):
-        if method not in ("row", "full"):
-            raise ValueError(f"unknown method {method!r}")
+    def __init__(self, g: Graph, q: int, quotient: RootedQuotient | None = None):
         self.g = g
         self.q = q
-        self._vertex = vertex if method == "row" else None
-        self._scale = 1 if self._vertex is None else g.n
+        self.quotient = quotient
+        self._scale = 1 if quotient is None else g.n
         self._stream: Iterator[int] | None = None
         self._matrices = False  # the full route streams matrices
         self._traces: list[int] = []
 
     def _start(self) -> Iterator[int]:
-        if self._vertex is not None:
-            return _row_b_stream(self.g, self.q, self._vertex)
+        if self.quotient is not None:
+            return _row_b_stream(self.quotient, self.q)
         stream = _charpoly_trace_stream(self.g, self.q)
         if stream is None:
             self._matrices = True
@@ -543,9 +532,11 @@ class TraceSweep:
 
 
 def _sweep_for(g: Graph, q: int, method: str | None, sweep: TraceSweep | None) -> TraceSweep:
-    """sweep, or a fresh one on method's route (full when None) when it is None."""
+    """sweep, or a fresh one when it is None: the full route, or the row route at vertex 0 for method "row"."""
     if sweep is None:
-        return TraceSweep(g, q, method or "full")
+        if method not in (None, "full", "row"):
+            raise ValueError(f"unknown method {method!r}")
+        return TraceSweep(g, q, rooted_quotient(g, 0) if method == "row" else None)
     if method is not None:
         raise ValueError("a given sweep carries its own route; pass method or sweep, not both")
     if sweep.g is not g or sweep.q != q:
@@ -562,12 +553,13 @@ def _theta_from_b(bs: Sequence[int], q: int, t0: int) -> list[int]:
 
 
 def f_values(g: Graph, cert: RegularityCertificate, m_max: int, v: int = 0) -> list[int]:
-    """[f_0..f_{m_max}] with f_m = (A_m)_{vv}, via a single-row sweep on v's rooted partition, ceil(m_max/2) rounds deep (_row_b_stream).
+    """[f_0..f_{m_max}] with f_m = (A_m)_{vv}, via a single-row sweep on v's rooted quotient, ceil(m_max/2) rounds deep.
 
     A_m = T~_m - T~_{m-2}, and the diagonal of T~_m comes from that of B_m.
     Raises ValueError when v is not a vertex of g.
     """
-    theta = _theta_from_b(_b_traces(g, cert.q, m_max, v), cert.q, 1)
+    quotient = rooted_quotient(g, v, -(-m_max // 2))
+    theta = _theta_from_b(_b_traces(g, cert.q, m_max, quotient), cert.q, 1)
     return [t - (theta[m - 2] if m >= 2 else 0) for m, t in enumerate(theta)]
 
 
@@ -581,9 +573,9 @@ def n_reduced_range(
 ) -> list[int]:
     """Exact [N_1..N_{m_max}], from N_m = Tr B_m + e_m (q-1) n.
 
-    The traces come from sweep, or from a fresh TraceSweep on method's
-    route ("full" unless method is "row") when sweep is None; the test
-    suite pins the two routes against each other.
+    The traces come from sweep, or from a fresh one (_sweep_for) when
+    sweep is None: the full route, or row 0's for method "row"; the
+    test suite pins the two routes against each other.
     """
     q = cert.q
     bs = _sweep_for(g, q, method, sweep).prefix(m_max)
@@ -604,18 +596,16 @@ def t_tilde_traces(
     return _theta_from_b(bs, q, g.n)
 
 
-def adjacency_power_traces(g: Graph, m_max: int, vertex: int | None = None) -> list[int]:
+def adjacency_power_traces(g: Graph, m_max: int, quotient: RootedQuotient | None = None) -> list[int]:
     """Exact [Tr(A^0)..Tr(A^{m_max})] for the plain adjacency powers.
 
     Tr A^{2k} = <A^k, A^k> and Tr A^{2k+1} = <A^{k+1}, A^k>: the q = 0
-    case of the B_m sweep.  With a vertex the sweep runs on that row,
-    one entry per cell of its rooted partition, ceil(m_max/2) rounds
-    deep, and returns
-    n (A^k)_{vertex,vertex}, the trace only on a graph whose diagonal
-    entries all agree, as on a Cayley graph.
+    case of the B_m sweep.  With a quotient rooted at v the sweep runs
+    on row v, one entry per cell, and returns n (A^k)_vv, the trace only
+    on a graph whose diagonal entries all agree, as on a Cayley graph.
     """
-    scale = 1 if vertex is None else g.n
-    return [g.n] + [scale * w for w in _b_traces(g, 0, m_max, vertex)[1:]]
+    scale = 1 if quotient is None else g.n
+    return [g.n] + [scale * w for w in _b_traces(g, 0, m_max, quotient)[1:]]
 
 
 # ---------------------------------------------------------------------------

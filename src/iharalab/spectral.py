@@ -17,16 +17,15 @@ There are two routes:
   projector P_l = V_l V_l^T is formed only when `Cluster.projector` is
   read.
 - quotient_decompose, for a vertex-transitive graph: one dense `eigh`
-  of the rooted equitable quotient at a vertex v, which graphs.refine
-  reaches at its fixpoint (12 cells on X^{13,5}, 54 on X^{17,13}).
+  of its rooted equitable quotient at a vertex v (graphs.rooted_quotient).
   Each cluster keeps no eigenvectors, only the row P_l(v, .), once per
   cell; on a Cayley graph with v the identity that row holds every
   entry, P_l(x, y) = P_l(v, y x^-1), and an isomorphism carries that
-  to any relabeling of the graph.
+  to any relabeling of the graph.  identity_row[sd.quotient.cell_of]
+  is the row on all n vertices.
 
-suite.SuiteContext.sd picks the quotient route at the vertex that
-lps.cayley_root maps to the identity whenever it certifies the graph,
-and the dense route otherwise.
+suite.SuiteContext.sd takes the quotient route on the context's one
+rooted quotient when lps.cayley_root certifies the graph.
 
 The spectral angle theta of an eigenvalue is defined by
 lambda = 2 sqrt(q) cos(theta).  Principal eigenvalues get a real angle
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusterAmbiguity, DegreeTooSmall, DepthExceeded, EigensolverFailure, OutOfRange
-from .graphs import Graph, RegularityCertificate, neighbour_table, refine
+from .graphs import Graph, RegularityCertificate, RootedQuotient
 
 # The dense route holds the adjacency and the eigenvector matrix, 16 n^2
 # bytes; past this many bytes (n > 8192) it raises DepthExceeded.
@@ -88,12 +87,13 @@ class Cluster:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Clustered eigendecomposition of a regular graph's adjacency matrix."""
+    """Clustered eigendecomposition of a regular graph's adjacency matrix, and the rooted quotient it was read off."""
 
     n: int
     q: int
     cluster_tol: float
     clusters: tuple[Cluster, ...]
+    quotient: RootedQuotient | None = None
 
     def principal(self) -> list[Cluster]:
         return [c for c in self.clusters if c.principal]
@@ -190,35 +190,32 @@ def eigendecompose(
     return SpectralData(n=g.n, q=q, cluster_tol=cluster_tol, clusters=clusters)
 
 
-def quotient_decompose(g: Graph, cert: RegularityCertificate, v: int) -> SpectralData:
+def quotient_decompose(g: Graph, cert: RegularityCertificate, quotient: RootedQuotient) -> SpectralData:
     """The clustered spectrum of a vertex-transitive graph from its rooted equitable quotient at v.
 
-    With Q the quotient matrix of the coarsest equitable partition with
-    {v} as a cell (graphs.refine from {v} and the rest, to its
-    fixpoint) and D its cell sizes, A acts as S = D^{1/2} Q D^{-1/2} on
-    the span of the cells' indicators scaled by D^{-1/2}, which holds e_v (Godsil,
-    Algebraic Combinatorics, 1993, ch. 5).  For the eigenvector columns
-    W of S in a cluster, P_l(v, v) = sum W[c(v)]^2, and identity_row
-    holds P_l(v, x) = (W W[c(v)])[c(x)] / sqrt|c(x)| once per cell.  If
+    quotient is graphs.rooted_quotient(g, v) at its fixpoint.  With Q
+    its quotient matrix and D its cell sizes, A acts as
+    S = D^{1/2} Q D^{-1/2} on the span of the cells' indicators scaled
+    by D^{-1/2}, which holds e_v (Godsil, Algebraic Combinatorics,
+    1993, ch. 5).  For the eigenvector columns W of S in a cluster,
+    P_l(v, v) = sum W[c(v)]^2, and identity_row holds
+    P_l(v, x) = (W W[c(v)])[c(x)] / sqrt|c(x)| once per cell.  If
     every vertex looks like v, mult_l = n P_l(v, v); ClusterAmbiguity is
     raised when some n P_l(v, v) is not a positive integer within
     MULT_TOL or the multiplicities do not sum to n.  Clusters follow
     eigendecompose's gap rule and default tolerance.
     """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
     q = cert.q
     cluster_tol = 1e-8 * (q + 1)
-    cell_of, cells = refine(neighbour_table(g), np.arange(g.n) != v)
-    k = len(cells)
-    quotient = np.bincount((np.arange(k)[:, None] * k + cells).ravel(), minlength=k * k).reshape(k, k)
-    root = np.sqrt(np.bincount(cell_of, minlength=k))
-    s = quotient * root[:, None] / root
+    k = len(quotient.sizes)
+    arcs = [c * k + d for c, nb in enumerate(quotient.neighbours) for d in nb]
+    root = np.sqrt(np.array(quotient.sizes))
+    s = np.bincount(arcs, minlength=k * k).reshape(k, k) * root[:, None] / root
     try:
         evals, evecs = np.linalg.eigh((s + s.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"quotient eigensolver failed: {exc}") from exc
-    at_v = evecs[cell_of[v]]
+    at_v = evecs[quotient.root]
     clusters = []
     for start, stop, value, principal in _group(evals, q, cluster_tol):
         w = at_v[start:stop]
@@ -232,4 +229,4 @@ def quotient_decompose(g: Graph, cert: RegularityCertificate, v: int) -> Spectra
     total = sum(cl.mult for cl in clusters)
     if total != g.n:
         raise ClusterAmbiguity(f"the quotient's multiplicities sum to {total}, not n = {g.n}", tol=MULT_TOL)
-    return SpectralData(n=g.n, q=q, cluster_tol=cluster_tol, clusters=tuple(clusters))
+    return SpectralData(n=g.n, q=q, cluster_tol=cluster_tol, clusters=tuple(clusters), quotient=quotient)

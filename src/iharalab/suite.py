@@ -17,6 +17,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import zip_longest
 from typing import Callable, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import limits, lps, nbt, oracle, zeta
 from .errors import AngleConditionViolated, IharaLabError, ParseError
-from .graphs import Graph, certify_regular, load_graph_doc, named_graph
+from .graphs import Graph, RootedQuotient, certify_regular, load_graph_doc, named_graph, rooted_quotient
 from .spectral import Cluster, eigendecompose, quotient_decompose
 
 CHECK_ORDER = (
@@ -144,9 +145,6 @@ class VerificationSuiteConfig:
             raise ParseError(f"config key 'emit' needs a path, got {raw['emit']!r}")
         if not isinstance(raw.get("allow_large", False), bool):
             raise ParseError(f"config key 'allow_large' needs true or false, got {raw['allow_large']!r}")
-        k_values = _parse_ints("k", raw.get("k", (1, 2, 3, 4)))
-        if not k_values:
-            raise ParseError("config key 'k' needs at least one integer")
         order = _parse("order", raw.get("order", 10), int)
         if order < 1:
             raise ParseError(f"config key 'order' needs an integer of at least 1, got {order}")
@@ -157,7 +155,7 @@ class VerificationSuiteConfig:
             q=q,
             checks=validate_checks(checks),
             horizons=None if horizons is None else _parse_ints("horizons", horizons),
-            k_values=k_values,
+            k_values=_parse_ints("k", raw.get("k", (1, 2, 3, 4))),
             tol_override=None if tol is None else _parse("tol", tol, float),
             budget=_parse("budget", raw.get("budget", DEFAULT_BUDGET), int),
             order=order,
@@ -179,8 +177,11 @@ def _parse(key: str, value, kind: type):
 
 
 def _parse_ints(key: str, values) -> tuple[int, ...]:
+    """A nonempty list of ints: an empty one would check nothing (k) or stand for the defaults (horizons)."""
     if not isinstance(values, (list, tuple)):
         raise ParseError(f"config key {key!r} needs a list of integers, got {values!r}")
+    if not values:
+        raise ParseError(f"config key {key!r} needs at least one integer")
     return tuple(_parse(key, x, int) for x in values)
 
 
@@ -199,9 +200,6 @@ def validate_checks(checks) -> tuple[str, ...]:
     return out
 
 
-_UNSET = object()
-
-
 class SuiteContext:
     """Graph plus lazily computed certificates, spectral data and trace sweep.
 
@@ -215,13 +213,13 @@ class SuiteContext:
     polynomial X in A has Tr X = n X(e, e) and every row of X is a
     permutation of row e (Terras, Fourier Analysis on Finite Groups and
     Applications, 1999); an isomorphism carries both to the file's
-    labels.  With row_vertex set, sd is
-    spectral.quotient_decompose at e, and the sweep runs on row e, held
-    as one entry per cell of the same rooted equitable quotient (12
-    cells on X^{13,5}, 54 on X^{17,13}), which the sweep refines to its
-    fixpoint once more at its first request, and yields n times its
-    diagonal entries; the oracle and
-    ihara-bass work on row e too.  Without it, sd is the dense
+    labels.  With row_vertex set, the context builds one rooted
+    equitable quotient at e (graphs.rooted_quotient, 12 cells on
+    X^{13,5}, 54 on X^{17,13}) at its first request, and every route
+    reads that one value: sd is spectral.quotient_decompose on it, the
+    sweep runs on row e held one entry per cell and yields n times its
+    diagonal entries, and ihara-bass's Tr A^k runs on the same row; the
+    oracle works on row e too.  Without it, sd is the dense
     eigendecompose and every exact sweep takes the full route: the
     sweep reads Tr B_m off the exact chi_A, formed once at its first
     request, up to nbt.COST_CEILING (n = 325 at degree 14), and runs
@@ -243,9 +241,7 @@ class SuiteContext:
         self.params = params
         self.label = label
         self._cert = None
-        self._row_vertex = _UNSET
         self._sd = None
-        self._sweep = None
 
     @property
     def cert(self):
@@ -253,29 +249,26 @@ class SuiteContext:
             self._cert = certify_regular(self.g)
         return self._cert
 
-    @property
+    @cached_property
     def row_vertex(self) -> int | None:
         """The certified root of X^{p,q}, whose row stands for every row; None without a certificate."""
-        if self._row_vertex is _UNSET:
-            self._row_vertex = None if self.params is None else lps.cayley_root(self.g, self.params)
-        return self._row_vertex
+        return None if self.params is None else lps.cayley_root(self.g, self.params)
+
+    @cached_property
+    def quotient(self) -> RootedQuotient | None:
+        """The rooted equitable quotient at row_vertex; None without a certificate."""
+        return None if self.row_vertex is None else rooted_quotient(self.g, self.row_vertex)
 
     @property
     def sd(self):
         if self._sd is None:
-            v = self.row_vertex
-            self._sd = eigendecompose(self.g, self.cert) if v is None else quotient_decompose(self.g, self.cert, v)
+            rq = self.quotient
+            self._sd = eigendecompose(self.g, self.cert) if rq is None else quotient_decompose(self.g, self.cert, rq)
         return self._sd
 
-    @property
+    @cached_property
     def sweep(self) -> nbt.TraceSweep:
-        if self._sweep is None:
-            v = self.row_vertex
-            if v is None:
-                self._sweep = nbt.TraceSweep(self.g, self.cert.q)
-            else:
-                self._sweep = nbt.TraceSweep(self.g, self.cert.q, "row", v)
-        return self._sweep
+        return nbt.TraceSweep(self.g, self.cert.q, self.quotient)
 
     def trivial_values(self) -> tuple[int, ...]:
         """The trivial eigenvalues: q+1 and, on a bipartite graph, -(q+1)."""
@@ -692,9 +685,7 @@ def _runner_kwargs(name: str, config: VerificationSuiteConfig) -> dict:
         kwargs["order"] = config.order
     if name == "cesaro":
         kwargs["k_values"] = config.k_values
-        if config.horizons:
-            kwargs["horizons"] = config.horizons
-    if name in ("average-nm", "cusp") and config.horizons:
+    if name in ("cesaro", "average-nm", "cusp") and config.horizons is not None:
         kwargs["horizons"] = config.horizons
     return kwargs
 

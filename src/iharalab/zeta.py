@@ -119,13 +119,14 @@ def det_series_regular(ctx: SuiteContext, order: int) -> TruncatedSeries:
     """det(I - uA + q u^2 I) as an exact series, via power-sum traces.
 
     log det(I - X) = -sum_j Tr(X^j)/j with X = uA - qu^2 I; Tr(X^j)
-    expands over adjacency power traces, which come from the context's
-    row vertex when it has one (nbt.adjacency_power_traces).  This route
-    never builds the degree-2n polynomial, so its cost follows the order
-    asked for, not n.  Raises NotRegular on an irregular graph.
+    expands over adjacency power traces, which come from row e of the
+    context's rooted quotient when it has one
+    (nbt.adjacency_power_traces).  This route never builds the
+    degree-2n polynomial, so its cost follows the order asked for, not
+    n.  Raises NotRegular on an irregular graph.
     """
     q = ctx.cert.q
-    w = adjacency_power_traces(ctx.g, order, ctx.row_vertex)
+    w = adjacency_power_traces(ctx.g, order, ctx.quotient)
     log_coeffs = [Fraction(0)] * (order + 1)
     for j in range(1, order + 1):
         for i in range(j + 1):

@@ -9,12 +9,13 @@ search that runs out of nodes gives None.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
 from test_nbt_traces import relabeled, two_switched
 
-from iharalab import lps
+from iharalab import graphs, lps
 from iharalab.graphs import Graph, _edges_canonical
 from iharalab.suite import SuiteContext, VerificationSuiteConfig, resolve_source, run_suite
 
@@ -67,6 +68,29 @@ def test_relabeled_files_get_a_root_and_the_lps_summary(tmp_path, monkeypatch, p
     from_file = _summary(VerificationSuiteConfig(source_kind="file", source=path))
     assert from_file == _summary(VerificationSuiteConfig(source_kind="lps", p=p, q=q))
     assert {r["status"] for r in from_file} == {"pass"}
+
+
+@pytest.mark.parametrize("source", ["lps", "relabeled file"])
+def test_a_certified_pass_refines_from_the_root_once(tmp_path, monkeypatch, source):
+    # the spectrum, the trace sweep and ihara-bass's Tr A^k read one rooted
+    # quotient; the individualized refinements of lps._isomorphism are not rooted
+    refinements, real = [], graphs.refine
+
+    def counted(table, start, rounds=None):
+        refinements.append(rounds)
+        return real(table, start, rounds)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("iharalab.") and name != "iharalab.lps" and getattr(module, "refine", None) is real:
+            monkeypatch.setattr(module, "refine", counted)
+    if source == "lps":
+        config = VerificationSuiteConfig(source_kind="lps", p=13, q=5)
+    else:
+        g, params = lps.build_lps(13, 5)
+        config = VerificationSuiteConfig(source_kind="file", source=_write(tmp_path, relabeled(g, 65), params, "x.json"))
+    code, results = run_suite(config)
+    assert code == 0 and len(results) == 10
+    assert refinements == [None]
 
 
 @pytest.mark.parametrize("p, q", [(13, 5), (17, 13)])

@@ -324,6 +324,30 @@ def test_verify_refuses_an_empty_k(argv, tmp_path, monkeypatch, capsys):
     assert err.startswith("error: config key 'k' needs at least one integer")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--graph", "PETERSEN", "--checks", "cesaro", "--horizons", ","],
+        ["verify", "--config", '{"graph": "PETERSEN", "checks": ["cesaro"], "horizons": []}'],
+    ],
+    ids=["flag", "config"],
+)
+def test_verify_refuses_an_empty_horizon_list(argv, tmp_path, monkeypatch, capsys):
+    """An empty list is not a request for the default horizons."""
+    monkeypatch.chdir(tmp_path)
+    if argv[1] == "--config":
+        (tmp_path / "cfg.json").write_text(argv[2])
+        argv = ["verify", "--config", "cfg.json"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: config key 'horizons' needs at least one integer")
+
+
+@pytest.mark.parametrize("what", ["cesaro", "average-nm"])
+def test_limits_refuses_an_empty_horizon_list(what, capsys):
+    assert main(["limits", "PETERSEN", "--what", what, "--horizons", ","]) == 2
+    assert capsys.readouterr().err.startswith("error: horizons must be a strictly increasing list")
+
+
 def test_verify_refuses_an_order_below_one(tmp_path, monkeypatch, capsys):
     """At order 0 the ihara-bass check would compare only the constant coefficient, 1 = 1."""
     monkeypatch.chdir(tmp_path)

@@ -24,7 +24,6 @@ from iharalab.limits import (
     angle_condition,
     average_cusp_reference,
     average_cusp_sweep,
-    average_nm,
     average_nm_reference,
     average_nm_sweep,
     cesaro,
@@ -268,7 +267,7 @@ def test_average_nm_band(contexts):
 
 def test_average_nm_exact_k33(corpus, contexts):
     g, cert = corpus["K33"]
-    report = average_nm(contexts["K33"], 10)
+    report = average_nm_sweep(contexts["K33"], [10])[0]
     # bipartite main term: (1/N) 2 q^{N//2+1}/(q-1), no eigenvalue at 2 sqrt 2
     assert report.main_terms == 2.0 * 2 ** (10 // 2 + 1) / 1 / 10
     counts = n_reduced_range(g, cert, 10)
@@ -281,20 +280,20 @@ def test_average_nm_exact_k33(corpus, contexts):
 
 def test_average_nm_rejects_small_n(contexts):
     with pytest.raises(ValueError):
-        average_nm(contexts["K33"], 1)
+        average_nm_sweep(contexts["K33"], [1])[0]
 
 
 def test_average_nm_rejects_degree_two(corpus, spectra, contexts):
     g, cert = corpus["K3"]
     with pytest.raises(ValueError):
-        average_nm(contexts["K3"], 10)
+        average_nm_sweep(contexts["K3"], [10])[0]
     with pytest.raises(ValueError):
         average_nm_reference(spectra["K3"], cert)
 
 
 def test_average_nm_rejects_non_ramanujan(prism16):
     with pytest.raises(NotRamanujan):
-        average_nm(SuiteContext(prism16[0]), 10)
+        average_nm_sweep(SuiteContext(prism16[0]), [10])[0]
 
 
 def test_average_nm_sweep_shares_reference(contexts):
@@ -313,7 +312,7 @@ def test_average_nm_sweep_reads_each_horizon_off_one_running_sum(corpus, context
         total = SqrtExt.of(2, 0)
         for m in range(1, N + 1):
             total = total + counts[m - 1] * half_power(2, -m)
-        assert report == average_nm(contexts["PETERSEN"], N)
+        assert report == average_nm_sweep(contexts["PETERSEN"], [N])[0]
         assert (report.N, report.lhs) == (N, float(total / N))
     with pytest.raises(ValueError, match="at least 2"):
         average_nm_sweep(contexts["PETERSEN"], (1, 10))

@@ -15,7 +15,7 @@ from reduced_walks_bf import reduced_cycle_counts, reduced_walk_matrices
 
 from iharalab import nbt, suite
 from iharalab.errors import NotRamanujan
-from iharalab.graphs import Graph, RegularityCertificate, build_graph, certify_regular, named_graph
+from iharalab.graphs import Graph, RegularityCertificate, build_graph, certify_regular, named_graph, rooted_quotient
 from iharalab.lps import cayley_root
 from iharalab.nbt import (
     ExactMatrixSeq,
@@ -153,7 +153,7 @@ def test_adjacency_power_traces_from_one_row_of_a_cayley_graph(x135):
     g, params, _, _ = x135
     full = adjacency_power_traces(g, 40)
     for v in (0, cayley_root(g, params)):
-        assert adjacency_power_traces(g, 40, v) == full, v
+        assert adjacency_power_traces(g, 40, rooted_quotient(g, v)) == full, v
 
 
 def test_no_one_row_of_the_frucht_graph_gives_the_power_traces():
@@ -164,7 +164,7 @@ def test_no_one_row_of_the_frucht_graph_gives_the_power_traces():
         (i, (i + s) % 12) for i, s in enumerate(lcf) if i < (i + s) % 12
     ])
     full = adjacency_power_traces(g, 10)
-    assert all(adjacency_power_traces(g, 10, v) != full for v in range(g.n))
+    assert all(adjacency_power_traces(g, 10, rooted_quotient(g, v)) != full for v in range(g.n))
 
 
 def test_m_matrix_trace_is_cycle_count(corpus):

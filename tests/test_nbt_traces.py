@@ -19,7 +19,7 @@ from reduced_walks_bf import reduced_cycle_counts
 
 from iharalab import nbt
 from iharalab.errors import DepthExceeded
-from iharalab.graphs import Graph, _edges_canonical, build_graph, certify_regular, named_graph
+from iharalab.graphs import Graph, _edges_canonical, build_graph, certify_regular, named_graph, rooted_quotient
 from iharalab.nbt import (
     ExactMatrixSeq,
     adjacency_power_traces,
@@ -287,7 +287,7 @@ def one_shot():
         key = (id(g), q, method, m_max)
         if key not in memo:
             if method == "row":
-                memo[key] = [g.n * b for b in nbt._b_traces(g, q, m_max, 0)]
+                memo[key] = [g.n * b for b in nbt._b_traces(g, q, m_max, rooted_quotient(g, 0, -(-m_max // 2)))]
             else:
                 memo[key] = nbt._b_traces(g, q, m_max)
         return memo[key]
@@ -299,8 +299,8 @@ def one_shot():
 def test_sweep_prefixes_equal_one_shot_traces(sweep_graphs, one_shot, order):
     for name, g in sweep_graphs.items():
         q = certify_regular(g).q
-        for method in ("full", "row"):
-            sweep = nbt.TraceSweep(g, q, method)
+        for method, quotient in (("full", None), ("row", rooted_quotient(g, 0))):
+            sweep = nbt.TraceSweep(g, q, quotient)
             for m_max in order:
                 got = sweep.prefix(m_max)
                 assert got == one_shot(g, q, method, m_max), (name, method, m_max)
@@ -411,7 +411,7 @@ def test_a_sweep_serves_only_its_own_graph_and_route(corpus):
     with pytest.raises(ValueError, match="not both"):
         t_tilde_traces(g, cert, 4, method="full", sweep=sweep)
     with pytest.raises(ValueError, match="unknown method"):
-        nbt.TraceSweep(g, cert.q, "diagonal")
+        n_reduced_range(g, cert, 4, method="diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,7 @@ def test_full_sweep_takes_half_the_matrix_steps(corpus, monkeypatch):
     assert calls[0] == 3
     for order in ((30, 80, 12, 200, 8), (200, 1)):
         calls[0] = 0
-        sweep = nbt.TraceSweep(ring, ring_cert.q, "full")
+        sweep = nbt.TraceSweep(ring, ring_cert.q)
         for m_max in order:
             sweep.prefix(m_max)
         assert calls[0] == half, order  # the largest request's steps, once

@@ -8,8 +8,9 @@ it, and it costs about half a second and 50 MiB in every process.
 A top-level function or a method (dunders aside) in src/iharalab counts
 as referenced when its name appears in src/, scripts/ or perfbench/
 outside its own definition: as a name, an attribute, an imported name,
-or a word of a string constant other than a docstring (perfbench looks
-some names up with getattr).  A method is only ever reached through an
+or a string constant other than a docstring that is the name or ends in
+"." and the name (perfbench looks some names up with getattr or by a
+dotted "module.name").  A method is only ever reached through an
 attribute or by getattr, so for a method a bare name (a local variable
 that happens to share its name) does not count.  Routes that only tests
 call belong in tests/.
@@ -17,7 +18,6 @@ call belong in tests/.
 
 import ast
 import os
-import re
 import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
@@ -29,7 +29,6 @@ import iharalab
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src/iharalab/*.py", "scripts/*.py", "perfbench/*.py", "perfbench/tests/*.py")
-WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def test_import_loads_every_layer_module():
@@ -99,7 +98,7 @@ def _references(tree: ast.Module):
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) in docstrings:
                 continue
-            for word in WORD.findall(node.value):
+            for word in {node.value, node.value.rsplit(".", 1)[-1]}:
                 yield word, node.lineno, "word"
 
 
@@ -151,9 +150,12 @@ run(Seq())
     trees = {defining: ast.parse(layer)}
     assert _unused(trees, [defining]) == ["layer.py:6 rewind"]
     # an attribute or a string word elsewhere does reach it
-    for use in ("seq.rewind()", "getattr(seq, 'rewind')()"):
+    for use in ("seq.rewind()", "getattr(seq, 'rewind')()", "'layer.Seq.rewind'"):
         trees[Path("caller.py")] = ast.parse(f"def call(seq):\n    return {use}\n")
         assert _unused(trees, [defining]) == [], use
+    # a string that only contains the name, as a file name, does not
+    trees[Path("caller.py")] = ast.parse("def call(seq):\n    return open('rewind.csv')\n")
+    assert _unused(trees, [defining]) == ["layer.py:6 rewind"]
 
 
 def _calling_scopes(tree: ast.Module, name: str) -> list[str]:
@@ -184,6 +186,17 @@ def test_only_the_suite_context_and_nbt_build_a_trace_sweep():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         callers.update(f"{path.stem}.{scope}" for scope in _calling_scopes(tree, "TraceSweep"))
     assert callers == {"suite.SuiteContext.sweep", "nbt._sweep_for"}
+
+
+def test_only_rooted_quotient_and_the_isomorphism_search_refine():
+    # every rooted quotient comes from graphs.rooted_quotient, so a caller
+    # reads its cells, sizes and root cell rather than refining again
+    callers = set()
+    for pattern in ("src/iharalab/*.py", "scripts/*.py"):
+        for path in sorted(ROOT.glob(pattern)):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            callers.update(f"{path.stem}.{scope}" for scope in _calling_scopes(tree, "refine"))
+    assert callers == {"graphs.rooted_quotient", "lps._isomorphism"}
 
 
 def _imported_modules(node: ast.Import | ast.ImportFrom, modules: set[str]) -> list[str]:

@@ -1,10 +1,9 @@
 """The row stream on the rooted equitable quotient against the length-n row stream.
 
 nbt._row_b_stream, the stream of a vertex v, runs on the cells of
-graphs.refine from {v} and the rest: ceil(m/2) rounds deep for the
-first m + 1 diagonal entries (_b_traces), or to the fixpoint, the
-coarsest equitable partition that has {v} as a cell (a TraceSweep's
-row route).
+graphs.rooted_quotient(g, v): ceil(m/2) rounds deep for the first
+m + 1 diagonal entries (f_values), or at the fixpoint, the coarsest
+equitable partition that has {v} as a cell (a TraceSweep's row route).
 b_matrices.row_b_diagonals runs the same identities on whole rows; the
 two must agree at every vertex, for the graph's q and for q = 0, on
 regular, irregular, looped and asymmetric graphs, at either depth.
@@ -16,8 +15,9 @@ import numpy as np
 import pytest
 from b_matrices import row_b_diagonals
 
+from iharalab import graphs as graphs_module
 from iharalab import nbt
-from iharalab.graphs import Graph, build_graph, named_graph, neighbour_table, refine
+from iharalab.graphs import Graph, build_graph, certify_regular, named_graph, neighbour_table, rooted_quotient
 from iharalab.lps import build_lps, cayley_root
 
 M_MAX = 40
@@ -30,11 +30,6 @@ def frucht() -> Graph:
     ring = [(i, (i + 1) % 12) for i in range(12)]
     chords = [(i, (i + s) % 12) for i, s in enumerate(FRUCHT_LCF) if i < (i + s) % 12]
     return build_graph(12, ring + chords)
-
-
-def rooted(g: Graph, v: int, rounds: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(cell_of, quotient) of graphs.refine from {v} and the rest."""
-    return refine(neighbour_table(g), np.arange(g.n) != v, rounds)
 
 
 def relabeled(g: Graph, perm: np.ndarray) -> Graph:
@@ -77,24 +72,24 @@ def test_quotient_stream_equals_the_length_n_row_stream(graphs):
         for q in (top, 0):
             for v in range(g.n):
                 want = row_b_diagonals(g, q, M_MAX, v)
-                got = nbt._b_traces(g, q, M_MAX, v)
+                got = nbt._b_traces(g, q, M_MAX, rooted_quotient(g, v, math.ceil(M_MAX / 2)))
                 assert got == want, (name, q, v)
                 assert all(type(x) is int for x in got)
-                # the row route of a sweep refines to the fixpoint instead
-                assert nbt.TraceSweep(g, q, "row", v).prefix(M_MAX) == [g.n * b for b in want], (name, q, v)
+                # the row route of a sweep reads the fixpoint instead
+                sweep = nbt.TraceSweep(g, q, rooted_quotient(g, v))
+                assert sweep.prefix(M_MAX) == [g.n * b for b in want], (name, q, v)
 
 
 def test_rooted_partition_is_equitable_with_v_alone(graphs):
     for name, g in graphs.items():
-        width = max(map(len, g.neighbors))
         for v in range(g.n):
-            cell_of, quotient = rooted(g, v)
-            assert quotient.shape == (cell_of.max() + 1, width), (name, v)
-            assert sorted(set(cell_of.tolist())) == list(range(len(quotient))), (name, v)
-            assert [w for w in range(g.n) if cell_of[w] == cell_of[v]] == [v], (name, v)
+            rq = rooted_quotient(g, v)
+            cell_of = rq.cell_of
+            assert len(rq.neighbours) == len(rq.sizes) == cell_of.max() + 1, (name, v)
+            assert list(rq.sizes) == np.bincount(cell_of).tolist(), (name, v)
+            assert [w for w in range(g.n) if cell_of[w] == cell_of[v]] == [v] and rq.root == cell_of[v], (name, v)
             for w, nb in enumerate(g.neighbors):
-                padded = [-1] * (width - len(nb)) + sorted(cell_of[list(nb)].tolist())
-                assert quotient[cell_of[w]].tolist() == padded, (name, v, w)
+                assert list(rq.neighbours[cell_of[w]]) == sorted(cell_of[list(nb)].tolist()), (name, v, w)
 
 
 def test_distance_classes_on_distance_regular_graphs(graphs):
@@ -104,8 +99,9 @@ def test_distance_classes_on_distance_regular_graphs(graphs):
         g = graphs[name]
         for v in range(g.n):
             dist = distances(g, v)
-            cell_of, quotient = rooted(g, v)
-            assert len(quotient) == classes, (name, v)
+            rq = rooted_quotient(g, v)
+            cell_of = rq.cell_of
+            assert len(rq.sizes) == classes, (name, v)
             for a in range(g.n):
                 for b in range(g.n):
                     assert (cell_of[a] == cell_of[b]) == (dist[a] == dist[b]), (name, v, a, b)
@@ -114,13 +110,13 @@ def test_distance_classes_on_distance_regular_graphs(graphs):
 def test_an_asymmetric_graph_has_the_discrete_partition(graphs):
     g = graphs["Frucht"]
     for v in range(g.n):
-        assert len(rooted(g, v)[1]) == g.n, v
+        assert len(rooted_quotient(g, v).sizes) == g.n, v
 
 
 @pytest.mark.parametrize("p, q, cells", [(13, 5, 12), (17, 13, 54)])
 def test_cell_counts_on_lps_graphs(p, q, cells):
     g, params = build_lps(p, q)
-    assert len(rooted(g, cayley_root(g, params))[1]) == cells
+    assert len(rooted_quotient(g, cayley_root(g, params)).sizes) == cells
 
 
 def test_the_rooted_refinement_runs_only_as_deep_as_asked(monkeypatch):
@@ -129,26 +125,29 @@ def test_the_rooted_refinement_runs_only_as_deep_as_asked(monkeypatch):
     g = named_graph("CYCLE(401)")
     dist = distances(g, 0)
     for rounds in (0, 1, 5, 20, 199):
-        cell_of = rooted(g, 0, rounds)[0]
+        cell_of = rooted_quotient(g, 0, rounds).cell_of
         assert cell_of.max() + 1 == rounds + 2, rounds
         classes = [min(dist[w], rounds + 1) for w in range(g.n)]
         assert len({(c, int(cell_of[w])) for w, c in enumerate(classes)}) == rounds + 2, rounds
-    assert len(rooted(g, 0)[1]) == len(rooted(g, 0, 1000)[1]) == 201
+    assert len(rooted_quotient(g, 0).sizes) == len(rooted_quotient(g, 0, 1000).sizes) == 201
 
-    # _b_traces refines ceil(m/2) rounds, which carry r_0..r_ceil(m/2)
+    # f_values refines ceil(m/2) rounds, which carry r_0..r_ceil(m/2)
     drawn = []
+    refine = graphs_module.refine
 
     def counted(table, start, rounds=None):
         out = refine(table, start, rounds)
         drawn.append((rounds, len(out[1])))
         return out
 
-    monkeypatch.setattr(nbt, "refine", counted)
+    monkeypatch.setattr(graphs_module, "refine", counted)
     for m_max in (10, 41):
-        assert nbt._b_traces(g, 1, m_max, 0) == row_b_diagonals(g, 1, m_max, 0), m_max
         half = math.ceil(m_max / 2)
+        nbt.f_values(g, certify_regular(g), m_max)
         assert drawn.pop() == (half, half + 2), m_max
-    sweep = nbt.TraceSweep(g, 1, "row", 0)
+        assert nbt._b_traces(g, 1, m_max, rooted_quotient(g, 0, half)) == row_b_diagonals(g, 1, m_max, 0), m_max
+        drawn.pop()
+    sweep = nbt.TraceSweep(g, 1, rooted_quotient(g, 0))
     assert sweep.prefix(41) == [g.n * b for b in row_b_diagonals(g, 1, 41, 0)]
     assert drawn == [(None, 201)]
 
@@ -159,10 +158,10 @@ def test_cell_numbers_past_one_byte_still_name_the_quotient_rows():
     g = named_graph("CYCLE(601)")
     table = neighbour_table(g)
     for rounds in (299, 300, 400, None):
-        cell_of, quotient = rooted(g, 0, rounds)
-        assert len(quotient) == 301, rounds
-        assert np.array_equal(np.sort(cell_of[table], axis=1), quotient[cell_of]), rounds
-    sweep = nbt.TraceSweep(g, 1, "row", 0)
+        rq = rooted_quotient(g, 0, rounds)
+        assert len(rq.sizes) == 301, rounds
+        assert np.array_equal(np.sort(rq.cell_of[table], axis=1), np.array(rq.neighbours)[rq.cell_of]), rounds
+    sweep = nbt.TraceSweep(g, 1, rooted_quotient(g, 0))
     assert sweep.prefix(41) == [g.n * b for b in row_b_diagonals(g, 1, 41, 0)]
 
 
@@ -174,8 +173,8 @@ def test_refinement_numbers_cells_not_vertices(graphs, name):
     h = relabeled(g, perm)
     for v in range(min(g.n, 12)):
         for rounds in (1, 2, None):
-            cell_g, quotient_g = rooted(g, v, rounds)
-            cell_h, quotient_h = rooted(h, int(perm[v]), rounds)
-            assert np.array_equal(cell_h[perm], cell_g), (v, rounds)
+            rq_g = rooted_quotient(g, v, rounds)
+            rq_h = rooted_quotient(h, int(perm[v]), rounds)
+            assert np.array_equal(rq_h.cell_of[perm], rq_g.cell_of), (v, rounds)
         # at the fixpoint every vertex of a cell has the first one's neighbour cells
-        assert np.array_equal(quotient_h, quotient_g), v
+        assert rq_h.neighbours == rq_g.neighbours, v

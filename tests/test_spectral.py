@@ -10,7 +10,7 @@ from coset_blocks import block_decompose, cayley_cosets
 from test_suite import cycle_plus_matching, frucht_graph
 
 from iharalab.errors import ClusterAmbiguity, DepthExceeded, OutOfRange
-from iharalab.graphs import Graph, build_graph, certify_regular, neighbour_table, refine
+from iharalab.graphs import Graph, build_graph, certify_regular, rooted_quotient
 from iharalab.lps import build_lps, cayley_root
 from iharalab.spectral import eigendecompose, quotient_decompose, theta_of
 from iharalab.suite import range_abs_max
@@ -178,7 +178,7 @@ def test_quotient_route_rejects_a_vertex_outside_the_graph():
     g = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     for v in (-1, 4):
         with pytest.raises(ValueError, match="outside 0..3"):
-            quotient_decompose(g, certify_regular(g), v)
+            quotient_decompose(g, certify_regular(g), rooted_quotient(g, v))
 
 
 # the rooted-quotient route of X^{p,q} against the dense route and the coset-block reference
@@ -190,9 +190,9 @@ def both_routes(request):
     g, params = build_lps(*request.param)
     cert = certify_regular(g)
     e = cayley_root(g, params)
-    cell_of, _ = refine(neighbour_table(g), np.arange(g.n) != e)
+    sd = quotient_decompose(g, cert, rooted_quotient(g, e))
     block = block_decompose(g, cert, cayley_cosets(g, params))
-    return e, cell_of, quotient_decompose(g, cert, e), eigendecompose(g, cert), block
+    return e, sd.quotient.cell_of, sd, eigendecompose(g, cert), block
 
 
 def _assert_same_clusters(got, want):
@@ -246,7 +246,7 @@ def test_quotient_route_memory_stays_below_the_dense_matrix(x513):
     e = cayley_root(g, params)
     tracemalloc.start()
     try:
-        sd = quotient_decompose(g, cert, e)
+        sd = quotient_decompose(g, cert, rooted_quotient(g, e))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -259,4 +259,4 @@ def test_quotient_route_refuses_a_graph_that_is_not_vertex_transitive(graph):
     # n P(0, 0) lands about 0.5 from an integer, and the multiplicities miss n
     g = graph()
     with pytest.raises(ClusterAmbiguity):
-        quotient_decompose(g, certify_regular(g), 0)
+        quotient_decompose(g, certify_regular(g), rooted_quotient(g, 0))

@@ -115,6 +115,7 @@ def test_config_rejects():
         ({"graph": "K4", "k": []}, "'k'"),
         ({"graph": "K4", "order": 0}, "'order'"),
         ({"graph": "K4", "order": -3}, "'order'"),
+        ({"graph": "K4", "horizons": []}, "'horizons'"),
     ],
 )
 def test_config_rejects_each_malformed_value_by_key(raw, key):
@@ -500,7 +501,14 @@ def test_cesaro_check_reports_skips():
 
 
 @pytest.mark.parametrize(
-    "check, change", [("cesaro", {"k_values": ()}), ("ihara-bass", {"order": 0})], ids=["no k", "order 0"]
+    "check, change",
+    [
+        ("cesaro", {"k_values": ()}),
+        ("ihara-bass", {"order": 0}),
+        ("cesaro", {"horizons": ()}),
+        ("average-nm", {"horizons": ()}),
+    ],
+    ids=["no k", "order 0", "cesaro, no horizons", "average-nm, no horizons"],
 )
 def test_a_config_built_directly_gets_no_vacuous_pass(check, change):
     """from_dict refuses these values; a config built without it errors in the check instead."""
