@@ -7,7 +7,11 @@ subtracted can exceed 1e15 while the difference is O(1), far below the
 resolution of double arithmetic.
 
 A perfect-square d folds into plain rationals (b stays zero), so q = 1
-graphs work through the same code path.
+graphs work through the same code path.  That normal form is an
+invariant: only SqrtExt.of folds and coerces its arguments.  +, -, *, /
+and the coercion of an int or Fraction operand build their results
+with the constructor, which keeps b = 0 for a perfect-square d because
+both operands already have it; so == compares components.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DegreeTooSmall
+
+
+_ZERO = Fraction(0)
 
 
 def _as_fraction(x) -> Fraction:
@@ -44,7 +51,7 @@ class SqrtExt:
         r = isqrt(d)
         if r * r == d:
             # perfect square: fold the irrational part away
-            return cls(d, a + b * r, Fraction(0))
+            return cls(d, a + b * r, _ZERO)
         return cls(d, a, b)
 
     def _check(self, other: "SqrtExt") -> None:
@@ -55,27 +62,31 @@ class SqrtExt:
         if isinstance(other, SqrtExt):
             self._check(other)
             return other
-        return SqrtExt.of(self.d, _as_fraction(other))
+        return SqrtExt(self.d, _as_fraction(other), _ZERO)
+
+    # Each result below is built by the constructor, not by `of`: with
+    # both operands in normal form (b = 0 when d is a perfect square),
+    # every b it computes is 0 there too.
 
     def __add__(self, other) -> "SqrtExt":
         o = self._coerce(other)
-        return SqrtExt.of(self.d, self.a + o.a, self.b + o.b)
+        return SqrtExt(self.d, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "SqrtExt":
         o = self._coerce(other)
-        return SqrtExt.of(self.d, self.a - o.a, self.b - o.b)
+        return SqrtExt(self.d, self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other) -> "SqrtExt":
         return self._coerce(other) - self
 
     def __neg__(self) -> "SqrtExt":
-        return SqrtExt.of(self.d, -self.a, -self.b)
+        return SqrtExt(self.d, -self.a, -self.b)
 
     def __mul__(self, other) -> "SqrtExt":
         o = self._coerce(other)
-        return SqrtExt.of(
+        return SqrtExt(
             self.d, self.a * o.a + self.d * self.b * o.b, self.a * o.b + self.b * o.a
         )
 
@@ -86,9 +97,10 @@ class SqrtExt:
         norm = o.a * o.a - self.d * o.b * o.b
         if norm == 0:
             raise ZeroDivisionError("division by zero element")
-        # multiply by the conjugate of the divisor
-        num = self * SqrtExt.of(self.d, o.a, -o.b)
-        return SqrtExt.of(self.d, num.a / norm, num.b / norm)
+        # multiply by the conjugate o.a - o.b sqrt(d) of the divisor
+        a = self.a * o.a - self.d * self.b * o.b
+        b = self.b * o.a - self.a * o.b
+        return SqrtExt(self.d, a / norm, b / norm)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -98,7 +110,8 @@ class SqrtExt:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.d, self.a, self.b))
+        # a rational value hashes as the int or Fraction it equals
+        return hash(self.a) if self.b == 0 else hash((self.d, self.a, self.b))
 
     def is_rational(self) -> bool:
         return self.b == 0

@@ -9,11 +9,17 @@ modular layer it shares with the trace sweep, or as a power-sum series
 on regular graphs); verify_ihara_bass compares them.
 For LPS graphs it adds the Eisenstein/cusp split, the normalized cusp
 terms a(p^m)/(2 p^{m/2}), and the generating function phi(t) of those
-terms two ways: as their sum, from the Tr T~_m sweep, and as a closed
-form in the zeta log-derivative Z'/Z = sum N_m u^{m-1}, whose N_m come
-from the N_m sweep; past t^0 its braces are R_m p^{-m/2}, with R_m from
-suite.SuiteContext.remainders.  Both are exact in Q(sqrt p), and phi
-compares them exactly.  The closed form does not re-derive N_m from the
+terms.  The split a(p^m) = 2 Tr T~_m / n - C(p^m) is formed in integers
+over one denominator, (2Q Tr T~_m - 4 eps_m n S_m) / (nQ) with
+Q = q(q^2-1), S_m = (p^{m+1}-1)/(p-1) and eps_m = 0 exactly when
+(p/q) = -1 and m is odd; term m of phi is then the one Fraction
+a(p^m)/(2 p^ceil(m/2)), put straight into the rational (even m) or
+sqrt(p) (odd m) slot of a qext.SqrtExt in normal form.  phi comes two
+ways: as the sum of those terms, from the Tr T~_m sweep, and as a
+closed form in the zeta log-derivative Z'/Z = sum N_m u^{m-1}, whose
+N_m come from the N_m sweep; past t^0 its braces are R_m p^{-m/2},
+with R_m from suite.SuiteContext.remainders.  Both are exact in
+Q(sqrt p), and phi compares them exactly.  The closed form does not re-derive N_m from the
 determinant: that the two agree is what the ihara-bass check tests.
 phi_closed_point evaluates the closed form at a float point from the
 nontrivial eigenvalues alone, the trivial ones' terms cancelling exactly.
@@ -185,35 +191,55 @@ def verify_ihara_bass(ctx: SuiteContext, order: int = 10) -> Fraction:
 # Eisenstein and cusp coefficients for LPS graphs
 
 
+def _lps_legendre(p: int, q: int) -> int:
+    """(p/q) for distinct primes p, q; InvalidPrime otherwise."""
+    if not is_prime(p) or not is_prime(q) or p == q:
+        raise InvalidPrime(f"C(p^m) needs distinct primes p, q; got p = {p}, q = {q}")
+    return legendre_symbol(p, q)
+
+
 def eisenstein_C(p: int, q: int, m: int) -> Fraction:
     """Eisenstein-series Fourier coefficient C(p^m), exact.
 
-    ((1 + (p/q)^m)/2) * (4/(q(q^2-1))) * ((p^{m+1}-1)/(p-1)).  The
-    formula extends consistently to m = 0, where it produces 4/(q(q^2-1)),
-    the value forced by the constant term of phi.
+    ((1 + (p/q)^m)/2) * (4/(q(q^2-1))) * ((p^{m+1}-1)/(p-1)), that is
+    4 S_m / Q with Q = q(q^2-1) and S_m = (p^{m+1}-1)/(p-1), or 0 when
+    (p/q) = -1 and m is odd.  The formula extends consistently to m = 0,
+    where it produces 4/(q(q^2-1)), the value forced by the constant
+    term of phi.
     """
-    if not is_prime(p) or not is_prime(q) or p == q:
-        raise InvalidPrime("eisenstein_C needs distinct primes p, q")
+    leg = _lps_legendre(p, q)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    leg = legendre_symbol(p, q)
-    first = Fraction(1 + leg**m, 2) if leg != 1 else Fraction(1)
     if leg == -1 and m % 2 == 1:
         return Fraction(0)
-    geom = Fraction(p ** (m + 1) - 1, p - 1)
-    return first * Fraction(4, q * (q * q - 1)) * geom
+    return Fraction(4 * ((p ** (m + 1) - 1) // (p - 1)), q * (q * q - 1))
 
 
 def cusp_coefficients_range(
     g_lps: Graph, params: LpsParams, m_max: int, *, sweep: TraceSweep | None = None
 ) -> list[Fraction]:
-    """[a(p^0), ..., a(p^{m_max})] from sweep, or from a fresh one (the one case that certifies)."""
+    """[a(p^0), ..., a(p^{m_max})] from sweep, or from a fresh one (the one case that certifies).
+
+    a(p^m) = 2 Tr T~_m / n - C(p^m), with C(p^m) = eisenstein_C(p, q, m),
+    formed in integers over one denominator:
+
+        a(p^m) = (2Q Tr T~_m - 4 eps_m n S_m) / (nQ)
+
+    with Q = q(q^2-1), S_m = (p^{m+1}-1)/(p-1) (kept as a running sum)
+    and eps_m = 0 when (p/q) = -1 and m is odd, 1 otherwise.
+    """
+    p, q, n = params.p, params.q, g_lps.n
+    leg = _lps_legendre(p, q)
     cert = certify_regular(g_lps) if sweep is None else None
     tts = t_tilde_traces(g_lps, cert, m_max, sweep=sweep)
-    return [
-        Fraction(2 * tts[m], g_lps.n) - eisenstein_C(params.p, params.q, m)
-        for m in range(m_max + 1)
-    ]
+    big_q = q * (q * q - 1)
+    out = []
+    s = 1  # S_m = 1 + p + ... + p^m
+    for m in range(m_max + 1):
+        eis = 0 if leg == -1 and m % 2 == 1 else 4 * n * s
+        out.append(Fraction(2 * big_q * tts[m] - eis, n * big_q))
+        s = s * p + 1
+    return out
 
 
 def normalized_cusp_terms(
@@ -229,14 +255,27 @@ def normalized_cusp_terms(
 def normalize_cusp(amounts: Sequence[Fraction], p: int) -> list:
     """[a(p^m)/(2 p^{m/2}) for m = 0, 1, ...] from the cusp coefficients amounts = [a(p^m)].
 
-    The one place these terms are formed, exact in Q(sqrt p).  Fractions
-    when every term is rational, as on bipartite LPS graphs, where the
-    odd-m terms vanish; SqrtExt values otherwise, because odd-m terms of
-    non-bipartite graphs carry sqrt(p).
+    The one place these terms are formed, exact in Q(sqrt p).  Term m is
+    one Fraction a/(2 p^ceil(m/2)): the rational part at even m and the
+    sqrt(p) part at odd m, since a/(2 p^{m/2}) = (a/(2 p^{(m+1)/2})) sqrt(p)
+    there.  Fractions when every odd term vanishes, as on bipartite LPS
+    graphs; SqrtExt values otherwise, because odd-m terms of non-bipartite
+    graphs carry sqrt(p).  p must not be a perfect square (ValueError).
     """
-    return _rational_if_possible(
-        [half_power(p, -m) * (Fraction(a) / 2) for m, a in enumerate(amounts)]
-    )
+    if isqrt(p) ** 2 == p:
+        raise ValueError(f"p = {p} is a perfect square, so sqrt(p) is rational")
+    halves = []
+    scale = 2  # 2 p^ceil(m/2)
+    for m, a in enumerate(amounts):
+        if m % 2 == 1:
+            scale *= p
+        halves.append(Fraction(a.numerator, a.denominator * scale))
+    if not any(halves[1::2]):
+        return halves
+    zero = Fraction(0)
+    return [
+        SqrtExt(p, zero, h) if m % 2 == 1 else SqrtExt(p, h, zero) for m, h in enumerate(halves)
+    ]
 
 
 def _rational_if_possible(values: list[SqrtExt]) -> list:

@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(sqrt d)."""
 
 import math
+from math import isqrt
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -38,6 +39,77 @@ def test_division_inverts_multiplication(x):
         return
     y = SqrtExt.of(5, Fraction(7, 3), Fraction(-2, 9))
     assert (y * x) / x == y
+
+
+RADICANDS = [1, 4, 9, 2, 13]
+OPERATIONS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+}
+
+
+def _by_components(op: str, d: int, xa, xb, ya, yb) -> SqrtExt:
+    """x op y for x = xa + xb sqrt(d), y = ya + yb sqrt(d): Fraction components, folded by of."""
+    if op == "+":
+        return SqrtExt.of(d, xa + ya, xb + yb)
+    if op == "-":
+        return SqrtExt.of(d, xa - ya, xb - yb)
+    if op == "*":
+        return SqrtExt.of(d, xa * ya + d * xb * yb, xa * yb + xb * ya)
+    norm = ya * ya - d * yb * yb
+    return SqrtExt.of(d, (xa * ya - d * xb * yb) / norm, (xb * ya - xa * yb) / norm)
+
+
+def _assert_normal(v: SqrtExt, want: SqrtExt) -> None:
+    assert (v.d, v.a, v.b) == (want.d, want.a, want.b)
+    assert type(v.a) is Fraction and type(v.b) is Fraction
+    if isqrt(v.d) ** 2 == v.d:
+        assert v.b == 0
+    assert v == want and hash(v) == hash(want)
+    if v.b == 0:
+        assert v == v.a and hash(v) == hash(v.a)
+
+
+@given(
+    st.sampled_from(RADICANDS),
+    rationals,
+    rationals,
+    rationals,
+    rationals,
+    st.one_of(st.integers(-50, 50), rationals),
+)
+@settings(max_examples=200, deadline=None)
+def test_each_operation_keeps_the_normal_form(d, xa, xb, ya, yb, r):
+    """Each result equals SqrtExt.of on the components: b = 0 for square d, hash follows ==."""
+    x, y = SqrtExt.of(d, xa, xb), SqrtExt.of(d, ya, yb)
+    _assert_normal(-x, SqrtExt.of(d, -x.a, -x.b))
+    for op, apply in OPERATIONS.items():
+        if op != "/" or y != 0:
+            _assert_normal(apply(x, y), _by_components(op, d, x.a, x.b, y.a, y.b))
+        if op != "/" or r != 0:
+            _assert_normal(apply(x, r), _by_components(op, d, x.a, x.b, Fraction(r), 0))
+        if op != "/":
+            _assert_normal(apply(r, x), _by_components(op, d, Fraction(r), 0, x.a, x.b))
+    if isqrt(d) ** 2 == d:
+        # a perfect square: the values are the rationals x.a and y.a
+        assert (x * y).a == x.a * y.a and (x + y).a == x.a + y.a
+
+
+def test_operations_refuse_mixed_radicands():
+    x, y = SqrtExt.of(2, 1, 1), SqrtExt.of(13, 1, 1)
+    for apply in OPERATIONS.values():
+        with pytest.raises(ValueError, match="mixed radicands"):
+            apply(x, y)
+
+
+@pytest.mark.parametrize("d", RADICANDS)
+def test_division_by_zero_raises(d):
+    x = SqrtExt.of(d, 1, 1)
+    for zero in (0, Fraction(0), SqrtExt.of(d, 0), x - x):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
 
 
 def test_perfect_square_folds():

@@ -18,12 +18,13 @@ from math import isqrt, prod
 
 import pytest
 from lattice_points import lattice_count
+from test_suite import _count_calls_everywhere
 
 import iharalab
-from iharalab import nbt, zeta
+from iharalab import nbt, qext, zeta
 from iharalab.errors import DepthExceeded, InvalidPrime
 from iharalab.graphs import Graph, build_graph, named_graph
-from iharalab.lps import build_lps, cayley_root, is_prime
+from iharalab.lps import build_lps, cayley_root, is_prime, legendre_symbol
 from iharalab.nbt import f_values, n_reduced_range
 from iharalab.qext import SqrtExt, half_power
 from iharalab.series import TruncatedSeries
@@ -418,6 +419,89 @@ def test_cusp_odd_vanishes_bipartite(x135):
     cusps = cusp_coefficients_range(g, params, 9)
     for m in (1, 3, 5, 7, 9):
         assert cusps[m] == 0
+
+
+def eisenstein_reference(p: int, q: int, m: int) -> Fraction:
+    """C(p^m) = ((1 + (p/q)^m)/2) (4/(q(q^2-1))) ((p^{m+1}-1)/(p-1)), factor by factor."""
+    leg = legendre_symbol(p, q)
+    first = Fraction(1 + leg**m, 2)
+    return first * Fraction(4, q * (q * q - 1)) * Fraction(p ** (m + 1) - 1, p - 1)
+
+
+def cusp_reference(ctx, m_max: int) -> tuple[list, list]:
+    """([a(p^m)], [a(p^m)/(2 p^{m/2})]) for m <= m_max, one term at a time in Q(sqrt p).
+
+    a(p^m) = 2 Tr T~_m / n - C(p^m), and each term is SqrtExt.of(p, a) /
+    (2 p^{m/2}); the terms are Fractions when all are rational.
+    """
+    p, q, n = ctx.params.p, ctx.params.q, ctx.g.n
+    traces = nbt.t_tilde_traces(ctx.g, None, m_max, sweep=ctx.sweep)
+    amounts = [Fraction(2 * traces[m], n) - eisenstein_C(p, q, m) for m in range(m_max + 1)]
+    terms = [SqrtExt.of(p, a) / (2 * half_power(p, m)) for m, a in enumerate(amounts)]
+    if all(t.is_rational() for t in terms):
+        terms = [t.rational_part() for t in terms]
+    return amounts, terms
+
+
+@pytest.fixture(scope="module")
+def x295_ctx():
+    """X^{29,5}: n = 60, not bipartite, (29/5) = +1, so odd-m terms carry sqrt(29)."""
+    return SuiteContext(*build_lps(29, 5))
+
+
+@pytest.mark.parametrize("p, q", [(5, 13), (13, 5), (29, 5), (17, 13)])
+def test_eisenstein_matches_the_factored_formula(p, q):
+    assert [eisenstein_C(p, q, m) for m in range(201)] == [
+        eisenstein_reference(p, q, m) for m in range(201)
+    ]
+
+
+@pytest.mark.parametrize("which, kind", [("x135_ctx", Fraction), ("x295_ctx", SqrtExt)])
+def test_cusp_terms_match_the_per_term_reference(request, which, kind):
+    ctx = request.getfixturevalue(which)
+    assert ctx.cert.bipartite == (kind is Fraction)
+    want_amounts, want_terms = cusp_reference(ctx, 200)
+    amounts = cusp_coefficients_range(ctx.g, ctx.params, 200, sweep=ctx.sweep)
+    terms = zeta.normalized_cusp_terms(ctx.g, ctx.params, 200, sweep=ctx.sweep)
+    assert amounts == want_amounts
+    assert all(type(a) is Fraction for a in amounts)
+    assert terms == want_terms
+    assert all(type(t) is kind for t in terms)
+    if kind is SqrtExt:
+        # even m in the rational part, odd m in the sqrt(p) part
+        assert all(t.b == 0 for t in terms[::2]) and all(t.a == 0 for t in terms[1::2])
+        assert all(type(t.a) is Fraction and type(t.b) is Fraction for t in terms)
+
+
+def test_normalize_cusp_refuses_a_square_p():
+    with pytest.raises(ValueError, match="perfect square"):
+        zeta.normalize_cusp([Fraction(1), Fraction(1)], 9)
+
+
+def test_cusp_terms_take_no_per_term_field_arithmetic(x135_ctx, monkeypatch):
+    """X^{13,5}'s 201 terms check the primes at most once and never fold or multiply in Q(sqrt p)."""
+    ctx = x135_ctx
+    ctx.sweep
+    eisenstein = _count_calls_everywhere(monkeypatch, zeta, "eisenstein_C")
+    halves = _count_calls_everywhere(monkeypatch, qext, "half_power")
+    field_ops = []
+    real_of, real_mul = SqrtExt.of.__func__, SqrtExt.__mul__
+
+    def of(cls, *args, **kwargs):
+        field_ops.append("of")
+        return real_of(cls, *args, **kwargs)
+
+    def mul(self, other):
+        field_ops.append("*")
+        return real_mul(self, other)
+
+    monkeypatch.setattr(SqrtExt, "of", classmethod(of))
+    monkeypatch.setattr(SqrtExt, "__mul__", mul)
+    monkeypatch.setattr(SqrtExt, "__rmul__", mul)
+    terms = zeta.normalized_cusp_terms(ctx.g, ctx.params, 200, sweep=ctx.sweep)
+    assert len(terms) == 201
+    assert len(eisenstein) <= 1
+    assert (halves, field_ops) == ([], [])
 
 
 def test_theta_identity_x135(x135):
