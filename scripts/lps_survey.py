@@ -61,9 +61,10 @@ def quotient_route(p: int, q: int) -> tuple[float, int, float, float]:
     cert = certify_regular(g)
     v = cayley_root(g, params)
     t0 = time.perf_counter()
-    sd = quotient_decompose(g, cert, rooted_quotient(g, v))
+    quotient = rooted_quotient(g, v)
+    sd = quotient_decompose(g, cert, quotient)
     elapsed, rss = time.perf_counter() - t0, maxrss_mib()
-    root = sd.quotient.root  # the cell {e}: identity_row[root] is P_l(e, e)
+    root = quotient.root  # the cell {e}: identity_row[root] is P_l(e, e)
     slack = max(abs(g.n * cl.identity_row[root] - cl.mult) for cl in sd.clusters)
     return elapsed, len(sd.clusters), rss, float(slack)
 

@@ -154,28 +154,16 @@ def cmd_oracle(args) -> int:
 
 def cmd_zeta(args) -> int:
     ctx = _load_source(args.source)
-    betti_r = ctx.g.edge_count - ctx.g.n + 1
-    try:
-        recip = zeta.reciprocal_series_regular(ctx, args.order)
-    except NotRegular:
-        recip = zeta.ihara_bass_reciprocal(ctx.g).series(args.order)
+    recip = zeta.reciprocal_series(ctx, args.order)
     zs = recip.inverse()
-    logder = (-recip.derivative()) * recip.inverse()
-    n_m = [logder.coeffs[m - 1] for m in range(1, args.order + 1)]
-    if args.mode == "float":
-        recip_out = [float(c) for c in recip.coeffs]
-        zeta_out = [float(c) for c in zs.coeffs]
-        nm_out = [float(c) for c in n_m]
-    else:
-        recip_out = [str(c) for c in recip.coeffs]
-        zeta_out = [str(c) for c in zs.coeffs]
-        nm_out = [str(c) for c in n_m]
+    logder = (-recip.derivative()) * zs
+    out = float if args.mode == "float" else str
     payload = {
         "order": args.order,
-        "betti_r": betti_r,
-        "reciprocal_coeffs": recip_out,
-        "zeta_coeffs": zeta_out,
-        "n_m": nm_out,
+        "betti_r": ctx.g.betti_number,
+        "reciprocal_coeffs": [out(c) for c in recip.coeffs],
+        "zeta_coeffs": [out(c) for c in zs.coeffs],
+        "n_m": [out(c) for c in logder.coeffs[: args.order]],
     }
     _emit_json(args, payload)
     return 0

@@ -53,6 +53,11 @@ class Graph:
         """Number of edges, loops counted once each."""
         return sum(map(len, self.neighbors)) // 2
 
+    @property
+    def betti_number(self) -> int:
+        """The first Betti number r = |E| - n + 1 of a connected graph."""
+        return self.edge_count - self.n + 1
+
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 

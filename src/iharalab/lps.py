@@ -14,6 +14,7 @@ equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Iterator
 
@@ -255,7 +256,19 @@ def build_lps(p: int, q: int, *, allow_large: bool = False) -> tuple[Graph, LpsP
         raise InvalidPrime(
             f"q={q} exceeds the desk-scale limit {DEFAULT_Q_LIMIT}; pass allow_large=True (--allow-large) to proceed"
         )
-    kind = params.group_kind
+    return _construction(params)[0], params
+
+
+@lru_cache(maxsize=2)
+def _construction(params: LpsParams) -> tuple[Graph, int]:
+    """build_lps's X^{p,q} for params and its identity vertex e, checked once and kept.
+
+    The connection set must act without a fixed point, be closed under
+    inverses and give a connected (p+1)-regular graph, bipartite exactly
+    when (p/q) = -1.  cayley_root reads the kept graph, so on build_lps's
+    own graph it compares tuples it already holds.
+    """
+    p, q, kind = params.p, params.q, params.group_kind
     vert = group_elements(q, kind)
     n = len(vert)
     if n != params.expected_n:
@@ -276,7 +289,7 @@ def build_lps(p: int, q: int, *, allow_large: bool = False) -> tuple[Graph, LpsP
         raise GroupSizeMismatch(f"degree {cert.degree} != p+1 = {p + 1}")
     if cert.bipartite != (params.legendre_pq == -1):
         raise GroupSizeMismatch("bipartiteness disagrees with the Legendre symbol")
-    return g, params
+    return g, int(np.flatnonzero((vert == (1, 0, 0, 1)).all(axis=1))[0])
 
 
 def _neighbour_table(params: LpsParams, vert: np.ndarray) -> np.ndarray:
@@ -304,20 +317,18 @@ def _neighbour_table(params: LpsParams, vert: np.ndarray) -> np.ndarray:
 def cayley_root(g: Graph, params: LpsParams) -> int | None:
     """A vertex of g that a verified isomorphism onto build_lps's X^{p,q} maps to the identity e, else None.
 
-    First the identity map: rebuild every vertex's neighbours s v in
-    build_lps's vertex order and compare them with g.neighbors, which
-    accepts build_lps's own graph and byte copies of its files, root e.
+    First the identity map: compare g.neighbors with those of
+    build_lps's graph for params (_construction, which keeps it from the
+    build), which accepts that graph and byte copies of its files, root e.
     Otherwise search for an isomorphism phi of g onto that graph with
     phi(0) = e (_isomorphism) and return 0.  X^{p,q} is vertex-transitive,
     so phi exists for every relabeling of it.  A rewired graph, a leaf
     map that fails its arc-by-arc check, or a search past SEARCH_NODES
     gets None.
     """
-    vert = group_elements(params.q, params.group_kind)
-    if g.n != len(vert) or any(len(nb) != params.p + 1 for nb in g.neighbors):
+    if g.n != params.expected_n or any(len(nb) != params.p + 1 for nb in g.neighbors):
         return None
-    e = int(np.flatnonzero((vert == (1, 0, 0, 1)).all(axis=1))[0])
-    reference = Graph(len(vert), tuple(map(tuple, _neighbour_table(params, vert).tolist())))
+    reference, e = _construction(params)
     if reference.neighbors == g.neighbors:
         return e
     return None if _isomorphism(g, reference, 0, e)[0] is None else 0

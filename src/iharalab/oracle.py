@@ -85,7 +85,6 @@ def reduced_walks(
     m_max: int,
     sources: Sequence[int],
     *,
-    depth_guard: int = DEFAULT_DEPTH_GUARD,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[tuple[list[int], list[list[int]]]]:
     """Per source, in order: (closed, rows) for every walk length up to m_max.
@@ -99,15 +98,16 @@ def reduced_walks(
     every vertex, closed gives N_1..N_{m_max}, every starting point and
     orientation counted separately.
 
-    The guards raise here, at the call, before any walk: m_max < 1, the
-    depth guard, and the step budget, which prices a search from every
-    vertex whatever sources is.  The search itself runs as the result is
-    iterated, and it holds one source's rows at a time; each source's
-    rows are fresh lists that the caller may keep or drop.
+    The guards raise here, at the call, before any walk: m_max < 1,
+    m_max past DEFAULT_DEPTH_GUARD, and the step budget, which prices a
+    search from every vertex whatever sources is.  The search itself
+    runs as the result is iterated, and it holds one source's rows at a
+    time; each source's rows are fresh lists that the caller may keep or
+    drop.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    _check_cost(g, m_max, depth_guard, budget)
+    _check_cost(g, m_max, DEFAULT_DEPTH_GUARD, budget)
     return _walks(g, m_max, sources)
 
 

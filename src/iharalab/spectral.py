@@ -21,8 +21,8 @@ There are two routes:
   Each cluster keeps no eigenvectors, only the row P_l(v, .), once per
   cell; on a Cayley graph with v the identity that row holds every
   entry, P_l(x, y) = P_l(v, y x^-1), and an isomorphism carries that
-  to any relabeling of the graph.  identity_row[sd.quotient.cell_of]
-  is the row on all n vertices.
+  to any relabeling of the graph.  identity_row[quotient.cell_of] is
+  the row on all n vertices.
 
 suite.SuiteContext.sd takes the quotient route on the context's one
 rooted quotient when lps.cayley_root certifies the graph.
@@ -54,6 +54,9 @@ DENSE_BYTES_CEILING = 2**30
 # 5.1e-10 at n=50616; the Frucht graph, which is not vertex-transitive,
 # reads n P_l(v, v) = 0.11 at its lowest eigenvalue.
 MULT_TOL = 1e-3
+
+# Both routes' default cluster tolerance, per unit of the spectral radius q + 1.
+CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,13 +90,12 @@ class Cluster:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Clustered eigendecomposition of a regular graph's adjacency matrix, and the rooted quotient it was read off."""
+    """Clustered eigendecomposition of a regular graph's adjacency matrix."""
 
     n: int
     q: int
     cluster_tol: float
     clusters: tuple[Cluster, ...]
-    quotient: RootedQuotient | None = None
 
     def principal(self) -> list[Cluster]:
         return [c for c in self.clusters if c.principal]
@@ -164,14 +166,14 @@ def eigendecompose(
 ) -> SpectralData:
     """Eigendecompose the adjacency matrix densely and cluster equal eigenvalues.
 
-    Clusters follow the gap rule of _group; the default tolerance scales
-    with the spectral radius: 1e-8 * (q + 1).  Raises DepthExceeded when
+    Clusters follow the gap rule of _group; the default tolerance is
+    CLUSTER_TOL times the spectral radius q + 1.  Raises DepthExceeded when
     the adjacency and eigenvector matrices would exceed
     DENSE_BYTES_CEILING.
     """
     q = cert.q
     if cluster_tol is None:
-        cluster_tol = 1e-8 * (q + 1)
+        cluster_tol = CLUSTER_TOL * (q + 1)
     if 16 * g.n**2 > DENSE_BYTES_CEILING:
         raise DepthExceeded(
             f"dense eigh at n={g.n} needs {16 * g.n**2 / 2**30:.2f} GiB, "
@@ -206,7 +208,7 @@ def quotient_decompose(g: Graph, cert: RegularityCertificate, quotient: RootedQu
     eigendecompose's gap rule and default tolerance.
     """
     q = cert.q
-    cluster_tol = 1e-8 * (q + 1)
+    cluster_tol = CLUSTER_TOL * (q + 1)
     k = len(quotient.sizes)
     arcs = [c * k + d for c, nb in enumerate(quotient.neighbours) for d in nb]
     root = np.sqrt(np.array(quotient.sizes))
@@ -229,4 +231,4 @@ def quotient_decompose(g: Graph, cert: RegularityCertificate, quotient: RootedQu
     total = sum(cl.mult for cl in clusters)
     if total != g.n:
         raise ClusterAmbiguity(f"the quotient's multiplicities sum to {total}, not n = {g.n}", tol=MULT_TOL)
-    return SpectralData(n=g.n, q=q, cluster_tol=cluster_tol, clusters=tuple(clusters), quotient=quotient)
+    return SpectralData(n=g.n, q=q, cluster_tol=cluster_tol, clusters=tuple(clusters))

@@ -232,8 +232,8 @@ class SuiteContext:
     functions of limits and zeta take the context itself and read the
     graph, certificate, spectrum, parameters and sweep from it, so no
     caller picks a route of its own.  All of it lives and dies with the
-    context; nothing is cached on the graph, the regularity certificate
-    or the parameters.
+    context; only lps keeps its last two X^{p,q} constructions, so that
+    row_vertex on build_lps's own graph compares tuples it already has.
     """
 
     def __init__(self, g: Graph, params: lps.LpsParams | None = None, label: str = ""):
@@ -462,7 +462,7 @@ def check_chebyshev(ctx: SuiteContext, *, m_max: int = 30) -> dict:
 
 
 def check_ihara_bass(ctx: SuiteContext, *, order: int = 10) -> dict:
-    """Cycle-count series vs. the determinant formula, exact rationals (zeta.verify_ihara_bass)."""
+    """Cycle counts N_m vs. the determinant's power sums, exact integers (zeta.verify_ihara_bass)."""
     discrepancy = zeta.verify_ihara_bass(ctx, order)
     return {"metric": float(discrepancy), "detail": {"order": order}}
 

@@ -3,10 +3,13 @@
 The zeta function of a finite connected graph is determined by its
 reduced-cycle counts, Z(u) = exp(sum_m N_m u^m / m), and equals the
 reciprocal of (1-u^2)^{r-1} det(I - uA + u^2(D-I)) with r the first
-Betti number.  This module computes both sides exactly (the determinant
-as the charpoly of the 2n x 2n Bass matrix by nbt.integer_charpoly, the
-modular layer it shares with the trace sweep, or as a power-sum series
-on regular graphs); verify_ihara_bass compares them.
+Betti number.  Taking logarithms, N_m = p_m + 2(r-1)[m even], where
+log det(I - uA + u^2(D-I)) = -sum_m p_m u^m / m.  determinant_power_sums
+gives the integers p_m, from adjacency power traces on a regular graph
+and from the charpoly of the 2n x 2n Bass matrix otherwise
+(ihara_bass_reciprocal, by nbt.integer_charpoly, the modular layer it
+shares with the trace sweep); verify_ihara_bass compares them with the
+counts, and reciprocal_series exponentiates them into Z(u)^{-1}.
 For LPS graphs it adds the Eisenstein/cusp split, the normalized cusp
 terms a(p^m)/(2 p^{m/2}), and the generating function phi(t) of those
 terms.  The split a(p^m) = 2 Tr T~_m / n - C(p^m) is formed in integers
@@ -24,7 +27,7 @@ determinant: that the two agree is what the ihara-bass check tests.
 phi_closed_point evaluates the closed form at a float point from the
 nontrivial eigenvalues alone, the trivial ones' terms cancelling exactly.
 
-The report functions (det_series_regular, reciprocal_series_regular,
+The report functions (determinant_power_sums, reciprocal_series,
 verify_ihara_bass, phi_series, phi_closed_point) take a
 suite.SuiteContext and read the graph, certificate, spectrum (its
 nontrivial clusters, for phi_closed_point), parameters and trace sweep
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, isqrt, prod
 from typing import TYPE_CHECKING, Sequence
 
@@ -46,6 +50,7 @@ from .graphs import Graph, _edges_canonical, certify_regular
 from .lps import LpsParams, is_prime, legendre_symbol
 from .nbt import (
     TraceSweep,
+    _power_sums,
     adjacency_power_traces,
     integer_charpoly,
     n_reduced_range,
@@ -69,13 +74,6 @@ class ZetaReciprocal:
 
     betti_r: int
     det_coeffs: tuple[int, ...]
-
-    def series(self, order: int) -> TruncatedSeries:
-        det = TruncatedSeries.from_coeffs(list(self.det_coeffs), order)
-        return binomial_one_minus_u2(self.betti_r - 1, order) * det
-
-    def zeta_series(self, order: int) -> TruncatedSeries:
-        return self.series(order).inverse()
 
 
 def _coefficient_bound(g: Graph, degrees: list[int]) -> int:
@@ -118,59 +116,49 @@ def ihara_bass_reciprocal(g: Graph) -> ZetaReciprocal:
         raise ArithmeticError("Bass charpoly fails c_0 = 1, P(1) = 0 or c_2n = prod(d_i - 1)")
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return ZetaReciprocal(betti_r=g.edge_count - n + 1, det_coeffs=tuple(coeffs))
+    return ZetaReciprocal(betti_r=g.betti_number, det_coeffs=tuple(coeffs))
 
 
-def det_series_regular(ctx: SuiteContext, order: int) -> TruncatedSeries:
-    """det(I - uA + q u^2 I) as an exact series, via power-sum traces.
+def determinant_power_sums(ctx: SuiteContext, order: int) -> list[int]:
+    """[p_1..p_order]: log det(I - uA + u^2(D-I)) = -sum p_m u^m / m, exact integers.
 
-    log det(I - X) = -sum_j Tr(X^j)/j with X = uA - qu^2 I; Tr(X^j)
-    expands over adjacency power traces, which come from row e of the
-    context's rooted quotient when it has one
-    (nbt.adjacency_power_traces).  This route never builds the
-    degree-2n polynomial, so its cost follows the order asked for, not
-    n.  Raises NotRegular on an irregular graph.
+    The one place that picks the determinant route.  On a (q+1)-regular
+    graph det = prod_lambda (1 - lambda u + q u^2), so
+    p_m = sum_{i <= m/2} (m/(m-i)) C(m-i, i) (-q)^i Tr A^{m-2i}, with
+    Tr A^k from nbt.adjacency_power_traces on the context's route.  On
+    any other graph p_m are Newton's power sums (nbt._power_sums) of the
+    reversed ihara_bass_reciprocal polynomial, whose roots are the
+    determinant's inverse roots.
     """
-    q = ctx.cert.q
+    try:
+        q = ctx.cert.q
+    except NotRegular:
+        det_coeffs = ihara_bass_reciprocal(ctx.g).det_coeffs
+        return list(islice(_power_sums(det_coeffs[::-1]), 1, order + 1))
     w = adjacency_power_traces(ctx.g, order, ctx.quotient)
-    log_coeffs = [Fraction(0)] * (order + 1)
-    for j in range(1, order + 1):
-        for i in range(j + 1):
-            k = j + i
-            if k > order:
-                break
-            term = comb(j, i) * (-q) ** i * w[j - i]
-            log_coeffs[k] -= Fraction(term, j)
-    return TruncatedSeries.from_coeffs(log_coeffs, order).exp()
+    return [
+        sum(m * comb(m - i, i) // (m - i) * (-q) ** i * w[m - 2 * i] for i in range(m // 2 + 1))
+        for m in range(1, order + 1)
+    ]
 
 
-def reciprocal_series_regular(ctx: SuiteContext, order: int) -> TruncatedSeries:
-    """Z(u)^{-1} as an exact series for a regular graph, power-sum route (det_series_regular)."""
-    betti_r = ctx.g.edge_count - ctx.g.n + 1
-    return binomial_one_minus_u2(betti_r - 1, order) * det_series_regular(ctx, order)
+def reciprocal_series(ctx: SuiteContext, order: int) -> TruncatedSeries:
+    """Z(u)^{-1} = (1 - u^2)^{r-1} exp(-sum p_m u^m / m) as an exact series, p_m from determinant_power_sums."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    log_det = [0] + [Fraction(-p, m) for m, p in enumerate(determinant_power_sums(ctx, order), 1)]
+    det = TruncatedSeries.from_coeffs(log_det, order).exp()
+    return binomial_one_minus_u2(ctx.g.betti_number - 1, order) * det
 
 
-def zeta_series_from_counts(counts: list[int], order: int | None = None) -> TruncatedSeries:
-    """Z(u) = exp(sum N_m u^m / m) from exact reduced-cycle counts N_1..N_M."""
-    if order is None:
-        order = len(counts)
-    log_coeffs = [Fraction(0)]
-    for m, nm in enumerate(counts[:order], start=1):
-        log_coeffs.append(Fraction(nm, m))
-    return TruncatedSeries.from_coeffs(log_coeffs, order).exp()
+def verify_ihara_bass(ctx: SuiteContext, order: int = 10) -> int:
+    """max over m <= order of |N_m - p_m - 2(r-1)[m even]|, an integer, 0 exactly when Ihara-Bass holds.
 
-
-def verify_ihara_bass(ctx: SuiteContext, order: int = 10) -> Fraction:
-    """Max |coefficient difference| between the two exact zeta routes.
-
-    On a regular graph the counts come from the context's B_m trace
-    sweep and the determinant form from the power-sum series, whose
-    Tr A^k come from a sweep at q = 0 of its own on the context's route:
-    n times the root row's diagonal entries on a certified X^{p,q},
-    the full matrices otherwise.  The two sides stay independent
-    recurrences, at q and at 0.  When the context's sweep raises
-    NotRegular, the counts come from the brute-force walk oracle and
-    the determinant from the Bass-matrix charpoly.  Exact zero expected; order < 1 raises ValueError.
+    That is log Z(u) = sum N_m u^m / m against the logarithm of
+    (1 - u^2)^{r-1} det(I - uA + u^2(D-I)), p_m from determinant_power_sums.
+    N_m comes from the context's B_m sweep (at q, against Tr A^k at 0),
+    or, when that raises NotRegular, from the walk oracle (against the
+    Bass charpoly).  order < 1 raises ValueError.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
@@ -179,12 +167,11 @@ def verify_ihara_bass(ctx: SuiteContext, order: int = 10) -> Fraction:
     except NotRegular:
         walks = reduced_walks(ctx.g, order, range(ctx.g.n))
         counts = [sum(col) for col in zip(*(closed for closed, _ in walks))]
-        from_bass = ihara_bass_reciprocal(ctx.g).zeta_series(order)
     else:
         counts = n_reduced_range(ctx.g, ctx.cert, order, sweep=sweep)
-        from_bass = reciprocal_series_regular(ctx, order).inverse()
-    from_counts = zeta_series_from_counts(counts, order)
-    return max(abs(a - b) for a, b in zip(from_counts.coeffs, from_bass.coeffs))
+    shift = 2 * (ctx.g.betti_number - 1)  # what (1 - u^2)^{r-1} adds to N_m at even m
+    sums = determinant_power_sums(ctx, order)
+    return max(abs(nm - p - (1 - m % 2) * shift) for m, (nm, p) in enumerate(zip(counts, sums), 1))
 
 
 # ---------------------------------------------------------------------------

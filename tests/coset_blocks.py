@@ -17,7 +17,7 @@ import pytest
 
 from iharalab.graphs import Graph, RegularityCertificate
 from iharalab.lps import LpsParams, build_lps, canonical_form, cayley_root, group_elements, mat_mul
-from iharalab.spectral import Cluster, SpectralData, _group, theta_of
+from iharalab.spectral import CLUSTER_TOL, Cluster, SpectralData, _group, theta_of
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def block_decompose(
     """
     q = cert.q
     if cluster_tol is None:
-        cluster_tol = 1e-8 * (q + 1)
+        cluster_tol = CLUSTER_TOL * (q + 1)
     field, k = cosets.q, len(cosets.reps)
     nbrs = np.array([g.neighbors[r] for r in cosets.reps])
     rows = np.repeat(np.arange(k), nbrs.shape[1])

@@ -57,6 +57,26 @@ def test_build_lps_graphs_take_the_identity_map_without_a_search(monkeypatch):
     assert seen == []
 
 
+def test_cayley_root_reads_the_build_lps_construction(monkeypatch):
+    # build_lps keeps its construction, so certifying its own graph builds no
+    # neighbour table, and every other graph is still compared against it
+    tables, real = [], lps._neighbour_table
+
+    def counted(*args):
+        tables.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lps, "_neighbour_table", counted)
+    for p, q in ((13, 5), (17, 13)):
+        g, params = lps.build_lps(p, q)
+        tables.clear()
+        e = lps.cayley_root(g, params)
+        assert lps.group_elements(q, params.group_kind)[e].tolist() == [1, 0, 0, 1]
+        assert lps.cayley_root(relabeled(g, p * q), params) == 0
+        assert lps.cayley_root(two_switched(g, e), params) is None
+        assert tables == []
+
+
 @pytest.mark.parametrize("p, q", [(13, 5), (17, 5), (17, 13)])
 def test_relabeled_files_get_a_root_and_the_lps_summary(tmp_path, monkeypatch, p, q):
     seen = _nodes(monkeypatch)

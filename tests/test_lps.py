@@ -215,6 +215,7 @@ def test_build_lps_matches_the_product_loop(p, q):
 
 
 def _with_connection_set(monkeypatch, edit):
+    lps._construction.cache_clear()  # an earlier test may have built X^{13,5} with the real set
     real = lps.connection_set
     monkeypatch.setattr(lps, "connection_set", lambda params: edit(real(params)))
 

@@ -17,6 +17,7 @@ call belong in tests/.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -62,6 +63,43 @@ def test_limits_quad_is_a_module_global_that_forwards_to_scipy():
     assert "quad" in vars(limits)
     assert limits.quad.__module__ == "iharalab.limits"
     assert abs(limits.quad(lambda x: x * x, 0.0, 1.0)[0] - 1 / 3) < 1e-12
+
+
+def _assigned_literal(path: Path, *names: str):
+    """The literal assigned to names[-1] at the top of path, inside the classes names[:-1]; frozenset(...) unwrapped."""
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    for scope in names[:-1]:
+        body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == scope).body
+    value = next(n.value for n in body if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == names[-1])
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "frozenset":
+        value = value.args[0]
+    return ast.literal_eval(value)
+
+
+def test_the_names_perfbench_binds_by_string_resolve():
+    # perfbench looks these up by name and fails only in its own tests, which
+    # are not tier-1, when one of them leaves the package
+    def layer(module: str):
+        return importlib.import_module(f"iharalab.{module}")
+
+    per_element = _assigned_literal(ROOT / "perfbench/spans.py", "PER_ELEMENT")
+    methods = _assigned_literal(ROOT / "perfbench/spans.py", "METHODS")
+    targets = _assigned_literal(ROOT / "perfbench/worker.py", "Captures", "TARGETS")
+    assert per_element and methods and targets
+    missing = [name for name in sorted(per_element) if not hasattr(layer(name.split(".")[0]), name.split(".")[1])]
+    missing += [
+        f"{module}.{cls}.{meth}"
+        for module, classes in methods.items()
+        for cls, names in classes.items()
+        for meth in names
+        if not hasattr(getattr(layer(module), cls, None), meth)
+    ]
+    missing += [f"{module}.{name}" for module, name in targets if not hasattr(layer(module), name)]
+    assert missing == []
+    # the capture and trace wrappers rebind every alias of n_reduced_range
+    nbt = layer("nbt")
+    assert layer("zeta").n_reduced_range is nbt.n_reduced_range
+    assert layer("limits").n_reduced_range is nbt.n_reduced_range
 
 
 def _definitions(tree: ast.Module):

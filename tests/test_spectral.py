@@ -190,9 +190,10 @@ def both_routes(request):
     g, params = build_lps(*request.param)
     cert = certify_regular(g)
     e = cayley_root(g, params)
-    sd = quotient_decompose(g, cert, rooted_quotient(g, e))
+    quotient = rooted_quotient(g, e)
+    sd = quotient_decompose(g, cert, quotient)
     block = block_decompose(g, cert, cayley_cosets(g, params))
-    return e, sd.quotient.cell_of, sd, eigendecompose(g, cert), block
+    return e, quotient.cell_of, sd, eigendecompose(g, cert), block
 
 
 def _assert_same_clusters(got, want):

@@ -5,6 +5,9 @@ unchanged: det(I - uA + u^2(D-I)) by Bareiss elimination at the 2n+1
 points u = 0, +-1, ..., +-n and Fraction Newton interpolation, and the
 spectrum-factored product for regular graphs with integral spectra.
 They give the Bass-matrix charpoly route an independent exact target.
+The series helpers after them exponentiate the factored polynomial, the
+power sums of zeta.determinant_power_sums and the counts N_m, so that
+tests compare whole zeta series where the library compares N_m.
 """
 
 import dataclasses
@@ -27,18 +30,17 @@ from iharalab.graphs import Graph, build_graph, named_graph
 from iharalab.lps import build_lps, cayley_root, is_prime, legendre_symbol
 from iharalab.nbt import f_values, n_reduced_range
 from iharalab.qext import SqrtExt, half_power
-from iharalab.series import TruncatedSeries
-from iharalab.suite import SuiteContext
+from iharalab.series import TruncatedSeries, binomial_one_minus_u2
+from iharalab.suite import SuiteContext, VerificationSuiteConfig, run_check
 from iharalab.zeta import (
     cusp_coefficients_range,
-    det_series_regular,
+    determinant_power_sums,
     eisenstein_C,
     ihara_bass_reciprocal,
     phi_closed_point,
     phi_series,
-    reciprocal_series_regular,
+    reciprocal_series,
     verify_ihara_bass,
-    zeta_series_from_counts,
 )
 
 # ---------------------------------------------------------------------------
@@ -148,6 +150,24 @@ def _poly_mul(a, b):
     return out
 
 
+def factored_series(zr, order: int) -> TruncatedSeries:
+    """Z(u)^{-1} = (1 - u^2)^{r-1} det_poly(u) from ihara_bass_reciprocal's factored form, truncated."""
+    det = TruncatedSeries.from_coeffs(list(zr.det_coeffs), order)
+    return binomial_one_minus_u2(zr.betti_r - 1, order) * det
+
+
+def det_series(ctx, order: int) -> TruncatedSeries:
+    """det(I - uA + u^2(D-I)) = exp(-sum p_m u^m / m), with p_m from zeta.determinant_power_sums."""
+    log_det = [0] + [Fraction(-p, m) for m, p in enumerate(determinant_power_sums(ctx, order), 1)]
+    return TruncatedSeries.from_coeffs(log_det, order).exp()
+
+
+def zeta_series_from_counts(counts: list[int]) -> TruncatedSeries:
+    """Z(u) = exp(sum N_m u^m / m) from exact reduced-cycle counts N_1..N_M."""
+    log_z = [0] + [Fraction(nm, m) for m, nm in enumerate(counts, 1)]
+    return TruncatedSeries.from_coeffs(log_z).exp()
+
+
 def test_bareiss_known_determinants():
     assert bareiss_determinant([[2]]) == 2
     assert bareiss_determinant([[1, 2], [3, 4]]) == -2
@@ -173,14 +193,14 @@ def test_k4_reciprocal_polynomial(corpus):
         want = _poly_mul(want, [1, 1, 2])
     assert list(zr.det_coeffs) == want
     assert zr.betti_r == 3
-    assert list(zr.series(8).coeffs) == [1, 0, 0, -8, -6, 0, 16, 24, -3]
+    assert list(factored_series(zr, 8).coeffs) == [1, 0, 0, -8, -6, 0, 16, 24, -3]
 
 
 def test_det_series_matches_interpolation(corpus, contexts):
     """Power-sum route equals the Bass charpoly route, coefficientwise."""
     for name, (g, cert) in corpus.items():
         zr = ihara_bass_reciprocal(g)
-        series = det_series_regular(contexts[name], 12)
+        series = det_series(contexts[name], 12)
         for k in range(13):
             det_coeff = zr.det_coeffs[k] if k < len(zr.det_coeffs) else 0
             assert series.coeffs[k] == det_coeff, (name, k)
@@ -190,8 +210,8 @@ def test_reciprocal_series_matches_full_product(corpus, contexts):
     for name in ("K4", "PETERSEN"):
         g, cert = corpus[name]
         zr = ihara_bass_reciprocal(g)
-        fast = reciprocal_series_regular(contexts[name], 10)
-        slow = zr.series(10)
+        fast = reciprocal_series(contexts[name], 10)
+        slow = factored_series(zr, 10)
         assert fast.coeffs == slow.coeffs, name
 
 
@@ -214,7 +234,7 @@ def test_verify_ihara_bass_on_the_identity_row(x135):
     row, full = SuiteContext(g, params), SuiteContext(g)
     assert row.row_vertex == cayley_root(g, params) and full.row_vertex is None
     assert verify_ihara_bass(row, order=10) == 0
-    assert reciprocal_series_regular(row, 10) == reciprocal_series_regular(full, 10)
+    assert reciprocal_series(row, 10) == reciprocal_series(full, 10)
 
 
 def test_a_row_route_without_a_certificate_fails_the_identity():
@@ -232,7 +252,8 @@ def test_tree_zeta_is_one():
     g = build_graph(3, [(0, 1), (1, 2)])
     zr = ihara_bass_reciprocal(g)
     assert list(zr.det_coeffs) == [1, 0, -1]  # (1 - u^2), cancelled by (1-u^2)^{r-1}
-    zs = zr.zeta_series(8)
+    zs = factored_series(zr, 8).inverse()
+    assert zs == reciprocal_series(SuiteContext(g), 8).inverse()
     assert zs.coeffs[0] == 1
     assert all(c == 0 for c in zs.coeffs[1:])
 
@@ -241,6 +262,54 @@ def test_irregular_graph_route():
     # path with a doubled middle edge: irregular but still checkable
     g = build_graph(3, [(0, 1, 2), (1, 2, 1)])
     assert verify_ihara_bass(SuiteContext(g), order=8) == 0
+
+
+# one N_m moved by delta must move the check's metric by |delta| and fail it
+
+
+def test_a_perturbed_sweep_count_fails_the_ihara_bass_check(monkeypatch):
+    g, params = build_lps(13, 5)
+    assert verify_ihara_bass(SuiteContext(g, params), order=10) == 0
+    ctx = SuiteContext(g, params)
+    real = ctx.sweep.prefix
+
+    def prefix(m_max):
+        out = list(real(m_max))
+        if m_max >= 6:
+            out[6] -= 3  # Tr B_6, so N_6
+        return out
+
+    monkeypatch.setattr(ctx.sweep, "prefix", prefix)
+    discrepancy = verify_ihara_bass(ctx, order=10)
+    assert type(discrepancy) is int and discrepancy == 3
+    result = run_check("ihara-bass", ctx, VerificationSuiteConfig(source_kind="lps", p=13, q=5))
+    assert (result.status, result.metric) == ("fail", 3.0)
+
+
+def test_a_perturbed_walker_count_fails_the_ihara_bass_check(monkeypatch):
+    # irregular, with a double edge and a loop: the walker against the Bass charpoly
+    g = build_graph(4, [(0, 1, 2), (1, 2), (2, 2), (2, 3)])
+    assert verify_ihara_bass(SuiteContext(g), order=8) == 0
+    real = zeta.reduced_walks
+
+    def walks(g, m_max, sources, **kwargs):
+        for v, (closed, rows) in zip(sources, real(g, m_max, sources, **kwargs)):
+            if v == 0:
+                closed[4] += 5  # N_5
+            yield closed, rows
+
+    monkeypatch.setattr(zeta, "reduced_walks", walks)
+    ctx = SuiteContext(g)
+    discrepancy = verify_ihara_bass(ctx, order=8)
+    assert type(discrepancy) is int and discrepancy == 5
+    result = run_check("ihara-bass", ctx, VerificationSuiteConfig(source_kind="named", order=8))
+    assert (result.status, result.metric) == ("fail", 5.0)
+
+
+def test_determinant_power_sums_are_the_b_traces_on_a_regular_graph(contexts):
+    # p_m = Tr B_m: alpha^m + beta^m over the roots of 1 - lambda u + q u^2
+    for name, ctx in contexts.items():
+        assert determinant_power_sums(ctx, 12) == ctx.sweep.prefix(12)[1:], name
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +390,7 @@ def test_bass_route_x135_full_polynomial(x135, charpoly_primes):
     coeffs = list(ihara_bass_reciprocal(g).det_coeffs)
     assert len(charpoly_primes) == 18
     _check_bass_result(g, coeffs, charpoly_primes)
-    want = det_series_regular(SuiteContext(g), 2 * g.n).coeffs
+    want = det_series(SuiteContext(g), 2 * g.n).coeffs
     assert coeffs + [0] * (2 * g.n + 1 - len(coeffs)) == list(want)
 
 
@@ -373,7 +442,7 @@ def test_petersen_zeta_coefficients(corpus):
 def test_zeta_log_derivative_recovers_counts(corpus, contexts):
     g, cert = corpus["CUBE"]
     counts = n_reduced_range(g, cert, 10)
-    recip = reciprocal_series_regular(contexts["CUBE"], 10)
+    recip = reciprocal_series(contexts["CUBE"], 10)
     logder = (-recip.derivative()) * recip.inverse()
     for m in range(1, 11):
         assert logder.coeffs[m - 1] == counts[m - 1], m
@@ -537,8 +606,8 @@ def test_phi_odd_coefficients_vanish(x135_ctx):
 
 
 def determinant_counts(ctx, order: int) -> list:
-    """Reference N_1..N_order: Z'/Z = -R'/R = sum N_m u^{m-1} for R = reciprocal_series_regular."""
-    recip = reciprocal_series_regular(ctx, order)
+    """Reference N_1..N_order: Z'/Z = -R'/R = sum N_m u^{m-1} for R = reciprocal_series."""
+    recip = reciprocal_series(ctx, order)
     logder = (-recip.derivative()) * recip.inverse()
     return list(logder.coeffs[:order])
 
@@ -624,5 +693,5 @@ def test_phi_point_sums_the_closed_series(phi_ladder, p, q):
 
 
 def test_zeta_series_mode_exact(contexts):
-    s = reciprocal_series_regular(contexts["K4"], 6)
+    s = reciprocal_series(contexts["K4"], 6)
     assert all(isinstance(c, (int, Fraction)) for c in s.coeffs)
