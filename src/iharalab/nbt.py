@@ -31,12 +31,16 @@ Without a sweep the traces take the full route, which has two streams:
   x^n chi_A(x + q/x) = prod_lambda (x^2 - lambda x + q), and Newton's
   identities give every m from one exact chi_A (Lubotzky, Phillips and
   Sarnak, Combinatorica 8, 1988, read X^{p,q} off the spectrum of A the
-  same way).  integer_charpoly finds chi_A modulo 26-bit primes and lifts
-  it by CRT under Hadamard's bound on its coefficients, C(n, k) d^{k/2}
-  on a simple d-regular graph; zeta.ihara_bass_reciprocal shares that
-  modular layer.  It serves while its price, primes x n^3, is within
-  COST_CEILING: up to n = 325 at degree 14 (n = 120 takes 11 primes) and
-  n = 362 at degree 3.
+  same way).  integer_charpoly finds chi_A modulo 26-bit primes, all of
+  them in one stacked (primes, n, n) int64 Hessenberg pass with a pivot
+  of each prime's own (_charpoly_mod), and lifts it by CRT under
+  Hadamard's bound on its coefficients, C(n, k) d^{k/2} on a simple
+  d-regular graph; zeta.ihara_bass_reciprocal shares that modular layer,
+  on the Bass matrix of its graph with the pendant trees pruned.  The
+  stack holds primes x (n+1)^2 int64 for the recurrence and as much
+  again for the reduction.  It serves while its price, primes x n^3, is
+  within COST_CEILING: up to n = 325 at degree 14 (n = 120 takes 11
+  primes) and n = 362 at degree 3.
 - The matrix recurrence, past that price.  It uses the product identity
   B_a B_b = B_{a+b} + q^b B_{a-b} (a >= b) and the symmetry of B_k:
   Tr B_m for all m <= M comes from inner products of B_0..B_{ceil(M/2)},
@@ -240,44 +244,60 @@ def require_charpoly_price(size: int, bound: int) -> None:
         raise DepthExceeded(f"charpoly cost {price:.2e} exceeds {COST_CEILING:.0e}")
 
 
-def _charpoly_mod(matrix: np.ndarray, p: int) -> list[int]:
-    """det(xI - L) mod p for an int64 matrix L, constant term first.
+def _charpoly_mod(matrix: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """det(xI - L) mod each prime for an int64 matrix L: row i of the (P, size+1) result is mod primes[i], constant first.
 
-    Hessenberg form by similarity (pivot swaps, row eliminations undone
-    by column operations), then the Hessenberg recurrence over the leading
-    blocks.  Residues are below p < 2^26, so products stay below 2^52 and
-    any int64 dot product over at most 2047 terms stays below 2^63.
+    Every prime is reduced in one (P, size, size) stack.  Hessenberg form
+    by similarity (pivot swaps, row eliminations undone by column
+    operations), each prime with its own pivot: the first nonzero entry
+    below the diagonal, swapped into place only where it is not there
+    already.  A column that vanishes mod one prime gets multiplier 0 there,
+    which leaves that prime's layer as it is.  Then the Hessenberg
+    recurrence over the leading blocks, stacked the same way.  Residues
+    are below p < 2^26, so products stay below 2^52 and any int64 dot
+    product over at most 2047 terms stays below 2^63.
     """
-    h = matrix % p
-    size = len(h)
+    ps = np.array(primes, dtype=np.int64)
+    p2, p3 = ps[:, None], ps[:, None, None]
+    h = matrix[None] % p3
+    size = matrix.shape[0]
     for j in range(size - 2):
-        nonzero = np.flatnonzero(h[j + 1 :, j])
-        if nonzero.size == 0:
+        first = (h[:, j + 1 :, j] != 0).argmax(axis=1)  # 0 also where the column vanishes
+        swap = np.flatnonzero(first)  # the layers whose pivot is not in place
+        if swap.size:
+            piv = j + 1 + first[swap]
+            h[swap, j + 1], h[swap, piv] = h[swap, piv], h[swap, j + 1]
+            h[swap, :, j + 1], h[swap, :, piv] = h[swap, :, piv], h[swap, :, j + 1]
+        pivots = h[:, j + 1, j].tolist()
+        if not any(pivots):
             continue
-        piv = j + 1 + nonzero[0]
-        h[[j + 1, piv]] = h[[piv, j + 1]]
-        h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
-        t = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, p) % p
-        h[j + 2 :, j:] = (h[j + 2 :, j:] - np.outer(t, h[j + 1, j:])) % p
-        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ t) % p
-    # polys[c]: charpoly of the leading c x c block; w[r] = prod_{r<k<=c} h[k,k-1]
-    polys = np.zeros((size + 1, size + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    w = np.zeros(0, dtype=np.int64)
+        inv = np.array([pow(a, -1, p) if a else 0 for a, p in zip(pivots, primes)], dtype=np.int64)
+        t = h[:, j + 2 :, j] * inv[:, None] % p2
+        below = h[:, j + 2 :, j:]
+        below -= t[:, :, None] * h[:, j + 1, None, j:]
+        np.remainder(below, p3, out=below)
+        h[:, :, j + 1] = (h[:, :, j + 1] + (h[:, :, j + 2 :] @ t[:, :, None])[:, :, 0]) % p2
+    # polys[:, c]: charpoly of the leading c x c block; w[:, r] = prod_{r<k<=c} h[k,k-1]
+    polys = np.zeros((len(ps), size + 1, size + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    w = np.zeros((len(ps), 0), dtype=np.int64)
     for c in range(size):
         if c:
-            w = np.append(w, 1) * h[c, c - 1] % p
-        nxt = np.roll(polys[c], 1) - h[c, c] * polys[c]
-        nxt[:c] -= (h[:c, c] * w % p) @ polys[:c, :c]
-        polys[c + 1] = nxt % p
-    return polys[size].tolist()
+            w = np.concatenate([w, np.ones_like(p2)], axis=1) * h[:, c, c - 1, None] % p2
+        nxt = np.zeros((len(ps), size + 1), dtype=np.int64)
+        nxt[:, 1 : c + 2] = polys[:, c, : c + 1]
+        nxt[:, : c + 1] -= h[:, c, c, None] * polys[:, c, : c + 1]
+        nxt[:, :c] -= ((h[:, :c, c] * w % p2)[:, None, :] @ polys[:, :c, :c])[:, 0]
+        polys[:, c + 1] = nxt % p2
+    return polys[:, size]
 
 
 def integer_charpoly(matrix: np.ndarray, bound: int) -> list[int]:
     """det(xI - matrix) over Z, constant term first, for an int64 matrix whose coefficients are at most bound in size.
 
     Found mod the largest primes below 2^26 until their product passes
-    2 bound, then lifted by symmetric CRT.  Raises DepthExceeded as
+    2 bound, all of them in one stacked pass of _charpoly_mod, then
+    lifted by symmetric CRT.  Raises DepthExceeded as
     require_charpoly_price does.  The result is only as right as bound;
     every caller checks it against an identity it must satisfy.
     """
@@ -288,7 +308,7 @@ def integer_charpoly(matrix: np.ndarray, bound: int) -> list[int]:
     modulus = prod(primes)
     weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
     coeffs = []
-    for residues in zip(*(_charpoly_mod(matrix, p) for p in primes)):
+    for residues in _charpoly_mod(matrix, primes).T.tolist():
         x = sum(r * wt for r, wt in zip(residues, weights)) % modulus
         coeffs.append(x - modulus if 2 * x > modulus else x)
     return coeffs

@@ -8,7 +8,11 @@ log det(I - uA + u^2(D-I)) = -sum_m p_m u^m / m.  determinant_power_sums
 gives the integers p_m, from adjacency power traces on a regular graph
 and from the charpoly of the 2n x 2n Bass matrix otherwise
 (ihara_bass_reciprocal, by nbt.integer_charpoly, the modular layer it
-shares with the trace sweep); verify_ihara_bass compares them with the
+shares with the trace sweep, which reduces every prime in one stacked
+Hessenberg pass).  Pendant trees carry no reduced cycle, so that route
+first prunes leaves down to the 2-core, a Schur complement that leaves
+the determinant unchanged, and n, the Hadamard bound and the price are
+the pruned graph's.  verify_ihara_bass compares the p_m with the
 counts, and reciprocal_series exponentiates them into Z(u)^{-1}.
 For LPS graphs it adds the Eisenstein/cusp split, the normalized cusp
 terms a(p^m)/(2 p^{m/2}), and the generating function phi(t) of those
@@ -46,7 +50,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import InvalidPrime, NotRegular
-from .graphs import Graph, _edges_canonical, certify_regular
+from .graphs import Graph, certify_regular
 from .lps import LpsParams, is_prime, legendre_symbol
 from .nbt import (
     TraceSweep,
@@ -76,46 +80,78 @@ class ZetaReciprocal:
     det_coeffs: tuple[int, ...]
 
 
-def _coefficient_bound(g: Graph, degrees: list[int]) -> int:
-    """H >= |c_k| for det(I - uA + u^2(D-I)) = sum c_k u^k.
+def _prune_leaves(g: Graph) -> list[int]:
+    """The vertices left once degree-1 vertices are deleted, repeatedly, down to the 2-core or one vertex.
+
+    A leaf v with neighbour w adds the row (1 at v, -u at w) to
+    I - uA + u^2(D-I), and its Schur complement turns w's diagonal into
+    that of degree d_w - 1, so pruning keeps the determinant in Z[u]:
+    pendant trees carry no reduced cycle.
+    """
+    degree = [len(nb) for nb in g.neighbors]
+    alive = [True] * g.n
+    leaves = [v for v, d in enumerate(degree) if d == 1]
+    left = g.n
+    while leaves and left > 1:
+        v = leaves.pop()
+        alive[v] = False
+        left -= 1
+        (w,) = (w for w in g.neighbors[v] if alive[w])
+        degree[w] -= 1
+        if degree[w] == 1:
+            leaves.append(w)
+    return [v for v in range(g.n) if alive[v]]
+
+
+def _adjacency_on(g: Graph, keep: list[int]) -> np.ndarray:
+    """The int64 adjacency matrix of the subgraph of g on the vertices keep."""
+    index = {v: i for i, v in enumerate(keep)}
+    a = np.zeros((len(keep), len(keep)), dtype=np.int64)
+    for i, v in enumerate(keep):
+        for w in g.neighbors[v]:
+            if w in index:
+                a[i, index[w]] += 1
+    return a
+
+
+def _coefficient_bound(a: np.ndarray) -> int:
+    """H >= |c_k| for det(I - uA + u^2(D-I)) = sum c_k u^k, D the row sums of the int64 adjacency matrix a.
 
     On |u| = 1 row i has squared norm at most N_i = (1 + a_ii + |d_i - 1|)^2
     + sum_{j != i} a_ij^2, so |det| <= sqrt(prod N_i) there (Hadamard),
     which bounds every c_k (Cauchy).
     """
-    diag = [0] * g.n
-    off = [0] * g.n  # sum_{j != i} a_ij^2
-    for i, j, c in _edges_canonical(g):
-        if i == j:
-            diag[i] = 2 * c
-        else:
-            off[i] += c * c
-            off[j] += c * c
-    return isqrt(prod((1 + a + abs(d - 1)) ** 2 + s for a, s, d in zip(diag, off, degrees))) + 1
+    diag, degrees = np.diag(a), a.sum(axis=1)
+    off = (a * a).sum(axis=1) - diag * diag
+    norms = (1 + diag + np.abs(degrees - 1)) ** 2 + off
+    return isqrt(prod(norms.tolist())) + 1
 
 
 def ihara_bass_reciprocal(g: Graph) -> ZetaReciprocal:
     """Exact reciprocal zeta polynomial data for any connected graph.
 
-    For the Bass matrix L = [[A, I-D], [I, 0]] a Schur complement gives
-    det(I - uA + u^2(D-I)) = det(I - uL), so c_k is the coefficient of
-    x^{2n-k} in det(xI - L): nbt.integer_charpoly under the bound H of
-    _coefficient_bound.  Raises DepthExceeded past nbt.COST_CEILING,
-    before L is built, and ArithmeticError unless c_0 = 1,
-    sum c_k = det(D - A) = 0 and c_{2n} = prod (d_i - 1).
+    Pendant trees are pruned first (_prune_leaves), which leaves
+    det(I - uA + u^2(D-I)) unchanged, so below A, D and n are those of
+    the pruned graph.  For the Bass matrix L = [[A, I-D], [I, 0]] a
+    Schur complement gives det(I - uA + u^2(D-I)) = det(I - uL), so c_k
+    is the coefficient of x^{2n-k} in det(xI - L): nbt.integer_charpoly
+    under the bound H of _coefficient_bound.  Raises DepthExceeded when
+    the price of the 2n x 2n matrix passes nbt.COST_CEILING (on a 2-core
+    of more than 500 vertices before any dense array is built), and
+    ArithmeticError unless c_0 = 1, sum c_k = det(D - A) = 0 and
+    c_{2n} = prod (d_i - 1).  Every pruned degree is at least 2, or 0 on
+    a lone vertex, so c_{2n} is the nonzero leading coefficient.
     """
-    n = g.n
-    degrees = [g.degree(v) for v in range(n)]
-    bound = _coefficient_bound(g, degrees)
-    require_charpoly_price(2 * n, bound)
-    a = g.as_numpy().astype(np.int64)
-    eye, zero = np.eye(n, dtype=np.int64), np.zeros_like(a)
-    bass = np.block([[a, np.diag([1 - d for d in degrees])], [eye, zero]])
+    keep = _prune_leaves(g)
+    require_charpoly_price(2 * len(keep), 1)  # one prime's price
+    a = _adjacency_on(g, keep)
+    degrees = a.sum(axis=1)
+    bound = _coefficient_bound(a)
+    eye, zero = np.eye(len(keep), dtype=np.int64), np.zeros_like(a)
+    bass = np.block([[a, np.diag(1 - degrees)], [eye, zero]])
     coeffs = integer_charpoly(bass, bound)[::-1]
-    if coeffs[0] != 1 or sum(coeffs) != 0 or coeffs[-1] != prod(d - 1 for d in degrees):
+    if coeffs[0] != 1 or sum(coeffs) != 0 or coeffs[-1] != prod((degrees - 1).tolist()):
         raise ArithmeticError("Bass charpoly fails c_0 = 1, P(1) = 0 or c_2n = prod(d_i - 1)")
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
     return ZetaReciprocal(betti_r=g.betti_number, det_coeffs=tuple(coeffs))
 
 

@@ -3,6 +3,7 @@
 import decimal
 import hashlib
 import json
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -131,10 +132,25 @@ def test_zeta_float_mode(capsys):
 
 
 def test_zeta_irregular_cost_guard(tmp_path, capsys):
-    path = tmp_path / "path1024.txt"
-    path.write_text("n 1024\n" + "".join(f"{v} {v + 1}\n" for v in range(1023)))
+    # a 1024-cycle with one chord has no leaf, so its 2048 x 2048 Bass matrix is priced whole
+    path = tmp_path / "cycle1024_chord.txt"
+    edges = [(v, (v + 1) % 1024) for v in range(1024)] + [(0, 512)]
+    path.write_text("n 1024\n" + "".join(f"{i} {j}\n" for i, j in edges))
     assert main(["zeta", str(path), "--order", "4"]) == 1
     assert "DepthExceeded" in capsys.readouterr().err
+
+
+def test_zeta_of_a_long_path_is_one(tmp_path, capsys):
+    # a tree prunes to one vertex, so Z(u)^{-1} = 1 costs next to nothing
+    path = tmp_path / "path1024.txt"
+    path.write_text("n 1024\n" + "".join(f"{v} {v + 1}\n" for v in range(1023)))
+    start = time.perf_counter()
+    assert main(["zeta", str(path), "--order", "4"]) == 0
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["betti_r"] == 0
+    assert payload["reciprocal_coeffs"] == ["1", "0", "0", "0", "0"]
+    assert payload["n_m"] == ["0", "0", "0", "0"]
 
 
 def test_cuspgen_x135_anchors(tmp_path, capsys):

@@ -336,18 +336,24 @@ def test_any_order_of_requests_forms_chi_a_once(corpus, monkeypatch, order):
 
 
 def test_charpoly_route_checks_its_result(corpus, monkeypatch):
+    # one residue of the first or the last prime, on graphs that take one prime (K4, PETERSEN) and several (CYCLE(60))
     real = nbt._charpoly_mod
+    counts = []
+    layer = 0
 
-    def corrupted(matrix, p):
-        residues = real(matrix, p)
-        residues[len(residues) // 2] = (residues[len(residues) // 2] + 1) % p
+    def corrupted(matrix, primes):
+        counts.append(len(primes))
+        residues = real(matrix, primes)
+        residues[layer, residues.shape[1] // 2] += 1
+        residues[layer] %= primes[layer]
         return residues
 
     monkeypatch.setattr(nbt, "_charpoly_mod", corrupted)
-    for name in ("K4", "PETERSEN"):
-        g, cert = corpus[name]
-        with pytest.raises(ArithmeticError):
-            nbt.TraceSweep(g, cert.q).prefix(4)
+    for layer in (0, -1):
+        for g in (corpus["K4"][0], corpus["PETERSEN"][0], named_graph("CYCLE(60)")):
+            with pytest.raises(ArithmeticError):
+                nbt.TraceSweep(g, certify_regular(g).q).prefix(4)
+    assert counts[:2] == counts[3:5] == [1, 1] and counts[2] == counts[5] >= 2
 
 
 def _spectral_radius_charpoly(g: Graph) -> list[int]:
@@ -366,7 +372,14 @@ def test_hadamard_bound_covers_every_coefficient(corpus, sweep_graphs, monkeypat
         return real(matrix, bound)
 
     monkeypatch.setattr(nbt, "integer_charpoly", recorded)
-    residues = _count_calls(monkeypatch, "_charpoly_mod")
+    stacks = []  # the number of primes of every stacked residue call
+    real_mod = nbt._charpoly_mod
+
+    def stacked(matrix, primes):
+        stacks.append(len(primes))
+        return real_mod(matrix, primes)
+
+    monkeypatch.setattr(nbt, "_charpoly_mod", stacked)
     graphs = {name: g for name, (g, _) in corpus.items()}
     graphs.update((name, g) for name, g in sweep_graphs.items() if g.n < 100)
     for name, g in graphs.items():
@@ -377,10 +390,10 @@ def test_hadamard_bound_covers_every_coefficient(corpus, sweep_graphs, monkeypat
         assert chi[-1] == 1 and bound >= max(map(abs, chi)), name
     h = sweep_graphs["relabeled X^{13,5}"]
     bounds.clear()
-    residues[0] = 0
+    stacks.clear()
     nbt.TraceSweep(h, certify_regular(h).q).prefix(4)
-    # 2 bound has 267 bits, where C(n, k) 14^k needed 468: 11 primes, not 18
-    assert ((2 * bounds[0]).bit_length(), residues[0]) == (267, 11)
+    # 2 bound has 267 bits, where C(n, k) 14^k needed 468: 11 primes, not 18, in one stack
+    assert ((2 * bounds[0]).bit_length(), stacks) == (267, [11])
 
 
 def test_pair_polynomial_and_power_sums_by_hand():

@@ -26,7 +26,7 @@ from test_suite import _count_calls_everywhere
 import iharalab
 from iharalab import nbt, qext, zeta
 from iharalab.errors import DepthExceeded, InvalidPrime
-from iharalab.graphs import Graph, build_graph, named_graph
+from iharalab.graphs import Graph, _edges_canonical, build_graph, named_graph
 from iharalab.lps import build_lps, cayley_root, is_prime, legendre_symbol
 from iharalab.nbt import f_values, n_reduced_range
 from iharalab.qext import SqrtExt, half_power
@@ -329,6 +329,25 @@ def _random_multigraph(rng: random.Random) -> Graph:
     return build_graph(n, edges)
 
 
+def _grafted(g: Graph, rng: random.Random, extra: int) -> Graph:
+    """g with extra new vertices, each joined by one edge to a random earlier vertex: pendant trees."""
+    edges = _edges_canonical(g)
+    for v in range(g.n, g.n + extra):
+        edges.append((v, rng.randrange(v)))
+    return build_graph(g.n + extra, edges)
+
+
+def two_core(g: Graph) -> Graph:
+    """g with its lowest-numbered leaf deleted and the rest renumbered, until no leaf or one vertex is left."""
+    while g.n > 1:
+        leaf = next((v for v in range(g.n) if g.degree(v) == 1), None)
+        if leaf is None:
+            break
+        edges = [(i - (i > leaf), j - (j > leaf), c) for i, j, c in _edges_canonical(g) if leaf not in (i, j)]
+        g = build_graph(g.n - 1, edges)
+    return g
+
+
 def _hadamard_bound(g: Graph) -> int:
     total = 1
     for i, nb in enumerate(g.neighbors):
@@ -340,27 +359,46 @@ def _hadamard_bound(g: Graph) -> int:
 
 @pytest.fixture
 def charpoly_primes(monkeypatch):
-    """The primes of every per-prime charpoly call, in call order."""
+    """(matrix size, primes) of every stacked charpoly call, in call order."""
     calls = []
     real = nbt._charpoly_mod
 
-    def counting(bass, p):
-        calls.append(p)
-        return real(bass, p)
+    def counting(bass, primes):
+        calls.append((len(bass), list(primes)))
+        return real(bass, primes)
 
     monkeypatch.setattr(nbt, "_charpoly_mod", counting)
     return calls
 
 
-def _check_bass_result(g: Graph, coeffs: list[int], primes: list[int]) -> None:
-    """P(1) = 0, c_2n = prod(d_i - 1), |c_k| <= H, and the fewest primes past 2H."""
+def _check_bass_result(g: Graph, coeffs: list[int], calls: list[tuple[int, list[int]]]) -> None:
+    """P(1) = 0, c_2n = prod(d_i - 1), |c_k| <= H, and one stacked call on the fewest primes past 2H.
+
+    The matrix actually reduced is the 2k x 2k Bass matrix of g's 2-core,
+    so H is the core's Hadamard bound, and c_2k = prod(d_i - 1) over the
+    core's degrees is the nonzero leading coefficient.
+    """
+    core = two_core(g)
     full = coeffs + [0] * (2 * g.n + 1 - len(coeffs))
-    bound = _hadamard_bound(g)
+    bound = _hadamard_bound(core)
     assert sum(full) == 0
     assert full[-1] == prod(g.degree(v) - 1 for v in range(g.n))
+    assert len(coeffs) == 2 * core.n + 1
+    assert coeffs[-1] == prod(core.degree(v) - 1 for v in range(core.n))
     assert max(abs(c) for c in full) <= bound
+    [(size, primes)] = calls
+    assert size == 2 * core.n
     assert primes == [nbt._prime(i) for i in range(len(primes))]
     assert prod(primes) > 2 * bound >= prod(primes[:-1])
+
+
+def test_two_core_by_hand():
+    lollipop = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+    assert two_core(lollipop) == build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    assert two_core(build_graph(4, [(0, 1), (1, 2), (1, 3)])) == build_graph(1, [])
+    assert two_core(build_graph(2, [(0, 0), (0, 1)])) == build_graph(1, [(0, 0)])
+    doubled = build_graph(2, [(0, 1, 2)])
+    assert two_core(doubled) == doubled
 
 
 def test_bass_route_matches_reference(corpus, charpoly_primes):
@@ -369,18 +407,33 @@ def test_bass_route_matches_reference(corpus, charpoly_primes):
     graphs["doubled path"] = build_graph(3, [(0, 1, 2), (1, 2, 1)])
     graphs["looped 5-regular"] = build_graph(4, MULTI_EDGES)
     graphs["one vertex, two loops"] = build_graph(1, [(0, 0, 2)])
+    # pendant trees, which the route prunes before it builds the Bass matrix
+    tail = [(i, i + 1) for i in range(4, 10)]
+    graphs["cycle with a long tail"] = build_graph(11, [(i, (i + 1) % 5) for i in range(5)] + tail)
+    graphs["star"] = build_graph(7, [(0, v) for v in range(1, 7)])
+    graphs["leaf on a looped vertex"] = build_graph(2, [(0, 0, 2), (0, 1)])
+    graphs["branching tree"] = build_graph(9, [(1, 0), (2, 0), (3, 1), (4, 1), (5, 4), (6, 2), (7, 6), (8, 6)])
+    graphs["one edge"] = build_graph(2, [(0, 1)])
+    graphs["double edge to a degree-2 vertex"] = build_graph(4, [(0, 1), (1, 2), (2, 0), (0, 3, 2)])
     rng = random.Random(20260)
     for k in range(20):
         graphs[f"random {k}"] = _random_multigraph(rng)
+    for k in range(6):
+        graphs[f"grafted random {k}"] = _grafted(_random_multigraph(rng), rng, rng.randint(1, 6))
     multi_prime_negative = 0
     for name, g in graphs.items():
         charpoly_primes.clear()
-        coeffs = ihara_bass_reciprocal(g).det_coeffs
+        zr = ihara_bass_reciprocal(g)
+        coeffs = zr.det_coeffs
         assert type(coeffs) is tuple and all(type(c) is int for c in coeffs), name
         assert list(coeffs) == reference_det_coeffs(g), name
         _check_bass_result(g, list(coeffs), charpoly_primes)
-        if len(charpoly_primes) >= 2 and min(coeffs) < 0:
+        if len(charpoly_primes[0][1]) >= 2 and min(coeffs) < 0:
             multi_prime_negative += 1
+        core = two_core(g)
+        if core.n == 1 and core.degree(0) == 0:
+            assert coeffs == (1, 0, -1), name  # a tree: Z(u) = 1
+        assert ihara_bass_reciprocal(core) == zr, name
     assert multi_prime_negative >= 1
 
 
@@ -388,23 +441,30 @@ def test_bass_route_x135_full_polynomial(x135, charpoly_primes):
     """The whole degree-240 polynomial against the power-sum series."""
     g, _, cert, _ = x135
     coeffs = list(ihara_bass_reciprocal(g).det_coeffs)
-    assert len(charpoly_primes) == 18
+    [(size, primes)] = charpoly_primes
+    assert (size, len(primes)) == (240, 18)  # X^{13,5} has no leaf, so nothing is pruned
     _check_bass_result(g, coeffs, charpoly_primes)
     want = det_series(SuiteContext(g), 2 * g.n).coeffs
     assert coeffs + [0] * (2 * g.n + 1 - len(coeffs)) == list(want)
 
 
-def test_bass_route_checks_its_result(corpus, monkeypatch):
+def test_bass_route_checks_its_result(corpus, monkeypatch, charpoly_primes):
+    # one residue of the first or the last prime, on graphs that take one prime (K4) and two (CYCLE(30))
     real = nbt._charpoly_mod
+    layer = 0
 
-    def corrupted(bass, p):
-        residues = real(bass, p)
-        residues[len(residues) // 2] = (residues[len(residues) // 2] + 1) % p
+    def corrupted(bass, primes):
+        residues = real(bass, primes)
+        residues[layer, residues.shape[1] // 2] += 1
+        residues[layer] %= primes[layer]
         return residues
 
     monkeypatch.setattr(nbt, "_charpoly_mod", corrupted)
-    with pytest.raises(ArithmeticError):
-        ihara_bass_reciprocal(corpus["K4"][0])
+    for layer in (0, -1):
+        for g in (corpus["K4"][0], named_graph("CYCLE(30)")):
+            with pytest.raises(ArithmeticError):
+                ihara_bass_reciprocal(g)
+    assert [len(primes) for _, primes in charpoly_primes] == [1, 2, 1, 2]
 
 
 def test_bass_cost_guard_fails_fast():
