@@ -84,7 +84,7 @@ class ClusterAmbiguity(IharaLabError):
 
 
 class OutOfRange(IharaLabError):
-    """Raised when an eigenvalue lies outside the admissible interval."""
+    """Raised when an eigenvalue lies outside the admissible interval, or a value past the float range is rounded."""
 
 
 class NotRamanujan(IharaLabError):

@@ -22,15 +22,25 @@ near-zeros make it unusable as a pass/fail gate.
 
 cesaro and the reference constants take spectral data only, as one
 (theta, mult) array pair of the principal clusters (principal_angles).
-The N_m and cusp constants add their terms in cluster order with the
-builtin sum, so the average-nm and cusp metrics are bit for bit what a
-loop over the clusters gives.  The reports that read exact counts
-(the three sweeps, stf_verify, huang_range) take a
-suite.SuiteContext and read the graph, certificate, spectrum,
-parameters and trace sweep from it, so they run on the route the
-context's certificate picks and have none of their own.  stf_verify and
-huang_range take the trivial eigenvalues +-(q+1) out through it too
-(SuiteContext.remainders and nontrivial_chebyshev_sums).
+cesaro reads cos(m theta) and sin((m+1) theta)/sin(theta) from the one
+table its SpectralData keeps for the longest horizon asked
+(principal_trig_table), so every (k, variant) pair of a check shares
+it, and forms the k-th powers by repeated multiplication.  The N_m and
+cusp constants add their terms in cluster order with the builtin sum,
+so the average-nm and cusp metrics are bit for bit what a loop over the
+clusters gives.  The reports that read exact counts (average_nm_sweep,
+average_cusp_sweep, stf_verify, huang_range) take a suite.SuiteContext
+and read the graph, certificate, spectrum, parameters and trace sweep
+from it, so they run on the route the context's certificate picks and
+have none of their own.  stf_verify and huang_range take the trivial
+eigenvalues +-(q+1) out through it too (SuiteContext.remainders and
+nontrivial_chebyshev_sums, which the context builds once).
+
+Their exact values in Q(sqrt q) are held as two integers over one
+denominator, (a + b sqrt q) / D with D a power of q times a fixed
+integer, so a running sum is integer additions with no gcd.
+qext.nearest_float rounds each reported float once from the exact
+value, and raises OutOfRange on a value past the float range.
 """
 
 from __future__ import annotations
@@ -43,10 +53,10 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .chebyshev import central_binomial_weight, cos_power_as_cosines
-from .errors import AngleConditionViolated, NotRamanujan
+from .errors import AngleConditionViolated, DegreeTooSmall, NotRamanujan
 from .graphs import RegularityCertificate
 from .nbt import cheb_t_real, n_reduced_range
-from .qext import SqrtExt, half_power
+from .qext import SqrtExt, nearest_float
 from .zeta import normalized_cusp_terms
 
 if TYPE_CHECKING:
@@ -159,7 +169,10 @@ def cesaro(sd, k: int, horizons: Sequence[int], variant: str) -> CesaroReport:
     the Frobenius deviation is sqrt(sum_l mult_l d_l^2).  The reference
     constant, the proofs' O(1/N) constant, bounds each d_l by sum_h w_h
     times the partial-sum bound at h theta_l over the frequencies h > 0 of
-    cos^k.  Raises AngleConditionViolated unless angle_condition holds.
+    cos^k.  The scalars cos(m theta_l) and sin((m+1) theta_l)/sin(theta_l)
+    come from sd's one trig table (SpectralData.principal_trig_table), and
+    their k-th powers are formed by repeated multiplication.  Raises
+    AngleConditionViolated unless angle_condition holds.
     """
     if variant not in ("a", "s"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -169,16 +182,19 @@ def cesaro(sd, k: int, horizons: Sequence[int], variant: str) -> CesaroReport:
     theta, mult = sd.principal_angles()
     harmonics, weights = _harmonics(k)
     weight = central_binomial_weight(k)
-    m = np.arange(1, ns[-1] + 1, dtype=float)
+    cos_m, u_m = sd.principal_trig_table(ns[-1])
     if variant == "a":
-        scal = np.cos(np.outer(m, theta)) ** k
+        base = cos_m
         target = float(weight)
         per = cos_partial_sum_bound(np.outer(theta, harmonics)) @ weights
     else:
+        base = u_m
         sin_k = np.sin(theta) ** k
-        scal = (np.sin(np.outer(m + 1, theta)) / np.sin(theta)) ** k
         target = float(weight) / sin_k
         per = shifted_cos_partial_sum_bound(np.outer(theta, harmonics)) @ weights / sin_k
+    scal = base.copy()
+    for _ in range(k - 1):
+        scal *= base
     horizon = np.array(ns)
     d = np.cumsum(scal, axis=0, out=scal)[horizon - 1] / horizon[:, None] - target
     devs = np.sqrt((d * d) @ mult).tolist()
@@ -238,9 +254,12 @@ def average_nm_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[Average
     realistic q and N.  Main terms follow the bipartite branch
     (1/N) 2 q^{floor(N/2)+1}/(q-1) or the non-bipartite branch
     (1/N) q^{(N+1)/2}/(sqrt q - 1), minus twice the multiplicity of
-    2 sqrt q.  The N_m come from the context's one sweep, one running
-    sum of N_m q^{-m/2} to the largest horizon; each report reads the
-    exact sum's prefix at its horizon.
+    2 sqrt q.  The N_m come from the context's one sweep.  One running
+    sum to the largest horizon holds sum_{m<=N} N_m q^{-m/2} as
+    (a + b sqrt q) / q^ceil(N/2) with integers a and b.  At each horizon
+    the lhs, the main terms and the residual are integer pairs over
+    N (q-1) q^ceil(N/2), and each reported float is rounded once from
+    its exact value (nearest_float).
     """
     hs = _validate_horizons(horizons)
     if hs[0] < 2:
@@ -250,29 +269,35 @@ def average_nm_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[Average
     reference = average_nm_reference(sd, cert)  # raises unless q >= 2
     q = cert.q
     counts = n_reduced_range(ctx.g, cert, hs[-1], sweep=ctx.sweep)
-    m_pos_root = sd.multiplicity_at(2.0 * math.sqrt(q))
-    total = SqrtExt.of(q, 0)
-    m = 0
+    twice_root = 2 * sd.multiplicity_at(2.0 * math.sqrt(q))
+    a = b = m = 0
     reports = []
     for N in hs:
         for m in range(m + 1, N + 1):
-            nm = counts[m - 1]
-            if nm:
-                total = total + nm * half_power(q, -m)
-        lhs = total / N
+            if m % 2:
+                a, b = a * q, b * q + counts[m - 1]
+            else:
+                a += counts[m - 1]
+        power = q ** ((N + 1) // 2)
+        den = N * (q - 1) * power
+        lhs_a, lhs_b = a * (q - 1), b * (q - 1)
         if cert.bipartite:
-            main = SqrtExt.of(q, Fraction(2 * q ** (N // 2 + 1), q - 1)) / N
+            main_a, main_b = 2 * q ** (N // 2 + 1) * power, 0
+        elif N % 2:
+            # q^{(N+1)/2} / (sqrt q - 1) = q^{(N+1)/2} (1 + sqrt q) / (q - 1)
+            main_a = main_b = q ** ((N + 1) // 2) * power
         else:
-            main = half_power(q, N + 1) / SqrtExt.of(q, -1, 1) / N
-        main = main - 2 * m_pos_root
-        residual = lhs - main
+            # q^{(N+1)/2} / (sqrt q - 1) = q^{N/2} (q + sqrt q) / (q - 1)
+            main_a, main_b = q ** (N // 2 + 1) * power, q ** (N // 2) * power
+        main_a -= twice_root * den
+        residual = nearest_float(lhs_a - main_a, lhs_b - main_b, q, den)
         reports.append(
             AverageNmReport(
                 N=N,
-                lhs=float(lhs),
-                main_terms=float(main),
-                residual=float(residual),
-                scaled_residual=float(residual) * N,
+                lhs=nearest_float(lhs_a, lhs_b, q, den),
+                main_terms=nearest_float(main_a, main_b, q, den),
+                residual=residual,
+                scaled_residual=residual * N,
                 reference_constant=reference,
             )
         )
@@ -298,27 +323,43 @@ def average_cusp_reference(sd) -> float:
 def average_cusp_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[dict]:
     """Average of a(p^m)/(2 p^{m/2}) over m <= N at each horizon N, with its rate bound.
 
-    One normalized_cusp_terms call, to the largest horizon and from the
-    context's sweep, serves every row, and each row reads one running
-    exact sum and one running max at its horizon.  A row carries N, the
-    average, |average| * N (scaled_average), the reference constant the
-    partial-sum bound gives for it, the spectral term bound and the
+    One normalized_cusp_terms call, to the largest horizon M and from the
+    context's sweep, serves every row.  Each term is an integer over
+    2 n Q p^ceil(M/2), Q = q(q^2-1) (zeta.normalize_cusp), in its rational
+    or its sqrt(p) slot, so the running sum is two integers over that one
+    denominator; each row reads it and one running max at its horizon.
+    A row carries N, the average (the float nearest the exact sum,
+    divided by N), |average| * N (scaled_average), the reference constant
+    the partial-sum bound gives for it, the spectral term bound and the
     largest |term| up to N.
     """
     hs = _validate_horizons(horizons)
-    sd = ctx.sd
-    normalized = normalized_cusp_terms(ctx.g, ctx.params, hs[-1], sweep=ctx.sweep)
+    sd, params = ctx.sd, ctx.params
+    normalized = normalized_cusp_terms(ctx.g, params, hs[-1], sweep=ctx.sweep)
     reference, bound = average_cusp_reference(sd), cusp_term_bound(sd)
-    total, max_term, m = Fraction(0), 0.0, 0
+    p, q = params.p, params.q
+    den = 2 * ctx.g.n * q * (q * q - 1) * p ** ((hs[-1] + 1) // 2)
+    a = b = m = 0
+    max_term = 0.0
     rows = []
     for N in hs:
         for m in range(m + 1, N + 1):
-            total += normalized[m]
-            max_term = max(max_term, abs(float(normalized[m])))
-        average = float(total) / N
+            term = normalized[m]
+            if isinstance(term, SqrtExt):
+                a += _numerator(term.a, den)
+                b += _numerator(term.b, den)
+            else:
+                a += _numerator(term, den)
+            max_term = max(max_term, abs(float(term)))
+        average = nearest_float(a, b, p, den) / N
         rows.append(dict(N=N, average=average, scaled_average=abs(average) * N,
                          reference_constant=reference, term_bound=bound, max_term=max_term))
     return rows
+
+
+def _numerator(x: Fraction, den: int) -> int:
+    """x * den, for a Fraction x whose denominator divides den."""
+    return x.numerator * (den // x.denominator) if x else 0
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +372,10 @@ class StfTestFunction:
 
     hhat0: float = 0.0
     support: tuple[tuple[int, float], ...] = ()
+
+    def __post_init__(self):
+        if any(m < 1 for m, _ in self.support):
+            raise ValueError("support frequencies must be at least 1; hhat0 is the m = 0 coefficient")
 
     @classmethod
     def single(cls, m: int, value: float = 1.0) -> "StfTestFunction":
@@ -348,46 +393,53 @@ class StfTestFunction:
         return self.hhat0 + sum(2.0 * v * cheb_t_real(m, x) for m, v in self.support)
 
 
-def identity_coefficient(q: int, m: int) -> SqrtExt:
-    """I_m = (2q(q+1)/pi) Int_0^pi sin^2 t cos(mt) / ((q+1)^2 - 4q cos^2 t) dt, in closed form.
-
-    The identity term integrates h against the tree's Plancherel measure,
-    whose Fourier coefficients are rational (Ahumada, 1987; Terras, Zeta
-    Functions of Graphs, 2011): I_0 = 1, I_odd = 0, I_{2k} = -(q-1)/(2 q^k).
-    """
-    if m % 2:
-        return SqrtExt.of(q, 0)
-    return SqrtExt.of(q, 1) if m == 0 else -(q - 1) * half_power(q, -m) / 2
-
-
 def stf_verify(ctx: SuiteContext, h: StfTestFunction) -> tuple[float, float, float]:
     """Check the trace formula: spectral side vs. identity + cycle terms.
 
-    lhs = sum_clusters mult * h(theta); geometric side = the identity term
-    n (hhat0 + sum 2 hhat(m) I_m) = n (hhat0 - (q-1) sum_k hhat(2k) q^{-k})
-    + sum_m N_m q^{-m/2} hhat(m), with N_m from the context's sweep, formed
-    exactly in Q(sqrt q).  Returns (lhs, geometric, |difference|).
+    lhs = sum_clusters mult * h(theta).  The geometric side is the
+    identity term n (hhat0 + sum 2 hhat(m) I_m) plus
+    sum_m N_m q^{-m/2} hhat(m), with N_m from the context's sweep.  I_m,
+    the Fourier coefficients of the tree's Plancherel measure, are
+    I_0 = 1, I_odd = 0 and I_2k = -(q-1)/(2 q^k) (Ahumada, 1987; Terras,
+    Zeta Functions of Graphs, 2011), so the geometric side is
+    n hhat0 + sum_m hhat(m) Tr B_m q^{-m/2}, Tr B_m = N_m - e_m (q-1) n.
+    It is formed exactly as (a + b sqrt q) / (s q^ceil(m_max/2)), with
+    integers a, b and s the common denominator of the hats, and rounded
+    once (nearest_float).  Returns (lhs, geometric, |difference|).
 
     The difference is not lhs - geometric, whose float round-off would grow
     like q^{m/2} hhat(m).  Less the trivial clusters' terms and the identity
     and cycle terms, hhat0 cancels exactly and each frequency leaves
     hhat(m) (S_m - R_m q^{-m/2}), the comparison chebyshev makes: S_m from
     SuiteContext.nontrivial_chebyshev_sums, R_m exact from remainders on
-    the same N_m.  Only S_m is a float sum.
+    the same N_m, and R_m q^{-m/2} rounded once.  Only S_m is a float sum.
     """
     g, q, m_max = ctx.g, ctx.cert.q, h.max_frequency()
+    root = 2.0 * math.sqrt(q)
+    lhs = sum(cl.mult * h.eval_x(cl.value / root) for cl in ctx.sd.clusters)
     counts = n_reduced_range(g, ctx.cert, m_max, sweep=ctx.sweep) if h.support else []
     remainders = ctx.remainders(m_max, counts)
     sums, _ = ctx.nontrivial_chebyshev_sums(m_max)
-    root = 2.0 * math.sqrt(q)
-    lhs = sum(cl.mult * h.eval_x(cl.value / root) for cl in ctx.sd.clusters)
-    geometric = SqrtExt.of(q, g.n * Fraction(h.hhat0))
+    hats = [Fraction(h.hhat0)] + [Fraction(v) for _, v in h.support]
+    scale = math.lcm(*(x.denominator for x in hats))
+    top = (m_max + 1) // 2
+    a, b = g.n * _numerator(hats[0], scale) * q**top, 0
     difference = 0.0
-    for m, v in h.support:
-        q_m = half_power(q, -m)
-        geometric += (2 * g.n * identity_coefficient(q, m) + counts[m - 1] * q_m) * Fraction(v)
-        difference += v * (sums[m] - float(remainders[m] * q_m))
-    return lhs, float(geometric), abs(difference)
+    for (m, v), hat in zip(h.support, hats[1:]):
+        trace = counts[m - 1] - (1 - m % 2) * (q - 1) * g.n
+        term = _numerator(hat, scale) * trace * q ** (top - (m + 1) // 2)
+        if m % 2:
+            b += term
+        else:
+            a += term
+        difference += v * (sums[m] - _over_half_power(remainders[m], q, m))
+    return lhs, nearest_float(a, b, q, scale * q**top), abs(difference)
+
+
+def _over_half_power(x: int, q: int, m: int) -> float:
+    """The float nearest x q^{-m/2}: x / q^{m/2} at even m, x sqrt(q) / q^{(m+1)/2} at odd m."""
+    a, b = (0, x) if m % 2 else (x, 0)
+    return nearest_float(a, b, q, q ** ((m + 1) // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +451,19 @@ def huang_range(ctx: SuiteContext, m_max: int) -> list[float]:
 
     This is Huang's h_m = sum over the nontrivial eigenvalues of
     2 - 2 T_m(lambda / 2 sqrt q), one formula on bipartite and
-    non-bipartite graphs.  It is formed exactly in Q(sqrt q) and
-    converted to float once per m.
+    non-bipartite graphs.  It is formed exactly, as (R_0 q^c - R_m) / q^c
+    at even m and (R_0 q^c - R_m sqrt q) / q^c at odd m with
+    c = ceil(m/2), and rounded to a float once per m (nearest_float).
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     q = ctx.cert.q
-    remainders = ctx.remainders(m_max)
-    return [float(remainders[0] - remainders[m] * half_power(q, -m)) for m in range(1, m_max + 1)]
+    if q < 1:
+        raise DegreeTooSmall(f"q^(-m/2) needs q >= 1, got q = {q}")
+    r0, *rest = ctx.remainders(m_max)
+    values = []
+    for m, r in enumerate(rest, 1):
+        power = q ** ((m + 1) // 2)
+        a, b = (r0 * power, -r) if m % 2 else (r0 * power - r, 0)
+        values.append(nearest_float(a, b, q, power))
+    return values

@@ -81,7 +81,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DepthExceeded
+from .errors import DepthExceeded, OutOfRange
 from .graphs import Graph, RegularityCertificate, RootedQuotient, rooted_quotient
 from .lps import is_prime
 
@@ -633,11 +633,14 @@ def adjacency_power_traces(g: Graph, m_max: int, quotient: RootedQuotient | None
 
 
 def cheb_t_real(m: int, x: float) -> float:
-    """T_m(x) for real x, stable on both |x| <= 1 and |x| > 1."""
+    """T_m(x) for real x, stable on both |x| <= 1 and |x| > 1; OutOfRange past the float range."""
     if abs(x) <= 1.0:
         return math.cos(m * math.acos(x))
     s = -1.0 if (x < 0 and m % 2) else 1.0
-    return s * math.cosh(m * math.acosh(abs(x)))
+    try:
+        return s * math.cosh(m * math.acosh(abs(x)))
+    except OverflowError:
+        raise OutOfRange(f"T_{m}({x}) = cosh({m} acosh({abs(x)})) does not fit a float") from None
 
 
 def cheb_u_real(m: int, x: float) -> float:

@@ -12,15 +12,20 @@ invariant: only SqrtExt.of folds and coerces its arguments.  +, -, *, /
 and the coercion of an int or Fraction operand build their results
 with the constructor, which keeps b = 0 for a perfect-square d because
 both operands already have it; so == compares components.
+
+nearest_float rounds a value held as integers a, b over one
+denominator, (a + b sqrt(d)) / den, to the nearest float in one step.
+The limit sums of iharalab.limits are formed in that shape, and
+SqrtExt.__float__ reads through it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log10
 
-from .errors import DegreeTooSmall
+from .errors import DegreeTooSmall, OutOfRange
 
 
 _ZERO = Fraction(0)
@@ -120,26 +125,10 @@ class SqrtExt:
         return self.a
 
     def __float__(self) -> float:
-        """The float nearest a + b sqrt(d), rounded once from the exact value.
-
-        With b != 0 the value is irrational, so it is no tie between two
-        floats: bracket it by isqrt between two fractions 1/(2^k ad bd)
-        apart, and double k until both ends round to the same float.
-        """
-        if self.b == 0:
-            return float(self.a)
+        """The float nearest a + b sqrt(d), rounded once from the exact value (nearest_float)."""
         an, ad = self.a.numerator, self.a.denominator
         bn, bd = self.b.numerator, self.b.denominator
-        sign = 1 if bn > 0 else -1
-        k = 64
-        while True:
-            # floor(|b| sqrt(d) ad bd 2^k) < |b| sqrt(d) ad bd 2^k < the floor + 1
-            root = isqrt(self.d * (bn * ad) ** 2 << 2 * k)
-            den = ad * bd << k
-            low = (an * bd << k) + sign * root
-            if (x := low / den) == (low + sign) / den:
-                return x
-            k *= 2
+        return nearest_float(an * bd, bn * ad, self.d, ad * bd)
 
     def __repr__(self) -> str:
         if self.b == 0:
@@ -160,3 +149,37 @@ def half_power(d: int, m: int) -> SqrtExt:
     if m % 2 == 0:
         return SqrtExt.of(d, Fraction(1, d ** (-m // 2)))
     return SqrtExt.of(d, 0, Fraction(1, d ** ((1 - m) // 2)))
+
+
+def nearest_float(a: int, b: int, d: int, den: int = 1) -> float:
+    """The float nearest (a + b sqrt(d)) / den for integers a, b, d >= 0 and den > 0, rounded once.
+
+    A rational value (b = 0, or d a perfect square) is one correctly
+    rounded int division.  Otherwise the value is irrational, so it is no
+    tie between two floats: bracket b sqrt(d) 2^k by isqrt between two
+    consecutive integers, and double k until both ends of the bracket
+    round to the same float.  A value past the float range raises
+    OutOfRange naming it.
+    """
+    r = isqrt(d)
+    if b == 0 or r * r == d:
+        return _divide(a + b * r, den, d)
+    sign = 1 if b > 0 else -1
+    k = 64
+    while True:
+        # floor(|b| sqrt(d) 2^k) < |b| sqrt(d) 2^k < the floor + 1
+        low = (a << k) + sign * isqrt(d * b * b << 2 * k)
+        if (x := _divide(low, den << k, d)) == _divide(low + sign, den << k, d):
+            return x
+        k *= 2
+
+
+def _divide(num: int, den: int, d: int) -> float:
+    try:
+        return num / den
+    except OverflowError:
+        # num / den is past 2^1024, so both logarithms are finite
+        exponent = log10(abs(num)) - log10(den)
+        whole = int(exponent)
+        value = f"{'-' if num < 0 else ''}{10 ** (exponent - whole):.4f}e+{whole}"
+        raise OutOfRange(f"the value {value} in Q(sqrt({d})) does not fit a float") from None

@@ -37,7 +37,7 @@ theta = pi + i y (y > 0) beyond the negative edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,6 +96,8 @@ class SpectralData:
     q: int
     cluster_tol: float
     clusters: tuple[Cluster, ...]
+    # the longest (cos, sin quotient) pair principal_trig_table has built
+    _trig: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def principal(self) -> list[Cluster]:
         return [c for c in self.clusters if c.principal]
@@ -103,6 +105,27 @@ class SpectralData:
     def principal_angles(self) -> tuple[np.ndarray, np.ndarray]:
         """(theta, mult) of the principal clusters, in cluster order: a float and an int array."""
         return np.array([c.theta.real for c in self.principal()]), np.array([c.mult for c in self.principal()])
+
+    def principal_trig_table(self, m_top: int) -> tuple[np.ndarray, np.ndarray]:
+        """cos(m theta_l) and sin((m+1) theta_l)/sin(theta_l), rows m = 1..m_top, columns as principal_angles.
+
+        The scalars of a_m = sum_l cos(m theta_l) P_l and of s_m, read-only.
+        The longest table built so far serves every request up to its
+        length as a prefix of its rows; a longer request builds it anew.
+        """
+        if not self._trig or len(self._trig[0]) < m_top:
+            self._trig[:] = self._trig_rows(m_top)
+        cos_m, u_m = self._trig
+        return cos_m[:m_top], u_m[:m_top]
+
+    def _trig_rows(self, m_top: int) -> tuple[np.ndarray, np.ndarray]:
+        theta = self.principal_angles()[0]
+        m = np.arange(1, m_top + 1, dtype=float)
+        cos_m = np.cos(np.outer(m, theta))
+        u_m = np.sin(np.outer(m + 1, theta)) / np.sin(theta)
+        cos_m.setflags(write=False)
+        u_m.setflags(write=False)
+        return cos_m, u_m
 
     def singular(self) -> list[Cluster]:
         return [c for c in self.clusters if not c.principal]

@@ -7,7 +7,7 @@ proof supplies, so the tolerance is 1.0 and the metric is a dimensionless
 load factor.  Exact-identity checks (oracle, ihara-bass) use tolerance 0.
 SuiteContext splits off the trivial eigenvalues +-(q+1) for chebyshev,
 stf, huang and phi: they read remainders, nontrivial_clusters and
-nontrivial_chebyshev_sums.
+nontrivial_chebyshev_sums, which each context builds once.
 """
 
 from __future__ import annotations
@@ -234,6 +234,12 @@ class SuiteContext:
     caller picks a route of its own.  All of it lives and dies with the
     context; only lps keeps its last two X^{p,q} constructions, so that
     row_vertex on build_lps's own graph compares tuples it already has.
+
+    The tables the limit checks share live here too, built at their
+    first request and kept with the context: nontrivial_chebyshev_sums
+    keeps its longest prefix, which chebyshev and stf's 13 test
+    functions read, and sd keeps the cos and sin quotient table that
+    cesaro's (k, variant) pairs read (SpectralData.principal_trig_table).
     """
 
     def __init__(self, g: Graph, params: lps.LpsParams | None = None, label: str = ""):
@@ -242,6 +248,7 @@ class SuiteContext:
         self.label = label
         self._cert = None
         self._sd = None
+        self._chebyshev_sums: tuple[list[float], list[float]] = ([], [])
 
     @property
     def cert(self):
@@ -300,10 +307,21 @@ class SuiteContext:
         """[S_0..S_{m_max}] and the sums of mult |T_m|, S_m = sum mult 2 T_m(lambda / 2 sqrt q).
 
         Both sum over nontrivial_clusters(); S_m is the float side of R_m q^{-m/2} (remainders).
+        The context keeps the longest prefix built so far and extends it
+        by the missing rows only; each row is summed on its own, in cluster
+        order, so a row's floats do not depend on the request.
         """
+        sums, spreads = self._chebyshev_sums
+        if len(sums) <= m_max:
+            more_sums, more_spreads = self._chebyshev_rows(len(sums), m_max)
+            sums += more_sums
+            spreads += more_spreads
+        return sums[: m_max + 1], spreads[: m_max + 1]
+
+    def _chebyshev_rows(self, m_lo: int, m_hi: int) -> tuple[list[float], list[float]]:
         root = 2.0 * math.sqrt(self.cert.q)
         x_mult = [(cl.value / root, mult) for cl, mult in self.nontrivial_clusters()]
-        terms = [[mult * nbt.cheb_t_real(m, x) for x, mult in x_mult] for m in range(m_max + 1)]
+        terms = [[mult * nbt.cheb_t_real(m, x) for x, mult in x_mult] for m in range(m_lo, m_hi + 1)]
         return [2.0 * sum(t) for t in terms], [sum(map(abs, t)) for t in terms]
 
 

@@ -68,6 +68,25 @@ def test_stf_bad_hhat(capsys):
     assert main(["stf", "K4", "--hhat", "0:1.0"]) == 2
 
 
+def test_an_average_past_the_float_range_is_a_typed_error(tmp_path, monkeypatch, capsys):
+    """At N = 600 on X^{17,13} the average of N_m 17^{-m/2} is about 3e366."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--lps", "17,13", "--checks", "average-nm", "--horizons", "600", "--emit", "s.json"]
+    assert main(argv) == 1
+    (result,) = json.loads((tmp_path / "s.json").read_text())["results"]
+    assert result["status"] == "error"
+    assert result["detail"]["error"] == "OutOfRange: the value 3.0003e+366 in Q(sqrt(17)) does not fit a float"
+
+
+def test_a_test_function_past_the_float_range_is_a_typed_error(capsys):
+    """h at the trivial eigenvalue 3 of PETERSEN is 2 T_20000(3 / 2 sqrt 2), far past 1e308."""
+    assert main(["stf", "PETERSEN", "--hhat", "20000:1.0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: OutOfRange: T_20000(1.06066017177982")
+    assert err.rstrip().endswith("does not fit a float")
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

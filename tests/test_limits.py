@@ -30,7 +30,6 @@ from iharalab.limits import (
     cos_partial_sum_bound,
     cusp_term_bound,
     huang_range,
-    identity_coefficient,
     normalized_cusp_terms,
     require_ramanujan,
     shifted_cos_partial_sum_bound,
@@ -42,6 +41,8 @@ from iharalab.qext import SqrtExt, half_power
 from iharalab.spectral import eigendecompose
 from iharalab.suite import SuiteContext
 from iharalab.zeta import cusp_coefficients_range, phi_series
+import sqrt_ext_sums
+from sqrt_ext_sums import identity_coefficient
 
 
 def _prism(k):
@@ -488,6 +489,13 @@ def test_stf_discrepancy_is_the_shared_nontrivial_comparison(certified, x135_ctx
         assert disc == abs(sums[m] - float(remainders[m] * half_power(q, -m))), m
 
 
+def test_stf_test_functions_refuse_a_frequency_below_one():
+    with pytest.raises(ValueError, match="at least 1"):
+        StfTestFunction(support=((0, 1.0),))
+    with pytest.raises(ValueError, match="at least 1"):
+        StfTestFunction(hhat0=0.5, support=((3, 1.0), (-2, 0.5)))
+
+
 def test_stf_function_evaluations():
     h = StfTestFunction(hhat0=0.5, support=((2, 1.0), (5, -0.25)))
     assert h.max_frequency() == 5
@@ -525,3 +533,42 @@ def test_huang_negative_for_non_ramanujan(prism16):
 def test_huang_rejects_bad_m(contexts):
     with pytest.raises(ValueError):
         huang_range(contexts["K4"], 0)
+
+
+# ---------------------------------------------------------------------------
+# the integer-pair sums against their SqrtExt references
+
+
+@pytest.fixture(scope="module")
+def reference_contexts(contexts):
+    """K4 and PETERSEN (dense spectrum, full route) and four certified X^{p,q}."""
+    out = {name: contexts[name] for name in ("K4", "PETERSEN")}
+    for p, q in ((13, 5), (17, 5), (17, 13), (29, 5)):
+        out[f"X^{{{p},{q}}}"] = SuiteContext(*build_lps(p, q))
+    return out
+
+
+REFERENCE_TEST_FUNCTIONS = (
+    StfTestFunction(hhat0=1.0),
+    StfTestFunction(hhat0=-2.5, support=((1, 0.1),)),
+    StfTestFunction(support=((2, 0.1), (3, -2.5), (7, 1.0))),
+    StfTestFunction(hhat0=0.7, support=((1, 0.3), (4, -0.2), (5, 0.1), (12, -2.5))),
+    StfTestFunction(hhat0=0.1, support=((6, 1e-3), (9, 3.0), (11, 0.1), (12, 0.1))),
+)
+
+
+@pytest.mark.parametrize("name", ["K4", "PETERSEN", "X^{13,5}", "X^{17,5}", "X^{17,13}", "X^{29,5}"])
+def test_integer_pair_sums_equal_the_sqrt_ext_references(reference_contexts, name):
+    """Every float the four sums report is the reference's, bit for bit, at odd and even horizons."""
+    ctx = reference_contexts[name]
+    horizons = (2, 3, 7, 10, 21, 40, 81)
+    assert average_nm_sweep(ctx, horizons) == sqrt_ext_sums.average_nm_sweep(ctx, horizons)
+    assert huang_range(ctx, 31) == sqrt_ext_sums.huang_range(ctx, 31)
+    for h in REFERENCE_TEST_FUNCTIONS:
+        assert stf_verify(ctx, h) == sqrt_ext_sums.stf_verify(ctx, h), h
+    for m0 in range(13):
+        h = StfTestFunction.single(m0)
+        assert stf_verify(ctx, h) == sqrt_ext_sums.stf_verify(ctx, h), m0
+    if ctx.params is not None:
+        horizons = (1, 2, 5, 8, 51, 100, 201)
+        assert average_cusp_sweep(ctx, horizons) == sqrt_ext_sums.average_cusp_sweep(ctx, horizons)

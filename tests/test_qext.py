@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iharalab.lps import build_lps
-from iharalab.qext import SqrtExt, half_power
+from iharalab.errors import OutOfRange
+from iharalab.qext import SqrtExt, half_power, nearest_float
 from iharalab.suite import SuiteContext
 from iharalab.zeta import normalized_cusp_terms
 
@@ -201,3 +202,88 @@ def test_float_rounds_once_where_two_roundings_miss():
     x = SqrtExt.of(2, Fraction(-665857, 470832 * 10**6), Fraction(1, 10**6))
     assert float(x) == _nearest_float(x) != float(x.a) + float(x.b) * math.sqrt(2)
     assert float(SqrtExt.of(3, -2, 0)) == -2.0
+
+
+# ---------------------------------------------------------------------------
+# nearest_float: (a + b sqrt(d)) / den from integers, rounded once
+
+
+def _decimal_float(a: int, b: int, d: int, den: int) -> float:
+    """(a + b sqrt(d)) / den in 80-digit decimal, then rounded to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        return float((Decimal(a) + Decimal(b) * Decimal(d).sqrt()) / Decimal(den))
+
+
+def _check(a: int, b: int, d: int, den: int) -> float:
+    """nearest_float against the 80-digit value and against SqrtExt.__float__ on the same value."""
+    x = nearest_float(a, b, d, den)
+    assert x == _decimal_float(a, b, d, den), (a, b, d, den)
+    assert float(SqrtExt.of(d, Fraction(a, den), Fraction(b, den))) == x
+    return x
+
+
+@given(
+    st.integers(0, 10**40),
+    st.integers(0, 10**40),
+    st.integers(1, 10**45),
+    st.sampled_from([2, 3, 5, 13, 17, 29]),
+)
+@settings(max_examples=100, deadline=None)
+def test_nearest_float_against_80_digits_for_every_sign(a, b, den, d):
+    for sa in (1, -1):
+        for sb in (1, -1):
+            _check(sa * a, sb * b, d, den)
+        _check(sa * a, 0, d, den)  # b = 0: one int division
+
+
+@pytest.mark.parametrize("x", [1.0, 0.1, -2.5, 3.7e-5, 1e300, 2.0**-1000])
+@pytest.mark.parametrize("d", [2, 13])
+def test_nearest_float_either_side_of_a_float_midpoint(x, d):
+    """Values 2^-150 ulp either side of the midpoint between x and the next float up."""
+    up = math.nextafter(x, math.inf)
+    unit = (Fraction(up) - Fraction(x)) / 2**150  # a power of two
+    target = int((Fraction(x) + Fraction(up)) / 2 / unit)  # the midpoint is target * unit
+
+    def check(a: int, b: int) -> float:
+        """(a + b sqrt(d)) * unit, as integers over one denominator."""
+        return _check(a * unit.numerator, b * unit.numerator, d, unit.denominator)
+
+    b = 3 << 100
+    low = target - isqrt(d * b * b) - 1  # low + b sqrt(d) < target < low + 1 + b sqrt(d)
+    assert check(low, b) == x
+    assert check(low + 1, b) == up
+    assert check(-low, -b) == -x
+    assert check(-low - 1, -b) == -up
+    # b = 0: one unit either side decides, and the midpoint itself ties to even,
+    # which an 80-digit decimal value of it cannot tell
+    even = x if math.frexp(x)[0] * 2**53 % 2 == 0 else up
+    assert nearest_float(target * unit.numerator, 0, d, unit.denominator) == even
+    assert float(SqrtExt.of(d, target * unit)) == even
+    assert check(target - 1, 0) == x
+    assert check(target + 1, 0) == up
+
+
+def test_nearest_float_on_the_x295_cusp_terms():
+    """X^{29,5}'s normalized cusp terms at m = 5 and 11 were once read 1 ulp off by two roundings."""
+    ctx = SuiteContext(*build_lps(29, 5))
+    terms = normalized_cusp_terms(ctx.g, ctx.params, 11, sweep=ctx.sweep)
+    for m in (5, 11):
+        h = terms[m].b  # the sqrt(29) slot of an odd term
+        x = _check(0, h.numerator, 29, h.denominator)
+        assert x == float(terms[m]) != float(h) * math.sqrt(29), m
+
+
+def test_nearest_float_folds_a_perfect_square():
+    assert nearest_float(1, 1, 4, 3) == 1.0
+    assert nearest_float(-7, 2, 9, 2) == -0.5
+    assert nearest_float(5, 3, 1) == 8.0
+
+
+def test_nearest_float_names_a_value_past_the_float_range():
+    with pytest.raises(OutOfRange, match=r"the value 3\.3333e\+399 in Q\(sqrt\(2\)\) does not fit a float"):
+        nearest_float(10**400, 0, 2, 3)
+    with pytest.raises(OutOfRange, match=r"the value -1\.4142e\+400 in Q\(sqrt\(2\)\)"):
+        nearest_float(0, -(10**400), 2)
+    with pytest.raises(OutOfRange):
+        float(SqrtExt.of(13, 10**400, 1))

@@ -19,7 +19,7 @@ from iharalab import graphs, limits, lps, nbt, oracle, suite, zeta
 from iharalab.errors import ParseError
 from iharalab.cli import main
 from iharalab.graphs import build_graph, load_graph, named_graph, save_graph
-from iharalab.spectral import eigendecompose
+from iharalab.spectral import SpectralData, eigendecompose
 from iharalab.suite import (
     CHECK_ORDER,
     DEFAULT_TOLERANCES,
@@ -498,6 +498,32 @@ def test_cesaro_check_reports_skips():
     assert res.status == "pass"
     assert "a k=4" in res.detail["skipped"]
     assert "s k=4" in res.detail["skipped"]
+
+
+def test_each_context_builds_its_limit_tables_once(monkeypatch):
+    """chebyshev and stf's 13 calls read one set of Chebyshev sums, cesaro's 8 (k, variant) pairs one trig table."""
+    sums, tables = [], []
+    real_rows, real_trig = SuiteContext._chebyshev_rows, SpectralData._trig_rows
+
+    def counted_rows(self, m_lo, m_hi):
+        sums.append((self, m_lo, m_hi))
+        return real_rows(self, m_lo, m_hi)
+
+    def counted_trig(self, m_top):
+        tables.append((self, m_top))
+        return real_trig(self, m_top)
+
+    monkeypatch.setattr(SuiteContext, "_chebyshev_rows", counted_rows)
+    monkeypatch.setattr(SpectralData, "_trig_rows", counted_trig)
+    g, params = lps.build_lps(13, 5)
+    cfg = VerificationSuiteConfig(source_kind="lps", p=13, q=5, checks=("chebyshev", "cesaro", "stf"))
+    for seen in range(2):  # a second fresh context builds its own tables
+        ctx = SuiteContext(g, params)
+        results = [run_check(name, ctx, cfg) for name in cfg.checks]
+        assert [r.status for r in results] == ["pass"] * 3
+        assert len(results[1].detail["rows"]) == 8 and len(results[2].detail["rows"]) == 13
+        assert [(c is ctx, lo, hi) for c, lo, hi in sums[seen:]] == [(True, 0, 30)]
+        assert [(sd is ctx.sd, m_top) for sd, m_top in tables[seen:]] == [(True, 400)]
 
 
 @pytest.mark.parametrize(
