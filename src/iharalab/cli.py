@@ -18,7 +18,6 @@ import sys
 from . import limits, lps, nbt, oracle, suite, zeta
 from .errors import IharaLabError, NotRegular, ParseError
 from .graphs import certify_regular, save_graph
-from .qext import SqrtExt
 
 
 def _fmt(x) -> str:
@@ -176,11 +175,8 @@ def cmd_cuspgen(args) -> int:
     rows = []
     for m, (cusp, term) in enumerate(zip(cusps, zeta.normalize_cusp(cusps, args.p))):
         eis = zeta.eisenstein_C(args.p, args.q, m)
-        # a(p^m)/(2 p^{m/2}) is rational unless m is odd with a nonzero cusp term
-        if isinstance(term, SqrtExt):
-            normalized = str(term.rational_part()) if term.is_rational() else _fmt(float(term))
-        else:
-            normalized = str(term)
+        # a(p^m)/(2 p^{m/2}) is term sqrt(p)^{m mod 2}: rational unless m is odd and term nonzero
+        normalized = _fmt(zeta.graded_float(term, m, args.p)) if m % 2 and term else str(term)
         rows.append({
             "m": m,
             "theta_coeff": str(cusp + eis),

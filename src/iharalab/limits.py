@@ -56,8 +56,8 @@ from .chebyshev import central_binomial_weight, cos_power_as_cosines
 from .errors import AngleConditionViolated, DegreeTooSmall, NotRamanujan
 from .graphs import RegularityCertificate
 from .nbt import cheb_t_real, n_reduced_range
-from .qext import SqrtExt, nearest_float
-from .zeta import normalized_cusp_terms
+from .qext import nearest_float
+from .zeta import graded_float, normalized_cusp_terms
 
 if TYPE_CHECKING:
     from .suite import SuiteContext
@@ -326,8 +326,9 @@ def average_cusp_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[dict]
     One normalized_cusp_terms call, to the largest horizon M and from the
     context's sweep, serves every row.  Each term is an integer over
     2 n Q p^ceil(M/2), Q = q(q^2-1) (zeta.normalize_cusp), in its rational
-    or its sqrt(p) slot, so the running sum is two integers over that one
-    denominator; each row reads it and one running max at its horizon.
+    slot at even m and its sqrt(p) slot at odd m, so the running sum is
+    two integers over that one denominator; each row reads it and one
+    running max of the terms' floats (zeta.graded_float) at its horizon.
     A row carries N, the average (the float nearest the exact sum,
     divided by N), |average| * N (scaled_average), the reference constant
     the partial-sum bound gives for it, the spectral term bound and the
@@ -345,12 +346,11 @@ def average_cusp_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[dict]
     for N in hs:
         for m in range(m + 1, N + 1):
             term = normalized[m]
-            if isinstance(term, SqrtExt):
-                a += _numerator(term.a, den)
-                b += _numerator(term.b, den)
+            if m % 2:
+                b += _numerator(term, den)
             else:
                 a += _numerator(term, den)
-            max_term = max(max_term, abs(float(term)))
+            max_term = max(max_term, abs(graded_float(term, m, p)))
         average = nearest_float(a, b, p, den) / N
         rows.append(dict(N=N, average=average, scaled_average=abs(average) * N,
                          reference_constant=reference, term_bound=bound, max_term=max_term))
@@ -412,7 +412,8 @@ def stf_verify(ctx: SuiteContext, h: StfTestFunction) -> tuple[float, float, flo
     and cycle terms, hhat0 cancels exactly and each frequency leaves
     hhat(m) (S_m - R_m q^{-m/2}), the comparison chebyshev makes: S_m from
     SuiteContext.nontrivial_chebyshev_sums, R_m exact from remainders on
-    the same N_m, and R_m q^{-m/2} rounded once.  Only S_m is a float sum.
+    the same N_m, and R_m q^{-m/2} rounded once (zeta.graded_float).  Only S_m
+    is a float sum.
     """
     g, q, m_max = ctx.g, ctx.cert.q, h.max_frequency()
     root = 2.0 * math.sqrt(q)
@@ -432,14 +433,10 @@ def stf_verify(ctx: SuiteContext, h: StfTestFunction) -> tuple[float, float, flo
             b += term
         else:
             a += term
-        difference += v * (sums[m] - _over_half_power(remainders[m], q, m))
+        # R_m q^{-m/2} is the slot R_m / q^ceil(m/2) at index m
+        exact = graded_float(Fraction(remainders[m], q ** ((m + 1) // 2)), m, q)
+        difference += v * (sums[m] - exact)
     return lhs, nearest_float(a, b, q, scale * q**top), abs(difference)
-
-
-def _over_half_power(x: int, q: int, m: int) -> float:
-    """The float nearest x q^{-m/2}: x / q^{m/2} at even m, x sqrt(q) / q^{(m+1)/2} at odd m."""
-    a, b = (0, x) if m % 2 else (x, 0)
-    return nearest_float(a, b, q, q ** ((m + 1) // 2))
 
 
 # ---------------------------------------------------------------------------

@@ -610,7 +610,12 @@ def t_tilde_traces(
     method: str | None = None,
     sweep: TraceSweep | None = None,
 ) -> list[int]:
-    """Exact [Tr(T~_0)..Tr(T~_{m_max})], from sweep as in n_reduced_range; cert may be None then."""
+    """Exact [Tr(T~_0)..Tr(T~_{m_max})], from sweep as in n_reduced_range; cert may be None then.
+
+    With neither a cert nor a sweep, q is unknown: ValueError.
+    """
+    if cert is None and sweep is None:
+        raise ValueError("t_tilde_traces needs a cert or a sweep to know q, got neither")
     q = sweep.q if cert is None else cert.q
     bs = _sweep_for(g, q, method, sweep).prefix(m_max)
     return _theta_from_b(bs, q, g.n)

@@ -1,11 +1,13 @@
 """Truncated power series over exact rationals.
 
 A TruncatedSeries holds coefficients c_0..c_M.  Arithmetic between two
-series truncates to the smaller order.  Coefficients are exact: ints
-and Fractions, or qext.SqrtExt values in a series that is only added,
-multiplied and differentiated.  exp uses the standard derivative-recursion,
-so it stays within the ring generated by the coefficients (division
-only by integers).
+series truncates to the smaller order.  Coefficients are exact ints and
+Fractions.  A series in t/sqrt(p) is held in parity slots, as
+zeta.phi_series does: c_m stands for c_m sqrt(p)^{m mod 2}, so such
+series add and subtract coefficient by coefficient but are never
+multiplied, whose odd-by-odd products would gain a factor p.  exp uses
+the standard derivative-recursion, so it stays within the ring generated
+by the coefficients (division only by integers).
 """
 
 from __future__ import annotations

@@ -184,19 +184,15 @@ def _group(evals: np.ndarray, q: int, cluster_tol: float) -> list[tuple[int, int
     return out
 
 
-def eigendecompose(
-    g: Graph, cert: RegularityCertificate, cluster_tol: float | None = None
-) -> SpectralData:
+def eigendecompose(g: Graph, cert: RegularityCertificate) -> SpectralData:
     """Eigendecompose the adjacency matrix densely and cluster equal eigenvalues.
 
-    Clusters follow the gap rule of _group; the default tolerance is
-    CLUSTER_TOL times the spectral radius q + 1.  Raises DepthExceeded when
-    the adjacency and eigenvector matrices would exceed
-    DENSE_BYTES_CEILING.
+    Clusters follow the gap rule of _group with tolerance CLUSTER_TOL
+    times the spectral radius q + 1.  Raises DepthExceeded when the
+    adjacency and eigenvector matrices would exceed DENSE_BYTES_CEILING.
     """
     q = cert.q
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_TOL * (q + 1)
+    cluster_tol = CLUSTER_TOL * (q + 1)
     if 16 * g.n**2 > DENSE_BYTES_CEILING:
         raise DepthExceeded(
             f"dense eigh at n={g.n} needs {16 * g.n**2 / 2**30:.2f} GiB, "
@@ -228,7 +224,7 @@ def quotient_decompose(g: Graph, cert: RegularityCertificate, quotient: RootedQu
     every vertex looks like v, mult_l = n P_l(v, v); ClusterAmbiguity is
     raised when some n P_l(v, v) is not a positive integer within
     MULT_TOL or the multiplicities do not sum to n.  Clusters follow
-    eigendecompose's gap rule and default tolerance.
+    eigendecompose's gap rule and tolerance.
     """
     q = cert.q
     cluster_tol = CLUSTER_TOL * (q + 1)

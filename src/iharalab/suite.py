@@ -643,7 +643,8 @@ def check_phi(ctx: SuiteContext, *, order: int = 8) -> dict:
     if ctx.params is None:
         raise IharaLabError("phi check needs an LPS graph source")
     spectral, closed = zeta.phi_series(ctx, order)
-    diffs = [abs(float(a - b)) for a, b in zip(spectral.coeffs, closed.coeffs)]
+    pairs = enumerate(zip(spectral.coeffs, closed.coeffs))
+    diffs = [abs(zeta.graded_float(a - b, m, ctx.params.p)) for m, (a, b) in pairs]
     metric = max(diffs)
     eps_values = (1e-2, 1e-3, 1e-4)
     g_values = [

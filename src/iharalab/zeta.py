@@ -19,17 +19,22 @@ terms a(p^m)/(2 p^{m/2}), and the generating function phi(t) of those
 terms.  The split a(p^m) = 2 Tr T~_m / n - C(p^m) is formed in integers
 over one denominator, (2Q Tr T~_m - 4 eps_m n S_m) / (nQ) with
 Q = q(q^2-1), S_m = (p^{m+1}-1)/(p-1) and eps_m = 0 exactly when
-(p/q) = -1 and m is odd; term m of phi is then the one Fraction
-a(p^m)/(2 p^ceil(m/2)), put straight into the rational (even m) or
-sqrt(p) (odd m) slot of a qext.SqrtExt in normal form.  phi comes two
-ways: as the sum of those terms, from the Tr T~_m sweep, and as a
-closed form in the zeta log-derivative Z'/Z = sum N_m u^{m-1}, whose
-N_m come from the N_m sweep; past t^0 its braces are R_m p^{-m/2},
-with R_m from suite.SuiteContext.remainders.  Both are exact in
-Q(sqrt p), and phi compares them exactly.  The closed form does not re-derive N_m from the
-determinant: that the two agree is what the ihara-bass check tests.
-phi_closed_point evaluates the closed form at a float point from the
-nontrivial eigenvalues alone, the trivial ones' terms cancelling exactly.
+(p/q) = -1 and m is odd.
+
+The t^m coefficient of phi, and every number that forms it, lies in Q
+at even m and in Q sqrt(p) at odd m, so it is held as one Fraction t_m,
+its parity slot: the value is t_m sqrt(p)^{m mod 2}.  The normalized cusp term is
+t_m = a(p^m)/(2 p^ceil(m/2)) (normalize_cusp), on every graph and at
+every order, and graded_float rounds a slot's value to a float once.
+phi comes two ways: as the sum of those terms, from the Tr T~_m sweep,
+and as a closed form in the zeta log-derivative Z'/Z = sum N_m u^{m-1},
+whose N_m come from the N_m sweep; past t^0 its braces are R_m p^{-m/2},
+the slot R_m / p^ceil(m/2), with R_m from suite.SuiteContext.remainders.
+Both are exact, and phi compares them slot by slot.  The closed form
+does not re-derive N_m from the determinant: that the two agree is
+what the ihara-bass check tests.  phi_closed_point evaluates the closed
+form at a float point from the nontrivial eigenvalues alone, the
+trivial ones' terms cancelling exactly.
 
 The report functions (determinant_power_sums, reciprocal_series,
 verify_ihara_bass, phi_series, phi_closed_point) take a
@@ -62,7 +67,7 @@ from .nbt import (
     t_tilde_traces,
 )
 from .oracle import reduced_walks
-from .qext import SqrtExt, half_power
+from .qext import nearest_float
 from .series import TruncatedSeries, binomial_one_minus_u2
 
 if TYPE_CHECKING:
@@ -267,53 +272,44 @@ def cusp_coefficients_range(
 
 def normalized_cusp_terms(
     g_lps: Graph, params: LpsParams, m_max: int, *, sweep: TraceSweep | None = None
-) -> list:
-    """[a(p^m)/(2 p^{m/2}) for m = 0..m_max], exact in Q(sqrt p), from the traces of sweep.
+) -> list[Fraction]:
+    """[t_0, ..., t_{m_max}], a(p^m)/(2 p^{m/2}) = t_m sqrt(p)^{m mod 2}, from the traces of sweep.
 
     normalize_cusp of cusp_coefficients_range (a fresh sweep when None).
     """
     return normalize_cusp(cusp_coefficients_range(g_lps, params, m_max, sweep=sweep), params.p)
 
 
-def normalize_cusp(amounts: Sequence[Fraction], p: int) -> list:
-    """[a(p^m)/(2 p^{m/2}) for m = 0, 1, ...] from the cusp coefficients amounts = [a(p^m)].
+def normalize_cusp(amounts: Sequence[Fraction], p: int) -> list[Fraction]:
+    """The parity slots t_m of a(p^m)/(2 p^{m/2}), m = 0, 1, ..., from the cusp coefficients amounts = [a(p^m)].
 
-    The one place these terms are formed, exact in Q(sqrt p).  Term m is
-    one Fraction a/(2 p^ceil(m/2)): the rational part at even m and the
-    sqrt(p) part at odd m, since a/(2 p^{m/2}) = (a/(2 p^{(m+1)/2})) sqrt(p)
-    there.  Fractions when every odd term vanishes, as on bipartite LPS
-    graphs; SqrtExt values otherwise, because odd-m terms of non-bipartite
-    graphs carry sqrt(p).  p must not be a perfect square (ValueError).
+    The one place these terms are formed: t_m = a/(2 p^ceil(m/2)), one
+    Fraction, whose value is t_m at even m and t_m sqrt(p) at odd m,
+    since a/(2 p^{m/2}) = (a/(2 p^{(m+1)/2})) sqrt(p) there
+    (graded_float).  The odd t_m vanish on bipartite LPS graphs.
     """
-    if isqrt(p) ** 2 == p:
-        raise ValueError(f"p = {p} is a perfect square, so sqrt(p) is rational")
-    halves = []
+    terms = []
     scale = 2  # 2 p^ceil(m/2)
     for m, a in enumerate(amounts):
         if m % 2 == 1:
             scale *= p
-        halves.append(Fraction(a.numerator, a.denominator * scale))
-    if not any(halves[1::2]):
-        return halves
-    zero = Fraction(0)
-    return [
-        SqrtExt(p, zero, h) if m % 2 == 1 else SqrtExt(p, h, zero) for m, h in enumerate(halves)
-    ]
+        terms.append(Fraction(a.numerator, a.denominator * scale))
+    return terms
 
 
-def _rational_if_possible(values: list[SqrtExt]) -> list:
-    """The rational parts as Fractions when every value is rational, else the values."""
-    if all(v.is_rational() for v in values):
-        return [v.rational_part() for v in values]
-    return values
+def graded_float(t: Fraction, m: int, p: int) -> float:
+    """The float nearest t sqrt(p)^{m mod 2}, the value the parity slot t holds at index m, rounded once (nearest_float)."""
+    a, b = (0, t.numerator) if m % 2 else (t.numerator, 0)
+    return nearest_float(a, b, p, t.denominator)
 
 
 def phi_series(ctx: SuiteContext, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """The generating function phi(t) = sum a(p^m)/(2 p^{m/2}) t^m, two ways.
+    """The generating function phi(t) = sum a(p^m)/(2 p^{m/2}) t^m, two ways, in parity slots.
 
-    Returns (spectral, closed_form) truncated series.  The spectral side
-    is normalized_cusp_terms, from the Tr T~_m sweep and the Eisenstein
-    coefficients.  The closed form is
+    Returns (spectral, closed_form) truncated series whose coefficient
+    at t^m is the Fraction t_m of the value t_m sqrt(p)^{m mod 2}
+    (graded_float).  The spectral side is normalized_cusp_terms, from
+    the Tr T~_m sweep and the Eisenstein coefficients.  The closed form is
 
         phi(t) = (1/(n(1-t^2))) * { l + (t/sqrt p)(Z'/Z)(t/sqrt p)
                                     - (p-1) n t^2/(p - t^2) + t*F(t) }
@@ -325,25 +321,22 @@ def phi_series(ctx: SuiteContext, order: int) -> tuple[TruncatedSeries, Truncate
     m >= 1, the three other terms give N_m p^{-m/2}, -e_m (p-1) n p^{-m/2}
     (together Tr B_m p^{-m/2}) and -(p^m + 1)(1 + (-1)^m [bipartite]) p^{-m/2},
     the trivial eigenvalues' share, so the braces are
-    [l, R_1 p^{-1/2}, R_2 p^{-1}, ...] with R_m from
-    suite.SuiteContext.remainders.  Its N_m come from the exact sweep
-    n_reduced_range (the ihara-bass check tests that these N_m give the
-    determinant form).  Both sides read the context's Tr B_m sweep, and
-    their coefficients are exact in Q(sqrt p): Fractions when every
-    irrational part vanishes (always, for bipartite X^{p,q}), SqrtExt
-    values otherwise.
+    [l, R_1 p^{-1/2}, R_2 p^{-1}, ...], the slots R_m / p^ceil(m/2), with
+    R_m from suite.SuiteContext.remainders.  Its N_m come from the exact
+    sweep n_reduced_range (the ihara-bass check tests that these N_m
+    give the determinant form).  Both sides read the context's Tr B_m
+    sweep, and every coefficient of both is a Fraction.
     """
     p, n = ctx.params.p, ctx.g.n
     spectral = normalized_cusp_terms(ctx.g, ctx.params, order, sweep=ctx.sweep)
     remainders = ctx.remainders(order)
-    zero = SqrtExt.of(p, 0)
-    braces = [zero + sum(cl.mult for cl in ctx.sd.principal())]
-    braces += [remainders[m] * half_power(p, -m) for m in range(1, order + 1)]
-    # divide by n(1 - t^2): phi_m = (1/n) sum_j braces[m - 2j]
-    closed = [sum(braces[m::-2], zero) / n for m in range(order + 1)]
+    braces = [Fraction(sum(cl.mult for cl in ctx.sd.principal()))]
+    braces += [Fraction(remainders[m], p ** ((m + 1) // 2)) for m in range(1, order + 1)]
+    # divide by n(1 - t^2): phi_m = (1/n) sum_j braces[m - 2j], slots of one parity
+    closed = [sum(braces[m::-2]) / n for m in range(order + 1)]
     return (
         TruncatedSeries.from_coeffs(spectral, order),
-        TruncatedSeries.from_coeffs(_rational_if_possible(closed), order),
+        TruncatedSeries.from_coeffs(closed, order),
     )
 
 

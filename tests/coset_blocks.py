@@ -61,9 +61,7 @@ def cayley_cosets(g: Graph, params: LpsParams) -> CosetData | None:
     return CosetData(q=q, coset=coset, shift=shift, reps=reps, identity=identity)
 
 
-def block_decompose(
-    g: Graph, cert: RegularityCertificate, cosets: CosetData, cluster_tol: float | None = None
-) -> SpectralData:
+def block_decompose(g: Graph, cert: RegularityCertificate, cosets: CosetData) -> SpectralData:
     """The clustered spectrum of X^{p,q} from its q twisted coset blocks.
 
     g must be the graph cosets describes (cayley_cosets checks that).
@@ -78,8 +76,7 @@ def block_decompose(
     at the identity vertex e, one entry per vertex.
     """
     q = cert.q
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_TOL * (q + 1)
+    cluster_tol = CLUSTER_TOL * (q + 1)
     field, k = cosets.q, len(cosets.reps)
     nbrs = np.array([g.neighbors[r] for r in cosets.reps])
     rows = np.repeat(np.arange(k), nbrs.shape[1])

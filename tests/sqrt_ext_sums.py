@@ -6,6 +6,9 @@ Fraction operation at a time, and convert each to a float with float().
 limits forms them as integer pairs over one denominator instead; the
 tests compare the two routes with ==.  identity_coefficient is I_m of
 the trace formula's identity term, which limits folds into Tr B_m.
+phi_series forms both sides of zeta.phi_series as values in Q(sqrt p),
+where zeta holds each coefficient as one Fraction in its parity slot,
+and phi_coefficient_diffs is what suite.check_phi reports from them.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from iharalab.limits import (
     require_ramanujan,
 )
 from iharalab.nbt import n_reduced_range
-from iharalab.qext import SqrtExt, half_power
-from iharalab.zeta import normalized_cusp_terms
+from iharalab.zeta import cusp_coefficients_range, normalized_cusp_terms
+from sqrt_ext import SqrtExt, graded_values, half_power
 
 
 def average_nm_sweep(ctx, horizons) -> list[AverageNmReport]:
@@ -67,9 +70,10 @@ def average_nm_sweep(ctx, horizons) -> list[AverageNmReport]:
 def average_cusp_sweep(ctx, horizons) -> list[dict]:
     hs = _validate_horizons(horizons)
     sd = ctx.sd
-    normalized = normalized_cusp_terms(ctx.g, ctx.params, hs[-1], sweep=ctx.sweep)
+    slots = normalized_cusp_terms(ctx.g, ctx.params, hs[-1], sweep=ctx.sweep)
+    normalized = graded_values(slots, ctx.params.p)
     reference, bound = average_cusp_reference(sd), cusp_term_bound(sd)
-    total, max_term, m = Fraction(0), 0.0, 0
+    total, max_term, m = SqrtExt.of(ctx.params.p, 0), 0.0, 0
     rows = []
     for N in hs:
         for m in range(m + 1, N + 1):
@@ -115,3 +119,21 @@ def huang_range(ctx, m_max: int) -> list[float]:
     q = ctx.cert.q
     remainders = ctx.remainders(m_max)
     return [float(remainders[0] - remainders[m] * half_power(q, -m)) for m in range(1, m_max + 1)]
+
+
+def phi_series(ctx, order: int) -> tuple[list[SqrtExt], list[SqrtExt]]:
+    """(spectral, closed_form) of zeta.phi_series as values: a(p^m) / (2 p^{m/2}) and the braces over n(1 - t^2)."""
+    p, n = ctx.params.p, ctx.g.n
+    amounts = cusp_coefficients_range(ctx.g, ctx.params, order, sweep=ctx.sweep)
+    spectral = [SqrtExt.of(p, a) / (2 * half_power(p, m)) for m, a in enumerate(amounts)]
+    remainders = ctx.remainders(order)
+    zero = SqrtExt.of(p, 0)
+    braces = [zero + sum(cl.mult for cl in ctx.sd.principal())]
+    braces += [remainders[m] * half_power(p, -m) for m in range(1, order + 1)]
+    closed = [sum(braces[m::-2], zero) / n for m in range(order + 1)]
+    return spectral, closed
+
+
+def phi_coefficient_diffs(ctx, order: int) -> list[float]:
+    spectral, closed = phi_series(ctx, order)
+    return [abs(float(a - b)) for a, b in zip(spectral, closed)]

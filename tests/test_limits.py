@@ -37,11 +37,11 @@ from iharalab.limits import (
 )
 from iharalab.lps import build_lps
 from iharalab.nbt import n_reduced_range
-from iharalab.qext import SqrtExt, half_power
 from iharalab.spectral import eigendecompose
 from iharalab.suite import SuiteContext
 from iharalab.zeta import cusp_coefficients_range, phi_series
 import sqrt_ext_sums
+from sqrt_ext import SqrtExt, graded_values, half_power
 from sqrt_ext_sums import identity_coefficient
 
 
@@ -332,7 +332,9 @@ def test_normalized_terms_match_phi(x135, x135_ctx):
 def test_normalize_cusp_is_a_over_two_p_to_the_half_m():
     amounts = [Fraction(59, 30), Fraction(-3, 7), 5, 0, Fraction(1, 11), -4]
     want = [SqrtExt.of(13, a) / (2 * half_power(13, m)) for m, a in enumerate(amounts)]
-    assert zeta.normalize_cusp(amounts, 13) == want
+    got = zeta.normalize_cusp(amounts, 13)
+    assert all(type(x) is Fraction for x in got)
+    assert graded_values(got, 13) == want
     even = [0 if m % 2 else a for m, a in enumerate(amounts)]
     got = zeta.normalize_cusp(even, 13)
     assert all(type(x) is Fraction for x in got)
@@ -385,7 +387,8 @@ def per_horizon_rows(terms, sd, horizons):
 def test_average_cusp_sweep_matches_per_horizon_rows(p, q):
     ctx = SuiteContext(*build_lps(p, q))
     horizons = (1, 7, 10, 20, 50, 100, 200)
-    want = per_horizon_rows(normalized_cusp_terms(ctx.g, ctx.params, 200), ctx.sd, horizons)
+    terms = graded_values(normalized_cusp_terms(ctx.g, ctx.params, 200), p)
+    want = per_horizon_rows(terms, ctx.sd, horizons)
     assert average_cusp_sweep(ctx, horizons) == want
 
 
@@ -401,7 +404,7 @@ def test_normalized_terms_exact_on_non_bipartite():
     g, params = build_lps(29, 5)
     cert = certify_regular(g)
     assert not cert.bipartite
-    terms = normalized_cusp_terms(g, params, 50)
+    terms = graded_values(normalized_cusp_terms(g, params, 50), 29)
     assert not terms[1].is_rational()
     amounts = cusp_coefficients_range(g, params, 50)
     assert all(t * 2 * half_power(29, m) == a for m, (t, a) in enumerate(zip(terms, amounts)))

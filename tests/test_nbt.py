@@ -227,6 +227,14 @@ def test_t_tilde_traces_match_matrices(corpus):
         seq.advance()
 
 
+def test_t_tilde_traces_name_a_missing_cert_and_sweep(corpus):
+    g, cert = corpus["PETERSEN"]
+    with pytest.raises(ValueError, match="cert or a sweep"):
+        t_tilde_traces(g, None, 4)
+    sweep = suite.SuiteContext(g).sweep
+    assert t_tilde_traces(g, None, 4, sweep=sweep) == t_tilde_traces(g, cert, 4)
+
+
 def test_f_values_are_diagonal_entries(corpus):
     for name, (g, cert) in corpus.items():
         vals = f_values(g, cert, M_ORACLE, v=0)

@@ -1,4 +1,4 @@
-"""Exact arithmetic in Q(sqrt d)."""
+"""Exact arithmetic in Q(sqrt d): qext.nearest_float, and the tests' reference field sqrt_ext.SqrtExt."""
 
 import math
 from math import isqrt
@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqrt_ext import SqrtExt, graded, half_power
+
 from iharalab.lps import build_lps
 from iharalab.errors import OutOfRange
-from iharalab.qext import SqrtExt, half_power, nearest_float
+from iharalab.qext import nearest_float
 from iharalab.suite import SuiteContext
-from iharalab.zeta import normalized_cusp_terms
+from iharalab.zeta import graded_float, normalized_cusp_terms
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -196,7 +198,7 @@ def test_float_rounds_once_where_two_roundings_miss():
     ctx = SuiteContext(*build_lps(29, 5))
     terms = normalized_cusp_terms(ctx.g, ctx.params, 11, sweep=ctx.sweep)
     for m in (3, 5, 11):
-        x = terms[m]
+        x = graded(terms[m], m, 29)
         assert float(x) == _nearest_float(x) != float(x.a) + float(x.b) * math.sqrt(29), m
     # a - b sqrt 2 cancels to about 1e-18, far below either part's rounding
     x = SqrtExt.of(2, Fraction(-665857, 470832 * 10**6), Fraction(1, 10**6))
@@ -269,9 +271,9 @@ def test_nearest_float_on_the_x295_cusp_terms():
     ctx = SuiteContext(*build_lps(29, 5))
     terms = normalized_cusp_terms(ctx.g, ctx.params, 11, sweep=ctx.sweep)
     for m in (5, 11):
-        h = terms[m].b  # the sqrt(29) slot of an odd term
+        h = terms[m]  # the sqrt(29) slot of an odd term
         x = _check(0, h.numerator, 29, h.denominator)
-        assert x == float(terms[m]) != float(h) * math.sqrt(29), m
+        assert x == graded_float(h, m, 29) == float(graded(h, m, 29)) != float(h) * math.sqrt(29), m
 
 
 def test_nearest_float_folds_a_perfect_square():

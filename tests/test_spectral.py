@@ -9,6 +9,7 @@ import pytest
 from coset_blocks import block_decompose, cayley_cosets
 from test_suite import cycle_plus_matching, frucht_graph
 
+from iharalab import spectral
 from iharalab.errors import ClusterAmbiguity, DepthExceeded, OutOfRange
 from iharalab.graphs import Graph, build_graph, certify_regular, rooted_quotient
 from iharalab.lps import build_lps, cayley_root
@@ -144,19 +145,22 @@ def test_multiplicity_at(spectra):
     assert sd.multiplicity_at(2.0 * math.sqrt(2)) == 0
 
 
-def test_cluster_ambiguity_raised():
+def test_cluster_ambiguity_raised(monkeypatch):
     # C60-free zone: build a graph whose spectrum has a gap right at the
-    # ambiguity band by using a tight cluster_tol on distinct eigenvalues
+    # ambiguity band by using a tight cluster tolerance on distinct eigenvalues
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C4: spectrum 2, 0, 0, -2
     cert = certify_regular(g)
+    monkeypatch.setattr(spectral, "CLUSTER_TOL", 0.95)  # tol 1.9 at q + 1 = 2
     with pytest.raises(ClusterAmbiguity):
-        eigendecompose(g, cert, cluster_tol=1.9)  # gap 2 lands in [tol, 10 tol)
+        eigendecompose(g, cert)  # gap 2 lands in [tol, 10 tol)
 
 
-def test_custom_cluster_tol_merges():
+def test_custom_cluster_tol_merges(monkeypatch):
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     cert = certify_regular(g)
-    sd = eigendecompose(g, cert, cluster_tol=0.15)
+    monkeypatch.setattr(spectral, "CLUSTER_TOL", 0.075)  # tol 0.15 at q + 1 = 2
+    sd = eigendecompose(g, cert)
+    assert sd.cluster_tol == 0.15
     assert {round(c.value) for c in sd.clusters} == {2, 0, -2}
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from sqrt_ext import graded_values
 from test_nbt_traces import two_switched
 
 from iharalab import graphs, limits, lps, nbt, oracle, suite, zeta
@@ -782,7 +783,7 @@ def test_a_dropped_context_frees_its_sweep_without_the_cycle_collector(tmp_path,
 def test_cusp_check_forms_the_terms_once(p, q, monkeypatch):
     ctx = SuiteContext(*lps.build_lps(p, q))
     horizons = suite.DEFAULT_HORIZONS["cusp"]
-    terms = zeta.normalized_cusp_terms(ctx.g, ctx.params, max(horizons))
+    terms = graded_values(zeta.normalized_cusp_terms(ctx.g, ctx.params, max(horizons)), p)
     ref = limits.average_cusp_reference(ctx.sd)
     want = []
     for N in horizons:

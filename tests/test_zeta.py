@@ -20,16 +20,17 @@ from fractions import Fraction
 from math import isqrt, prod
 
 import pytest
+import sqrt_ext_sums
 from lattice_points import lattice_count
+from sqrt_ext import SqrtExt, graded_values, half_power
 from test_suite import _count_calls_everywhere
 
 import iharalab
-from iharalab import nbt, qext, zeta
+from iharalab import nbt, suite, zeta
 from iharalab.errors import DepthExceeded, InvalidPrime
 from iharalab.graphs import Graph, _edges_canonical, build_graph, named_graph
 from iharalab.lps import build_lps, cayley_root, is_prime, legendre_symbol
 from iharalab.nbt import f_values, n_reduced_range
-from iharalab.qext import SqrtExt, half_power
 from iharalab.series import TruncatedSeries, binomial_one_minus_u2
 from iharalab.suite import SuiteContext, VerificationSuiteConfig, run_check
 from iharalab.zeta import (
@@ -561,14 +562,12 @@ def cusp_reference(ctx, m_max: int) -> tuple[list, list]:
     """([a(p^m)], [a(p^m)/(2 p^{m/2})]) for m <= m_max, one term at a time in Q(sqrt p).
 
     a(p^m) = 2 Tr T~_m / n - C(p^m), and each term is SqrtExt.of(p, a) /
-    (2 p^{m/2}); the terms are Fractions when all are rational.
+    (2 p^{m/2}).
     """
     p, q, n = ctx.params.p, ctx.params.q, ctx.g.n
     traces = nbt.t_tilde_traces(ctx.g, None, m_max, sweep=ctx.sweep)
     amounts = [Fraction(2 * traces[m], n) - eisenstein_C(p, q, m) for m in range(m_max + 1)]
     terms = [SqrtExt.of(p, a) / (2 * half_power(p, m)) for m, a in enumerate(amounts)]
-    if all(t.is_rational() for t in terms):
-        terms = [t.rational_part() for t in terms]
     return amounts, terms
 
 
@@ -585,52 +584,33 @@ def test_eisenstein_matches_the_factored_formula(p, q):
     ]
 
 
-@pytest.mark.parametrize("which, kind", [("x135_ctx", Fraction), ("x295_ctx", SqrtExt)])
-def test_cusp_terms_match_the_per_term_reference(request, which, kind):
+@pytest.mark.parametrize("which, order", [("x135_ctx", 200), ("x295_ctx", 200), ("x295_ctx", 0)])
+def test_cusp_terms_match_the_per_term_reference(request, which, order):
+    """One Fraction per term on every graph and at every order: the rational slot at even m, sqrt(p)'s at odd m."""
     ctx = request.getfixturevalue(which)
-    assert ctx.cert.bipartite == (kind is Fraction)
-    want_amounts, want_terms = cusp_reference(ctx, 200)
-    amounts = cusp_coefficients_range(ctx.g, ctx.params, 200, sweep=ctx.sweep)
-    terms = zeta.normalized_cusp_terms(ctx.g, ctx.params, 200, sweep=ctx.sweep)
+    want_amounts, want_terms = cusp_reference(ctx, order)
+    amounts = cusp_coefficients_range(ctx.g, ctx.params, order, sweep=ctx.sweep)
+    terms = zeta.normalized_cusp_terms(ctx.g, ctx.params, order, sweep=ctx.sweep)
     assert amounts == want_amounts
     assert all(type(a) is Fraction for a in amounts)
-    assert terms == want_terms
-    assert all(type(t) is kind for t in terms)
-    if kind is SqrtExt:
-        # even m in the rational part, odd m in the sqrt(p) part
-        assert all(t.b == 0 for t in terms[::2]) and all(t.a == 0 for t in terms[1::2])
-        assert all(type(t.a) is Fraction and type(t.b) is Fraction for t in terms)
+    assert all(type(t) is Fraction for t in terms)
+    assert graded_values(terms, ctx.params.p) == want_terms
+    if order:
+        # the odd terms carry sqrt(p) exactly when the graph is not bipartite
+        assert any(terms[1::2]) != ctx.cert.bipartite
 
 
-def test_normalize_cusp_refuses_a_square_p():
-    with pytest.raises(ValueError, match="perfect square"):
-        zeta.normalize_cusp([Fraction(1), Fraction(1)], 9)
-
-
-def test_cusp_terms_take_no_per_term_field_arithmetic(x135_ctx, monkeypatch):
-    """X^{13,5}'s 201 terms check the primes at most once and never fold or multiply in Q(sqrt p)."""
-    ctx = x135_ctx
-    ctx.sweep
+def test_cusp_terms_take_no_per_term_field_arithmetic(x135_ctx, x295_ctx, monkeypatch):
+    """201 terms check the primes at most once and are Fractions whose values are the field reference's."""
     eisenstein = _count_calls_everywhere(monkeypatch, zeta, "eisenstein_C")
-    halves = _count_calls_everywhere(monkeypatch, qext, "half_power")
-    field_ops = []
-    real_of, real_mul = SqrtExt.of.__func__, SqrtExt.__mul__
-
-    def of(cls, *args, **kwargs):
-        field_ops.append("of")
-        return real_of(cls, *args, **kwargs)
-
-    def mul(self, other):
-        field_ops.append("*")
-        return real_mul(self, other)
-
-    monkeypatch.setattr(SqrtExt, "of", classmethod(of))
-    monkeypatch.setattr(SqrtExt, "__mul__", mul)
-    monkeypatch.setattr(SqrtExt, "__rmul__", mul)
-    terms = zeta.normalized_cusp_terms(ctx.g, ctx.params, 200, sweep=ctx.sweep)
-    assert len(terms) == 201
-    assert len(eisenstein) <= 1
-    assert (halves, field_ops) == ([], [])
+    for ctx in (x135_ctx, x295_ctx):
+        ctx.sweep
+        eisenstein.clear()
+        terms = zeta.normalized_cusp_terms(ctx.g, ctx.params, 200, sweep=ctx.sweep)
+        assert len(terms) == 201
+        assert len(eisenstein) <= 1
+        assert all(type(t) is Fraction for t in terms)
+        assert graded_values(terms, ctx.params.p) == cusp_reference(ctx, 200)[1]
 
 
 def test_theta_identity_x135(x135):
@@ -684,8 +664,7 @@ def test_phi_closed_form_matches_the_determinant_counts(p, q, monkeypatch):
     ref_spectral, ref_closed = phi_series(ctx, 8)
     assert closed.coeffs == ref_closed.coeffs
     assert spectral.coeffs == ref_spectral.coeffs
-    kind = Fraction if cert.bipartite else SqrtExt
-    assert all(type(c) is kind for c in spectral.coeffs + closed.coeffs)
+    assert all(type(c) is Fraction for c in spectral.coeffs + closed.coeffs)
 
 
 PHI_LADDER = [(13, 5), (29, 5), (17, 13), (5, 13)]
@@ -722,6 +701,27 @@ def phi_point_reference(ctx, t: Fraction) -> SqrtExt:
 
 
 @pytest.mark.parametrize("p, q", PHI_LADDER)
+def test_parity_slots_hold_the_field_reference_values(phi_ladder, p, q):
+    """Cusp terms to m = 200 and both sides of phi to t^60, against the SqrtExt reference."""
+    ctx = phi_ladder[p, q]
+    terms = zeta.normalized_cusp_terms(ctx.g, ctx.params, 200, sweep=ctx.sweep)
+    assert graded_values(terms, p) == cusp_reference(ctx, 200)[1]
+    spectral, closed = phi_series(ctx, 60)
+    want_spectral, want_closed = sqrt_ext_sums.phi_series(ctx, 60)
+    assert graded_values(spectral.coeffs, p) == want_spectral
+    assert graded_values(closed.coeffs, p) == want_closed
+
+
+@pytest.mark.parametrize("p, q", [(29, 5), (17, 13)])
+def test_phi_check_diffs_match_the_field_reference(phi_ladder, p, q):
+    """check_phi's coefficient_diffs on the non-bipartite graphs, float for float."""
+    ctx = phi_ladder[p, q]
+    assert not ctx.cert.bipartite
+    diffs = suite.check_phi(ctx)["detail"]["coefficient_diffs"]
+    assert diffs == sqrt_ext_sums.phi_coefficient_diffs(ctx, 8)
+
+
+@pytest.mark.parametrize("p, q", PHI_LADDER)
 def test_phi_point_keeps_its_relative_accuracy_near_the_pole(phi_ladder, p, q):
     ctx = phi_ladder[p, q]
     t = 1.0 - 1e-4
@@ -748,7 +748,7 @@ def test_phi_point_sums_the_closed_series(phi_ladder, p, q):
     ctx = phi_ladder[p, q]
     _, closed = phi_series(ctx, 60)
     t = 0.5
-    total = sum(float(c) * t**m for m, c in enumerate(closed.coeffs))
+    total = sum(zeta.graded_float(c, m, p) * t**m for m, c in enumerate(closed.coeffs))
     assert abs(total - phi_closed_point(ctx, t)) <= 1e-13 * abs(total)
 
 
