@@ -30,7 +30,7 @@ class UnknownName(GraphError):
 
 
 class DegreeTooSmall(GraphError):
-    """Raised on a 1-regular graph (q = 0) by what needs q >= 1: the spectral angle and q^{-m/2}."""
+    """Raised when q is too small: the spectral angle and q^{-m/2} need q >= 1, average-nm's main terms q >= 2."""
 
 
 class NotRegular(GraphError):

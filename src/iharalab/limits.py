@@ -32,9 +32,12 @@ clusters gives.  The reports that read exact counts (average_nm_sweep,
 average_cusp_sweep, stf_verify, huang_range) take a suite.SuiteContext
 and read the graph, certificate, spectrum, parameters and trace sweep
 from it, so they run on the route the context's certificate picks and
-have none of their own.  stf_verify and huang_range take the trivial
-eigenvalues +-(q+1) out through it too (SuiteContext.remainders and
-nontrivial_chebyshev_sums, which the context builds once).
+have none of their own.  huang_range reads the exact remainders R_m,
+Tr B_m less the trivial eigenvalues' share (SuiteContext.remainders).
+stf_verify reads the residuals d_m = S_m - R_m q^{-m/2}
+(SuiteContext.trace_residuals): the float spectral sum over the
+nontrivial clusters less the exact R_m q^{-m/2} rounded once, the one
+comparison that chebyshev makes too.
 
 Their exact values in Q(sqrt q) are held as two integers over one
 denominator, (a + b sqrt q) / D with D a power of q times a fixed
@@ -230,10 +233,11 @@ def average_nm_reference(sd, cert: RegularityCertificate) -> float:
     The exact residual decomposes into principal Dirichlet-kernel sums
     (bounded by the cos partial-sum bound per eigenvalue), a geometric
     branch constant, and O(1) corrections of size n and 2 m(-2 sqrt q).
+    Raises DegreeTooSmall at q < 2.
     """
     q = sd.q
     if q < 2:
-        raise ValueError("main-term formula needs q >= 2")
+        raise DegreeTooSmall(f"the main-term formula needs q >= 2, got q = {q}")
     theta, mult = sd.principal_angles()
     total = float(sum(2.0 * mult * cos_partial_sum_bound(theta)))
     rq = math.sqrt(q)
@@ -266,7 +270,7 @@ def average_nm_sweep(ctx: SuiteContext, horizons: Sequence[int]) -> list[Average
         raise ValueError("N must be at least 2")
     sd, cert = ctx.sd, ctx.cert
     require_ramanujan(sd)
-    reference = average_nm_reference(sd, cert)  # raises unless q >= 2
+    reference = average_nm_reference(sd, cert)
     q = cert.q
     counts = n_reduced_range(ctx.g, cert, hs[-1], sweep=ctx.sweep)
     twice_root = 2 * sd.multiplicity_at(2.0 * math.sqrt(q))
@@ -410,32 +414,26 @@ def stf_verify(ctx: SuiteContext, h: StfTestFunction) -> tuple[float, float, flo
     The difference is not lhs - geometric, whose float round-off would grow
     like q^{m/2} hhat(m).  Less the trivial clusters' terms and the identity
     and cycle terms, hhat0 cancels exactly and each frequency leaves
-    hhat(m) (S_m - R_m q^{-m/2}), the comparison chebyshev makes: S_m from
-    SuiteContext.nontrivial_chebyshev_sums, R_m exact from remainders on
-    the same N_m, and R_m q^{-m/2} rounded once (zeta.graded_float).  Only S_m
-    is a float sum.
+    hhat(m) d_m, with d_m = S_m - R_m q^{-m/2} the residual chebyshev
+    compares too (SuiteContext.trace_residuals, on the same N_m).
     """
     g, q, m_max = ctx.g, ctx.cert.q, h.max_frequency()
     root = 2.0 * math.sqrt(q)
     lhs = sum(cl.mult * h.eval_x(cl.value / root) for cl in ctx.sd.clusters)
     counts = n_reduced_range(g, ctx.cert, m_max, sweep=ctx.sweep) if h.support else []
-    remainders = ctx.remainders(m_max, counts)
-    sums, _ = ctx.nontrivial_chebyshev_sums(m_max)
+    residuals = ctx.trace_residuals(m_max, counts)
     hats = [Fraction(h.hhat0)] + [Fraction(v) for _, v in h.support]
     scale = math.lcm(*(x.denominator for x in hats))
     top = (m_max + 1) // 2
     a, b = g.n * _numerator(hats[0], scale) * q**top, 0
-    difference = 0.0
-    for (m, v), hat in zip(h.support, hats[1:]):
+    for (m, _), hat in zip(h.support, hats[1:]):
         trace = counts[m - 1] - (1 - m % 2) * (q - 1) * g.n
         term = _numerator(hat, scale) * trace * q ** (top - (m + 1) // 2)
         if m % 2:
             b += term
         else:
             a += term
-        # R_m q^{-m/2} is the slot R_m / q^ceil(m/2) at index m
-        exact = graded_float(Fraction(remainders[m], q ** ((m + 1) // 2)), m, q)
-        difference += v * (sums[m] - exact)
+    difference = sum((v * residuals[m] for m, v in h.support), 0.0)
     return lhs, nearest_float(a, b, q, scale * q**top), abs(difference)
 
 

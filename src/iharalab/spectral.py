@@ -1,36 +1,31 @@
 """Spectral decomposition of a regular graph with eigenvalue clustering.
 
-A (q+1)-regular graph has its spectrum inside [-(q+1), q+1].  The
-decomposition groups numerically equal eigenvalues into clusters, snaps
-cluster values that are within 1e-9 of an integer, and classifies
-clusters as principal (|lambda| strictly inside the tempered interval
-(-2 sqrt q, 2 sqrt q)) or singular (on or outside the boundary,
-including the trivial eigenvalues +-(q+1)).  Both routes below share
-one clustering rule (_group) and raise the same ClusterAmbiguity.
+A (q+1)-regular graph has its spectrum inside [-(q+1), q+1].  Numerically
+equal eigenvalues are grouped into clusters (_group), values within 1e-9
+of an integer are snapped, and clusters are principal (|lambda| strictly
+inside (-2 sqrt q, 2 sqrt q)) or singular (on or outside the boundary,
+including the trivial eigenvalues +-(q+1)).
 
-There are two routes:
+One constructor, _spectrum, is the only place that calls `eigh` and
+builds SpectralData: it owns the size guard (DepthExceeded before the
+matrix is built), the clustering and the check that the multiplicities
+sum to n.  Its two routes pass in only a matrix and how a cluster reads
+its eigenvector columns:
 
-- eigendecompose, the dense route, for every graph: one n x n `eigh`.
-  Each cluster keeps its orthonormal eigenvector block V_l, a read-only
-  column slice of the eigenvector matrix, so the decomposition holds
-  n^2 floats; past DENSE_BYTES_CEILING it raises DepthExceeded.  The
-  projector P_l = V_l V_l^T is formed only when `Cluster.projector` is
-  read.
-- quotient_decompose, for a vertex-transitive graph: one dense `eigh`
-  of its rooted equitable quotient at a vertex v (graphs.rooted_quotient).
-  Each cluster keeps no eigenvectors, only the row P_l(v, .), once per
-  cell; on a Cayley graph with v the identity that row holds every
-  entry, P_l(x, y) = P_l(v, y x^-1), and an isomorphism carries that
-  to any relabeling of the graph.  identity_row[quotient.cell_of] is
-  the row on all n vertices.
+- eigendecompose, for every graph: the n x n adjacency.  Each cluster
+  keeps its read-only eigenvector block V_l (n^2 floats in all);
+  `Cluster.projector` forms P_l = V_l V_l^T when read.
+- quotient_decompose, for a vertex-transitive graph: the C x C matrix of
+  its rooted equitable quotient at v (graphs.rooted_quotient).  Each
+  cluster keeps its multiplicity n P_l(v, v) and the row P_l(v, .) once
+  per cell; on a Cayley graph with v the identity that row holds every
+  entry, P_l(x, y) = P_l(v, y x^-1), and identity_row[quotient.cell_of]
+  is the row on all n vertices.  suite.SuiteContext.sd takes this route
+  when lps.cayley_root certifies the graph.
 
-suite.SuiteContext.sd takes the quotient route on the context's one
-rooted quotient when lps.cayley_root certifies the graph.
-
-The spectral angle theta of an eigenvalue is defined by
-lambda = 2 sqrt(q) cos(theta).  Principal eigenvalues get a real angle
-in (0, pi); eigenvalues at or beyond +-2 sqrt(q) get a complex angle,
-with the branch chosen so Im(theta) <= 0 for lambda >= 2 sqrt(q) and
+The spectral angle theta is defined by lambda = 2 sqrt(q) cos(theta):
+real in (0, pi) for a principal eigenvalue, complex at or beyond
++-2 sqrt(q), with Im(theta) <= 0 for lambda >= 2 sqrt(q) and
 theta = pi + i y (y > 0) beyond the negative edge.
 """
 
@@ -44,8 +39,8 @@ import numpy as np
 from .errors import ClusterAmbiguity, DegreeTooSmall, DepthExceeded, EigensolverFailure, OutOfRange
 from .graphs import Graph, RegularityCertificate, RootedQuotient
 
-# The dense route holds the adjacency and the eigenvector matrix, 16 n^2
-# bytes; past this many bytes (n > 8192) it raises DepthExceeded.
+# One eigh holds its size x size matrix and eigenvectors, 16 size^2
+# bytes; past this many bytes (size > 8192) _spectrum raises DepthExceeded.
 DENSE_BYTES_CEILING = 2**30
 
 # quotient_decompose raises ClusterAmbiguity when n P_l(v, v) is farther
@@ -111,21 +106,23 @@ class SpectralData:
 
         The scalars of a_m = sum_l cos(m theta_l) P_l and of s_m, read-only.
         The longest table built so far serves every request up to its
-        length as a prefix of its rows; a longer request builds it anew.
+        length as a prefix of its rows; a longer request appends the
+        missing rows only.  Each entry is computed on its own, so its
+        float does not depend on the requests made.
         """
-        if not self._trig or len(self._trig[0]) < m_top:
-            self._trig[:] = self._trig_rows(m_top)
+        have = len(self._trig[0]) if self._trig else 0
+        if have < m_top:
+            more = self._trig_rows(have, m_top)
+            self._trig[:] = [np.concatenate(pair) for pair in zip(self._trig, more)] if have else more
+            for table in self._trig:
+                table.setflags(write=False)
         cos_m, u_m = self._trig
         return cos_m[:m_top], u_m[:m_top]
 
-    def _trig_rows(self, m_top: int) -> tuple[np.ndarray, np.ndarray]:
+    def _trig_rows(self, m_lo: int, m_hi: int) -> tuple[np.ndarray, np.ndarray]:
         theta = self.principal_angles()[0]
-        m = np.arange(1, m_top + 1, dtype=float)
-        cos_m = np.cos(np.outer(m, theta))
-        u_m = np.sin(np.outer(m + 1, theta)) / np.sin(theta)
-        cos_m.setflags(write=False)
-        u_m.setflags(write=False)
-        return cos_m, u_m
+        m = np.arange(m_lo + 1, m_hi + 1, dtype=float)
+        return np.cos(np.outer(m, theta)), np.sin(np.outer(m + 1, theta)) / np.sin(theta)
 
     def singular(self) -> list[Cluster]:
         return [c for c in self.clusters if not c.principal]
@@ -184,31 +181,42 @@ def _group(evals: np.ndarray, q: int, cluster_tol: float) -> list[tuple[int, int
     return out
 
 
-def eigendecompose(g: Graph, cert: RegularityCertificate) -> SpectralData:
-    """Eigendecompose the adjacency matrix densely and cluster equal eigenvalues.
+def _spectrum(g: Graph, cert: RegularityCertificate, size: int, matrix, cluster) -> SpectralData:
+    """The clustered spectrum of g from one eigh of the symmetric size x size matrix().
 
-    Clusters follow the gap rule of _group with tolerance CLUSTER_TOL
-    times the spectral radius q + 1.  Raises DepthExceeded when the
-    adjacency and eigenvector matrices would exceed DENSE_BYTES_CEILING.
+    Raises DepthExceeded before matrix() runs when its eigh would hold
+    more than DENSE_BYTES_CEILING.  cluster(evecs, start, stop, value)
+    gives (mult, vectors, identity_row) from the read-only eigenvector
+    columns start:stop of one cluster of _group, at tolerance
+    CLUSTER_TOL (q + 1).
     """
     q = cert.q
     cluster_tol = CLUSTER_TOL * (q + 1)
-    if 16 * g.n**2 > DENSE_BYTES_CEILING:
+    if 16 * size**2 > DENSE_BYTES_CEILING:
         raise DepthExceeded(
-            f"dense eigh at n={g.n} needs {16 * g.n**2 / 2**30:.2f} GiB, "
+            f"dense eigh of {size} x {size} at n={g.n} needs {16 * size**2 / 2**30:.2f} GiB, "
             f"over {DENSE_BYTES_CEILING / 2**30:.0f} GiB"
         )
-    a = g.as_numpy()
     try:
-        evals, evecs = np.linalg.eigh(a)
+        evals, evecs = np.linalg.eigh(matrix())
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"symmetric eigensolver failed: {exc}") from exc
     evecs.setflags(write=False)
-    clusters = tuple(
-        Cluster(value, stop - start, evecs[:, start:stop], theta_of(value, q), principal)
-        for start, stop, value, principal in _group(evals, q, cluster_tol)
+    clusters = []
+    for start, stop, value, principal in _group(evals, q, cluster_tol):
+        mult, vectors, row = cluster(evecs, start, stop, value)
+        clusters.append(Cluster(value, mult, vectors, theta_of(value, q), principal, row))
+    total = sum(cl.mult for cl in clusters)
+    if total != g.n:
+        raise ClusterAmbiguity(f"the multiplicities sum to {total}, not n = {g.n}", tol=MULT_TOL)
+    return SpectralData(n=g.n, q=q, cluster_tol=cluster_tol, clusters=tuple(clusters))
+
+
+def eigendecompose(g: Graph, cert: RegularityCertificate) -> SpectralData:
+    """The clustered spectrum from one n x n eigh of the adjacency; each cluster keeps its eigenvector block."""
+    return _spectrum(
+        g, cert, g.n, g.as_numpy, lambda evecs, start, stop, value: (stop - start, evecs[:, start:stop], None)
     )
-    return SpectralData(n=g.n, q=q, cluster_tol=cluster_tol, clusters=clusters)
 
 
 def quotient_decompose(g: Graph, cert: RegularityCertificate, quotient: RootedQuotient) -> SpectralData:
@@ -223,31 +231,24 @@ def quotient_decompose(g: Graph, cert: RegularityCertificate, quotient: RootedQu
     P_l(v, x) = (W W[c(v)])[c(x)] / sqrt|c(x)| once per cell.  If
     every vertex looks like v, mult_l = n P_l(v, v); ClusterAmbiguity is
     raised when some n P_l(v, v) is not a positive integer within
-    MULT_TOL or the multiplicities do not sum to n.  Clusters follow
-    eigendecompose's gap rule and tolerance.
+    MULT_TOL.  S goes through _spectrum and its size guard.
     """
-    q = cert.q
-    cluster_tol = CLUSTER_TOL * (q + 1)
     k = len(quotient.sizes)
-    arcs = [c * k + d for c, nb in enumerate(quotient.neighbours) for d in nb]
     root = np.sqrt(np.array(quotient.sizes))
-    s = np.bincount(arcs, minlength=k * k).reshape(k, k) * root[:, None] / root
-    try:
-        evals, evecs = np.linalg.eigh((s + s.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"quotient eigensolver failed: {exc}") from exc
-    at_v = evecs[quotient.root]
-    clusters = []
-    for start, stop, value, principal in _group(evals, q, cluster_tol):
-        w = at_v[start:stop]
+
+    def matrix() -> np.ndarray:
+        arcs = [c * k + d for c, nb in enumerate(quotient.neighbours) for d in nb]
+        s = np.bincount(arcs, minlength=k * k).reshape(k, k) * root[:, None] / root
+        return (s + s.T) / 2.0
+
+    def cluster(evecs, start, stop, value):
+        w = evecs[quotient.root, start:stop]
         scaled = g.n * float(w @ w)
         mult = round(scaled)
         if abs(scaled - mult) > MULT_TOL or mult == 0:
             raise ClusterAmbiguity(f"n P(v, v) = {scaled:.6g} at {value:.6g} is not a positive integer", tol=MULT_TOL)
         row = evecs[:, start:stop] @ w / root
         row.setflags(write=False)
-        clusters.append(Cluster(value, mult, None, theta_of(value, q), principal, row))
-    total = sum(cl.mult for cl in clusters)
-    if total != g.n:
-        raise ClusterAmbiguity(f"the quotient's multiplicities sum to {total}, not n = {g.n}", tol=MULT_TOL)
-    return SpectralData(n=g.n, q=q, cluster_tol=cluster_tol, clusters=tuple(clusters))
+        return mult, None, row
+
+    return _spectrum(g, cert, k, matrix, cluster)

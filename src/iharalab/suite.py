@@ -7,7 +7,7 @@ proof supplies, so the tolerance is 1.0 and the metric is a dimensionless
 load factor.  Exact-identity checks (oracle, ihara-bass) use tolerance 0.
 SuiteContext splits off the trivial eigenvalues +-(q+1) for chebyshev,
 stf, huang and phi: they read remainders, nontrivial_clusters and
-nontrivial_chebyshev_sums, which each context builds once.
+trace_residuals, which each context builds from its one sweep and spectrum.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
 from typing import Callable, Sequence
@@ -62,6 +63,9 @@ DEFAULT_HORIZONS = {
     "average-nm": (20, 40, 80),
     "cusp": (50, 100, 200),
 }
+
+# the keys of a verify request (VerificationSuiteConfig.from_dict)
+CONFIG_KEYS = ("graph", "file", "lps", "checks", "horizons", "k", "tol", "budget", "order", "emit", "allow_large")
 
 BAND_FACTOR = 4.0
 PHI_RATIO_BAND = (6.0, 14.0)
@@ -121,10 +125,14 @@ class VerificationSuiteConfig:
         """Parse one verify request; a malformed value raises ParseError naming its key.
 
         Exactly one of the source keys "graph", "file" and "lps" (a
-        [p, q] list or a "p,q" string) must be present.
+        [p, q] list or a "p,q" string) must be present, and a key outside
+        CONFIG_KEYS is refused, so a misspelt key cannot fall back to a default.
         """
         if not isinstance(raw, dict):
             raise ParseError("config must be a JSON object")
+        unknown = [key for key in raw if key not in CONFIG_KEYS]
+        if unknown:
+            raise ParseError(f"unknown config keys {unknown}; valid: {', '.join(CONFIG_KEYS)}")
         keys = [key for key in ("graph", "file", "lps") if key in raw]
         if len(keys) != 1:
             raise ParseError(f"config needs exactly one source key of graph, file, lps; got {keys}")
@@ -205,41 +213,33 @@ class SuiteContext:
 
     row_vertex is lps.cayley_root(g, params): a vertex e that a verified
     isomorphism maps onto the identity of build_lps's X^{p,q} for
-    params, or None.  build_lps's own vertex order gives its identity
-    vertex; any other order that the search certifies gives vertex 0.
-    A rewired file that carries an lps record gets None.  This class is
-    the one place that turns that certificate into a route.  On a Cayley
-    graph (v joined to s v) A commutes with right translation, so every
-    polynomial X in A has Tr X = n X(e, e) and every row of X is a
-    permutation of row e (Terras, Fourier Analysis on Finite Groups and
-    Applications, 1999); an isomorphism carries both to the file's
-    labels.  With row_vertex set, the context builds one rooted
-    equitable quotient at e (graphs.rooted_quotient, 12 cells on
-    X^{13,5}, 54 on X^{17,13}) at its first request, and every route
-    reads that one value: sd is spectral.quotient_decompose on it, the
-    sweep runs on row e held one entry per cell and yields n times its
-    diagonal entries, and ihara-bass's Tr A^k runs on the same row; the
-    oracle works on row e too.  Without it, sd is the dense
-    eigendecompose and every exact sweep takes the full route: the
-    sweep reads Tr B_m off the exact chi_A, formed once at its first
-    request, up to nbt.COST_CEILING (n = 325 at degree 14), and runs
-    the n x n matrix recurrence past it; the oracle's rows of A_m and
-    ihara-bass's Tr A^k stay on integer recurrences of their own.
+    params (its identity vertex in build_lps's own order, vertex 0 in
+    any other certified order), or None, as for a rewired file that
+    carries an lps record.  This class is the one place that turns that
+    certificate into a route.  On a Cayley graph A commutes with right
+    translation, so every polynomial X in A has Tr X = n X(e, e) and
+    every row of X is a permutation of row e (Terras, Fourier Analysis
+    on Finite Groups and Applications, 1999).  With row_vertex set, the
+    context builds one rooted equitable quotient at e
+    (graphs.rooted_quotient, 12 cells on X^{13,5}) at its first request,
+    and every route reads it: sd is spectral.quotient_decompose on it,
+    the sweep and ihara-bass's Tr A^k run on row e held once per cell,
+    and the oracle searches from e.  Without it, sd is the dense
+    eigendecompose, and every exact sweep takes the full route: Tr B_m
+    off the exact chi_A up to nbt.COST_CEILING, the n x n recurrence
+    past it.  Both spectra come from spectral's one constructor, whose
+    size guard refuses an n x n or C x C eigh past DENSE_BYTES_CEILING.
 
     The sweep is the context's one nbt.TraceSweep: every check that
-    reads Tr B_m, N_m or Tr T~_m reads its prefixes, so a pass pays for
-    chi_A, or the kernel steps of the longest request, once.  The report
-    functions of limits and zeta take the context itself and read the
-    graph, certificate, spectrum, parameters and sweep from it, so no
-    caller picks a route of its own.  All of it lives and dies with the
-    context; only lps keeps its last two X^{p,q} constructions, so that
-    row_vertex on build_lps's own graph compares tuples it already has.
-
-    The tables the limit checks share live here too, built at their
-    first request and kept with the context: nontrivial_chebyshev_sums
-    keeps its longest prefix, which chebyshev and stf's 13 test
-    functions read, and sd keeps the cos and sin quotient table that
-    cesaro's (k, variant) pairs read (SpectralData.principal_trig_table).
+    reads Tr B_m, N_m or Tr T~_m reads its prefixes.  The report
+    functions of limits and zeta take the context itself, so no caller
+    picks a route of its own; only lps keeps its last two X^{p,q}
+    constructions beyond the context.  The limit checks' tables live
+    here too, built at their first request: nontrivial_chebyshev_sums
+    keeps its longest prefix, trace_residuals gives the one residual
+    S_m - R_m q^{-m/2} that chebyshev and stf compare, and sd keeps the
+    cos(m theta) table that range and cesaro read
+    (SpectralData.principal_trig_table).
     """
 
     def __init__(self, g: Graph, params: lps.LpsParams | None = None, label: str = ""):
@@ -249,6 +249,7 @@ class SuiteContext:
         self._cert = None
         self._sd = None
         self._chebyshev_sums: tuple[list[float], list[float]] = ([], [])
+        self._residuals: list[float] = []
 
     @property
     def cert(self):
@@ -317,6 +318,21 @@ class SuiteContext:
             sums += more_sums
             spreads += more_spreads
         return sums[: m_max + 1], spreads[: m_max + 1]
+
+    def trace_residuals(self, m_max: int, counts: Sequence[int] | None = None) -> list[float]:
+        """[d_0..d_{m_max}], d_m = S_m - R_m q^{-m/2}, the residual that chebyshev and stf compare.
+
+        S_m from nontrivial_chebyshev_sums; R_m from remainders (on counts
+        when given), its slot R_m / q^ceil(m/2) rounded once (zeta.graded_float).
+        The context keeps the longest prefix and extends it by the missing rows only.
+        """
+        done, q = self._residuals, self.cert.q
+        if len(done) <= m_max:
+            sums, _ = self.nontrivial_chebyshev_sums(m_max)
+            remainders = self.remainders(m_max, counts)
+            for m in range(len(done), m_max + 1):
+                done.append(sums[m] - zeta.graded_float(Fraction(remainders[m], q ** ((m + 1) // 2)), m, q))
+        return done[: m_max + 1]
 
     def _chebyshev_rows(self, m_lo: int, m_hi: int) -> tuple[list[float], list[float]]:
         root = 2.0 * math.sqrt(self.cert.q)
@@ -435,19 +451,13 @@ def _zx_identity_defect(q: int, m_max: int) -> int:
 
 
 def _trace_route_metric(ctx: SuiteContext, m_max: int) -> float:
-    """Exact R_m (SuiteContext.remainders) against q^{m/2} S_m (nontrivial_chebyshev_sums).
+    """max_m |d_m| / max(n, sum mult |T_m(lambda / 2 sqrt q)|), m = 1..m_max, d_m from SuiteContext.trace_residuals.
 
-    The difference is scaled by q^{m/2} max(n, sum mult |T_m(lambda / 2 sqrt q)|);
-    the sum stays below n unless a nontrivial cluster lies outside [-2 sqrt q, 2 sqrt q].
+    The sum stays below n unless a nontrivial cluster lies outside [-2 sqrt q, 2 sqrt q].
     """
-    q, n = ctx.cert.q, ctx.g.n
-    remainders = ctx.remainders(m_max)
-    sums, spreads = ctx.nontrivial_chebyshev_sums(m_max)
-    worst = 0.0
-    for m in range(1, m_max + 1):
-        scale = q ** (m / 2.0)
-        worst = max(worst, abs(remainders[m] - scale * sums[m]) / (max(n, spreads[m]) * scale))
-    return worst
+    residuals = ctx.trace_residuals(m_max)
+    _, spreads = ctx.nontrivial_chebyshev_sums(m_max)
+    return max(abs(d) / max(ctx.g.n, s) for d, s in zip(residuals[1:], spreads[1:]))
 
 
 def check_chebyshev(ctx: SuiteContext, *, m_max: int = 30) -> dict:
@@ -507,7 +517,7 @@ def range_abs_max(sd, m_max: int) -> np.ndarray:
     """
     principal = sd.principal()
     n, n_l = sd.n, len(principal)
-    c = np.cos(np.outer(np.arange(1, m_max + 1), sd.principal_angles()[0]))
+    c = sd.principal_trig_table(m_max)[0]
     if principal[0].identity_row is not None:
         return np.abs(c @ np.stack([cl.identity_row for cl in principal])).max(axis=1)
     # two buffers sized for the first, largest block serve every block; a
@@ -745,29 +755,14 @@ def run_suite(config: VerificationSuiteConfig) -> tuple[int, list[CheckResult]]:
     The summary file (config.emit) is written even when checks error.
     """
     validate_checks(config.checks)
-    results: list[CheckResult] = []
+    names = [name for name in CHECK_ORDER if name in config.checks]
     try:
         ctx = resolve_source(config)
     except IharaLabError as exc:
-        for name in CHECK_ORDER:
-            if name in config.checks:
-                results.append(
-                    CheckResult(
-                        check=name,
-                        status="error",
-                        metric=None,
-                        tolerance=DEFAULT_TOLERANCES[name],
-                        seconds=0.0,
-                        detail={"error": f"graph source: {type(exc).__name__}: {exc}"},
-                    )
-                )
-        if config.emit:
-            write_summary(config.emit, results)
-        return 1, results
-    for name in CHECK_ORDER:
-        if name not in config.checks:
-            continue
-        results.append(run_check(name, ctx, config))
+        error = {"error": f"graph source: {type(exc).__name__}: {exc}"}
+        results = [CheckResult(name, "error", None, DEFAULT_TOLERANCES[name], 0.0, dict(error)) for name in names]
+    else:
+        results = [run_check(name, ctx, config) for name in names]
     if config.emit:
         write_summary(config.emit, results)
     exit_code = 0 if all(r.status == "pass" for r in results) else 1

@@ -248,6 +248,9 @@ def cusp_coefficients_range(
 ) -> list[Fraction]:
     """[a(p^0), ..., a(p^{m_max})] from sweep, or from a fresh one (the one case that certifies).
 
+    sweep=None takes the full n x n route even on X^{p,q} (minutes at
+    n = 1092, 200 terms); SuiteContext(g_lps, params).sweep takes the row
+    route when lps.cayley_root certifies the graph.
     a(p^m) = 2 Tr T~_m / n - C(p^m), with C(p^m) = eisenstein_C(p, q, m),
     formed in integers over one denominator:
 
@@ -275,7 +278,8 @@ def normalized_cusp_terms(
 ) -> list[Fraction]:
     """[t_0, ..., t_{m_max}], a(p^m)/(2 p^{m/2}) = t_m sqrt(p)^{m mod 2}, from the traces of sweep.
 
-    normalize_cusp of cusp_coefficients_range (a fresh sweep when None).
+    normalize_cusp of cusp_coefficients_range: sweep=None takes the full
+    route, SuiteContext(g_lps, params).sweep the row route.
     """
     return normalize_cusp(cusp_coefficients_range(g_lps, params, m_max, sweep=sweep), params.p)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from reduced_walks_bf import reduced_cycle_counts
 
-from iharalab import lps, nbt, oracle, suite, zeta
+from iharalab import lps, nbt, oracle, spectral, suite, zeta
 from iharalab.cli import main
 from iharalab.errors import InvalidPrime
 from iharalab.graphs import load_graph
@@ -400,15 +400,42 @@ def test_verify_cusp_refuses_the_horizons_the_other_sweeps_refuse(horizons, tmp_
     assert result["detail"]["error"].startswith("ValueError: horizons must be a strictly increasing list")
 
 
-@pytest.mark.parametrize("argv", [["stf", "--hhat", "2:1"], ["spectrum"], ["huang"]], ids=" ".join)
-def test_a_one_regular_graph_is_a_typed_error(argv, tmp_path, monkeypatch, capsys):
-    """K2 has q = 0: no spectral angle and no q^{-m/2}."""
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (["stf", "--hhat", "2:1"], "k2.txt"),
+        (["spectrum"], "k2.txt"),
+        (["huang"], "k2.txt"),
+        (["limits", "--what", "average-nm"], "CYCLE(5)"),
+    ],
+    ids=["stf --hhat 2:1", "spectrum", "huang", "limits CYCLE(5) --what average-nm"],
+)
+def test_a_one_regular_graph_is_a_typed_error(argv, source, tmp_path, monkeypatch, capsys):
+    """K2 has q = 0: no spectral angle and no q^{-m/2}; CYCLE(5) has q = 1: no average-nm main terms."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "k2.txt").write_text("n 2\n0 1\n")
-    assert main([argv[0], "k2.txt", *argv[1:]]) == 1
+    assert main([argv[0], source, *argv[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: DegreeTooSmall: ")
     assert "Traceback" not in err
+
+
+def test_verify_config_refuses_an_unknown_key(tmp_path, monkeypatch, capsys):
+    """A misspelt key would otherwise run every check at the default budget."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"graph": "K4", "check": ["oracle"], "budjet": 3}))
+    assert main(["verify", "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config keys ['check', 'budjet']; valid: graph, file,")
+
+
+def test_verify_reports_a_refused_quotient_eigh(tmp_path, monkeypatch, capsys):
+    """Below the 16 * 12^2 bytes of X^{13,5}'s 12-cell quotient, the range check reports DepthExceeded."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(spectral, "DENSE_BYTES_CEILING", 16 * 12**2 - 1)
+    assert main(["verify", "--lps", "13,5", "--checks", "range", "--emit", "s.json"]) == 1
+    (result,) = json.loads((tmp_path / "s.json").read_text())["results"]
+    assert result["status"] == "error"
+    assert result["detail"]["error"].startswith("DepthExceeded: dense eigh of 12 x 12 at n=120")
 
 
 def test_verify_reports_the_typed_error_on_a_one_regular_graph(tmp_path, monkeypatch, capsys):

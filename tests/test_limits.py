@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from iharalab import limits, zeta
 from iharalab.chebyshev import central_binomial_weight, cos_power_as_cosines
-from iharalab.errors import AngleConditionViolated, NotRamanujan
+from iharalab.errors import AngleConditionViolated, DegreeTooSmall, NotRamanujan
 from iharalab.graphs import build_graph, certify_regular
 from iharalab.limits import (
     StfTestFunction,
@@ -286,9 +286,9 @@ def test_average_nm_rejects_small_n(contexts):
 
 def test_average_nm_rejects_degree_two(corpus, spectra, contexts):
     g, cert = corpus["K3"]
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeTooSmall):
         average_nm_sweep(contexts["K3"], [10])[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeTooSmall):
         average_nm_reference(spectra["K3"], cert)
 
 

@@ -226,6 +226,17 @@ def test_only_the_suite_context_and_nbt_build_a_trace_sweep():
     assert callers == {"suite.SuiteContext.sweep", "nbt._sweep_for"}
 
 
+def test_only_the_spectrum_constructor_calls_eigh_and_builds_spectral_data():
+    # both spectral routes go through spectral._spectrum, so its size guard,
+    # eigensolver error and clustering have one place to change
+    callers = {"eigh": set(), "SpectralData": set()}
+    for path in sorted(ROOT.glob("src/iharalab/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, found in callers.items():
+            found.update(f"{path.stem}.{scope}" for scope in _calling_scopes(tree, name))
+    assert callers == {"eigh": {"spectral._spectrum"}, "SpectralData": {"spectral._spectrum"}}
+
+
 def test_only_rooted_quotient_and_the_isomorphism_search_refine():
     # every rooted quotient comes from graphs.rooted_quotient, so a caller
     # reads its cells, sizes and root cell rather than refining again

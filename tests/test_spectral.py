@@ -178,6 +178,37 @@ def test_dense_route_refuses_past_its_memory_ceiling(monkeypatch):
         eigendecompose(g, cert)
 
 
+def _count_eigh(monkeypatch) -> list:
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_both_routes_share_one_size_guard(monkeypatch, corpus):
+    """Below 16 * 10^2 bytes, the 12-cell quotient of X^{13,5} and dense PETERSEN are refused before any eigh."""
+    calls = _count_eigh(monkeypatch)
+    g, params = build_lps(13, 5)
+    cert = certify_regular(g)
+    quotient = rooted_quotient(g, cayley_root(g, params))
+    assert len(quotient.sizes) == 12
+    petersen, petersen_cert = corpus["PETERSEN"]
+    assert quotient_decompose(g, cert, quotient).n == 120
+    assert eigendecompose(petersen, petersen_cert).n == 10
+    assert calls == [(12, 12), (10, 10)]
+    monkeypatch.setattr(spectral, "DENSE_BYTES_CEILING", 16 * 10**2 - 1)
+    with pytest.raises(DepthExceeded, match="12 x 12 at n=120"):
+        quotient_decompose(g, cert, quotient)
+    with pytest.raises(DepthExceeded, match="10 x 10 at n=10"):
+        eigendecompose(petersen, petersen_cert)
+    assert len(calls) == 2
+
+
 def test_quotient_route_rejects_a_vertex_outside_the_graph():
     g = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     for v in (-1, 4):

@@ -92,6 +92,15 @@ def test_config_rejects():
         VerificationSuiteConfig.from_dict(["not", "a", "dict"])
 
 
+def test_config_refuses_unknown_keys_by_name():
+    # dropped, a misspelt key would run all ten checks at the default budget
+    with pytest.raises(ParseError, match=r"unknown config keys \['check', 'budjet'\]"):
+        VerificationSuiteConfig.from_dict({"graph": "K4", "check": ["oracle"], "budjet": 3})
+    raw = {"graph": "K4", "horizons": [10, 20], "k": [1], "tol": 0.5, "budget": 9, "order": 3, "emit": "s.json"}
+    assert set(raw) | {"file", "lps", "checks", "allow_large"} == set(suite.CONFIG_KEYS)
+    assert VerificationSuiteConfig.from_dict({**raw, "checks": ["huang"], "allow_large": False}).budget == 9
+
+
 @pytest.mark.parametrize(
     "raw, key",
     [
@@ -502,7 +511,10 @@ def test_cesaro_check_reports_skips():
 
 
 def test_each_context_builds_its_limit_tables_once(monkeypatch):
-    """chebyshev and stf's 13 calls read one set of Chebyshev sums, cesaro's 8 (k, variant) pairs one trig table."""
+    """chebyshev and stf's 13 calls read one set of Chebyshev sums; range and cesaro's 8 pairs read one trig table.
+
+    range runs first and asks for 200 rows; cesaro's 400 append the missing rows once.
+    """
     sums, tables = [], []
     real_rows, real_trig = SuiteContext._chebyshev_rows, SpectralData._trig_rows
 
@@ -510,21 +522,21 @@ def test_each_context_builds_its_limit_tables_once(monkeypatch):
         sums.append((self, m_lo, m_hi))
         return real_rows(self, m_lo, m_hi)
 
-    def counted_trig(self, m_top):
-        tables.append((self, m_top))
-        return real_trig(self, m_top)
+    def counted_trig(self, m_lo, m_hi):
+        tables.append((self, m_lo, m_hi))
+        return real_trig(self, m_lo, m_hi)
 
     monkeypatch.setattr(SuiteContext, "_chebyshev_rows", counted_rows)
     monkeypatch.setattr(SpectralData, "_trig_rows", counted_trig)
     g, params = lps.build_lps(13, 5)
-    cfg = VerificationSuiteConfig(source_kind="lps", p=13, q=5, checks=("chebyshev", "cesaro", "stf"))
+    cfg = VerificationSuiteConfig(source_kind="lps", p=13, q=5, checks=("chebyshev", "range", "cesaro", "stf"))
     for seen in range(2):  # a second fresh context builds its own tables
         ctx = SuiteContext(g, params)
         results = [run_check(name, ctx, cfg) for name in cfg.checks]
-        assert [r.status for r in results] == ["pass"] * 3
-        assert len(results[1].detail["rows"]) == 8 and len(results[2].detail["rows"]) == 13
+        assert [r.status for r in results] == ["pass"] * 4
+        assert len(results[2].detail["rows"]) == 8 and len(results[3].detail["rows"]) == 13
         assert [(c is ctx, lo, hi) for c, lo, hi in sums[seen:]] == [(True, 0, 30)]
-        assert [(sd is ctx.sd, m_top) for sd, m_top in tables[seen:]] == [(True, 400)]
+        assert [(sd is ctx.sd, lo, hi) for sd, lo, hi in tables[2 * seen :]] == [(True, 0, 200), (True, 200, 400)]
 
 
 @pytest.mark.parametrize(
@@ -884,6 +896,28 @@ def test_range_matches_dense_projector_stack(name):
     assert check_range(ctx) == dense_check_range(dense)
 
 
+def _own_cos_table(sd, m_top: int):
+    """The cos(m theta_l) table range_abs_max built for itself before it read the spectrum's."""
+    return np.cos(np.outer(np.arange(1, m_top + 1), sd.principal_angles()[0])), None
+
+
+@pytest.mark.parametrize("name", RANGE_SOURCES)
+def test_range_reads_the_floats_its_own_table_held(name, monkeypatch):
+    # on the quotient route (the LPS sources) and the dense one, also as a prefix of cesaro's longer table
+    ctx = RANGE_SOURCES[name]()
+    for sd in (ctx.sd, eigendecompose(ctx.g, ctx.cert)):
+        assert (sd.principal_trig_table(200)[0] == _own_cos_table(sd, 200)[0]).all()
+        # the 200 rows grown to 400 hold what one 400-row build holds
+        grown = sd.principal_trig_table(400)
+        fresh = dataclasses.replace(sd).principal_trig_table(400)
+        assert all((a == b).all() for a, b in zip(grown, fresh))
+        got = range_abs_max(sd, 200)
+        with monkeypatch.context() as patch:
+            patch.setattr(SpectralData, "principal_trig_table", _own_cos_table)
+            want = range_abs_max(sd, 200)
+        assert (got == want).all(), name
+
+
 def test_range_rechecks_a_nontrivial_singular_cluster_densely(monkeypatch):
     # on X^{p,q} the quotient route's only singular clusters are +-(p+1); any other sends range to eigh
     ctx = SuiteContext(*lps.build_lps(13, 5))
@@ -976,6 +1010,39 @@ def test_huang_is_the_nontrivial_sum_of_two_minus_two_t_m(ramanujan_contexts):
         for m, h_m in enumerate(limits.huang_range(ctx, 30), 1):
             want = _nontrivial_sum(ctx, lambda x: 2.0 - 2.0 * nbt.cheb_t_real(m, x))
             assert abs(h_m - want) <= 1e-9 * ctx.g.n, (ctx.label, m)
+
+
+def _stf_loop_difference(ctx: SuiteContext, h: limits.StfTestFunction) -> float:
+    """stf_verify's |difference| as its own loop formed it before SuiteContext.trace_residuals."""
+    q, m_max = ctx.cert.q, h.max_frequency()
+    counts = nbt.n_reduced_range(ctx.g, ctx.cert, m_max, sweep=ctx.sweep) if h.support else []
+    remainders = ctx.remainders(m_max, counts)
+    sums, _ = ctx.nontrivial_chebyshev_sums(m_max)
+    difference = 0.0
+    for m, v in h.support:
+        exact = zeta.graded_float(Fraction(remainders[m], q ** ((m + 1) // 2)), m, q)
+        difference += v * (sums[m] - exact)
+    return abs(difference)
+
+
+def _scaled_trace_route_metric(ctx: SuiteContext, m_max: int) -> float:
+    """chebyshev's part 2 as it was formed before: |R_m - q^{m/2} S_m| / (q^{m/2} max(n, sum mult |T_m|))."""
+    q, n = ctx.cert.q, ctx.g.n
+    remainders = ctx.remainders(m_max)
+    sums, spreads = ctx.nontrivial_chebyshev_sums(m_max)
+    worst = 0.0
+    for m in range(1, m_max + 1):
+        scale = q ** (m / 2.0)
+        worst = max(worst, abs(remainders[m] - scale * sums[m]) / (max(n, spreads[m]) * scale))
+    return worst
+
+
+def test_stf_and_chebyshev_read_the_residuals_they_formed_before(ramanujan_contexts):
+    several = limits.StfTestFunction(hhat0=0.5, support=((1, 0.25), (2, -1.5), (7, 3.0), (12, 0.125)))
+    for ctx in [*ramanujan_contexts, SuiteContext(*lps.build_lps(29, 5))]:
+        for h in [*(limits.StfTestFunction.single(m0) for m0 in range(13)), several]:
+            assert limits.stf_verify(ctx, h)[2] == _stf_loop_difference(ctx, h), (ctx.label, h)
+        assert abs(suite._trace_route_metric(ctx, 30) - _scaled_trace_route_metric(ctx, 30)) <= 1e-15, ctx.label
 
 
 def test_certified_and_relabeled_x135_give_the_same_remainders(tmp_path, x135, x135_ctx):
