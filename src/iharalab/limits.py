@@ -421,7 +421,7 @@ def stf_verify(ctx: SuiteContext, h: StfTestFunction) -> tuple[float, float, flo
     root = 2.0 * math.sqrt(q)
     lhs = sum(cl.mult * h.eval_x(cl.value / root) for cl in ctx.sd.clusters)
     counts = n_reduced_range(g, ctx.cert, m_max, sweep=ctx.sweep) if h.support else []
-    residuals = ctx.trace_residuals(m_max, counts)
+    residuals = ctx.trace_residuals(m_max)
     hats = [Fraction(h.hhat0)] + [Fraction(v) for _, v in h.support]
     scale = math.lcm(*(x.denominator for x in hats))
     top = (m_max + 1) // 2

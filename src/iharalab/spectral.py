@@ -19,9 +19,10 @@ its eigenvector columns:
   its rooted equitable quotient at v (graphs.rooted_quotient).  Each
   cluster keeps its multiplicity n P_l(v, v) and the row P_l(v, .) once
   per cell; on a Cayley graph with v the identity that row holds every
-  entry, P_l(x, y) = P_l(v, y x^-1), and identity_row[quotient.cell_of]
-  is the row on all n vertices.  suite.SuiteContext.sd takes this route
-  when lps.cayley_root certifies the graph.
+  entry, P_l(x, y) = P_l(v, y x^-1), and an isomorphism carries that to
+  any relabeling of the graph.  identity_row[quotient.cell_of] is the
+  row on all n vertices.  suite.SuiteContext.sd takes this route when
+  lps.cayley_root certifies the graph.
 
 The spectral angle theta is defined by lambda = 2 sqrt(q) cos(theta):
 real in (0, pi) for a principal eigenvalue, complex at or beyond
@@ -106,23 +107,21 @@ class SpectralData:
 
         The scalars of a_m = sum_l cos(m theta_l) P_l and of s_m, read-only.
         The longest table built so far serves every request up to its
-        length as a prefix of its rows; a longer request appends the
-        missing rows only.  Each entry is computed on its own, so its
-        float does not depend on the requests made.
+        length as a prefix of its rows; a longer request builds it anew.
         """
-        have = len(self._trig[0]) if self._trig else 0
-        if have < m_top:
-            more = self._trig_rows(have, m_top)
-            self._trig[:] = [np.concatenate(pair) for pair in zip(self._trig, more)] if have else more
-            for table in self._trig:
-                table.setflags(write=False)
+        if not self._trig or len(self._trig[0]) < m_top:
+            self._trig[:] = self._trig_rows(m_top)
         cos_m, u_m = self._trig
         return cos_m[:m_top], u_m[:m_top]
 
-    def _trig_rows(self, m_lo: int, m_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def _trig_rows(self, m_top: int) -> tuple[np.ndarray, np.ndarray]:
         theta = self.principal_angles()[0]
-        m = np.arange(m_lo + 1, m_hi + 1, dtype=float)
-        return np.cos(np.outer(m, theta)), np.sin(np.outer(m + 1, theta)) / np.sin(theta)
+        m = np.arange(1, m_top + 1, dtype=float)
+        cos_m = np.cos(np.outer(m, theta))
+        u_m = np.sin(np.outer(m + 1, theta)) / np.sin(theta)
+        cos_m.setflags(write=False)
+        u_m.setflags(write=False)
+        return cos_m, u_m
 
     def singular(self) -> list[Cluster]:
         return [c for c in self.clusters if not c.principal]

@@ -213,33 +213,44 @@ class SuiteContext:
 
     row_vertex is lps.cayley_root(g, params): a vertex e that a verified
     isomorphism maps onto the identity of build_lps's X^{p,q} for
-    params (its identity vertex in build_lps's own order, vertex 0 in
-    any other certified order), or None, as for a rewired file that
-    carries an lps record.  This class is the one place that turns that
-    certificate into a route.  On a Cayley graph A commutes with right
-    translation, so every polynomial X in A has Tr X = n X(e, e) and
-    every row of X is a permutation of row e (Terras, Fourier Analysis
-    on Finite Groups and Applications, 1999).  With row_vertex set, the
-    context builds one rooted equitable quotient at e
-    (graphs.rooted_quotient, 12 cells on X^{13,5}) at its first request,
-    and every route reads it: sd is spectral.quotient_decompose on it,
-    the sweep and ihara-bass's Tr A^k run on row e held once per cell,
-    and the oracle searches from e.  Without it, sd is the dense
-    eigendecompose, and every exact sweep takes the full route: Tr B_m
-    off the exact chi_A up to nbt.COST_CEILING, the n x n recurrence
-    past it.  Both spectra come from spectral's one constructor, whose
-    size guard refuses an n x n or C x C eigh past DENSE_BYTES_CEILING.
+    params, or None.  build_lps's own vertex order gives its identity
+    vertex; any other order that the search certifies gives vertex 0.
+    A rewired file that carries an lps record gets None.  This class is
+    the one place that turns that certificate into a route.  On a Cayley
+    graph (v joined to s v) A commutes with right translation, so every
+    polynomial X in A has Tr X = n X(e, e) and every row of X is a
+    permutation of row e (Terras, Fourier Analysis on Finite Groups and
+    Applications, 1999); an isomorphism carries both to the file's
+    labels.  With row_vertex set, the context builds one rooted
+    equitable quotient at e (graphs.rooted_quotient, 12 cells on
+    X^{13,5}, 54 on X^{17,13}) at its first request, and every route
+    reads that one value: sd is spectral.quotient_decompose on it, the
+    sweep runs on row e held one entry per cell and yields n times its
+    diagonal entries, and ihara-bass's Tr A^k runs on the same row; the
+    oracle works on row e too.  Without it, sd is the dense
+    eigendecompose and every exact sweep takes the full route: the
+    sweep reads Tr B_m off the exact chi_A, formed once at its first
+    request, up to nbt.COST_CEILING (n = 325 at degree 14), and runs
+    the n x n matrix recurrence past it; the oracle's rows of A_m and
+    ihara-bass's Tr A^k stay on integer recurrences of their own.  Both
+    spectra come from spectral's one constructor, whose size guard
+    refuses an n x n or a C x C eigh past DENSE_BYTES_CEILING.
 
     The sweep is the context's one nbt.TraceSweep: every check that
-    reads Tr B_m, N_m or Tr T~_m reads its prefixes.  The report
-    functions of limits and zeta take the context itself, so no caller
-    picks a route of its own; only lps keeps its last two X^{p,q}
-    constructions beyond the context.  The limit checks' tables live
-    here too, built at their first request: nontrivial_chebyshev_sums
+    reads Tr B_m, N_m or Tr T~_m reads its prefixes, so a pass pays for
+    chi_A, or the kernel steps of the longest request, once.  The report
+    functions of limits and zeta take the context itself and read the
+    graph, certificate, spectrum, parameters and sweep from it, so no
+    caller picks a route of its own.  All of it lives and dies with the
+    context; only lps keeps its last two X^{p,q} constructions, so that
+    row_vertex on build_lps's own graph compares tuples it already has.
+
+    The tables the limit checks share live here too, built at their
+    first request and kept with the context: nontrivial_chebyshev_sums
     keeps its longest prefix, trace_residuals gives the one residual
-    S_m - R_m q^{-m/2} that chebyshev and stf compare, and sd keeps the
-    cos(m theta) table that range and cesaro read
-    (SpectralData.principal_trig_table).
+    S_m - R_m q^{-m/2} that chebyshev and stf's 13 test functions
+    compare, and sd keeps the cos and sin quotient table that range and
+    cesaro's (k, variant) pairs read (SpectralData.principal_trig_table).
     """
 
     def __init__(self, g: Graph, params: lps.LpsParams | None = None, label: str = ""):
@@ -283,20 +294,16 @@ class SuiteContext:
         d = self.cert.degree
         return (d, -d) if self.cert.bipartite else (d,)
 
-    def remainders(self, m_max: int, counts: Sequence[int] | None = None) -> list[int]:
+    def remainders(self, m_max: int) -> list[int]:
         """Exact [R_0..R_{m_max}], R_m = Tr B_m - (q^m + 1)(1 + (-1)^m [bipartite]).
 
         That is Tr B_m less the trivial eigenvalues' 2 q^{m/2} T_m(+-(q+1) / 2 sqrt q),
         so R_m sums 2 q^{m/2} T_m(lambda / 2 sqrt q) over nontrivial_clusters().
-        Tr B_m = N_m - e_m (q-1) n (Tr B_0 = 2n), with N_m from n_reduced_range
-        on the context's sweep, or counts when the caller has read them there.
+        Tr B_m is read off the context's sweep.
         """
-        q, n = self.cert.q, self.g.n
-        if counts is None:
-            counts = nbt.n_reduced_range(self.g, self.cert, m_max, sweep=self.sweep)
-        traces = [2 * n] + [nm - (1 - m % 2) * (q - 1) * n for m, nm in enumerate(counts, 1)]
+        q = self.cert.q
         signs = [lam // self.cert.degree for lam in self.trivial_values()]
-        return [b - (q**m + 1) * sum(s**m for s in signs) for m, b in enumerate(traces)]
+        return [b - (q**m + 1) * sum(s**m for s in signs) for m, b in enumerate(self.sweep.prefix(m_max))]
 
     def nontrivial_clusters(self) -> list[tuple[Cluster, int]]:
         """(cluster, multiplicity) of sd, with one copy of each trivial value taken out."""
@@ -319,17 +326,17 @@ class SuiteContext:
             spreads += more_spreads
         return sums[: m_max + 1], spreads[: m_max + 1]
 
-    def trace_residuals(self, m_max: int, counts: Sequence[int] | None = None) -> list[float]:
+    def trace_residuals(self, m_max: int) -> list[float]:
         """[d_0..d_{m_max}], d_m = S_m - R_m q^{-m/2}, the residual that chebyshev and stf compare.
 
-        S_m from nontrivial_chebyshev_sums; R_m from remainders (on counts
-        when given), its slot R_m / q^ceil(m/2) rounded once (zeta.graded_float).
-        The context keeps the longest prefix and extends it by the missing rows only.
+        S_m from nontrivial_chebyshev_sums; R_m from remainders, its slot
+        R_m / q^ceil(m/2) rounded once (zeta.graded_float).  The context
+        keeps the longest prefix and extends it by the missing rows only.
         """
         done, q = self._residuals, self.cert.q
         if len(done) <= m_max:
             sums, _ = self.nontrivial_chebyshev_sums(m_max)
-            remainders = self.remainders(m_max, counts)
+            remainders = self.remainders(m_max)
             for m in range(len(done), m_max + 1):
                 done.append(sums[m] - zeta.graded_float(Fraction(remainders[m], q ** ((m + 1) // 2)), m, q))
         return done[: m_max + 1]
@@ -755,14 +762,29 @@ def run_suite(config: VerificationSuiteConfig) -> tuple[int, list[CheckResult]]:
     The summary file (config.emit) is written even when checks error.
     """
     validate_checks(config.checks)
-    names = [name for name in CHECK_ORDER if name in config.checks]
+    results: list[CheckResult] = []
     try:
         ctx = resolve_source(config)
     except IharaLabError as exc:
-        error = {"error": f"graph source: {type(exc).__name__}: {exc}"}
-        results = [CheckResult(name, "error", None, DEFAULT_TOLERANCES[name], 0.0, dict(error)) for name in names]
-    else:
-        results = [run_check(name, ctx, config) for name in names]
+        for name in CHECK_ORDER:
+            if name in config.checks:
+                results.append(
+                    CheckResult(
+                        check=name,
+                        status="error",
+                        metric=None,
+                        tolerance=DEFAULT_TOLERANCES[name],
+                        seconds=0.0,
+                        detail={"error": f"graph source: {type(exc).__name__}: {exc}"},
+                    )
+                )
+        if config.emit:
+            write_summary(config.emit, results)
+        return 1, results
+    for name in CHECK_ORDER:
+        if name not in config.checks:
+            continue
+        results.append(run_check(name, ctx, config))
     if config.emit:
         write_summary(config.emit, results)
     exit_code = 0 if all(r.status == "pass" for r in results) else 1

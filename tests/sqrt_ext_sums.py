@@ -100,7 +100,7 @@ def identity_coefficient(q: int, m: int) -> SqrtExt:
 def stf_verify(ctx, h) -> tuple[float, float, float]:
     g, q, m_max = ctx.g, ctx.cert.q, h.max_frequency()
     counts = n_reduced_range(g, ctx.cert, m_max, sweep=ctx.sweep) if h.support else []
-    remainders = ctx.remainders(m_max, counts)
+    remainders = ctx.remainders(m_max)
     sums, _ = ctx.nontrivial_chebyshev_sums(m_max)
     root = 2.0 * math.sqrt(q)
     lhs = sum(cl.mult * h.eval_x(cl.value / root) for cl in ctx.sd.clusters)

@@ -511,9 +511,9 @@ def test_cesaro_check_reports_skips():
 
 
 def test_each_context_builds_its_limit_tables_once(monkeypatch):
-    """chebyshev and stf's 13 calls read one set of Chebyshev sums; range and cesaro's 8 pairs read one trig table.
+    """chebyshev and stf's 13 calls read one set of Chebyshev sums; cesaro's 8 pairs read one trig table.
 
-    range runs first and asks for 200 rows; cesaro's 400 append the missing rows once.
+    range runs first and builds the table's 200 rows; cesaro's 400 build it anew once.
     """
     sums, tables = [], []
     real_rows, real_trig = SuiteContext._chebyshev_rows, SpectralData._trig_rows
@@ -522,9 +522,9 @@ def test_each_context_builds_its_limit_tables_once(monkeypatch):
         sums.append((self, m_lo, m_hi))
         return real_rows(self, m_lo, m_hi)
 
-    def counted_trig(self, m_lo, m_hi):
-        tables.append((self, m_lo, m_hi))
-        return real_trig(self, m_lo, m_hi)
+    def counted_trig(self, m_top):
+        tables.append((self, m_top))
+        return real_trig(self, m_top)
 
     monkeypatch.setattr(SuiteContext, "_chebyshev_rows", counted_rows)
     monkeypatch.setattr(SpectralData, "_trig_rows", counted_trig)
@@ -536,7 +536,7 @@ def test_each_context_builds_its_limit_tables_once(monkeypatch):
         assert [r.status for r in results] == ["pass"] * 4
         assert len(results[2].detail["rows"]) == 8 and len(results[3].detail["rows"]) == 13
         assert [(c is ctx, lo, hi) for c, lo, hi in sums[seen:]] == [(True, 0, 30)]
-        assert [(sd is ctx.sd, lo, hi) for sd, lo, hi in tables[2 * seen :]] == [(True, 0, 200), (True, 200, 400)]
+        assert [(sd is ctx.sd, m_top) for sd, m_top in tables[2 * seen :]] == [(True, 200), (True, 400)]
 
 
 @pytest.mark.parametrize(
@@ -906,16 +906,13 @@ def test_range_reads_the_floats_its_own_table_held(name, monkeypatch):
     # on the quotient route (the LPS sources) and the dense one, also as a prefix of cesaro's longer table
     ctx = RANGE_SOURCES[name]()
     for sd in (ctx.sd, eigendecompose(ctx.g, ctx.cert)):
-        assert (sd.principal_trig_table(200)[0] == _own_cos_table(sd, 200)[0]).all()
-        # the 200 rows grown to 400 hold what one 400-row build holds
-        grown = sd.principal_trig_table(400)
-        fresh = dataclasses.replace(sd).principal_trig_table(400)
-        assert all((a == b).all() for a, b in zip(grown, fresh))
-        got = range_abs_max(sd, 200)
         with monkeypatch.context() as patch:
             patch.setattr(SpectralData, "principal_trig_table", _own_cos_table)
             want = range_abs_max(sd, 200)
-        assert (got == want).all(), name
+        assert (sd.principal_trig_table(200)[0] == _own_cos_table(sd, 200)[0]).all()
+        assert (range_abs_max(sd, 200) == want).all(), name
+        assert (sd.principal_trig_table(400)[0][:200] == _own_cos_table(sd, 200)[0]).all()
+        assert (range_abs_max(sd, 200) == want).all(), name
 
 
 def test_range_rechecks_a_nontrivial_singular_cluster_densely(monkeypatch):
@@ -995,8 +992,6 @@ def test_remainders_are_the_nontrivial_spectral_sums(ramanujan_contexts):
         remainders = ctx.remainders(m_max)
         assert len(remainders) == m_max + 1
         assert remainders[0] == 2 * (n - len(ctx.trivial_values()))
-        counts = nbt.n_reduced_range(ctx.g, ctx.cert, m_max, sweep=ctx.sweep)
-        assert ctx.remainders(m_max, counts) == remainders
         for m, r_m in enumerate(remainders):
             scale = 2.0 * q ** (m / 2.0)
             spectral = _nontrivial_sum(ctx, lambda x: scale * nbt.cheb_t_real(m, x))
@@ -1015,8 +1010,7 @@ def test_huang_is_the_nontrivial_sum_of_two_minus_two_t_m(ramanujan_contexts):
 def _stf_loop_difference(ctx: SuiteContext, h: limits.StfTestFunction) -> float:
     """stf_verify's |difference| as its own loop formed it before SuiteContext.trace_residuals."""
     q, m_max = ctx.cert.q, h.max_frequency()
-    counts = nbt.n_reduced_range(ctx.g, ctx.cert, m_max, sweep=ctx.sweep) if h.support else []
-    remainders = ctx.remainders(m_max, counts)
+    remainders = ctx.remainders(m_max)
     sums, _ = ctx.nontrivial_chebyshev_sums(m_max)
     difference = 0.0
     for m, v in h.support:
