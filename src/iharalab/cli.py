@@ -405,6 +405,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        if exc.filename is None:  # not a file the command opened: a closed stdout pipe, say
+            raise
+        # reads raise ParseError, so this is opening the --emit path for writing
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except IharaLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

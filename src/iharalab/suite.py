@@ -1,5 +1,10 @@
 """Verification suite: named checks with pinned tolerances and a runner.
 
+One ordered table, _CHECKS, lists every check once: its runner, its
+default tolerance and the VerificationSuiteConfig fields (budget, order,
+k_values, horizons) that run_check passes it; each other depth is fixed
+inside its check and reported in its detail.
+
 Each check computes one scalar metric normalized so that pass means
 metric <= tolerance.  Band-style checks (cesaro, average-nm, cusp) divide
 the observed scaled deviation by four times the reference constant their
@@ -16,7 +21,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
@@ -29,34 +34,9 @@ from .errors import AngleConditionViolated, IharaLabError, ParseError
 from .graphs import Graph, RootedQuotient, certify_regular, load_graph_doc, named_graph, rooted_quotient
 from .spectral import Cluster, eigendecompose, quotient_decompose
 
-CHECK_ORDER = (
-    "oracle",
-    "chebyshev",
-    "ihara-bass",
-    "range",
-    "cesaro",
-    "average-nm",
-    "stf",
-    "cusp",
-    "phi",
-    "huang",
-)
-
 DEFAULT_BUDGET = 10**7
-
-# pinned before the implementations were run; see the repo's test suite
-DEFAULT_TOLERANCES = {
-    "oracle": 0.0,
-    "chebyshev": 1e-6,
-    "ihara-bass": 0.0,
-    "range": 1e-9,
-    "cesaro": 1.0,
-    "average-nm": 1.0,
-    "stf": 1e-8,
-    "cusp": 1.0,
-    "phi": 1e-6,
-    "huang": 1e-9,
-}
+DEFAULT_K = (1, 2, 3, 4)
+DEFAULT_ORDER = 10
 
 DEFAULT_HORIZONS = {
     "cesaro": (100, 200, 400),
@@ -80,16 +60,6 @@ class CheckResult:
     seconds: float
     detail: dict = field(default_factory=dict)
 
-    def as_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "metric": self.metric,
-            "tolerance": self.tolerance,
-            "seconds": self.seconds,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationSuiteConfig:
@@ -97,12 +67,12 @@ class VerificationSuiteConfig:
     source: str = ""
     p: int | None = None
     q: int | None = None
-    checks: tuple[str, ...] = CHECK_ORDER
+    checks: tuple[str, ...] = field(default_factory=lambda: CHECK_ORDER)  # the table is defined below
     horizons: tuple[int, ...] | None = None
-    k_values: tuple[int, ...] = (1, 2, 3, 4)
+    k_values: tuple[int, ...] = DEFAULT_K
     tol_override: float | None = None
     budget: int = DEFAULT_BUDGET
-    order: int = 10
+    order: int = DEFAULT_ORDER
     emit: str | None = None
     allow_large: bool = False  # build_lps's allow_large, for an lps source past q = 29
 
@@ -119,6 +89,10 @@ class VerificationSuiteConfig:
         if isinstance(raw, dict):
             raw.update(overrides or {})
         return cls.from_dict(raw)
+
+    def tolerance(self, name: str) -> float:
+        """The tolerance check name is held to: tol_override, else its default."""
+        return DEFAULT_TOLERANCES[name] if self.tol_override is None else self.tol_override
 
     @classmethod
     def from_dict(cls, raw: dict) -> "VerificationSuiteConfig":
@@ -153,7 +127,7 @@ class VerificationSuiteConfig:
             raise ParseError(f"config key 'emit' needs a path, got {raw['emit']!r}")
         if not isinstance(raw.get("allow_large", False), bool):
             raise ParseError(f"config key 'allow_large' needs true or false, got {raw['allow_large']!r}")
-        order = _parse("order", raw.get("order", 10), int)
+        order = _parse("order", raw.get("order", DEFAULT_ORDER), int)
         if order < 1:
             raise ParseError(f"config key 'order' needs an integer of at least 1, got {order}")
         return cls(
@@ -163,7 +137,7 @@ class VerificationSuiteConfig:
             q=q,
             checks=validate_checks(checks),
             horizons=None if horizons is None else _parse_ints("horizons", horizons),
-            k_values=_parse_ints("k", raw.get("k", (1, 2, 3, 4))),
+            k_values=_parse_ints("k", raw.get("k", DEFAULT_K)),
             tol_override=None if tol is None else _parse("tol", tol, float),
             budget=_parse("budget", raw.get("budget", DEFAULT_BUDGET), int),
             order=order,
@@ -411,18 +385,18 @@ def oracle_sources(ctx: SuiteContext) -> tuple[Sequence[int], int]:
     return (range(ctx.g.n), 1) if v is None else ([v], ctx.g.n)
 
 
-def check_oracle(ctx: SuiteContext, *, m_max: int = 10, budget: int = DEFAULT_BUDGET) -> dict:
+def check_oracle(ctx: SuiteContext, *, budget: int = DEFAULT_BUDGET) -> dict:
     """Recurrence vs. brute-force enumeration: cycle counts and path-count rows.
 
-    The depth is the largest whose search from every vertex fits the
-    budget, and the search starts at oracle_sources(ctx): the root e
+    The depth is the largest up to 10 whose search from every vertex fits
+    the budget, and the search starts at oracle_sources(ctx): the root e
     alone with the context's Cayley certificate, every vertex
     otherwise.  Each source's rows are compared with its own rows of
     A_m (nbt.a_rows) as the search yields them, so no n x n table is
     held.  The closed walks, summed and scaled, are compared with N_m
     from the context's sweep.
     """
-    depth = _oracle_depth(ctx.g, m_max, budget)
+    depth = _oracle_depth(ctx.g, 10, budget)
     if depth < 1:
         raise IharaLabError("oracle budget too small for depth 1")
     sources, scale = oracle_sources(ctx)
@@ -467,8 +441,8 @@ def _trace_route_metric(ctx: SuiteContext, m_max: int) -> float:
     return max(abs(d) / max(ctx.g.n, s) for d, s in zip(residuals[1:], spreads[1:]))
 
 
-def check_chebyshev(ctx: SuiteContext, *, m_max: int = 30) -> dict:
-    """M_m = 2 q^{m/2} T_m(A / 2 sqrt q) + e_m (q-1) I for m = 1..m_max, in three parts.
+def check_chebyshev(ctx: SuiteContext) -> dict:
+    """M_m = 2 q^{m/2} T_m(A / 2 sqrt q) + e_m (q-1) I for m = 1..30, in three parts.
 
     1. The identity in Z[x]: both sides are integer polynomials in A, so
        it holds for every graph iff the coefficient lists agree; any
@@ -478,8 +452,7 @@ def check_chebyshev(ctx: SuiteContext, *, m_max: int = 30) -> dict:
     3. On graphs with n <= 12, the exact M_m matrices against the float
        spectral M_m entry by entry, scaled by q^{m/2}.
     """
-    q = ctx.cert.q
-    n = ctx.g.n
+    q, n, m_max = ctx.cert.q, ctx.g.n, 30
     metric = max(float(_zx_identity_defect(q, m_max)), _trace_route_metric(ctx, m_max))
     detail: dict = {"m_max": m_max, "route": "integer recurrence"}
     if n <= 12:
@@ -496,7 +469,7 @@ def check_chebyshev(ctx: SuiteContext, *, m_max: int = 30) -> dict:
     return {"metric": metric, "detail": detail}
 
 
-def check_ihara_bass(ctx: SuiteContext, *, order: int = 10) -> dict:
+def check_ihara_bass(ctx: SuiteContext, *, order: int = DEFAULT_ORDER) -> dict:
     """Cycle counts N_m vs. the determinant's power sums, exact integers (zeta.verify_ihara_bass)."""
     discrepancy = zeta.verify_ihara_bass(ctx, order)
     return {"metric": float(discrepancy), "detail": {"order": order}}
@@ -547,9 +520,9 @@ def range_abs_max(sd, m_max: int) -> np.ndarray:
     return worst
 
 
-def check_range(ctx: SuiteContext, *, m_max: int = 200) -> dict:
-    """Entries of a_m must stay inside [-1, 1]; metric is the worst excess."""
-    sd = ctx.sd
+def check_range(ctx: SuiteContext) -> dict:
+    """Entries of a_m, m = 1..200, must stay inside [-1, 1]; metric is the worst excess."""
+    sd, m_max = ctx.sd, 200
     if not sd.principal():
         return {"metric": 0.0, "detail": {"m_max": m_max, "note": "empty principal part"}}
     if sd.clusters[0].identity_row is not None and any(
@@ -565,7 +538,7 @@ def check_range(ctx: SuiteContext, *, m_max: int = 200) -> dict:
 def check_cesaro(
     ctx: SuiteContext,
     *,
-    k_values: tuple[int, ...] = (1, 2, 3, 4),
+    k_values: tuple[int, ...] = DEFAULT_K,
     horizons: tuple[int, ...] = DEFAULT_HORIZONS["cesaro"],
 ) -> dict:
     """Cesaro averages of a_m^k and s_m^k against their limits (limits.cesaro).
@@ -622,11 +595,11 @@ def check_average_nm(
     }
 
 
-def check_stf(ctx: SuiteContext, *, m0_max: int = 12) -> dict:
-    """Trace formula for all single-frequency test functions and the constant."""
+def check_stf(ctx: SuiteContext) -> dict:
+    """Trace formula for the single-frequency test functions m0 = 1..12 and the constant (m0 = 0)."""
     worst = 0.0
     rows = []
-    for m0 in range(0, m0_max + 1):
+    for m0 in range(13):
         lhs, geo, disc = limits.stf_verify(ctx, limits.StfTestFunction.single(m0))
         worst = max(worst, disc)
         rows.append({"m0": m0, "lhs": lhs, "geometric": geo, "discrepancy": disc})
@@ -651,14 +624,15 @@ def check_cusp(
     }
 
 
-def check_phi(ctx: SuiteContext, *, order: int = 8) -> dict:
-    """Generating function: spectral vs. closed-form coefficients + pole test.
+def check_phi(ctx: SuiteContext) -> dict:
+    """Generating function: spectral vs. closed-form coefficients to order 8 + pole test.
 
     Passes when every coefficient matches within tolerance AND the values
     of (t-1) phi(t) at t = 1 - eps scale linearly in eps (no pole at 1).
     """
     if ctx.params is None:
         raise IharaLabError("phi check needs an LPS graph source")
+    order = 8
     spectral, closed = zeta.phi_series(ctx, order)
     pairs = enumerate(zip(spectral.coeffs, closed.coeffs))
     diffs = [abs(zeta.graded_float(a - b, m, ctx.params.p)) for m, (a, b) in pairs]
@@ -684,8 +658,9 @@ def check_phi(ctx: SuiteContext, *, order: int = 8) -> dict:
     }
 
 
-def check_huang(ctx: SuiteContext, *, m_max: int = 30) -> dict:
-    """h_m >= 0 at even m; metric is the worst violation."""
+def check_huang(ctx: SuiteContext) -> dict:
+    """h_m >= 0 at even m up to 30; metric is the worst violation."""
+    m_max = 30
     values = limits.huang_range(ctx, m_max)
     worst = 0.0
     for m in range(2, m_max + 1, 2):
@@ -699,60 +674,44 @@ def check_huang(ctx: SuiteContext, *, m_max: int = 30) -> dict:
 # ---------------------------------------------------------------------------
 # orchestration
 
-_RUNNERS: dict[str, Callable] = {
-    "oracle": check_oracle,
-    "chebyshev": check_chebyshev,
-    "ihara-bass": check_ihara_bass,
-    "range": check_range,
-    "cesaro": check_cesaro,
-    "average-nm": check_average_nm,
-    "stf": check_stf,
-    "cusp": check_cusp,
-    "phi": check_phi,
-    "huang": check_huang,
+# name: (runner, default tolerance, the VerificationSuiteConfig fields run_check
+# passes it as keywords), in run order; the tolerances were pinned before the
+# implementations were run (see the repo's test suite)
+_CHECKS: dict[str, tuple[Callable[..., dict], float, tuple[str, ...]]] = {
+    "oracle": (check_oracle, 0.0, ("budget",)),
+    "chebyshev": (check_chebyshev, 1e-6, ()),
+    "ihara-bass": (check_ihara_bass, 0.0, ("order",)),
+    "range": (check_range, 1e-9, ()),
+    "cesaro": (check_cesaro, 1.0, ("k_values", "horizons")),
+    "average-nm": (check_average_nm, 1.0, ("horizons",)),
+    "stf": (check_stf, 1e-8, ()),
+    "cusp": (check_cusp, 1.0, ("horizons",)),
+    "phi": (check_phi, 1e-6, ()),
+    "huang": (check_huang, 1e-9, ()),
 }
-
-
-def _runner_kwargs(name: str, config: VerificationSuiteConfig) -> dict:
-    kwargs: dict = {}
-    if name == "oracle":
-        kwargs["budget"] = config.budget
-    if name == "ihara-bass":
-        kwargs["order"] = config.order
-    if name == "cesaro":
-        kwargs["k_values"] = config.k_values
-    if name in ("cesaro", "average-nm", "cusp") and config.horizons is not None:
-        kwargs["horizons"] = config.horizons
-    return kwargs
+CHECK_ORDER = tuple(_CHECKS)
+DEFAULT_TOLERANCES = {name: tolerance for name, (_, tolerance, _) in _CHECKS.items()}
 
 
 def run_check(name: str, ctx: SuiteContext, config: VerificationSuiteConfig) -> CheckResult:
-    tolerance = DEFAULT_TOLERANCES[name] if config.tol_override is None else config.tol_override
+    """One check on ctx; horizons=None leaves the check its default horizons."""
+    runner, _, settings = _CHECKS[name]
+    kwargs = {key: getattr(config, key) for key in settings if getattr(config, key) is not None}
     start = time.perf_counter()
     try:
-        outcome = _RUNNERS[name](ctx, **_runner_kwargs(name, config))
+        outcome = runner(ctx, **kwargs)
     except Exception as exc:  # surfaced per check; the suite keeps going
-        elapsed = time.perf_counter() - start
-        return CheckResult(
-            check=name,
-            status="error",
-            metric=None,
-            tolerance=tolerance,
-            seconds=round(elapsed, 3),
-            detail={"error": f"{type(exc).__name__}: {exc}"},
-        )
+        return _error_result(name, config, f"{type(exc).__name__}: {exc}", time.perf_counter() - start)
     elapsed = time.perf_counter() - start
-    metric = outcome["metric"]
+    metric, tolerance = outcome["metric"], config.tolerance(name)
     # written so that a NaN metric or tolerance fails
     failed = not metric <= tolerance or outcome.get("extra_fail", False)
-    return CheckResult(
-        check=name,
-        status="fail" if failed else "pass",
-        metric=metric,
-        tolerance=tolerance,
-        seconds=round(elapsed, 3),
-        detail=outcome.get("detail", {}),
-    )
+    status = "fail" if failed else "pass"
+    return CheckResult(name, status, metric, tolerance, round(elapsed, 3), outcome.get("detail", {}))
+
+
+def _error_result(name: str, config: VerificationSuiteConfig, error: str, seconds: float = 0.0) -> CheckResult:
+    return CheckResult(name, "error", None, config.tolerance(name), round(seconds, 3), {"error": error})
 
 
 def run_suite(config: VerificationSuiteConfig) -> tuple[int, list[CheckResult]]:
@@ -761,38 +720,21 @@ def run_suite(config: VerificationSuiteConfig) -> tuple[int, list[CheckResult]]:
     Returns (exit_code, results); exit code 0 iff every check passed.
     The summary file (config.emit) is written even when checks error.
     """
-    validate_checks(config.checks)
-    results: list[CheckResult] = []
+    selected = validate_checks(config.checks)
+    names = [name for name in CHECK_ORDER if name in selected]
     try:
         ctx = resolve_source(config)
     except IharaLabError as exc:
-        for name in CHECK_ORDER:
-            if name in config.checks:
-                results.append(
-                    CheckResult(
-                        check=name,
-                        status="error",
-                        metric=None,
-                        tolerance=DEFAULT_TOLERANCES[name],
-                        seconds=0.0,
-                        detail={"error": f"graph source: {type(exc).__name__}: {exc}"},
-                    )
-                )
-        if config.emit:
-            write_summary(config.emit, results)
-        return 1, results
-    for name in CHECK_ORDER:
-        if name not in config.checks:
-            continue
-        results.append(run_check(name, ctx, config))
+        results = [_error_result(name, config, f"graph source: {type(exc).__name__}: {exc}") for name in names]
+    else:
+        results = [run_check(name, ctx, config) for name in names]
     if config.emit:
         write_summary(config.emit, results)
-    exit_code = 0 if all(r.status == "pass" for r in results) else 1
-    return exit_code, results
+    return (0 if all(r.status == "pass" for r in results) else 1), results
 
 
 def write_summary(path: str, results: list[CheckResult]) -> None:
-    payload = {"results": [r.as_json_dict() for r in results]}
+    payload = {"results": [asdict(r) for r in results]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

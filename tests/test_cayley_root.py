@@ -8,6 +8,7 @@ search's result is trusted only after its arc-by-arc check, and a
 search that runs out of nodes gives None.
 """
 
+import dataclasses
 import json
 import sys
 
@@ -32,7 +33,7 @@ def _write(tmp_path, g: Graph, params: lps.LpsParams, name: str) -> str:
 def _summary(config: VerificationSuiteConfig) -> list[dict]:
     """run_suite's results as the summary holds them, less each check's seconds."""
     _, results = run_suite(config)
-    return [{k: v for k, v in r.as_json_dict().items() if k != "seconds"} for r in results]
+    return [{k: v for k, v in dataclasses.asdict(r).items() if k != "seconds"} for r in results]
 
 
 def _nodes(monkeypatch) -> list:

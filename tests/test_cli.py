@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, emitted files, determinism."""
 
+import argparse
 import decimal
 import hashlib
 import json
@@ -12,7 +13,7 @@ import pytest
 from reduced_walks_bf import reduced_cycle_counts
 
 from iharalab import lps, nbt, oracle, spectral, suite, zeta
-from iharalab.cli import main
+from iharalab.cli import build_parser, main
 from iharalab.errors import InvalidPrime
 from iharalab.graphs import load_graph
 from iharalab.lps import build_lps
@@ -454,6 +455,47 @@ def test_verify_missing_source_file_still_writes_the_summary(tmp_path, monkeypat
     assert [r["check"] for r in results] == list(CHECK_ORDER)
     assert {r["status"] for r in results} == {"error"}
     assert "missing.json" in results[0]["detail"]["error"]
+
+
+def test_a_failed_graph_source_reports_the_tol_override(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--graph", "missing.json", "--tol", "0.5", "--checks", "oracle,range", "--emit", "s.json"]
+    assert main(argv) == 1
+    results = json.loads((tmp_path / "s.json").read_text())["results"]
+    assert [(r["status"], r["tolerance"]) for r in results] == [("error", 0.5)] * 2
+    assert all(r["detail"]["error"].startswith("graph source: ") for r in results)
+
+
+EMITTING = [
+    ["graph", "K4"],
+    ["lps", "--p", "13", "--q", "5"],
+    ["spectrum", "K4"],
+    ["nbt", "K4"],
+    ["oracle", "K4"],
+    ["zeta", "K4"],
+    ["cuspgen", "--p", "13", "--q", "5", "--order", "2"],
+    ["limits", "K4"],
+    ["stf", "K4", "--hhat", "2:1"],
+    ["huang", "K4"],
+    ["verify", "--graph", "K4", "--checks", "oracle"],
+]
+
+
+def test_every_command_with_emit_is_listed():
+    commands = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in EMITTING) == sorted(
+        name for name, sub in commands.items() if any(a.dest == "emit" for a in sub._actions)
+    )
+
+
+@pytest.mark.parametrize("argv", EMITTING, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_an_unwritable_emit_path_is_an_error_line(argv, suffix, tmp_path, capsys):
+    path = tmp_path / "no_such_dir" / f"out{suffix}"
+    assert main([*argv, "--emit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: No such file or directory")
+    assert "Traceback" not in err
 
 
 def test_verify_allow_large_flag_sets_its_config_key(tmp_path, monkeypatch, capsys):

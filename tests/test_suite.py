@@ -471,6 +471,33 @@ def test_run_check_oracle_direct():
     assert res.detail["n_m_bruteforce"] == res.detail["n_m_recurrence"]
 
 
+def test_verify_settings_reach_only_their_checks():
+    """budget, order, k and horizons reach oracle, ihara-bass, cesaro, average-nm and cusp; the rest keep fixed depths."""
+    g, _ = lps.build_lps(13, 5)
+    budget = oracle.walk_estimate(g, 3)  # the default budget reaches depth 4 here
+    raw = {"lps": [13, 5], "budget": budget, "order": 6, "k": [1, 3], "horizons": [40, 80]}
+    _, results = run_suite(VerificationSuiteConfig.from_dict(raw))
+    detail = {r.check: r.detail for r in results}
+    assert [r.check for r in results] == list(CHECK_ORDER)
+    assert "error" not in str(detail)
+    assert detail["oracle"]["depth"] == 3 == len(detail["oracle"]["n_m_recurrence"])
+    assert detail["ihara-bass"] == {"order": 6}
+    cesaro = detail["cesaro"]
+    assert sorted({row["k"] for row in cesaro["rows"]} | {int(s[-1]) for s in cesaro["skipped"]}) == [1, 3]
+    assert cesaro["horizons"] == detail["average-nm"]["horizons"] == [40, 80]
+    assert all(len(row["scaled_deviations"]) == 2 for row in cesaro["rows"])
+    assert len(detail["average-nm"]["scaled_residuals"]) == 2
+    assert [row["N"] for row in detail["cusp"]["rows"]] == [40, 80]
+    assert detail["chebyshev"]["m_max"] == detail["huang"]["m_max"] == 30
+    assert len(detail["huang"]["even_values"]) == 15
+    assert detail["range"]["m_max"] == 200
+    assert [row["m0"] for row in detail["stf"]["rows"]] == list(range(13))
+    assert detail["phi"]["order"] == 8 and len(detail["phi"]["coefficient_diffs"]) == 9  # t^0..t^8
+    # the oracle's depth stops at 10 however large the budget
+    k4 = VerificationSuiteConfig(source_kind="named", source="K4", checks=("oracle",), budget=10**12)
+    assert run_check("oracle", SuiteContext(named_graph("K4")), k4).detail["depth"] == 10
+
+
 def test_stf_check_sweeps_counts_once(monkeypatch):
     ctx = SuiteContext(named_graph("PETERSEN"))
     cfg = VerificationSuiteConfig(source_kind="named", source="PETERSEN", checks=("stf",))
