@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 from . import limits, lps, nbt, oracle, suite, zeta
@@ -131,8 +132,7 @@ def cmd_nbt(args) -> int:
 def cmd_oracle(args) -> int:
     ctx = _load_source(args.source)
     sources, scale = suite.oracle_sources(ctx)
-    walks = oracle.reduced_walks(ctx.g, args.m_max, sources, budget=args.budget)
-    counts = [scale * sum(col) for col in zip(*(closed for closed, _ in walks))]
+    counts = [scale * c for c in oracle.closed_walk_counts(ctx.g, args.m_max, sources, budget=args.budget)]
     try:
         rec = nbt.n_reduced_range(ctx.g, ctx.cert, args.m_max, sweep=ctx.sweep)
     except NotRegular:
@@ -401,12 +401,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe early raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull (the
+        # signal module's note on SIGPIPE) and exit 1 with nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        if exc.filename is None:  # not a file the command opened: a closed stdout pipe, say
+        if exc.filename is None:  # not a file the command opened
             raise
         # reads raise ParseError, so this is opening the --emit path for writing
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)

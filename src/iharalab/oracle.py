@@ -1,18 +1,34 @@
-"""Brute-force enumeration oracle.
+"""Brute-force enumeration oracle: two counts of walks on one arc table.
 
-reduced_walks counts non-backtracking walks by enumerating them, one
-source vertex at a time: a numpy frontier holds one element per walk and
-extends every walk by every arc that may follow its last one.  It
-deliberately shares no code with the matrix recurrences it is used to
-validate: correctness here rests on the search being a direct
-transcription of the definitions.
+Both count non-backtracking walks by listing them, straight from the
+definitions, and deliberately share no code with the matrix recurrences
+they are used to validate: correctness here rests on each search being
+a direct transcription of the definitions.  Both run on one table
+(_follower_table): the arcs out of the vertices near the sources, each
+arc's inverse, and the arcs that may follow it.  _search lists the
+walks that start with given arcs as a numpy frontier, one element per
+walk, taken depth first in chunks of at most FRONTIER_CAP walks past
+the first arcs.
+
+reduced_walks lists every non-backtracking walk of length up to m_max
+from each source, one source at a time, and gives the source's rows of
+A_m as well as its reduced closed walks; check_oracle compares those
+rows with the recurrence at every depth.
+
+closed_walk_counts gives only the reduced closed walks, summed over the
+sources, by meet in the middle (Horowitz and Sahni, J. ACM 21, 1974).
+A closed walk e_1 ... e_m at s splits after e_h, h = ceil(m/2), into the
+half-walk e_1 ... e_h from s and the reverse of the rest, the half-walk
+inv(e_m) ... inv(e_{h+1}) from s.  So it lists the half-walks of length
+up to ceil(m_max/2) and joins them: two half-walks make a reduced
+closed walk when they share their source and their end, but neither
+their last arc (e_{h+1} != inv(e_h)) nor their first (e_1 != inv(e_m)).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,21 +37,27 @@ from .graphs import Graph
 
 DEFAULT_DEPTH_GUARD = 14
 DEFAULT_BUDGET = 10**9
-# Walks held at once per frontier chunk: a source's search holds at most
-# one chunk per depth (two int64 arrays each), whatever the budget.
+# Walks held at once per frontier chunk: a search holds at most one
+# chunk per depth (two int64 arrays each), whatever the budget.
 FRONTIER_CAP = 1 << 16
 
 
-def walk_estimate(g: Graph, m: int) -> int:
-    """Search steps of a depth-m sweep, n d (d-1)^(m-1) with d the top degree."""
-    deg = max(g.degree(v) for v in range(g.n))
-    return g.n * deg * max(deg - 1, 1) ** max(m - 1, 0)
+def walk_estimate(g: Graph, m: int, starts: int | None = None, *, degree: int | None = None) -> int:
+    """Search steps of a depth-m sweep from starts vertices (default all n): starts d (d-1)^(m-1).
+
+    d is the top degree, computed here unless the caller passes it.
+    """
+    d = max(map(len, g.neighbors)) if degree is None else degree
+    return (g.n if starts is None else starts) * d * max(d - 1, 1) ** max(m - 1, 0)
 
 
-def _check_cost(g: Graph, m: int, depth_guard: int, budget: int) -> None:
+def _check_cost(
+    g: Graph, m: int, depth_guard: int, budget: int, priced: int | None = None, starts: int | None = None
+) -> None:
+    """DepthExceeded past depth_guard, or when a depth-priced (default m) sweep from starts vertices passes budget."""
     if m > depth_guard:
         raise DepthExceeded(f"depth {m} exceeds guard {depth_guard}")
-    est = walk_estimate(g, m)
+    est = walk_estimate(g, m if priced is None else priced, starts)
     if est > budget:
         raise DepthExceeded(f"estimated {est} steps exceeds budget {budget}")
 
@@ -80,6 +102,79 @@ def _arc_tables(
     return first, terminus, inverse
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[0], ..., starts[0] + lengths[0] - 1, then the same for each i in turn."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+
+
+class _Followers(NamedTuple):
+    """_arc_tables as int64 arrays, with the arcs that may follow each arc.
+
+    follow[start[a] : start[a] + length[a]] are the arcs out of a's
+    terminus end[a] except its inverse; none when the terminus's arcs
+    are not tabled (inverse[a] = -1), which no walk needs.
+    """
+
+    first: dict[int, int]
+    end: np.ndarray
+    inverse: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    follow: np.ndarray
+
+
+def _follower_table(g: Graph, sources: Sequence[int], radius: int) -> _Followers:
+    """The arcs out of the vertices within radius of sources, and their followers (_Followers)."""
+    first, terminus, inverse = _arc_tables(g, sources, radius)
+    end = np.array(terminus, dtype=np.int64)
+    inv = np.array(inverse, dtype=np.int64)
+    tabled = np.fromiter(first, dtype=np.int64, count=len(first))
+    base = np.zeros(g.n, dtype=np.int64)
+    base[tabled] = np.fromiter(first.values(), dtype=np.int64, count=len(first))
+    degree = np.zeros(g.n, dtype=np.int64)
+    degree[tabled] = np.diff(base[tabled], append=len(end))  # a tabled vertex's arcs run to the next one's
+    fan = np.where(inv >= 0, degree[end], 0)  # the arcs out of each arc's terminus, when tabled
+    candidates = _ranges(base[end], fan)
+    follow = candidates[candidates != np.repeat(inv, fan)]  # each fan holds its arc's inverse once
+    length = np.maximum(fan - 1, 0)
+    return _Followers(first, end, inv, np.cumsum(length) - length, length, follow)
+
+
+def _search(
+    tab: _Followers, firsts: np.ndarray, tags: np.ndarray, depth_max: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Every non-backtracking walk of length 1..depth_max whose first arc is in firsts, as chunks (depth, last arcs, tags).
+
+    tags[i] travels with every walk that starts with firsts[i].  A level of
+    the frontier is every walk of one length, and the next level is every
+    walk's followers, gathered by one flat index.  Walks are never merged
+    by their last arc, which would turn the search into a power of the
+    Hashimoto matrix.  Each level past the first arcs is taken chunk by
+    chunk, at most FRONTIER_CAP walks each, depth first, so the search
+    holds at most one chunk per depth whatever the budget.
+    """
+    piece = max(FRONTIER_CAP // max(int(tab.length.max(initial=0)), 1), 1)  # walks whose followers fit the cap
+
+    def children(cur: np.ndarray, tag: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The followers of the walks (cur, tag), piece by piece."""
+        for lo in range(0, len(cur), piece):
+            arcs = cur[lo : lo + piece]
+            counts = tab.length[arcs]
+            if counts.any():
+                yield tab.follow[_ranges(tab.start[arcs], counts)], np.repeat(tag[lo : lo + piece], counts)
+
+    levels = [iter([(firsts, tags)])]  # levels[depth - 1]: the chunks of depth still to take
+    while levels:
+        chunk = next(levels[-1], None)
+        if chunk is None:
+            levels.pop()
+            continue
+        depth = len(levels)
+        yield depth, *chunk
+        if depth < depth_max:
+            levels.append(children(*chunk))
+
+
 def reduced_walks(
     g: Graph,
     m_max: int,
@@ -114,60 +209,99 @@ def reduced_walks(
 def _walks(g: Graph, m_max: int, sources: Sequence[int]) -> Iterator[tuple[list[int], list[list[int]]]]:
     """The search of reduced_walks, past its guards.
 
-    Each non-backtracking walk from a source is one element of a numpy
-    frontier: its current arc and the inverse of its first arc.  A level
-    of the frontier is every walk of one length; its termini give the
-    source's row of A_depth by one bincount, and the next level is every
-    walk's followers, gathered by one flat index.  Walks are never merged
-    by their current arc, which would turn the search into a power of
-    the Hashimoto matrix.  A level of more than FRONTIER_CAP walks is
-    taken chunk by chunk, depth first, so a source holds at most one
-    chunk per depth whatever the budget.  A walk of length m_max takes
-    only arcs out of vertices within m_max - 1 of its source, so the arc
-    and follower tables hold those arcs only (_arc_tables).
+    Each walk from a source carries the inverse of its first arc as its
+    tag.  A chunk's termini add to the source's row of A_depth by one
+    bincount, and its closed walks are those that end at the source with
+    a last arc other than that tag.  A walk of length m_max takes only
+    arcs out of vertices within m_max - 1 of its source, so the table
+    holds those arcs only.
     """
-    first, terminus, inverse = _arc_tables(g, sources, m_max - 1)
-    end = np.array(terminus, dtype=np.int64)
-    # the arcs that may follow arc a, follow[start[a] : start[a] + length[a]]:
-    # out of its terminus t, except its inverse; none when t's arcs are
-    # not tabled, which no walk needs
-    follow_lists = [
-        [b for b in range(first[t], first[t] + len(g.neighbors[t])) if b != inv] if inv >= 0 else []
-        for t, inv in zip(terminus, inverse)
-    ]
-    length = np.array([len(f) for f in follow_lists], dtype=np.int64)
-    start = np.cumsum(length) - length
-    follow = np.fromiter(chain.from_iterable(follow_lists), dtype=np.int64, count=int(length.sum()))
-    inverse_arr = np.array(inverse, dtype=np.int64)
-    del follow_lists  # the arrays replace it while the walk runs
-    piece = max(FRONTIER_CAP // max(int(length.max(initial=0)), 1), 1)  # walks whose followers fit the cap
-
-    def children(cur: np.ndarray, first_inv: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The followers of the walks (cur, first_inv), piece by piece."""
-        for lo in range(0, len(cur), piece):
-            arcs = cur[lo : lo + piece]
-            counts = length[arcs]
-            total = int(counts.sum())
-            if total:  # the k-th follower of the i-th walk sits at start[arc_i] + k
-                base = start[arcs] - (np.cumsum(counts) - counts)
-                yield follow[np.repeat(base, counts) + np.arange(total)], np.repeat(first_inv[lo : lo + piece], counts)
-
+    tab = _follower_table(g, sources, m_max - 1)
     for src in sources:
         rows = np.zeros((m_max + 1, g.n), dtype=np.int64)
         rows[0, src] = 1
         closed = [0] * (m_max + 1)
-        out = np.arange(first[src], first[src] + len(g.neighbors[src]), dtype=np.int64)
-        levels = [iter([(out, inverse_arr[out])])]  # levels[depth - 1]: the chunks of depth still to take
-        while levels:
-            chunk = next(levels[-1], None)
-            if chunk is None:
-                levels.pop()
-                continue
-            cur, first_inv = chunk
-            depth = len(levels)
-            here = end[cur]
+        out = np.arange(tab.first[src], tab.first[src] + len(g.neighbors[src]), dtype=np.int64)
+        for depth, cur, first_inv in _search(tab, out, tab.inverse[out], m_max):
+            here = tab.end[cur]
             rows[depth] += np.bincount(here, minlength=g.n)
             closed[depth] += int(np.count_nonzero((here == src) & (cur != first_inv)))
-            if depth < m_max:
-                levels.append(children(cur, first_inv))
         yield closed[1:], rows.tolist()
+
+
+# A tally is (keys, counts): the distinct int64 keys, sorted, and how
+# many half-walks carry each.
+_Tally = tuple[np.ndarray, np.ndarray]
+
+
+def _tally(old: _Tally, keys: np.ndarray) -> _Tally:
+    """The tally old with one more walk at each of keys."""
+    merged = np.concatenate([old[0], keys])
+    order = np.argsort(merged)
+    merged = merged[order]
+    heads = np.flatnonzero(np.diff(merged, prepend=-1))  # keys are nonnegative
+    counts = np.concatenate([old[1], np.ones(len(keys), dtype=np.int64)])[order]
+    return merged[heads], np.add.reduceat(counts, heads)
+
+
+def _pairs(a: _Tally, b: _Tally) -> int:
+    """The pairs of a walk from a and a walk from b that carry the same key."""
+    (ka, x), (kb, y) = a, b
+    if a is not b:  # two lengths: the keys of b that a holds
+        if not len(ka):
+            return 0
+        at = np.minimum(np.searchsorted(ka, kb), len(ka) - 1)
+        hit = ka[at] == kb
+        x, y = x[at[hit]], y[hit]
+    if int(x.sum()) * int(y.sum()) >= 1 << 63:  # a sum that int64 may not hold: Python ints
+        x = x.astype(object)
+    return int(x @ y)
+
+
+def closed_walk_counts(
+    g: Graph,
+    m_max: int,
+    sources: Sequence[int],
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> list[int]:
+    """[N_1..N_{m_max}] of sources: the reduced closed walks of each length that start at a source, summed.
+
+    Summed over every vertex, these are N_m; a repeated source counts
+    each time it is listed.  m = 1 is read off the loops: each of a
+    loop's two arcs is a reduced closed walk.  For m >= 2 the half-walks
+    of lengths h = ceil(m/2) and k = floor(m/2) from each source are
+    joined as in the module docstring, by inclusion-exclusion over the
+    pairs that carry the same key: same (source, end), less same
+    (source, last arc), less same (first arc, end), plus same (first arc,
+    last arc).  The keys are packed into int64 and each level's keys are
+    tallied (_tally) as its chunks arrive, so memory is bounded by the
+    frontier chunks and the number of distinct keys, never by the
+    number of walks.
+
+    The guards raise here, at the call: m_max < 1, m_max past
+    DEFAULT_DEPTH_GUARD, and the budget, which prices the half-walks,
+    len(sources) d (d-1)^(ceil(m_max/2) - 1) with d the top degree.
+    """
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    sources = list(sources)
+    half = (m_max + 1) // 2
+    _check_cost(g, m_max, DEFAULT_DEPTH_GUARD, budget, half, len(sources))
+    tab = _follower_table(g, sources, half - 1)
+    fans = np.array([len(g.neighbors[s]) for s in sources], dtype=np.int64)
+    firsts = _ranges(np.array([tab.first[s] for s in sources], dtype=np.int64), fans)
+    # a half-walk's tag is its first arc's place in firsts, so each listing of a source has its own first arcs
+    source_of = np.repeat(np.arange(len(sources)), fans)
+    n, arcs = g.n, len(tab.end)
+    empty = (np.zeros(0, dtype=np.int64),) * 2
+    tallies = [[empty] * 4 for _ in range(half + 1)]  # tallies[depth][key]
+    for depth, last, first in _search(tab, firsts, np.arange(len(firsts)), half):
+        end, src = tab.end[last], source_of[first]
+        for i, keys in enumerate((src * n + end, src * arcs + last, first * n + end, first * arcs + last)):
+            tallies[depth][i] = _tally(tallies[depth][i], keys)
+    counts = [sum(g.neighbors[s].count(s) for s in sources)]
+    for m in range(2, m_max + 1):
+        h, k = tallies[(m + 1) // 2], tallies[m // 2]
+        counts.append(_pairs(h[0], k[0]) - _pairs(h[1], k[1]) - _pairs(h[2], k[2]) + _pairs(h[3], k[3]))
+    return counts

@@ -368,8 +368,9 @@ def _lps_record(path: str, record, g: Graph) -> lps.LpsParams:
 
 def _oracle_depth(g: Graph, m_max: int, budget: int) -> int:
     """Largest depth whose brute-force sweep stays within the step budget."""
+    degree = max(map(len, g.neighbors))
     m = 0
-    while m < m_max and oracle.walk_estimate(g, m + 1) <= budget:
+    while m < m_max and oracle.walk_estimate(g, m + 1, degree=degree) <= budget:
         m += 1
     return m
 

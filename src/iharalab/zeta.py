@@ -13,7 +13,10 @@ Hessenberg pass).  Pendant trees carry no reduced cycle, so that route
 first prunes leaves down to the 2-core, a Schur complement that leaves
 the determinant unchanged, and n, the Hadamard bound and the price are
 the pruned graph's.  verify_ihara_bass compares the p_m with the
-counts, and reciprocal_series exponentiates them into Z(u)^{-1}.
+counts N_m, from the trace sweep on a regular graph and otherwise from
+the oracle's meet-in-the-middle count of closed walks, which shares no
+code with either determinant route; reciprocal_series exponentiates the
+p_m into Z(u)^{-1}.
 For LPS graphs it adds the Eisenstein/cusp split, the normalized cusp
 terms a(p^m)/(2 p^{m/2}), and the generating function phi(t) of those
 terms.  The split a(p^m) = 2 Tr T~_m / n - C(p^m) is formed in integers
@@ -66,7 +69,7 @@ from .nbt import (
     require_charpoly_price,
     t_tilde_traces,
 )
-from .oracle import reduced_walks
+from .oracle import closed_walk_counts
 from .qext import nearest_float
 from .series import TruncatedSeries, binomial_one_minus_u2
 
@@ -198,16 +201,16 @@ def verify_ihara_bass(ctx: SuiteContext, order: int = 10) -> int:
     That is log Z(u) = sum N_m u^m / m against the logarithm of
     (1 - u^2)^{r-1} det(I - uA + u^2(D-I)), p_m from determinant_power_sums.
     N_m comes from the context's B_m sweep (at q, against Tr A^k at 0),
-    or, when that raises NotRegular, from the walk oracle (against the
-    Bass charpoly).  order < 1 raises ValueError.
+    or, when that raises NotRegular, from oracle.closed_walk_counts over
+    every vertex, which joins half-walks of length up to ceil(order/2)
+    (against the Bass charpoly).  order < 1 raises ValueError.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     try:
         sweep = ctx.sweep
     except NotRegular:
-        walks = reduced_walks(ctx.g, order, range(ctx.g.n))
-        counts = [sum(col) for col in zip(*(closed for closed, _ in walks))]
+        counts = closed_walk_counts(ctx.g, order, range(ctx.g.n))
     else:
         counts = n_reduced_range(ctx.g, ctx.cert, order, sweep=sweep)
     shift = 2 * (ctx.g.betti_number - 1)  # what (1 - u^2)^{r-1} adds to N_m at even m

@@ -4,6 +4,9 @@ import argparse
 import decimal
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 from reduced_walks_bf import reduced_cycle_counts
 
+import iharalab
 from iharalab import lps, nbt, oracle, spectral, suite, zeta
 from iharalab.cli import build_parser, main
 from iharalab.errors import InvalidPrime
@@ -129,6 +133,29 @@ def test_oracle_agreement(capsys):
     out = capsys.readouterr().out
     assert "true" in out
     assert "MISMATCH" not in out
+
+
+def test_oracle_reports_a_count_that_misses_the_recurrence(monkeypatch, capsys):
+    real = oracle.closed_walk_counts
+    monkeypatch.setattr(oracle, "closed_walk_counts", lambda *a, **k: [c + (m == 5) for m, c in enumerate(real(*a, **k), 1)])
+    assert main(["oracle", "PETERSEN", "--m-max", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "5\t121\t120\tfalse" in out and "MISMATCH" in out
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_a_quiet_exit():
+    # about 240 kB of rows: more than the pipe holds, so the writer sees the pipe close
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iharalab.__file__)))
+    argv = [sys.executable, "-m", "iharalab.cli", "huang", "PETERSEN", "--m-max", "10000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"m\th_m\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 # ---------------------------------------------------------------------------
@@ -558,19 +585,19 @@ def test_report_commands_take_no_matrix_step_on_a_certified_file(command, tmp_pa
     path = tmp_path / "x135.json"
     path.write_bytes((GOLDEN / "lps_13_5_emit.json").read_bytes())
     calls = []
-    real_step, real_walks = nbt._mul_adj, oracle.reduced_walks
+    real_step, real_count = nbt._mul_adj, oracle.closed_walk_counts
 
     def step(*args, **kwargs):
         calls.append("_mul_adj")
         return real_step(*args, **kwargs)
 
-    def walks(g, m_max, sources, **kwargs):
+    def count(g, m_max, sources, **kwargs):
         calls.append(len(sources))
-        return real_walks(g, m_max, sources, **kwargs)
+        return real_count(g, m_max, sources, **kwargs)
 
     monkeypatch.setattr(nbt, "_mul_adj", step)
     for module in (oracle, zeta):
-        monkeypatch.setattr(module, "reduced_walks", walks)
+        monkeypatch.setattr(module, "closed_walk_counts", count)
     assert main([command[0], str(path), *command[1:]]) == 0
     assert calls == ([1] if command[0] == "oracle" else [])  # one search, from one source
 

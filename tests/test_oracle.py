@@ -5,11 +5,14 @@ non-backtracking walks at a vertex into tailless and tailed ones; they
 are reference searches for the decomposition tests here, and their
 difference is the reduced cycles that start at the vertex.
 count_reduced_paths_all is the all-pairs path search that the walker
-reduced_walks runs one source at a time.
+reduced_walks runs one source at a time.  The meet-in-the-middle count
+closed_walk_counts is checked against the walker's closed walks.
 """
 
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from lattice_points import lattice_count
 from reduced_walks_bf import (
@@ -23,13 +26,16 @@ from test_nbt_traces import relabeled
 
 from iharalab import oracle
 from iharalab.errors import DepthExceeded
-from iharalab.graphs import Graph, build_graph, certify_regular
+from iharalab.graphs import Graph, build_graph, certify_regular, named_graph
 from iharalab.nbt import n_reduced_range
 from iharalab.oracle import (
     DEFAULT_BUDGET,
     DEFAULT_DEPTH_GUARD,
     _arc_tables,
     _check_cost,
+    _follower_table,
+    _pairs,
+    closed_walk_counts,
     reduced_walks,
     walk_estimate,
 )
@@ -245,6 +251,10 @@ def test_walk_tables_hold_the_arcs_near_the_sources(x135):
         assert all(inverse[inverse[a]] == a != inverse[a] for a in range(len(terminus)))
         assert all(terminus[inverse[a]] == origin[a] for a in range(len(terminus)))
         assert sorted(zip(origin, terminus)) == sorted(ArcList.from_graph(graph).arcs)
+        tab = _follower_table(graph, range(graph.n), 0)
+        for a, (t, inv) in enumerate(zip(terminus, inverse)):  # the arcs out of a's terminus but its inverse
+            followers = tab.follow[tab.start[a] : tab.start[a] + tab.length[a]].tolist()
+            assert followers == [b for b in range(first[t], first[t] + len(graph.neighbors[t])) if b != inv]
 
 
 def test_walks_all_guards():
@@ -328,6 +338,118 @@ def test_a_source_holds_one_frontier_chunk_per_depth():
     assert (closed[:7], rows[:8]) == (closed_bf, rows_bf)
     cert = certify_regular(g)  # a circulant is vertex-transitive: N_m = n closed_m
     assert [n * c for c in closed] == n_reduced_range(g, cert, m_max)
+
+
+# ---------------------------------------------------------------------------
+# the meet-in-the-middle count of closed walks
+
+
+LOOPED_5_REGULAR = [(0, 1, 2), (1, 2), (2, 3, 2), (3, 0), (0, 0), (1, 1), (2, 2), (3, 3)]
+# a path 0..9 with a double edge, a loop, two loops at one vertex and a chord
+PATH_MULTIGRAPH = [(0, 1, 2), (1, 1), (1, 2), (2, 3), (3, 3, 2), (3, 4), (1, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)]
+
+
+def seeded_irregular(seed: int, n: int = 64, extra: int = 32, top: int = 4) -> Graph:
+    """A connected irregular graph: a random tree plus extra edges, every degree at most top."""
+    rng = random.Random(seed)
+    degree, edges = [0] * n, set()
+
+    def add(u: int, v: int) -> None:
+        edges.add((min(u, v), max(u, v)))
+        degree[u] += 1
+        degree[v] += 1
+
+    for v in range(1, n):
+        add(v, rng.choice([u for u in range(v) if degree[u] < top]))
+    while len(edges) < n - 1 + extra:
+        u, v = rng.sample(range(n), 2)
+        if degree[u] < top and degree[v] < top and (min(u, v), max(u, v)) not in edges:
+            add(u, v)
+    return build_graph(n, sorted(edges))
+
+
+def summed_closed(g: Graph, m_max: int, sources) -> list[int]:
+    """The walker's closed walks of lengths 1..m_max, summed over sources."""
+    return [sum(col) for col in zip(*(closed for closed, _ in reduced_walks(g, m_max, sources)))]
+
+
+@pytest.fixture(scope="module")
+def count_graphs(x135):
+    """name -> (graph, the deepest m the full search takes from every vertex here)."""
+    return {
+        "looped 5-regular": (build_graph(4, LOOPED_5_REGULAR), 8),
+        "path multigraph": (build_graph(10, PATH_MULTIGRAPH), 10),
+        "looped irregular": (build_graph(4, [(0, 1, 2), (1, 2), (2, 2), (2, 3)]), 10),
+        "relabeled X^{13,5}": (relabeled(x135[0], 13), 4),
+        "seeded irregular": (seeded_irregular(20261), 10),
+    }
+
+
+def test_closed_walk_counts_are_the_full_searchs_closed_walks(count_graphs):
+    for name, (g, m_max) in count_graphs.items():
+        full = summed_closed(g, m_max, range(g.n))
+        # a shorter m_max lists shallower half-walks, and an odd one ends on a longer half
+        for m in (1, 2, 3, m_max - 1, m_max):
+            assert closed_walk_counts(g, m, range(g.n)) == full[:m], (name, m)
+
+
+def test_closed_walk_counts_sum_over_listed_sources_with_repeats(count_graphs):
+    for name, (g, m_max) in count_graphs.items():
+        if g.n > 64:  # X^{13,5}: its half-walk tables reach depth 6 from a few sources
+            m_max = 6
+        for sources in ([0], [g.n - 1, 0, g.n - 1], [2, 2, 2, 0, 3]):
+            assert closed_walk_counts(g, m_max, sources) == summed_closed(g, m_max, sources), (name, sources)
+        assert closed_walk_counts(g, m_max, []) == [0] * m_max, name
+
+
+def test_closed_walk_counts_on_a_certified_x135_scale_from_the_root(x135):
+    g, params, cert, _ = x135
+    ctx = SuiteContext(g, params)
+    assert ctx.row_vertex is not None
+    assert [g.n * c for c in closed_walk_counts(g, 10, [ctx.row_vertex])] == n_reduced_range(g, cert, 10)
+
+
+def test_closed_walk_count_guards():
+    g = named_graph("K4")  # 3-regular
+    with pytest.raises(ValueError):
+        closed_walk_counts(g, 0, [0])
+    with pytest.raises(DepthExceeded):
+        closed_walk_counts(g, DEFAULT_DEPTH_GUARD + 1, [0])
+    # m = 3 and 4 join half-walks of length 2 at most: three listed sources, d (d-1) each
+    price = walk_estimate(g, 2, 3)
+    assert price == 3 * 3 * 2
+    with pytest.raises(DepthExceeded):
+        closed_walk_counts(g, 4, [0, 1, 0], budget=price - 1)
+    assert closed_walk_counts(g, 4, [0, 1, 0], budget=price) == [0, 0, 18, 18]  # N_3 = N_4 = 24 on four vertices
+    h = build_graph(3, [(0, 1), (1, 2, 2)])  # the price takes the top degree 3, though the source has degree 1
+    with pytest.raises(DepthExceeded):
+        closed_walk_counts(h, 3, [0], budget=walk_estimate(h, 2, 1) - 1)
+
+
+def test_pairs_past_int64_are_exact():
+    keys = np.array([3, 7], dtype=np.int64)
+    big = (keys, np.array([1 << 40, 1 << 40], dtype=np.int64))
+    assert _pairs(big, big) == 2 << 80
+    assert _pairs(big, (np.array([7, 9], dtype=np.int64), np.array([1 << 30, 1], dtype=np.int64))) == 1 << 70
+
+
+def test_closed_walk_counts_hold_chunks_not_levels(monkeypatch):
+    """A half-walk level far past the cap costs frontier chunks and key tallies, not the level."""
+    n, m_max = 20, 14
+    g = build_graph(n, [(i, (i + s) % n) for i in range(n) for s in (1, 2, 3, 4)])  # 8-regular circulant
+    monkeypatch.setattr(oracle, "FRONTIER_CAP", 1 << 12)
+    level = 8 * 7 ** ((m_max + 1) // 2 - 1)
+    assert level > 200 * oracle.FRONTIER_CAP and walk_estimate(g, (m_max + 1) // 2, 1) == level <= DEFAULT_BUDGET
+    tracemalloc.start()
+    try:
+        counts = closed_walk_counts(g, m_max, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 8 * oracle.FRONTIER_CAP  # a few chunk-sized int64 arrays
+    assert peak < level  # an eighth of one int64 per half-walk of the last level
+    cert = certify_regular(g)  # a circulant is vertex-transitive: N_m = n closed_m
+    assert [n * c for c in counts] == n_reduced_range(g, cert, m_max)
 
 
 def test_paths_m0_is_identity(corpus):

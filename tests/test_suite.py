@@ -717,17 +717,21 @@ def test_uncertified_contexts_take_the_full_route(tmp_path, x135):
 
 
 def _spy_on_sources(monkeypatch, most: int | None = None) -> list:
-    """Record the sources of every oracle search; refuse a search from more than most vertices."""
+    """Record the sources of every oracle search or count; refuse one from more than most vertices."""
     seen = []
-    real = oracle.reduced_walks
 
-    def spy(g, m_max, sources, **kwargs):
-        seen.append(list(sources))
-        assert most is None or len(seen[-1]) <= most, "the search starts everywhere"
-        return real(g, m_max, sources, **kwargs)
+    def spy_on(real):
+        def spy(g, m_max, sources, **kwargs):
+            seen.append(list(sources))
+            assert most is None or len(seen[-1]) <= most, "the search starts everywhere"
+            return real(g, m_max, sources, **kwargs)
 
-    monkeypatch.setattr(oracle, "reduced_walks", spy)
-    monkeypatch.setattr(zeta, "reduced_walks", spy)
+        return spy
+
+    monkeypatch.setattr(oracle, "reduced_walks", spy_on(oracle.reduced_walks))
+    count = spy_on(oracle.closed_walk_counts)
+    monkeypatch.setattr(oracle, "closed_walk_counts", count)
+    monkeypatch.setattr(zeta, "closed_walk_counts", count)
     return seen
 
 
