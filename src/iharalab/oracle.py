@@ -23,6 +23,9 @@ inv(e_m) ... inv(e_{h+1}) from s.  So it lists the half-walks of length
 up to ceil(m_max/2) and joins them: two half-walks make a reduced
 closed walk when they share their source and their end, but neither
 their last arc (e_{h+1} != inv(e_h)) nor their first (e_1 != inv(e_m)).
+Half-walks from different sources never pair, so it lists and joins
+the sources a group at a time, each group priced at most HALF_WALK_CAP
+half-walks.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ DEFAULT_BUDGET = 10**9
 # Walks held at once per frontier chunk: a search holds at most one
 # chunk per depth (two int64 arrays each), whatever the budget.
 FRONTIER_CAP = 1 << 16
+# Priced half-walks closed_walk_counts holds at once, of every length:
+# it joins its sources in groups priced at most this, and refuses a
+# source priced past it, so it holds a bounded number of half-walks
+# (and their key tallies) whatever the budget.
+HALF_WALK_CAP = 1 << 18
 
 
 def walk_estimate(g: Graph, m: int, starts: int | None = None, *, degree: int | None = None) -> int:
@@ -51,13 +59,11 @@ def walk_estimate(g: Graph, m: int, starts: int | None = None, *, degree: int | 
     return (g.n if starts is None else starts) * d * max(d - 1, 1) ** max(m - 1, 0)
 
 
-def _check_cost(
-    g: Graph, m: int, depth_guard: int, budget: int, priced: int | None = None, starts: int | None = None
-) -> None:
-    """DepthExceeded past depth_guard, or when a depth-priced (default m) sweep from starts vertices passes budget."""
+def _check_cost(g: Graph, m: int, depth_guard: int, budget: int) -> None:
+    """DepthExceeded past depth_guard, or when a depth-m sweep from every vertex passes budget."""
     if m > depth_guard:
         raise DepthExceeded(f"depth {m} exceeds guard {depth_guard}")
-    est = walk_estimate(g, m if priced is None else priced, starts)
+    est = walk_estimate(g, m)
     if est > budget:
         raise DepthExceeded(f"estimated {est} steps exceeds budget {budget}")
 
@@ -229,23 +235,12 @@ def _walks(g: Graph, m_max: int, sources: Sequence[int]) -> Iterator[tuple[list[
         yield closed[1:], rows.tolist()
 
 
-# A tally is (keys, counts): the distinct int64 keys, sorted, and how
-# many half-walks carry each.
-_Tally = tuple[np.ndarray, np.ndarray]
+def _pairs(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> int:
+    """The pairs of a walk from a and a walk from b that carry the same key.
 
-
-def _tally(old: _Tally, keys: np.ndarray) -> _Tally:
-    """The tally old with one more walk at each of keys."""
-    merged = np.concatenate([old[0], keys])
-    order = np.argsort(merged)
-    merged = merged[order]
-    heads = np.flatnonzero(np.diff(merged, prepend=-1))  # keys are nonnegative
-    counts = np.concatenate([old[1], np.ones(len(keys), dtype=np.int64)])[order]
-    return merged[heads], np.add.reduceat(counts, heads)
-
-
-def _pairs(a: _Tally, b: _Tally) -> int:
-    """The pairs of a walk from a and a walk from b that carry the same key."""
+    a and b are tallies (keys, counts): the distinct keys, sorted, and
+    how many walks carry each.
+    """
     (ka, x), (kb, y) = a, b
     if a is not b:  # two lengths: the keys of b that a holds
         if not len(ka):
@@ -271,37 +266,73 @@ def closed_walk_counts(
     each time it is listed.  m = 1 is read off the loops: each of a
     loop's two arcs is a reduced closed walk.  For m >= 2 the half-walks
     of lengths h = ceil(m/2) and k = floor(m/2) from each source are
-    joined as in the module docstring, by inclusion-exclusion over the
-    pairs that carry the same key: same (source, end), less same
-    (source, last arc), less same (first arc, end), plus same (first arc,
-    last arc).  The keys are packed into int64 and each level's keys are
-    tallied (_tally) as its chunks arrive, so memory is bounded by the
-    frontier chunks and the number of distinct keys, never by the
-    number of walks.
+    joined as in the module docstring (_join).  The sources are joined
+    in groups priced at most HALF_WALK_CAP half-walks, and the search
+    holds one group's half-walks at a time, so memory is bounded by the
+    cap, not by the budget or the number of sources.
 
     The guards raise here, at the call: m_max < 1, m_max past
-    DEFAULT_DEPTH_GUARD, and the budget, which prices the half-walks,
-    len(sources) d (d-1)^(ceil(m_max/2) - 1) with d the top degree.
+    DEFAULT_DEPTH_GUARD, the budget, which prices the half-walks,
+    len(sources) d (d-1)^(ceil(m_max/2) - 1) with d the top degree, and
+    HALF_WALK_CAP, which one source's half-walks of every length up to
+    ceil(m_max/2), priced the same way, may not pass.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    if m_max > DEFAULT_DEPTH_GUARD:
+        raise DepthExceeded(f"depth {m_max} exceeds guard {DEFAULT_DEPTH_GUARD}")
     sources = list(sources)
     half = (m_max + 1) // 2
-    _check_cost(g, m_max, DEFAULT_DEPTH_GUARD, budget, half, len(sources))
+    top = max(map(len, g.neighbors))
+    est = walk_estimate(g, half, len(sources), degree=top)
+    if est > budget:
+        raise DepthExceeded(f"estimated {est} steps exceeds budget {budget}")
+    held = sum(walk_estimate(g, depth, 1, degree=top) for depth in range(1, half + 1))
+    if held > HALF_WALK_CAP:
+        raise DepthExceeded(f"estimated {held} half-walks from one source exceeds cap {HALF_WALK_CAP}")
     tab = _follower_table(g, sources, half - 1)
+    counts = [sum(g.neighbors[s].count(s) for s in sources)] + [0] * (m_max - 1)
+    step = HALF_WALK_CAP // max(held, 1)
+    for lo in range(0, len(sources), step):
+        for m, pairs in enumerate(_join(g, tab, sources[lo : lo + step], m_max), 2):
+            counts[m - 1] += pairs
+    return counts
+
+
+def _join(g: Graph, tab: _Followers, sources: list[int], m_max: int) -> list[int]:
+    """The reduced closed walks of lengths 2..m_max from sources, by meet in the middle.
+
+    Each half-walk carries its first arc's place in the sources' first
+    arcs, so each listing of a source has its own first arcs.  A level
+    (the half-walks of one length) is tallied by four keys packed into
+    int64, and lengths h = ceil(m/2) and k = floor(m/2) are joined by
+    inclusion-exclusion over the pairs that carry the same key: same
+    (source, end), less same (source, last arc), less same (first arc,
+    end), plus same (first arc, last arc).
+    """
+    half = (m_max + 1) // 2
     fans = np.array([len(g.neighbors[s]) for s in sources], dtype=np.int64)
     firsts = _ranges(np.array([tab.first[s] for s in sources], dtype=np.int64), fans)
-    # a half-walk's tag is its first arc's place in firsts, so each listing of a source has its own first arcs
     source_of = np.repeat(np.arange(len(sources)), fans)
-    n, arcs = g.n, len(tab.end)
-    empty = (np.zeros(0, dtype=np.int64),) * 2
-    tallies = [[empty] * 4 for _ in range(half + 1)]  # tallies[depth][key]
+    levels: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(half + 1)]
     for depth, last, first in _search(tab, firsts, np.arange(len(firsts)), half):
+        levels[depth].append((last, first))
+    n, arcs = g.n, len(tab.end)
+    empty = np.zeros(0, dtype=np.int64)
+    tallies = [[]]  # tallies[depth][key]
+    for level in levels[1:]:
+        last = np.concatenate([empty, *(c[0] for c in level)])
+        first = np.concatenate([empty, *(c[1] for c in level)])
+        level.clear()
         end, src = tab.end[last], source_of[first]
-        for i, keys in enumerate((src * n + end, src * arcs + last, first * n + end, first * arcs + last)):
-            tallies[depth][i] = _tally(tallies[depth][i], keys)
-    counts = [sum(g.neighbors[s].count(s) for s in sources)]
+        tallies.append(
+            [
+                np.unique(a * width + b, return_counts=True)
+                for a, b, width in ((src, end, n), (src, last, arcs), (first, end, n), (first, last, arcs))
+            ]
+        )
+    pairs = []
     for m in range(2, m_max + 1):
         h, k = tallies[(m + 1) // 2], tallies[m // 2]
-        counts.append(_pairs(h[0], k[0]) - _pairs(h[1], k[1]) - _pairs(h[2], k[2]) + _pairs(h[3], k[3]))
-    return counts
+        pairs.append(_pairs(h[0], k[0]) - _pairs(h[1], k[1]) - _pairs(h[2], k[2]) + _pairs(h[3], k[3]))
+    return pairs

@@ -393,10 +393,14 @@ def test_closed_walk_counts_are_the_full_searchs_closed_walks(count_graphs):
             assert closed_walk_counts(g, m, range(g.n)) == full[:m], (name, m)
 
 
-def test_closed_walk_counts_sum_over_listed_sources_with_repeats(count_graphs):
+@pytest.mark.parametrize("two_per_group", [False, True])
+def test_closed_walk_counts_sum_over_listed_sources_with_repeats(monkeypatch, count_graphs, two_per_group):
     for name, (g, m_max) in count_graphs.items():
         if g.n > 64:  # X^{13,5}: its half-walk tables reach depth 6 from a few sources
             m_max = 6
+        if two_per_group:  # the cap holds two sources' priced half-walks: listings split across groups
+            held = sum(walk_estimate(g, depth, 1) for depth in range(1, (m_max + 1) // 2 + 1))
+            monkeypatch.setattr(oracle, "HALF_WALK_CAP", 2 * held)
         for sources in ([0], [g.n - 1, 0, g.n - 1], [2, 2, 2, 0, 3]):
             assert closed_walk_counts(g, m_max, sources) == summed_closed(g, m_max, sources), (name, sources)
         assert closed_walk_counts(g, m_max, []) == [0] * m_max, name
@@ -406,7 +410,8 @@ def test_closed_walk_counts_on_a_certified_x135_scale_from_the_root(x135):
     g, params, cert, _ = x135
     ctx = SuiteContext(g, params)
     assert ctx.row_vertex is not None
-    assert [g.n * c for c in closed_walk_counts(g, 10, [ctx.row_vertex])] == n_reduced_range(g, cert, 10)
+    # m_max = 8: one source's half-walks up to length 5 are priced past HALF_WALK_CAP
+    assert [g.n * c for c in closed_walk_counts(g, 8, [ctx.row_vertex])] == n_reduced_range(g, cert, 8)
 
 
 def test_closed_walk_count_guards():
@@ -433,23 +438,39 @@ def test_pairs_past_int64_are_exact():
     assert _pairs(big, (np.array([7, 9], dtype=np.int64), np.array([1 << 30, 1], dtype=np.int64))) == 1 << 70
 
 
-def test_closed_walk_counts_hold_chunks_not_levels(monkeypatch):
-    """A half-walk level far past the cap costs frontier chunks and key tallies, not the level."""
-    n, m_max = 20, 14
-    g = build_graph(n, [(i, (i + s) % n) for i in range(n) for s in (1, 2, 3, 4)])  # 8-regular circulant
-    monkeypatch.setattr(oracle, "FRONTIER_CAP", 1 << 12)
-    level = 8 * 7 ** ((m_max + 1) // 2 - 1)
-    assert level > 200 * oracle.FRONTIER_CAP and walk_estimate(g, (m_max + 1) // 2, 1) == level <= DEFAULT_BUDGET
+def test_closed_walk_counts_hold_one_group_of_sources(monkeypatch):
+    """On a graph whose balls are mostly trees, so nearly every half-walk has its own (first arc, last arc) key,
+    memory follows the cap, not the half-walks of every source."""
+    g, m_max = seeded_irregular(7, n=1000, extra=500), 12
+    half = (m_max + 1) // 2
+    want = closed_walk_counts(g, m_max, range(g.n))
+    tab = _follower_table(g, range(g.n), half - 1)
+    everyone = np.arange(len(tab.end))  # the arcs out of every vertex
+    listed = sum(len(last) for _, last, _ in oracle._search(tab, everyone, everyone, half))
+    monkeypatch.setattr(oracle, "FRONTIER_CAP", 1 << 10)
+    monkeypatch.setattr(oracle, "HALF_WALK_CAP", 1 << 14)
+    assert listed > 20 * oracle.HALF_WALK_CAP
     tracemalloc.start()
     try:
-        counts = closed_walk_counts(g, m_max, [0])
+        counts = closed_walk_counts(g, m_max, range(g.n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 8 * oracle.FRONTIER_CAP  # a few chunk-sized int64 arrays
-    assert peak < level  # an eighth of one int64 per half-walk of the last level
+    assert counts == want
+    assert peak < 128 * oracle.HALF_WALK_CAP  # a group's half-walks, their keys and tallies, and the arc table
+    assert peak < 8 * listed  # less than one int64 per half-walk listed
+
+
+def test_closed_walk_counts_refuse_a_source_past_the_cap():
+    """One source's half-walks are held together, so a source priced past HALF_WALK_CAP is refused whatever the budget."""
+    n, m_max = 20, 14
+    g = build_graph(n, [(i, (i + s) % n) for i in range(n) for s in (1, 2, 3, 4)])  # 8-regular circulant
+    held = sum(8 * 7 ** (depth - 1) for depth in range(1, (m_max + 1) // 2 + 1))
+    assert held > oracle.HALF_WALK_CAP and walk_estimate(g, (m_max + 1) // 2, 1) <= DEFAULT_BUDGET
+    with pytest.raises(DepthExceeded, match="half-walks from one source"):
+        closed_walk_counts(g, m_max, [0], budget=10**18)
     cert = certify_regular(g)  # a circulant is vertex-transitive: N_m = n closed_m
-    assert [n * c for c in counts] == n_reduced_range(g, cert, m_max)
+    assert [n * c for c in closed_walk_counts(g, m_max - 2, [0])] == n_reduced_range(g, cert, m_max - 2)
 
 
 def test_paths_m0_is_identity(corpus):
